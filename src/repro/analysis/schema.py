@@ -30,6 +30,7 @@ plan-invariant verifier uses to prove rewrites schema-preserving.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -67,6 +68,8 @@ ANY_TYPE = "any"
 NUMBER = "number"
 STRING = "str"
 BYTES = "bytes"
+#: Leading rows of a live engine's relation that type inference looks at.
+TYPE_SAMPLE_ROWS = 128
 
 
 def type_name(value: Any) -> str:
@@ -156,12 +159,17 @@ class SchemaContext:
             rows: List[Tuple[Any, ...]] = []
             if hasattr(engine, "relation"):  # Database
                 try:
-                    rows = list(engine.relation(name))[:128]
+                    rows = list(itertools.islice(engine.relation(name), TYPE_SAMPLE_ROWS))
                 except Exception:
                     return None
             elif hasattr(engine, "template_rows"):  # UWSDT
                 try:
-                    rows = [values for _, values in engine.template_rows(name)][:128]
+                    rows = [
+                        values
+                        for _, values in itertools.islice(
+                            engine.template_rows(name), TYPE_SAMPLE_ROWS
+                        )
+                    ]
                 except Exception:
                     return None
             if not rows:

@@ -7,6 +7,13 @@ query evaluation on UWSDTs track the one-world evaluation time so closely
 in Figure 30: for placeholder densities of 0.005 %–0.1 %, the overwhelming
 majority of template tuples never reach the component machinery.
 
+The split is made on the UWSDT's placeholder index
+(:meth:`~repro.core.uwsdt.UWSDT.uncertain_tuples`): a template row whose
+tuple id is not indexed is fully certain, so the compiled predicate,
+projection or hash join runs on the raw row exactly as on a one-world
+database; the indexed rows name their placeholder attributes and go through
+their components.
+
 The selection algorithm follows Figure 16: the result template keeps the
 tuples that certainly satisfy the condition or have a placeholder on a
 referenced attribute; component values violating the condition are removed
@@ -16,15 +23,19 @@ dropped from the result template again (lines 4–6 of the figure).
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ...relational.errors import RepresentationError, SchemaError
 from ...relational.predicates import AttrConst, Predicate
 from ...relational.schema import RelationSchema
-from ...relational.values import BOTTOM, PLACEHOLDER, is_placeholder
-from ..component import Component
+from ...relational.values import BOTTOM, PLACEHOLDER
+from ..component import Component, fill_placeholders
 from ..fields import FieldRef
-from ..uwsdt import TID, UWSDT
+from ..uwsdt import UWSDT
+
+#: A raw template row: the tuple id followed by the attribute values.
+Row = Tuple[Any, ...]
 
 
 # --------------------------------------------------------------------------- #
@@ -32,8 +43,12 @@ from ..uwsdt import TID, UWSDT
 # --------------------------------------------------------------------------- #
 
 
-def _placeholder_attrs(attributes: Sequence[str], values: Sequence[Any]) -> List[str]:
-    return [a for a, v in zip(attributes, values) if is_placeholder(v)]
+def _add_result_relation(uwsdt: UWSDT, target: str, attributes: Sequence[str]):
+    """Declare result relation ``target`` and return its (empty) template."""
+    if uwsdt.schema.has_relation(target):
+        raise SchemaError(f"relation {target!r} already exists")
+    uwsdt.add_relation(RelationSchema(target, tuple(attributes)))
+    return uwsdt.templates[target]
 
 
 def _copy_placeholder_fields(
@@ -46,25 +61,24 @@ def _copy_placeholder_fields(
 ) -> None:
     """Extend the owning components with copies ``target.tid.A`` of ``source.tid.A``."""
     for attribute in attributes:
-        source_field = FieldRef(source, source_tid, attribute)
-        target_field = FieldRef(target, target_tid, attribute)
-        cid = uwsdt.component_of(source_field)
-        if cid is None:
-            raise RepresentationError(
-                f"expected a component for placeholder field {source_field.label()}"
-            )
-        uwsdt.replace_component(cid, uwsdt.components[cid].ext(source_field, target_field))
+        uwsdt.copy_field(
+            FieldRef(source, source_tid, attribute), FieldRef(target, target_tid, attribute)
+        )
+
+
+def _tuple_positions(component: Component, relation: str, tuple_id: Any) -> List[int]:
+    return [
+        index
+        for index, field in enumerate(component.fields)
+        if field.relation == relation and field.tuple_id == tuple_id
+    ]
 
 
 def _mark_tuple_deleted(
     component: Component, relation: str, tuple_id: Any, row_indices: Sequence[int]
 ) -> Component:
     """Set every field of ``(relation, tuple_id)`` to ``⊥`` in the given local worlds."""
-    positions = [
-        index
-        for index, field in enumerate(component.fields)
-        if field.relation == relation and field.tuple_id == tuple_id
-    ]
+    positions = _tuple_positions(component, relation, tuple_id)
     target_rows = set(row_indices)
     rows = []
     for index, row in enumerate(component.rows):
@@ -80,39 +94,40 @@ def _mark_tuple_deleted(
 
 def _tuple_deleted_everywhere(component: Component, relation: str, tuple_id: Any) -> bool:
     """True iff every local world marks the tuple as deleted (some field ``⊥``)."""
-    positions = [
-        index
-        for index, field in enumerate(component.fields)
-        if field.relation == relation and field.tuple_id == tuple_id
-    ]
+    positions = _tuple_positions(component, relation, tuple_id)
     if not positions:
         return False
     return all(any(row[p] is BOTTOM for p in positions) for row in component.rows)
 
 
-def _drop_result_tuple(uwsdt: UWSDT, relation: str, tuple_id: Any, attributes: Sequence[str]) -> None:
-    """Remove a result tuple from the template and its fields from the components."""
-    template = uwsdt.templates[relation]
-    tid_position = template.schema.position(TID)
-    row_to_remove = None
-    for row in template:
-        if row[tid_position] == tuple_id:
-            row_to_remove = row
-            break
-    if row_to_remove is not None:
-        template.remove(row_to_remove)
-    for attribute in attributes:
-        field = FieldRef(relation, tuple_id, attribute)
+def _drop_result_tuple(uwsdt: UWSDT, relation: str, row: Row) -> None:
+    """Remove result row ``row`` from the template and its fields from the components."""
+    uwsdt.templates[relation].remove(row)
+    for attribute in uwsdt.uncertain_tuples(relation).get(row[0], ()):
+        field = FieldRef(relation, row[0], attribute)
         cid = uwsdt.component_of(field)
-        if cid is None:
-            continue
         reduced = uwsdt.components[cid].project_away([field])
         if reduced is None:
             uwsdt.remove_component(cid)
         else:
-            # Going through replace_component keeps the field map and the
-            # per-relation placeholder counts in sync.
             uwsdt.replace_component(cid, reduced)
+
+
+def _delete_in_worlds(
+    uwsdt: UWSDT, cid: int, relation: str, row: Row, failing: Sequence[int]
+) -> bool:
+    """Delete result tuple ``row`` in the ``failing`` local worlds of component ``cid``.
+
+    Lines 4–6 of Figure 16: returns True iff no local world keeps the tuple,
+    in which case it is dropped from the result again.
+    """
+    if failing:
+        component = _mark_tuple_deleted(uwsdt.components[cid], relation, row[0], failing)
+        uwsdt.replace_component(cid, component.propagate_bottom())
+    if _tuple_deleted_everywhere(uwsdt.components[cid], relation, row[0]):
+        _drop_result_tuple(uwsdt, relation, row)
+        return True
+    return False
 
 
 def _merge_target_components(uwsdt: UWSDT, fields: Sequence[FieldRef]) -> int:
@@ -131,8 +146,8 @@ def _merge_target_components(uwsdt: UWSDT, fields: Sequence[FieldRef]) -> int:
 # --------------------------------------------------------------------------- #
 
 
-def _equality_candidates(uwsdt: UWSDT, source: str, predicate: Predicate):
-    """Candidate ``(tuple_id, values)`` rows for an equality selection, or None.
+def _equality_candidates(uwsdt: UWSDT, source: str, predicate: Predicate) -> Optional[List[Row]]:
+    """Candidate template rows for an equality selection, or None.
 
     A pushed-down selection ``σ_{A=c}`` only ever keeps template rows whose
     ``A`` field equals ``c`` or is the ``?`` placeholder, so instead of
@@ -146,82 +161,54 @@ def _equality_candidates(uwsdt: UWSDT, source: str, predicate: Predicate):
     except TypeError:
         return None
     index = uwsdt.template_index(source, predicate.attribute)
-    rows = index.lookup(predicate.constant) + index.lookup(PLACEHOLDER)
-    tid_position = uwsdt.templates[source].schema.position(TID)
-    return [
-        (row[tid_position], row[:tid_position] + row[tid_position + 1:]) for row in rows
-    ]
+    return index.lookup(predicate.constant) + index.lookup(PLACEHOLDER)
 
 
 def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None:
     """Selection ``P := σ_pred(R)`` on a UWSDT (the algorithm of Figure 16, generalized)."""
     source_schema = uwsdt.schema.relation(source)
-    for attribute in predicate.attributes():
-        source_schema.position(attribute)
-    if uwsdt.schema.has_relation(target):
-        raise SchemaError(f"relation {target!r} already exists")
-    uwsdt.add_relation(RelationSchema(target, source_schema.attributes))
-
-    attributes = source_schema.attributes
     referenced = predicate.attributes()
-    referenced_positions = [source_schema.position(a) for a in referenced]
-    # Compile the condition once against the referenced-attribute layout: the
-    # certain path of Figure 16 is the hot loop on large templates.
-    reference_schema = RelationSchema(source, referenced) if referenced else None
-    compiled = predicate.compile(reference_schema) if referenced else None
+    for attribute in referenced:
+        source_schema.position(attribute)
+    result = _add_result_relation(uwsdt, target, source_schema.attributes)
+
+    template = uwsdt.templates[source]
+    position_of = template.schema.position
+    # Compiled once against the raw template layout: certain rows are filtered
+    # as in one world, local worlds are judged on a filled-in copy of the row.
+    satisfied = predicate.compile(template.schema)
+    uncertain = uwsdt.uncertain_tuples(source)
 
     candidates = _equality_candidates(uwsdt, source, predicate)
-    if candidates is None:
-        candidates = list(uwsdt.template_rows(source))
-
-    for tuple_id, values in candidates:
-        uncertain_refs = [
-            a for a, p in zip(referenced, referenced_positions) if is_placeholder(values[p])
-        ]
-        placeholders = _placeholder_attrs(attributes, values)
-
-        if not uncertain_refs:
-            # Line 1 of Figure 16: the condition is decided by the template alone.
-            if compiled is not None and not compiled(
-                tuple(values[p] for p in referenced_positions)
-            ):
-                continue
-            uwsdt.add_template_tuple(target, tuple_id, values)
-            _copy_placeholder_fields(uwsdt, source, tuple_id, target, tuple_id, placeholders)
+    for row in (template if candidates is None else candidates):
+        placeholders = uncertain.get(row[0])
+        if placeholders is None:
+            if satisfied(row):
+                result.insert(row)
             continue
-        value_map = dict(zip(attributes, values))
+        tuple_id = row[0]
+        uncertain_refs = [a for a in referenced if a in placeholders]
+        if not uncertain_refs and not satisfied(row):
+            # Line 1 of Figure 16: the condition is decided by the template alone.
+            continue
+        result.insert(row)
+        _copy_placeholder_fields(uwsdt, source, tuple_id, target, tuple_id, placeholders)
+        if not uncertain_refs:
+            continue
 
         # The condition depends on uncertain fields: keep the tuple and filter
         # its local worlds (lines 2-6 of Figure 16).
-        uwsdt.add_template_tuple(target, tuple_id, values)
-        _copy_placeholder_fields(uwsdt, source, tuple_id, target, tuple_id, placeholders)
-        target_fields = [FieldRef(target, tuple_id, a) for a in uncertain_refs]
-        cid = _merge_target_components(uwsdt, target_fields)
+        cid = _merge_target_components(
+            uwsdt, [FieldRef(target, tuple_id, a) for a in uncertain_refs]
+        )
         component = uwsdt.components[cid]
-
-        certain_refs = [a for a in referenced if not is_placeholder(value_map[a])]
-        pseudo_schema = RelationSchema(target, tuple(referenced))
-        failing: List[int] = []
-        for row_index, row in enumerate(component.rows):
-            assignment: Dict[str, Any] = {a: value_map[a] for a in certain_refs}
-            deleted = False
-            for field in target_fields:
-                value = row[component.position(field)]
-                if value is BOTTOM:
-                    deleted = True
-                    break
-                assignment[field.attribute] = value
-            if deleted:
-                continue
-            pseudo_row = tuple(assignment[a] for a in referenced)
-            if not predicate.evaluate(pseudo_schema, pseudo_row):
-                failing.append(row_index)
-        if failing:
-            component = _mark_tuple_deleted(component, target, tuple_id, failing)
-            component = component.propagate_bottom()
-            uwsdt.replace_component(cid, component)
-        if _tuple_deleted_everywhere(uwsdt.components[cid], target, tuple_id):
-            _drop_result_tuple(uwsdt, target, tuple_id, placeholders)
+        slots = component.slots(target, tuple_id, uncertain_refs, position_of)
+        failing = []
+        for index, local_world in enumerate(component.rows):
+            values = fill_placeholders(row, slots, local_world)
+            if values is not None and not satisfied(values):
+                failing.append(index)
+        _delete_in_worlds(uwsdt, cid, target, row, failing)
 
 
 # --------------------------------------------------------------------------- #
@@ -241,75 +228,72 @@ def project(uwsdt: UWSDT, source: str, target: str, attributes: Sequence[str]) -
     source_schema = uwsdt.schema.relation(source)
     for attribute in attributes:
         source_schema.position(attribute)
-    if uwsdt.schema.has_relation(target):
-        raise SchemaError(f"relation {target!r} already exists")
-    uwsdt.add_relation(RelationSchema(target, tuple(attributes)))
+    result = _add_result_relation(uwsdt, target, attributes)
 
-    all_attributes = source_schema.attributes
-    dropped = [a for a in all_attributes if a not in attributes]
+    template = uwsdt.templates[source]
+    kept = operator.itemgetter(0, *(template.schema.position(a) for a in attributes))
+    uncertain = uwsdt.uncertain_tuples(source)
 
-    for tuple_id, values in list(uwsdt.template_rows(source)):
-        value_map = dict(zip(all_attributes, values))
-        kept_values = [value_map[a] for a in attributes]
-        kept_placeholders = [a for a in attributes if is_placeholder(value_map[a])]
-        dropped_placeholders = [a for a in dropped if is_placeholder(value_map[a])]
+    for row in template:
+        placeholders = uncertain.get(row[0])
+        if placeholders is None:
+            result.insert(kept(row))
+            continue
+        tuple_id = row[0]
+        kept_placeholders = [a for a in attributes if a in placeholders]
 
         # Which dropped placeholder fields may mark the tuple as absent?
         presence_fields: List[FieldRef] = []
-        for attribute in dropped_placeholders:
+        for attribute in placeholders:
+            if attribute in attributes:
+                continue
             field = FieldRef(source, tuple_id, attribute)
-            cid = uwsdt.component_of(field)
-            component = uwsdt.components[cid]
+            component = uwsdt.components[uwsdt.component_of(field)]
             if any(value is BOTTOM for value in component.column(field)):
                 presence_fields.append(field)
 
-        if not presence_fields:
-            uwsdt.add_template_tuple(target, tuple_id, kept_values)
+        if kept_placeholders or not presence_fields:
+            result.insert(kept(row))
             _copy_placeholder_fields(
                 uwsdt, source, tuple_id, target, tuple_id, kept_placeholders
             )
-            continue
-
-        if kept_placeholders:
-            uwsdt.add_template_tuple(target, tuple_id, kept_values)
-            _copy_placeholder_fields(
-                uwsdt, source, tuple_id, target, tuple_id, kept_placeholders
-            )
+            if not presence_fields:
+                continue
             target_fields = [FieldRef(target, tuple_id, a) for a in kept_placeholders]
-            cids = [uwsdt.component_of(f) for f in target_fields] + [
-                uwsdt.component_of(f) for f in presence_fields
-            ]
-            cid = uwsdt.merge_components(cids)
+            cid = uwsdt.merge_components(
+                [uwsdt.component_of(f) for f in target_fields + presence_fields]
+            )
             component = uwsdt.components[cid]
             presence_positions = [component.position(f) for f in presence_fields]
             absent_rows = [
                 index
-                for index, row in enumerate(component.rows)
-                if any(row[p] is BOTTOM for p in presence_positions)
+                for index, local_world in enumerate(component.rows)
+                if any(local_world[p] is BOTTOM for p in presence_positions)
             ]
             if absent_rows:
                 component = _mark_tuple_deleted(component, target, tuple_id, absent_rows)
-                component = component.propagate_bottom()
-                uwsdt.replace_component(cid, component)
+                uwsdt.replace_component(cid, component.propagate_bottom())
             continue
 
         # All kept attributes are certain: turn the first kept attribute into a
         # placeholder that encodes tuple presence.
-        presence_attr = attributes[0]
-        kept_values_with_placeholder = [
-            PLACEHOLDER if a == presence_attr else value_map[a] for a in attributes
-        ]
-        uwsdt.add_template_tuple(target, tuple_id, kept_values_with_placeholder)
+        kept_row = kept(row)
+        result.insert((tuple_id, PLACEHOLDER) + kept_row[2:])
         cid = uwsdt.merge_components([uwsdt.component_of(f) for f in presence_fields])
         component = uwsdt.components[cid]
         presence_positions = [component.position(f) for f in presence_fields]
-        new_field = FieldRef(target, tuple_id, presence_attr)
-        fields = component.fields + (new_field,)
         rows = []
-        for row in component.rows:
-            absent = any(row[p] is BOTTOM for p in presence_positions)
-            rows.append(row + (BOTTOM if absent else value_map[presence_attr],))
-        uwsdt.replace_component(cid, Component(fields, rows, component.probabilities))
+        for local_world in component.rows:
+            absent = any(local_world[p] is BOTTOM for p in presence_positions)
+            rows.append(local_world + (BOTTOM if absent else kept_row[1],))
+        uwsdt.replace_component(
+            cid,
+            Component(
+                component.fields + (FieldRef(target, tuple_id, attributes[0]),),
+                rows,
+                component.probabilities,
+            ),
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -319,81 +303,59 @@ def project(uwsdt: UWSDT, source: str, target: str, attributes: Sequence[str]) -
 
 def rename(uwsdt: UWSDT, source: str, target: str, old: str, new: str) -> None:
     """Renaming ``P := δ_{A→A'}(R)`` on a UWSDT."""
-    source_schema = uwsdt.schema.relation(source)
-    renamed_schema = source_schema.rename_attribute(old, new, target)
-    if uwsdt.schema.has_relation(target):
-        raise SchemaError(f"relation {target!r} already exists")
-    uwsdt.add_relation(renamed_schema)
-    for tuple_id, values in list(uwsdt.template_rows(source)):
-        uwsdt.add_template_tuple(target, tuple_id, values)
-        for attribute, value in zip(source_schema.attributes, values):
-            if is_placeholder(value):
-                source_field = FieldRef(source, tuple_id, attribute)
-                new_attribute = new if attribute == old else attribute
-                target_field = FieldRef(target, tuple_id, new_attribute)
-                cid = uwsdt.component_of(source_field)
-                uwsdt.replace_component(
-                    cid, uwsdt.components[cid].ext(source_field, target_field)
-                )
+    renamed_schema = uwsdt.schema.relation(source).rename_attribute(old, new, target)
+    result = _add_result_relation(uwsdt, target, renamed_schema.attributes)
+    for row in uwsdt.templates[source]:
+        result.insert(row)
+    for tuple_id, placeholders in uwsdt.uncertain_tuples(source).items():
+        for attribute in placeholders:
+            uwsdt.copy_field(
+                FieldRef(source, tuple_id, attribute),
+                FieldRef(target, tuple_id, new if attribute == old else attribute),
+            )
 
 
 def union(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
     """Union ``T := R ∪ S`` on a UWSDT."""
     left_schema = uwsdt.schema.relation(left)
-    right_schema = uwsdt.schema.relation(right)
-    if left_schema.attributes != right_schema.attributes:
+    if left_schema.attributes != uwsdt.schema.relation(right).attributes:
         raise SchemaError("union requires identical attribute lists")
-    if uwsdt.schema.has_relation(target):
-        raise SchemaError(f"relation {target!r} already exists")
-    uwsdt.add_relation(RelationSchema(target, left_schema.attributes))
+    result = _add_result_relation(uwsdt, target, left_schema.attributes)
     for side in (left, right):
-        side_schema = uwsdt.schema.relation(side)
-        for tuple_id, values in list(uwsdt.template_rows(side)):
-            target_tid = (side, tuple_id)
-            uwsdt.add_template_tuple(target, target_tid, values)
-            placeholders = _placeholder_attrs(side_schema.attributes, values)
-            for attribute in placeholders:
-                source_field = FieldRef(side, tuple_id, attribute)
-                target_field = FieldRef(target, target_tid, attribute)
-                cid = uwsdt.component_of(source_field)
-                uwsdt.replace_component(
-                    cid, uwsdt.components[cid].ext(source_field, target_field)
-                )
+        for row in uwsdt.templates[side]:
+            result.insert(((side, row[0]),) + row[1:])
+        for tuple_id, placeholders in uwsdt.uncertain_tuples(side).items():
+            _copy_placeholder_fields(
+                uwsdt, side, tuple_id, target, (side, tuple_id), placeholders
+            )
+
+
+def _pair_emitter(uwsdt: UWSDT, left: str, right: str, target: str):
+    """``emit(left_row, right_row)``: add the rows' concatenation to ``target``, return it."""
+    result = uwsdt.templates[target]
+    sides = ((left, uwsdt.uncertain_tuples(left)), (right, uwsdt.uncertain_tuples(right)))
+
+    def emit(left_row: Row, right_row: Row) -> Row:
+        target_tid = (left_row[0], right_row[0])
+        row = (target_tid,) + left_row[1:] + right_row[1:]
+        result.insert(row)
+        for (side, uncertain), tuple_id in zip(sides, target_tid):
+            placeholders = uncertain.get(tuple_id)
+            if placeholders is not None:
+                _copy_placeholder_fields(uwsdt, side, tuple_id, target, target_tid, placeholders)
+        return row
+
+    return emit
 
 
 def product(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
     """Product ``T := R × S`` on a UWSDT (attribute sets must be disjoint)."""
-    left_schema = uwsdt.schema.relation(left)
-    right_schema = uwsdt.schema.relation(right)
-    target_schema = left_schema.concat(right_schema, target)
-    if uwsdt.schema.has_relation(target):
-        raise SchemaError(f"relation {target!r} already exists")
-    uwsdt.add_relation(RelationSchema(target, target_schema.attributes))
-    right_rows = list(uwsdt.template_rows(right))
-    for left_tid, left_values in list(uwsdt.template_rows(left)):
-        left_placeholders = _placeholder_attrs(left_schema.attributes, left_values)
-        for right_tid, right_values in right_rows:
-            right_placeholders = _placeholder_attrs(right_schema.attributes, right_values)
-            target_tid = (left_tid, right_tid)
-            uwsdt.add_template_tuple(target, target_tid, tuple(left_values) + tuple(right_values))
-            for attribute in left_placeholders:
-                source_field = FieldRef(left, left_tid, attribute)
-                cid = uwsdt.component_of(source_field)
-                uwsdt.replace_component(
-                    cid,
-                    uwsdt.components[cid].ext(
-                        source_field, FieldRef(target, target_tid, attribute)
-                    ),
-                )
-            for attribute in right_placeholders:
-                source_field = FieldRef(right, right_tid, attribute)
-                cid = uwsdt.component_of(source_field)
-                uwsdt.replace_component(
-                    cid,
-                    uwsdt.components[cid].ext(
-                        source_field, FieldRef(target, target_tid, attribute)
-                    ),
-                )
+    target_schema = uwsdt.schema.relation(left).concat(uwsdt.schema.relation(right), target)
+    _add_result_relation(uwsdt, target, target_schema.attributes)
+    emit = _pair_emitter(uwsdt, left, right, target)
+    for left_row in uwsdt.templates[left]:
+        for right_row in uwsdt.templates[right]:
+            emit(left_row, right_row)
 
 
 # --------------------------------------------------------------------------- #
@@ -429,137 +391,84 @@ def equi_join(
     left_schema = uwsdt.schema.relation(left)
     right_schema = uwsdt.schema.relation(right)
     target_schema = left_schema.concat(right_schema, target)
-    if uwsdt.schema.has_relation(target):
-        raise SchemaError(f"relation {target!r} already exists")
-    uwsdt.add_relation(RelationSchema(target, target_schema.attributes))
+    _add_result_relation(uwsdt, target, target_schema.attributes)
 
-    left_rows = list(uwsdt.template_rows(left))
-    right_position = right_schema.position(right_attr)
-    left_position = left_schema.position(left_attr)
+    # Positions in raw template rows (the tid column comes first).
+    left_position = left_schema.position(left_attr) + 1
+    right_position = right_schema.position(right_attr) + 1
+    target_position = uwsdt.templates[target].schema.position
+    emit = _pair_emitter(uwsdt, left, right, target)
 
-    right_tid_position = uwsdt.templates[right].schema.position(TID)
-
-    def without_tid(row: Tuple[Any, ...]) -> Tuple[Any, Tuple[Any, ...]]:
-        return (
-            row[right_tid_position],
-            row[:right_tid_position] + row[right_tid_position + 1:],
-        )
-
-    def right_candidates(right_tid: Any) -> Set[Any]:
-        field = FieldRef(right, right_tid, right_attr)
+    def candidates(relation: str, tuple_id: Any, attribute: str) -> Set[Any]:
+        field = FieldRef(relation, tuple_id, attribute)
         component = uwsdt.components[uwsdt.component_of(field)]
         return {v for v in component.column(field) if v is not BOTTOM}
 
     template_index = None
-    certain_index: Dict[Any, List[Tuple[Any, Tuple[Any, ...]]]] = {}
-    uncertain_right: List[Tuple[Any, Tuple[Any, ...], Set[Any]]] = []
+    certain_index: Dict[Any, List[Row]] = {}
     if use_template_index:
         template_index = uwsdt.template_index(right, right_attr)
-        for row in template_index.lookup(PLACEHOLDER):
-            right_tid, right_values = without_tid(row)
-            uncertain_right.append((right_tid, right_values, right_candidates(right_tid)))
+        uncertain_right = template_index.lookup(PLACEHOLDER)
     else:
-        for right_tid, right_values in uwsdt.template_rows(right):
-            join_value = right_values[right_position]
-            if is_placeholder(join_value):
-                uncertain_right.append(
-                    (right_tid, right_values, right_candidates(right_tid))
-                )
+        uncertain_right = []
+        for right_row in uwsdt.templates[right]:
+            join_value = right_row[right_position]
+            if join_value is PLACEHOLDER:
+                uncertain_right.append(right_row)
             else:
-                certain_index.setdefault(join_value, []).append((right_tid, right_values))
+                certain_index.setdefault(join_value, []).append(right_row)
+    uncertain_right = [
+        (right_row, candidates(right, right_row[0], right_attr)) for right_row in uncertain_right
+    ]
 
-    def probe_certain(value: Any) -> List[Tuple[Any, Tuple[Any, ...]]]:
+    def probe_certain(value: Any) -> List[Row]:
         if template_index is not None:
             try:
                 hash(value)
             except TypeError:
                 return []
-            return [without_tid(row) for row in template_index.lookup(value)]
+            return template_index.lookup(value)
         return certain_index.get(value, [])
 
-    def emit(
-        left_tid: Any,
-        left_values: Tuple[Any, ...],
-        right_tid: Any,
-        right_values: Tuple[Any, ...],
-        must_check: bool,
-    ) -> None:
-        target_tid = (left_tid, right_tid)
-        uwsdt.add_template_tuple(target, target_tid, tuple(left_values) + tuple(right_values))
-        left_placeholders = _placeholder_attrs(left_schema.attributes, left_values)
-        right_placeholders = _placeholder_attrs(right_schema.attributes, right_values)
-        for attribute in left_placeholders:
-            source_field = FieldRef(left, left_tid, attribute)
-            cid = uwsdt.component_of(source_field)
-            uwsdt.replace_component(
-                cid,
-                uwsdt.components[cid].ext(source_field, FieldRef(target, target_tid, attribute)),
-            )
-        for attribute in right_placeholders:
-            source_field = FieldRef(right, right_tid, attribute)
-            cid = uwsdt.component_of(source_field)
-            uwsdt.replace_component(
-                cid,
-                uwsdt.components[cid].ext(source_field, FieldRef(target, target_tid, attribute)),
-            )
-        if not must_check:
-            return
-        # Condition the result tuple on the join values agreeing.
-        check_fields = []
-        if is_placeholder(left_values[left_position]):
-            check_fields.append(FieldRef(target, target_tid, left_attr))
-        if is_placeholder(right_values[right_position]):
-            check_fields.append(FieldRef(target, target_tid, right_attr))
-        cid = _merge_target_components(uwsdt, check_fields)
+    def emit_conditioned(left_row: Row, right_row: Row) -> None:
+        """Emit a pair whose presence depends on the join values agreeing."""
+        row = emit(left_row, right_row)
+        join_values = (
+            (left_attr, left_row[left_position]),
+            (right_attr, right_row[right_position]),
+        )
+        check = [attribute for attribute, value in join_values if value is PLACEHOLDER]
+        cid = _merge_target_components(uwsdt, [FieldRef(target, row[0], a) for a in check])
         component = uwsdt.components[cid]
+        slots = component.slots(target, row[0], check, target_position)
+        left_value, right_value = target_position(left_attr), target_position(right_attr)
         failing = []
-        for row_index, row in enumerate(component.rows):
-            values = {}
-            deleted = False
-            for field in check_fields:
-                value = row[component.position(field)]
-                if value is BOTTOM:
-                    deleted = True
-                    break
-                values[field.attribute] = value
-            if deleted:
-                continue
-            left_value = values.get(left_attr, left_values[left_position])
-            right_value = values.get(right_attr, right_values[right_position])
-            if left_value != right_value:
-                failing.append(row_index)
-        if failing:
-            component = _mark_tuple_deleted(component, target, target_tid, failing)
-            component = component.propagate_bottom()
-            uwsdt.replace_component(cid, component)
-        if _tuple_deleted_everywhere(uwsdt.components[cid], target, target_tid):
-            placeholders = _placeholder_attrs(
-                target_schema.attributes, tuple(left_values) + tuple(right_values)
-            )
-            _drop_result_tuple(uwsdt, target, target_tid, placeholders)
+        for index, local_world in enumerate(component.rows):
+            values = fill_placeholders(row, slots, local_world)
+            if values is not None and values[left_value] != values[right_value]:
+                failing.append(index)
+        _delete_in_worlds(uwsdt, cid, target, row, failing)
 
-    for left_tid, left_values in left_rows:
-        left_join_value = left_values[left_position]
-        if not is_placeholder(left_join_value):
-            for right_tid, right_values in probe_certain(left_join_value):
-                emit(left_tid, left_values, right_tid, right_values, must_check=False)
-            for right_tid, right_values, candidates in uncertain_right:
-                if left_join_value in candidates:
-                    emit(left_tid, left_values, right_tid, right_values, must_check=True)
+    for left_row in uwsdt.templates[left]:
+        left_join_value = left_row[left_position]
+        if left_join_value is not PLACEHOLDER:
+            for right_row in probe_certain(left_join_value):
+                emit(left_row, right_row)
+            for right_row, right_candidates in uncertain_right:
+                if left_join_value in right_candidates:
+                    emit_conditioned(left_row, right_row)
         else:
-            field = FieldRef(left, left_tid, left_attr)
-            component = uwsdt.components[uwsdt.component_of(field)]
-            left_candidates = {v for v in component.column(field) if v is not BOTTOM}
+            left_candidates = candidates(left, left_row[0], left_attr)
             matched_right: Set[Any] = set()
             for value in left_candidates:
-                for right_tid, right_values in probe_certain(value):
-                    if right_tid in matched_right:
+                for right_row in probe_certain(value):
+                    if right_row[0] in matched_right:
                         continue
-                    matched_right.add(right_tid)
-                    emit(left_tid, left_values, right_tid, right_values, must_check=True)
-            for right_tid, right_values, candidates in uncertain_right:
-                if left_candidates & candidates:
-                    emit(left_tid, left_values, right_tid, right_values, must_check=True)
+                    matched_right.add(right_row[0])
+                    emit_conditioned(left_row, right_row)
+            for right_row, right_candidates in uncertain_right:
+                if left_candidates & right_candidates:
+                    emit_conditioned(left_row, right_row)
 
 
 # --------------------------------------------------------------------------- #
@@ -567,122 +476,78 @@ def equi_join(
 # --------------------------------------------------------------------------- #
 
 
+def _may_be_equal(left_row: Row, right_row: Row) -> bool:
+    """False iff two template rows certainly differ on some attribute."""
+    return all(
+        lv == rv or lv is PLACEHOLDER or rv is PLACEHOLDER
+        for lv, rv in zip(left_row[1:], right_row[1:])
+    )
+
+
 def difference(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
     """Difference ``P := R − S`` on a UWSDT.
 
     As in the paper, this is by far the most expensive operator: pairs of
     possibly-equal tuples force component composition.  Certain/certain
-    pairs are resolved on the templates alone.
+    pairs are resolved on the templates alone, as a one-world hash
+    difference; a certain left tuple is then only compared with the right
+    tuples the placeholder index lists.
     """
     left_schema = uwsdt.schema.relation(left)
-    right_schema = uwsdt.schema.relation(right)
-    if left_schema.attributes != right_schema.attributes:
+    if left_schema.attributes != uwsdt.schema.relation(right).attributes:
         raise SchemaError("difference requires identical attribute lists")
-    if uwsdt.schema.has_relation(target):
-        raise SchemaError(f"relation {target!r} already exists")
-    uwsdt.add_relation(RelationSchema(target, left_schema.attributes))
+    result = _add_result_relation(uwsdt, target, left_schema.attributes)
+    position_of = result.schema.position
     attributes = left_schema.attributes
-    right_rows = list(uwsdt.template_rows(right))
 
-    for left_tid, left_values in list(uwsdt.template_rows(left)):
-        left_placeholders = _placeholder_attrs(attributes, left_values)
-        # A certain right tuple that is certainly equal removes the left tuple outright.
-        certainly_removed = False
-        conditional_matches: List[Tuple[Any, Tuple[Any, ...]]] = []
-        for right_tid, right_values in right_rows:
-            right_placeholders = _placeholder_attrs(attributes, right_values)
-            certain_mismatch = any(
-                (not is_placeholder(lv)) and (not is_placeholder(rv)) and lv != rv
-                for lv, rv in zip(left_values, right_values)
-            )
-            if certain_mismatch:
-                continue
-            right_presence_uncertain = _tuple_presence_uncertain(
-                uwsdt, right, right_tid, right_placeholders
-            )
-            if not left_placeholders and not right_placeholders and not right_presence_uncertain:
-                certainly_removed = True
-                break
-            conditional_matches.append((right_tid, right_values))
-        if certainly_removed:
-            continue
+    uncertain_left = uwsdt.uncertain_tuples(left)
+    uncertain_right = uwsdt.uncertain_tuples(right)
+    right_rows = list(uwsdt.templates[right])
+    certain_right = {row[1:] for row in right_rows if row[0] not in uncertain_right}
+    open_right = [row for row in right_rows if row[0] in uncertain_right]
 
-        template_values = list(left_values)
+    for left_row in uwsdt.templates[left]:
+        left_tid = left_row[0]
+        left_placeholders: Sequence[str] = uncertain_left.get(left_tid, ())
+        if not left_placeholders and left_row[1:] in certain_right:
+            continue  # a certain, certainly equal right tuple removes it outright
+        conditional_matches = [
+            right_row
+            for right_row in (right_rows if left_placeholders else open_right)
+            if _may_be_equal(left_row, right_row)
+        ]
+
         if not left_placeholders and conditional_matches:
             # The left tuple is fully certain but its membership in the result
             # depends on uncertain right tuples: introduce a presence placeholder
             # (the "exists column" device) on the first attribute.
-            presence_attr = attributes[0]
-            template_values[attributes.index(presence_attr)] = PLACEHOLDER
-            uwsdt.add_template_tuple(target, left_tid, template_values)
-            presence_field = FieldRef(target, left_tid, presence_attr)
+            left_placeholders = attributes[:1]
+            target_row = (left_tid, PLACEHOLDER) + left_row[2:]
+            result.insert(target_row)
             uwsdt.new_component(
-                Component((presence_field,), [(left_values[attributes.index(presence_attr)],)], [1.0])
+                Component((FieldRef(target, left_tid, attributes[0]),), [(left_row[1],)], [1.0])
             )
-            left_placeholders = [presence_attr]
         else:
-            uwsdt.add_template_tuple(target, left_tid, template_values)
+            target_row = left_row
+            result.insert(target_row)
             _copy_placeholder_fields(uwsdt, left, left_tid, target, left_tid, left_placeholders)
-        if not conditional_matches:
-            continue
 
-        for right_tid, right_values in conditional_matches:
-            right_placeholders = _placeholder_attrs(attributes, right_values)
-            target_fields = [FieldRef(target, left_tid, a) for a in left_placeholders]
-            right_fields = [FieldRef(right, right_tid, a) for a in right_placeholders]
-            involved = target_fields + right_fields
-            if not involved:
-                # Both tuples fully certain and equal, but the right tuple may be
-                # conditionally absent only if it had placeholders — it does not,
-                # so the left tuple is removed in all worlds.
-                _drop_result_tuple(uwsdt, target, left_tid, left_placeholders)
-                break
-            cid = _merge_target_components(uwsdt, involved) if involved else None
+        target_fields = [FieldRef(target, left_tid, a) for a in left_placeholders]
+        for right_row in conditional_matches:
+            right_placeholders = uncertain_right.get(right_row[0], ())
+            right_fields = [FieldRef(right, right_row[0], a) for a in right_placeholders]
+            cid = _merge_target_components(uwsdt, target_fields + right_fields)
             component = uwsdt.components[cid]
+            target_slots = component.slots(target, left_tid, left_placeholders, position_of)
+            right_slots = component.slots(right, right_row[0], right_placeholders, position_of)
             failing = []
-            for row_index, row in enumerate(component.rows):
-                assignment_left = dict(zip(attributes, left_values))
-                assignment_right = dict(zip(attributes, right_values))
-                deleted = False
-                for field in target_fields:
-                    value = row[component.position(field)]
-                    if value is BOTTOM:
-                        deleted = True
-                        break
-                    assignment_left[field.attribute] = value
-                if deleted:
+            for index, local_world in enumerate(component.rows):
+                left_values = fill_placeholders(target_row, target_slots, local_world)
+                if left_values is None:
                     continue
-                right_present = True
-                for field in right_fields:
-                    value = row[component.position(field)]
-                    if value is BOTTOM:
-                        right_present = False
-                        break
-                    assignment_right[field.attribute] = value
-                if not right_present:
-                    continue
-                if all(assignment_left[a] == assignment_right[a] for a in attributes):
-                    failing.append(row_index)
-            if failing:
-                component = _mark_tuple_deleted(component, target, left_tid, failing)
-                component = component.propagate_bottom()
-                uwsdt.replace_component(cid, component)
-            if target_fields and _tuple_deleted_everywhere(
-                uwsdt.components[cid], target, left_tid
-            ):
-                _drop_result_tuple(uwsdt, target, left_tid, left_placeholders)
+                # A right tuple absent from this world removes nothing.
+                right_values = fill_placeholders(right_row, right_slots, local_world)
+                if right_values is not None and left_values[1:] == right_values[1:]:
+                    failing.append(index)
+            if _delete_in_worlds(uwsdt, cid, target, target_row, failing):
                 break
-
-
-def _tuple_presence_uncertain(
-    uwsdt: UWSDT, relation: str, tuple_id: Any, placeholders: Sequence[str]
-) -> bool:
-    """True iff the tuple may be absent in some world (some placeholder can be ``⊥``)."""
-    for attribute in placeholders:
-        field = FieldRef(relation, tuple_id, attribute)
-        cid = uwsdt.component_of(field)
-        if cid is None:
-            continue
-        if any(value is BOTTOM for value in uwsdt.components[cid].column(field)):
-            return True
-    return False

@@ -19,21 +19,42 @@ because removing worlds can never introduce new violations.
 
 The UWSDT variant applies the refinement discussed in the paper: fields
 whose template value already decides a premise or conclusion never force a
-component composition, so with realistic placeholder densities almost all
-work happens on the template relations.
+component composition.  It splits every template on the UWSDT's placeholder
+index: rows without a placeholder on the dependency's attributes are checked
+by the one-world algorithm — the dependency compiled to a positional test on
+the raw row — and only the indexed rows reach their components, so with
+realistic placeholder densities almost all work happens on the template
+relations.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+import itertools
+import operator
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..relational.errors import InconsistentWorldSetError, RepresentationError
 from ..relational.predicates import compare
-from ..relational.values import BOTTOM, is_placeholder
-from .component import Component
+from ..relational.schema import RelationSchema
+from ..relational.values import BOTTOM
+from .component import Component, fill_placeholders
 from .fields import FieldRef
 from .uwsdt import UWSDT
 from .wsd import WSD
+
+
+class _PositionalRow:
+    """A raw row read by attribute name — the value assignment ``holds_for``
+    expects, without copying the row into a dict."""
+
+    __slots__ = ("row", "position")
+
+    def __init__(self, row: Sequence[Any], position: Callable[[str], int]) -> None:
+        self.row = row
+        self.position = position
+
+    def __getitem__(self, attribute: str) -> Any:
+        return self.row[self.position(attribute)]
 
 
 class FunctionalDependency:
@@ -49,11 +70,20 @@ class FunctionalDependency:
     def attributes(self) -> Tuple[str, ...]:
         return self.determinants + (self.dependent,)
 
-    def holds_for(self, left: Dict[str, Any], right: Dict[str, Any]) -> bool:
+    def holds_for(self, left: Any, right: Any) -> bool:
         """Check the FD for one pair of tuples (given full value assignments)."""
         if all(left[a] == right[a] for a in self.determinants):
             return left[self.dependent] == right[self.dependent]
         return True
+
+    def compile(
+        self, schema: RelationSchema
+    ) -> Callable[[Sequence[Any], Sequence[Any]], bool]:
+        """:meth:`holds_for` on pairs of raw rows laid out by ``schema``."""
+        position = schema.position
+        return lambda left, right: self.holds_for(
+            _PositionalRow(left, position), _PositionalRow(right, position)
+        )
 
     def __repr__(self) -> str:
         return f"FD({self.relation}: {', '.join(self.determinants)} -> {self.dependent})"
@@ -89,11 +119,16 @@ class EqualityGeneratingDependency:
                 seen.append(atom.attribute)
         return tuple(seen)
 
-    def holds_for(self, values: Dict[str, Any]) -> bool:
+    def holds_for(self, values: Any) -> bool:
         """Check the EGD for one tuple (given a full value assignment)."""
         if all(premise.evaluate(values[premise.attribute]) for premise in self.premises):
             return self.conclusion.evaluate(values[self.conclusion.attribute])
         return True
+
+    def compile(self, schema: RelationSchema) -> Callable[[Sequence[Any]], bool]:
+        """:meth:`holds_for` on raw rows laid out by ``schema`` (no per-row dict)."""
+        position = schema.position
+        return lambda row: self.holds_for(_PositionalRow(row, position))
 
     def __repr__(self) -> str:
         premises = " AND ".join(repr(p) for p in self.premises)
@@ -327,18 +362,20 @@ def chase_uwsdt(uwsdt: UWSDT, dependencies: Iterable[Dependency]) -> UWSDT:
 
 def _chase_egd_uwsdt(uwsdt: UWSDT, dependency: EqualityGeneratingDependency) -> None:
     relation = dependency.relation
-    relation_schema = uwsdt.schema.relation(relation)
+    template = uwsdt.templates[relation]
+    holds = dependency.compile(template.schema)
+    position_of = template.schema.position
     attributes = dependency.attributes()
-    for attribute in attributes:
-        relation_schema.position(attribute)
+    uncertain = uwsdt.uncertain_tuples(relation)
 
-    for tuple_id, values in uwsdt.template_rows(relation):
-        value_map = dict(zip(relation_schema.attributes, values))
-        uncertain = [a for a in attributes if is_placeholder(value_map[a])]
-        if not uncertain:
-            if not dependency.holds_for({a: value_map[a] for a in attributes}):
+    for row in template:
+        placeholders = uncertain.get(row[0])
+        open_attributes = [a for a in attributes if a in placeholders] if placeholders else ()
+        if not open_attributes:
+            # One-world cleaning: the template alone decides the dependency.
+            if not holds(row):
                 raise InconsistentWorldSetError(
-                    f"certain tuple {tuple_id!r} of {relation!r} violates {dependency!r} "
+                    f"certain tuple {row[0]!r} of {relation!r} violates {dependency!r} "
                     "in every world"
                 )
             continue
@@ -348,35 +385,28 @@ def _chase_egd_uwsdt(uwsdt: UWSDT, dependency: EqualityGeneratingDependency) -> 
         # attribute — two premises whose fields an earlier dependency already
         # composed are judged against the surviving local worlds, so a
         # conjunction that can no longer hold does not merge more components.
-        if not _egd_violation_possible_uwsdt(uwsdt, dependency, relation, tuple_id, value_map):
+        if not _egd_violation_possible_uwsdt(uwsdt, dependency, row, open_attributes, position_of):
             continue
 
-        fields = [FieldRef(relation, tuple_id, a) for a in uncertain]
-        cid = uwsdt.merge_components([uwsdt.component_of(field) for field in fields])
-        component = uwsdt.components[cid]
-        positions = {a: component.position(FieldRef(relation, tuple_id, a)) for a in uncertain}
+        tuple_id = row[0]
+        cid = uwsdt.merge_components(
+            [uwsdt.component_of(FieldRef(relation, tuple_id, a)) for a in open_attributes]
+        )
+        slots = uwsdt.components[cid].slots(relation, tuple_id, open_attributes, position_of)
 
-        def keep(row: Tuple[Any, ...]) -> bool:
-            assignment = {a: value_map[a] for a in attributes if not is_placeholder(value_map[a])}
-            for a in uncertain:
-                value = row[positions[a]]
-                if value is BOTTOM:
-                    return True
-                assignment[a] = value
-            return dependency.holds_for(assignment)
+        def keep(local_world: Tuple[Any, ...]) -> bool:
+            values = fill_placeholders(row, slots, local_world)
+            return values is None or holds(values)
 
-        filtered = component.filter_rows(keep, renormalize=True)
-        if filtered is None:
-            raise InconsistentWorldSetError("World-set is inconsistent.")
-        uwsdt.replace_component(cid, filtered)
+        uwsdt.replace_component(cid, _filter_component(uwsdt, uwsdt.components[cid], keep))
 
 
 def _egd_violation_possible_uwsdt(
     uwsdt: UWSDT,
     dependency: EqualityGeneratingDependency,
-    relation: str,
-    tuple_id: Any,
-    value_map: Dict[str, Any],
+    row: Tuple[Any, ...],
+    open_attributes: Sequence[str],
+    position_of: Callable[[str], int],
 ) -> bool:
     """Joint refinement: can some world satisfy every premise and falsify the conclusion?
 
@@ -385,27 +415,22 @@ def _egd_violation_possible_uwsdt(
     group is checked against the component's local worlds.  Components are
     independent, so a violating world exists iff every group has a witness.
     """
-    open_premises: List[Comparison] = []
+    relation, tuple_id = dependency.relation, row[0]
+    groups: Dict[int, List[Comparison]] = {}
     for premise in dependency.premises:
-        value = value_map[premise.attribute]
-        if is_placeholder(value):
-            open_premises.append(premise)
-        elif not premise.evaluate(value):
+        if premise.attribute in open_attributes:
+            cid = uwsdt.component_of(FieldRef(relation, tuple_id, premise.attribute))
+            groups.setdefault(cid, []).append(premise)
+        elif not premise.evaluate(row[position_of(premise.attribute)]):
             return False
     conclusion = dependency.conclusion
-    conclusion_value = value_map[conclusion.attribute]
     conclusion_cid: Optional[int] = None
-    if is_placeholder(conclusion_value):
+    if conclusion.attribute in open_attributes:
         conclusion_cid = uwsdt.component_of(FieldRef(relation, tuple_id, conclusion.attribute))
-    elif conclusion.evaluate(conclusion_value):
+        groups.setdefault(conclusion_cid, [])
+    elif conclusion.evaluate(row[position_of(conclusion.attribute)]):
         return False
 
-    groups: Dict[int, List[Comparison]] = {}
-    for premise in open_premises:
-        cid = uwsdt.component_of(FieldRef(relation, tuple_id, premise.attribute))
-        groups.setdefault(cid, []).append(premise)
-    if conclusion_cid is not None:
-        groups.setdefault(conclusion_cid, [])
     for cid, atoms in groups.items():
         component = uwsdt.components[cid]
         positions = [
@@ -428,123 +453,125 @@ def _chase_fd_uwsdt(uwsdt: UWSDT, dependency: FunctionalDependency) -> None:
     Tuples are grouped by the possible values of the determinant attributes
     so that only pairs that may agree on the left-hand side are examined —
     the practical observation of Section 9 that key constraints rarely force
-    large compositions.
+    large compositions.  Within a group the certain rows are checked as in
+    one world (they all must carry the first one's dependent value); only
+    pairs involving a row with a placeholder on the dependency's attributes
+    reach the components.
     """
     relation = dependency.relation
-    relation_schema = uwsdt.schema.relation(relation)
+    template = uwsdt.templates[relation]
+    holds = dependency.compile(template.schema)
+    position_of = template.schema.position
     attributes = dependency.attributes()
-    for attribute in attributes:
-        relation_schema.position(attribute)
+    involved = set(attributes)
+    key_of = operator.itemgetter(*(position_of(a) for a in dependency.determinants))
+    if len(dependency.determinants) == 1:
+        value_of = key_of  # itemgetter yields the bare value; bucket keys are tuples
 
-    rows = list(uwsdt.template_rows(relation))
-    buckets: Dict[Any, List[int]] = {}
-    entries: List[Tuple[Any, Dict[str, Any]]] = []
-    for index, (tuple_id, values) in enumerate(rows):
-        value_map = dict(zip(relation_schema.attributes, values))
-        entries.append((tuple_id, value_map))
-        for key in _determinant_keys(uwsdt, dependency, relation, tuple_id, value_map):
-            buckets.setdefault(key, []).append(index)
+        def key_of(row: Tuple[Any, ...]) -> Tuple[Any, ...]:
+            return (value_of(row),)
 
-    examined = set()
-    for indices in buckets.values():
-        for position, first_index in enumerate(indices):
-            for second_index in indices[position + 1 :]:
-                pair = (min(first_index, second_index), max(first_index, second_index))
-                if pair in examined:
+    uncertain = uwsdt.uncertain_tuples(relation)
+
+    buckets: Dict[Any, List[Tuple[Any, ...]]] = {}
+    open_attributes: Dict[Any, List[str]] = {}
+    for row in template:
+        placeholders = uncertain.get(row[0], ())
+        if not involved.isdisjoint(placeholders):
+            open_attributes[row[0]] = [a for a in attributes if a in placeholders]
+            keys = _determinant_keys(uwsdt, dependency, row, placeholders, position_of)
+        else:
+            keys = (key_of(row),)
+        for key in keys:
+            buckets.setdefault(key, []).append(row)
+
+    examined: Set[Tuple[Any, Any]] = set()
+    for rows in buckets.values():
+        if len(rows) == 1:
+            continue
+        certain = [row for row in rows if row[0] not in open_attributes]
+        for row in certain[1:]:
+            if not holds(certain[0], row):
+                raise InconsistentWorldSetError(
+                    f"certain tuples {certain[0][0]!r} and {row[0]!r} of {relation!r} "
+                    f"violate {dependency!r} in every world"
+                )
+        if len(certain) == len(rows):
+            continue
+        for index, first in enumerate(rows):
+            first_open = open_attributes.get(first[0], ())
+            for second in rows[index + 1 :]:
+                second_open = open_attributes.get(second[0], ())
+                if not first_open and not second_open:
                     continue
-                examined.add(pair)
+                if first_open and second_open:
+                    # Two open rows can share several buckets; chase the pair once.
+                    if (first[0], second[0]) in examined:
+                        continue
+                    examined.add((first[0], second[0]))
                 _chase_fd_pair_uwsdt(
-                    uwsdt, dependency, entries[pair[0]], entries[pair[1]]
+                    uwsdt, dependency, holds, first, first_open, second, second_open
                 )
 
 
 def _determinant_keys(
     uwsdt: UWSDT,
     dependency: FunctionalDependency,
-    relation: str,
-    tuple_id: Any,
-    value_map: Dict[str, Any],
+    row: Tuple[Any, ...],
+    placeholders: Sequence[str],
+    position_of: Callable[[str], int],
 ):
     """All possible determinant value combinations of one tuple (for bucketing)."""
-    import itertools
-
     per_attribute: List[List[Any]] = []
     for attribute in dependency.determinants:
-        value = value_map[attribute]
-        if is_placeholder(value):
+        if attribute in placeholders:
             per_attribute.append(
                 sorted(
-                    _possible_values_uwsdt(uwsdt, relation, tuple_id, attribute),
+                    _possible_values_uwsdt(uwsdt, dependency.relation, row[0], attribute),
                     key=repr,
                 )
             )
         else:
-            per_attribute.append([value])
-    return [tuple(combo) for combo in itertools.product(*per_attribute)]
+            per_attribute.append([row[position_of(attribute)]])
+    return itertools.product(*per_attribute)
 
 
 def _chase_fd_pair_uwsdt(
     uwsdt: UWSDT,
     dependency: FunctionalDependency,
-    first_entry: Tuple[Any, Dict[str, Any]],
-    second_entry: Tuple[Any, Dict[str, Any]],
+    holds: Callable[[Sequence[Any], Sequence[Any]], bool],
+    first: Tuple[Any, ...],
+    first_open: Sequence[str],
+    second: Tuple[Any, ...],
+    second_open: Sequence[str],
 ) -> None:
+    """Chase one pair of template rows of which at least one has open FD attributes."""
     relation = dependency.relation
-    attributes = dependency.attributes()
-    first_id, first_values = first_entry
-    second_id, second_values = second_entry
-
-    first_uncertain = [a for a in attributes if is_placeholder(first_values[a])]
-    second_uncertain = [a for a in attributes if is_placeholder(second_values[a])]
-    if not first_uncertain and not second_uncertain:
-        if not dependency.holds_for(
-            {a: first_values[a] for a in attributes}, {a: second_values[a] for a in attributes}
-        ):
-            raise InconsistentWorldSetError(
-                f"certain tuples {first_id!r} and {second_id!r} of {relation!r} "
-                f"violate {dependency!r} in every world"
-            )
-        return
+    position_of = uwsdt.templates[relation].schema.position
+    dependent = position_of(dependency.dependent)
 
     # Refinement: certainly equal dependents cannot cause a violation.
     if (
-        not is_placeholder(first_values[dependency.dependent])
-        and not is_placeholder(second_values[dependency.dependent])
-        and first_values[dependency.dependent] == second_values[dependency.dependent]
+        dependency.dependent not in first_open
+        and dependency.dependent not in second_open
+        and first[dependent] == second[dependent]
     ):
         return
 
-    fields = [FieldRef(relation, first_id, a) for a in first_uncertain] + [
-        FieldRef(relation, second_id, a) for a in second_uncertain
-    ]
-    cid = uwsdt.merge_components([uwsdt.component_of(field) for field in fields])
+    cid = uwsdt.merge_components(
+        [uwsdt.component_of(FieldRef(relation, first[0], a)) for a in first_open]
+        + [uwsdt.component_of(FieldRef(relation, second[0], a)) for a in second_open]
+    )
     component = uwsdt.components[cid]
-    first_positions = {
-        a: component.position(FieldRef(relation, first_id, a)) for a in first_uncertain
-    }
-    second_positions = {
-        a: component.position(FieldRef(relation, second_id, a)) for a in second_uncertain
-    }
+    first_slots = component.slots(relation, first[0], first_open, position_of)
+    second_slots = component.slots(relation, second[0], second_open, position_of)
 
-    def keep(row: Tuple[Any, ...]) -> bool:
-        left = {a: first_values[a] for a in attributes if not is_placeholder(first_values[a])}
-        right = {a: second_values[a] for a in attributes if not is_placeholder(second_values[a])}
-        for a, position in first_positions.items():
-            value = row[position]
-            if value is BOTTOM:
-                return True
-            left[a] = value
-        for a, position in second_positions.items():
-            value = row[position]
-            if value is BOTTOM:
-                return True
-            right[a] = value
-        return dependency.holds_for(left, right)
+    def keep(local_world: Tuple[Any, ...]) -> bool:
+        left = fill_placeholders(first, first_slots, local_world)
+        right = fill_placeholders(second, second_slots, local_world)
+        return left is None or right is None or holds(left, right)
 
-    filtered = component.filter_rows(keep, renormalize=True)
-    if filtered is None:
-        raise InconsistentWorldSetError("World-set is inconsistent.")
-    uwsdt.replace_component(cid, filtered)
+    uwsdt.replace_component(cid, _filter_component(uwsdt, component, keep))
 
 
 def _possible_values_uwsdt(uwsdt: UWSDT, relation: str, tuple_id: Any, attribute: str) -> set:

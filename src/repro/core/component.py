@@ -131,6 +131,22 @@ class Component:
                 seen.append(key)
         return seen
 
+    def slots(
+        self,
+        relation: str,
+        tuple_id: Any,
+        attributes: Iterable[str],
+        position_of: Callable[[str], int],
+    ) -> List[Tuple[int, int]]:
+        """Where one template row's placeholders live: ``(row position, column)`` per attribute.
+
+        ``position_of`` maps an attribute to its position in the template
+        row; the pairs drive :func:`fill_placeholders`.
+        """
+        return [
+            (position_of(a), self.position(FieldRef(relation, tuple_id, a))) for a in attributes
+        ]
+
     def validate(self) -> None:
         """Check internal consistency (probability mass, arities)."""
         if self.probabilities is not None:
@@ -334,6 +350,23 @@ class Component:
         return (
             f"Component({[f.label() for f in self.fields]!r}, {self.size} local worlds)"
         )
+
+
+def fill_placeholders(
+    row: Sequence[Any], slots: Sequence[Tuple[int, int]], local_world: Sequence[Any]
+) -> Optional[List[Any]]:
+    """``row`` with its placeholder positions filled in from one local world.
+
+    Returns None when the tuple is absent in that world (a filled-in value
+    is ``⊥``).  ``slots`` comes from :meth:`Component.slots`.
+    """
+    values = list(row)
+    for row_position, column in slots:
+        value = local_world[column]
+        if value is BOTTOM:
+            return None
+        values[row_position] = value
+    return values
 
 
 def compose_all(components: Sequence[Component]) -> Component:

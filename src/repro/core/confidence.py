@@ -17,14 +17,15 @@ formula ``c := 1 − (1 − c) · (1 − conf_C)``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..relational.errors import RepresentationError
 from ..relational.relation import Relation
 from ..relational.schema import RelationSchema
-from ..relational.values import BOTTOM, is_placeholder
-from .component import Component, compose_all
+from ..relational.values import BOTTOM
+from .component import Component, compose_all, fill_placeholders
 from .fields import FieldRef
+from .unionfind import UnionFind
 from .uwsdt import UWSDT
 from .wsd import WSD
 
@@ -185,56 +186,38 @@ def possible_relation(wsd: WSD, relation_name: str, result_name: str = "possible
 # --------------------------------------------------------------------------- #
 
 
-def _uwsdt_tuple_groups(uwsdt: UWSDT, relation_name: str):
-    """Yield, per template tuple, its certain values and (optionally) composed component.
+def _uwsdt_tuple_groups(uwsdt: UWSDT, relation_name: str) -> List[Tuple[List[int], List[Any]]]:
+    """Group the uncertain tuples of one relation into independent ``(cids, tuple ids)`` groups.
 
-    Tuples sharing a component are grouped together so the independence
-    combination remains correct for correlated tuples.
+    Two tuples are correlated when a chain of shared components connects
+    them, so the groups are the connected components of the graph linking
+    the component ids of each tuple — the independence combination is only
+    sound between tuples of different groups.
     """
-    relation_schema = uwsdt.schema.relation(relation_name)
-    attributes = relation_schema.attributes
-
-    certain_rows: List[Tuple[Any, Dict[str, Any]]] = []
-    uncertain_rows: List[Tuple[Any, Dict[str, Any], List[FieldRef]]] = []
-    for tuple_id, values in uwsdt.template_rows(relation_name):
-        value_map = dict(zip(attributes, values))
-        placeholder_fields = [
-            FieldRef(relation_name, tuple_id, a) for a in attributes if is_placeholder(value_map[a])
-        ]
-        if placeholder_fields:
-            uncertain_rows.append((tuple_id, value_map, placeholder_fields))
-        else:
-            certain_rows.append((tuple_id, value_map))
-
-    # Group uncertain tuples by the set of components they touch.
-    component_groups: Dict[frozenset, List[Tuple[Any, Dict[str, Any], List[FieldRef]]]] = {}
-    for entry in uncertain_rows:
-        cids = frozenset(uwsdt.component_of(field) for field in entry[2])
-        component_groups.setdefault(cids, []).append(entry)
-
-    # Merge groups that share a component id.
-    merged_groups: List[Tuple[set, List[Tuple[Any, Dict[str, Any], List[FieldRef]]]]] = []
-    for cids, entries in component_groups.items():
-        placed = False
-        for group in merged_groups:
-            if group[0] & cids:
-                group[0].update(cids)
-                group[1].extend(entries)
-                placed = True
-                break
-        if not placed:
-            merged_groups.append((set(cids), list(entries)))
-
-    return attributes, certain_rows, merged_groups
+    links = UnionFind()
+    cids_of_tuple: Dict[Any, List[int]] = {}
+    for tuple_id, placeholders in uwsdt.uncertain_tuples(relation_name).items():
+        cids = [uwsdt.component_of(FieldRef(relation_name, tuple_id, a)) for a in placeholders]
+        cids_of_tuple[tuple_id] = cids
+        for cid in cids[1:]:
+            links.union(cids[0], cid)
+    groups: Dict[int, Tuple[Set[int], List[Any]]] = {}
+    for tuple_id, cids in cids_of_tuple.items():
+        group_cids, tuple_ids = groups.setdefault(links.find(cids[0]), (set(), []))
+        group_cids.update(cids)
+        tuple_ids.append(tuple_id)
+    return [(sorted(cids), tuple_ids) for cids, tuple_ids in groups.values()]
 
 
 def uwsdt_possible_with_confidence(uwsdt: UWSDT, relation_name: str) -> List[RankedTuple]:
     """``possible_p(R)`` natively on a UWSDT.
 
-    Fully certain template tuples contribute confidence 1 directly; tuples
-    with placeholders are resolved through their (composed) components.
+    Fully certain template tuples (those absent from the placeholder index)
+    contribute confidence 1 directly; tuples with placeholders are resolved
+    through their (composed) components.
     """
-    attributes, certain_rows, groups = _uwsdt_tuple_groups(uwsdt, relation_name)
+    uncertain = uwsdt.uncertain_tuples(relation_name)
+    position_of = uwsdt.schema.relation(relation_name).position
 
     confidences: Dict[Tuple[Any, ...], float] = {}
     order: List[Tuple[Any, ...]] = []
@@ -245,29 +228,29 @@ def uwsdt_possible_with_confidence(uwsdt: UWSDT, relation_name: str) -> List[Ran
             order.append(row)
         confidences[row] = 1.0 - (1.0 - confidences[row]) * (1.0 - component_confidence)
 
-    for _, value_map in certain_rows:
-        note(tuple(value_map[a] for a in attributes), 1.0)
+    uncertain_values: Dict[Any, Tuple[Any, ...]] = {}
+    for tuple_id, values in uwsdt.template_rows(relation_name):
+        if tuple_id in uncertain:
+            uncertain_values[tuple_id] = values
+        else:
+            note(values, 1.0)
 
-    for cids, entries in groups:
-        composed = compose_all([uwsdt.components[cid] for cid in sorted(cids)])
+    for cids, tuple_ids in _uwsdt_tuple_groups(uwsdt, relation_name):
+        composed = compose_all([uwsdt.components[cid] for cid in cids])
+        entries = [
+            (
+                uncertain_values[tuple_id],
+                composed.slots(relation_name, tuple_id, uncertain[tuple_id], position_of),
+            )
+            for tuple_id in tuple_ids
+        ]
         per_row_matches: Dict[Tuple[Any, ...], float] = {}
-        for row_index, row in enumerate(composed.rows):
+        for row_index, local_world in enumerate(composed.rows):
             produced = set()
-            for tuple_id, value_map, placeholder_fields in entries:
-                values: List[Any] = []
-                absent = False
-                for attribute in attributes:
-                    field = FieldRef(relation_name, tuple_id, attribute)
-                    if composed.has_field(field):
-                        value = row[composed.position(field)]
-                    else:
-                        value = value_map[attribute]
-                    if value is BOTTOM:
-                        absent = True
-                        break
-                    values.append(value)
-                if not absent:
-                    produced.add(tuple(values))
+            for values, slots in entries:
+                filled = fill_placeholders(values, slots, local_world)
+                if filled is not None:
+                    produced.add(tuple(filled))
             for produced_row in produced:
                 per_row_matches[produced_row] = per_row_matches.get(produced_row, 0.0) + (
                     composed.probability(row_index)

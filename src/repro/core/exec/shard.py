@@ -56,6 +56,7 @@ from ...relational.relation import Relation
 from ...relational.schema import RelationSchema
 from ..component import Component
 from ..fields import FieldRef
+from ..unionfind import UnionFind
 from ..uwsdt import UWSDT
 from .backends import DatabaseBackend, EngineBackend, UWSDTBackend, backend_for
 from .metrics import OperatorMetrics
@@ -85,11 +86,6 @@ SHARDABLE_OPS = frozenset({"Scan", "IndexScan", "Filter", "Project", "Rename"})
 #: Result relation name inside a shard engine (renamed to the parent's
 #: target at merge time).
 SHARD_RESULT = "__shard__"
-
-#: Dummy attribute of reserved-name relations registered on shard engines so
-#: the worker's intermediate-name generator skips names already used by the
-#: parent plan (shipped components may reference them).
-_RESERVED_ATTR = "__reserved__"
 
 
 def _stable_hash(key: Any) -> int:
@@ -184,24 +180,6 @@ def reset_shard_pool() -> None:
 # --------------------------------------------------------------------------- #
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self._parent: Dict[Any, Any] = {}
-
-    def find(self, key: Any) -> Any:
-        parent = self._parent.setdefault(key, key)
-        if parent == key:
-            return key
-        root = self.find(parent)
-        self._parent[key] = root
-        return root
-
-    def union(self, left: Any, right: Any) -> None:
-        left_root, right_root = self.find(left), self.find(right)
-        if left_root != right_root:
-            self._parent[right_root] = left_root
-
-
 @dataclass
 class _UwsdtShard:
     """One shard's slice of the parent UWSDT, before being built."""
@@ -223,7 +201,7 @@ def partition_uwsdt_components(
     (the parent removes exactly these at merge time).
     """
     scanned_set = set(scanned)
-    groups = _UnionFind()
+    groups = UnionFind()
     component_keys: Dict[int, Tuple[str, Any]] = {}
     for cid, component in engine.components.items():
         keys = [
@@ -237,11 +215,10 @@ def partition_uwsdt_components(
         for key in keys[1:]:
             groups.union(keys[0], key)
     specs = [_UwsdtShard() for _ in range(shards)]
-    covered = set(groups._parent)
     for relation in scanned:
         for tid, values in engine.template_rows(relation):
             key = (relation, tid)
-            anchor = groups.find(key) if key in covered else key
+            anchor = groups.find(key) if key in groups else key
             spec = specs[_stable_hash(anchor) % shards]
             spec.rows.setdefault(relation, []).append((tid, values))
     for cid, key in component_keys.items():
@@ -257,9 +234,10 @@ def _build_uwsdt_shard(
         shard.add_relation(
             RelationSchema(relation, engine.schema.relation(relation).attributes)
         )
-    # Reserve every non-scanned relation name referenced by shipped
+    # Declare (empty) every non-scanned relation referenced by shipped
     # components: the worker's intermediate-name generator must not reuse a
-    # name whose fields already exist (they would collide on FieldRefs).
+    # name whose fields already exist (they would collide on FieldRefs), and
+    # the shard's placeholder index orders those fields by their schema.
     reserved: Set[str] = set()
     for cid in spec.cids:
         for f in engine.components[cid].fields:
@@ -270,7 +248,7 @@ def _build_uwsdt_shard(
             f"cannot shard: components reference the reserved name {SHARD_RESULT!r}"
         )
     for name in sorted(reserved):
-        shard.add_relation(RelationSchema(name, (_RESERVED_ATTR,)))
+        shard.add_relation(RelationSchema(name, engine.schema.relation(name).attributes))
     for relation, rows in spec.rows.items():
         for tid, values in rows:
             shard.add_template_tuple(relation, tid, values)

@@ -28,8 +28,9 @@ WSD       ``WSD.revision`` (bumped by every component surgery and relation
           component, so any surgery may change any relation's sample)
 ========  ==================================================================
 
-Entries are checked lazily on every access (polling the version key is a
-couple of integer comparisons), and additionally dropped *eagerly* through
+Entries are checked lazily on every access (polling the version key is an
+integer comparison plus, on a UWSDT, a sum over the relation's placeholder
+index — one term per uncertain tuple), and additionally dropped *eagerly* through
 :meth:`~repro.relational.relation.Relation.watch` hooks on the sampled
 relation objects — both layers together make "mutate, then replan" pick up
 fresh statistics through every mutation path.
@@ -46,6 +47,7 @@ benchmarks assert directly.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -89,7 +91,11 @@ class StatisticsCatalog:
     def __init__(self, engine: Any, sample_size: int = DEFAULT_SAMPLE_SIZE) -> None:
         if not isinstance(engine, (Database, WSD, UWSDT)):
             raise TypeError(f"cannot derive statistics from {type(engine).__name__}")
-        self.engine = engine
+        #: Weak, like the watcher closures below: the catalog hangs off its
+        #: engine (:func:`catalog_for`), and a strong reference back would turn
+        #: every discarded engine copy — templates included — into cyclic
+        #: garbage that stays resident until the collector's next full pass.
+        self._engine = weakref.ref(engine)
         self.sample_size = sample_size
         #: Reentrant so watcher callbacks that fire while the lock is held
         #: (a mutation inside a locked catalog method) cannot deadlock, and
@@ -125,6 +131,10 @@ class StatisticsCatalog:
             self.kind = "uwsdt"
         else:
             self.kind = "wsd"
+
+    @property
+    def engine(self) -> Any:
+        return self._engine()
 
     def _registry_counter(self, event: str):
         from ...obs.metrics import get_registry
@@ -234,9 +244,13 @@ class StatisticsCatalog:
         if watched is not None:
             watched[0].unwatch(watched[1])
 
+        catalog_ref = weakref.ref(self)
+
         def invalidate(_relation: Relation, name: str = name) -> None:
-            with self._lock:
-                self._entries.pop(name, None)
+            catalog = catalog_ref()
+            if catalog is not None:
+                with catalog._lock:
+                    catalog._entries.pop(name, None)
 
         anchor.watch(invalidate)
         self._watchers[name] = (anchor, invalidate)

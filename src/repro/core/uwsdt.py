@@ -27,8 +27,7 @@ present in a chosen world unless one of its placeholder fields takes the
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..relational.database import Database
 from ..relational.errors import RepresentationError
@@ -58,10 +57,11 @@ class UWSDT:
         self.components: Dict[int, Component] = {}
         #: Which component defines which placeholder field (the ``F`` relation).
         self.field_to_cid: Dict[FieldRef, int] = {}
-        #: Incrementally maintained ``relation -> placeholder field count``
-        #: (the per-relation cardinality of ``F``); kept in sync by the
-        #: component mutators below, read by :meth:`relation_placeholder_count`.
-        self._placeholder_counts: Dict[str, int] = {}
+        #: The placeholder index: ``relation -> tuple id -> placeholder
+        #: attributes`` in schema order (``F`` grouped by tuple).  Written only
+        #: by :meth:`_map_field` / :meth:`_unmap_field`; a template row absent
+        #: from it is fully certain and never needs the component machinery.
+        self._placeholders: Dict[str, Dict[Any, Tuple[str, ...]]] = {}
         self._next_cid = 1
         #: Version-validated cache of template hash indexes (Section 5's
         #: "employing indices" on the fixed UWSDT schema).
@@ -105,19 +105,43 @@ class UWSDT:
         as its invalidation key: component surgery that merely rewires or
         extends components (the chase, ``Q̂`` intermediates) leaves cached
         entries valid, while anything adding or dropping a placeholder of
-        the relation invalidates them.  Maintained incrementally — O(1).
+        the relation invalidates them.  Read off the placeholder index.
         """
-        return self._placeholder_counts.get(relation_name, 0)
+        return sum(map(len, self._placeholders.get(relation_name, {}).values()))
+
+    def uncertain_tuples(self, relation_name: str) -> Mapping[Any, Tuple[str, ...]]:
+        """The placeholder index of one relation: ``tuple id -> ? attributes``.
+
+        Read-only for callers; attributes are in schema order.  Every
+        consumer splits its work on it: template rows whose id is absent are
+        handled by one-world processing on the raw rows, the (few) others go
+        through their components.
+        """
+        return self._placeholders.get(relation_name, {})
 
     def _map_field(self, field: FieldRef, cid: int) -> None:
+        existing = self.field_to_cid.get(field)
+        if existing is not None:
+            raise RepresentationError(
+                f"field {field.label()} already assigned to component {existing}"
+            )
         self.field_to_cid[field] = cid
-        self._placeholder_counts[field.relation] = (
-            self._placeholder_counts.get(field.relation, 0) + 1
-        )
+        rows = self._placeholders.setdefault(field.relation, {})
+        attributes = rows.get(field.tuple_id, ()) + (field.attribute,)
+        if len(attributes) > 1:
+            order = self.schema.relation(field.relation).position
+            attributes = tuple(sorted(attributes, key=order))
+        rows[field.tuple_id] = attributes
 
     def _unmap_field(self, field: FieldRef) -> None:
-        if self.field_to_cid.pop(field, None) is not None:
-            self._placeholder_counts[field.relation] -= 1
+        if self.field_to_cid.pop(field, None) is None:
+            return
+        rows = self._placeholders[field.relation]
+        attributes = tuple(a for a in rows[field.tuple_id] if a != field.attribute)
+        if attributes:
+            rows[field.tuple_id] = attributes
+        else:
+            del rows[field.tuple_id]
 
     def new_component(self, component: Component) -> int:
         """Register a component and return its component id."""
@@ -125,26 +149,30 @@ class UWSDT:
         self._next_cid += 1
         self.components[cid] = component
         for field in component.fields:
-            if field in self.field_to_cid:
-                raise RepresentationError(
-                    f"field {field.label()} already assigned to component {self.field_to_cid[field]}"
-                )
             self._map_field(field, cid)
         return cid
 
     def replace_component(self, cid: int, component: Component) -> None:
-        """Replace the component stored under ``cid`` (fields must be unchanged or extended)."""
+        """Replace the component stored under ``cid``; only fields it drops or adds are remapped."""
         old = self.components[cid]
-        for field in old.fields:
-            self._unmap_field(field)
+        if component.fields != old.fields:
+            for field in old.fields:
+                if not component.has_field(field):
+                    self._unmap_field(field)
+            for field in component.fields:
+                if not old.has_field(field):
+                    self._map_field(field, cid)
         self.components[cid] = component
-        for field in component.fields:
-            existing = self.field_to_cid.get(field)
-            if existing is not None and existing != cid:
-                raise RepresentationError(
-                    f"field {field.label()} already assigned to component {existing}"
-                )
-            self._map_field(field, cid)
+
+    def copy_field(self, source: FieldRef, target: FieldRef) -> None:
+        """Add ``target`` as a copy of ``source`` to the component defining it (``ext``)."""
+        cid = self.field_to_cid.get(source)
+        if cid is None:
+            raise RepresentationError(
+                f"expected a component for placeholder field {source.label()}"
+            )
+        self._map_field(target, cid)
+        self.components[cid] = self.components[cid].ext(source, target)
 
     def remove_component(self, cid: int) -> None:
         component = self.components.pop(cid)
@@ -158,27 +186,24 @@ class UWSDT:
     def merge_components(self, cids: Sequence[int]) -> int:
         """Compose several components into one; return the surviving cid."""
         unique = sorted(set(cids))
-        if len(unique) == 1:
-            return unique[0]
         merged = self.components[unique[0]]
         for cid in unique[1:]:
-            merged = merged.compose(self.components[cid])
-        for cid in unique[1:]:
-            self.remove_component(cid)
-        self.replace_component(unique[0], merged)
+            absorbed = self.components.pop(cid)
+            merged = merged.compose(absorbed)
+            for field in absorbed.fields:
+                self.field_to_cid[field] = unique[0]
+        self.components[unique[0]] = merged
         return unique[0]
 
     def field_value(self, relation_name: str, tuple_id: Any, attribute: str) -> Any:
         """Template value of a field (may be ``PLACEHOLDER``)."""
         template = self.templates[relation_name]
-        position = template.schema.position(attribute)
-        tid_position = template.schema.position(TID)
-        for row in template:
-            if row[tid_position] == tuple_id:
-                return row[position]
-        raise RepresentationError(
-            f"tuple {tuple_id!r} not found in template of {relation_name!r}"
-        )
+        rows = self.template_index(relation_name, TID).lookup(tuple_id)
+        if not rows:
+            raise RepresentationError(
+                f"tuple {tuple_id!r} not found in template of {relation_name!r}"
+            )
+        return rows[0][template.schema.position(attribute)]
 
     def template_index(self, relation_name: str, attribute: str) -> HashIndex:
         """A (cached) hash index over one attribute of a template relation.
@@ -192,18 +217,14 @@ class UWSDT:
         return self._index_pool.hash_index(self.templates[relation_name], (attribute,))
 
     def template_rows(self, relation_name: str) -> Iterator[Tuple[Any, Tuple[Any, ...]]]:
-        """Yield ``(tuple_id, values)`` pairs of one template (values without the tid column)."""
-        template = self.templates[relation_name]
-        tid_position = template.schema.position(TID)
-        if tid_position == 0:
-            # The tid column is always stored first; slicing is much cheaper
-            # than filtering per field on wide (50-attribute) templates.
-            for row in template:
-                yield row[0], row[1:]
-            return
-        for row in template:
-            values = tuple(v for i, v in enumerate(row) if i != tid_position)
-            yield row[tid_position], values
+        """Yield ``(tuple_id, values)`` pairs of one template (values without the tid column).
+
+        The tid column is always stored first (:meth:`_init_template`), so
+        consumers on a hot path read the raw template rows instead and skip
+        the per-row slice.
+        """
+        for row in self.templates[relation_name]:
+            yield row[0], row[1:]
 
     # ------------------------------------------------------------------ #
     # Statistics (the columns of Figure 27 / Figure 28)
@@ -251,24 +272,31 @@ class UWSDT:
         }
 
     def validate(self) -> None:
-        """Check structural invariants (placeholder coverage, probability mass)."""
+        """Check structural invariants (placeholder coverage, probability mass).
+
+        The placeholder index must equal a scan of the templates in both
+        directions: every ``?`` is indexed (and so has a component), and
+        every indexed field is a ``?`` of an existing template row.
+        """
         for relation_schema in self.schema:
-            template = self.templates[relation_schema.name]
-            tid_position = template.schema.position(TID)
-            for row in template:
-                tuple_id = row[tid_position]
-                for attribute in relation_schema.attributes:
-                    value = row[template.schema.position(attribute)]
-                    field = FieldRef(relation_schema.name, tuple_id, attribute)
-                    if is_placeholder(value):
-                        if field not in self.field_to_cid:
-                            raise RepresentationError(
-                                f"placeholder field {field.label()} has no component"
-                            )
-                    elif field in self.field_to_cid:
-                        raise RepresentationError(
-                            f"certain field {field.label()} should not be in a component"
-                        )
+            name, attributes = relation_schema.name, relation_schema.attributes
+            scanned = {}
+            for row in self.templates[name]:
+                placeholders = tuple(
+                    a for a, value in zip(attributes, row[1:]) if is_placeholder(value)
+                )
+                if placeholders:
+                    scanned[row[0]] = placeholders
+            indexed = self.uncertain_tuples(name)
+            if scanned != indexed:
+                tuple_id = next(
+                    t for t in list(scanned) + list(indexed) if scanned.get(t) != indexed.get(t)
+                )
+                raise RepresentationError(
+                    f"tuple {tuple_id!r} of {name!r} has placeholders "
+                    f"{scanned.get(tuple_id, ())!r} but is indexed (has components) for "
+                    f"{indexed.get(tuple_id, ())!r}"
+                )
         for cid, component in self.components.items():
             component.validate()
             for field in component.fields:
@@ -386,7 +414,7 @@ class UWSDT:
                 component.fields, component.rows, component.probabilities
             )
         result.field_to_cid = dict(self.field_to_cid)
-        result._placeholder_counts = dict(self._placeholder_counts)
+        result._placeholders = {name: dict(rows) for name, rows in self._placeholders.items()}
         result._next_cid = self._next_cid
         return result
 
@@ -434,7 +462,7 @@ class UWSDT:
             template = templates[relation_schema.name]
             tid_position = template.schema.position(TID)
             for row in template:
-                values = tuple(v for i, v in enumerate(row) if i != tid_position)
+                values = row[:tid_position] + row[tid_position + 1 :]
                 result.add_template_tuple(relation_schema.name, row[tid_position], values)
 
         mapping = uniform["F"]
@@ -442,8 +470,11 @@ class UWSDT:
         worlds = uniform["W"]
 
         fields_per_cid: Dict[Any, List[FieldRef]] = {}
+        cid_of_field: Dict[FieldRef, Any] = {}
         for rel, tid, attr, cid in mapping.rows:
-            fields_per_cid.setdefault(cid, []).append(FieldRef(rel, tid, attr))
+            field = FieldRef(rel, tid, attr)
+            fields_per_cid.setdefault(cid, []).append(field)
+            cid_of_field.setdefault(field, cid)
 
         probabilities_per_cid: Dict[Any, Dict[Any, float]] = {}
         for cid, lwid, probability in worlds.rows:
@@ -452,11 +483,7 @@ class UWSDT:
         values_per_cid: Dict[Any, Dict[Any, Dict[FieldRef, Any]]] = {}
         for rel, tid, attr, lwid, value in component_values.rows:
             field = FieldRef(rel, tid, attr)
-            cid = None
-            for candidate, fields in fields_per_cid.items():
-                if field in fields:
-                    cid = candidate
-                    break
+            cid = cid_of_field.get(field)
             if cid is None:
                 raise RepresentationError(f"value for unmapped field {field.label()}")
             values_per_cid.setdefault(cid, {}).setdefault(lwid, {})[field] = value
@@ -487,10 +514,10 @@ class UWSDT:
         database = Database()
         for relation_schema in self.schema:
             relation = Relation(relation_schema)
-            for tuple_id, values in self.template_rows(relation_schema.name):
-                if any(is_placeholder(v) for v in values):
-                    continue
-                relation.insert(values)
+            uncertain = self.uncertain_tuples(relation_schema.name)
+            for row in self.templates[relation_schema.name]:
+                if row[0] not in uncertain:
+                    relation.insert(row[1:])
             database.add(relation)
         return database
 

@@ -29,7 +29,7 @@ class Database:
     # (see repro.core.exec.backends.index_pool_for); ``_plan_cache`` is the
     # query service's fingerprinted plan cache
     # (see repro.service.plan_cache.plan_cache_for).
-    __slots__ = ("_relations", "_statistics_catalog", "_index_pool", "_plan_cache")
+    __slots__ = ("_relations", "_statistics_catalog", "_index_pool", "_plan_cache", "__weakref__")
 
     def __init__(self, relations: Iterable[Relation] = ()) -> None:
         self._relations: Dict[str, Relation] = {}

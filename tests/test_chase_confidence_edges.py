@@ -21,7 +21,10 @@ from repro.core import (
     uwsdt_confidence,
     uwsdt_possible_with_confidence,
 )
-from repro.relational import Relation, RelationSchema
+from repro.core.component import Component
+from repro.core.fields import FieldRef
+from repro.relational import DatabaseSchema, Relation, RelationSchema
+from repro.relational.values import PLACEHOLDER
 from repro.worlds import OrSet, OrSetRelation
 
 
@@ -105,6 +108,40 @@ class TestCertainTupleConfidence:
         assert uwsdt_confidence(uwsdt, "R", (1, 2)) == 1.0
         wsd = WSD.from_orset_relation(orset)
         assert confidence(wsd, "R", (1, 2)) == 1.0
+
+
+class TestCorrelatedTupleGroups:
+    """Tuples linked through a *chain* of shared components are ranked together."""
+
+    def test_transitively_correlated_tuples_share_a_group(self):
+        """Regression: grouping was one non-transitive pass over the cid sets.
+
+        ``t1`` and ``t2`` share no component, but ``t3`` shares one with each,
+        so all three are correlated.  ``(1, 1)`` is produced by ``t2`` in one
+        world and by ``t3`` in the other — confidence 1.0, where combining
+        ``{t1, t3}`` and ``{t2}`` as independent groups gave 0.75.
+        """
+        uwsdt = UWSDT(DatabaseSchema([RelationSchema("R", ("A", "B"))]))
+        for tuple_id in (1, 2, 3):
+            uwsdt.add_template_tuple("R", tuple_id, (PLACEHOLDER, PLACEHOLDER))
+
+        def field(tuple_id, attribute):
+            return FieldRef("R", tuple_id, attribute)
+
+        uwsdt.new_component(Component((field(1, "A"),), [(9,)], [1.0]))
+        uwsdt.new_component(Component((field(1, "B"), field(3, "A")), [(5, 1)], [1.0]))
+        uwsdt.new_component(
+            Component((field(2, "A"), field(3, "B")), [(1, 0), (0, 1)], [0.5, 0.5])
+        )
+        uwsdt.new_component(Component((field(2, "B"),), [(1,)], [1.0]))
+        uwsdt.validate()
+
+        worlds = uwsdt.to_worldset()
+        ranked = dict(uwsdt_possible_with_confidence(uwsdt, "R"))
+        assert ranked == pytest.approx(
+            {row: worlds.tuple_confidence("R", row) for row in ranked}
+        )
+        assert ranked[(1, 1)] == pytest.approx(1.0)
 
 
 class TestFigure1Probabilities:
