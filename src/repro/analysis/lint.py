@@ -8,8 +8,9 @@ the four that have bitten (or nearly bitten) before:
   path: the statistics catalog and the plan cache both invalidate by
   version polling, so a silent mutation serves stale plans forever.
 * ``locked-state`` — methods of ``MetricsRegistry`` / ``StatisticsCatalog``
-  / ``PlanCache`` must touch their private state only under ``self._lock``
-  (these objects are shared across the async service's worker threads).
+  / ``PlanCache`` / ``IndexPool`` must touch their private state only under
+  ``self._lock`` (these objects are shared across the async service's
+  worker threads).
 * ``async-blocking`` — coroutines in ``repro.service`` must not call
   blocking primitives (``time.sleep``, synchronous file I/O,
   ``subprocess``): one blocked coroutine stalls the whole event loop.
@@ -45,6 +46,7 @@ LOCKED_CLASSES = {
     "MetricsRegistry": ("_metrics",),
     "StatisticsCatalog": ("_entries", "_watchers", "_unwatch"),
     "PlanCache": ("_entries",),
+    "IndexPool": ("_cache",),
 }
 
 #: Mutating method calls on ``_rows`` / ``_row_set`` that require a bump.

@@ -29,29 +29,26 @@ from typing import Any, Iterator, Optional, Sequence
 from ...relational import algebra as relational_algebra
 from ...relational.database import Database
 from ...relational.errors import QueryError
-from ...relational.indexes import IndexPool
+from ...relational.indexes import INDEX_POOL_ATTRIBUTE, IndexPool
 from ...relational.predicates import Predicate
 from ...relational.relation import Relation
 from ..algebra import uwsdt_ops, wsd_ops
 from ..uwsdt import UWSDT
 from ..wsd import WSD
 
-#: Attribute under which :func:`index_pool_for` stores the pool on a Database.
-INDEX_POOL_ATTRIBUTE = "_index_pool"
 
-
-def index_pool_for(database: Database) -> IndexPool:
-    """The hash-index pool attached to a Database, creating it on first use.
+def index_pool_for(engine: Any) -> IndexPool:
+    """The index pool attached to an engine, creating it on first use.
 
     Persisting the pool on the engine means repeated queries — and the index
     nested-loop join — probe indexes built once, instead of one throwaway
     pool per ``Query.run``.
     """
-    pool = getattr(database, INDEX_POOL_ATTRIBUTE, None)
+    pool = getattr(engine, INDEX_POOL_ATTRIBUTE, None)
     if pool is None:
         pool = IndexPool()
         try:
-            setattr(database, INDEX_POOL_ATTRIBUTE, pool)
+            setattr(engine, INDEX_POOL_ATTRIBUTE, pool)
         except AttributeError:
             pass  # engine type without the slot: still usable, just unattached
     return pool

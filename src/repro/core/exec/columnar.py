@@ -1,12 +1,16 @@
 """Columnar vectorized execution over certain (placeholder-free) subtrees.
 
-A :class:`ColumnBatch` holds the rows of a Database relation or a UWSDT
-template in parallel per-attribute arrays, plus a per-attribute placeholder
-bitmap and a row-id column carrying provenance (Database row positions,
-UWSDT template tuple ids).  Vectorized kernels implement Filter / Project /
-Rename / HashJoin / Union / Difference / Intersection column-at-a-time over
-batches — no per-operator ``Relation`` construction, no per-row hash-set
-deduplication until the batch leaves the columnar region.
+A :class:`ColumnBatch` presents the rows of a Database relation or a UWSDT
+template as shared per-attribute columns plus a selection vector, with a
+row-id column carrying provenance (Database row positions, UWSDT template
+tuple ids).  The columns of a *stored* relation live in the engine's
+:class:`~repro.relational.indexes.IndexPool`, validated by the relation's
+version like its hash indexes and transposed one attribute at a time when
+first read.  Vectorized kernels implement Filter / Project / Rename /
+HashJoin / Union / Difference / Intersection over batches without
+per-operator ``Relation`` construction and without copying a value before
+a join or the region's exit needs it; relations stay sets inside the
+region (Project and Union collapse the duplicates they create).
 
 :class:`ColumnarBackend` wraps the engine's row backend
 (:class:`~repro.core.exec.backends.DatabaseBackend` or
@@ -14,15 +18,14 @@ deduplication until the batch leaves the columnar region.
 operators, mirroring the Transfer-marker idea:
 
 * ``materialize``  — row handle → batch (the vectorized scan).  On a UWSDT
-  it reads ``template_rows``; if the relation turns out to carry
-  placeholders *at execution time* (the plan may be cached from before an
-  update) it passes the row handle through unchanged and the downstream
-  kernels transparently delegate to the row backend.
+  the template's tid column becomes the row ids; if the relation turns out
+  to carry placeholders *at execution time* (the plan may be cached from
+  before an update) it passes the row handle through unchanged and the
+  downstream kernels transparently delegate to the row backend.
 * ``dematerialize`` — batch → row handle.  On a Database this registers a
-  :class:`~repro.relational.relation.Relation` (whose insert-time dedup
-  restores set semantics over the kernels' bag output); on a UWSDT it adds
-  a certain template relation, one tuple per batch row under its batch
-  row id.
+  :class:`~repro.relational.relation.Relation`; on a UWSDT it adds a
+  certain template relation, one tuple per distinct batch row under its
+  batch row id.
 
 :func:`insert_columnar_boundaries` is the lowering pass that decides where
 the boundaries go: an operator runs columnar exactly when it has a kernel
@@ -40,15 +43,17 @@ models once the calibrator has fitted the columnar constants.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import compress, repeat
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ...relational.errors import QueryError
+from ...relational.indexes import Column, ColumnStore
 from ...relational.relation import Relation
 from ...relational.schema import RelationSchema
 from ...relational.predicates import Predicate
-from ...relational.values import is_placeholder
+from ...relational.values import PLACEHOLDER
 from ..planner.cost import CostModel, Statistics, estimate
-from .backends import DatabaseBackend, EngineBackend, UWSDTBackend, backend_for
+from .backends import DatabaseBackend, EngineBackend, UWSDTBackend, backend_for, index_pool_for
 from .physical import (
     Dematerialize,
     IndexNestedLoopJoin,
@@ -66,38 +71,47 @@ SHARD_WORKERS_ENV = "REPRO_SHARD_WORKERS"
 BACKEND_SPECS = ("row", "columnar", "sharded", "auto")
 
 #: Physical operators with a vectorized kernel.  ``Scan`` is deliberately
-#: absent: ``Materialize(Scan)`` *is* the vectorized scan — the batch is
-#: built straight from the stored rows / template rows.
+#: absent: ``Materialize(Scan)`` *is* the vectorized scan — the batch reads
+#: the stored relation's cached columns.
 COLUMNAR_KERNEL_OPS = frozenset(
     {"Filter", "Project", "Rename", "HashJoin", "Union", "Difference", "Intersection"}
 )
 
 
-class ColumnBatch:
-    """Rows decomposed into parallel per-attribute arrays.
+def _take(values: Sequence[Any], indices: Optional[Sequence[int]]) -> Sequence[Any]:
+    """``values`` at ``indices`` — or, for None, all of them, uncopied."""
+    return values if indices is None else list(map(values.__getitem__, indices))
 
-    ``columns[i][r]`` is the value of attribute ``attributes[i]`` in row
-    ``r`` — raw values, *including* the ``?`` placeholder sentinel, so a
-    round trip through :meth:`from_rows` / :meth:`to_rows` is exact.
-    ``placeholder_masks[i][r]`` flags the ``?``-bearing slots (cheap
-    uncertainty checks without value comparisons), and ``row_ids[r]``
-    carries provenance: the row's position for Database relations, the
-    template tuple id for UWSDTs, and kernel-composed pairs downstream.
+
+class ColumnBatch:
+    """Shared, lazily built columns plus an optional selection vector.
+
+    ``selection`` lists the surviving positions of the base columns (None:
+    all ``size`` of them, in order), so Filter / Project / Rename pass the
+    same :class:`~repro.relational.indexes.Column` objects along and no
+    value is copied before a join or the region's exit reads it.
+    ``columns`` / ``to_rows`` / ``row_ids`` / ``placeholder_masks`` are the
+    *selected* view — raw values, including the ``?`` sentinel, so
+    ``from_rows`` → ``to_rows`` is exact.  Row ids carry provenance: base
+    positions for Database relations (``ids`` None), the template's tid
+    column for UWSDTs, kernel-composed pairs downstream.
     """
 
-    __slots__ = ("attributes", "columns", "placeholder_masks", "row_ids")
+    __slots__ = ("attributes", "base", "size", "selection", "ids")
 
     def __init__(
         self,
         attributes: Sequence[str],
-        columns: Sequence[List[Any]],
-        placeholder_masks: Sequence[List[bool]],
-        row_ids: List[Any],
+        base: Sequence[Column],
+        size: int,
+        selection: Optional[List[int]] = None,
+        ids: Optional[Column] = None,
     ) -> None:
         self.attributes = tuple(attributes)
-        self.columns = tuple(columns)
-        self.placeholder_masks = tuple(placeholder_masks)
-        self.row_ids = row_ids
+        self.base = tuple(base)
+        self.size = size
+        self.selection = selection
+        self.ids = ids
 
     @classmethod
     def from_rows(
@@ -106,25 +120,43 @@ class ColumnBatch:
         rows: Sequence[Tuple[Any, ...]],
         row_ids: Optional[List[Any]] = None,
     ) -> "ColumnBatch":
-        attributes = tuple(attributes)
-        columns: List[List[Any]] = [[] for _ in attributes]
-        masks: List[List[bool]] = [[] for _ in attributes]
-        for row in rows:
-            for position, value in enumerate(row):
-                columns[position].append(value)
-                masks[position].append(is_placeholder(value))
-        if row_ids is None:
-            row_ids = list(range(len(columns[0]) if columns else len(rows)))
-        return cls(attributes, columns, masks, row_ids)
+        store = ColumnStore(rows, len(attributes))
+        ids = None if row_ids is None else Column(row_ids.copy)
+        return cls(attributes, store.columns, store.size, None, ids)
+
+    def positions(self) -> Sequence[int]:
+        """The base position of every row of the batch."""
+        return range(self.size) if self.selection is None else self.selection
+
+    def base_ids(self) -> Sequence[Any]:
+        return range(self.size) if self.ids is None else self.ids.values
+
+    def values(self, attribute: str) -> Sequence[Any]:
+        """One attribute's values over the selected rows."""
+        return _take(self.base[self.position(attribute)].values, self.selection)
+
+    @property
+    def columns(self) -> Tuple[Sequence[Any], ...]:
+        """Per-attribute values of the selected rows (read-only: without a
+        selection these are the shared base lists themselves)."""
+        return tuple(_take(column.values, self.selection) for column in self.base)
+
+    @property
+    def row_ids(self) -> List[Any]:
+        return list(_take(self.base_ids(), self.selection))
+
+    @property
+    def placeholder_masks(self) -> Tuple[List[bool], ...]:
+        return tuple([value is PLACEHOLDER for value in column] for column in self.columns)
 
     def to_rows(self) -> List[Tuple[Any, ...]]:
         """Rows in batch order, duplicates and placeholders preserved."""
-        if not self.columns:
-            return [() for _ in self.row_ids]
+        if not self.base:
+            return [() for _ in self.positions()]
         return list(zip(*self.columns))
 
     def __len__(self) -> int:
-        return len(self.row_ids)
+        return len(self.positions())
 
     @property
     def arity(self) -> int:
@@ -135,7 +167,7 @@ class ColumnBatch:
         return sum(sum(mask) for mask in self.placeholder_masks)
 
     def has_placeholders(self) -> bool:
-        return any(any(mask) for mask in self.placeholder_masks)
+        return any(PLACEHOLDER in column for column in self.columns)
 
     def position(self, attribute: str) -> int:
         try:
@@ -146,61 +178,67 @@ class ColumnBatch:
             ) from None
 
     def gather(self, indices: Sequence[int]) -> "ColumnBatch":
-        """A new batch selecting the given row positions, in order."""
-        columns = [[column[i] for i in indices] for column in self.columns]
-        masks = [[mask[i] for i in indices] for mask in self.placeholder_masks]
-        return ColumnBatch(self.attributes, columns, masks, [self.row_ids[i] for i in indices])
+        """A new batch selecting the given row positions, in order: the
+        selection vectors compose, no column is read."""
+        selection = list(_take(self.positions(), indices))
+        return ColumnBatch(self.attributes, self.base, self.size, selection, self.ids)
 
     def __repr__(self) -> str:
         return f"ColumnBatch({self.attributes!r}, {len(self)} rows)"
 
 
 # --------------------------------------------------------------------------- #
-# Vectorized kernels (bag semantics; dedup happens at dematerialize)
+# Vectorized kernels (set semantics: Project and Union collapse duplicates)
 # --------------------------------------------------------------------------- #
 
-
 def filter_batch(batch: ColumnBatch, predicate: Predicate) -> ColumnBatch:
-    """σ_pred: keep rows satisfying the predicate, ids preserved."""
-    referenced = predicate.attributes()
-    if not referenced:
-        schema = RelationSchema("__batch", batch.attributes)
-        rows = batch.to_rows()
-        keep = [i for i, row in enumerate(rows) if predicate.evaluate(schema, row)]
-        return batch.gather(keep)
-    positions = [batch.position(a) for a in referenced]
-    compiled = predicate.compile(RelationSchema("__batch", referenced))
-    referenced_columns = [batch.columns[p] for p in positions]
-    keep = [i for i, row in enumerate(zip(*referenced_columns)) if compiled(row)]
-    return batch.gather(keep)
+    """σ_pred: evaluate the predicate over the referenced columns only and
+    shrink the selection vector; no column is copied."""
+    # A predicate that names no attribute (TRUE) is evaluated on whole rows.
+    referenced = predicate.attributes() or batch.attributes
+    check = predicate.compile(RelationSchema("__batch", referenced))
+    truth = map(check, zip(*(batch.values(attribute) for attribute in referenced)))
+    selection = list(compress(batch.positions(), truth))
+    return ColumnBatch(batch.attributes, batch.base, batch.size, selection, batch.ids)
+
+
+def _distinct(batch: ColumnBatch) -> ColumnBatch:
+    """The batch without duplicate rows; first occurrence (and id) wins."""
+    rows = batch.to_rows()
+    first = dict(zip(reversed(rows), range(len(rows) - 1, -1, -1)))
+    return batch if len(first) == len(rows) else batch.gather(sorted(first.values()))
 
 
 def project_batch(batch: ColumnBatch, attributes: Sequence[str]) -> ColumnBatch:
-    """π_U: reorder/drop columns; rows (and duplicates) survive until dedup."""
+    """π_U: reorder/drop columns; relations are sets, so a projection that
+    drops a column collapses the duplicates it creates."""
     positions = [batch.position(a) for a in attributes]
-    return ColumnBatch(
-        tuple(attributes),
-        [batch.columns[p] for p in positions],
-        [batch.placeholder_masks[p] for p in positions],
-        batch.row_ids,
+    projected = ColumnBatch(
+        attributes, [batch.base[p] for p in positions], batch.size, batch.selection, batch.ids
     )
+    return projected if len(set(positions)) == batch.arity else _distinct(projected)
 
 
 def rename_batch(batch: ColumnBatch, old: str, new: str) -> ColumnBatch:
-    """δ: relabel one column; the arrays are shared, not copied."""
+    """δ: relabel one column; the columns are shared, not copied."""
     batch.position(old)  # validate
     attributes = tuple(new if a == old else a for a in batch.attributes)
-    return ColumnBatch(attributes, batch.columns, batch.placeholder_masks, batch.row_ids)
+    return ColumnBatch(attributes, batch.base, batch.size, batch.selection, batch.ids)
 
 
 def union_batch(left: ColumnBatch, right: ColumnBatch) -> ColumnBatch:
-    """∪ as column concatenation; side-tagged ids keep provenance distinct
-    even for a union of a batch with itself."""
+    """∪ as deduplicated column concatenation; side-tagged ids keep
+    provenance distinct even for a union of a batch with itself."""
     _require_same_attributes("union", left, right)
-    columns = [lc + rc for lc, rc in zip(left.columns, right.columns)]
-    masks = [lm + rm for lm, rm in zip(left.placeholder_masks, right.placeholder_masks)]
-    row_ids = [(0, rid) for rid in left.row_ids] + [(1, rid) for rid in right.row_ids]
-    return ColumnBatch(left.attributes, columns, masks, row_ids)
+
+    def concatenated(lc: Sequence[Any], rc: Sequence[Any]) -> Column:
+        return Column(lambda: [*lc, *rc])
+
+    columns = [concatenated(lc, rc) for lc, rc in zip(left.columns, right.columns)]
+    ids = Column(
+        lambda: [(0, rid) for rid in left.row_ids] + [(1, rid) for rid in right.row_ids]
+    )
+    return _distinct(ColumnBatch(left.attributes, columns, len(left) + len(right), None, ids))
 
 
 def difference_batch(left: ColumnBatch, right: ColumnBatch) -> ColumnBatch:
@@ -224,27 +262,34 @@ def hash_join_batch(
 ) -> ColumnBatch:
     """Equi-join: build on the right key column, probe the left key column.
 
-    Output ids are ``(left id, right id)`` pairs, matching the row
-    backends' provenance convention for join results.
+    The output columns gather from the inputs' *base* columns, each only
+    when something downstream reads it.  Output ids are ``(left id, right
+    id)`` pairs, matching the row backends' provenance convention.
     """
     build: Dict[Any, List[int]] = {}
-    for index, value in enumerate(right.columns[right.position(right_attr)]):
-        build.setdefault(value, []).append(index)
-    left_indices: List[int] = []
-    right_indices: List[int] = []
-    for index, value in enumerate(left.columns[left.position(left_attr)]):
-        for match in build.get(value, ()):
-            left_indices.append(index)
-            right_indices.append(match)
-    columns = [[column[i] for i in left_indices] for column in left.columns]
-    columns += [[column[i] for i in right_indices] for column in right.columns]
-    masks = [[mask[i] for i in left_indices] for mask in left.placeholder_masks]
-    masks += [[mask[i] for i in right_indices] for mask in right.placeholder_masks]
-    row_ids = [
-        (left.row_ids[li], right.row_ids[ri])
-        for li, ri in zip(left_indices, right_indices)
-    ]
-    return ColumnBatch(left.attributes + right.attributes, columns, masks, row_ids)
+    for position, value in zip(right.positions(), right.values(right_attr)):
+        build.setdefault(value, []).append(position)
+    left_positions: List[int] = []
+    right_positions: List[int] = []
+    for position, value in zip(left.positions(), left.values(left_attr)):
+        matches = build.get(value)
+        if matches:
+            left_positions.extend(repeat(position, len(matches)))
+            right_positions.extend(matches)
+
+    def gathered(column: Column, positions: List[int]) -> Column:
+        return Column(lambda: list(_take(column.values, positions)))
+
+    columns = [gathered(column, left_positions) for column in left.base]
+    columns += [gathered(column, right_positions) for column in right.base]
+    ids = Column(
+        lambda: list(
+            zip(_take(left.base_ids(), left_positions), _take(right.base_ids(), right_positions))
+        )
+    )
+    return ColumnBatch(
+        left.attributes + right.attributes, columns, len(left_positions), None, ids
+    )
 
 
 def _require_same_attributes(operator: str, left: ColumnBatch, right: ColumnBatch) -> None:
@@ -282,6 +327,8 @@ class ColumnarBackend(EngineBackend):
                 "use backend='row' (WSD fields resolve through components)"
             )
         self.inner = inner
+        self.pool = index_pool_for(engine)
+        self._scanned: Set[str] = set()
         self.supports_index_scan = inner.supports_index_scan
         self.supports_index_join = inner.supports_index_join
         self.native_intersection = inner.native_intersection
@@ -294,7 +341,21 @@ class ColumnarBackend(EngineBackend):
     def finish(self, handle, result_name: str):
         if isinstance(handle, ColumnBatch):
             handle = self.dematerialize(handle, result_name)
+        if isinstance(handle, Relation) and handle.schema.name == result_name:
+            if not self._stored(handle):
+                # Built by the boundary under its final name and aliased by
+                # nothing stored: the row backend's protective copy is waste.
+                return handle
         return self.inner.finish(handle, result_name)
+
+    def _stored(self, handle) -> bool:
+        """True iff a row handle is a relation the engine stores rather than
+        an intermediate result: only those use (and stay in) the engine's
+        index pool, and only those need ``finish``'s protective copy."""
+        if isinstance(self.inner, DatabaseBackend):
+            name = handle.schema.name
+            return self.engine.has_relation(name) and self.engine.relation(name) is handle
+        return handle in self._scanned  # UWSDT intermediates are templates too
 
     # -- boundaries -------------------------------------------------------- #
 
@@ -305,29 +366,34 @@ class ColumnarBackend(EngineBackend):
         return self.engine.relation_placeholder_count(relation_name) == 0
 
     def materialize(self, handle, result_name: Optional[str]):
-        """Row handle → batch (the vectorized scan half of the boundary)."""
+        """Row handle → batch (the vectorized scan half of the boundary).
+
+        The columns of a relation the engine stores come from (and stay in)
+        the engine's index pool; an intermediate result gets a throwaway
+        store — either way only the columns the region reads are ever
+        transposed.
+        """
         if isinstance(handle, ColumnBatch):
             return handle
-        if isinstance(self.inner, DatabaseBackend):
-            return ColumnBatch.from_rows(handle.schema.attributes, handle.rows)
+        uwsdt = not isinstance(self.inner, DatabaseBackend)
         # UWSDT: the handle is a relation name.  A template that carries
         # placeholders (the engine may have changed since the plan was
         # lowered) stays a row handle; downstream operators delegate.  The
         # static certainty analysis already kept uncertain subtrees in the
         # row world, so this fallback firing means a stale cached plan —
         # counted so the drift is observable.
-        if self.engine.relation_placeholder_count(handle) != 0:
+        if uwsdt and self.engine.relation_placeholder_count(handle) != 0:
             from ...obs.metrics import get_registry
 
             get_registry().counter("repro.columnar.materialize_fallbacks").inc()
             return handle
-        attributes = self.engine.schema.relation(handle).attributes
-        row_ids: List[Any] = []
-        rows: List[Tuple[Any, ...]] = []
-        for tid, values in self.engine.template_rows(handle):
-            row_ids.append(tid)
-            rows.append(values)
-        return ColumnBatch.from_rows(attributes, rows, row_ids)
+        relation = self.engine.templates[handle] if uwsdt else handle
+        attributes, arity = relation.schema.attributes, relation.schema.arity
+        stored = self._stored(handle)
+        store = self.pool.columns(relation) if stored else ColumnStore(relation.rows, arity)
+        if uwsdt:  # the tid column is stored first and becomes the row ids
+            return ColumnBatch(attributes[1:], store.columns[1:], store.size, None, store.columns[0])
+        return ColumnBatch(attributes, store.columns, store.size)
 
     def dematerialize(self, handle, result_name: Optional[str]):
         """Batch → row handle the inner backend (and engine) understand."""
@@ -344,18 +410,15 @@ class ColumnarBackend(EngineBackend):
             )
         if isinstance(self.inner, DatabaseBackend):
             name = result_name if result_name is not None else "__columnar"
-            schema = RelationSchema(name, handle.attributes)
-            relation = Relation(schema)
+            relation = Relation(RelationSchema(name, handle.attributes))
             for row in handle.to_rows():
-                relation.insert(row)  # insert-time dedup restores set semantics
+                relation.insert(row)  # insert-time dedup: a caller-built batch may be a bag
             return relation
         target = self.inner.target(result_name)
         self.engine.add_relation(RelationSchema(target, handle.attributes))
-        seen = set()
-        for tid, values in zip(handle.row_ids, handle.to_rows()):
-            if values in seen:
-                continue  # certain duplicates denote the same tuple: set semantics
-            seen.add(values)
+        # Certain duplicates denote the same tuple: set semantics.
+        distinct = _distinct(handle)
+        for tid, values in zip(distinct.row_ids, distinct.to_rows()):
             self.engine.add_template_tuple(target, tid, values)
         return target
 
@@ -368,7 +431,10 @@ class ColumnarBackend(EngineBackend):
     # -- operators --------------------------------------------------------- #
 
     def scan(self, name: str, result_name: Optional[str]):
-        return self.inner.scan(name, result_name)
+        handle = self.inner.scan(name, result_name)
+        if isinstance(handle, str):
+            self._scanned.add(handle)
+        return handle
 
     def index_scan(self, name: str, predicate: Predicate, result_name):
         return self.inner.index_scan(name, predicate, result_name)

@@ -209,11 +209,13 @@ UWSDT_COST = CostModel(
 
 COLUMNAR_COST = CostModel(
     name="columnar",
-    # The vectorized kernels move values through parallel arrays without
-    # per-operator Relation construction or per-row dedup, so every
-    # per-tuple constant sits below the classical row backend's; Product
-    # and the index nested-loop join have no kernels and run row-at-a-time
-    # (emit/index_probe stay at the Database rates).
+    # The vectorized kernels pass shared columns and a selection vector
+    # along without per-operator Relation construction (duplicates collapse
+    # once per narrowing Project / Union, in bulk), so every per-tuple
+    # constant sits below the classical row backend's; Product and the
+    # index nested-loop join have no kernels and run row-at-a-time
+    # (emit/index_probe stay at the Database rates).  Hand-tuned before the
+    # cached column store and not retuned since: see docs/planner.md.
     select_tuple=0.25,
     project_tuple=0.3,
     rename_tuple=0.2,

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .errors import SchemaError, UnknownRelationError
+from .indexes import INDEX_POOL_ATTRIBUTE
 from .relation import Relation
 from .schema import DatabaseSchema, RelationSchema
 
@@ -59,7 +60,18 @@ class Database:
 
     def replace(self, relation: Relation) -> None:
         """Add or overwrite a relation."""
+        outgoing = self._relations.get(relation.schema.name)
         self._relations[relation.schema.name] = relation
+        if outgoing is not None and outgoing is not relation:
+            self._release(outgoing)
+
+    def _release(self, relation: Relation) -> None:
+        """Evict a no-longer-stored relation from the attached index pool,
+        whose ``id(relation)``-keyed entries would otherwise pin its rows,
+        indexes and columns for the life of the database."""
+        pool = getattr(self, INDEX_POOL_ATTRIBUTE, None)
+        if pool is not None:
+            pool.invalidate(relation)
 
     def relation(self, name: str) -> Relation:
         """Return the relation called ``name``."""
@@ -75,7 +87,7 @@ class Database:
         """Remove a relation from the database."""
         if name not in self._relations:
             raise UnknownRelationError(name, tuple(self._relations))
-        del self._relations[name]
+        self._release(self._relations.pop(name))
 
     @property
     def relation_names(self) -> Tuple[str, ...]:

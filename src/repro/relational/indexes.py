@@ -7,14 +7,17 @@ mapping relation ``F[FID, CID]`` are looked up by field identifier and by
 component identifier on every operator, so the UWSDT engine builds hash
 indexes over those columns.  This module provides the two index flavours
 used by the engine: an exact-match hash index and a sorted index supporting
-range scans.
+range scans.  The same pool also caches the *column* representation of a
+stored relation (:class:`ColumnStore`), the "materialized temporary result"
+the columnar executor scans instead of re-transposing the rows per query.
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .relation import Relation, Row
 
@@ -59,15 +62,65 @@ class HashIndex:
         return len(self._buckets)
 
 
+class Column:
+    """One attribute's values as a list that is built on first read.
+
+    Two sessions racing the first read each build the same list; one wins.
+    """
+
+    __slots__ = ("_build", "_values")
+
+    def __init__(self, build: Callable[[], List[Any]]) -> None:
+        self._build = build
+        self._values: Optional[List[Any]] = None
+
+    @property
+    def values(self) -> List[Any]:
+        if self._values is None:
+            self._values = self._build()
+        return self._values
+
+
+def _transpose(rows: Sequence[Row], position: int) -> List[Any]:
+    return [row[position] for row in rows]
+
+
+class ColumnStore:
+    """The columns of one row snapshot, each transposed only when read.
+
+    Built over a stored relation by :meth:`IndexPool.columns` (and then
+    reused until the relation's version moves), or directly over the rows
+    of an intermediate result, which never enters the pool.
+    """
+
+    __slots__ = ("relation", "size", "columns")
+
+    def __init__(
+        self, rows: Sequence[Row], arity: int, relation: Optional[Relation] = None
+    ) -> None:
+        self.relation = relation
+        self.size = len(rows)
+        self.columns = tuple(Column(partial(_transpose, rows, p)) for p in range(arity))
+
+
+_Cached = TypeVar("_Cached")  # a HashIndex or a ColumnStore
+
+#: Attribute under which an engine (Database, UWSDT) holds its :class:`IndexPool`.
+INDEX_POOL_ATTRIBUTE = "_index_pool"
+
+
 class IndexPool:
-    """A version-validated cache of :class:`HashIndex` objects.
+    """A version-validated cache of :class:`HashIndex` and :class:`ColumnStore` objects.
 
     The engines ask the pool for an index on every pushed-down equality
-    selection; the pool rebuilds an index only when the underlying relation
-    has actually changed (tracked via :attr:`Relation.version`), so repeated
-    selections over the same base relation probe a shared index instead of
-    rescanning it.  Keys use ``id(relation)`` — the pool must therefore keep
-    a reference to the relation, which it does via the stored index.
+    selection, and the columnar executor for the columns of every stored
+    relation it scans; the pool rebuilds either only when the underlying
+    relation has actually changed (tracked via :attr:`Relation.version`), so
+    repeated queries over the same base relation share one index and one
+    column store instead of rescanning it.  Keys use ``id(relation)`` — the
+    pool must therefore keep a reference to the relation, which it does via
+    the stored object; :meth:`invalidate` releases it when the engine drops
+    the relation.
 
     One pool is shared per engine, so concurrent sessions can race on the
     cache dict; a lock makes check-then-build atomic.  (Two sessions racing
@@ -78,7 +131,9 @@ class IndexPool:
     __slots__ = ("_cache", "_lock")
 
     def __init__(self) -> None:
-        self._cache: Dict[Tuple[int, Tuple[str, ...]], Tuple[int, HashIndex]] = {}
+        #: ``(id(relation), indexed attributes — None for the column store)``
+        #: → ``(relation version at build time, the HashIndex or ColumnStore)``.
+        self._cache: Dict[Tuple[int, Optional[Tuple[str, ...]]], Tuple[int, Any]] = {}
         self._lock = threading.RLock()
 
     def __getstate__(self) -> bool:
@@ -88,22 +143,32 @@ class IndexPool:
         return True
 
     def __setstate__(self, state: bool) -> None:
-        self._cache = {}
-        self._lock = threading.RLock()
+        IndexPool.__init__(self)
 
-    def hash_index(self, relation: Relation, attributes: Sequence[str]) -> HashIndex:
-        """Return a (cached) hash index over ``attributes`` of ``relation``."""
+    def _cached(
+        self, relation: Relation, what: Optional[Tuple[str, ...]], build: Callable[[], _Cached]
+    ) -> _Cached:
         with self._lock:
-            key = (id(relation), tuple(attributes))
+            key = (id(relation), what)
             entry = self._cache.get(key)
             if entry is not None and entry[0] == relation.version and entry[1].relation is relation:
                 return entry[1]
-            index = HashIndex(relation, attributes)
-            self._cache[key] = (relation.version, index)
-            return index
+            built = build()
+            self._cache[key] = (relation.version, built)
+            return built
+
+    def hash_index(self, relation: Relation, attributes: Sequence[str]) -> HashIndex:
+        """Return a (cached) hash index over ``attributes`` of ``relation``."""
+        return self._cached(relation, tuple(attributes), lambda: HashIndex(relation, attributes))
+
+    def columns(self, relation: Relation) -> ColumnStore:
+        """Return the (cached) column store of a stored ``relation``."""
+        return self._cached(
+            relation, None, lambda: ColumnStore(relation.rows, relation.schema.arity, relation)
+        )
 
     def invalidate(self, relation: Relation) -> None:
-        """Drop all cached indexes of one relation."""
+        """Drop all cached indexes and columns of one relation."""
         with self._lock:
             stale = [key for key in self._cache if key[0] == id(relation)]
             for key in stale:
@@ -114,7 +179,8 @@ class IndexPool:
             self._cache.clear()
 
     def __len__(self) -> int:
-        return len(self._cache)
+        with self._lock:
+            return len(self._cache)
 
 
 class SortedIndex:

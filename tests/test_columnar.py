@@ -1,6 +1,6 @@
 """The columnar vectorized backend: batches, kernels, boundaries, auto-pick.
 
-Four layers of coverage:
+Layers of coverage:
 
 * :class:`~repro.core.exec.columnar.ColumnBatch` round-trips exactly —
   rows → columns → rows preserves order, bag duplicates and placeholder
@@ -11,17 +11,33 @@ Four layers of coverage:
   (uncertain subtrees stay row-at-a-time),
 * backend selection: the ``REPRO_BACKEND`` env var, ``"auto"`` requiring a
   calibrated columnar model, and WSD falling back to the row backend,
+* the cached column store (the engine's index pool) is never stale — after
+  any interleaving of inserts/removes on a Database relation, or template
+  inserts and chase steps on a UWSDT, it equals a fresh ``from_rows`` — is
+  evicted when the Database drops the relation, and is not pickled,
+* the filter kernel agrees with row-at-a-time ``Predicate.evaluate`` on
+  columns holding ``⊥``, ``?`` and mixed ``str``/``int`` values, with and
+  without a selection vector (the pin for any later typed fast path),
+* set semantics inside the region: every operator reports the same
+  ``actual rows`` as under the row backend on the census joins,
 * the acceptance bar: smoke-calibrated columnar per-tuple select/join
   constants sit below the row (database) backend's.
 """
+
+import gc
+import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.harness import census_instance
+from repro.census.queries import q6_self_join_product_form, q_four_way_join
 from repro.census.schema import census_schema
 from repro.core import UWSDT, WSD
 from repro.core.algebra import BaseRelation
+from repro.core.chase import chase_uwsdt
 from repro.core.exec import (
     BACKEND_ENV,
     ColumnarBackend,
@@ -31,16 +47,18 @@ from repro.core.exec import (
     backend_for,
     resolve_backend,
 )
+from repro.core.exec.backends import index_pool_for
+from repro.core.exec.columnar import filter_batch
 from repro.core.planner import clear_cost_profile
 from repro.core.planner.cost import CostModel
-from repro.relational import Database, Relation, RelationSchema
+from repro.relational import Database, InconsistentWorldSetError, Relation, RelationSchema
 from repro.relational.errors import QueryError
-from repro.relational.predicates import AttrAttr, AttrConst
-from repro.relational.values import PLACEHOLDER, is_placeholder
+from repro.relational.predicates import And, AttrAttr, AttrConst, Not, Or
+from repro.relational.values import BOTTOM, PLACEHOLDER, is_placeholder
 from repro.worlds import OrSet, OrSetRelation
 
-from _fixtures import assert_same_result_distribution
-from test_planner_oracle import ORACLE_SCHEMAS
+from _fixtures import assert_same_result_distribution, budgeted_orset_relations
+from test_planner_oracle import ORACLE_SCHEMAS, chase_dependency_lists
 
 
 @pytest.fixture(autouse=True)
@@ -203,6 +221,192 @@ class TestColumnarEquivalence:
         # The row-at-a-time fallback still executes correctly.
         query.run(uwsdt, "P", physical=physical, backend=ColumnarBackend(uwsdt))
         uwsdt.validate()
+
+
+# --------------------------------------------------------------------------- #
+# The cached column store: never stale, evicted with its relation, not pickled
+# --------------------------------------------------------------------------- #
+
+
+def _vectorized_scan(backend, name):
+    """``Materialize(Scan(name))`` as the executor drives it."""
+    return backend.materialize(backend.scan(name, None), None)
+
+
+def _assert_scan_is_fresh(backend, name, attributes, rows, row_ids):
+    """The cached vectorized scan equals a batch built from the rows now."""
+    cached = _vectorized_scan(backend, name)
+    fresh = ColumnBatch.from_rows(attributes, rows, row_ids)
+    assert cached.to_rows() == fresh.to_rows()
+    assert cached.row_ids == fresh.row_ids
+
+
+_small_row = st.tuples(*[st.integers(min_value=0, max_value=3)] * 3)
+
+
+class _WeaklyReferable(Relation):
+    """A Relation the eviction test can watch (no ``__slots__``: the
+    subclass gains ``__weakref__``, the production class stays slim)."""
+
+
+class TestCachedColumnStore:
+    @given(st.lists(st.tuples(st.booleans(), _small_row), max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_database_scan_tracks_inserts_and_removes(self, steps):
+        relation = Relation(RelationSchema("R", ("A", "B", "C")), [(0, 0, 0)])
+        backend = ColumnarBackend(Database([relation]))
+        attributes = relation.schema.attributes
+        # Read before every mutation, so a stale column would be served after.
+        _assert_scan_is_fresh(backend, "R", attributes, relation.rows, None)
+        for insert, row in steps:
+            relation.insert(row) if insert else relation.remove(row)
+            _assert_scan_is_fresh(backend, "R", attributes, relation.rows, None)
+        assert len(backend.pool) == 1  # one store per relation, however many versions
+
+    @given(
+        budgeted_orset_relations(ORACLE_SCHEMAS, max_rows=2, uncertain_budget=3),
+        st.lists(st.one_of(_small_row, chase_dependency_lists(max_size=1)), max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_uwsdt_scan_tracks_template_inserts_and_chase(self, relations, steps):
+        uwsdt = UWSDT.from_orset_relations(relations)
+        backend = ColumnarBackend(uwsdt)
+        backend.begin("out")
+
+        def check():
+            for name, attributes in ORACLE_SCHEMAS:
+                if uwsdt.relation_placeholder_count(name) != 0:
+                    assert _vectorized_scan(backend, name) == name
+                    continue
+                rows = list(uwsdt.template_rows(name))
+                _assert_scan_is_fresh(
+                    backend, name, attributes, [v for _, v in rows], [t for t, _ in rows]
+                )
+
+        check()
+        for number, step in enumerate(steps):
+            if isinstance(step, tuple):
+                name = ORACLE_SCHEMAS[number % len(ORACLE_SCHEMAS)][0]
+                uwsdt.add_template_tuple(name, ("new", number), step)
+            else:
+                try:
+                    chase_uwsdt(uwsdt, step)
+                except InconsistentWorldSetError:
+                    return  # no world left to scan
+            check()
+
+    @pytest.mark.parametrize("evict", ["drop", "replace"])
+    def test_dropped_relation_is_released_by_the_pool(self, evict):
+        big = _WeaklyReferable(
+            RelationSchema("R", ("A", "B")), [(i % 7, i) for i in range(10_000)]
+        )
+        database = Database([big, Relation(RelationSchema("S", ("C",)), [(1,)])])
+        pool = index_pool_for(database)
+        before = len(pool)
+        pool.columns(big).columns[0].values
+        pool.hash_index(big, ("A",))
+        assert len(pool) == before + 2
+        reference = weakref.ref(big)
+        if evict == "drop":
+            database.drop("R")
+        else:
+            database.replace(Relation(RelationSchema("R", ("A", "B"))))
+        del big
+        gc.collect()
+        assert reference() is None
+        assert len(pool) == before
+
+    def test_pickled_engines_start_with_an_empty_pool(self):
+        """A shard payload ships its engine; the column cache stays behind."""
+        relation = OrSetRelation(RelationSchema("R", ("A0", "A1")))
+        relation.insert((1, 2))
+        uwsdt = UWSDT.from_orset_relation(relation)
+        database = Database([Relation(RelationSchema("R", ("A", "B")), [(1, 2)])])
+        for engine in (uwsdt, database):
+            before = _vectorized_scan(ColumnarBackend(engine), "R").to_rows()
+            assert len(index_pool_for(engine)) == 1
+            shipped = pickle.loads(pickle.dumps(engine))
+            assert len(index_pool_for(shipped)) == 0
+            after = _vectorized_scan(ColumnarBackend(shipped), "R").to_rows()
+            assert after == before == [(1, 2)]
+
+    def test_finish_does_not_copy_what_the_boundary_built(self):
+        database = small_database()
+        backend = ColumnarBackend(database)
+        built = backend.dematerialize(ColumnBatch.from_rows(("A",), [(1,), (1,), (2,)]), "out")
+        assert backend.finish(built, "out") is built
+        assert sorted(built) == [(1,), (2,)]
+        # A stored relation still gets the protective, renaming copy.
+        stored = database.relation("R")
+        copied = backend.finish(stored, "R")
+        assert copied is not stored and copied.same_rows(stored)
+
+
+# --------------------------------------------------------------------------- #
+# The filter kernel over selection vectors (and the pin for a typed fast path)
+# --------------------------------------------------------------------------- #
+
+_plain_int = st.integers(min_value=-2, max_value=2)
+_plain_text = st.text(alphabet="ab", max_size=1)
+_mixed = st.one_of(_plain_int, _plain_text, st.none(), st.just(BOTTOM), st.just(PLACEHOLDER))
+_constant = st.one_of(_plain_int, _plain_text, st.none(), st.floats(-1, 1), st.booleans())
+_theta = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
+
+
+@st.composite
+def _typed_rows_and_predicate(draw):
+    # Per column: all ints, all text, or anything (``⊥``, ``?``, mixed types).
+    kinds = [draw(st.sampled_from([_plain_int, _plain_text, _mixed])) for _ in "XYZ"]
+    rows = draw(st.lists(st.tuples(*kinds), max_size=8))
+    leaf = st.one_of(
+        st.builds(AttrConst, st.sampled_from("XYZ"), _theta, _constant),
+        st.builds(AttrAttr, st.sampled_from("XYZ"), _theta, st.sampled_from("XYZ")),
+    )
+    predicate = draw(
+        st.one_of(
+            leaf,
+            st.builds(And, leaf, leaf, leaf),
+            st.builds(And, leaf, st.builds(Or, leaf, leaf)),
+            st.builds(And, st.builds(Not, leaf), leaf),
+        )
+    )
+    return rows, predicate
+
+
+class TestFilterKernel:
+    @given(_typed_rows_and_predicate())
+    @settings(max_examples=300, deadline=None)
+    def test_filter_kernel_equals_row_at_a_time_compare(self, rows_and_predicate):
+        rows, predicate = rows_and_predicate
+        schema = RelationSchema("T", ("X", "Y", "Z"))
+        expected = [row for row in rows if predicate.evaluate(schema, row)]
+        batch = ColumnBatch.from_rows(schema.attributes, rows)
+        assert filter_batch(batch, predicate).to_rows() == expected
+        # The same over an already-selected batch (positions ≠ identities).
+        reversed_batch = batch.gather(list(range(len(rows) - 1, -1, -1)))
+        assert filter_batch(reversed_batch, predicate).to_rows() == expected[::-1]
+
+
+# --------------------------------------------------------------------------- #
+# Set semantics inside the region: the feedback catalog sees true cardinalities
+# --------------------------------------------------------------------------- #
+
+
+class TestActualRowsMatchRowBackend:
+    @pytest.mark.parametrize("factory", [q_four_way_join, q6_self_join_product_form])
+    def test_per_operator_actual_rows_equal_row_backend(self, factory):
+        database = census_instance(2000, 0.0).one_world_database()
+
+        def actual_rows(backend):
+            # A copy per run: no observed cardinality leaks between backends.
+            result = factory().run(database.copy(), "out", collect_metrics=True, backend=backend)
+            return len(result.value), sorted(
+                (node.label(), node.metrics.rows_out)
+                for node in result.physical.operators()
+                if node.metrics is not None and not isinstance(node, (Materialize, Dematerialize))
+            )
+
+        assert actual_rows("columnar") == actual_rows("row")
 
 
 # --------------------------------------------------------------------------- #
