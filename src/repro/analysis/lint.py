@@ -23,6 +23,10 @@ the four that have bitten (or nearly bitten) before:
   pool, and an unpicklable operator forces every shard onto the
   in-process fallback path (or, for an engine reference, ships the whole
   engine to every worker).
+* ``dynamic-code`` — the builtins ``eval`` / ``exec`` / ``compile`` may be
+  called in ``relational/predicates.py`` only: ``Predicate.compile`` is the
+  one place that generates code, and it keeps constants and attribute names
+  out of the source it generates.
 
 Findings are compared against a checked-in baseline
 (``lint_baseline.json`` next to this module): pre-existing violations are
@@ -83,6 +87,11 @@ PLAN_STATE_ROOTS = ("PhysicalOperator", "Predicate")
 #: state a plan operator must never capture (the plan would drag the whole
 #: engine through pickle on every shard dispatch).
 ENGINE_REFERENCE_NAMES = frozenset({"engine", "backend"})
+
+#: Builtins that turn a string into running code, and the one module allowed
+#: to call them.
+DYNAMIC_CODE_BUILTINS = frozenset({"eval", "exec", "compile"})
+DYNAMIC_CODE_MODULE = "relational/predicates.py"
 
 #: The format tag written into baselines and reports.
 BASELINE_FORMAT = "repro-lint-baseline/1"
@@ -422,12 +431,44 @@ def check_picklable_plan_state(tree: ast.Module, path: str) -> List[Violation]:
     return violations
 
 
+def check_dynamic_code(tree: ast.Module, path: str) -> List[Violation]:
+    if path.replace("\\", "/").endswith(DYNAMIC_CODE_MODULE):
+        return []
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in DYNAMIC_CODE_BUILTINS
+    ]
+    if not calls:
+        return []
+    enclosing: Dict[ast.AST, str] = {}
+    for symbol, function in _functions(tree):  # outer before inner: innermost wins
+        for node in ast.walk(function):
+            enclosing[node] = symbol
+    return [
+        Violation(
+            rule="dynamic-code",
+            path=path,
+            line=call.lineno,
+            symbol=enclosing.get(call, "<module>"),
+            message=(
+                f"calls builtin {call.func.id}() — code is generated in "
+                f"{DYNAMIC_CODE_MODULE} (Predicate.compile) and nowhere else"
+            ),
+        )
+        for call in calls
+    ]
+
+
 RULES = (
     check_relation_version,
     check_locked_state,
     check_async_blocking,
     check_watch_release,
     check_picklable_plan_state,
+    check_dynamic_code,
 )
 
 

@@ -144,16 +144,22 @@ def select(wsd: WSD, source: str, target: str, predicate: Predicate) -> None:
         component_index = wsd.merge_components_of(fields)
         component = wsd.components[component_index]
 
+        # The tuple's fields sit at the same positions in every local world
+        # of the merged component: one layout, one compiled condition.
+        positions = [
+            position
+            for position, field in enumerate(component.fields)
+            if field.relation == target and field.tuple_id == tuple_id
+        ]
+        satisfied = predicate.compile(
+            RelationSchema(target, [component.fields[p].attribute for p in positions])
+        )
         failing: List[int] = []
         for row_index, row in enumerate(component.rows):
-            values = _tuple_field_values(component, target, tuple_id, row)
-            pseudo_schema = RelationSchema(target, tuple(values.keys()) or ("__dummy__",))
-            if not values:
-                continue
-            pseudo_row = tuple(values[a] for a in pseudo_schema.attributes)
+            pseudo_row = tuple(row[p] for p in positions)
             if any(value is BOTTOM for value in pseudo_row):
                 continue
-            if not predicate.evaluate(pseudo_schema, pseudo_row):
+            if not satisfied(pseudo_row):
                 failing.append(row_index)
         if failing:
             component = _mark_deleted(component, target, tuple_id, failing)

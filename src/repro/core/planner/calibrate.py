@@ -79,6 +79,11 @@ DEFAULT_DIFFERENCE_SIZES: Tuple[int, ...] = (6, 10)
 
 #: Smoke-size schedule (CI: a couple of seconds for all three engines).
 SMOKE_LINEAR_SIZES: Tuple[int, ...] = (48, 96)
+#: Engines that keep :data:`DEFAULT_LINEAR_SIZES` under ``smoke``: they run
+#: them in milliseconds, and a classical or columnar select of under ≈ 150
+#: rows times the generation of the predicate's code (≈ 35 µs, once), not
+#: the scan whose slope anchors every other constant of the engine.
+SMOKE_FULL_LINEAR_ENGINES: Tuple[str, ...] = ("database", "columnar")
 SMOKE_PRODUCT_SIZES: Tuple[int, ...] = (8, 14)
 SMOKE_DIFFERENCE_SIZES: Tuple[int, ...] = (4, 6)
 
@@ -570,15 +575,22 @@ def calibrate(
     difference = tuple(
         difference_sizes or (SMOKE_DIFFERENCE_SIZES if smoke else DEFAULT_DIFFERENCE_SIZES)
     )
+    full_linear = SMOKE_FULL_LINEAR_ENGINES if smoke and not linear_sizes else ()
     models: Dict[str, CostModel] = {}
     for engine_name in engines:
         measurements = run_microbenchmarks(
-            engine_name, linear, product, difference, repeats, seed
+            engine_name,
+            DEFAULT_LINEAR_SIZES if engine_name in full_linear else linear,
+            product,
+            difference,
+            repeats,
+            seed,
         )
         models[engine_name] = fit_cost_model(engine_name, measurements)
     metadata = {
         "engines": list(engines),
         "linear_sizes": list(linear),
+        "full_linear_engines": [name for name in engines if name in full_linear],
         "product_sizes": list(product),
         "difference_sizes": list(difference),
         "repeats": repeats,

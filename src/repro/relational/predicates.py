@@ -6,19 +6,22 @@ attribute), where ``θ`` is one of ``=, ≠, <, ≤, >, ≥``.  We additionally
 provide boolean combinators so that the census queries (Figure 29), which
 use conjunctions and disjunctions, can be expressed as single selections.
 
-Predicates are evaluated against a (schema, row) pair.  For repeated
-evaluation over the rows of one relation, :meth:`Predicate.compile` returns
-a closure bound to attribute positions, avoiding repeated name lookups.
+Predicates are evaluated against a (schema, row) pair; ``evaluate`` and
+:func:`compare` are the specification.  For repeated evaluation over the
+rows of one layout, :meth:`Predicate.compile` generates one Python function
+whose body is a single expression over integer row positions
+(``row[17] is not BOTTOM and row[17] == c0``) and which agrees with
+``evaluate`` on every row.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Dict, Iterable, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from .errors import PredicateError
 from .schema import RelationSchema
-from .values import BOTTOM, is_domain_value
+from .values import BOTTOM, PLACEHOLDER, is_domain_value
 
 #: Comparison operators supported by ``θ`` in the paper.
 COMPARATORS: Dict[str, Callable[[Any, Any], bool]] = {
@@ -65,6 +68,47 @@ def compare(left: Any, symbol: str, right: Any) -> bool:
         return False
 
 
+#: Python spelling of each comparison function in :data:`COMPARATORS`.
+_TOKENS: Dict[Callable[[Any, Any], bool], str] = {
+    operator.eq: "==",
+    operator.ne: "!=",
+    operator.lt: "<",
+    operator.le: "<=",
+    operator.gt: ">",
+    operator.ge: ">=",
+}
+
+#: The generated function.  ``compare`` answers a ``TypeError`` of the
+#: comparison operator itself; here the whole row is re-judged by ``evaluate``.
+_CHECK_SOURCE = """\
+def check(row):
+    try:
+        return {}
+    except TypeError:
+        return evaluate(schema, row)
+"""
+
+
+class _Source:
+    """What the fragments of one generated function share: the row layout
+    they index into and the constants bound in the function's namespace."""
+
+    def __init__(self, schema: RelationSchema) -> None:
+        self.schema = schema
+        self.constants: List[Any] = []
+
+    def cell(self, attribute: str) -> str:
+        """The expression reading ``attribute`` from the row: attribute names
+        never reach the source, only their integer position does."""
+        return f"row[{self.schema.position(attribute):d}]"
+
+    def bind(self, value: Any) -> str:
+        """The name ``value`` is bound to in the function's namespace:
+        constants are never rendered into the source."""
+        self.constants.append(value)
+        return f"c{len(self.constants) - 1}"
+
+
 class Predicate:
     """Base class of selection predicates."""
 
@@ -73,8 +117,38 @@ class Predicate:
         raise NotImplementedError
 
     def compile(self, schema: RelationSchema) -> Callable[[Tuple[Any, ...]], bool]:
-        """Return a fast row-level evaluator bound to ``schema``."""
-        return lambda row: self.evaluate(schema, row)
+        """Return a fast row-level evaluator bound to ``schema``.
+
+        The evaluator is one generated function over the whole predicate
+        tree; it agrees with :meth:`evaluate` on every row (tuple or list).
+        Nothing is cached on the predicate: generating costs tens of
+        microseconds, and predicates travel pickled inside physical plans.
+        """
+        source = _Source(schema)
+        code = _CHECK_SOURCE.format(self._fragment(source))
+        namespace: Dict[str, Any] = {
+            "BOTTOM": BOTTOM,
+            "PLACEHOLDER": PLACEHOLDER,
+            "schema": schema,
+            "evaluate": self.evaluate,
+        }
+        namespace.update((f"c{i}", value) for i, value in enumerate(source.constants))
+        try:
+            exec(code, namespace)
+        except (SyntaxError, RecursionError, MemoryError):
+            # A tree nested deeper than the parser accepts; which of the three
+            # it raises depends on the shape (And/Or, Not) and the version.
+            return lambda row: self.evaluate(schema, row)
+        # Popped, not read: a namespace that kept its own function would be a
+        # reference cycle per call, freed only by the cycle collector.
+        return namespace.pop("check")
+
+    def _fragment(self, source: _Source) -> str:
+        """This node's expression over ``row`` for the generated function.
+
+        A subclass that defines only :meth:`evaluate` is called through it.
+        """
+        return f"{source.bind(self.evaluate)}(schema, row)"
 
     def attributes(self) -> Tuple[str, ...]:
         """Return the attributes referenced by the predicate (with duplicates removed)."""
@@ -113,10 +187,11 @@ class AttrConst(Predicate):
     def evaluate(self, schema: RelationSchema, row: Tuple[Any, ...]) -> bool:
         return compare(row[schema.position(self.attribute)], self.op, self.constant)
 
-    def compile(self, schema: RelationSchema) -> Callable[[Tuple[Any, ...]], bool]:
-        pos = schema.position(self.attribute)
-        op, constant = self.op, self.constant
-        return lambda row: compare(row[pos], op, constant)
+    def _fragment(self, source: _Source) -> str:
+        cell, token = source.cell(self.attribute), _TOKENS[comparator(self.op)]
+        if self.constant is BOTTOM:
+            return "False"
+        return f"({cell} is not BOTTOM and {cell} {token} {source.bind(self.constant)})"
 
     def _referenced(self) -> Iterable[str]:
         return (self.attribute,)
@@ -141,11 +216,10 @@ class AttrAttr(Predicate):
             row[schema.position(self.left)], self.op, row[schema.position(self.right)]
         )
 
-    def compile(self, schema: RelationSchema) -> Callable[[Tuple[Any, ...]], bool]:
-        left_pos = schema.position(self.left)
-        right_pos = schema.position(self.right)
-        op = self.op
-        return lambda row: compare(row[left_pos], op, row[right_pos])
+    def _fragment(self, source: _Source) -> str:
+        left, right = source.cell(self.left), source.cell(self.right)
+        token = _TOKENS[comparator(self.op)]
+        return f"({left} is not BOTTOM and {right} is not BOTTOM and {left} {token} {right})"
 
     def _referenced(self) -> Iterable[str]:
         return (self.left, self.right)
@@ -173,9 +247,8 @@ class And(Predicate):
     def evaluate(self, schema: RelationSchema, row: Tuple[Any, ...]) -> bool:
         return all(part.evaluate(schema, row) for part in self.parts)
 
-    def compile(self, schema: RelationSchema) -> Callable[[Tuple[Any, ...]], bool]:
-        compiled = [part.compile(schema) for part in self.parts]
-        return lambda row: all(check(row) for check in compiled)
+    def _fragment(self, source: _Source) -> str:
+        return "(" + " and ".join(part._fragment(source) for part in self.parts) + ")"
 
     def _referenced(self) -> Iterable[str]:
         for part in self.parts:
@@ -204,9 +277,8 @@ class Or(Predicate):
     def evaluate(self, schema: RelationSchema, row: Tuple[Any, ...]) -> bool:
         return any(part.evaluate(schema, row) for part in self.parts)
 
-    def compile(self, schema: RelationSchema) -> Callable[[Tuple[Any, ...]], bool]:
-        compiled = [part.compile(schema) for part in self.parts]
-        return lambda row: any(check(row) for check in compiled)
+    def _fragment(self, source: _Source) -> str:
+        return "(" + " or ".join(part._fragment(source) for part in self.parts) + ")"
 
     def _referenced(self) -> Iterable[str]:
         for part in self.parts:
@@ -236,6 +308,14 @@ class Not(Predicate):
                 return False
         return not self.inner.evaluate(schema, row)
 
+    def _fragment(self, source: _Source) -> str:
+        checks = [
+            f"{cell} is not BOTTOM and {cell} is not PLACEHOLDER"
+            for cell in map(source.cell, self.inner.attributes())
+        ]
+        checks.append(f"not {self.inner._fragment(source)}")
+        return "(" + " and ".join(checks) + ")"
+
     def _referenced(self) -> Iterable[str]:
         return self.inner._referenced()
 
@@ -249,8 +329,8 @@ class TruePredicate(Predicate):
     def evaluate(self, schema: RelationSchema, row: Tuple[Any, ...]) -> bool:
         return True
 
-    def compile(self, schema: RelationSchema) -> Callable[[Tuple[Any, ...]], bool]:
-        return lambda row: True
+    def _fragment(self, source: _Source) -> str:
+        return "True"
 
     def _referenced(self) -> Iterable[str]:
         return ()

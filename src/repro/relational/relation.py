@@ -11,7 +11,8 @@ deterministic and makes golden tests stable.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from collections.abc import Mapping
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ArityError, SchemaError
 from .schema import RelationSchema

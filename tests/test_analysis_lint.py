@@ -21,6 +21,7 @@ from repro.analysis.lint import (
     Violation,
     build_report,
     check_async_blocking,
+    check_dynamic_code,
     check_locked_state,
     check_picklable_plan_state,
     check_relation_version,
@@ -237,6 +238,40 @@ class TestPicklablePlanState:
         assert violations_of(check_picklable_plan_state, source) == []
 
 
+class TestDynamicCode:
+    def test_builtin_eval_exec_compile_flagged(self):
+        source = (
+            "def load(text):\n"
+            "    def inner():\n"
+            "        return eval(text)\n"
+            "    exec(text)\n"
+            "    return inner\n"
+            "code = compile('1', '<s>', 'eval')\n"
+        )
+        found = violations_of(check_dynamic_code, source)
+        assert {v.rule for v in found} == {"dynamic-code"}
+        assert sorted((v.line, v.symbol) for v in found) == [
+            (3, "load.inner"),
+            (4, "load"),
+            (6, "<module>"),
+        ]
+
+    def test_methods_and_the_predicate_module_clean(self):
+        source = (
+            "import re\n"
+            "def plan(predicate, schema, text):\n"
+            "    check = predicate.compile(schema)\n"
+            "    return check, re.compile(text)\n"
+        )
+        assert violations_of(check_dynamic_code, source) == []
+        generated = "def build(code, namespace):\n    exec(code, namespace)\n"
+        assert violations_of(check_dynamic_code, generated) != []
+        assert (
+            violations_of(check_dynamic_code, generated, "repro/relational/predicates.py")
+            == []
+        )
+
+
 # --------------------------------------------------------------------------- #
 # run_lint over a synthetic tree, baseline workflow, report format
 # --------------------------------------------------------------------------- #
@@ -271,6 +306,7 @@ def synthetic_package(tmp_path):
         "    def __init__(self, predicate):\n"
         "        self.test = lambda row: predicate(row)\n"
     )
+    (root / "loader.py").write_text("def load(text):\n    return eval(text)\n")
     return root
 
 
@@ -279,6 +315,7 @@ class TestRunLintAndBaseline:
         found = run_lint(synthetic_package(tmp_path))
         assert sorted({v.rule for v in found}) == [
             "async-blocking",
+            "dynamic-code",
             "locked-state",
             "picklable-plan",
             "relation-version",
