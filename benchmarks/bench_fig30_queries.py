@@ -154,7 +154,7 @@ def test_row_vs_columnar_vs_sharded_backend(benchmark, density, backend):
     row path), and sharded (component-confined subtrees hash-partitioned
     across a ``SHARD_WORKERS``-process pool between Exchange/Gather
     boundaries).  Each backend appears as its own series in the benchmark
-    JSON, so ``plot_trajectory.py`` charts the gaps across runs.
+    JSON.
     """
     rows = base_rows()
     instance = census_instance(rows, density)

@@ -9,7 +9,6 @@ from .harness import (
     clear_instance_cache,
     density_label,
     format_records,
-    run_calibration_experiment,
     run_chase_experiment,
     run_characteristics_experiment,
     run_component_size_experiment,
@@ -28,7 +27,6 @@ __all__ = [
     "clear_instance_cache",
     "density_label",
     "format_records",
-    "run_calibration_experiment",
     "run_chase_experiment",
     "run_characteristics_experiment",
     "run_component_size_experiment",

@@ -29,7 +29,6 @@ from ..census.schema import CENSUS_RELATION
 from ..core.algebra.query import Query, evaluate_on_database, evaluate_on_uwsdt
 from ..core.chase import chase_uwsdt
 from ..core.planner import Statistics, plan
-from ..core.planner.calibrate import calibrate
 from ..core.planner.sampling import sampling_call_count
 from ..core.uwsdt import UWSDT
 from ..relational.database import Database
@@ -440,98 +439,6 @@ def run_repeated_planning_experiment(
                     "warm_sampling_calls": warm_calls,
                 }
             )
-    return records
-
-
-# --------------------------------------------------------------------------- #
-# Self-tuning feedback: fold executed-operator timings back into the profile
-# --------------------------------------------------------------------------- #
-
-
-def run_feedback_experiment(
-    sizes: Sequence[int] = (1_000, 2_000),
-    densities: Sequence[float] = (0.0, 0.001),
-    query_factory: Optional[Callable[[], Query]] = None,
-    alpha: float = 0.5,
-    seed: int = 42,
-) -> List[Dict[str, Any]]:
-    """One self-tuning iteration per (size, density) on the repeated-planning
-    benchmark query.
-
-    Each record reports the cost model's estimated-vs-observed time error
-    before and after folding the run's execution metrics into the constants
-    (:func:`repro.core.exec.feedback.fold_metrics`) — the error must not
-    increase, and on a mis-calibrated profile it visibly drops.  Metrics are
-    also folded into the engine's statistics catalog (actual-cardinality
-    feedback), whose observation count is reported.
-    """
-    from ..core.exec import cost_model_error, fold_metrics
-    from ..core.planner import CostModel
-    from ..core.planner.catalog import catalog_for
-
-    factory = query_factory or q_four_way_join
-    records: List[Dict[str, Any]] = []
-    for density in densities:
-        for rows in sizes:
-            instance = census_instance(rows, density, seed)
-            engine: Any
-            if density == 0.0:
-                engine = instance.one_world_database()
-            else:
-                engine = instance.chased()
-            query = factory()
-            result = query.run(engine, "result", collect_metrics=True)
-            metrics = result.metrics
-            model = CostModel.for_engine(metrics.engine)
-            error_before = cost_model_error(metrics, model)
-            tuned = fold_metrics(metrics, model, alpha=alpha)
-            error_after = cost_model_error(metrics, tuned)
-            records.append(
-                {
-                    "experiment": "feedback",
-                    "engine": metrics.engine,
-                    "rows": rows,
-                    "density": density,
-                    "density_label": density_label(density),
-                    "operators": len(metrics.records),
-                    "execution_seconds": metrics.total_seconds,
-                    "cost_error_before": error_before,
-                    "cost_error_after": error_after,
-                    "max_cardinality_q_error": metrics.max_cardinality_error(),
-                    "observed_cardinalities": len(
-                        catalog_for(engine).observed_cardinalities
-                    ),
-                }
-            )
-    return records
-
-
-# --------------------------------------------------------------------------- #
-# Cost-constant calibration (microbenchmark-fitted CostModels)
-# --------------------------------------------------------------------------- #
-
-
-def run_calibration_experiment(
-    engines: Sequence[str] = ("database", "wsd", "uwsdt"),
-    smoke: bool = True,
-    repeats: int = 2,
-) -> List[Dict[str, Any]]:
-    """Fit the cost constants and return one record per engine.
-
-    A thin harness wrapper over :func:`repro.core.planner.calibrate.calibrate`
-    so the fitted constants land in the same record format as every other
-    experiment (and can be tabulated with :func:`format_records`).
-    """
-    profile = calibrate(engines=engines, smoke=smoke, repeats=repeats)
-    records: List[Dict[str, Any]] = []
-    for engine_name, model in profile.models.items():
-        record: Dict[str, Any] = {
-            "experiment": "calibration",
-            "engine": engine_name,
-            "source": model.source,
-        }
-        record.update(model.constants())
-        records.append(record)
     return records
 
 

@@ -169,28 +169,21 @@ class Query:
         """Resolve the executable tree and lower it for ``engine``'s backend.
 
         ``backend`` is the user-facing spec (``"row"`` / ``"columnar"`` /
-        ``"sharded"`` / ``"auto"`` / None for the ``REPRO_BACKEND``
-        environment variable, or an already-constructed
-        :class:`~repro.core.exec.EngineBackend`).  ``workers`` sizes the
-        sharded backend's worker pool (and lets ``"auto"`` consider it).
+        ``"sharded"`` / None for the ``REPRO_BACKEND`` environment variable,
+        or an already-constructed :class:`~repro.core.exec.EngineBackend`).
+        ``workers`` sizes the sharded backend's worker pool.
         """
-        from ..exec import backend_for, lower, resolve_backend
-        from ..planner import Statistics
+        from ..exec import lower, resolve_backend
 
-        backend_for(engine)  # fail fast on unknown engine types (QueryError)
+        resolved = resolve_backend(engine, backend, workers=workers)
         if plan is None and optimize:
             plan = self.plan(engine)
         if plan is not None:
             executable, statistics = plan.chosen, plan.statistics
         else:
+            # Verbatim execution: no sampling; lowering prices its physical
+            # choices with the engine's cost model over default statistics.
             executable, statistics = self, None
-        resolved = resolve_backend(
-            engine, backend, query=executable, statistics=statistics, workers=workers
-        )
-        if statistics is None:
-            # Verbatim execution: no sampling, but the backend's cost model
-            # still drives structural physical choices.
-            statistics = Statistics(engine=resolved.kind)
         return resolved, lower(executable, resolved, statistics, force_join=force_join)
 
     def physical_plan(
@@ -258,9 +251,8 @@ class Query:
         over certain subtrees, see :mod:`repro.core.exec.columnar`),
         ``"sharded"`` (component-partitioned parallel execution across a
         worker pool sized by ``workers``, see :mod:`repro.core.exec.shard`),
-        ``"auto"`` (cost-based pick once the calibrator has fitted the
-        columnar/shard constants), or None to honor the ``REPRO_BACKEND``
-        environment variable (default ``"row"``).
+        or None to honor the ``REPRO_BACKEND`` environment variable (default
+        ``"row"``).
         """
         if physical is not None:
             from ..exec import resolve_backend
@@ -312,8 +304,7 @@ class Query:
         header = []
         certainty = None
         if plan is not None:
-            model = plan.statistics.cost_model()
-            header.append(f"cost model: {model.name} ({model.source} constants)")
+            header.append(f"cost model: {plan.statistics.cost_model().name}")
             if plan.join_order is not None:
                 header.append(f"join order: {plan.join_order}")
             if plan.statistics.placeholder_densities:

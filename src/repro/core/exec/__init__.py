@@ -1,4 +1,4 @@
-"""The physical execution layer: plans, backends, metrics, self-tuning.
+"""The physical execution layer: plans, backends, metrics.
 
 The logical planner produces a :class:`~repro.core.planner.Plan`; this
 package *lowers* its chosen tree into a :class:`PhysicalPlan` of concrete
@@ -7,8 +7,8 @@ operators (``Scan`` / ``IndexScan`` / ``Filter`` / ``HashJoin`` /
 ``Union`` / ``Difference`` / ``Intersection``) and executes it through an
 :class:`EngineBackend` — one per representation system, all wrapping the
 operator modules that implement the paper's semantics.  Execution records
-per-operator runtime metrics, and :mod:`repro.core.exec.feedback` folds
-them back into the calibrated cost profile (the self-tuning loop).
+per-operator runtime metrics, whose estimated-vs-actual cardinalities feed
+back into the engine's statistics catalog.
 
 * :mod:`repro.core.exec.physical` — operator nodes, the executor,
   ``PhysicalPlan.explain()``.
@@ -19,10 +19,8 @@ them back into the calibrated cost profile (the self-tuning loop).
   the hash-join vs index-nested-loop-join cost decision.
 * :mod:`repro.core.exec.metrics`  — ``OperatorMetrics`` /
   ``ExecutionMetrics`` (rows in/out, wall time, estimated vs actual
-  cardinality).
-* :mod:`repro.core.exec.feedback` — exponentially weighted cost-constant
-  updates persisted through the ``repro-cost-profile`` JSON path, plus
-  actual-cardinality feedback into the statistics catalog.
+  cardinality) and ``record_into_catalog``, the actual-cardinality feedback
+  into the statistics catalog.
 """
 
 from .backends import (
@@ -42,17 +40,8 @@ from .columnar import (
     insert_columnar_boundaries,
     resolve_backend,
 )
-from .feedback import (
-    DEFAULT_ALPHA,
-    FeedbackResult,
-    apply_feedback,
-    cost_model_error,
-    fold_metrics,
-    observed_cost_units,
-    record_into_catalog,
-)
 from .lower import JOIN_ALGORITHMS, lower
-from .metrics import ExecutionMetrics, OperatorMetrics
+from .metrics import ExecutionMetrics, OperatorMetrics, record_into_catalog
 from .physical import (
     Dematerialize,
     Difference,
@@ -102,17 +91,11 @@ __all__ = [
     "insert_shard_boundaries",
     "partition_uwsdt_components",
     "reset_shard_pool",
-    "DEFAULT_ALPHA",
-    "FeedbackResult",
-    "apply_feedback",
-    "cost_model_error",
-    "fold_metrics",
-    "observed_cost_units",
-    "record_into_catalog",
     "JOIN_ALGORITHMS",
     "lower",
     "ExecutionMetrics",
     "OperatorMetrics",
+    "record_into_catalog",
     "Dematerialize",
     "Difference",
     "Exchange",

@@ -35,9 +35,8 @@ runs row-at-a-time, and mixed plans stitch the two regions together with
 explicit ``Materialize`` / ``Dematerialize`` nodes.
 
 :func:`resolve_backend` maps the user-facing backend spec (``"row"`` /
-``"columnar"`` / ``"auto"``, or the ``REPRO_BACKEND`` environment variable)
-to a concrete backend, with the auto pick deferring to the calibrated cost
-models once the calibrator has fitted the columnar constants.
+``"columnar"`` / ``"sharded"``, or the ``REPRO_BACKEND`` environment
+variable) to a concrete backend.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from ...relational.relation import Relation
 from ...relational.schema import RelationSchema
 from ...relational.predicates import Predicate
 from ...relational.values import PLACEHOLDER
-from ..planner.cost import CostModel, Statistics, estimate
 from .backends import DatabaseBackend, EngineBackend, UWSDTBackend, backend_for, index_pool_for
 from .physical import (
     Dematerialize,
@@ -68,7 +66,7 @@ BACKEND_ENV = "REPRO_BACKEND"
 SHARD_WORKERS_ENV = "REPRO_SHARD_WORKERS"
 
 #: The specs ``Query.run(backend=...)`` / ``REPRO_BACKEND`` accept.
-BACKEND_SPECS = ("row", "columnar", "sharded", "auto")
+BACKEND_SPECS = ("row", "columnar", "sharded")
 
 #: Physical operators with a vectorized kernel.  ``Scan`` is deliberately
 #: absent: ``Materialize(Scan)`` *is* the vectorized scan — the batch reads
@@ -581,50 +579,19 @@ def _default_workers() -> int:
     return DEFAULT_WORKERS
 
 
-def _sharded_wall_clock(
-    row_cost: float, workers: int, statistics: Statistics, query: Any, model: CostModel
-) -> float:
-    """Estimated wall clock of sharded execution, in cost units.
-
-    Sharding *adds* total work (partitioning, serialization, merge), so a
-    work-based comparison could never favor it; the wall-clock formula
-    divides the subtree work across ``workers`` and adds the boundary costs:
-    per-shard setup, per-base-row shipping, per-result-row merging.
-    """
-    base_rows = sum(
-        statistics.row_count(name) for name in query.base_relations()
-    )
-    return (
-        row_cost / max(1, workers)
-        + model.shard_setup * workers
-        + model.shard_ship_tuple * base_rows
-        + model.shard_merge_tuple * base_rows
-    )
-
-
 def resolve_backend(
     engine: Any,
     spec: Optional[str] = None,
-    query: Any = None,
-    statistics: Optional[Statistics] = None,
     workers: Optional[int] = None,
 ) -> EngineBackend:
     """Map a backend spec to a concrete :class:`EngineBackend`.
 
-    ``spec`` is ``"row"``, ``"columnar"``, ``"sharded"``, ``"auto"`` or None
-    (meaning: the ``REPRO_BACKEND`` environment variable, defaulting to
-    ``"row"``).  An already-constructed backend passes through unchanged.
-    WSD engines have neither columnar kernels nor shardable tuple ids, so
-    every spec resolves to their row backend.  ``workers`` sizes the sharded
-    worker pool (default: ``REPRO_SHARD_WORKERS``, else 2).
-
-    ``"auto"`` only ever deviates from the row backend on *calibrated*
-    constants (``source == "calibrated"``): columnar when the query is
-    estimated cheaper under the columnar model, sharded when the wall-clock
-    formula — subtree work divided across workers, plus the boundary's
-    setup/ship/merge costs — beats the row estimate.  Requesting
-    ``workers`` explicitly with ``"auto"`` considers sharding; without
-    workers, auto only arbitrates row vs columnar (the pre-shard behavior).
+    ``spec`` is ``"row"``, ``"columnar"``, ``"sharded"`` or None (meaning:
+    the ``REPRO_BACKEND`` environment variable, defaulting to ``"row"``).
+    An already-constructed backend passes through unchanged.  WSD engines
+    have neither columnar kernels nor shardable tuple ids, so every spec
+    resolves to their row backend.  ``workers`` sizes the sharded worker
+    pool (default: ``REPRO_SHARD_WORKERS``, else 2).
     """
     if isinstance(spec, EngineBackend):
         return spec
@@ -637,36 +604,6 @@ def resolve_backend(
         return row
     if spec == "columnar":
         return ColumnarBackend(engine)
-    if spec == "sharded":
-        from .shard import ShardedBackend
+    from .shard import ShardedBackend
 
-        return ShardedBackend(engine, workers if workers is not None else _default_workers())
-    columnar_model = CostModel.for_engine("columnar")
-    if columnar_model.source != "calibrated":
-        return row  # never auto-pick on hand-tuned guesses
-    row_model = CostModel.for_engine(row.kind)
-    if query is not None and statistics is not None:
-        try:
-            columnar_cost = estimate(query, statistics, columnar_model).cost
-            row_cost = estimate(query, statistics, row_model).cost
-        except TypeError:
-            columnar_cost, row_cost = None, None
-        if columnar_cost is not None and row_cost is not None:
-            best: EngineBackend = row
-            best_cost = row_cost
-            if columnar_cost < best_cost:
-                best, best_cost = ColumnarBackend(engine), columnar_cost
-            sharded_model = CostModel.for_engine("sharded")
-            if workers is not None and sharded_model.source == "calibrated":
-                from .shard import ShardedBackend
-
-                sharded_cost = _sharded_wall_clock(
-                    row_cost, workers, statistics, query, sharded_model
-                )
-                if sharded_cost < best_cost:
-                    best, best_cost = ShardedBackend(engine, workers), sharded_cost
-            return best
-    # No query to estimate: compare the per-tuple constants directly.
-    columnar_unit = columnar_model.select_tuple + columnar_model.join_build
-    row_unit = row_model.select_tuple + row_model.join_build
-    return ColumnarBackend(engine) if columnar_unit < row_unit else row
+    return ShardedBackend(engine, workers if workers is not None else _default_workers())

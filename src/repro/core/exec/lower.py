@@ -38,7 +38,7 @@ from ..planner.cost import (
     join_step,
     output_attributes,
 )
-from .backends import EngineBackend
+from .backends import EngineBackend, backend_for
 from .physical import (
     Difference,
     Filter,
@@ -199,14 +199,17 @@ def lower(
 
     ``statistics`` should be the statistics the logical plan was built with
     (physical choices then see the same cardinality estimates); without
-    them, lowering falls back to default statistics for the backend's
-    engine kind.  ``force_join`` overrides the hash-vs-index choice where an
-    index join is structurally possible (``"hash"`` / ``"index-nested-loop"``).
+    them, lowering falls back to default statistics for the representation
+    engine the backend executes on — the columnar and sharded backends
+    price with the cost model of the engine they wrap, so a verbatim tree
+    lowers to the same join algorithm on every backend.  ``force_join``
+    overrides the hash-vs-index choice where an index join is structurally
+    possible (``"hash"`` / ``"index-nested-loop"``).
     """
     if force_join is not None and force_join not in JOIN_ALGORITHMS:
         raise ValueError(f"unknown join algorithm {force_join!r}; expected {JOIN_ALGORITHMS}")
     if statistics is None:
-        statistics = Statistics(engine=backend.kind)
+        statistics = Statistics(engine=backend_for(backend.engine).kind)
     from ...obs.trace import get_tracer
 
     with get_tracer().span("lowering", engine=backend.kind):

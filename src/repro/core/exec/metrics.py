@@ -3,11 +3,10 @@
 Every physical operator records, while it runs, the cardinalities it
 consumed and produced, the wall time it took, and the cardinality the
 planner *expected* it to produce.  The per-operator records roll up into an
-:class:`ExecutionMetrics` exposed on the query result, which is what the
-self-tuning loop of :mod:`repro.core.exec.feedback` consumes: observed
-seconds per unit of modelled work refine the cost constants, and
-estimated-vs-actual cardinalities flag where the selectivity estimates are
-off.
+:class:`ExecutionMetrics` exposed on the query result, and
+:func:`record_into_catalog` files their estimated-vs-actual cardinalities on
+the engine's statistics catalog, where later planning passes (and the query
+service's q-error replan trigger) read them.
 """
 
 from __future__ import annotations
@@ -140,3 +139,23 @@ class ExecutionMetrics:
         if worst is not None:
             lines.append(f"  worst cardinality q-error: {worst:.2f}")
         return "\n".join(lines)
+
+
+def record_into_catalog(engine, metrics: ExecutionMetrics) -> None:
+    """Store estimated-vs-actual output cardinalities on the engine's catalog.
+
+    Operators of hand-built physical plans carry no semantic key, so no
+    planning pass could look their observation up; they are skipped.
+    """
+    from ..planner.catalog import catalog_for
+
+    catalog = catalog_for(engine)
+    for record in metrics.records:
+        if record.estimated_rows is None or record.semantic_key is None:
+            continue
+        catalog.record_actual(
+            record.semantic_key,
+            record.estimated_rows,
+            record.rows_out,
+            relations=record.relations,
+        )

@@ -4,8 +4,9 @@
   (selection pushdown, σ(A=B)∘× → equi-join fusion, projection pushdown,
   rename elimination, join-order search).
 * :mod:`repro.core.planner.cost`     — cardinality/width cost model with
-  per-engine operator constants, fed by template-row counts, component
-  statistics and bounded row samples.
+  one checked-in set of operator constants per representation engine
+  (``COST_MODELS``), fed by template-row counts, component statistics and
+  bounded row samples.
 * :mod:`repro.core.planner.sampling` — reservoir samples of template rows;
   sampled predicate/join selectivities and distinct counts.
 * :mod:`repro.core.planner.joins`    — join-graph extraction and the
@@ -16,38 +17,21 @@
 * :mod:`repro.core.planner.observed` — semantic cardinality keys and the
   EWMA observation records through which executed-operator cardinalities
   feed back into estimation (consumed by ``cost`` and ``joins``).
-* :mod:`repro.core.planner.calibrate` — microbenchmark-fitted cost
-  constants, persisted as JSON profiles ``CostModel.for_engine`` loads.
 * :mod:`repro.core.planner.planner`  — the fixpoint driver and the
   inspectable :class:`Plan` (``plan.explain()``).
 """
 
-from .calibrate import (
-    CALIBRATION_ENGINES,
-    CalibrationProfile,
-    Measurement,
-    calibrate,
-    fit_cost_model,
-    run_microbenchmarks,
-)
 from .catalog import CatalogEntry, StatisticsCatalog, catalog_for
 from .cost import (
     COST_MODELS,
-    COST_PROFILE_ENV,
-    COST_PROFILE_FORMAT,
     CostEstimate,
     CostModel,
     FIXED_SELECTIVITY_FLOOR,
     Statistics,
-    active_cost_profile_path,
-    clear_cost_profile,
     equality_join_selectivity,
     estimate,
     floored_predicate_selectivity,
-    install_cost_profile,
-    load_cost_profile,
     output_attributes,
-    parse_cost_profile,
     predicate_selectivity,
     selection_selectivity,
 )
@@ -98,31 +82,18 @@ from .sampling import (
 )
 
 __all__ = [
-    "CALIBRATION_ENGINES",
-    "CalibrationProfile",
-    "Measurement",
-    "calibrate",
-    "fit_cost_model",
-    "run_microbenchmarks",
     "CatalogEntry",
     "StatisticsCatalog",
     "catalog_for",
     "COST_MODELS",
-    "COST_PROFILE_ENV",
-    "COST_PROFILE_FORMAT",
     "CostEstimate",
     "CostModel",
     "FIXED_SELECTIVITY_FLOOR",
     "Statistics",
-    "active_cost_profile_path",
-    "clear_cost_profile",
     "equality_join_selectivity",
     "estimate",
     "floored_predicate_selectivity",
-    "install_cost_profile",
-    "load_cost_profile",
     "output_attributes",
-    "parse_cost_profile",
     "predicate_selectivity",
     "selection_selectivity",
     "GREEDY_THRESHOLD",

@@ -113,13 +113,7 @@ class StatisticsCatalog:
         self.hits = 0
         self.misses = 0
         #: Actual-cardinality feedback from the executor
-        #: (:func:`repro.core.exec.feedback.record_into_catalog`):
-        #: operator label -> (EWMA of observed output rows, EWMA of the
-        #: estimate, observation count).  Kept label-keyed for telemetry and
-        #: back-compat; the planner consumes the *semantically keyed* store
-        #: below.
-        self.observed_cardinalities: Dict[str, Tuple[float, float, int]] = {}
-        #: Planner-consumable feedback, keyed by
+        #: (:func:`repro.core.exec.record_into_catalog`), keyed by
         #: :func:`~repro.core.planner.observed.cardinality_key` so a future
         #: planning pass can look an observation up whatever join order
         #: produced it.  Entries carry base-relation version snapshots;
@@ -238,66 +232,54 @@ class StatisticsCatalog:
         """
         if not isinstance(anchor, Relation):
             return  # WSD entries anchor the engine; revision polling covers them
-        watched = self._watchers.get(name)
-        if watched is not None and watched[0] is anchor:
-            return
-        if watched is not None:
-            watched[0].unwatch(watched[1])
+        with self._lock:
+            watched = self._watchers.get(name)
+            if watched is not None and watched[0] is anchor:
+                return
+            if watched is not None:
+                watched[0].unwatch(watched[1])
 
-        catalog_ref = weakref.ref(self)
+            catalog_ref = weakref.ref(self)
 
-        def invalidate(_relation: Relation, name: str = name) -> None:
-            catalog = catalog_ref()
-            if catalog is not None:
-                with catalog._lock:
-                    catalog._entries.pop(name, None)
+            def invalidate(_relation: Relation, name: str = name) -> None:
+                catalog = catalog_ref()
+                if catalog is not None:
+                    with catalog._lock:
+                        catalog._entries.pop(name, None)
 
-        anchor.watch(invalidate)
-        self._watchers[name] = (anchor, invalidate)
+            anchor.watch(invalidate)
+            self._watchers[name] = (anchor, invalidate)
 
     def _unwatch(self, name: str) -> None:
-        watched = self._watchers.pop(name, None)
-        if watched is not None:
-            watched[0].unwatch(watched[1])
+        with self._lock:
+            watched = self._watchers.pop(name, None)
+            if watched is not None:
+                watched[0].unwatch(watched[1])
 
     def record_actual(
         self,
-        label: str,
+        key: str,
         estimated_rows: float,
         actual_rows: int,
         alpha: float = OBSERVED_ALPHA,
-        key: Optional[str] = None,
         relations: Sequence[str] = (),
     ) -> None:
         """Record one executed operator's estimated-vs-actual cardinality.
 
-        The label-keyed telemetry store blends *both* sides through the same
-        EWMA — estimate and actual must age identically, or error metrics
-        compare a fresh estimate against a stale actual average.  When the
-        caller supplies the operator's semantic ``key`` (and the base
-        ``relations`` the subtree reads), the observation additionally lands
-        in the planner-consumable store with a version snapshot of those
-        relations, so staleness is detectable at lookup time.
+        ``key`` is the operator's semantic key and ``relations`` the base
+        relations its subtree reads; the observation is stored with a
+        version snapshot of those relations, so staleness is detectable at
+        lookup time.  Repeated observations blend *both* sides through the
+        same EWMA — estimate and actual must age identically, or error
+        metrics compare a fresh estimate against a stale actual average.
         """
         with self._lock:
-            previous = self.observed_cardinalities.get(label)
-            if previous is None:
-                ewma = float(actual_rows)
-                estimate_ewma = float(estimated_rows)
-                count = 1
-            else:
-                ewma = (1.0 - alpha) * previous[0] + alpha * float(actual_rows)
-                estimate_ewma = (1.0 - alpha) * previous[1] + alpha * float(estimated_rows)
-                count = previous[2] + 1
-            self.observed_cardinalities[label] = (ewma, estimate_ewma, count)
-            if key is None:
-                return
             known = set(self.relation_names())
             names = tuple(sorted(r for r in relations if r in known))
             try:
                 versions = tuple(self._version_key(r)[0] for r in names)
             except KeyError:
-                return  # a base relation vanished mid-record: skip the keyed store
+                return  # a base relation vanished mid-record
             record = self._observed.get(key)
             if record is None or record.relations != names:
                 self._observed[key] = ObservedCardinality(

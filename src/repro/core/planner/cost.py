@@ -30,10 +30,8 @@ effective selectivity is ``s + d·(1 − s)`` for placeholder density ``d``.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ...relational.predicates import And, AttrAttr, AttrConst, Not, Or, Predicate, TruePredicate
 from ..algebra.query import (
@@ -80,8 +78,9 @@ FIXED_SELECTIVITY_FLOOR = 0.5 / DEFAULT_SAMPLE_SIZE
 class CostModel:
     """Per-engine cost constants, in units of "one tuple through one operator".
 
-    The constants were calibrated by timing each operator on the census
-    workload at bench sizes and normalizing to the classical select:
+    The constants were set once, by hand, from timings of each operator on
+    the census workload at bench sizes, normalized to the classical select
+    (docs/planner.md records what measuring them again gives):
 
     * ``Database`` operators move plain tuples; the hash join's build and
       probe are as cheap as a scan.
@@ -106,63 +105,11 @@ class CostModel:
     #: but the inner side pays nothing, so small-outer/large-inner joins win.
     index_probe: float = 3.0
     difference_pair: float = 1.0
-    #: Parallelism constants (the sharded backend's Exchange/Gather
-    #: boundary): fixed per-shard setup (partitioning + pool dispatch),
-    #: per-row serialization onto the worker pipe, and per-row merge back
-    #: into the parent engine.  Unused by single-process engines; their
-    #: defaults keep old profiles parsing unchanged.
-    shard_setup: float = 50.0
-    shard_ship_tuple: float = 0.5
-    shard_merge_tuple: float = 1.0
-    #: ``"hand-tuned"`` for the built-in defaults, ``"calibrated"`` for
-    #: constants fitted by :mod:`~repro.core.planner.calibrate`.
-    source: str = "hand-tuned"
-
-    #: The fields a calibration profile carries (everything but name/source).
-    CONSTANT_FIELDS: ClassVar[Tuple[str, ...]] = (
-        "select_tuple",
-        "project_tuple",
-        "rename_tuple",
-        "union_tuple",
-        "emit_tuple",
-        "join_build",
-        "join_probe",
-        "index_probe",
-        "difference_pair",
-        "shard_setup",
-        "shard_ship_tuple",
-        "shard_merge_tuple",
-    )
-
-    def constants(self) -> Dict[str, float]:
-        """The tunable constants as a plain dict (profile JSON payload)."""
-        return {field: getattr(self, field) for field in self.CONSTANT_FIELDS}
-
-    @classmethod
-    def from_constants(
-        cls, name: str, constants: Mapping[str, float], source: str = "calibrated"
-    ) -> "CostModel":
-        """Build a model from a profile payload; unknown keys are rejected."""
-        unknown = sorted(set(constants) - set(cls.CONSTANT_FIELDS))
-        if unknown:
-            raise ValueError(f"unknown cost constants {unknown!r}")
-        return cls(name=name, source=source, **{k: float(v) for k, v in constants.items()})
 
     @classmethod
     def for_engine(cls, engine_name: str) -> "CostModel":
-        """The active model for an engine: calibrated profile first, then the
-        hand-tuned constants as fallback.
-
-        A profile is active after :func:`load_cost_profile` /
-        :func:`install_cost_profile`, or automatically when the
-        ``REPRO_COST_PROFILE`` environment variable names a profile JSON
-        file at first use.
-        """
-        _ensure_env_profile()
-        model = _PROFILE_MODELS.get(engine_name)
-        if model is not None:
-            return model
-        return COST_MODELS.get(engine_name, GENERIC_COST)
+        """The checked-in model of a representation engine (a ``COST_MODELS`` key)."""
+        return COST_MODELS[engine_name]
 
 
 #: Back-compatible defaults: with every constant at 1.0 the formulas reduce
@@ -207,145 +154,15 @@ UWSDT_COST = CostModel(
     difference_pair=15.0,
 )
 
-COLUMNAR_COST = CostModel(
-    name="columnar",
-    # The vectorized kernels pass shared columns and a selection vector
-    # along without per-operator Relation construction (duplicates collapse
-    # once per narrowing Project / Union, in bulk), so every per-tuple
-    # constant sits below the classical row backend's; Product and the
-    # index nested-loop join have no kernels and run row-at-a-time
-    # (emit/index_probe stay at the Database rates).  Hand-tuned before the
-    # cached column store and not retuned since: see docs/planner.md.
-    select_tuple=0.25,
-    project_tuple=0.3,
-    rename_tuple=0.2,
-    union_tuple=0.4,
-    emit_tuple=1.0,
-    join_build=0.6,
-    join_probe=0.6,
-    index_probe=2.5,
-    difference_pair=0.5,
-)
-
-SHARDED_COST = CostModel(
-    name="sharded",
-    # Inside each worker the subtree runs on the plain row backend, so the
-    # per-tuple operator constants mirror the UWSDT model; what is specific
-    # to this model are the parallelism constants — per-shard setup, per-row
-    # serialization, per-row merge — which resolve_backend's wall-clock
-    # comparison uses to decide whether fanning out pays for itself.
-    select_tuple=1.0,
-    project_tuple=1.5,
-    rename_tuple=1.8,
-    union_tuple=1.2,
-    emit_tuple=2.5,
-    join_build=1.0,
-    join_probe=1.0,
-    index_probe=2.5,
-    difference_pair=15.0,
-    shard_setup=50.0,
-    shard_ship_tuple=0.5,
-    shard_merge_tuple=1.0,
-)
-
-#: Cost models keyed by ``Statistics.engine``.
+#: The one source of cost constants: a model per representation engine,
+#: keyed by ``Statistics.engine``.  Execution backends (row / columnar /
+#: sharded) price with the model of the engine they wrap.
 COST_MODELS: Dict[str, CostModel] = {
     "generic": GENERIC_COST,
     "database": DATABASE_COST,
     "wsd": WSD_COST,
     "uwsdt": UWSDT_COST,
-    "columnar": COLUMNAR_COST,
-    "sharded": SHARDED_COST,
 }
-
-
-# --------------------------------------------------------------------------- #
-# Calibrated-constant profiles (written by repro.core.planner.calibrate)
-# --------------------------------------------------------------------------- #
-
-#: Environment variable naming a profile JSON file to auto-load at first use.
-COST_PROFILE_ENV = "REPRO_COST_PROFILE"
-
-#: The ``format`` marker every profile JSON document must carry.
-COST_PROFILE_FORMAT = "repro-cost-profile"
-
-_PROFILE_MODELS: Dict[str, CostModel] = {}
-_PROFILE_PATH: Optional[str] = None
-_PROFILE_ENV_CHECKED = False
-
-
-def parse_cost_profile(document: Mapping[str, Any]) -> Dict[str, CostModel]:
-    """Parse a profile JSON document into per-engine calibrated models.
-
-    The document format (see docs/planner.md) is::
-
-        {"format": "repro-cost-profile", "version": 1,
-         "engines": {"uwsdt": {"select_tuple": 1.03, ...}, ...},
-         "metadata": {...}}
-    """
-    if document.get("format") != COST_PROFILE_FORMAT:
-        raise ValueError(
-            f"not a cost profile (format={document.get('format')!r}, "
-            f"expected {COST_PROFILE_FORMAT!r})"
-        )
-    engines = document.get("engines")
-    if not isinstance(engines, Mapping):
-        raise ValueError("cost profile is missing the 'engines' mapping")
-    return {
-        name: CostModel.from_constants(name, constants)
-        for name, constants in engines.items()
-    }
-
-
-def install_cost_profile(models: Mapping[str, CostModel], path: Optional[str] = None) -> None:
-    """Make ``CostModel.for_engine`` serve the given calibrated models."""
-    global _PROFILE_PATH, _PROFILE_ENV_CHECKED
-    # An explicit install overrides (and must not later be clobbered by)
-    # the REPRO_COST_PROFILE environment variable.
-    _PROFILE_ENV_CHECKED = True
-    _PROFILE_MODELS.clear()
-    _PROFILE_MODELS.update(models)
-    _PROFILE_PATH = path
-
-
-def load_cost_profile(path: str) -> Dict[str, CostModel]:
-    """Load and install a calibration profile from a JSON file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    models = parse_cost_profile(document)
-    install_cost_profile(models, path=os.fspath(path))
-    return models
-
-
-def clear_cost_profile() -> None:
-    """Drop any installed profile; ``for_engine`` falls back to hand-tuned."""
-    global _PROFILE_PATH, _PROFILE_ENV_CHECKED
-    _PROFILE_MODELS.clear()
-    _PROFILE_PATH = None
-    _PROFILE_ENV_CHECKED = True  # an explicit clear also overrides the env var
-
-
-def active_cost_profile_path() -> Optional[str]:
-    """Path of the installed profile, or None when running on hand-tuned
-    constants (or when the profile was installed without a path)."""
-    return _PROFILE_PATH
-
-
-def _ensure_env_profile() -> None:
-    global _PROFILE_ENV_CHECKED
-    if _PROFILE_ENV_CHECKED:
-        return
-    _PROFILE_ENV_CHECKED = True
-    path = os.environ.get(COST_PROFILE_ENV)
-    if not path:
-        return
-    try:
-        load_cost_profile(path)
-    except (OSError, TypeError, ValueError, json.JSONDecodeError):
-        # A broken profile must never take planning down; fall back silently
-        # to the hand-tuned constants.  (TypeError: non-numeric constants or
-        # a non-mapping 'engines' payload.)
-        pass
 
 
 def uwsdt_relation_statistics(uwsdt: Any, relation_name: str) -> Tuple[int, float]:
@@ -527,7 +344,7 @@ class Statistics:
         return self.samples.get(relation_name)
 
     def cost_model(self) -> CostModel:
-        """The active model for this engine (calibrated profile, else hand-tuned)."""
+        """The cost model of the engine these statistics describe."""
         return CostModel.for_engine(self.engine)
 
     def without_samples(self) -> "Statistics":

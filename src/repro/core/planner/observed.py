@@ -43,7 +43,7 @@ from ..algebra.query import Join, Product, Query, Select
 #: execution must not override a sampled estimate.
 OBSERVED_MIN_COUNT = 2
 
-#: Default EWMA weight of one observation (matches the exec feedback loop).
+#: Default EWMA weight of one observation.
 OBSERVED_ALPHA = 0.5
 
 

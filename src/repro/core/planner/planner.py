@@ -26,7 +26,7 @@ from ..algebra.query import (
     Select,
     Union,
 )
-from .cost import CostEstimate, Statistics, active_cost_profile_path, estimate
+from .cost import CostEstimate, Statistics, estimate
 from .rules import DEFAULT_PHASES, RewriteContext, RewriteRule
 
 #: Safety bound on fixpoint iterations per phase (a phase that needs more is
@@ -154,11 +154,6 @@ class Plan:
 
     def explain(self) -> str:
         """Human-readable account of the planning decision."""
-        model = self.statistics.cost_model()
-        profile = active_cost_profile_path()
-        model_origin = model.source
-        if model.source == "calibrated" and profile is not None:
-            model_origin += f" profile {profile}"
         lines = [
             "query plan",
             "==========",
@@ -172,7 +167,7 @@ class Plan:
                 f"           fixed-constant estimate "
                 f"{self.cost_fixed_before.cost:,.0f} -> {self.cost_fixed_after.cost:,.0f}"
             )
-        lines.append(f"cost model: {model.name} ({model_origin} constants)")
+        lines.append(f"cost model: {self.statistics.cost_model().name}")
         statistics_lines = self.statistics_report()
         if statistics_lines:
             lines.append("statistics:")

@@ -2,7 +2,7 @@
 
 The stack spans rewrite → join-order DP → sampling → lowering → backend
 execution, plus an always-on asyncio service with a plan cache and a
-self-tuning feedback loop.  This package is the one place all of it reports
+cardinality-feedback replan loop.  This package is the one place all of it reports
 to:
 
 * :mod:`repro.obs.trace` — a contextvar-based hierarchical :class:`Tracer`

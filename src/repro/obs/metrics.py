@@ -9,7 +9,7 @@ vocabulary:
 
 * :class:`Counter` — monotonically increasing event counts
   (``repro.planner.plan_calls``, ``repro.plan_cache.evictions{reason=...}``),
-* :class:`Gauge` — last-written values (``repro.feedback.constant_drift``),
+* :class:`Gauge` — last-written values,
 * :class:`Histogram` — bounded-bucket distributions with exact count / sum /
   min / max and bucket-resolution percentiles
   (``repro.exec.operator_seconds{operator=...}``,

@@ -7,7 +7,7 @@ engines and serves concurrent asyncio sessions; per engine, a
 :class:`~repro.service.plan_cache.PlanCache` memoizes the full planning
 pipeline keyed by query fingerprint and validated by catalog version keys,
 and the executed plans' cardinality feedback (recorded under semantic keys
-by :mod:`repro.core.exec.feedback`) lets the service evict and replan hot
+by :func:`repro.core.exec.record_into_catalog`) lets the service evict and replan hot
 queries whose estimates stay wrong — the self-correcting loop.
 
 * :mod:`repro.service.server`     — the service, request path, replan trigger.

@@ -1,11 +1,10 @@
 """CLI entry point: ``python -m repro.service`` runs the traffic benchmark.
 
 ``--smoke`` shrinks the workload to CI sizes; the JSON report is written to
-``--output`` and uploaded as a CI artifact next to the BENCH / COST_PROFILE
-/ TRAJECTORY uploads.  The run is traced: the Chrome trace-event file and
-the metrics-registry snapshot land in ``--trace-output`` /
-``--metrics-output`` (``TRACE_smoke.json`` / ``METRICS_smoke.json`` by
-default), so every CI run ships an openable span timeline and a counter
+``--output`` and uploaded as a CI artifact next to the BENCH upload.  The
+run is traced: the Chrome trace-event file and the metrics-registry
+snapshot land in ``--trace-output`` / ``--metrics-output``
+(``TRACE_smoke.json`` / ``METRICS_smoke.json`` by default), so every CI run ships an openable span timeline and a counter
 snapshot alongside the latency report.
 """
 

@@ -13,7 +13,7 @@ The workload joins three synthetic relations under a handful of distinct
 selection constants, so the traffic has a small set of hot fingerprints —
 the regime the plan cache is built for.  ``python -m repro.service --smoke``
 runs it at CI sizes and writes the JSON artifact uploaded next to the BENCH
-and COST_PROFILE artifacts.
+artifact.
 """
 
 from __future__ import annotations

@@ -224,8 +224,8 @@ class QueryService:
         """Serve one query: plan-cache lookup, execute, feed back, maybe evict.
 
         ``backend`` is the executing-backend spec (``"row"`` / ``"columnar"``
-        / ``"sharded"`` / ``"auto"`` / None for the ``REPRO_BACKEND``
-        environment variable); ``workers`` sizes the sharded backend's pool.
+        / ``"sharded"`` / None for the ``REPRO_BACKEND`` environment
+        variable); ``workers`` sizes the sharded backend's pool.
         The resolved backend kind *and* worker count are part of the
         plan-cache key, so a plan lowered for the row backend is never
         served to a columnar request, and a sharded plan's Exchange fan-out

@@ -74,7 +74,7 @@ class Session:
         """Run a query through the service, accounting it to this session.
 
         ``backend`` selects the executing backend (``"row"`` / ``"columnar"``
-        / ``"sharded"`` / ``"auto"``) and ``workers`` sizes the sharded
+        / ``"sharded"``) and ``workers`` sizes the sharded
         worker pool; both are part of the service's plan-cache key.
         """
         outcome = await self.service.execute(

@@ -1,4 +1,4 @@
-"""The columnar vectorized backend: batches, kernels, boundaries, auto-pick.
+"""The columnar vectorized backend: batches, kernels, boundaries, selection.
 
 Layers of coverage:
 
@@ -9,8 +9,8 @@ Layers of coverage:
 * the backend produces the same results as the row backend on Database and
   UWSDT engines, with the expected Materialize/Dematerialize boundaries
   (uncertain subtrees stay row-at-a-time),
-* backend selection: the ``REPRO_BACKEND`` env var, ``"auto"`` requiring a
-  calibrated columnar model, and WSD falling back to the row backend,
+* backend selection: the ``REPRO_BACKEND`` env var, unknown specs
+  (``"auto"`` included) rejected, and WSD falling back to the row backend,
 * the cached column store (the engine's index pool) is never stale — after
   any interleaving of inserts/removes on a Database relation, or template
   inserts and chase steps on a UWSDT, it equals a fresh ``from_rows`` — is
@@ -19,9 +19,7 @@ Layers of coverage:
   columns holding ``⊥``, ``?`` and mixed ``str``/``int`` values, with and
   without a selection vector (the pin for any later typed fast path),
 * set semantics inside the region: every operator reports the same
-  ``actual rows`` as under the row backend on the census joins,
-* the acceptance bar: smoke-calibrated columnar per-tuple select/join
-  constants sit below the row (database) backend's.
+  ``actual rows`` as under the row backend on the census joins.
 """
 
 import gc
@@ -49,8 +47,6 @@ from repro.core.exec import (
 )
 from repro.core.exec.backends import index_pool_for
 from repro.core.exec.columnar import filter_batch
-from repro.core.planner import clear_cost_profile
-from repro.core.planner.cost import CostModel
 from repro.relational import Database, InconsistentWorldSetError, Relation, RelationSchema
 from repro.relational.errors import QueryError
 from repro.relational.predicates import And, AttrAttr, AttrConst, Not, Or
@@ -59,13 +55,6 @@ from repro.worlds import OrSet, OrSetRelation
 
 from _fixtures import assert_same_result_distribution, budgeted_orset_relations
 from test_planner_oracle import ORACLE_SCHEMAS, chase_dependency_lists
-
-
-@pytest.fixture(autouse=True)
-def _no_profile_leaks():
-    clear_cost_profile()
-    yield
-    clear_cost_profile()
 
 
 # --------------------------------------------------------------------------- #
@@ -430,6 +419,16 @@ class TestBackendSelection:
         with pytest.raises(QueryError):
             resolve_backend(small_database(), "simd")
 
+    def test_auto_is_not_a_backend_spec(self, monkeypatch):
+        """The error names the three specs there are — as an argument and
+        through the environment variable."""
+        database = small_database()
+        with pytest.raises(QueryError, match=r"'row', 'columnar', 'sharded'"):
+            resolve_backend(database, "auto")
+        monkeypatch.setenv(BACKEND_ENV, "auto")
+        with pytest.raises(QueryError, match=r"'row', 'columnar', 'sharded'"):
+            BaseRelation("R").run(database, "out")
+
     def test_wsd_always_runs_row(self):
         relation = OrSetRelation(RelationSchema("R", ("A0", "A1", "A2")))
         relation.insert((1, OrSet([1, 2]), 3))
@@ -437,68 +436,3 @@ class TestBackendSelection:
         assert resolve_backend(wsd, "columnar").kind == "wsd"
         with pytest.raises(QueryError):
             ColumnarBackend(wsd)
-
-    def test_auto_stays_row_until_calibrated(self):
-        database = small_database()
-        assert CostModel.for_engine("columnar").source != "calibrated"
-        assert resolve_backend(database, "auto").kind == "database"
-
-    def test_auto_follows_the_calibrated_constants(self):
-        from repro.core.planner import install_cost_profile
-
-        database = small_database()
-        row_model = CostModel.for_engine("database")
-
-        faster = CostModel.from_constants(
-            "columnar",
-            {name: value / 2 for name, value in row_model.constants().items()},
-            source="calibrated",
-        )
-        install_cost_profile({"columnar": faster})
-        assert resolve_backend(database, "auto").kind == "columnar"
-
-        slower = CostModel.from_constants(
-            "columnar",
-            {name: value * 2 for name, value in row_model.constants().items()},
-            source="calibrated",
-        )
-        install_cost_profile({"columnar": slower})
-        assert resolve_backend(database, "auto").kind == "database"
-
-
-# --------------------------------------------------------------------------- #
-# The acceptance bar: calibrated columnar constants beat the row backend's
-# --------------------------------------------------------------------------- #
-
-
-class TestCalibratedConstants:
-    def test_smoke_profile_columnar_constants_below_database(self, tmp_path):
-        """``python -m repro.core.exec --smoke`` — one calibrate-and-feedback
-        round per backend — must upload a profile whose columnar per-tuple
-        select and join constants sit below the row (database) backend's."""
-        from repro.core.exec.feedback import main
-        from repro.core.planner import parse_cost_profile
-
-        output = tmp_path / "tuned.json"
-        columnar_output = tmp_path / "COST_PROFILE_columnar.json"
-        code = main(
-            [
-                "--smoke",
-                "--output",
-                str(output),
-                "--columnar-output",
-                str(columnar_output),
-            ]
-        )
-        assert code == 0
-        assert columnar_output.exists()
-
-        import json
-
-        models = parse_cost_profile(json.loads(columnar_output.read_text()))
-        columnar, database = models["columnar"], models["database"]
-        assert columnar.source == "calibrated"
-        assert database.source == "calibrated"
-        assert columnar.select_tuple < database.select_tuple
-        assert columnar.join_build < database.join_build
-        assert columnar.join_probe < database.join_probe

@@ -1,4 +1,4 @@
-"""The physical execution layer: lowering, backends, metrics, self-tuning.
+"""The physical execution layer: lowering, backends, metrics.
 
 Covers the PR 5 tentpole:
 
@@ -11,9 +11,9 @@ Covers the PR 5 tentpole:
 * execution records per-operator metrics (rows in/out, wall time,
   estimated-vs-actual cardinality) exposed as ``ExecutionMetrics`` on the
   query result and folded into the statistics catalog,
-* one feedback iteration of :mod:`repro.core.exec.feedback` measurably
-  reduces the cost model's estimated-vs-observed time error and persists
-  through the existing ``repro-cost-profile`` path,
+* every backend prices physical choices with the wrapped representation
+  engine's cost model, so verbatim and planned trees lower to the same join
+  algorithm on row, columnar and sharded alike,
 * ``Query.intersection`` evaluates natively on a Database and through its
   ``A − (A − B)`` expansion on the representation engines.
 """
@@ -23,19 +23,11 @@ import pytest
 from repro.baselines import naive
 from repro.core import UWSDT, WSD
 from repro.core.algebra import BaseRelation, Query, evaluate_on_database
-from repro.core.exec import (
-    ExecutionResult,
-    apply_feedback,
-    backend_for,
-    cost_model_error,
-    fold_metrics,
-    index_pool_for,
-    lower,
-)
-from repro.core.planner import Statistics, clear_cost_profile, load_cost_profile
+from repro.core.exec import ExecutionResult, backend_for, index_pool_for, lower
+from repro.core.planner import COST_MODELS, Statistics
 from repro.core.planner.catalog import catalog_for
 from repro.relational import Database, QueryError, Relation, RelationSchema
-from repro.relational.predicates import AttrAttr, AttrConst
+from repro.relational.predicates import AttrAttr, AttrConst, gt
 from repro.worlds import OrSet, OrSetRelation
 
 from _fixtures import assert_same_result_distribution
@@ -123,6 +115,17 @@ class TestLowering:
         with pytest.raises(QueryError):
             BaseRelation("R").run(42)
 
+    def test_one_cost_model_per_representation_engine(self):
+        assert set(COST_MODELS) == {"generic", "database", "wsd", "uwsdt"}
+        engines = [
+            small_large_database(),
+            WSD.from_orset_relations(ORACLE_RELATIONS),
+            UWSDT.from_orset_relations(ORACLE_RELATIONS),
+        ]
+        for engine in engines:
+            kind = backend_for(engine).kind
+            assert Statistics(engine=kind).cost_model() is COST_MODELS[kind]
+
 
 class TestJoinAlgorithmChoice:
     def test_small_outer_large_inner_selects_index_nested_loop(self):
@@ -188,6 +191,21 @@ class TestJoinAlgorithmChoice:
         query.run(database, "second", force_join="index-nested-loop")
         assert len(pool) == built  # the second run probed cached indexes
 
+    @pytest.mark.parametrize("backend", ["row", "columnar", "sharded"])
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_every_backend_lowers_to_the_same_join_algorithm(self, backend, optimize):
+        """The columnar and sharded backends wrap the Database's row backend
+        and price with its model: probing the outer side (833 units on the
+        verbatim tree's default statistics) beats build + probe (1 333)
+        whichever backend executes, planned or not."""
+        database = small_large_database(small=50, large=200)
+        query = BaseRelation("R").select(gt("A", 0)).join(BaseRelation("S"), "B", "C")
+        physical = query.physical_plan(
+            database, optimize=optimize, backend=backend, workers=2
+        )
+        assert physical.uses("IndexNestedLoopJoin")
+        assert not physical.uses("HashJoin")
+
 
 class TestExecutionMetrics:
     def test_metrics_report_rows_time_and_estimates(self):
@@ -213,12 +231,12 @@ class TestExecutionMetrics:
         database = small_large_database()
         query = BaseRelation("R").select(eq("A", 1)).join(BaseRelation("S"), "B", "C")
         result = query.run(database, "out", collect_metrics=True)
-        observed = catalog_for(database).observed_cardinalities
+        observed = catalog_for(database).observed_view(min_count=1)
         assert observed
-        join_label = result.metrics.join_records()[0].label
-        ewma, estimated, count = observed[join_label]
-        assert count == 1
-        assert ewma == result.metrics.join_records()[0].rows_out
+        join = result.metrics.join_records()[0]
+        record = observed[join.semantic_key]
+        assert record.count == 1
+        assert record.actual_rows == join.rows_out
 
     def test_uwsdt_metrics_and_result_name(self):
         uwsdt = UWSDT.from_orset_relations(ORACLE_RELATIONS)
@@ -301,52 +319,3 @@ class TestQueryText:
         explained = query.plan(statistics=statistics).explain()
         assert "chosen tree:" in explained
         assert "σ[" in explained
-
-
-class TestFeedback:
-    def _metrics(self):
-        database = small_large_database(small=8, large=800)
-        query = (
-            BaseRelation("R")
-            .select(eq("A", 1))
-            .join(BaseRelation("S"), "B", "C")
-            .project(["A", "D"])
-        )
-        return query.run(database, "out", collect_metrics=True).metrics
-
-    def test_one_iteration_reduces_cost_model_error(self):
-        metrics = self._metrics()
-        clear_cost_profile()
-        before_model = Statistics(engine="database").cost_model()
-        error_before = cost_model_error(metrics, before_model)
-        updated = fold_metrics(metrics, before_model, alpha=1.0)
-        error_after = cost_model_error(metrics, updated)
-        assert error_after <= error_before
-        if error_before > 0.02:
-            assert error_after < error_before
-
-    def test_apply_feedback_persists_through_load_cost_profile(self, tmp_path):
-        metrics = self._metrics()
-        path = tmp_path / "tuned.json"
-        try:
-            clear_cost_profile()
-            result = apply_feedback(metrics, alpha=1.0, output_path=str(path))
-            assert result.engine == "database"
-            assert result.improved or result.error_before <= 0.02
-            models = load_cost_profile(str(path))
-            assert set(models) == {"database", "wsd", "uwsdt", "columnar", "sharded"}
-            assert models["database"].constants() == result.model.constants()
-            # The loaded profile is what the planner now serves.
-            served = Statistics(engine="database").cost_model()
-            assert served.constants() == result.model.constants()
-            assert served.source == "calibrated"
-        finally:
-            clear_cost_profile()
-
-    def test_feedback_is_a_noop_without_chargeable_operators(self):
-        from repro.core.exec import ExecutionMetrics
-
-        empty = ExecutionMetrics("database", [])
-        model = Statistics(engine="database").cost_model()
-        assert fold_metrics(empty, model, alpha=1.0) is model
-        assert cost_model_error(empty, model) == 0.0

@@ -61,12 +61,12 @@ class TestObservedStore:
         catalog = catalog_for(database)
         catalog.record_actual("op", estimated_rows=100.0, actual_rows=10.0)
         catalog.record_actual("op", estimated_rows=50.0, actual_rows=20.0)
-        ewma, estimated, count = catalog.observed_cardinalities["op"]
-        assert ewma == 15.0  # 0.5·10 + 0.5·20
+        record = catalog.observed_view(min_count=1)["op"]
+        assert record.actual_rows == 15.0  # 0.5·10 + 0.5·20
         # The stored estimate must be the same EWMA blend, not the latest
         # planner guess (which would make the q-error trend meaningless).
-        assert estimated == 75.0  # 0.5·100 + 0.5·50
-        assert count == 2
+        assert record.estimated_rows == 75.0  # 0.5·100 + 0.5·50
+        assert record.count == 2
 
     def test_observations_require_min_count(self):
         database = skewed_database()
