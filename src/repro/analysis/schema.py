@@ -16,10 +16,13 @@ inside an operator:
 Attribute *names* come from the planner statistics (or any
 :class:`SchemaContext`); attribute *types* are abstracted into a tiny
 lattice — ``number`` / ``str`` / ``bytes`` / ``any`` — and inferred from
-the catalog's reservoir samples.  ``any`` is compatible with everything, so
+the set of Python classes of each column's values, which the catalog's
+reservoir samples memoise.  ``any`` is compatible with everything, so
 the analysis only rejects *definite* errors: a relation the context has
 never seen simply propagates "unknown" and disables the checks that would
-need it.
+need it, and a type read off a sample that is not the whole relation is
+confirmed against the whole columns before a mismatch is reported
+(:func:`analyze_for_statistics`).
 
 Strict checking (:func:`analyze`) raises :class:`AnalysisError` — a
 :class:`~repro.relational.errors.SchemaError` — whose message embeds the
@@ -30,9 +33,20 @@ plan-invariant verifier uses to prove rewrites schema-preserving.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.algebra.query import (
     BaseRelation,
@@ -46,6 +60,7 @@ from ..core.algebra.query import (
     Select,
     Union,
 )
+from ..core.planner.sampling import SENTINEL_CLASS, column_classes
 from ..relational.errors import SchemaError
 from ..relational.predicates import (
     And,
@@ -68,8 +83,6 @@ ANY_TYPE = "any"
 NUMBER = "number"
 STRING = "str"
 BYTES = "bytes"
-#: Leading rows of a live engine's relation that type inference looks at.
-TYPE_SAMPLE_ROWS = 128
 
 
 def type_name(value: Any) -> str:
@@ -95,6 +108,28 @@ def join_types(left: str, right: str) -> str:
     return left if left == right else ANY_TYPE
 
 
+def _class_type(value_class: type) -> str:
+    """:func:`type_name` of the domain values of one class (subclasses included)."""
+    if issubclass(value_class, (bool, int, float)):
+        return NUMBER
+    if issubclass(value_class, str):
+        return STRING
+    if issubclass(value_class, bytes):
+        return BYTES
+    return ANY_TYPE
+
+
+def classes_type(classes: Iterable[type]) -> str:
+    """Abstract type of a column from the set of classes of its values.
+
+    The join of :func:`type_name` over the column's domain values (the
+    markers' class is skipped; a column without domain values is ``any``),
+    computed from its handful of classes instead of its cells.
+    """
+    domain = [c for c in classes if c is not SENTINEL_CLASS]
+    return functools.reduce(join_types, map(_class_type, domain)) if domain else ANY_TYPE
+
+
 # --------------------------------------------------------------------------- #
 # Schema context: what the analysis knows about stored relations
 # --------------------------------------------------------------------------- #
@@ -114,6 +149,7 @@ class SchemaContext:
         attributes: Optional[Mapping[str, Sequence[str]]] = None,
         types: Optional[Mapping[str, Mapping[str, str]]] = None,
         type_loader: Optional[Callable[[str], Optional[Mapping[str, str]]]] = None,
+        sampled: Collection[str] = (),
     ) -> None:
         self._attributes: Dict[str, Tuple[str, ...]] = {
             name: tuple(attrs) for name, attrs in (attributes or {}).items()
@@ -121,9 +157,12 @@ class SchemaContext:
         self._types: Dict[str, Dict[str, str]] = {
             name: dict(mapping) for name, mapping in (types or {}).items()
         }
-        #: Lazily resolves a relation's column types on first use (sampling
-        #: work is only paid for relations a query actually mentions).
+        #: Lazily resolves a relation's column types on first use (type work
+        #: is only paid for relations a query actually mentions).
         self._type_loader = type_loader
+        #: Relations whose types were read off a sample that is not the whole
+        #: relation: likely, not definite (a rare value may have been missed).
+        self.sampled = frozenset(sampled)
 
     @classmethod
     def empty(cls) -> "SchemaContext":
@@ -131,20 +170,34 @@ class SchemaContext:
 
     @classmethod
     def from_statistics(cls, statistics: Any) -> "SchemaContext":
-        """Schema context over planner statistics (names + sampled types)."""
+        """Schema context over planner statistics (names + sampled types).
+
+        Types come from the value classes memoised on each sample, so a warm
+        catalog serves them without looking at a row.
+        """
 
         def load_types(name: str) -> Optional[Mapping[str, str]]:
             sample = statistics.samples.get(name)
             if sample is None or not sample.rows:
                 return None
-            return column_types(sample.attributes, sample.rows)
+            return dict(zip(sample.attributes, map(classes_type, sample.column_classes())))
 
-        return cls(attributes=statistics.attributes, type_loader=load_types)
+        return cls(
+            attributes=statistics.attributes,
+            type_loader=load_types,
+            sampled=[
+                name
+                for name, sample in statistics.samples.items()
+                if len(sample.rows) < sample.population
+            ],
+        )
 
     @classmethod
     def from_engine(cls, engine: Any) -> "SchemaContext":
-        """Schema context for a live engine (names from its schema; types
-        from stored rows on a Database, template rows on a UWSDT)."""
+        """Schema context for a live engine: names from its schema, exact
+        types from whole columns — stored rows on a Database, template rows
+        on a UWSDT, where a column holding a ``?`` is ``any`` (its values
+        live in components).  A WSD contributes names only."""
         schema = getattr(engine, "schema", None)
         if callable(schema):  # Database.schema() is a method; UWSDT/WSD attribute
             schema = schema()
@@ -156,27 +209,33 @@ class SchemaContext:
             attrs = attributes.get(name)
             if attrs is None:
                 return None
-            rows: List[Tuple[Any, ...]] = []
             if hasattr(engine, "relation"):  # Database
-                try:
-                    rows = list(itertools.islice(engine.relation(name), TYPE_SAMPLE_ROWS))
-                except Exception:
-                    return None
+                rows: Iterable[Tuple[Any, ...]] = engine.relation(name)
             elif hasattr(engine, "template_rows"):  # UWSDT
-                try:
-                    rows = [
-                        values
-                        for _, values in itertools.islice(
-                            engine.template_rows(name), TYPE_SAMPLE_ROWS
-                        )
-                    ]
-                except Exception:
-                    return None
-            if not rows:
+                rows = (values for _, values in engine.template_rows(name))
+            else:
                 return None
-            return column_types(attrs, rows)
+            from ..obs.metrics import get_registry
+
+            get_registry().counter("repro.analysis.type_scans", source="engine").inc()
+            return {
+                attribute: ANY_TYPE if SENTINEL_CLASS in classes else classes_type(classes)
+                for attribute, classes in zip(attrs, column_classes(rows))
+            }
 
         return cls(attributes=attributes, type_loader=load_types)
+
+    def confirmed_by(self, engine: Any) -> "SchemaContext":
+        """This context with the types of its :attr:`sampled` relations read
+        from ``engine``'s whole columns instead — dropped (``any``) when there
+        is no engine to ask, or it cannot say."""
+        exact = SchemaContext.from_engine(engine)
+
+        def load_types(name: str) -> Mapping[str, str]:
+            source = exact if name in self.sampled else self
+            return source.relation_types(name)
+
+        return SchemaContext(attributes=self._attributes, type_loader=load_types)
 
     def relation_attributes(self, name: str) -> Optional[Tuple[str, ...]]:
         return self._attributes.get(name)
@@ -200,15 +259,9 @@ def column_types(
     attributes: Sequence[str], rows: Iterable[Tuple[Any, ...]]
 ) -> Dict[str, str]:
     """Per-attribute abstract type over sampled rows (placeholders skipped)."""
-    types: Dict[str, Optional[str]] = {a: None for a in attributes}
-    for row in rows:
-        for attribute, value in zip(attributes, row):
-            if not is_domain_value(value):
-                continue
-            observed = type_name(value)
-            current = types[attribute]
-            types[attribute] = observed if current is None else join_types(current, observed)
-    return {a: (t if t is not None else ANY_TYPE) for a, t in types.items()}
+    types = dict.fromkeys(attributes, ANY_TYPE)
+    types.update(zip(attributes, map(classes_type, column_classes(rows))))
+    return types
 
 
 # --------------------------------------------------------------------------- #
@@ -520,9 +573,29 @@ def analyze(query: Query, context: Optional[SchemaContext] = None) -> Optional[I
     return _Analyzer(query, context).infer(query)
 
 
-def analyze_for_statistics(query: Query, statistics: Any) -> Optional[InferredSchema]:
-    """:func:`analyze` against planner statistics (the ``plan()`` hook)."""
-    return analyze(query, SchemaContext.from_statistics(statistics))
+def analyze_for_statistics(
+    query: Query, statistics: Any, context: Optional[SchemaContext] = None
+) -> Optional[InferredSchema]:
+    """:func:`analyze` against planner statistics (the ``plan()`` hook).
+
+    ``context`` is ``SchemaContext.from_statistics(statistics)`` when the
+    caller already has one.  A sampled type is definite only when the sample
+    is the whole relation; otherwise a would-be ``type-mismatch`` is
+    confirmed first: the analysis runs once more with the sampled relations'
+    types read from the whole columns of the engine behind the statistics'
+    catalog.  Statistics without an engine to ask (hand-built ones, a
+    collected engine) and engines without stored columns (a WSD) cannot
+    confirm, so the mismatch is not reported.
+    """
+    if context is None:
+        context = SchemaContext.from_statistics(statistics)
+    try:
+        return analyze(query, context)
+    except AnalysisError as error:
+        if error.code != "type-mismatch" or not context.sampled:
+            raise
+    catalog = statistics.catalog
+    return analyze(query, context.confirmed_by(catalog.engine if catalog is not None else None))
 
 
 # --------------------------------------------------------------------------- #

@@ -179,12 +179,14 @@ class Query:
         if plan is None and optimize:
             plan = self.plan(engine)
         if plan is not None:
-            executable, statistics = plan.chosen, plan.statistics
+            executable, statistics, estimates = plan.chosen, plan.statistics, plan.estimates
         else:
             # Verbatim execution: no sampling; lowering prices its physical
             # choices with the engine's cost model over default statistics.
-            executable, statistics = self, None
-        return resolved, lower(executable, resolved, statistics, force_join=force_join)
+            executable, statistics, estimates = self, None, None
+        return resolved, lower(
+            executable, resolved, statistics, force_join=force_join, estimates=estimates
+        )
 
     def physical_plan(
         self,

@@ -22,7 +22,7 @@ output, so executed plans can report estimated-vs-actual cardinality errors.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from ...relational.errors import QueryError
 from ...relational.predicates import AttrConst
@@ -31,6 +31,7 @@ from ..planner.observed import cardinality_key
 from ..planner.cost import (
     DEFAULT_ARITY,
     CostModel,
+    NodeEstimate,
     Statistics,
     equality_join_selectivity,
     estimate_forest,
@@ -76,15 +77,18 @@ class _Lowering:
         statistics: Statistics,
         model: CostModel,
         force_join: Optional[str],
+        estimates: Optional[Dict[int, NodeEstimate]] = None,
     ) -> None:
         self.backend = backend
         self.statistics = statistics
         self.model = model
         self.force_join = force_join
-        #: Per-node estimates keyed by node identity, filled by one bottom-up
-        #: pass before lowering starts (re-estimating every subtree here
-        #: would be quadratic in the statistics' sample work).
-        self.estimates = {}
+        #: Per-node estimates keyed by node identity: the planner's own, when
+        #: it hands them over, else filled by one bottom-up pass before
+        #: lowering starts (re-estimating every subtree here would be
+        #: quadratic in the statistics' sample work).  A copy, because nodes
+        #: synthesized during lowering extend it and die with the lowering.
+        self.estimates = dict(estimates or ())
         #: Every tree the memo was seeded from.  The memo is keyed by
         #: ``id(node)``, so seeded nodes must stay alive for the lowering's
         #: lifetime — a freed node (e.g. a transient ``expanded()`` tree)
@@ -194,6 +198,7 @@ def lower(
     backend: EngineBackend,
     statistics: Optional[Statistics] = None,
     force_join: Optional[str] = None,
+    estimates: Optional[Dict[int, NodeEstimate]] = None,
 ) -> PhysicalPlan:
     """Lower a logical query tree into a physical plan for ``backend``.
 
@@ -204,7 +209,11 @@ def lower(
     price with the cost model of the engine they wrap, so a verbatim tree
     lowers to the same join algorithm on every backend.  ``force_join``
     overrides the hash-vs-index choice where an index join is structurally
-    possible (``"hash"`` / ``"index-nested-loop"``).
+    possible (``"hash"`` / ``"index-nested-loop"``).  ``estimates`` is
+    :attr:`Plan.estimates <repro.core.planner.planner.Plan.estimates>` of the
+    plan ``query`` was chosen by (made with the same ``statistics``, its
+    nodes still alive): lowering then estimates nothing the planner already
+    did.
     """
     if force_join is not None and force_join not in JOIN_ALGORITHMS:
         raise ValueError(f"unknown join algorithm {force_join!r}; expected {JOIN_ALGORITHMS}")
@@ -213,7 +222,9 @@ def lower(
     from ...obs.trace import get_tracer
 
     with get_tracer().span("lowering", engine=backend.kind):
-        lowering = _Lowering(backend, statistics, statistics.cost_model(), force_join)
+        lowering = _Lowering(
+            backend, statistics, statistics.cost_model(), force_join, estimates
+        )
         lowering.seed_estimates(query)
         root = lowering.lower(query)
         if backend.kind == "columnar":

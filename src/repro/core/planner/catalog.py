@@ -6,8 +6,9 @@ against an unchanged engine paid the full sampling cost twice.  The
 :class:`StatisticsCatalog` fixes that by caching, per relation,
 
 * the bounded reservoir :class:`~repro.core.planner.sampling.RelationSample`
-  (whose per-attribute value histograms are memoized on the sample object,
-  so histograms persist too),
+  (whose per-attribute value histograms and per-column value classes are
+  memoized on the sample object, so they persist — and are invalidated —
+  with it),
 * the row count and the placeholder density,
 * the attribute list,
 
@@ -389,6 +390,7 @@ class StatisticsCatalog:
                 sample_provenance=provenance,
                 source="catalog",
                 observed=self.observed_view(),
+                catalog=self,
             )
 
     def __repr__(self) -> str:

@@ -207,6 +207,7 @@ class Statistics:
         sample_provenance: Optional[Mapping[str, str]] = None,
         source: str = "adhoc",
         observed: Optional[Mapping[str, ObservedCardinality]] = None,
+        catalog: Any = None,
     ) -> None:
         self.row_counts: Dict[str, int] = dict(row_counts or {})
         self.placeholder_densities: Dict[str, float] = dict(placeholder_densities or {})
@@ -236,6 +237,36 @@ class Statistics:
         #: Cheap guard: estimation only computes cardinality keys when at
         #: least one observation exists, so cold planning pays nothing.
         self.has_observed = bool(self.observed)
+        #: The :class:`~repro.core.planner.catalog.StatisticsCatalog` this view
+        #: was served from (None for fresh and hand-built statistics).  It
+        #: holds its engine weakly; the type analysis goes through it to
+        #: confirm a type inferred from a partial sample against whole columns.
+        self.catalog = catalog
+        #: ``(sample, predicate) → (selectivity, derived sample)``, see
+        #: :meth:`selection`.
+        self._selections: Dict[
+            Tuple[RelationSample, Predicate], Tuple[Optional[float], RelationSample]
+        ] = {}
+
+    def selection(
+        self, sample: RelationSample, predicate: Predicate
+    ) -> Tuple[Optional[float], RelationSample]:
+        """:meth:`RelationSample.select`, once per ``(sample, predicate)``.
+
+        A statistics object is built per plan, so every estimate pass of that
+        plan (both costed trees, the join-order DP's leaves, lowering) shares
+        one compile and one scan of a sample per predicate, and the memo dies
+        with the plan.  It is keyed by the two objects themselves — both hash
+        by identity and the dict keeps them alive, so no ``id()`` can be
+        reused while an entry exists.  Nothing is kept across plans: the
+        catalog's samples outlive any number of ad-hoc predicates, and a
+        repeated query is what the plan cache is for.
+        """
+        key = (sample, predicate)
+        result = self._selections.get(key)
+        if result is None:
+            result = self._selections[key] = sample.select(predicate)
+        return result
 
     def provenance(self, relation_name: str) -> str:
         """How this relation's estimates are derived (for ``explain()``)."""
@@ -641,12 +672,15 @@ def _estimate_uncached(
         )
     if isinstance(query, Select):
         child = _estimate(query.child, statistics, model, memo)
-        selectivity = selection_selectivity(query.predicate, child.sample)
+        selectivity, sample = None, None
+        if child.sample is not None:
+            selectivity, sample = statistics.selection(child.sample, query.predicate)
+        if selectivity is None:
+            selectivity = floored_predicate_selectivity(query.predicate)
         rows, added = select_step(child.rows, selectivity, child.density, model)
         if statistics.has_observed:
             # Selection cost is per *input* tuple; only the cardinality moves.
             rows, added = observed_override(query, statistics, rows, added, None, model)
-        sample = child.sample.filter(query.predicate) if child.sample is not None else None
         return NodeEstimate(rows, child.cost + added, sample, child.density)
     if isinstance(query, Project):
         child = _estimate(query.child, statistics, model, memo)

@@ -11,8 +11,8 @@ the sampled-selectivity estimates compare with the fixed-constant ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..algebra.query import (
     BaseRelation,
@@ -26,7 +26,7 @@ from ..algebra.query import (
     Select,
     Union,
 )
-from .cost import CostEstimate, Statistics, estimate
+from .cost import CostEstimate, NodeEstimate, Statistics, estimate, estimate_forest
 from .rules import DEFAULT_PHASES, RewriteContext, RewriteRule
 
 #: Safety bound on fixpoint iterations per phase (a phase that needs more is
@@ -100,9 +100,8 @@ class Plan:
     ``chosen`` is the tree :meth:`~repro.core.algebra.query.Query.run`
     evaluates: the rewritten tree when the cost model judges it cheaper,
     otherwise the original.  ``cost_before``/``cost_after`` use sampled
-    selectivities when the statistics carry samples;
-    ``cost_fixed_before``/``cost_fixed_after`` re-estimate both trees with
-    the fixed constants for comparison in ``explain()``.
+    selectivities when the statistics carry samples; ``explain()``
+    re-estimates both trees with the fixed constants for comparison.
     """
 
     original: Query
@@ -111,8 +110,11 @@ class Plan:
     statistics: Statistics
     cost_before: CostEstimate
     cost_after: CostEstimate
-    cost_fixed_before: Optional[CostEstimate] = None
-    cost_fixed_after: Optional[CostEstimate] = None
+    #: The estimate of every node of both trees, keyed by ``id(node)`` — the
+    #: plan keeps the nodes alive, so the ids stay theirs.  Lowering reads
+    #: its cardinalities and join inputs from here instead of estimating
+    #: ``chosen`` a second time.
+    estimates: Dict[int, NodeEstimate] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def chosen(self) -> Query:
@@ -162,10 +164,12 @@ class Plan:
             f"cost     : {self.cost_before.cost:,.0f} -> {self.cost_after.cost:,.0f}"
             f" (estimated rows {self.cost_before.rows:,.0f} -> {self.cost_after.rows:,.0f})",
         ]
-        if self.cost_fixed_before is not None and self.cost_fixed_after is not None:
+        if self.statistics.samples:
+            fixed = self.statistics.without_samples()
             lines.append(
                 f"           fixed-constant estimate "
-                f"{self.cost_fixed_before.cost:,.0f} -> {self.cost_fixed_after.cost:,.0f}"
+                f"{estimate(self.original, fixed).cost:,.0f} -> "
+                f"{estimate(self.optimized, fixed).cost:,.0f}"
             )
         lines.append(f"cost model: {self.statistics.cost_model().name}")
         statistics_lines = self.statistics_report()
@@ -319,22 +323,26 @@ def plan(
         # duplicate attributes, set-operation mismatches and predicate type
         # errors are rejected here with a rendered tree pointing at the
         # offending node, instead of surfacing mid-execution.
-        from ...analysis.schema import analyze
+        from ...analysis.schema import analyze_for_statistics
 
-        analyze(query, context.schema_context)
+        analyze_for_statistics(query, statistics, context.schema_context)
         trace: List[RuleApplication] = []
         with get_tracer().span("rewrite"):
             optimized = rewrite(query, context, phases, trace)
-        fixed = statistics.without_samples() if statistics.samples else None
+        # One memo for both trees: subtrees the rewrite left alone are
+        # estimated once.
+        estimates: Dict[int, NodeEstimate] = {}
+        model = statistics.cost_model()
+        estimate_forest(query, statistics, model, estimates)
+        estimate_forest(optimized, statistics, model, estimates)
         return Plan(
             original=query,
             optimized=optimized,
             applications=trace,
             statistics=statistics,
-            cost_before=estimate(query, statistics),
-            cost_after=estimate(optimized, statistics),
-            cost_fixed_before=estimate(query, fixed) if fixed is not None else None,
-            cost_fixed_after=estimate(optimized, fixed) if fixed is not None else None,
+            cost_before=estimates[id(query)].as_cost_estimate(),
+            cost_after=estimates[id(optimized)].as_cost_estimate(),
+            estimates=estimates,
         )
 
 

@@ -22,7 +22,10 @@ Design:
   ``project`` / ``restrict`` / ``rename`` / ``cross`` / ``equijoin``
   propagate a sample through the operators of a candidate plan, so the
   selectivity of a predicate *above* a join is estimated against a sample
-  that already reflects the join.
+  that already reflects the join.  Facts derived from the rows alone — the
+  histograms and the per-column value classes the type analysis reads — are
+  memoised on the sample, so they live exactly as long as the statistics
+  catalog keeps the sample valid.
 * :func:`join_selectivity` estimates the selectivity of ``A = B`` across
   two samples from the value histograms, ``Σ_v f_L(v) · f_R(v)`` — the
   frequency-weighted generalization of Selinger's ``1/max(d_A, d_B)`` that
@@ -40,7 +43,8 @@ value, genuinely uncertain fields to the placeholder sentinel).
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ...relational.predicates import Predicate
 from ...relational.schema import RelationSchema
@@ -74,6 +78,21 @@ def _record_sampling() -> None:
     get_registry().counter("repro.planner.sampling_calls").inc()
 
 
+#: The class of the ``⊥`` / ``?`` markers: a column without it holds domain
+#: values only.
+SENTINEL_CLASS = type(PLACEHOLDER)
+
+
+def column_classes(rows: Iterable[Tuple[Any, ...]]) -> Tuple[FrozenSet[type], ...]:
+    """The set of Python classes of each column's values, one pass per column.
+
+    This is all the type analysis needs from the rows (a type is a property
+    of a column's whole domain), and a column has a handful of classes
+    however many rows it has.
+    """
+    return tuple(frozenset(map(type, column)) for column in zip(*rows))
+
+
 def reservoir(
     rows: Iterable[Tuple[Any, ...]], capacity: int, seed: int = SAMPLE_SEED
 ) -> Tuple[List[Tuple[Any, ...]], int]:
@@ -101,7 +120,7 @@ def floor_selectivity(selectivity: float, sample_size: int) -> float:
 class RelationSample:
     """A bounded row sample of one relation (or of a derived subplan)."""
 
-    __slots__ = ("relation", "attributes", "rows", "population", "_histograms")
+    __slots__ = ("relation", "attributes", "rows", "population", "_histograms", "_classes")
 
     def __init__(
         self,
@@ -115,6 +134,7 @@ class RelationSample:
         self.rows: List[Tuple[Any, ...]] = [tuple(row) for row in rows]
         self.population = population
         self._histograms: Dict[str, Dict[Any, int]] = {}
+        self._classes: Optional[Tuple[FrozenSet[type], ...]] = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -129,33 +149,68 @@ class RelationSample:
         known = set(self.attributes)
         return all(a in known for a in attributes)
 
-    # -- selectivity ------------------------------------------------------- #
+    # -- selection --------------------------------------------------------- #
 
-    def selectivity(self, predicate: Predicate) -> Optional[float]:
-        """Fraction of sampled rows satisfying ``predicate``.
+    def select(self, predicate: Predicate) -> Tuple[Optional[float], "RelationSample"]:
+        """``(selectivity, derived sample)`` of σ_predicate: one compile, one scan.
 
-        Rows with a placeholder in a referenced attribute count as
-        satisfied (they survive the selection on the representation).
-        Returns None when the sample is empty or references unknown
-        attributes — callers fall back to the fixed constants.
+        The selectivity is the fraction of sampled rows satisfying
+        ``predicate``; the derived sample holds exactly those rows, its
+        population scaled by that fraction.  Rows with a placeholder in a
+        referenced attribute count as satisfied (they survive the selection
+        on the representation).  An empty sample, or one missing a
+        referenced attribute, answers ``(None, self)`` — callers fall back
+        to the fixed constants.
+
+        Nothing is memoised here: a memo keyed by predicate on a sample the
+        catalog keeps across plans would grow without bound under ad-hoc
+        traffic.  :meth:`~repro.core.planner.cost.Statistics.selection`
+        shares the result within one plan; across plans that is the plan
+        cache's job.
         """
-        if not self.rows:
-            return None
         referenced = predicate.attributes()
-        if not self.has_attributes(referenced):
-            return None
+        if not self.rows or not self.has_attributes(referenced):
+            return None, self
+        from ...obs.metrics import get_registry
+
+        get_registry().counter("repro.planner.sample_scans").inc()
         positions = [self.position(a) for a in referenced]
         schema = RelationSchema(self.relation or "__sample__", self.attributes)
         compiled = predicate.compile(schema)
-        matched = 0
-        for row in self.rows:
-            if any(is_placeholder(row[p]) for p in positions):
-                matched += 1
-            elif compiled(row):
-                matched += 1
-        return floor_selectivity(matched / len(self.rows), len(self.rows))
+        if any(
+            SENTINEL_CLASS in set(map(type, map(itemgetter(p), self.rows)))
+            for p in positions
+        ):
+            kept = [
+                row
+                for row in self.rows
+                if any(is_placeholder(row[p]) for p in positions) or compiled(row)
+            ]
+        else:
+            kept = list(filter(compiled, self.rows))
+        fraction = floor_selectivity(len(kept) / len(self.rows), len(self.rows))
+        return fraction, RelationSample(
+            self.relation, self.attributes, kept, max(1, round(self.population * fraction))
+        )
 
-    # -- histograms -------------------------------------------------------- #
+    def selectivity(self, predicate: Predicate) -> Optional[float]:
+        """Fraction of sampled rows satisfying ``predicate`` (see :meth:`select`)."""
+        return self.select(predicate)[0]
+
+    def filter(self, predicate: Predicate) -> "RelationSample":
+        """The sample restricted to rows satisfying ``predicate`` (see :meth:`select`)."""
+        return self.select(predicate)[1]
+
+    # -- facts of the rows, memoised --------------------------------------- #
+
+    def column_classes(self) -> Tuple[FrozenSet[type], ...]:
+        """Per attribute, the set of classes of its sampled values."""
+        if self._classes is None:
+            from ...obs.metrics import get_registry
+
+            get_registry().counter("repro.analysis.type_scans", source="sample").inc()
+            self._classes = column_classes(self.rows)
+        return self._classes
 
     def histogram(self, attribute: str) -> Dict[Any, int]:
         """Value counts of ``attribute`` over the sample (placeholders excluded)."""
@@ -183,28 +238,6 @@ class RelationSample:
             return 1
 
     # -- derived samples --------------------------------------------------- #
-
-    def filter(self, predicate: Predicate) -> "RelationSample":
-        """The sample restricted to rows satisfying ``predicate``.
-
-        Placeholder rows are kept, mirroring :meth:`selectivity`.  The
-        derived population scales with the observed match fraction.
-        """
-        referenced = predicate.attributes()
-        if not self.rows or not self.has_attributes(referenced):
-            return self
-        positions = [self.position(a) for a in referenced]
-        schema = RelationSchema(self.relation or "__sample__", self.attributes)
-        compiled = predicate.compile(schema)
-        kept = [
-            row
-            for row in self.rows
-            if any(is_placeholder(row[p]) for p in positions) or compiled(row)
-        ]
-        fraction = floor_selectivity(len(kept) / len(self.rows), len(self.rows))
-        return RelationSample(
-            self.relation, self.attributes, kept, max(1, round(self.population * fraction))
-        )
 
     def project(self, attributes: Sequence[str]) -> Optional["RelationSample"]:
         if not self.has_attributes(attributes):

@@ -345,7 +345,7 @@ class QueryService:
         workers: Optional[int] = None,
     ) -> CachedPlan:
         plan = query.plan(engine)
-        physical = lower(plan.chosen, backend, plan.statistics)
+        physical = lower(plan.chosen, backend, plan.statistics, estimates=plan.estimates)
         return cache.store(fingerprint, plan, physical, workers=workers)
 
     def _maybe_evict(

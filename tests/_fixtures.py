@@ -95,6 +95,38 @@ def plain_relations(draw, name: str = "R", max_rows: int = 5, max_attrs: int = 3
 
 
 # --------------------------------------------------------------------------- #
+# The benchmark's inputs and queries at smoke size
+# --------------------------------------------------------------------------- #
+
+
+def census_engines(rows: int = 400, density: float = 0.005, seed: int = 42):
+    """``(Database, chased UWSDT)`` over one generated census relation —
+    perfbench's input at its smoke scale, each with no catalog yet."""
+    from repro.bench import census_instance
+
+    instance = census_instance(rows, density, seed)
+    return instance.one_world_database(), instance.chased()
+
+
+def benchmark_queries():
+    """The nine queries perfbench plans, by label: the paper's Q1–Q6, the two
+    product-form joins and the 4-way join."""
+    from repro.census import (
+        census_query,
+        q5_product_form,
+        q6_self_join_product_form,
+        q_four_way_join,
+        query_names,
+    )
+
+    queries = [(name, census_query(name)) for name in query_names()]
+    queries.append(("Q5_product", q5_product_form()))
+    queries.append(("Q6_self_join", q6_self_join_product_form()))
+    queries.append(("four_way", q_four_way_join()))
+    return queries
+
+
+# --------------------------------------------------------------------------- #
 # World-set comparison helpers (shared by the query and planner oracle tests)
 # --------------------------------------------------------------------------- #
 

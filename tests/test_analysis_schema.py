@@ -13,6 +13,8 @@ Covers the tentpole's analyzer contract:
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.schema import (
     ANY_TYPE,
@@ -24,13 +26,41 @@ from repro.analysis.schema import (
     analyze,
     column_types,
     inferred_attributes,
+    join_types,
+    type_name,
 )
+from repro.core import UWSDT
 from repro.core.algebra import BaseRelation
-from repro.core.planner import Statistics, plan
-from repro.relational import Database, Relation, RelationSchema
+from repro.core.planner import RelationSample, Statistics, plan
+from repro.obs.metrics import get_registry
+from repro.relational import Database, Relation, RelationSchema, eq
 from repro.relational.errors import SchemaError
 from repro.relational.predicates import AttrAttr, AttrConst
-from repro.relational.values import PLACEHOLDER
+from repro.relational.values import BOTTOM, PLACEHOLDER, is_domain_value
+from repro.worlds import OrSet, OrSetRelation
+
+
+class Code(int):
+    """A domain value whose class only inherits a builtin's type."""
+
+
+#: Every kind of cell a column can hold: both markers, None, each builtin
+#: scalar (nan included), a subclass of one, and a value of no known domain.
+CELLS = [BOTTOM, PLACEHOLDER, None, True, 3, 2.5, float("nan"), "s", b"b", Code(4), object()]
+
+
+def reference_column_types(attributes, rows):
+    """``column_types`` as it stood when it visited every cell — the
+    specification of the version that folds over each column's classes."""
+    types = {a: None for a in attributes}
+    for row in rows:
+        for attribute, value in zip(attributes, row):
+            if not is_domain_value(value):
+                continue
+            observed = type_name(value)
+            current = types[attribute]
+            types[attribute] = observed if current is None else join_types(current, observed)
+    return {a: (t if t is not None else ANY_TYPE) for a, t in types.items()}
 
 
 def typed_database() -> Database:
@@ -227,6 +257,24 @@ class TestInference:
     def test_column_types_mixed_becomes_any(self):
         assert column_types(("A",), [(1,), ("x",)]) == {"A": ANY_TYPE}
 
+    def test_column_types_without_rows(self):
+        assert column_types(("A", "B"), []) == {"A": ANY_TYPE, "B": ANY_TYPE}
+        assert column_types((), [(1,)]) == {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(min_value=0, max_value=3).flatmap(
+            lambda width: st.lists(
+                st.tuples(*[st.sampled_from(CELLS)] * width), max_size=6
+            )
+        ),
+        lazily=st.booleans(),
+    )
+    def test_column_types_equals_the_cell_by_cell_loop(self, rows, lazily):
+        attributes = ("A", "B", "C")[: len(rows[0]) if rows else 2]
+        argument = (row for row in rows) if lazily else rows
+        assert column_types(attributes, argument) == reference_column_types(attributes, rows)
+
     def test_inferred_attributes_matches_context(self, context):
         query = BaseRelation("EMP").select(AttrConst("EID", "=", 1)).rename("EID", "X")
         assert inferred_attributes(query, context) == ("X", "NAME", "DEPT")
@@ -257,3 +305,92 @@ class TestPlanTimeRejection:
         query = BaseRelation("EMP").select(AttrConst("DEPT", "=", "eng")).project(("NAME",))
         result = query.run(database)
         assert sorted(result) == [("ada",)]
+
+
+# --------------------------------------------------------------------------- #
+# A type read off a partial sample is likely, not definite
+# --------------------------------------------------------------------------- #
+
+
+def rare_strings() -> Relation:
+    """5 000 numbers and three strings in ``A``: the 256-row reservoir holds
+    numbers only."""
+    rows = [(i, i % 7) for i in range(5000)] + [(5000 + i, "x") for i in range(3)]
+    return Relation(RelationSchema("R", ("K", "A")), rows)
+
+
+def whole_column_scans() -> int:
+    return get_registry().counter("repro.analysis.type_scans", source="engine").value
+
+
+class TestSampledTypesAreConfirmed:
+    QUERY = BaseRelation("R").select(eq("A", "x"))
+
+    def test_the_sample_really_misses_the_strings(self):
+        database = Database([rare_strings()])
+        statistics = Statistics.from_engine(database)
+        assert column_types(("K", "A"), statistics.sample("R").rows)["A"] == NUMBER
+        assert SchemaContext.from_statistics(statistics).sampled == {"R"}
+        assert SchemaContext.from_engine(database).attribute_type("R", "A") == ANY_TYPE
+
+    def test_database_planned_equals_verbatim(self):
+        database = Database([rare_strings()])
+        before = whole_column_scans()
+        planned = self.QUERY.run(database)
+        assert whole_column_scans() == before + 1
+        assert sorted(planned) == sorted(self.QUERY.run(database, optimize=False))
+        assert sorted(planned) == [(5000, "x"), (5001, "x"), (5002, "x")]
+
+    def test_uwsdt_planned_equals_verbatim(self):
+        relation = rare_strings()
+        orset = OrSetRelation(relation.schema)
+        for key, value in relation:
+            orset.insert((OrSet([key, -key]) if key == 5001 else key, value))
+        results = []
+        for optimize in (True, False):
+            uwsdt = UWSDT.from_orset_relation(orset)
+            self.QUERY.run(uwsdt, "out", optimize=optimize)
+            results.append(sorted(map(repr, uwsdt.template_rows("out"))))
+        assert results[0] == results[1] and len(results[0]) == 3
+
+    def test_a_template_column_holding_a_placeholder_is_any(self):
+        orset = OrSetRelation.from_dicts(
+            "R", ["K", "A"], [{"K": 1, "A": OrSet([1, "x"])}, {"K": 2, "A": 2}]
+        )
+        context = SchemaContext.from_engine(UWSDT.from_orset_relation(orset))
+        assert context.relation_types("R") == {"K": NUMBER, "A": ANY_TYPE}
+
+    def test_a_confirmed_mismatch_still_raises_with_the_same_tree(self):
+        names = Relation(
+            RelationSchema("EMP", ("EID", "NAME")), [(i, f"n{i}") for i in range(5000)]
+        )
+        query = BaseRelation("EMP").select(AttrConst("NAME", "=", 7))
+        for engine in (Database([names]), UWSDT.from_relation(names)):
+            with pytest.raises(AnalysisError) as excinfo:
+                query.run(engine)
+            assert str(excinfo.value) == (
+                "plan analysis failed [type-mismatch]: predicate (NAME = 7) compares "
+                "'NAME' (str) with a number constant — the comparison can never hold\n"
+                "  σ[(NAME = 7)]   <-- here\n"
+                "    EMP"
+            )
+
+    def test_statistics_that_cannot_confirm_do_not_raise(self):
+        partial = RelationSample("R", ("K", "A"), [(1, 1), (2, 2)], 5000)
+        statistics = Statistics(
+            {"R": 5000}, attributes={"R": ("K", "A")}, samples={"R": partial}
+        )
+        assert plan(self.QUERY, statistics).chosen is self.QUERY
+        # ... but every error that does not rest on a sampled type still does.
+        with pytest.raises(AnalysisError) as excinfo:
+            plan(self.QUERY.project(("NOPE",)), statistics)
+        assert excinfo.value.code == "unknown-attribute"
+
+    def test_a_whole_sample_is_definite_without_an_engine(self):
+        whole = RelationSample("R", ("K", "A"), [(1, 1), (2, 2)], 2)
+        statistics = Statistics({"R": 2}, attributes={"R": ("K", "A")}, samples={"R": whole})
+        before = whole_column_scans()
+        with pytest.raises(AnalysisError) as excinfo:
+            plan(self.QUERY, statistics)
+        assert excinfo.value.code == "type-mismatch"
+        assert whole_column_scans() == before

@@ -1,6 +1,8 @@
 """Unit tests for the logical planner: rules, cost model, Plan, Query.run."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import UWSDT, WSD
 from repro.core.algebra import BaseRelation, Join, Product, Project, Rename, Select
@@ -25,6 +27,7 @@ from repro.relational import (
     Database,
     HashIndex,
     IndexPool,
+    Not,
     Or,
     QueryError,
     Relation,
@@ -34,6 +37,7 @@ from repro.relational import (
     eq,
     gt,
 )
+from repro.relational.values import BOTTOM, PLACEHOLDER, is_placeholder
 from repro.worlds import OrSet, OrSetRelation
 
 STATS = Statistics(
@@ -262,6 +266,110 @@ class TestSamplingGuards:
         built = query.plan(database)
         assert built.cost_after.cost >= 0
         assert built.statistics.row_count("R") == 0
+
+
+def reference_selectivity(sample, predicate):
+    """``RelationSample.selectivity`` as it stood before ``select`` fused it
+    with ``filter`` — kept as the specification of the fused pass."""
+    if not sample.rows:
+        return None
+    referenced = predicate.attributes()
+    if not sample.has_attributes(referenced):
+        return None
+    positions = [sample.position(a) for a in referenced]
+    compiled = predicate.compile(RelationSchema(sample.relation or "__sample__", sample.attributes))
+    matched = 0
+    for row in sample.rows:
+        if any(is_placeholder(row[p]) for p in positions):
+            matched += 1
+        elif compiled(row):
+            matched += 1
+    return max(min(matched / len(sample.rows), 1.0), 0.5 / max(1, len(sample.rows)))
+
+
+def reference_filter(sample, predicate):
+    """``RelationSample.filter`` before the fusion (see above)."""
+    referenced = predicate.attributes()
+    if not sample.rows or not sample.has_attributes(referenced):
+        return sample
+    positions = [sample.position(a) for a in referenced]
+    compiled = predicate.compile(RelationSchema(sample.relation or "__sample__", sample.attributes))
+    kept = [
+        row
+        for row in sample.rows
+        if any(is_placeholder(row[p]) for p in positions) or compiled(row)
+    ]
+    fraction = max(min(len(kept) / len(sample.rows), 1.0), 0.5 / max(1, len(sample.rows)))
+    return RelationSample(
+        sample.relation, sample.attributes, kept, max(1, round(sample.population * fraction))
+    )
+
+
+SAMPLE_PREDICATES = [
+    eq("A", 1),
+    gt("B", 0),
+    attr_eq("A", "B"),
+    And(eq("A", 1), gt("B", 1)),
+    Or(eq("A", 0), eq("B", "x")),
+    Not(eq("A", 1)),
+    TruePredicate(),
+    eq("Z", 1),  # not an attribute of the sample
+    And(eq("A", 1), eq("Z", 1)),
+]
+
+
+class TestFusedSampleSelection:
+    """``select`` is ``selectivity`` and ``filter`` in one compile and one scan."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, 2, "x", PLACEHOLDER, BOTTOM]),
+                st.sampled_from([0, 1, 2, "x", PLACEHOLDER]),
+            ),
+            max_size=8,
+        ),
+        certain=st.booleans(),
+        predicate=st.sampled_from(SAMPLE_PREDICATES),
+        scale=st.integers(min_value=1, max_value=50),
+    )
+    def test_select_equals_the_two_separate_passes(self, rows, certain, predicate, scale):
+        if certain:
+            rows = [row for row in rows if PLACEHOLDER not in row and BOTTOM not in row]
+        sample = RelationSample("R", ("A", "B"), rows, len(rows) * scale)
+        selectivity, derived = sample.select(predicate)
+        assert selectivity == reference_selectivity(sample, predicate)
+        assert selectivity == sample.selectivity(predicate)
+        expected = reference_filter(sample, predicate)
+        if expected is sample:
+            assert derived is sample and sample.filter(predicate) is sample
+        else:
+            for actual in (derived, sample.filter(predicate)):
+                assert actual.rows == expected.rows
+                assert actual.population == expected.population
+                assert (actual.relation, actual.attributes) == ("R", ("A", "B"))
+
+    def test_statistics_share_one_scan_per_sample_and_predicate(self):
+        from repro.obs.metrics import get_registry
+
+        scans = get_registry().counter("repro.planner.sample_scans")
+        sample = RelationSample("R", ("A", "B", "C"), [(1, 2, 3), (4, 5, 6)], 2)
+        statistics = Statistics(
+            {"R": 2}, attributes={"R": ("A", "B", "C")}, samples={"R": sample}
+        )
+        predicate = eq("A", 1)
+        query = BaseRelation("R").select(predicate)
+        before = scans.value
+        first = statistics.selection(sample, predicate)
+        assert statistics.selection(sample, predicate) is first
+        assert estimate(query, statistics) == estimate(query, statistics)
+        assert scans.value == before + 1
+        # An equal predicate that is another object is another selection, and
+        # other statistics (another plan) share nothing.
+        statistics.selection(sample, eq("A", 1))
+        Statistics(samples={"R": sample}).selection(sample, predicate)
+        assert scans.value == before + 3
 
 
 class TestPlanObject:
