@@ -17,8 +17,9 @@ checks them statically, at plan-construction time:
   rewrite-rule output is checked against the pre-rewrite inferred schema
   (rewrites must be schema-preserving) and every lowered physical plan for
   structural well-formedness (Materialize/Dematerialize pairing, join key
-  compatibility, index applicability, backend-kind consistency).  Enabled
-  by ``REPRO_VERIFY_PLANS=1``; the tier-1 suite turns it on globally.
+  compatibility, index applicability, backend-kind consistency), and every
+  executed operator's output for being a set.  Enabled by
+  ``REPRO_VERIFY_PLANS=1``; the tier-1 suite turns it on globally.
 * :mod:`~repro.analysis.certainty` — an abstract-interpretation pass
   propagating per-attribute certain/maybe-placeholder facts through logical
   trees.  Columnar eligibility is decided by this analysis, and
@@ -44,6 +45,7 @@ from .invariants import (
     verification_enabled,
     verify_physical,
     verify_rewrite,
+    verify_set_output,
 )
 from .schema import (
     AnalysisError,
@@ -72,4 +74,5 @@ __all__ = [
     "verification_enabled",
     "verify_physical",
     "verify_rewrite",
+    "verify_set_output",
 ]

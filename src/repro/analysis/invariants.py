@@ -1,9 +1,9 @@
-"""The plan-invariant verifier: rewrites and lowered plans, checked.
+"""The plan-invariant verifier: rewrites, lowered plans and operator outputs, checked.
 
-Two families of invariants, both enabled by ``REPRO_VERIFY_PLANS=1`` (the
+Three families of invariants, all enabled by ``REPRO_VERIFY_PLANS=1`` (the
 tier-1 suite and the possible-worlds oracle turn the flag on globally, so
-every rewrite-rule application and every lowering in every test is
-checked):
+every rewrite-rule application, every lowering and every executed operator
+in every test is checked):
 
 * **Rewrites are schema-preserving.**  After every successful rule firing
   the planner compares the inferred output attribute list of the tree
@@ -23,6 +23,15 @@ checked):
   the backend that will execute it.  The plan cache re-checks kind
   consistency when serving entries.
 
+* **Operator outputs are sets.**  The row operators build their results
+  with ``Relation.from_tuples(..., distinct=True)`` — a proof by the
+  operator that its output has no duplicates, which nothing re-checks at
+  run time.  With verification on, ``PhysicalPlan.execute`` checks every
+  operator's output as it is produced: a Database handle has as many
+  distinct rows as rows, a UWSDT handle's template has distinct tuple ids
+  (which is also how a batch leaving ``Dematerialize`` is checked to have
+  become a set).  A violation names the operator.
+
 Violations raise :class:`PlanInvariantError`.  Verification is off by
 default in library use (zero overhead beyond one truthiness check); tests
 and the CI suite run with it on.
@@ -34,6 +43,8 @@ import os
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from ..relational.errors import QueryError
+from ..relational.relation import Relation
+from ..core.uwsdt import UWSDT
 from ..core.exec.physical import (
     Dematerialize,
     Difference,
@@ -407,6 +418,34 @@ def verify_physical(
         raise PlanInvariantError(
             "physical plan root produces a batch handle — the final "
             f"Dematerialize boundary is missing\n{plan.explain()}"
+        )
+
+
+# --------------------------------------------------------------------------- #
+# Operator outputs are sets
+# --------------------------------------------------------------------------- #
+
+
+def verify_set_output(label: str, backend: Any, handle: Any) -> None:
+    """Assert the handle an operator just produced denotes a set.
+
+    ``handle`` is a :class:`Relation` on a Database backend, a relation name
+    on a UWSDT backend (checked on its template's tuple ids).  Batches inside
+    a columnar region and WSD handles pass: the first are checked when
+    ``Dematerialize`` turns them into one of the above, the second hold no
+    rows at all.
+    """
+    if isinstance(handle, Relation):
+        total, distinct, what = len(handle), len(handle.row_set()), "rows"
+    elif isinstance(handle, str) and isinstance(backend.engine, UWSDT):
+        template = backend.engine.templates[handle]
+        total, distinct, what = len(template), len({row[0] for row in template}), "tuple ids"
+    else:
+        return
+    if distinct != total:
+        raise PlanInvariantError(
+            f"operator {label} produced a bag, not a set: {total - distinct} "
+            f"duplicate {what} among its {total} output rows"
         )
 
 

@@ -1,12 +1,16 @@
 """Repo-specific Python-AST lint rules (``python -m repro.analysis --lint``).
 
 Generic linters cannot know this codebase's contracts; these rules encode
-the four that have bitten (or nearly bitten) before:
+the ones that have bitten (or nearly bitten) before:
 
 * ``relation-version`` — a function that mutates a ``Relation``'s row
-  storage (``_rows`` / ``_row_set``) must bump ``_version`` on the same
+  storage (``_rows`` / ``_members``) must bump ``_version`` on the same
   path: the statistics catalog and the plan cache both invalidate by
   version polling, so a silent mutation serves stale plans forever.
+* ``relation-storage`` — ``_rows`` and ``_members`` may be read or written
+  in ``relational/relation.py`` only: the row set exists only once something
+  asked for it, so code reaching past ``iter(relation)`` / ``row_set()``
+  would read ``None`` — or, writing, desynchronize the two.
 * ``locked-state`` — methods of ``MetricsRegistry`` / ``StatisticsCatalog``
   / ``PlanCache`` / ``IndexPool`` must touch their private state only under
   ``self._lock`` (these objects are shared across the async service's
@@ -53,7 +57,12 @@ LOCKED_CLASSES = {
     "IndexPool": ("_cache",),
 }
 
-#: Mutating method calls on ``_rows`` / ``_row_set`` that require a bump.
+#: The slots holding a ``Relation``'s rows (the list and its lazily derived
+#: set twin) and the one module allowed to touch them.
+RELATION_STORAGE = ("_rows", "_members")
+RELATION_MODULE = "relational/relation.py"
+
+#: Mutating method calls on the storage slots that require a version bump.
 MUTATING_METHODS = frozenset(
     {"append", "extend", "insert", "remove", "pop", "clear", "add", "discard", "update"}
 )
@@ -172,23 +181,22 @@ def check_relation_version(tree: ast.Module, path: str) -> List[Violation]:
         mutation: Optional[ast.AST] = None
         bumps_version = False
         for node in ast.walk(function):
-            # receiver._rows.append(...) / receiver._row_set.add(...)
+            # receiver._rows.append(...) / receiver._members.add(...)
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in MUTATING_METHODS
                 and isinstance(node.func.value, ast.Attribute)
-                and node.func.value.attr in ("_rows", "_row_set")
+                and node.func.value.attr in RELATION_STORAGE
             ):
                 mutation = mutation or node
-            # receiver._rows = ... (rebinding the storage wholesale)
+            # receiver._rows = ... (rebinding the rows wholesale, as the bulk
+            # constructor does; rebinding only ``_members``, the set derived
+            # from them, changes no content)
             if isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for target in targets:
-                    if isinstance(target, ast.Attribute) and target.attr in (
-                        "_rows",
-                        "_row_set",
-                    ):
+                    if isinstance(target, ast.Attribute) and target.attr == "_rows":
                         mutation = mutation or node
                     if isinstance(target, ast.Attribute) and target.attr == "_version":
                         bumps_version = True
@@ -207,6 +215,41 @@ def check_relation_version(tree: ast.Module, path: str) -> List[Violation]:
                 )
             )
     return violations
+
+
+def _enclosing_symbols(tree: ast.Module) -> Dict[ast.AST, str]:
+    """Each node's innermost enclosing function (absent: module level)."""
+    enclosing: Dict[ast.AST, str] = {}
+    for symbol, function in _functions(tree):  # outer before inner: innermost wins
+        for node in ast.walk(function):
+            enclosing[node] = symbol
+    return enclosing
+
+
+def check_relation_storage(tree: ast.Module, path: str) -> List[Violation]:
+    if path.replace("\\", "/").endswith(RELATION_MODULE):
+        return []
+    accesses = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in RELATION_STORAGE
+    ]
+    if not accesses:
+        return []
+    enclosing = _enclosing_symbols(tree)
+    return [
+        Violation(
+            rule="relation-storage",
+            path=path,
+            line=access.lineno,
+            symbol=enclosing.get(access, "<module>"),
+            message=(
+                f"touches Relation storage slot {access.attr} outside "
+                f"{RELATION_MODULE} — iterate the relation, or ask it for row_set()"
+            ),
+        )
+        for access in accesses
+    ]
 
 
 def check_locked_state(tree: ast.Module, path: str) -> List[Violation]:
@@ -443,10 +486,7 @@ def check_dynamic_code(tree: ast.Module, path: str) -> List[Violation]:
     ]
     if not calls:
         return []
-    enclosing: Dict[ast.AST, str] = {}
-    for symbol, function in _functions(tree):  # outer before inner: innermost wins
-        for node in ast.walk(function):
-            enclosing[node] = symbol
+    enclosing = _enclosing_symbols(tree)
     return [
         Violation(
             rule="dynamic-code",
@@ -464,6 +504,7 @@ def check_dynamic_code(tree: ast.Module, path: str) -> List[Violation]:
 
 RULES = (
     check_relation_version,
+    check_relation_storage,
     check_locked_state,
     check_async_blocking,
     check_watch_release,

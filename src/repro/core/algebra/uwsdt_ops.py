@@ -12,7 +12,11 @@ The split is made on the UWSDT's placeholder index
 tuple id is not indexed is fully certain, so the compiled predicate,
 projection or hash join runs on the raw row exactly as on a one-world
 database; the indexed rows name their placeholder attributes and go through
-their components.
+their components.  Every operator collects the result's template rows in a
+list, in template order, and installs them with one
+:meth:`~repro.core.uwsdt.UWSDT.load_template` — tuple ids are distinct, so the
+rows are a set by construction; a tuple that no local world keeps is left out
+of the list rather than inserted and removed again.
 
 The selection algorithm follows Figure 16: the result template keeps the
 tuples that certainly satisfy the condition or have a placeholder on a
@@ -43,12 +47,11 @@ Row = Tuple[Any, ...]
 # --------------------------------------------------------------------------- #
 
 
-def _add_result_relation(uwsdt: UWSDT, target: str, attributes: Sequence[str]):
-    """Declare result relation ``target`` and return its (empty) template."""
+def _add_result_relation(uwsdt: UWSDT, target: str, attributes: Sequence[str]) -> None:
+    """Declare result relation ``target``; its template is loaded when the rows are known."""
     if uwsdt.schema.has_relation(target):
         raise SchemaError(f"relation {target!r} already exists")
     uwsdt.add_relation(RelationSchema(target, tuple(attributes)))
-    return uwsdt.templates[target]
 
 
 def _copy_placeholder_fields(
@@ -100,11 +103,10 @@ def _tuple_deleted_everywhere(component: Component, relation: str, tuple_id: Any
     return all(any(row[p] is BOTTOM for p in positions) for row in component.rows)
 
 
-def _drop_result_tuple(uwsdt: UWSDT, relation: str, row: Row) -> None:
-    """Remove result row ``row`` from the template and its fields from the components."""
-    uwsdt.templates[relation].remove(row)
-    for attribute in uwsdt.uncertain_tuples(relation).get(row[0], ()):
-        field = FieldRef(relation, row[0], attribute)
+def _drop_result_fields(uwsdt: UWSDT, relation: str, tuple_id: Any) -> None:
+    """Remove the fields of a result tuple that no world keeps from the components."""
+    for attribute in uwsdt.uncertain_tuples(relation).get(tuple_id, ()):
+        field = FieldRef(relation, tuple_id, attribute)
         cid = uwsdt.component_of(field)
         reduced = uwsdt.components[cid].project_away([field])
         if reduced is None:
@@ -118,14 +120,15 @@ def _delete_in_worlds(
 ) -> bool:
     """Delete result tuple ``row`` in the ``failing`` local worlds of component ``cid``.
 
-    Lines 4–6 of Figure 16: returns True iff no local world keeps the tuple,
-    in which case it is dropped from the result again.
+    Lines 4–6 of Figure 16: returns True iff no local world keeps the tuple;
+    its fields are then gone from the components again and the caller leaves
+    the row out of the result template.
     """
     if failing:
         component = _mark_tuple_deleted(uwsdt.components[cid], relation, row[0], failing)
         uwsdt.replace_component(cid, component.propagate_bottom())
     if _tuple_deleted_everywhere(uwsdt.components[cid], relation, row[0]):
-        _drop_result_tuple(uwsdt, relation, row)
+        _drop_result_fields(uwsdt, relation, row[0])
         return True
     return False
 
@@ -170,7 +173,7 @@ def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None
     referenced = predicate.attributes()
     for attribute in referenced:
         source_schema.position(attribute)
-    result = _add_result_relation(uwsdt, target, source_schema.attributes)
+    _add_result_relation(uwsdt, target, source_schema.attributes)
 
     template = uwsdt.templates[source]
     position_of = template.schema.position
@@ -179,22 +182,16 @@ def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None
     satisfied = predicate.compile(template.schema)
     uncertain = uwsdt.uncertain_tuples(source)
 
-    candidates = _equality_candidates(uwsdt, source, predicate)
-    for row in (template if candidates is None else candidates):
-        placeholders = uncertain.get(row[0])
-        if placeholders is None:
-            if satisfied(row):
-                result.insert(row)
-            continue
+    def keeps(row: Row, placeholders: Tuple[str, ...]) -> bool:
+        """Figure 16 for one row with placeholders: is it in the result template?"""
         tuple_id = row[0]
         uncertain_refs = [a for a in referenced if a in placeholders]
         if not uncertain_refs and not satisfied(row):
             # Line 1 of Figure 16: the condition is decided by the template alone.
-            continue
-        result.insert(row)
+            return False
         _copy_placeholder_fields(uwsdt, source, tuple_id, target, tuple_id, placeholders)
         if not uncertain_refs:
-            continue
+            return True
 
         # The condition depends on uncertain fields: keep the tuple and filter
         # its local worlds (lines 2-6 of Figure 16).
@@ -208,7 +205,24 @@ def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None
             values = fill_placeholders(row, slots, local_world)
             if values is not None and not satisfied(values):
                 failing.append(index)
-        _delete_in_worlds(uwsdt, cid, target, row, failing)
+        return not _delete_in_worlds(uwsdt, cid, target, row, failing)
+
+    candidates = _equality_candidates(uwsdt, source, predicate)
+    rows = template if candidates is None else candidates
+    if not uncertain:
+        kept = list(filter(satisfied, rows))
+    else:
+        placeholders_of = uncertain.get
+        kept = [
+            row
+            for row in rows
+            if (
+                satisfied(row)
+                if (placeholders := placeholders_of(row[0])) is None
+                else keeps(row, placeholders)
+            )
+        ]
+    uwsdt.load_template(target, kept, distinct=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -228,17 +242,14 @@ def project(uwsdt: UWSDT, source: str, target: str, attributes: Sequence[str]) -
     source_schema = uwsdt.schema.relation(source)
     for attribute in attributes:
         source_schema.position(attribute)
-    result = _add_result_relation(uwsdt, target, attributes)
+    _add_result_relation(uwsdt, target, attributes)
 
     template = uwsdt.templates[source]
     kept = operator.itemgetter(0, *(template.schema.position(a) for a in attributes))
     uncertain = uwsdt.uncertain_tuples(source)
 
-    for row in template:
-        placeholders = uncertain.get(row[0])
-        if placeholders is None:
-            result.insert(kept(row))
-            continue
+    def projected(row: Row, placeholders: Tuple[str, ...]) -> Row:
+        """The result row of one row with placeholders, its components extended."""
         tuple_id = row[0]
         kept_placeholders = [a for a in attributes if a in placeholders]
 
@@ -253,12 +264,11 @@ def project(uwsdt: UWSDT, source: str, target: str, attributes: Sequence[str]) -
                 presence_fields.append(field)
 
         if kept_placeholders or not presence_fields:
-            result.insert(kept(row))
             _copy_placeholder_fields(
                 uwsdt, source, tuple_id, target, tuple_id, kept_placeholders
             )
             if not presence_fields:
-                continue
+                return kept(row)
             target_fields = [FieldRef(target, tuple_id, a) for a in kept_placeholders]
             cid = uwsdt.merge_components(
                 [uwsdt.component_of(f) for f in target_fields + presence_fields]
@@ -273,12 +283,11 @@ def project(uwsdt: UWSDT, source: str, target: str, attributes: Sequence[str]) -
             if absent_rows:
                 component = _mark_tuple_deleted(component, target, tuple_id, absent_rows)
                 uwsdt.replace_component(cid, component.propagate_bottom())
-            continue
+            return kept(row)
 
         # All kept attributes are certain: turn the first kept attribute into a
         # placeholder that encodes tuple presence.
         kept_row = kept(row)
-        result.insert((tuple_id, PLACEHOLDER) + kept_row[2:])
         cid = uwsdt.merge_components([uwsdt.component_of(f) for f in presence_fields])
         component = uwsdt.components[cid]
         presence_positions = [component.position(f) for f in presence_fields]
@@ -294,6 +303,19 @@ def project(uwsdt: UWSDT, source: str, target: str, attributes: Sequence[str]) -
                 component.probabilities,
             ),
         )
+        return (tuple_id, PLACEHOLDER) + kept_row[2:]
+
+    if not uncertain:
+        result = list(map(kept, template))
+    else:
+        placeholders_of = uncertain.get
+        result = [
+            kept(row)
+            if (placeholders := placeholders_of(row[0])) is None
+            else projected(row, placeholders)
+            for row in template
+        ]
+    uwsdt.load_template(target, result, distinct=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -304,9 +326,8 @@ def project(uwsdt: UWSDT, source: str, target: str, attributes: Sequence[str]) -
 def rename(uwsdt: UWSDT, source: str, target: str, old: str, new: str) -> None:
     """Renaming ``P := δ_{A→A'}(R)`` on a UWSDT."""
     renamed_schema = uwsdt.schema.relation(source).rename_attribute(old, new, target)
-    result = _add_result_relation(uwsdt, target, renamed_schema.attributes)
-    for row in uwsdt.templates[source]:
-        result.insert(row)
+    _add_result_relation(uwsdt, target, renamed_schema.attributes)
+    uwsdt.load_template(target, list(uwsdt.templates[source]), distinct=True)
     for tuple_id, placeholders in uwsdt.uncertain_tuples(source).items():
         for attribute in placeholders:
             uwsdt.copy_field(
@@ -320,42 +341,50 @@ def union(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
     left_schema = uwsdt.schema.relation(left)
     if left_schema.attributes != uwsdt.schema.relation(right).attributes:
         raise SchemaError("union requires identical attribute lists")
-    result = _add_result_relation(uwsdt, target, left_schema.attributes)
+    _add_result_relation(uwsdt, target, left_schema.attributes)
+    rows = [((side, row[0]), *row[1:]) for side in (left, right) for row in uwsdt.templates[side]]
+    # The side-tagged tuple ids are distinct unless a relation meets itself.
+    uwsdt.load_template(target, rows, distinct=left != right)
     for side in (left, right):
-        for row in uwsdt.templates[side]:
-            result.insert(((side, row[0]),) + row[1:])
         for tuple_id, placeholders in uwsdt.uncertain_tuples(side).items():
             _copy_placeholder_fields(
                 uwsdt, side, tuple_id, target, (side, tuple_id), placeholders
             )
 
 
-def _pair_emitter(uwsdt: UWSDT, left: str, right: str, target: str):
-    """``emit(left_row, right_row)``: add the rows' concatenation to ``target``, return it."""
-    result = uwsdt.templates[target]
-    sides = ((left, uwsdt.uncertain_tuples(left)), (right, uwsdt.uncertain_tuples(right)))
+def _pair_builder(uwsdt: UWSDT, left: str, right: str, target: str):
+    """``pair(left_row, right_row)``: the rows' concatenation as a row of ``target``,
+    the placeholder fields of either side copied under its tuple id."""
+    uncertain_left = uwsdt.uncertain_tuples(left)
+    uncertain_right = uwsdt.uncertain_tuples(right)
 
-    def emit(left_row: Row, right_row: Row) -> Row:
-        target_tid = (left_row[0], right_row[0])
-        row = (target_tid,) + left_row[1:] + right_row[1:]
-        result.insert(row)
-        for (side, uncertain), tuple_id in zip(sides, target_tid):
-            placeholders = uncertain.get(tuple_id)
-            if placeholders is not None:
-                _copy_placeholder_fields(uwsdt, side, tuple_id, target, target_tid, placeholders)
-        return row
+    def pair(left_row: Row, right_row: Row) -> Row:
+        left_tid, right_tid = left_row[0], right_row[0]
+        target_tid = (left_tid, right_tid)
+        if left_tid in uncertain_left:
+            _copy_placeholder_fields(
+                uwsdt, left, left_tid, target, target_tid, uncertain_left[left_tid]
+            )
+        if right_tid in uncertain_right:
+            _copy_placeholder_fields(
+                uwsdt, right, right_tid, target, target_tid, uncertain_right[right_tid]
+            )
+        return (target_tid, *left_row[1:], *right_row[1:])
 
-    return emit
+    return pair
 
 
 def product(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
     """Product ``T := R × S`` on a UWSDT (attribute sets must be disjoint)."""
     target_schema = uwsdt.schema.relation(left).concat(uwsdt.schema.relation(right), target)
     _add_result_relation(uwsdt, target, target_schema.attributes)
-    emit = _pair_emitter(uwsdt, left, right, target)
-    for left_row in uwsdt.templates[left]:
-        for right_row in uwsdt.templates[right]:
-            emit(left_row, right_row)
+    pair = _pair_builder(uwsdt, left, right, target)
+    rows = [
+        pair(left_row, right_row)
+        for left_row in uwsdt.templates[left]
+        for right_row in uwsdt.templates[right]
+    ]
+    uwsdt.load_template(target, rows, distinct=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -397,7 +426,8 @@ def equi_join(
     left_position = left_schema.position(left_attr) + 1
     right_position = right_schema.position(right_attr) + 1
     target_position = uwsdt.templates[target].schema.position
-    emit = _pair_emitter(uwsdt, left, right, target)
+    pair = _pair_builder(uwsdt, left, right, target)
+    rows: List[Row] = []
 
     def candidates(relation: str, tuple_id: Any, attribute: str) -> Set[Any]:
         field = FieldRef(relation, tuple_id, attribute)
@@ -432,7 +462,7 @@ def equi_join(
 
     def emit_conditioned(left_row: Row, right_row: Row) -> None:
         """Emit a pair whose presence depends on the join values agreeing."""
-        row = emit(left_row, right_row)
+        row = pair(left_row, right_row)
         join_values = (
             (left_attr, left_row[left_position]),
             (right_attr, right_row[right_position]),
@@ -447,13 +477,14 @@ def equi_join(
             values = fill_placeholders(row, slots, local_world)
             if values is not None and values[left_value] != values[right_value]:
                 failing.append(index)
-        _delete_in_worlds(uwsdt, cid, target, row, failing)
+        if not _delete_in_worlds(uwsdt, cid, target, row, failing):
+            rows.append(row)
 
     for left_row in uwsdt.templates[left]:
         left_join_value = left_row[left_position]
         if left_join_value is not PLACEHOLDER:
             for right_row in probe_certain(left_join_value):
-                emit(left_row, right_row)
+                rows.append(pair(left_row, right_row))
             for right_row, right_candidates in uncertain_right:
                 if left_join_value in right_candidates:
                     emit_conditioned(left_row, right_row)
@@ -469,6 +500,7 @@ def equi_join(
             for right_row, right_candidates in uncertain_right:
                 if left_candidates & right_candidates:
                     emit_conditioned(left_row, right_row)
+    uwsdt.load_template(target, rows, distinct=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -496,9 +528,10 @@ def difference(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
     left_schema = uwsdt.schema.relation(left)
     if left_schema.attributes != uwsdt.schema.relation(right).attributes:
         raise SchemaError("difference requires identical attribute lists")
-    result = _add_result_relation(uwsdt, target, left_schema.attributes)
-    position_of = result.schema.position
+    _add_result_relation(uwsdt, target, left_schema.attributes)
+    position_of = uwsdt.templates[target].schema.position
     attributes = left_schema.attributes
+    rows: List[Row] = []
 
     uncertain_left = uwsdt.uncertain_tuples(left)
     uncertain_right = uwsdt.uncertain_tuples(right)
@@ -523,13 +556,11 @@ def difference(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
             # (the "exists column" device) on the first attribute.
             left_placeholders = attributes[:1]
             target_row = (left_tid, PLACEHOLDER) + left_row[2:]
-            result.insert(target_row)
             uwsdt.new_component(
                 Component((FieldRef(target, left_tid, attributes[0]),), [(left_row[1],)], [1.0])
             )
         else:
             target_row = left_row
-            result.insert(target_row)
             _copy_placeholder_fields(uwsdt, left, left_tid, target, left_tid, left_placeholders)
 
         target_fields = [FieldRef(target, left_tid, a) for a in left_placeholders]
@@ -550,4 +581,7 @@ def difference(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
                 if right_values is not None and left_values[1:] == right_values[1:]:
                     failing.append(index)
             if _delete_in_worlds(uwsdt, cid, target, target_row, failing):
-                break
+                break  # no world keeps the tuple: it stays out of the result
+        else:
+            rows.append(target_row)
+    uwsdt.load_template(target, rows, distinct=True)

@@ -152,12 +152,9 @@ class DatabaseBackend(EngineBackend):
         inner = self.engine.relation(inner_name)
         index = self.pool.hash_index(inner, (inner_attr,))
         schema = outer.schema.concat(inner.schema, None)
-        result = Relation(schema)
         position = outer.schema.position(outer_attr)
-        for row in outer:
-            for inner_row in index.lookup(row[position]):
-                result.insert(row + inner_row)
-        return result
+        rows = [row + inner_row for row in outer for inner_row in index.lookup(row[position])]
+        return Relation.from_tuples(schema, rows, distinct=True)
 
     # -- introspection ----------------------------------------------------- #
 

@@ -408,16 +408,14 @@ class ColumnarBackend(EngineBackend):
             )
         if isinstance(self.inner, DatabaseBackend):
             name = result_name if result_name is not None else "__columnar"
-            relation = Relation(RelationSchema(name, handle.attributes))
-            for row in handle.to_rows():
-                relation.insert(row)  # insert-time dedup: a caller-built batch may be a bag
-            return relation
+            # No ``distinct`` claim: a caller-built batch may be a bag.
+            return Relation.from_tuples(RelationSchema(name, handle.attributes), handle.to_rows())
         target = self.inner.target(result_name)
         self.engine.add_relation(RelationSchema(target, handle.attributes))
         # Certain duplicates denote the same tuple: set semantics.
         distinct = _distinct(handle)
-        for tid, values in zip(distinct.row_ids, distinct.to_rows()):
-            self.engine.add_template_tuple(target, tid, values)
+        rows = list(zip(distinct.row_ids, *distinct.columns))
+        self.engine.load_template(target, rows, distinct=True)
         return target
 
     def _row_handle(self, handle):

@@ -19,13 +19,17 @@ next to the chosen operators.
 from __future__ import annotations
 
 import time
-from typing import Any, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from ...obs.metrics import LATENCY_BUCKETS, QERROR_BUCKETS, get_registry
 from ...obs.trace import get_tracer
 from ...relational.errors import QueryError
 from ...relational.predicates import Predicate
 from .metrics import ExecutionMetrics, OperatorMetrics
+
+#: ``check(operator label, backend, handle)`` applied to every operator's
+#: output while plan verification is on (None otherwise).
+OutputCheck = Optional[Callable[[str, Any, Any], None]]
 
 
 class PhysicalOperator:
@@ -376,20 +380,26 @@ class PhysicalPlan:
                 f"plan lowered for the {self.engine!r} engine cannot run on "
                 f"a {backend.kind!r} backend"
             )
+        from ...analysis import invariants  # imports this module
+
+        # Read once per execution: off costs nothing per operator.
+        check = invariants.verify_set_output if invariants.verification_enabled() else None
         backend.begin(result_name)
-        handle = self._execute(self.root, backend, result_name)
+        handle = self._execute(self.root, backend, result_name, check)
         return backend.finish(handle, result_name)
 
-    def _execute(self, node: PhysicalOperator, backend: Any, result_name: Optional[str]) -> Any:
+    def _execute(
+        self, node: PhysicalOperator, backend: Any, result_name: Optional[str], check: OutputCheck
+    ) -> Any:
         tracer = get_tracer()
         if not tracer.enabled:
             # Strict fast path: one attribute check, no span objects.
-            return self._execute_node(node, backend, result_name)
+            return self._execute_node(node, backend, result_name, check)
         # The span covers the whole subtree (children nest inside it), so
         # its duration is *cumulative* time; ``OperatorMetrics.seconds``
         # stays the operator's own self time.
         with tracer.span(f"execute-operator:{node.op_name}", label=node.label()) as span:
-            handle = self._execute_node(node, backend, result_name)
+            handle = self._execute_node(node, backend, result_name, check)
             if node.metrics is not None:
                 span.annotate(
                     rows_out=node.metrics.rows_out,
@@ -398,11 +408,13 @@ class PhysicalPlan:
                 )
         return handle
 
-    def _execute_node(self, node: PhysicalOperator, backend: Any, result_name: Optional[str]) -> Any:
+    def _execute_node(
+        self, node: PhysicalOperator, backend: Any, result_name: Optional[str], check: OutputCheck
+    ) -> Any:
         if isinstance(node, IndexNestedLoopJoin):
             # The inner Scan is never executed: the backend probes the
             # engine's cached index over the stored relation directly.
-            outer = self._execute(node.outer, backend, None)
+            outer = self._execute(node.outer, backend, None, check)
             rows_in = (backend.row_count(outer), backend.base_rows(node.inner.relation))
             arity_in = (backend.arity(outer), backend.base_arity(node.inner.relation))
             start = time.perf_counter()
@@ -410,7 +422,7 @@ class PhysicalPlan:
                 outer, node.inner.relation, node.left_attr, node.right_attr, result_name
             )
             seconds = time.perf_counter() - start
-            self._record(node, backend, handle, rows_in, arity_in, seconds)
+            self._record(node, backend, handle, rows_in, arity_in, seconds, check)
             return handle
 
         if isinstance(node, Gather):
@@ -431,10 +443,11 @@ class PhysicalPlan:
                 (shipped,),
                 (backend.arity(handle),),
                 seconds,
+                check,
             )
             return handle
 
-        handles = [self._execute(child, backend, None) for child in node.children]
+        handles = [self._execute(child, backend, None, check) for child in node.children]
         rows_in = tuple(backend.row_count(handle) for handle in handles)
         arity_in = tuple(backend.arity(handle) for handle in handles)
         start = time.perf_counter()
@@ -470,7 +483,7 @@ class PhysicalPlan:
         if isinstance(node, (Scan, IndexScan)):
             rows_in = (backend.base_rows(node.relation),)
             arity_in = (backend.base_arity(node.relation),)
-        self._record(node, backend, handle, rows_in, arity_in, seconds)
+        self._record(node, backend, handle, rows_in, arity_in, seconds, check)
         return handle
 
     def _record(
@@ -481,7 +494,10 @@ class PhysicalPlan:
         rows_in: Tuple[int, ...],
         arity_in: Tuple[int, ...],
         seconds: float,
+        check: OutputCheck,
     ) -> None:
+        if check is not None:  # every executed operator's output passes through here
+            check(node.label(), backend, handle)
         node.metrics = OperatorMetrics(
             operator=node.op_name,
             label=node.label(),

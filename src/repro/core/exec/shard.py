@@ -250,8 +250,8 @@ def _build_uwsdt_shard(
     for name in sorted(reserved):
         shard.add_relation(RelationSchema(name, engine.schema.relation(name).attributes))
     for relation, rows in spec.rows.items():
-        for tid, values in rows:
-            shard.add_template_tuple(relation, tid, values)
+        # A slice of the parent's template: a set because that one is.
+        shard.load_template(relation, [(tid, *values) for tid, values in rows], distinct=True)
     for cid in spec.cids:
         shard.new_component(engine.components[cid])
     return shard
@@ -260,16 +260,16 @@ def _build_uwsdt_shard(
 def _build_database_shards(
     engine: Database, scanned: Sequence[str], shards: int
 ) -> List[Database]:
-    specs = []
-    for _ in range(shards):
-        database = Database()
-        for relation in scanned:
-            database.add(Relation(engine.relation(relation).schema))
-        specs.append(database)
-    for relation in scanned:
-        for row in engine.relation(relation).rows:
-            specs[_stable_hash(row) % shards].relation(relation).insert(row)
-    return specs
+    databases = [Database() for _ in range(shards)]
+    for name in scanned:
+        relation = engine.relation(name)
+        parts: List[List[Tuple[Any, ...]]] = [[] for _ in range(shards)]
+        for row in relation:
+            parts[_stable_hash(row) % shards].append(row)
+        for database, part in zip(databases, parts):
+            # A slice of a stored relation: a set because that one is.
+            database.add(Relation.from_tuples(relation.schema, part, distinct=True))
+    return databases
 
 
 # --------------------------------------------------------------------------- #
@@ -507,9 +507,9 @@ class ShardedBackend(EngineBackend):
         engine: UWSDT = self.engine
         target = self.inner.target(result_name)
         engine.add_relation(RelationSchema(target, results[0].attributes))
-        for result in results:
-            for tid, values in result.rows:
-                engine.add_template_tuple(target, tid, values)
+        engine.load_template(
+            target, [(tid, *values) for result in results for tid, values in result.rows]
+        )
         # Replace the shipped components with their evolved versions: the
         # originals first (their fields must unmap before the evolved
         # components — which extend them with result fields — remap them).
@@ -531,11 +531,9 @@ class ShardedBackend(EngineBackend):
         self, results: Sequence[ShardResult], result_name: Optional[str]
     ) -> Relation:
         name = result_name if result_name is not None else "__gather"
-        relation = Relation(RelationSchema(name, results[0].attributes))
-        for result in results:
-            for row in result.rows:
-                relation.insert(row)  # insert-time dedup restores set semantics
-        return relation
+        rows = [row for result in results for row in result.rows]
+        # No ``distinct`` claim: two shards may return the same (projected) row.
+        return Relation.from_tuples(RelationSchema(name, results[0].attributes), rows)
 
     # -- metrics attribution ----------------------------------------------- #
 

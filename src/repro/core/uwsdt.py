@@ -30,12 +30,12 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..relational.database import Database
-from ..relational.errors import RepresentationError
+from ..relational.errors import ArityError, RepresentationError
 from ..relational.indexes import HashIndex, IndexPool
-from ..relational.relation import Relation
+from ..relational.relation import Relation, Row
 from ..relational.schema import DatabaseSchema, RelationSchema
 from ..relational.values import BOTTOM, PLACEHOLDER, is_placeholder
-from ..worlds.orset import OrSetRelation, is_or_set
+from ..worlds.orset import OrSet, OrSetRelation
 from ..worlds.worldset import WorldSet
 from .component import Component
 from .fields import FieldRef
@@ -95,6 +95,26 @@ class UWSDT:
                 f"expected {relation_schema.arity}"
             )
         self.templates[relation_name].insert((tuple_id,) + tuple(values))
+
+    def load_template(
+        self, relation_name: str, rows: List[Row], distinct: bool = False
+    ) -> None:
+        """Replace a template's rows by ``rows``, built in one step.
+
+        ``rows`` are raw template rows — the tuple id, then the values (which
+        may include ``PLACEHOLDER``) — and are handed over as
+        :meth:`Relation.from_tuples <repro.relational.relation.Relation.from_tuples>`
+        takes them: the list is adopted, and ``distinct=True`` is the
+        caller's proof that they are a set (distinct tuple ids).  This is how
+        the loaders and every operator fill the relation they just declared.
+        """
+        schema = self.templates[relation_name].schema
+        try:
+            self.templates[relation_name] = Relation.from_tuples(schema, rows, distinct)
+        except ArityError as error:
+            raise RepresentationError(
+                f"malformed template tuple for {relation_name!r}: {error}"
+            ) from error
 
     def relation_placeholder_count(self, relation_name: str) -> int:
         """Number of ``?`` fields of one relation (its slice of ``F``).
@@ -330,8 +350,8 @@ class UWSDT:
     def from_relation(cls, relation: Relation, probabilistic: bool = True) -> "UWSDT":
         """A UWSDT of a fully certain relation (no placeholders at all)."""
         result = cls(DatabaseSchema([relation.schema]))
-        for index, row in enumerate(relation, start=1):
-            result.add_template_tuple(relation.schema.name, index, row)
+        rows = [(index, *row) for index, row in enumerate(relation, start=1)]
+        result.load_template(relation.schema.name, rows, distinct=True)
         return result
 
     @classmethod
@@ -356,26 +376,32 @@ class UWSDT:
         """
         result = cls(DatabaseSchema([orset.schema for orset in orsets]))
         for orset in orsets:
+            name, attributes = orset.schema.name, orset.schema.attributes
+            template: List[Row] = []
             for index, row in enumerate(orset.rows, start=1):
-                template_values: List[Any] = []
-                for attribute, value in zip(orset.schema.attributes, row):
-                    if is_or_set(value):
-                        template_values.append(PLACEHOLDER)
-                    else:
+                # One test per row, on its handful of classes: a row without
+                # an or-set (the overwhelming majority) is adopted as it is.
+                if not any(issubclass(cls_, OrSet) for cls_ in set(map(type, row))):
+                    template.append((index, *row))
+                    continue
+                template_values: List[Any] = [index]
+                for attribute, value in zip(attributes, row):
+                    if not isinstance(value, OrSet):
                         template_values.append(value)
-                result.add_template_tuple(orset.schema.name, index, template_values)
-                for attribute, value in zip(orset.schema.attributes, row):
-                    if is_or_set(value):
-                        field = FieldRef(orset.schema.name, index, attribute)
-                        if value.probabilities is not None:
-                            component = Component(
-                                (field,), [(v,) for v in value.values], list(value.probabilities)
-                            )
-                        elif probabilistic:
-                            component = Component.uniform(field, value.values)
-                        else:
-                            component = Component((field,), [(v,) for v in value.values], None)
-                        result.new_component(component)
+                        continue
+                    template_values.append(PLACEHOLDER)
+                    field = FieldRef(name, index, attribute)
+                    if value.probabilities is not None:
+                        component = Component(
+                            (field,), [(v,) for v in value.values], list(value.probabilities)
+                        )
+                    elif probabilistic:
+                        component = Component.uniform(field, value.values)
+                    else:
+                        component = Component((field,), [(v,) for v in value.values], None)
+                    result.new_component(component)
+                template.append(tuple(template_values))
+            result.load_template(name, template, distinct=True)
         return result
 
     def to_wsdt(self) -> WSDT:
@@ -513,12 +539,11 @@ class UWSDT:
         """
         database = Database()
         for relation_schema in self.schema:
-            relation = Relation(relation_schema)
             uncertain = self.uncertain_tuples(relation_schema.name)
-            for row in self.templates[relation_schema.name]:
-                if row[0] not in uncertain:
-                    relation.insert(row[1:])
-            database.add(relation)
+            rows = [
+                row[1:] for row in self.templates[relation_schema.name] if row[0] not in uncertain
+            ]
+            database.add(Relation.from_tuples(relation_schema, rows))
         return database
 
     def __repr__(self) -> str:

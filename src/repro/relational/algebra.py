@@ -14,13 +14,21 @@ used in three places:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
+from collections import Counter, defaultdict
+from itertools import filterfalse
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
 from .errors import SchemaError
 from .indexes import HashIndex
 from .predicates import AttrConst, Predicate
-from .relation import Relation, require_same_attributes
+from .relation import Relation, Row, project_rows, require_same_attributes
 from .schema import RelationSchema
+
+# Every operator collects its result rows in a list and builds the relation
+# with one ``Relation.from_tuples``.  ``distinct=True`` is passed exactly where
+# the output is a set whenever the inputs are — a subset of one input (σ, −,
+# ∩, ρ) or the concatenation of one row from each (×, ⋈); π and ∪ can create
+# duplicates and leave the pass on.
 
 
 def select(
@@ -35,7 +43,7 @@ def select(
     attribute is supplied and the predicate is an equality ``A = c``, the
     index is probed instead of scanning the relation.
     """
-    result = Relation(relation.schema.renamed(name or relation.schema.name))
+    schema = relation.schema.renamed(name or relation.schema.name)
     if (
         index is not None
         and isinstance(predicate, AttrConst)
@@ -43,76 +51,54 @@ def select(
         and index.attributes == (predicate.attribute,)
         and index.relation is relation
     ):
-        for row in index.lookup(predicate.constant):
-            result.insert(row)
-        return result
+        # ``lookup`` returns a fresh copy of the bucket: adopted as is.
+        return Relation.from_tuples(schema, index.lookup(predicate.constant), distinct=True)
     check = predicate.compile(relation.schema)
-    for row in relation:
-        if check(row):
-            result.insert(row)
-    return result
+    return Relation.from_tuples(schema, list(filter(check, relation)), distinct=True)
 
 
 def project(relation: Relation, attributes: Sequence[str], name: Optional[str] = None) -> Relation:
     """Projection ``π_U(R)`` with set semantics (duplicates removed)."""
     schema = relation.schema.project(attributes, name or relation.schema.name)
     positions = relation.schema.positions(attributes)
-    result = Relation(schema)
-    for row in relation:
-        result.insert(tuple(row[p] for p in positions))
-    return result
+    return Relation.from_tuples(schema, list(project_rows(relation, positions)))
 
 
 def product(left: Relation, right: Relation, name: Optional[str] = None) -> Relation:
     """Cartesian product ``R × S``; attribute sets must be disjoint."""
     schema = left.schema.concat(right.schema, name)
-    result = Relation(schema)
-    for lrow in left:
-        for rrow in right:
-            result.insert(lrow + rrow)
-    return result
+    rows = [lrow + rrow for lrow in left for rrow in right]
+    return Relation.from_tuples(schema, rows, distinct=True)
 
 
 def union(left: Relation, right: Relation, name: Optional[str] = None) -> Relation:
     """Union ``R ∪ S`` of union-compatible relations."""
     require_same_attributes(left, right, "union")
-    result = Relation(left.schema.renamed(name or left.schema.name))
-    for row in left:
-        result.insert(row)
-    for row in right:
-        result.insert(row)
-    return result
+    schema = left.schema.renamed(name or left.schema.name)
+    return Relation.from_tuples(schema, [*left, *right])
 
 
 def difference(left: Relation, right: Relation, name: Optional[str] = None) -> Relation:
     """Difference ``R − S`` of union-compatible relations."""
     require_same_attributes(left, right, "difference")
-    result = Relation(left.schema.renamed(name or left.schema.name))
-    right_rows = right.row_set()
-    for row in left:
-        if row not in right_rows:
-            result.insert(row)
-    return result
+    schema = left.schema.renamed(name or left.schema.name)
+    rows = list(filterfalse(right.row_set().__contains__, left))
+    return Relation.from_tuples(schema, rows, distinct=True)
 
 
 def intersection(left: Relation, right: Relation, name: Optional[str] = None) -> Relation:
     """Intersection ``R ∩ S`` (derived operator)."""
     require_same_attributes(left, right, "intersection")
-    result = Relation(left.schema.renamed(name or left.schema.name))
-    right_rows = right.row_set()
-    for row in left:
-        if row in right_rows:
-            result.insert(row)
-    return result
+    schema = left.schema.renamed(name or left.schema.name)
+    rows = list(filter(right.row_set().__contains__, left))
+    return Relation.from_tuples(schema, rows, distinct=True)
 
 
 def rename(relation: Relation, old: str, new: str, name: Optional[str] = None) -> Relation:
     """Attribute renaming ``δ_{A→A'}(R)``."""
     schema = relation.schema.rename_attribute(old, new, name or relation.schema.name)
-    result = Relation(schema)
-    for row in relation:
-        result.insert(row)
-    return result
+    # A copy of the list: two relations never share one list object.
+    return Relation.from_tuples(schema, list(relation), distinct=True)
 
 
 def rename_relation(relation: Relation, name: str) -> Relation:
@@ -132,25 +118,18 @@ def natural_join(left: Relation, right: Relation, name: Optional[str] = None) ->
         name or f"{left.schema.name}_join_{right.schema.name}",
         tuple(left.schema.attributes) + tuple(right_only),
     )
-    result = Relation(schema)
-    if not shared:
-        for lrow in left:
-            for rrow in right:
-                result.insert(lrow + rrow)
-        return result
-
-    left_positions = left.schema.positions(shared)
-    right_positions = right.schema.positions(shared)
-    right_only_positions = right.schema.positions(right_only)
-    index: Dict[Tuple[Any, ...], list] = {}
-    for rrow in right:
-        key = tuple(rrow[p] for p in right_positions)
-        index.setdefault(key, []).append(rrow)
-    for lrow in left:
-        key = tuple(lrow[p] for p in left_positions)
-        for rrow in index.get(key, ()):
-            result.insert(lrow + tuple(rrow[p] for p in right_only_positions))
-    return result
+    # Right rows agreeing on the shared attributes differ on the others, so
+    # the output is a set whenever both inputs are.
+    index: Dict[Row, list] = defaultdict(list)
+    right_only_rows = project_rows(right, right.schema.positions(right_only))
+    for key, rest in zip(project_rows(right, right.schema.positions(shared)), right_only_rows):
+        index[key].append(rest)
+    rows = [
+        lrow + rest
+        for lrow, key in zip(left, project_rows(left, left.schema.positions(shared)))
+        for rest in index.get(key, ())
+    ]
+    return Relation.from_tuples(schema, rows, distinct=True)
 
 
 def equi_join(
@@ -165,32 +144,23 @@ def equi_join(
     Attribute sets must be disjoint (use :func:`rename` first otherwise).
     """
     schema = left.schema.concat(right.schema, name)
-    result = Relation(schema)
     left_pos = left.schema.position(left_attr)
     right_pos = right.schema.position(right_attr)
-    index: Dict[Any, list] = {}
+    index: Dict[Any, list] = defaultdict(list)
     for rrow in right:
-        index.setdefault(rrow[right_pos], []).append(rrow)
-    for lrow in left:
-        for rrow in index.get(lrow[left_pos], ()):
-            result.insert(lrow + rrow)
-    return result
+        index[rrow[right_pos]].append(rrow)
+    rows = [lrow + rrow for lrow in left for rrow in index.get(lrow[left_pos], ())]
+    return Relation.from_tuples(schema, rows, distinct=True)
 
 
 def group_count(relation: Relation, attributes: Sequence[str], count_as: str = "count") -> Relation:
     """Group by ``attributes`` and count rows per group (used by the bench harness)."""
     if count_as in attributes:
         raise SchemaError(f"count column {count_as!r} clashes with a grouping attribute")
-    positions = relation.schema.positions(attributes)
-    counts: Dict[Tuple[Any, ...], int] = {}
-    for row in relation:
-        key = tuple(row[p] for p in positions)
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter(project_rows(relation, relation.schema.positions(attributes)))
     schema = RelationSchema(relation.schema.name, tuple(attributes) + (count_as,))
-    result = Relation(schema)
-    for key, count in counts.items():
-        result.insert(key + (count,))
-    return result
+    rows = [key + (count,) for key, count in counts.items()]
+    return Relation.from_tuples(schema, rows, distinct=True)
 
 
 def aggregate(

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import bisect
 import threading
+from collections import defaultdict
 from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
-from .relation import Relation, Row
+from .relation import Relation, Row, project_rows
 
 
 class HashIndex:
@@ -31,9 +32,10 @@ class HashIndex:
         self.relation = relation
         self.attributes = tuple(attributes)
         self._positions = relation.schema.positions(self.attributes)
-        self._buckets: Dict[Tuple[Any, ...], List[Row]] = {}
-        for row in relation:
-            self.add(row)
+        buckets: Dict[Tuple[Any, ...], List[Row]] = defaultdict(list)
+        for key, row in zip(project_rows(relation, self._positions), relation):
+            buckets[key].append(row)
+        self._buckets = dict(buckets)
 
     def _key(self, row: Row) -> Tuple[Any, ...]:
         return tuple(row[p] for p in self._positions)
@@ -186,7 +188,7 @@ class IndexPool:
 class SortedIndex:
     """Sorted single-attribute index supporting range lookups."""
 
-    __slots__ = ("relation", "attribute", "_position", "_keys", "_rows")
+    __slots__ = ("relation", "attribute", "_position", "_keys", "_sorted_rows")
 
     def __init__(self, relation: Relation, attribute: str) -> None:
         self.relation = relation
@@ -197,7 +199,7 @@ class SortedIndex:
             key=lambda pair: pair[0],
         )
         self._keys = [key for key, _ in pairs]
-        self._rows = [row for _, row in pairs]
+        self._sorted_rows = [row for _, row in pairs]
 
     def range(
         self,
@@ -223,7 +225,7 @@ class SortedIndex:
             stop = bisect.bisect_right(self._keys, high)
         else:
             stop = bisect.bisect_left(self._keys, high)
-        return self._rows[start:stop]
+        return self._sorted_rows[start:stop]
 
     def equal(self, key: Any) -> List[Row]:
         """Return rows whose key equals ``key``."""
@@ -238,4 +240,4 @@ class SortedIndex:
         return self._keys[-1] if self._keys else None
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._sorted_rows)

@@ -7,11 +7,19 @@ follow the schema's attribute order; named access goes through the schema.
 Relations follow set semantics (as in the paper): inserting a duplicate row
 is a no-op.  Iteration order is insertion order, which keeps query results
 deterministic and makes golden tests stable.
+
+Two ways in: :meth:`Relation.insert` (and the constructor) coerce and check
+one row at a time — the user-facing mutation API — while
+:meth:`Relation.from_tuples` adopts a whole list of tuples in one step, which
+is how every operator builds its result.  The hash set behind membership
+tests is derived from the row list on first need: a result that is only ever
+iterated never hashes its rows.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ArityError, SchemaError
@@ -33,12 +41,14 @@ class Relation:
         schema order) or a mapping from attribute name to value.
     """
 
-    __slots__ = ("schema", "_rows", "_row_set", "_version", "_watchers")
+    __slots__ = ("schema", "_rows", "_members", "_version", "_watchers")
 
     def __init__(self, schema: RelationSchema, rows: Iterable[Any] = ()) -> None:
         self.schema = schema
         self._rows: List[Row] = []
-        self._row_set: set = set()
+        #: The set twin of ``_rows``; None until something needs membership
+        #: (:meth:`_member_set`), in step with ``_rows`` from then on.
+        self._members: Optional[set] = set()
         self._version = 0
         self._watchers: List[Any] = []
         for row in rows:
@@ -47,6 +57,45 @@ class Relation:
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
+
+    @classmethod
+    def from_tuples(
+        cls, schema: RelationSchema, rows: Iterable[Row], distinct: bool = False
+    ) -> "Relation":
+        """Build a relation from a list of tuples in one step.
+
+        A list is adopted, not copied: the caller hands it over and must not
+        touch it again.  Every row must be a plain ``tuple`` of the schema's
+        arity (:class:`ArityError` otherwise — nothing is coerced here).
+        Duplicates are dropped, first occurrence first, exactly as inserting
+        the rows one by one would; ``distinct=True`` skips that pass and is
+        the caller's *proof* that the rows are already a set (a subset or a
+        concatenation of sets), not a setting.  ``version`` is the row count,
+        what the per-row inserts would have left.
+        """
+        if type(rows) is not list:
+            rows = list(rows)
+        if not (set(map(type, rows)) <= {tuple} and set(map(len, rows)) <= {schema.arity}):
+            for row in rows:
+                if type(row) is not tuple:
+                    raise ArityError(
+                        f"bulk row {row!r} for relation {schema.name!r} is a "
+                        f"{type(row).__name__}, not a tuple"
+                    )
+                if len(row) != schema.arity:
+                    raise ArityError(
+                        f"row {row!r} has arity {len(row)}, "
+                        f"expected {schema.arity} for relation {schema.name!r}"
+                    )
+        if not distinct:
+            unique = dict.fromkeys(rows)
+            if len(unique) != len(rows):
+                rows = list(unique)
+        relation = cls(schema)
+        relation._rows = rows
+        relation._members = None
+        relation._version = len(rows)
+        return relation
 
     @classmethod
     def from_dicts(
@@ -88,12 +137,25 @@ class Relation:
             )
         return values
 
+    def _member_set(self) -> set:
+        """The rows as a hash set, derived from the row list on first need.
+
+        Two sessions racing the first read each build the same set; one wins.
+        """
+        members = self._members
+        if members is None:
+            members = self._members = set(self._rows)
+        return members
+
     def insert(self, row: Any) -> bool:
         """Insert a row; return True if it was new, False if a duplicate."""
         values = self._coerce(row)
-        if values in self._row_set:
+        members = self._members  # a slot read per row; the call only once
+        if members is None:
+            members = self._member_set()
+        if values in members:
             return False
-        self._row_set.add(values)
+        members.add(values)
         self._rows.append(values)
         self._version += 1
         if self._watchers:
@@ -107,9 +169,10 @@ class Relation:
     def remove(self, row: Any) -> bool:
         """Remove a row if present; return True if it was removed."""
         values = self._coerce(row)
-        if values not in self._row_set:
+        members = self._member_set()
+        if values not in members:
             return False
-        self._row_set.discard(values)
+        members.discard(values)
         self._rows.remove(values)
         self._version += 1
         if self._watchers:
@@ -155,7 +218,7 @@ class Relation:
 
     def __contains__(self, row: Any) -> bool:
         try:
-            return self._coerce(row) in self._row_set
+            return self._coerce(row) in self._member_set()
         except ArityError:
             return False
 
@@ -176,7 +239,7 @@ class Relation:
 
     def row_set(self) -> frozenset:
         """The rows as a frozen set (for order-insensitive comparison)."""
-        return frozenset(self._row_set)
+        return frozenset(self._member_set())
 
     def value(self, row: Row, attribute: str) -> Any:
         """Return the value of ``attribute`` in ``row``."""
@@ -208,22 +271,23 @@ class Relation:
         """
         if self.schema.attributes != other.schema.attributes:
             return False
-        return self._row_set == other._row_set
+        return self._member_set() == other._member_set()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented
-        return self.schema == other.schema and self._row_set == other._row_set
+        return self.schema == other.schema and self._member_set() == other._member_set()
 
     def __hash__(self) -> int:
-        return hash((self.schema, frozenset(self._row_set)))
+        return hash((self.schema, self.row_set()))
 
     def copy(self, name: Optional[str] = None) -> "Relation":
         """Return a shallow copy (rows are immutable tuples, so this is safe)."""
         schema = self.schema if name is None else self.schema.renamed(name)
         copied = Relation(schema)
         copied._rows = list(self._rows)
-        copied._row_set = set(self._row_set)
+        members = self._members  # copied only if it exists: most results never need one
+        copied._members = None if members is None else set(members)
         copied._version = self._version
         return copied
 
@@ -247,6 +311,15 @@ class Relation:
 
     def __repr__(self) -> str:
         return f"Relation({self.schema.name!r}, {len(self)} rows)"
+
+
+def project_rows(rows: Iterable[Row], positions: Sequence[int]) -> Iterator[Row]:
+    """Each row's values at ``positions``, as one tuple per row."""
+    if len(positions) == 1:
+        return zip(map(itemgetter(positions[0]), rows))
+    if not positions:
+        return (() for _ in rows)
+    return map(itemgetter(*positions), rows)
 
 
 def require_same_attributes(left: Relation, right: Relation, operation: str) -> None:

@@ -10,6 +10,9 @@
 * Hand-built malformed physical plans exercise each structural check:
   unpaired boundaries, boundaries in row plans, bad join keys, IndexScan
   without an indexable predicate, batch handles at the root.
+* Operator outputs are sets: an operator that wrongly claims ``distinct``
+  (Database rows, UWSDT tuple ids, the columnar boundary) is caught as it
+  produces its output and named; switched off, execution reads the flag once.
 * The plan cache's backend-kind consistency check.
 """
 
@@ -195,6 +198,88 @@ class TestPhysicalVerification:
             .project(("A", "D"))
         )
         lower(query, backend, statistics)
+
+
+# --------------------------------------------------------------------------- #
+# Operator outputs are sets
+# --------------------------------------------------------------------------- #
+
+
+def claims_distinct(schema, rows):
+    """What a buggy operator does: hand over a bag with the set claim."""
+    return Relation.from_tuples(schema, list(rows), distinct=True)
+
+
+class TestOperatorOutputsAreSets:
+    def database(self) -> Database:
+        return Database([Relation(RelationSchema("R", ("K", "V")), [(1, "a"), (2, "a"), (3, "b")])])
+
+    def test_database_operator_producing_a_bag_is_caught_and_named(self, monkeypatch):
+        from repro.relational import algebra
+
+        def bag_project(relation, attributes, name=None):
+            schema = relation.schema.project(attributes, name or relation.schema.name)
+            positions = relation.schema.positions(attributes)
+            return claims_distinct(schema, (tuple(row[p] for p in positions) for row in relation))
+
+        monkeypatch.setattr(algebra, "project", bag_project)
+        query = BaseRelation("R").project(["V"])
+        with pytest.raises(PlanInvariantError, match=r"Project\(V\) produced a bag.*1 duplicate rows"):
+            query.run(self.database(), "out")
+        invariants.set_verification(False)
+        assert query.run(self.database(), "out").rows == (("a",), ("a",), ("b",))  # unchecked
+
+    def test_uwsdt_operator_repeating_a_tuple_id_is_caught(self, monkeypatch):
+        from repro.core.algebra import uwsdt_ops
+        from repro.core.uwsdt import UWSDT
+
+        rename = uwsdt_ops.rename
+
+        def repeating_rename(uwsdt, source, target, old, new):
+            rename(uwsdt, source, target, old, new)
+            rows = list(uwsdt.templates[target])
+            uwsdt.load_template(target, rows + [(rows[0][0], "other", "values")], distinct=True)
+
+        monkeypatch.setattr(uwsdt_ops, "rename", repeating_rename)
+        uwsdt = UWSDT.from_relation(self.database().relation("R"))
+        with pytest.raises(PlanInvariantError, match=r"Rename\(K→Z\).*1 duplicate tuple ids"):
+            BaseRelation("R").rename("K", "Z").run(uwsdt, "out", optimize=False)
+
+    def test_batch_leaving_dematerialize_must_have_become_a_set(self, monkeypatch):
+        from repro.core.exec import ColumnarBackend, columnar
+
+        # A Project kernel that forgets to collapse, then a boundary that trusts it.
+        monkeypatch.setattr(columnar, "_distinct", lambda batch: batch)
+        monkeypatch.setattr(
+            ColumnarBackend,
+            "dematerialize",
+            lambda self, batch, name: claims_distinct(
+                RelationSchema(name or "__columnar", batch.attributes), batch.to_rows()
+            ),
+        )
+        with pytest.raises(PlanInvariantError, match=r"Dematerialize produced a bag"):
+            BaseRelation("R").project(["V"]).run(self.database(), "out", backend="columnar")
+
+    def test_every_clean_operator_output_passes(self):
+        database = self.database()
+        query = BaseRelation("R").project(["V"]).union(BaseRelation("R").project(["V"]))
+        for backend in ("row", "columnar"):
+            assert len(query.run(database, "out", backend=backend)) == 2
+
+    def test_switched_off_the_flag_is_read_once_per_execution(self, monkeypatch):
+        database = self.database()
+        backend = backend_for(database)
+        query = BaseRelation("R").select(AttrConst("K", ">", 0)).project(["V"]).rename("V", "W")
+        physical = query.physical_plan(database, optimize=False)
+        assert len(physical.operators()) == 4
+        invariants.set_verification(False)
+        reads = []
+        enabled = invariants.verification_enabled
+        monkeypatch.setattr(
+            invariants, "verification_enabled", lambda: reads.append(1) or enabled()
+        )
+        physical.execute(backend, "out")
+        assert len(reads) == 1
 
 
 # --------------------------------------------------------------------------- #

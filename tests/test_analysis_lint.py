@@ -1,6 +1,6 @@
 """The repo-specific lint: rules over synthetic trees, baseline, CLI.
 
-Each of the four AST rules is exercised positively (a crafted source file
+Each of the AST rules is exercised positively (a crafted source file
 triggers it) and negatively (the compliant variant is clean); the baseline
 round-trips and partitions findings; the CLI exit codes match the CI
 contract (2 without ``--lint``, 1 with new violations, 0 when clean or
@@ -24,6 +24,7 @@ from repro.analysis.lint import (
     check_dynamic_code,
     check_locked_state,
     check_picklable_plan_state,
+    check_relation_storage,
     check_relation_version,
     check_watch_release,
     default_root,
@@ -75,6 +76,67 @@ class TestRelationVersion:
             "        self._rows = []\n"
         )
         assert violations_of(check_relation_version, source) == []
+
+    def test_row_set_slot_is_storage_too(self):
+        source = (
+            "class Relation:\n"
+            "    def forget(self, row):\n"
+            "        self._members.discard(row)\n"
+        )
+        found = violations_of(check_relation_version, source)
+        assert [v.symbol for v in found] == ["Relation.forget"]
+
+    def test_bulk_assignment_needs_the_bump_deriving_the_set_does_not(self):
+        adopt = (
+            "class Relation:\n"
+            "    def adopt(self, rows):\n"
+            "        self._rows = rows\n"
+            "        self._members = None\n"
+        )
+        assert [v.symbol for v in violations_of(check_relation_version, adopt)] == [
+            "Relation.adopt"
+        ]
+        assert violations_of(check_relation_version, adopt + "        self._version = len(rows)\n") == []
+        derive = (
+            "class Relation:\n"
+            "    def member_set(self):\n"
+            "        self._members = set(self._rows)\n"
+            "        return self._members\n"
+        )
+        assert violations_of(check_relation_version, derive) == []
+
+
+class TestRelationStorage:
+    def test_reads_and_writes_outside_the_relation_module_flagged(self):
+        source = (
+            "def peek(relation):\n"
+            "    return relation._rows[0]\n"
+            "def fast_contains(relation, row):\n"
+            "    return row in relation._members\n"
+            "class Shortcut:\n"
+            "    def graft(self, relation, rows):\n"
+            "        relation._rows = rows\n"
+            "size = len(source._rows)\n"
+        )
+        found = violations_of(check_relation_storage, source, "repro/core/exec/fast.py")
+        assert {v.rule for v in found} == {"relation-storage"}
+        assert sorted((v.line, v.symbol) for v in found) == [
+            (2, "peek"),
+            (4, "fast_contains"),
+            (7, "Shortcut.graft"),
+            (8, "<module>"),
+        ]
+        assert "_members" in next(v for v in found if v.symbol == "fast_contains").message
+
+    def test_public_access_and_the_relation_module_clean(self):
+        source = (
+            "def rows_of(relation):\n"
+            "    return list(relation), relation.rows, relation.row_set()\n"
+        )
+        assert violations_of(check_relation_storage, source) == []
+        inside = "class Relation:\n    def __len__(self):\n        return len(self._rows)\n"
+        assert violations_of(check_relation_storage, inside) != []
+        assert violations_of(check_relation_storage, inside, "repro/relational/relation.py") == []
 
 
 class TestLockedState:
@@ -318,6 +380,7 @@ class TestRunLintAndBaseline:
             "dynamic-code",
             "locked-state",
             "picklable-plan",
+            "relation-storage",
             "relation-version",
             "watch-release",
         ]
