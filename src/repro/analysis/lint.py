@@ -31,6 +31,11 @@ the ones that have bitten (or nearly bitten) before:
   called in ``relational/predicates.py`` only: ``Predicate.compile`` is the
   one place that generates code, and it keeps constants and attribute names
   out of the source it generates.
+* ``operator-dispatch`` — the operators of ``wsd_ops`` / ``uwsdt_ops`` may be
+  called in ``core/exec/backends.py`` only, and those of
+  ``relational.algebra`` there and in ``query.py``'s ``_evaluate_db`` (the
+  possible-worlds oracle's reference): the executor is the only interpreter
+  of a query tree, so a second tree-walker cannot grow back beside it.
 
 Findings are compared against a checked-in baseline
 (``lint_baseline.json`` next to this module): pre-existing violations are
@@ -101,6 +106,18 @@ ENGINE_REFERENCE_NAMES = frozenset({"engine", "backend"})
 #: to call them.
 DYNAMIC_CODE_BUILTINS = frozenset({"eval", "exec", "compile"})
 DYNAMIC_CODE_MODULE = "relational/predicates.py"
+
+#: The modules implementing the algebra's operators (suffixes of the imported
+#: module's absolute name), the classical operators the ``relational`` package
+#: re-exports, the one module that may call any of them, and the function
+#: that may besides call the classical ones.
+CLASSICAL_MODULE = "relational.algebra"
+OPERATOR_MODULES = ("core.algebra.wsd_ops", "core.algebra.uwsdt_ops", CLASSICAL_MODULE)
+CLASSICAL_OPERATORS = frozenset(
+    "select project rename product union difference intersection equi_join natural_join".split()
+)
+OPERATOR_DISPATCH_MODULE = "core/exec/backends.py"
+ORACLE_REFERENCE = ("core/algebra/query.py", "_evaluate_db")
 
 #: The format tag written into baselines and reports.
 BASELINE_FORMAT = "repro-lint-baseline/1"
@@ -502,6 +519,72 @@ def check_dynamic_code(tree: ast.Module, path: str) -> List[Violation]:
     ]
 
 
+def _operator_module(dotted: str) -> Optional[str]:
+    """The operator module a dotted module name denotes, else None."""
+    return next((m for m in OPERATOR_MODULES if f".{dotted}".endswith(f".{m}")), None)
+
+
+def _operator_bindings(tree: ast.Module, path: str) -> Dict[str, str]:
+    """Local name → operator module, for every name an import binds to an
+    operator module or to one of its functions (``path``: posix, relative)."""
+    package = path.split("/")[:-1]
+    bindings: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue  # ``import a.b.wsd_ops`` is called by its dotted name, matched as such
+        base = package[: len(package) - node.level + 1] if node.level else []
+        source = ".".join(base + ([node.module] if node.module else []))
+        reexports = source.rsplit(".", 1)[-1] == "relational"
+        for alias in node.names:
+            origin = _operator_module(f"{source}.{alias.name}") or _operator_module(source)
+            if origin is None and reexports and alias.name in CLASSICAL_OPERATORS:
+                origin = CLASSICAL_MODULE
+            if origin is not None:
+                bindings[alias.asname or alias.name] = origin
+    return bindings
+
+
+def check_operator_dispatch(tree: ast.Module, path: str) -> List[Violation]:
+    normalized = path.replace("\\", "/")
+    if normalized.endswith(OPERATOR_DISPATCH_MODULE):
+        return []
+    bindings = _operator_bindings(tree, normalized)
+    calls: List[Tuple[ast.Call, str, str]] = []
+    for node in ast.walk(tree):
+        called = _dotted_name(node.func) if isinstance(node, ast.Call) else None
+        if called is None:
+            continue
+        receiver, _, name = called.rpartition(".")
+        if receiver:  # module.operator(...)
+            origin = bindings.get(receiver) or _operator_module(receiver)
+        else:  # an operator imported by name
+            origin = bindings.get(name)
+        if origin is not None:
+            calls.append((node, name, origin))
+    if not calls:
+        return []
+    enclosing = _enclosing_symbols(tree)
+    in_reference_module = normalized.endswith(ORACLE_REFERENCE[0])
+    return [
+        Violation(
+            rule="operator-dispatch",
+            path=path,
+            line=call.lineno,
+            symbol=enclosing.get(call, "<module>"),
+            message=(
+                f"calls {name}() of {origin} outside {OPERATOR_DISPATCH_MODULE} — the "
+                "executor is the only interpreter of a query tree; go through Query.run"
+            ),
+        )
+        for call, name, origin in calls
+        if not (
+            origin == CLASSICAL_MODULE
+            and in_reference_module
+            and enclosing.get(call) == ORACLE_REFERENCE[1]
+        )
+    ]
+
+
 RULES = (
     check_relation_version,
     check_relation_storage,
@@ -510,6 +593,7 @@ RULES = (
     check_watch_release,
     check_picklable_plan_state,
     check_dynamic_code,
+    check_operator_dispatch,
 )
 
 

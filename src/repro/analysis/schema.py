@@ -27,8 +27,9 @@ confirmed against the whole columns before a mismatch is reported
 Strict checking (:func:`analyze`) raises :class:`AnalysisError` — a
 :class:`~repro.relational.errors.SchemaError` — whose message embeds the
 rendered query tree with a marker on the offending node.  The non-raising
-:func:`inferred_attributes` does pure attribute propagation and is what the
-plan-invariant verifier uses to prove rewrites schema-preserving.
+:func:`inferred_attributes` is the planner's own attribute propagation over
+a :class:`SchemaContext`, and is what the plan-invariant verifier uses to
+prove rewrites schema-preserving.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from ..core.algebra.query import (
     Select,
     Union,
 )
+from ..core.planner.cost import output_attributes
 from ..core.planner.sampling import SENTINEL_CLASS, column_classes
 from ..relational.errors import SchemaError
 from ..relational.predicates import (
@@ -608,37 +610,12 @@ def inferred_attributes(
 ) -> Optional[Tuple[str, ...]]:
     """Output attribute list of ``query``, or None where unresolvable.
 
-    Pure structural propagation — no validation, never raises.  Matches the
-    planner's ``output_attributes`` but sourced from a :class:`SchemaContext`,
-    so the invariant verifier can compare pre- and post-rewrite schemas
-    without constructing Statistics objects.
+    The planner's :func:`~repro.core.planner.cost.output_attributes` over a
+    :class:`SchemaContext` (by default the empty one, which still resolves
+    what projections pin): the verifier judges a rewrite by the propagation
+    the rewrite itself consulted.
     """
-    context = context or SchemaContext.empty()
-
-    def walk(node: Query) -> Optional[Tuple[str, ...]]:
-        if isinstance(node, BaseRelation):
-            return context.relation_attributes(node.name)
-        if isinstance(node, Select):
-            return walk(node.child)
-        if isinstance(node, Project):
-            return tuple(node.attributes)
-        if isinstance(node, Rename):
-            child = walk(node.child)
-            if child is None:
-                return None
-            return tuple(node.new if a == node.old else a for a in child)
-        if isinstance(node, (Product, Join)):
-            left = walk(node.left)
-            right = walk(node.right)
-            if left is None or right is None:
-                return None
-            return left + right
-        if isinstance(node, (Union, Difference, Intersection)):
-            left = walk(node.left)
-            return left if left is not None else walk(node.right)
-        return None
-
-    return walk(query)
+    return output_attributes(query, context or SchemaContext.empty())
 
 
 # --------------------------------------------------------------------------- #

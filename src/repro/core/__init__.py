@@ -43,7 +43,7 @@ from .normalize import (
     normalize_wsd,
     remove_invalid_tuples,
 )
-from .planner import Plan, Statistics, plan, plan_for_engine
+from .planner import Plan, Statistics, plan
 from .uwsdt import TID, UWSDT
 from .wsd import WSD
 from .wsdt import WSDT
@@ -74,7 +74,6 @@ __all__ = [
     "Plan",
     "Statistics",
     "plan",
-    "plan_for_engine",
     "TID",
     "UWSDT",
     "WSD",

@@ -18,18 +18,13 @@ with the input are preserved) and returns the name of the result relation.
 
 from __future__ import annotations
 
-import itertools
-from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from ...relational import algebra as relational_algebra
 from ...relational.database import Database
 from ...relational.errors import QueryError
-from ...relational.indexes import IndexPool
-from ...relational.predicates import AttrConst, Predicate
+from ...relational.predicates import Predicate
 from ...relational.relation import Relation
-from ..uwsdt import UWSDT
-from ..wsd import WSD
-from . import uwsdt_ops, wsd_ops
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..exec.backends import EngineBackend
@@ -502,65 +497,49 @@ def _check_set_operation(operator: str, left: Query, right: Query, node: Query) 
 # Evaluation on an ordinary database (one world)
 # --------------------------------------------------------------------------- #
 
-
-def evaluate_on_database(
-    query: Query,
-    database: Database,
-    result_name: str = "result",
-    index_pool: Optional[IndexPool] = None,
-) -> Relation:
-    """Classical evaluation: returns the result relation.
-
-    Pass an :class:`~repro.relational.indexes.IndexPool` to let equality
-    selections over base relations probe shared hash indexes (the pool is
-    reusable across queries against the same database).
-    """
-    relation = _evaluate_db(query, database, index_pool)
-    return relation.copy(result_name)
+# ``evaluate_on_database`` is the possible-worlds oracle's reference:
+# ``baselines/naive.py`` evaluates every world through it, and every other
+# path (planned or verbatim, any backend) is compared against the result.  It
+# therefore stays a direct recursion over ``relational.algebra`` and shares
+# neither ``lower()`` nor a backend with the code under test.
 
 
-def _evaluate_db(query: Query, database: Database, pool: Optional[IndexPool] = None) -> Relation:
+def evaluate_on_database(query: Query, database: Database, result_name: str = "result") -> Relation:
+    """Classical evaluation: returns the result relation."""
+    return _evaluate_db(query, database).copy(result_name)
+
+
+def _evaluate_db(query: Query, database: Database) -> Relation:
     if isinstance(query, BaseRelation):
         return database.relation(query.name)
     if isinstance(query, Select):
-        child = _evaluate_db(query.child, database, pool)
-        index = None
-        if (
-            pool is not None
-            and isinstance(query.child, BaseRelation)
-            and isinstance(query.predicate, AttrConst)
-            and query.predicate.op in ("=", "==")
-        ):
-            index = pool.hash_index(child, (query.predicate.attribute,))
-        return relational_algebra.select(child, query.predicate, index=index)
+        return relational_algebra.select(_evaluate_db(query.child, database), query.predicate)
     if isinstance(query, Project):
-        return relational_algebra.project(
-            _evaluate_db(query.child, database, pool), query.attributes
-        )
+        return relational_algebra.project(_evaluate_db(query.child, database), query.attributes)
     if isinstance(query, Product):
         return relational_algebra.product(
-            _evaluate_db(query.left, database, pool), _evaluate_db(query.right, database, pool)
+            _evaluate_db(query.left, database), _evaluate_db(query.right, database)
         )
     if isinstance(query, Union):
         return relational_algebra.union(
-            _evaluate_db(query.left, database, pool), _evaluate_db(query.right, database, pool)
+            _evaluate_db(query.left, database), _evaluate_db(query.right, database)
         )
     if isinstance(query, Difference):
         return relational_algebra.difference(
-            _evaluate_db(query.left, database, pool), _evaluate_db(query.right, database, pool)
+            _evaluate_db(query.left, database), _evaluate_db(query.right, database)
         )
     if isinstance(query, Intersection):
         return relational_algebra.intersection(
-            _evaluate_db(query.left, database, pool), _evaluate_db(query.right, database, pool)
+            _evaluate_db(query.left, database), _evaluate_db(query.right, database)
         )
     if isinstance(query, Rename):
         return relational_algebra.rename(
-            _evaluate_db(query.child, database, pool), query.old, query.new
+            _evaluate_db(query.child, database), query.old, query.new
         )
     if isinstance(query, Join):
         return relational_algebra.equi_join(
-            _evaluate_db(query.left, database, pool),
-            _evaluate_db(query.right, database, pool),
+            _evaluate_db(query.left, database),
+            _evaluate_db(query.right, database),
             query.left_attr,
             query.right_attr,
         )
@@ -568,169 +547,18 @@ def _evaluate_db(query: Query, database: Database, pool: Optional[IndexPool] = N
 
 
 # --------------------------------------------------------------------------- #
-# Evaluation on WSDs (Figure 9)
+# Evaluation on WSDs (Figure 9) and UWSDTs (Section 5)
 # --------------------------------------------------------------------------- #
 
 
-def _name_generator(prefix: str, schema=None) -> Iterator[str]:
-    """Fresh intermediate relation names, skipping any already in ``schema``.
+def evaluate_on_wsd(query: Query, engine: Any, result_name: str = "result") -> str:
+    """Evaluate ``query`` on a WSD or UWSDT in place; return the result relation's name.
 
-    The skip matters when several queries run against the same (in-place
-    extended) representation: each evaluation restarts the counter, and
-    ``__q1`` from an earlier run is still part of the schema.
+    The representation is extended with one relation per operator of the
+    query; the final operator's output is named ``result_name``.  A spelling
+    of ``query.run(engine, result_name, optimize=False)`` on the row backend.
     """
-    for index in itertools.count(1):
-        name = f"{prefix}{index}"
-        if schema is not None and schema.has_relation(name):
-            continue
-        yield name
+    return query.run(engine, result_name, optimize=False, backend="row")
 
 
-def evaluate_on_wsd(query: Query, wsd: WSD, result_name: str = "result") -> str:
-    """Evaluate ``query`` on ``wsd`` in place; return the result relation's name.
-
-    The WSD is extended with one relation per operator of the query; the
-    final operator's output is named ``result_name``.
-    """
-    names = _name_generator("__q", wsd.schema)
-    final = _evaluate_wsd(query, wsd, names, result_name)
-    return final
-
-
-def _evaluate_wsd(query: Query, wsd: WSD, names: Iterator[str], result_name: Optional[str]) -> str:
-    def fresh(child_result: Optional[str] = None) -> str:
-        return result_name if result_name is not None else next(names)
-
-    if isinstance(query, BaseRelation):
-        if result_name is not None and result_name != query.name:
-            wsd_ops.copy_relation(wsd, query.name, result_name)
-            return result_name
-        return query.name
-    if isinstance(query, Select):
-        child = _evaluate_wsd(query.child, wsd, names, None)
-        target = fresh()
-        wsd_ops.select(wsd, child, target, query.predicate)
-        return target
-    if isinstance(query, Project):
-        child = _evaluate_wsd(query.child, wsd, names, None)
-        target = fresh()
-        wsd_ops.project(wsd, child, target, query.attributes)
-        return target
-    if isinstance(query, Product):
-        left = _evaluate_wsd(query.left, wsd, names, None)
-        right = _evaluate_wsd(query.right, wsd, names, None)
-        target = fresh()
-        wsd_ops.product(wsd, left, right, target)
-        return target
-    if isinstance(query, Union):
-        left = _evaluate_wsd(query.left, wsd, names, None)
-        right = _evaluate_wsd(query.right, wsd, names, None)
-        if right == left:
-            # Union of a relation with itself: tuple ids are derived from the
-            # operand names, so alias one side to keep them distinct.
-            alias = next(names)
-            wsd_ops.copy_relation(wsd, right, alias)
-            right = alias
-        target = fresh()
-        wsd_ops.union(wsd, left, right, target)
-        return target
-    if isinstance(query, Difference):
-        left = _evaluate_wsd(query.left, wsd, names, None)
-        right = _evaluate_wsd(query.right, wsd, names, None)
-        target = fresh()
-        wsd_ops.difference(wsd, left, right, target)
-        return target
-    if isinstance(query, Intersection):
-        return _evaluate_wsd(query.expanded(), wsd, names, result_name)
-    if isinstance(query, Rename):
-        child = _evaluate_wsd(query.child, wsd, names, None)
-        target = fresh()
-        wsd_ops.rename(wsd, child, target, query.old, query.new)
-        return target
-    if isinstance(query, Join):
-        left = _evaluate_wsd(query.left, wsd, names, None)
-        right = _evaluate_wsd(query.right, wsd, names, None)
-        target = fresh()
-        wsd_ops.equi_join(wsd, left, right, query.left_attr, query.right_attr, target)
-        return target
-    raise QueryError(f"unknown query node {query!r}")
-
-
-# --------------------------------------------------------------------------- #
-# Evaluation on UWSDTs (Section 5)
-# --------------------------------------------------------------------------- #
-
-
-def evaluate_on_uwsdt(query: Query, uwsdt: UWSDT, result_name: str = "result") -> str:
-    """Evaluate ``query`` on ``uwsdt`` in place; return the result relation's name."""
-    names = _name_generator("__q", uwsdt.schema)
-    return _evaluate_uwsdt(query, uwsdt, names, result_name)
-
-
-def _evaluate_uwsdt(
-    query: Query, uwsdt: UWSDT, names: Iterator[str], result_name: Optional[str]
-) -> str:
-    def fresh() -> str:
-        return result_name if result_name is not None else next(names)
-
-    if isinstance(query, BaseRelation):
-        if result_name is not None and result_name != query.name:
-            # Implement copy as a selection with a vacuous predicate-free path.
-            uwsdt_ops.rename(
-                uwsdt,
-                query.name,
-                result_name,
-                uwsdt.schema.relation(query.name).attributes[0],
-                uwsdt.schema.relation(query.name).attributes[0],
-            )
-            return result_name
-        return query.name
-    if isinstance(query, Select):
-        child = _evaluate_uwsdt(query.child, uwsdt, names, None)
-        target = fresh()
-        uwsdt_ops.select(uwsdt, child, target, query.predicate)
-        return target
-    if isinstance(query, Project):
-        child = _evaluate_uwsdt(query.child, uwsdt, names, None)
-        target = fresh()
-        uwsdt_ops.project(uwsdt, child, target, query.attributes)
-        return target
-    if isinstance(query, Product):
-        left = _evaluate_uwsdt(query.left, uwsdt, names, None)
-        right = _evaluate_uwsdt(query.right, uwsdt, names, None)
-        target = fresh()
-        uwsdt_ops.product(uwsdt, left, right, target)
-        return target
-    if isinstance(query, Union):
-        left = _evaluate_uwsdt(query.left, uwsdt, names, None)
-        right = _evaluate_uwsdt(query.right, uwsdt, names, None)
-        if right == left:
-            # Union of a relation with itself: result tuple ids are derived
-            # from the operand names, so alias one side first.
-            alias = next(names)
-            attribute = uwsdt.schema.relation(right).attributes[0]
-            uwsdt_ops.rename(uwsdt, right, alias, attribute, attribute)
-            right = alias
-        target = fresh()
-        uwsdt_ops.union(uwsdt, left, right, target)
-        return target
-    if isinstance(query, Difference):
-        left = _evaluate_uwsdt(query.left, uwsdt, names, None)
-        right = _evaluate_uwsdt(query.right, uwsdt, names, None)
-        target = fresh()
-        uwsdt_ops.difference(uwsdt, left, right, target)
-        return target
-    if isinstance(query, Intersection):
-        return _evaluate_uwsdt(query.expanded(), uwsdt, names, result_name)
-    if isinstance(query, Rename):
-        child = _evaluate_uwsdt(query.child, uwsdt, names, None)
-        target = fresh()
-        uwsdt_ops.rename(uwsdt, child, target, query.old, query.new)
-        return target
-    if isinstance(query, Join):
-        left = _evaluate_uwsdt(query.left, uwsdt, names, None)
-        right = _evaluate_uwsdt(query.right, uwsdt, names, None)
-        target = fresh()
-        uwsdt_ops.equi_join(uwsdt, left, right, query.left_attr, query.right_attr, target)
-        return target
-    raise QueryError(f"unknown query node {query!r}")
+evaluate_on_uwsdt = evaluate_on_wsd

@@ -1,8 +1,8 @@
 """Engine backends: one executor per representation system.
 
 The physical layer talks to engines exclusively through the
-:class:`EngineBackend` interface — ``Query.run`` no longer dispatches on
-engine types at all.  Each backend wraps the corresponding operator module
+:class:`EngineBackend` interface, and this module is the only caller of the
+operator modules (lint rule ``operator-dispatch``).  Each backend wraps one
 (:mod:`~repro.relational.algebra` for classical relations,
 :mod:`~repro.core.algebra.wsd_ops` for WSDs,
 :mod:`~repro.core.algebra.uwsdt_ops` for UWSDTs) behind a uniform
@@ -175,13 +175,20 @@ def _name_generator(prefix: str, schema) -> Iterator[str]:
     """Fresh intermediate relation names, skipping any already in ``schema``."""
     for index in itertools.count(1):
         name = f"{prefix}{index}"
-        if schema is not None and schema.has_relation(name):
-            continue
-        yield name
+        if not schema.has_relation(name):
+            yield name
 
 
 class _RepresentationBackend(EngineBackend):
-    """Shared machinery of the in-place WSD/UWSDT backends."""
+    """The in-place WSD/UWSDT backends: one body over the operator module.
+
+    ``wsd_ops`` and ``uwsdt_ops`` share one calling convention (engine,
+    operand names, target name), so the operators are written once, over
+    :attr:`ops`; a subclass names its module, its copy device
+    (``copy(name, target)``) and how it counts rows.
+    """
+
+    ops: Any = None
 
     def begin(self, result_name: str) -> None:
         self._names = _name_generator("__q", self.engine.schema)
@@ -189,9 +196,52 @@ class _RepresentationBackend(EngineBackend):
     def target(self, result_name: Optional[str]) -> str:
         return result_name if result_name is not None else next(self._names)
 
-    def alias_name(self) -> str:
-        """A fresh intermediate name (for the union-with-itself alias)."""
-        return next(self._names)
+    def scan(self, name: str, result_name: Optional[str]) -> str:
+        if result_name is not None and result_name != name:
+            self.copy(name, result_name)
+            return result_name
+        return name
+
+    def filter(self, child: str, predicate: Predicate, result_name) -> str:
+        target = self.target(result_name)
+        self.ops.select(self.engine, child, target, predicate)
+        return target
+
+    def project(self, child: str, attributes: Sequence[str], result_name) -> str:
+        target = self.target(result_name)
+        self.ops.project(self.engine, child, target, attributes)
+        return target
+
+    def rename(self, child: str, old: str, new: str, result_name) -> str:
+        target = self.target(result_name)
+        self.ops.rename(self.engine, child, target, old, new)
+        return target
+
+    def product(self, left: str, right: str, result_name) -> str:
+        target = self.target(result_name)
+        self.ops.product(self.engine, left, right, target)
+        return target
+
+    def union(self, left: str, right: str, result_name) -> str:
+        if right == left:
+            # Union of a relation with itself: tuple ids are derived from
+            # the operand names, so alias one side to keep them distinct.
+            alias = next(self._names)
+            self.copy(right, alias)
+            right = alias
+        target = self.target(result_name)
+        self.ops.union(self.engine, left, right, target)
+        return target
+
+    def difference(self, left: str, right: str, result_name) -> str:
+        target = self.target(result_name)
+        self.ops.difference(self.engine, left, right, target)
+        return target
+
+    def hash_join(self, left: str, right: str, left_attr: str, right_attr: str, result_name) -> str:
+        target = self.target(result_name)
+        self.ops.equi_join(self.engine, left, right, left_attr, right_attr, target)
+        return target
 
     def arity(self, handle: str) -> int:
         return self.engine.schema.relation(handle).arity
@@ -207,53 +257,10 @@ class WSDBackend(_RepresentationBackend):
     """The Figure 9 operators over world-set decompositions."""
 
     kind = "wsd"
+    ops = wsd_ops
 
-    def scan(self, name: str, result_name: Optional[str]) -> str:
-        if result_name is not None and result_name != name:
-            wsd_ops.copy_relation(self.engine, name, result_name)
-            return result_name
-        return name
-
-    def filter(self, child: str, predicate: Predicate, result_name) -> str:
-        target = self.target(result_name)
-        wsd_ops.select(self.engine, child, target, predicate)
-        return target
-
-    def project(self, child: str, attributes: Sequence[str], result_name) -> str:
-        target = self.target(result_name)
-        wsd_ops.project(self.engine, child, target, attributes)
-        return target
-
-    def rename(self, child: str, old: str, new: str, result_name) -> str:
-        target = self.target(result_name)
-        wsd_ops.rename(self.engine, child, target, old, new)
-        return target
-
-    def product(self, left: str, right: str, result_name) -> str:
-        target = self.target(result_name)
-        wsd_ops.product(self.engine, left, right, target)
-        return target
-
-    def union(self, left: str, right: str, result_name) -> str:
-        if right == left:
-            # Union of a relation with itself: tuple ids are derived from
-            # the operand names, so alias one side to keep them distinct.
-            alias = self.alias_name()
-            wsd_ops.copy_relation(self.engine, right, alias)
-            right = alias
-        target = self.target(result_name)
-        wsd_ops.union(self.engine, left, right, target)
-        return target
-
-    def difference(self, left: str, right: str, result_name) -> str:
-        target = self.target(result_name)
-        wsd_ops.difference(self.engine, left, right, target)
-        return target
-
-    def hash_join(self, left: str, right: str, left_attr: str, right_attr: str, result_name) -> str:
-        target = self.target(result_name)
-        wsd_ops.equi_join(self.engine, left, right, left_attr, right_attr, target)
-        return target
+    def copy(self, name: str, target: str) -> None:
+        wsd_ops.copy_relation(self.engine, name, target)
 
     def row_count(self, handle: str) -> int:
         return len(self.engine.tuple_ids.get(handle, ()))
@@ -263,63 +270,19 @@ class UWSDTBackend(_RepresentationBackend):
     """The native Section 5 operators over template relations."""
 
     kind = "uwsdt"
+    ops = uwsdt_ops
     supports_index_scan = True
     supports_index_join = True
 
-    def _copy(self, name: str, target: str) -> None:
-        # Copy implemented as an identity rename (the existing device).
+    def copy(self, name: str, target: str) -> None:
+        # uwsdt_ops has no copy operator: an identity rename is one.
         attribute = self.engine.schema.relation(name).attributes[0]
         uwsdt_ops.rename(self.engine, name, target, attribute, attribute)
-
-    def scan(self, name: str, result_name: Optional[str]) -> str:
-        if result_name is not None and result_name != name:
-            self._copy(name, result_name)
-            return result_name
-        return name
 
     def index_scan(self, name: str, predicate: Predicate, result_name) -> str:
         # uwsdt_ops.select probes the cached template index itself for
         # hashable equality predicates (the candidate fast path).
         return self.filter(name, predicate, result_name)
-
-    def filter(self, child: str, predicate: Predicate, result_name) -> str:
-        target = self.target(result_name)
-        uwsdt_ops.select(self.engine, child, target, predicate)
-        return target
-
-    def project(self, child: str, attributes: Sequence[str], result_name) -> str:
-        target = self.target(result_name)
-        uwsdt_ops.project(self.engine, child, target, attributes)
-        return target
-
-    def rename(self, child: str, old: str, new: str, result_name) -> str:
-        target = self.target(result_name)
-        uwsdt_ops.rename(self.engine, child, target, old, new)
-        return target
-
-    def product(self, left: str, right: str, result_name) -> str:
-        target = self.target(result_name)
-        uwsdt_ops.product(self.engine, left, right, target)
-        return target
-
-    def union(self, left: str, right: str, result_name) -> str:
-        if right == left:
-            alias = self.alias_name()
-            self._copy(right, alias)
-            right = alias
-        target = self.target(result_name)
-        uwsdt_ops.union(self.engine, left, right, target)
-        return target
-
-    def difference(self, left: str, right: str, result_name) -> str:
-        target = self.target(result_name)
-        uwsdt_ops.difference(self.engine, left, right, target)
-        return target
-
-    def hash_join(self, left: str, right: str, left_attr: str, right_attr: str, result_name) -> str:
-        target = self.target(result_name)
-        uwsdt_ops.equi_join(self.engine, left, right, left_attr, right_attr, target)
-        return target
 
     def index_join(self, outer: str, inner_name: str, outer_attr: str, inner_attr: str, result_name) -> str:
         target = self.target(result_name)

@@ -55,7 +55,6 @@ from .planner import (
     describe_join_order,
     plan,
     plan_call_count,
-    plan_for_engine,
     rewrite,
 )
 from .rules import (
@@ -111,7 +110,6 @@ __all__ = [
     "describe_join_order",
     "plan",
     "plan_call_count",
-    "plan_for_engine",
     "rewrite",
     "DEFAULT_PHASES",
     "EliminateRename",

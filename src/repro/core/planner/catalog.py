@@ -169,12 +169,10 @@ class StatisticsCatalog:
 
         with get_tracer().span("sampling", relation=name, engine=self.kind):
             if self.kind == "database":
-                samples = sample_database(self.engine, sample_size, only=(name,))
-            elif self.kind == "uwsdt":
-                samples = sample_uwsdt(self.engine, sample_size, only=(name,))
-            else:
-                samples = sample_wsd(self.engine, sample_size, only=(name,))
-            return samples.get(name)
+                return sample_database(self.engine, name, sample_size)
+            if self.kind == "uwsdt":
+                return sample_uwsdt(self.engine, name, sample_size)
+            return sample_wsd(self.engine, name, sample_size)
 
     # ------------------------------------------------------------------ #
     # Entries
@@ -348,9 +346,10 @@ class StatisticsCatalog:
         ``relations`` restricts *sampling* (planning passes the query's
         base relations so unrelated, possibly huge relations are never
         scanned); row counts, densities and attribute lists still cover
-        every relation of the engine, exactly as the pre-catalog
-        ``Statistics.from_*`` constructors did.  Warm entries are served
-        without any sampling work.
+        every relation of the engine.  Warm entries are served without any
+        sampling work; a catalog attached to nothing has none, which is how
+        ``Statistics.from_database`` / ``from_wsd`` / ``from_uwsdt`` build
+        fresh statistics.
         """
         with self._lock:
             size = self.sample_size if sample_size is None else sample_size

@@ -47,14 +47,7 @@ from ..algebra.query import (
     Union,
 )
 from .observed import ObservedCardinality, cardinality_key
-from .sampling import (
-    DEFAULT_SAMPLE_SIZE,
-    RelationSample,
-    join_selectivity,
-    sample_database,
-    sample_uwsdt,
-    sample_wsd,
-)
+from .sampling import DEFAULT_SAMPLE_SIZE, RelationSample, join_selectivity
 
 #: Cardinality assumed for relations the statistics do not know about.
 DEFAULT_ROW_COUNT = 1_000
@@ -166,12 +159,7 @@ COST_MODELS: Dict[str, CostModel] = {
 
 
 def uwsdt_relation_statistics(uwsdt: Any, relation_name: str) -> Tuple[int, float]:
-    """``(row count, placeholder density)`` of one UWSDT relation.
-
-    The single source of the density formula — shared by
-    ``Statistics.from_uwsdt`` and the statistics catalog, whose cached
-    entries must agree exactly with fresh statistics.
-    """
+    """``(row count, placeholder density)`` of one UWSDT relation."""
     rows = uwsdt.template_size(relation_name)
     arity = uwsdt.schema.relation(relation_name).arity
     placeholders = uwsdt.relation_placeholder_count(relation_name)
@@ -181,8 +169,7 @@ def uwsdt_relation_statistics(uwsdt: Any, relation_name: str) -> Tuple[int, floa
 def wsd_relation_statistics(wsd: Any, relation_name: str) -> Tuple[int, float]:
     """``(row count, uncertain-field density)`` of one WSD relation.
 
-    A field is uncertain when its component has more than one local world;
-    shared by ``Statistics.from_wsd`` and the statistics catalog.
+    A field is uncertain when its component has more than one local world.
     """
     rows = len(wsd.tuple_ids.get(relation_name, ()))
     arity = wsd.schema.relation(relation_name).arity
@@ -282,51 +269,28 @@ class Statistics:
     @classmethod
     def from_database(
         cls,
-        database: Any,
+        engine: Any,
         sample_size: int = DEFAULT_SAMPLE_SIZE,
         sample_relations: Optional[Tuple[str, ...]] = None,
     ) -> "Statistics":
-        rows = {relation.schema.name: len(relation) for relation in database}
-        attrs = {relation.schema.name: relation.schema.attributes for relation in database}
-        densities = {name: 0.0 for name in rows}
-        samples = (
-            sample_database(database, sample_size, only=sample_relations)
-            if sample_size
-            else {}
-        )
-        return cls(rows, densities, attrs, samples, engine="database", source="fresh")
+        """Fresh, uncached statistics: the view of a catalog attached to nothing.
 
-    @classmethod
-    def from_wsd(
-        cls,
-        wsd: Any,
-        sample_size: int = DEFAULT_SAMPLE_SIZE,
-        sample_relations: Optional[Tuple[str, ...]] = None,
-    ) -> "Statistics":
-        attrs = {rs.name: rs.attributes for rs in wsd.schema}
-        rows: Dict[str, int] = {}
-        densities: Dict[str, float] = {}
-        for rs in wsd.schema:
-            rows[rs.name], densities[rs.name] = wsd_relation_statistics(wsd, rs.name)
-        samples = sample_wsd(wsd, sample_size, only=sample_relations) if sample_size else {}
-        return cls(rows, densities, attrs, samples, engine="wsd", source="fresh")
+        The throwaway catalog is invalidated before it is dropped, so it
+        leaves no ``Relation.watch`` closure on the engine's relations.
+        """
+        from .catalog import StatisticsCatalog
 
-    @classmethod
-    def from_uwsdt(
-        cls,
-        uwsdt: Any,
-        sample_size: int = DEFAULT_SAMPLE_SIZE,
-        sample_relations: Optional[Tuple[str, ...]] = None,
-    ) -> "Statistics":
-        attrs = {rs.name: rs.attributes for rs in uwsdt.schema}
-        rows: Dict[str, int] = {}
-        densities: Dict[str, float] = {}
-        for rs in uwsdt.schema:
-            rows[rs.name], densities[rs.name] = uwsdt_relation_statistics(uwsdt, rs.name)
-        samples = (
-            sample_uwsdt(uwsdt, sample_size, only=sample_relations) if sample_size else {}
-        )
-        return cls(rows, densities, attrs, samples, engine="uwsdt", source="fresh")
+        catalog = StatisticsCatalog(engine, sample_size)
+        try:
+            statistics = catalog.statistics(sample_relations)
+        finally:
+            catalog.invalidate()
+        statistics.source = "fresh"
+        statistics.catalog = None
+        return statistics
+
+    #: One body under three names: the catalog tells the engines apart.
+    from_wsd = from_uwsdt = from_database
 
     @classmethod
     def from_engine(
@@ -458,33 +422,37 @@ def equality_join_selectivity(
     return EQUALITY_SELECTIVITY
 
 
-def output_attributes(query: Query, statistics: Statistics) -> Optional[Tuple[str, ...]]:
-    """Output attribute list of a query, or None if a base schema is unknown.
+def output_attributes(query: Query, source: Any) -> Optional[Tuple[str, ...]]:
+    """Output attribute list of a query, or None where it cannot be resolved.
 
-    This is the planner's schema inference: rewrite legality (which side of a
-    product a predicate may move to, what a projection may drop) and the
-    width-aware cost factor both derive from it.
+    The one schema propagation: pure structure, no validation, never raises
+    (:func:`repro.analysis.schema.analyze` is the strict, typed analysis).
+    ``source`` answers ``relation_attributes(name)``: :class:`Statistics` for
+    the planner — rewrite legality and the width-aware cost factor derive
+    from it — or a :class:`~repro.analysis.schema.SchemaContext` for the
+    plan verifier.
     """
     if isinstance(query, BaseRelation):
-        return statistics.relation_attributes(query.name)
+        return source.relation_attributes(query.name)
     if isinstance(query, Select):
-        return output_attributes(query.child, statistics)
+        return output_attributes(query.child, source)
     if isinstance(query, Project):
         return tuple(query.attributes)
     if isinstance(query, Rename):
-        child = output_attributes(query.child, statistics)
+        child = output_attributes(query.child, source)
         if child is None:
             return None
         return tuple(query.new if a == query.old else a for a in child)
     if isinstance(query, (Product, Join)):
-        left = output_attributes(query.left, statistics)
-        right = output_attributes(query.right, statistics)
+        left = output_attributes(query.left, source)
+        right = output_attributes(query.right, source)
         if left is None or right is None:
             return None
         return left + right
     if isinstance(query, (Union, Difference, Intersection)):
-        return output_attributes(query.left, statistics)
-    raise TypeError(f"cannot infer attributes of {query!r}")
+        left = output_attributes(query.left, source)
+        return left if left is not None else output_attributes(query.right, source)
+    return None
 
 
 #: Arity assumed when schema inference cannot resolve a subquery's width.
@@ -498,11 +466,6 @@ def arity_width(arity: int) -> float:
     of them moves twice as many values per tuple as scanning one.
     """
     return 1.0 + 0.1 * arity
-
-
-def _width_factor(query: Query, statistics: Statistics) -> float:
-    attributes = output_attributes(query, statistics)
-    return arity_width(len(attributes) if attributes is not None else DEFAULT_ARITY)
 
 
 # --------------------------------------------------------------------------- #

@@ -304,11 +304,7 @@ def rewrite(
     return current
 
 
-def plan(
-    query: Query,
-    statistics: Optional[Statistics] = None,
-    phases: Sequence[Tuple[str, Sequence[RewriteRule]]] = DEFAULT_PHASES,
-) -> Plan:
+def plan(query: Query, statistics: Optional[Statistics] = None) -> Plan:
     """Plan ``query``: rewrite, cost both trees, pick the cheaper one."""
     from ...obs.metrics import get_registry
     from ...obs.trace import get_tracer
@@ -328,7 +324,7 @@ def plan(
         analyze_for_statistics(query, statistics, context.schema_context)
         trace: List[RuleApplication] = []
         with get_tracer().span("rewrite"):
-            optimized = rewrite(query, context, phases, trace)
+            optimized = rewrite(query, context, trace=trace)
         # One memo for both trees: subtrees the rewrite left alone are
         # estimated once.
         estimates: Dict[int, NodeEstimate] = {}
@@ -344,15 +340,3 @@ def plan(
             cost_after=estimates[id(optimized)].as_cost_estimate(),
             estimates=estimates,
         )
-
-
-def plan_for_engine(query: Query, engine, **kwargs) -> Plan:
-    """Plan ``query`` with statistics gathered from a live engine.
-
-    Row sampling is restricted to the query's base relations — relations the
-    query never touches are not scanned.
-    """
-    statistics = Statistics.from_engine(
-        engine, sample_relations=tuple(query.base_relations())
-    )
-    return plan(query, statistics, **kwargs)

@@ -34,10 +34,10 @@ Design:
 Estimated selectivities are floored (:func:`floor_selectivity`) so an
 empty sample intersection never makes a plan look free.
 
-``sample_database`` / ``sample_wsd`` / ``sample_uwsdt`` build the samples
-:class:`~repro.core.planner.cost.Statistics` carries; for WSDs the sampled
-tuples resolve each field through its component (certain fields to their
-value, genuinely uncertain fields to the placeholder sentinel).
+``sample_database`` / ``sample_wsd`` / ``sample_uwsdt`` draw one relation's
+sample for the statistics catalog; for WSDs the sampled tuples resolve each
+field through its component (certain fields to their value, genuinely
+uncertain fields to the placeholder sentinel).
 """
 
 from __future__ import annotations
@@ -325,63 +325,27 @@ def join_selectivity(
 
 
 # --------------------------------------------------------------------------- #
-# Engine samplers (used by Statistics.from_database / from_wsd / from_uwsdt)
+# Engine samplers (one relation at a time, for the statistics catalog)
 # --------------------------------------------------------------------------- #
 
 
-def sample_database(
-    database: Any,
-    capacity: int = DEFAULT_SAMPLE_SIZE,
-    seed: int = SAMPLE_SEED,
-    only: Optional[Sequence[str]] = None,
-) -> Dict[str, RelationSample]:
-    """Sample the database's relations (restricted to ``only`` when given —
-    planning passes the query's base relations so unrelated, possibly huge
-    relations are never scanned)."""
-    samples: Dict[str, RelationSample] = {}
-    wanted = set(only) if only is not None else None
-    for relation in database:
-        if wanted is not None and relation.schema.name not in wanted:
-            continue
-        _record_sampling()
-        rows, population = reservoir(iter(relation), capacity, seed)
-        samples[relation.schema.name] = RelationSample(
-            relation.schema.name, relation.schema.attributes, rows, population
-        )
-    return samples
+def sample_database(database: Any, name: str, capacity: int) -> RelationSample:
+    """Sample the rows of one stored relation."""
+    _record_sampling()
+    relation = database.relation(name)
+    rows, population = reservoir(iter(relation), capacity)
+    return RelationSample(name, relation.schema.attributes, rows, population)
 
 
-def sample_uwsdt(
-    uwsdt: Any,
-    capacity: int = DEFAULT_SAMPLE_SIZE,
-    seed: int = SAMPLE_SEED,
-    only: Optional[Sequence[str]] = None,
-) -> Dict[str, RelationSample]:
-    """Sample template rows; placeholder fields stay the ``?`` sentinel."""
-    samples: Dict[str, RelationSample] = {}
-    wanted = set(only) if only is not None else None
-    for relation_schema in uwsdt.schema:
-        if wanted is not None and relation_schema.name not in wanted:
-            continue
-        _record_sampling()
-        rows, population = reservoir(
-            (values for _, values in uwsdt.template_rows(relation_schema.name)),
-            capacity,
-            seed,
-        )
-        samples[relation_schema.name] = RelationSample(
-            relation_schema.name, relation_schema.attributes, rows, population
-        )
-    return samples
+def sample_uwsdt(uwsdt: Any, name: str, capacity: int) -> RelationSample:
+    """Sample one relation's template rows; placeholder fields stay the ``?`` sentinel."""
+    _record_sampling()
+    rows, population = reservoir((values for _, values in uwsdt.template_rows(name)), capacity)
+    return RelationSample(name, uwsdt.schema.relation(name).attributes, rows, population)
 
 
-def sample_wsd(
-    wsd: Any,
-    capacity: int = DEFAULT_SAMPLE_SIZE,
-    seed: int = SAMPLE_SEED,
-    only: Optional[Sequence[str]] = None,
-) -> Dict[str, RelationSample]:
-    """Sample WSD tuples, resolving each field through its component.
+def sample_wsd(wsd: Any, name: str, capacity: int) -> RelationSample:
+    """Sample one relation's WSD tuples, resolving each field through its component.
 
     Tuple ids are reservoir-sampled first so only the sampled tuples pay
     the per-field component lookups.  A field whose component gives it a
@@ -391,27 +355,19 @@ def sample_wsd(
     """
     from ...core.fields import FieldRef
 
-    samples: Dict[str, RelationSample] = {}
-    wanted = set(only) if only is not None else None
-    for relation_schema in wsd.schema:
-        if wanted is not None and relation_schema.name not in wanted:
-            continue
-        _record_sampling()
-        tuple_ids = wsd.tuple_ids.get(relation_schema.name, [])
-        sampled_ids, population = reservoir(((tid,) for tid in tuple_ids), capacity, seed)
-        rows: List[Tuple[Any, ...]] = []
-        for (tuple_id,) in sampled_ids:
-            values: List[Any] = []
-            for attribute in relation_schema.attributes:
-                field = FieldRef(relation_schema.name, tuple_id, attribute)
-                column = wsd.component_for(field).column(field)
-                first = column[0]
-                if first is not BOTTOM and all(value == first for value in column[1:]):
-                    values.append(first)
-                else:
-                    values.append(PLACEHOLDER)
-            rows.append(tuple(values))
-        samples[relation_schema.name] = RelationSample(
-            relation_schema.name, relation_schema.attributes, rows, population
-        )
-    return samples
+    _record_sampling()
+    attributes = wsd.schema.relation(name).attributes
+    sampled_ids, population = reservoir(((tid,) for tid in wsd.tuple_ids.get(name, [])), capacity)
+    rows: List[Tuple[Any, ...]] = []
+    for (tuple_id,) in sampled_ids:
+        values: List[Any] = []
+        for attribute in attributes:
+            field = FieldRef(name, tuple_id, attribute)
+            column = wsd.component_for(field).column(field)
+            first = column[0]
+            if first is not BOTTOM and all(value == first for value in column[1:]):
+                values.append(first)
+            else:
+                values.append(PLACEHOLDER)
+        rows.append(tuple(values))
+    return RelationSample(name, attributes, rows, population)

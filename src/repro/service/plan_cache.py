@@ -79,7 +79,8 @@ class PlanCache:
     """Per-engine cache of lowered plans, validated by version-key polling."""
 
     def __init__(self, engine: Any) -> None:
-        self.engine = engine
+        #: No reference back to ``engine`` (the cache hangs off it, the catalog
+        #: holds it weakly): a discarded engine dies by reference count.
         self.catalog: StatisticsCatalog = catalog_for(engine)
         self._lock = threading.RLock()
         self._entries: Dict[str, CachedPlan] = {}

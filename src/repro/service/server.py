@@ -14,11 +14,11 @@ UWSDT) and serves concurrent client sessions.  Per request it
    semantically keyed observation store
    (:mod:`~repro.core.planner.observed`),
 5. checks the replan trigger: when an entry has executed at least
-   ``replan_min_executions`` times and its worst per-operator q-error still
-   exceeds ``replan_qerror``, the cached plan is evicted — the *next*
-   request replans against statistics that now carry the observations, so
-   hot, mis-estimated queries self-correct their join orders under live
-   traffic without any operator intervention.
+   :data:`DEFAULT_REPLAN_MIN_EXECUTIONS` times and its worst per-operator
+   q-error still exceeds :data:`DEFAULT_REPLAN_QERROR`, the cached plan is
+   evicted — the *next* request replans against statistics that now carry
+   the observations, so hot, mis-estimated queries self-correct their join
+   orders under live traffic without any operator intervention.
 
 Engine access is serialized per engine through an ``asyncio.Lock``: the
 representation engines mutate themselves on every ``Q̂`` execution, so two
@@ -158,15 +158,8 @@ class ServiceStats:
 class QueryService:
     """An always-on query service over registered engines."""
 
-    def __init__(
-        self,
-        replan_qerror: float = DEFAULT_REPLAN_QERROR,
-        replan_min_executions: int = DEFAULT_REPLAN_MIN_EXECUTIONS,
-        slow_query_seconds: Optional[float] = None,
-    ) -> None:
+    def __init__(self, slow_query_seconds: Optional[float] = None) -> None:
         self.engines: Dict[str, Any] = {}
-        self.replan_qerror = replan_qerror
-        self.replan_min_executions = replan_min_executions
         #: Requests slower than this (seconds) land in :attr:`slow_queries`;
         #: defaults to ``REPRO_SLOW_QUERY_MS`` or 250 ms.
         self.slow_query_seconds = (
@@ -358,10 +351,10 @@ class QueryService:
         that now include the recorded observations, and caches the
         corrected plan.
         """
-        if entry.executions < self.replan_min_executions:
+        if entry.executions < DEFAULT_REPLAN_MIN_EXECUTIONS:
             return False
         error = metrics.max_cardinality_error()
-        if error is None or error < self.replan_qerror:
+        if error is None or error < DEFAULT_REPLAN_QERROR:
             return False
         cache.invalidate(
             entry.fingerprint, reason="replan", backend=entry.backend, workers=entry.workers

@@ -33,7 +33,7 @@ from repro.core.exec.physical import (
     PhysicalPlan,
     Scan,
 )
-from repro.core.planner import Statistics, plan
+from repro.core.planner import Statistics, output_attributes, plan
 from repro.core.planner.planner import rewrite
 from repro.core.planner.rules import RewriteContext, RewriteRule
 from repro.relational import Database, Relation, RelationSchema
@@ -75,6 +75,13 @@ class TestRewritePreservation:
         assert inferred_attributes(result.optimized, context) == inferred_attributes(
             query, context
         )
+        # One propagation: the verifier's answer is the planner's, whichever
+        # of the two sources the base schemas come from — also where only one
+        # side of a set operation resolves.
+        for source in (statistics, Statistics(attributes={"S": ORACLE_ATTRS["S"]})):
+            context = SchemaContext.from_statistics(source)
+            for tree in (query, result.optimized):
+                assert inferred_attributes(tree, context) == output_attributes(tree, source)
 
     def test_broken_rule_is_caught_and_named(self):
         class DropColumn(RewriteRule):

@@ -23,6 +23,7 @@ from repro.analysis.lint import (
     check_async_blocking,
     check_dynamic_code,
     check_locked_state,
+    check_operator_dispatch,
     check_picklable_plan_state,
     check_relation_storage,
     check_relation_version,
@@ -334,6 +335,65 @@ class TestDynamicCode:
         )
 
 
+class TestOperatorDispatch:
+    def test_operator_calls_outside_the_backends_flagged(self):
+        source = (
+            "from ...relational import algebra as relational_algebra\n"
+            "from . import uwsdt_ops, wsd_ops\n"
+            "from .wsd_ops import copy_relation as duplicate\n"
+            "def walk(query, wsd, uwsdt, left, right):\n"
+            "    wsd_ops.select(wsd, 'R', 'P', query.predicate)\n"
+            "    uwsdt_ops.union(uwsdt, 'R', 'S', 'P')\n"
+            "    duplicate(wsd, 'R', 'S')\n"
+            "    return relational_algebra.product(left, right)\n"
+        )
+        found = violations_of(check_operator_dispatch, source, "repro/core/algebra/walker.py")
+        assert {v.rule for v in found} == {"operator-dispatch"}
+        assert [(v.line, v.symbol) for v in found] == [(line, "walk") for line in (5, 6, 7, 8)]
+        assert "select() of core.algebra.wsd_ops" in found[0].message
+        assert "product() of relational.algebra" in found[3].message
+
+    def test_absolute_imports_and_the_package_reexports_flagged(self):
+        source = (
+            "import repro.core.algebra.uwsdt_ops\n"
+            "from repro.relational import equi_join, eq\n"
+            "def run(uwsdt, left, right):\n"
+            "    repro.core.algebra.uwsdt_ops.project(uwsdt, 'R', 'P', ['A'])\n"
+            "    return equi_join(left, right, 'A', 'B'), eq('A', 1)\n"
+        )
+        found = violations_of(check_operator_dispatch, source, "repro/apps/report.py")
+        assert [(v.line, v.symbol) for v in found] == [(4, "run"), (5, "run")]
+
+    def test_backends_the_oracle_reference_and_query_combinators_clean(self):
+        dispatch = (
+            "from ...relational import algebra as relational_algebra\n"
+            "from ..algebra import wsd_ops\n"
+            "class WSDBackend:\n"
+            "    def copy(self, name, target):\n"
+            "        wsd_ops.copy_relation(self.engine, name, target)\n"
+            "    def product(self, left, right):\n"
+            "        return relational_algebra.product(left, right)\n"
+        )
+        assert violations_of(check_operator_dispatch, dispatch) != []
+        assert violations_of(check_operator_dispatch, dispatch, "repro/core/exec/backends.py") == []
+        reference = (
+            "from ...relational import algebra as relational_algebra\n"
+            "def _evaluate_db(query, database):\n"
+            "    return relational_algebra.select(database.relation(query.name), query.predicate)\n"
+            "def elsewhere(relation, predicate):\n"
+            "    return relational_algebra.select(relation, predicate)\n"
+        )
+        found = violations_of(check_operator_dispatch, reference, "repro/core/algebra/query.py")
+        assert [v.symbol for v in found] == ["elsewhere"]
+        # Query combinators and backend methods share the operators' names.
+        methods = (
+            "def build(query, backend, other):\n"
+            "    tree = query.select(1).project(['A']).union(other)\n"
+            "    return backend.filter(tree, None), select(tree)\n"
+        )
+        assert violations_of(check_operator_dispatch, methods) == []
+
+
 # --------------------------------------------------------------------------- #
 # run_lint over a synthetic tree, baseline workflow, report format
 # --------------------------------------------------------------------------- #
@@ -369,6 +429,11 @@ def synthetic_package(tmp_path):
         "        self.test = lambda row: predicate(row)\n"
     )
     (root / "loader.py").write_text("def load(text):\n    return eval(text)\n")
+    (root / "walker.py").write_text(
+        "from .core.algebra import wsd_ops\n"
+        "def walk(wsd, predicate):\n"
+        "    wsd_ops.select(wsd, 'R', 'P', predicate)\n"
+    )
     return root
 
 
@@ -379,6 +444,7 @@ class TestRunLintAndBaseline:
             "async-blocking",
             "dynamic-code",
             "locked-state",
+            "operator-dispatch",
             "picklable-plan",
             "relation-storage",
             "relation-version",

@@ -15,12 +15,15 @@ keys of every touched base relation.  The contract under test:
 """
 
 import asyncio
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import invariants
 from repro.core import UWSDT, WSD
 from repro.core.algebra import BaseRelation
 from repro.core.chase import chase_uwsdt
@@ -177,6 +180,42 @@ class TestRepresentationEngines:
         cold_copy = wsd.copy()
         query.run(cold_copy, "P", optimize=False)
         assert_same_result_distribution(warm_copy.rep(), cold_copy.rep(), "P")
+
+
+class TestEngineLifetime:
+    """The plan cache hangs off its engine and must not point back at it: the
+    service discards whole engine copies, and a cycle would keep each one (rows,
+    templates, components) resident until the collector's next full pass."""
+
+    @pytest.mark.parametrize(
+        "build, left_key, right_key",
+        [
+            (small_database, "A", "B"),
+            (lambda: UWSDT.from_orset_relations(small_orset_relations()), "A1", "B1"),
+        ],
+        ids=["database", "uwsdt"],
+    )
+    def test_engine_with_catalog_cache_and_cached_plan_dies_by_refcount(
+        self, build, left_key, right_key
+    ):
+        query = BaseRelation("R").join(BaseRelation("S"), left_key, right_key)
+        # The user path: the suite's plan verifier builds recursive closures
+        # over the backend, which are cyclic garbage of their own.
+        previous = invariants.set_verification(False)
+        gc.collect()
+        gc.disable()
+        try:
+            engine = build()
+            catalog_for(engine)
+            cache = plan_cache_for(engine)
+            entry = populate(cache, query, engine)
+            assert cache.lookup(query.fingerprint()) is entry
+            alive = weakref.ref(engine)
+            del engine, cache, entry
+            assert alive() is None
+        finally:
+            gc.enable()
+            invariants.set_verification(previous)
 
 
 class TestBackendKeying:

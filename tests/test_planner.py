@@ -5,7 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import UWSDT, WSD
-from repro.core.algebra import BaseRelation, Join, Product, Project, Rename, Select
+from repro.core.algebra import (
+    BaseRelation,
+    Difference,
+    Join,
+    Product,
+    Project,
+    Rename,
+    Select,
+    Union,
+)
 from repro.core.planner import (
     CostEstimate,
     FIXED_SELECTIVITY_FLOOR,
@@ -149,6 +158,12 @@ class TestRules:
         query = BaseRelation("R").rename("A", "X").join(BaseRelation("S"), "X", "D")
         assert output_attributes(query, STATS) == ("X", "B", "C", "D", "E")
         assert output_attributes(BaseRelation("T"), STATS) is None
+        # The one propagation never raises: where only the right side of a
+        # set operation resolves, that side answers, and a node of no known
+        # type is unresolvable, not an error.
+        assert output_attributes(Union(BaseRelation("T"), BaseRelation("S")), STATS) == ("D", "E")
+        assert output_attributes(Difference(BaseRelation("T"), BaseRelation("U")), STATS) is None
+        assert output_attributes(object(), STATS) is None
 
 
 class TestCostModel:

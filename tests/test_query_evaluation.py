@@ -8,6 +8,8 @@ naive engine that evaluates ``Q`` in every world — on both the WSD and the
 UWSDT engines.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from repro.core.algebra import (
     evaluate_on_uwsdt,
     evaluate_on_wsd,
 )
+from repro.obs.metrics import get_registry
 from repro.relational import And, Database, Or, QueryError, attr_eq, eq, gt, ne
 from repro.worlds import OrSet, OrSetRelation
 
@@ -172,6 +175,70 @@ class TestOperatorsAgainstNaive:
         bogus.__class__ = type("Strange", (), {"children": lambda self: ()})
         with pytest.raises(Exception):
             evaluate_on_database(object(), Database([]))  # type: ignore[arg-type]
+
+
+def operator_observations(kind):
+    """``repro.exec.operator_seconds`` observations so far, per operator of one backend."""
+    prefix = "repro.exec.operator_seconds{" + f'backend="{kind}",operator="'
+    return Counter(
+        {
+            name[len(prefix) : -2]: histogram["count"]
+            for name, histogram in get_registry().snapshot()["histograms"].items()
+            if name.startswith(prefix)
+        }
+    )
+
+
+class TestEvaluateOnIsTheExecutor:
+    """``evaluate_on_wsd`` / ``evaluate_on_uwsdt`` are spellings of
+    ``Query.run(optimize=False)``: same executor, same names, same worlds."""
+
+    ENGINES = [
+        ("wsd", WSD.from_orset_relation, evaluate_on_wsd),
+        ("uwsdt", UWSDT.from_orset_relation, evaluate_on_uwsdt),
+    ]
+
+    @pytest.mark.parametrize("kind, build, evaluate", ENGINES, ids=["wsd", "uwsdt"])
+    def test_one_executed_physical_operator_per_node(self, abc_orset, kind, build, evaluate):
+        query = (
+            BaseRelation("R")
+            .select(gt("A", 0))
+            .project(["A", "C"])
+            .union(BaseRelation("R").project(["A", "C"]))
+            .intersection(BaseRelation("R").project(["A", "C"]))
+        )
+        engine = build(abc_orset)
+        twin = engine.copy()
+        before = operator_observations(kind)
+        assert evaluate(query, engine, "P") == "P"
+        executed = operator_observations(kind) - before
+        physical = query.physical_plan(twin, optimize=False, backend="row")
+        assert executed == Counter(node.op_name for node in physical.operators())
+        assert query.run(twin, "P", optimize=False) == "P"
+        assert [rs.name for rs in engine.schema] == [rs.name for rs in twin.schema]
+        assert_same_result_distribution(engine.rep(), twin.rep(), "P")
+
+    @pytest.mark.parametrize("kind, build, evaluate", ENGINES, ids=["wsd", "uwsdt"])
+    def test_self_union_alias_and_reuse_of_an_extended_engine(
+        self, abc_orset, kind, build, evaluate
+    ):
+        # R ∪ R needs an alias of one operand (tuple ids derive from operand
+        # names); a second evaluation restarts the intermediate counter on an
+        # engine whose schema already holds the first one's ``__q`` names.
+        query = BaseRelation("R").union(BaseRelation("R")).select(eq("C", 7))
+        engine = build(abc_orset)
+        worlds = engine.rep()
+        twin = engine.copy()
+        for name in ("P", "P2"):
+            assert evaluate(query, engine, name) == name
+            assert query.run(twin, name, optimize=False) == name
+        names = [rs.name for rs in engine.schema]
+        assert names == [rs.name for rs in twin.schema]
+        assert len(names) == len(set(names)) == 7  # R, 2 × (alias, ∪, result)
+        for name in ("P", "P2"):
+            reference = naive.evaluate_query(worlds, query, name)
+            assert_same_result_distribution(engine.rep(), reference, name)
+            assert_same_result_distribution(twin.rep(), reference, name)
 
 
 class TestQueryAst:

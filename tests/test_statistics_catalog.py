@@ -45,6 +45,26 @@ def _orsets():
     return [r, s]
 
 
+def _watchable_relations(engine):
+    """The ``Relation`` objects a catalog over ``engine`` would watch."""
+    if isinstance(engine, Database):
+        return list(engine)
+    return list(getattr(engine, "templates", {}).values())  # a WSD stores none
+
+
+def assert_same_statistics(fresh, cached):
+    """Everything the cost model reads, relation by relation."""
+    assert fresh.engine == cached.engine
+    assert fresh.row_counts == cached.row_counts
+    assert fresh.placeholder_densities == cached.placeholder_densities
+    assert fresh.attributes == cached.attributes
+    assert set(fresh.samples) == set(cached.samples)
+    for name, sample in fresh.samples.items():
+        assert sample.rows == cached.samples[name].rows
+        assert sample.attributes == cached.samples[name].attributes
+        assert sample.population == cached.samples[name].population
+
+
 def _chaseable_orsets():
     """Inputs on which ``FD R: K → A`` is satisfiable and correlating: the
     two K=1 tuples' or-sets overlap in A=2 only, so the chase must merge
@@ -157,12 +177,40 @@ class TestMutationInvalidation:
         ), "expected the chase to correlate placeholder fields"
         plan2 = JOIN_QUERY.plan(uwsdt)
         assert plan2.statistics.provenance("R") == "cached-sample"
-        fresh = Statistics.from_uwsdt(uwsdt)
-        assert plan2.statistics.row_count("R") == fresh.row_count("R")
-        assert plan2.statistics.placeholder_density("R") == pytest.approx(
-            fresh.placeholder_density("R")
-        )
-        assert plan2.statistics.sample("R").rows == fresh.sample("R").rows
+        assert_same_statistics(Statistics.from_uwsdt(uwsdt), plan2.statistics)
+
+    @pytest.mark.parametrize(
+        "fresh_statistics, build",
+        [
+            (Statistics.from_database, _database),
+            (Statistics.from_wsd, lambda: WSD.from_orset_relations(_orsets())),
+            (Statistics.from_uwsdt, lambda: UWSDT.from_orset_relations(_orsets())),
+        ],
+        ids=["database", "wsd", "uwsdt"],
+    )
+    def test_fresh_statistics_are_the_view_of_an_unattached_catalog(
+        self, fresh_statistics, build
+    ):
+        """``Statistics.from_*`` and the catalog are one code path: what the
+        first returns equals ``from_engine`` on an engine nothing has sampled
+        yet — also when sampling is restricted to some relations — and it
+        leaves nothing behind on the engine."""
+        engine = build()
+        relations = _watchable_relations(engine)
+        for restriction in (None, ("S",)):
+            fresh = fresh_statistics(engine, sample_relations=restriction)
+            assert fresh.source == "fresh" and fresh.catalog is None
+            cached = Statistics.from_engine(build(), sample_relations=restriction)
+            assert cached.source == "catalog"
+            assert_same_statistics(fresh, cached)
+            for name in ("R", "S"):
+                assert fresh.provenance(name) == cached.provenance(name)
+        assert fresh.provenance("R") == "fixed-constants"
+        assert fresh.provenance("S") == "fresh-sample"
+        for _ in range(5):
+            fresh_statistics(engine)
+        assert [len(relation._watchers) for relation in relations] == [0] * len(relations)
+        assert getattr(engine, "_statistics_catalog", None) is None
 
     def test_uwsdt_query_execution_keeps_base_entries_valid(self):
         """Q̂ extends the representation with intermediates; the *base*
