@@ -233,9 +233,8 @@ class Query:
         dispatch lives entirely in :mod:`repro.core.exec`.  With
         ``collect_metrics=True`` the return value is an
         :class:`~repro.core.exec.ExecutionResult` bundling the result with
-        per-operator runtime metrics (also folded into the engine's
-        statistics catalog as actual-cardinality feedback); ``force_join``
-        overrides the hash-vs-index join choice for benchmarking.
+        per-operator runtime metrics; ``force_join`` overrides the
+        hash-vs-index join choice for benchmarking.
 
         Pass a previously lowered ``physical`` plan (for the same engine
         kind) to skip planning *and* lowering entirely — the plan-cache hit
@@ -261,11 +260,9 @@ class Query:
             )
         value = physical.execute(backend, result_name)
         if collect_metrics:
-            from ..exec import ExecutionResult, record_into_catalog
+            from ..exec import ExecutionResult
 
-            metrics = physical.metrics()
-            record_into_catalog(engine, metrics)
-            return ExecutionResult(value, metrics, physical)
+            return ExecutionResult(value, physical.metrics(), physical)
         return value
 
     def explain_analyze(
@@ -283,7 +280,7 @@ class Query:
         actual rows, q-error, per-child input rows and self vs cumulative
         time.  Note the representation-engine convention still applies: on a
         WSD/UWSDT the run *extends* the representation with ``result_name``.
-        For cache/feedback provenance, use
+        For cache provenance, use
         :meth:`repro.service.Session.explain_analyze`, which serves the
         query through the plan cache.
         """
@@ -297,7 +294,6 @@ class Query:
             backend=backend,
             workers=workers,
         )
-        observed = frozenset(plan.statistics.observed) if plan is not None else frozenset()
         header = []
         certainty = None
         if plan is not None:
@@ -308,7 +304,7 @@ class Query:
                 from ...analysis.certainty import CertaintyContext
 
                 certainty = CertaintyContext.from_statistics(plan.statistics)
-        return result.physical.explain_analyze(observed, header, certainty)
+        return result.physical.explain_analyze(header, certainty)
 
 
 class BaseRelation(Query):

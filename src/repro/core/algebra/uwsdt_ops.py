@@ -31,7 +31,7 @@ import operator
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ...relational.errors import RepresentationError, SchemaError
-from ...relational.predicates import AttrConst, Predicate
+from ...relational.predicates import And, AttrConst, Predicate
 from ...relational.schema import RelationSchema
 from ...relational.values import BOTTOM, PLACEHOLDER
 from ..component import Component, fill_placeholders
@@ -181,13 +181,25 @@ def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None
     # as in one world, local worlds are judged on a filled-in copy of the row.
     satisfied = predicate.compile(template.schema)
     uncertain = uwsdt.uncertain_tuples(source)
+    conjuncts = [
+        (set(part.attributes()), part.compile(template.schema))
+        for part in (predicate.parts if uncertain and isinstance(predicate, And) else ())
+    ]
 
     def keeps(row: Row, placeholders: Tuple[str, ...]) -> bool:
         """Figure 16 for one row with placeholders: is it in the result template?"""
         tuple_id = row[0]
         uncertain_refs = [a for a in referenced if a in placeholders]
-        if not uncertain_refs and not satisfied(row):
+        if not uncertain_refs:
             # Line 1 of Figure 16: the condition is decided by the template alone.
+            if not satisfied(row):
+                return False
+        elif any(
+            attributes.isdisjoint(placeholders) and not holds(row)
+            for attributes, holds in conjuncts
+        ):
+            # Line 1 per conjunct: one over certain fields fails, so no world
+            # keeps the tuple and no component needs copying or merging.
             return False
         _copy_placeholder_fields(uwsdt, source, tuple_id, target, tuple_id, placeholders)
         if not uncertain_refs:

@@ -7,8 +7,7 @@ operators (``Scan`` / ``IndexScan`` / ``Filter`` / ``HashJoin`` /
 ``Union`` / ``Difference`` / ``Intersection``) and executes it through an
 :class:`EngineBackend` — one per representation system, all wrapping the
 operator modules that implement the paper's semantics.  Execution records
-per-operator runtime metrics, whose estimated-vs-actual cardinalities feed
-back into the engine's statistics catalog.
+per-operator runtime metrics (estimated vs actual cardinality among them).
 
 * :mod:`repro.core.exec.physical` — operator nodes, the executor,
   ``PhysicalPlan.explain()``.
@@ -19,8 +18,7 @@ back into the engine's statistics catalog.
   the hash-join vs index-nested-loop-join cost decision.
 * :mod:`repro.core.exec.metrics`  — ``OperatorMetrics`` /
   ``ExecutionMetrics`` (rows in/out, wall time, estimated vs actual
-  cardinality) and ``record_into_catalog``, the actual-cardinality feedback
-  into the statistics catalog.
+  cardinality).
 """
 
 from .backends import (
@@ -41,7 +39,7 @@ from .columnar import (
     resolve_backend,
 )
 from .lower import JOIN_ALGORITHMS, lower
-from .metrics import ExecutionMetrics, OperatorMetrics, record_into_catalog
+from .metrics import ExecutionMetrics, OperatorMetrics
 from .physical import (
     Dematerialize,
     Difference,
@@ -95,7 +93,6 @@ __all__ = [
     "lower",
     "ExecutionMetrics",
     "OperatorMetrics",
-    "record_into_catalog",
     "Dematerialize",
     "Difference",
     "Exchange",

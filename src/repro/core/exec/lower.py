@@ -27,7 +27,6 @@ from typing import Dict, Optional
 from ...relational.errors import QueryError
 from ...relational.predicates import AttrConst
 from ..algebra import query as logical
-from ..planner.observed import cardinality_key
 from ..planner.cost import (
     DEFAULT_ARITY,
     CostModel,
@@ -120,11 +119,6 @@ class _Lowering:
 
     def lower(self, node: logical.Query) -> PhysicalOperator:
         physical = self._lower_node(node)
-        # Every physical node remembers the *semantic* identity of the
-        # logical subtree it computes, so its executed cardinality can be
-        # recorded under a key future planning passes will look up again —
-        # and the base relations whose versions scope that observation.
-        physical.cardinality_key = cardinality_key(node)
         physical.base_relation_names = tuple(sorted(node.base_relations()))
         return physical
 

@@ -3,10 +3,7 @@
 Every physical operator records, while it runs, the cardinalities it
 consumed and produced, the wall time it took, and the cardinality the
 planner *expected* it to produce.  The per-operator records roll up into an
-:class:`ExecutionMetrics` exposed on the query result, and
-:func:`record_into_catalog` files their estimated-vs-actual cardinalities on
-the engine's statistics catalog, where later planning passes (and the query
-service's q-error replan trigger) read them.
+:class:`ExecutionMetrics` exposed on the query result.
 """
 
 from __future__ import annotations
@@ -38,14 +35,6 @@ class OperatorMetrics:
     #: The planner's cardinality estimate for this operator's output, or
     #: None when the plan was lowered without statistics.
     estimated_rows: Optional[float] = None
-    #: Order-independent semantic key of the logical subtree this operator
-    #: was lowered from (:func:`~repro.core.planner.observed.cardinality_key`);
-    #: None for hand-built physical plans.  This is the key under which the
-    #: observation becomes *consumable* by later planning passes.
-    semantic_key: Optional[str] = None
-    #: Sorted base relations the subtree reads — the staleness scope of the
-    #: observation.
-    relations: Tuple[str, ...] = ()
 
     @property
     def cardinality_error(self) -> Optional[float]:
@@ -82,8 +71,8 @@ class ExecutionMetrics:
     engine: str
     records: List[OperatorMetrics] = field(default_factory=list)
     #: Fingerprint of the query these metrics belong to, when executed
-    #: through the query service — lets feedback and telemetry attribute
-    #: observations to the cached plan that produced them.
+    #: through the query service — lets telemetry attribute observations
+    #: to the cached plan that produced them.
     fingerprint: Optional[str] = None
     #: Trace id of the service request that executed the plan (None outside
     #: the service or with tracing disabled) — ties these metrics to the
@@ -140,22 +129,3 @@ class ExecutionMetrics:
             lines.append(f"  worst cardinality q-error: {worst:.2f}")
         return "\n".join(lines)
 
-
-def record_into_catalog(engine, metrics: ExecutionMetrics) -> None:
-    """Store estimated-vs-actual output cardinalities on the engine's catalog.
-
-    Operators of hand-built physical plans carry no semantic key, so no
-    planning pass could look their observation up; they are skipped.
-    """
-    from ..planner.catalog import catalog_for
-
-    catalog = catalog_for(engine)
-    for record in metrics.records:
-        if record.estimated_rows is None or record.semantic_key is None:
-            continue
-        catalog.record_actual(
-            record.semantic_key,
-            record.estimated_rows,
-            record.rows_out,
-            relations=record.relations,
-        )

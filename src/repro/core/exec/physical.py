@@ -19,7 +19,7 @@ next to the chosen operators.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ...obs.metrics import LATENCY_BUCKETS, QERROR_BUCKETS, get_registry
 from ...obs.trace import get_tracer
@@ -46,11 +46,6 @@ class PhysicalOperator:
         self.estimated_rows = estimated_rows
         #: Filled in by execution (None until the node has run).
         self.metrics: Optional[OperatorMetrics] = None
-        #: Semantic cardinality key of the logical subtree this operator was
-        #: lowered from, attached by :mod:`~repro.core.exec.lower` (None for
-        #: hand-built plans).  Execution stamps it onto the operator's
-        #: metrics so observations land in the planner-consumable store.
-        self.cardinality_key: Optional[str] = None
         #: Sorted base relations the lowered subtree reads.
         self.base_relation_names: Tuple[str, ...] = ()
 
@@ -507,8 +502,6 @@ class PhysicalPlan:
             arity_out=backend.arity(handle),
             seconds=seconds,
             estimated_rows=node.estimated_rows,
-            semantic_key=node.cardinality_key,
-            relations=node.base_relation_names,
         )
         # Feed the process-wide registry: one histogram observation per
         # executed operator (not per tuple — constant overhead per node).
@@ -564,17 +557,14 @@ class PhysicalPlan:
 
     def explain_analyze(
         self,
-        observed_keys: FrozenSet[str] = frozenset(),
         header_lines: Sequence[str] = (),
         certainty: Optional[Any] = None,
     ) -> str:
         """The executed plan, annotated per node with estimated vs actual
         rows, q-error, self vs cumulative time, and per-child input rows.
 
-        ``observed_keys`` are the semantic cardinality keys whose estimates
-        came from executed-cardinality feedback rather than samples — nodes
-        lowered from those subtrees are tagged ``est←feedback``.  Must run
-        after :meth:`execute`; unexecuted nodes render without actuals.
+        Must run after :meth:`execute`; unexecuted nodes render without
+        actuals.
         ``certainty`` (a :class:`~repro.analysis.certainty.CertaintyContext`)
         additionally tags each node with its placeholder-certainty verdict.
         """
@@ -590,7 +580,7 @@ class PhysicalPlan:
         if worst is not None:
             summary += f"; worst q-error {worst:.2f}"
         lines.append(summary)
-        lines.extend(self._render_analyze(self.root, "", "", observed_keys, certainty))
+        lines.extend(self._render_analyze(self.root, "", "", certainty))
         return "\n".join(lines)
 
     def _render_analyze(
@@ -598,17 +588,11 @@ class PhysicalPlan:
         node: PhysicalOperator,
         prefix: str,
         child_prefix: str,
-        observed_keys: FrozenSet[str],
         certainty: Optional[Any] = None,
     ) -> List[str]:
         annotations: List[str] = []
         if node.estimated_rows is not None:
-            source = (
-                "est←feedback"
-                if node.cardinality_key is not None and node.cardinality_key in observed_keys
-                else "est"
-            )
-            annotations.append(f"{source} {node.estimated_rows:,.0f}")
+            annotations.append(f"est {node.estimated_rows:,.0f}")
         record = node.metrics
         if record is not None:
             if record.rows_in:
@@ -643,8 +627,7 @@ class PhysicalPlan:
             extend = "    " if last else "│   "
             lines.extend(
                 self._render_analyze(
-                    child, child_prefix + branch, child_prefix + extend, observed_keys,
-                    certainty,
+                    child, child_prefix + branch, child_prefix + extend, certainty
                 )
             )
         return lines

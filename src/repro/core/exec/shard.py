@@ -569,8 +569,6 @@ class ShardedBackend(EngineBackend):
                 arity_out=first.arity_out,
                 seconds=sum(record.seconds for record in shard_records),
                 estimated_rows=node.estimated_rows,
-                semantic_key=node.cardinality_key,
-                relations=node.base_relation_names,
             )
         subtree_seconds = sum(
             node.metrics.seconds for node in nodes if node.metrics is not None
@@ -588,8 +586,6 @@ class ShardedBackend(EngineBackend):
             arity_out=results[0].records[-1].arity_out if results[0].records else 0,
             seconds=max(0.0, parallel_seconds - subtree_seconds),
             estimated_rows=exchange.estimated_rows,
-            semantic_key=exchange.cardinality_key,
-            relations=exchange.base_relation_names,
         )
         if shard_rows and max(shard_rows) > 0:
             mean = total_rows / len(shard_rows)

@@ -14,9 +14,6 @@
 * :mod:`repro.core.planner.catalog`  — the per-engine statistics catalog:
   version-keyed caching of samples/row counts/densities, so repeated
   planning against an unchanged engine does zero sampling work.
-* :mod:`repro.core.planner.observed` — semantic cardinality keys and the
-  EWMA observation records through which executed-operator cardinalities
-  feed back into estimation (consumed by ``cost`` and ``joins``).
 * :mod:`repro.core.planner.planner`  — the fixpoint driver and the
   inspectable :class:`Plan` (``plan.explain()``).
 """
@@ -42,12 +39,6 @@ from .joins import (
     enumerate_plan,
     extract_join_graph,
     reorder_tree,
-)
-from .observed import (
-    OBSERVED_ALPHA,
-    OBSERVED_MIN_COUNT,
-    ObservedCardinality,
-    cardinality_key,
 )
 from .planner import (
     Plan,
@@ -101,10 +92,6 @@ __all__ = [
     "enumerate_plan",
     "extract_join_graph",
     "reorder_tree",
-    "OBSERVED_ALPHA",
-    "OBSERVED_MIN_COUNT",
-    "ObservedCardinality",
-    "cardinality_key",
     "Plan",
     "RuleApplication",
     "describe_join_order",

@@ -57,7 +57,6 @@ from ...relational.relation import Relation
 from ..uwsdt import UWSDT
 from ..wsd import WSD
 from .cost import Statistics, uwsdt_relation_statistics, wsd_relation_statistics
-from .observed import OBSERVED_ALPHA, OBSERVED_MIN_COUNT, ObservedCardinality
 from .sampling import (
     DEFAULT_SAMPLE_SIZE,
     RelationSample,
@@ -113,13 +112,6 @@ class StatisticsCatalog:
         #: Cache telemetry (reads that reused / rebuilt an entry).
         self.hits = 0
         self.misses = 0
-        #: Actual-cardinality feedback from the executor
-        #: (:func:`repro.core.exec.record_into_catalog`), keyed by
-        #: :func:`~repro.core.planner.observed.cardinality_key` so a future
-        #: planning pass can look an observation up whatever join order
-        #: produced it.  Entries carry base-relation version snapshots;
-        #: :meth:`observed_view` drops stale ones.
-        self._observed: Dict[str, ObservedCardinality] = {}
         if isinstance(engine, Database):
             self.kind = "database"
         elif isinstance(engine, UWSDT):
@@ -255,66 +247,6 @@ class StatisticsCatalog:
             if watched is not None:
                 watched[0].unwatch(watched[1])
 
-    def record_actual(
-        self,
-        key: str,
-        estimated_rows: float,
-        actual_rows: int,
-        alpha: float = OBSERVED_ALPHA,
-        relations: Sequence[str] = (),
-    ) -> None:
-        """Record one executed operator's estimated-vs-actual cardinality.
-
-        ``key`` is the operator's semantic key and ``relations`` the base
-        relations its subtree reads; the observation is stored with a
-        version snapshot of those relations, so staleness is detectable at
-        lookup time.  Repeated observations blend *both* sides through the
-        same EWMA — estimate and actual must age identically, or error
-        metrics compare a fresh estimate against a stale actual average.
-        """
-        with self._lock:
-            known = set(self.relation_names())
-            names = tuple(sorted(r for r in relations if r in known))
-            try:
-                versions = tuple(self._version_key(r)[0] for r in names)
-            except KeyError:
-                return  # a base relation vanished mid-record
-            record = self._observed.get(key)
-            if record is None or record.relations != names:
-                self._observed[key] = ObservedCardinality(
-                    float(actual_rows), float(estimated_rows), 1, names, versions
-                )
-            else:
-                self._observed[key] = record.blend(
-                    float(estimated_rows), float(actual_rows), alpha, versions
-                )
-
-    def observed_view(self, min_count: int = OBSERVED_MIN_COUNT) -> Dict[str, ObservedCardinality]:
-        """Semantically keyed observations that are still trustworthy.
-
-        Filters out entries observed fewer than ``min_count`` times and
-        entries whose base relations have mutated since recording (dropping
-        the stale ones from the store as a side effect).  The result is what
-        :class:`~repro.core.planner.cost.Statistics` carries into planning.
-        """
-        with self._lock:
-            live: Dict[str, ObservedCardinality] = {}
-            stale: List[str] = []
-            for key, record in self._observed.items():
-                try:
-                    current = tuple(self._version_key(r)[0] for r in record.relations)
-                except KeyError:
-                    stale.append(key)
-                    continue
-                if current != record.versions:
-                    stale.append(key)
-                    continue
-                if record.count >= min_count:
-                    live[key] = record
-            for key in stale:
-                del self._observed[key]
-            return live
-
     def invalidate(self, name: Optional[str] = None) -> None:
         """Drop one relation's entry (or all of them when ``name`` is None),
         releasing its mutation watcher — an always-on process must not leave
@@ -388,7 +320,6 @@ class StatisticsCatalog:
                 engine=self.kind,
                 sample_provenance=provenance,
                 source="catalog",
-                observed=self.observed_view(),
                 catalog=self,
             )
 

@@ -46,7 +46,6 @@ from ..algebra.query import (
     Select,
     Union,
 )
-from .observed import ObservedCardinality, cardinality_key
 from .sampling import DEFAULT_SAMPLE_SIZE, RelationSample, join_selectivity
 
 #: Cardinality assumed for relations the statistics do not know about.
@@ -193,7 +192,6 @@ class Statistics:
         engine: str = "generic",
         sample_provenance: Optional[Mapping[str, str]] = None,
         source: str = "adhoc",
-        observed: Optional[Mapping[str, ObservedCardinality]] = None,
         catalog: Any = None,
     ) -> None:
         self.row_counts: Dict[str, int] = dict(row_counts or {})
@@ -214,16 +212,6 @@ class Statistics:
         if sample_provenance is None:
             sample_provenance = {name: "fresh-sample" for name in self.samples}
         self.sample_provenance: Dict[str, str] = dict(sample_provenance)
-        #: Executed-operator cardinality feedback, keyed by
-        #: :func:`~repro.core.planner.observed.cardinality_key` and already
-        #: filtered for observation count and staleness by
-        #: :meth:`~repro.core.planner.catalog.StatisticsCatalog.observed_view`.
-        #: When a subtree's key is present, its observed EWMA overrides the
-        #: sampled estimate — runtime truth beats a 256-row sample.
-        self.observed: Dict[str, ObservedCardinality] = dict(observed or {})
-        #: Cheap guard: estimation only computes cardinality keys when at
-        #: least one observation exists, so cold planning pays nothing.
-        self.has_observed = bool(self.observed)
         #: The :class:`~repro.core.planner.catalog.StatisticsCatalog` this view
         #: was served from (None for fresh and hand-built statistics).  It
         #: holds its engine weakly; the type analysis goes through it to
@@ -241,7 +229,7 @@ class Statistics:
         """:meth:`RelationSample.select`, once per ``(sample, predicate)``.
 
         A statistics object is built per plan, so every estimate pass of that
-        plan (both costed trees, the join-order DP's leaves, lowering) shares
+        plan (the join-order DP's leaves, the costed tree, lowering) shares
         one compile and one scan of a sample per predicate, and the memo dies
         with the plan.  It is keyed by the two objects themselves — both hash
         by identity and the dict keeps them alive, so no ``id()`` can be
@@ -258,11 +246,6 @@ class Statistics:
     def provenance(self, relation_name: str) -> str:
         """How this relation's estimates are derived (for ``explain()``)."""
         return self.sample_provenance.get(relation_name, "fixed-constants")
-
-    def observed_rows(self, key: str) -> Optional[float]:
-        """Observed output-cardinality EWMA for a keyed subtree, if any."""
-        record = self.observed.get(key)
-        return None if record is None else record.actual_rows
 
     # -- constructors ------------------------------------------------------ #
 
@@ -540,30 +523,6 @@ def project_step(rows: float, in_arity: int, model: CostModel) -> float:
     return rows * arity_width(in_arity) * model.project_tuple
 
 
-def observed_override(
-    query: Query,
-    statistics: Statistics,
-    rows: float,
-    added: float,
-    out_arity: Optional[int],
-    model: CostModel,
-) -> Tuple[float, float]:
-    """Replace an estimated output cardinality with its observed EWMA.
-
-    Only the *emit* component of an operator's cost scales with output rows,
-    so that term is repriced by the delta (when ``out_arity`` is given);
-    build/probe/scan components depend on the inputs alone and stand.
-    Shared by the recursive estimator and the join-order enumerator so both
-    see the same corrected numbers for the same subtree.
-    """
-    observed = statistics.observed_rows(cardinality_key(query))
-    if observed is None:
-        return rows, added
-    if out_arity is not None:
-        added += (observed - rows) * arity_width(out_arity) * model.emit_tuple
-    return observed, added
-
-
 # --------------------------------------------------------------------------- #
 # The recursive estimator
 # --------------------------------------------------------------------------- #
@@ -641,9 +600,6 @@ def _estimate_uncached(
         if selectivity is None:
             selectivity = floored_predicate_selectivity(query.predicate)
         rows, added = select_step(child.rows, selectivity, child.density, model)
-        if statistics.has_observed:
-            # Selection cost is per *input* tuple; only the cardinality moves.
-            rows, added = observed_override(query, statistics, rows, added, None, model)
         return NodeEstimate(rows, child.cost + added, sample, child.density)
     if isinstance(query, Project):
         child = _estimate(query.child, statistics, model, memo)
@@ -668,8 +624,6 @@ def _estimate_uncached(
         attributes = output_attributes(query, statistics)
         out_arity = len(attributes) if attributes is not None else DEFAULT_ARITY
         rows, added = product_step(left.rows, right.rows, out_arity, model)
-        if statistics.has_observed:
-            rows, added = observed_override(query, statistics, rows, added, out_arity, model)
         sample = (
             left.sample.cross(right.sample)
             if left.sample is not None and right.sample is not None
@@ -687,8 +641,6 @@ def _estimate_uncached(
             left.sample, query.left_attr, right.sample, query.right_attr
         )
         rows, added = join_step(left.rows, right.rows, selectivity, out_arity, model)
-        if statistics.has_observed:
-            rows, added = observed_override(query, statistics, rows, added, out_arity, model)
         sample = (
             left.sample.equijoin(right.sample, query.left_attr, query.right_attr)
             if left.sample is not None and right.sample is not None

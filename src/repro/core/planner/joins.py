@@ -51,7 +51,6 @@ from .cost import (
     floored_predicate_selectivity,
     index_join_step,
     join_step,
-    observed_override,
     product_step,
     select_step,
 )
@@ -294,14 +293,6 @@ class _Costing:
             remaining = applicable
             joined = False
 
-        if self.statistics.has_observed:
-            # Executed-cardinality feedback: the subtree's semantic key is
-            # order-independent, so the override keeps the Selinger "one
-            # cardinality per subset" discipline intact while replacing the
-            # sampled guess with runtime truth.
-            rows, added = observed_override(
-                query, self.statistics, rows, added, out_arity, self.model
-            )
         cost += added
         if remaining:
             selectivity = 1.0
@@ -312,8 +303,6 @@ class _Costing:
             rows, select_cost = select_step(rows, selectivity, 0.0, self.model)
             cost += select_cost
             query = Select(query, conjunction([entry.predicate for entry in remaining]))
-            if self.statistics.has_observed:
-                rows, _ = observed_override(query, self.statistics, rows, 0.0, None, self.model)
 
         return PlanState(mask, query, attributes, rows, cost, joined)
 

@@ -1,12 +1,12 @@
 """The logical planner: drives the rewrite rules and wraps the result in a Plan.
 
 ``plan(query, statistics)`` runs the phased rule pipeline of
-:mod:`~repro.core.planner.rules` to a fixpoint, costs the original and the
-rewritten tree with the model of :mod:`~repro.core.planner.cost`, and keeps
-whichever is estimated cheaper.  The returned :class:`Plan` records every
-rule application so ``plan.explain()`` can show *why* the chosen tree looks
-the way it does — including the join order picked by the enumerator and how
-the sampled-selectivity estimates compare with the fixed-constant ones.
+:mod:`~repro.core.planner.rules` to a fixpoint and costs the rewritten tree
+with the model of :mod:`~repro.core.planner.cost`; the rewritten tree is the
+plan.  The returned :class:`Plan` records every rule application so
+``plan.explain()`` can show *why* the chosen tree looks the way it does —
+including the join order picked by the enumerator and how the
+sampled-selectivity estimates compare with the fixed-constant ones.
 """
 
 from __future__ import annotations
@@ -95,34 +95,35 @@ def describe_join_order(query: Query) -> Optional[str]:
 
 @dataclass
 class Plan:
-    """An optimized (or deliberately untouched) query plan.
+    """A query plan: the written tree, the rewritten one, and why they differ.
 
     ``chosen`` is the tree :meth:`~repro.core.algebra.query.Query.run`
-    evaluates: the rewritten tree when the cost model judges it cheaper,
-    otherwise the original.  ``cost_before``/``cost_after`` use sampled
-    selectivities when the statistics carry samples; ``explain()``
-    re-estimates both trees with the fixed constants for comparison.
+    evaluates — the rewritten tree, which is the original object when no
+    rule applied.  ``cost_before``/``cost_after`` use sampled selectivities
+    when the statistics carry samples; ``explain()`` re-estimates both trees
+    with the fixed constants for comparison.
     """
 
     original: Query
     optimized: Query
     applications: List[RuleApplication]
     statistics: Statistics
-    cost_before: CostEstimate
     cost_after: CostEstimate
-    #: The estimate of every node of both trees, keyed by ``id(node)`` — the
-    #: plan keeps the nodes alive, so the ids stay theirs.  Lowering reads
-    #: its cardinalities and join inputs from here instead of estimating
-    #: ``chosen`` a second time.
+    #: The estimate of every node of ``optimized``, keyed by ``id(node)`` —
+    #: the plan keeps the nodes alive, so the ids stay theirs.  Lowering
+    #: reads its cardinalities and join inputs from here instead of
+    #: estimating ``chosen`` a second time.
     estimates: Dict[int, NodeEstimate] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def chosen(self) -> Query:
-        return self.optimized if self.improved else self.original
+        return self.optimized
 
     @property
-    def improved(self) -> bool:
-        return bool(self.applications) and self.cost_after.cost <= self.cost_before.cost
+    def cost_before(self) -> CostEstimate:
+        """Estimate of the tree as written — computed when asked, nothing in
+        planning reads it."""
+        return estimate(self.original, self.statistics)
 
     @property
     def join_order(self) -> Optional[str]:
@@ -156,13 +157,14 @@ class Plan:
 
     def explain(self) -> str:
         """Human-readable account of the planning decision."""
+        before = self.cost_before
         lines = [
             "query plan",
             "==========",
             f"original : {self.original!r}",
             f"rewritten: {self.optimized!r}",
-            f"cost     : {self.cost_before.cost:,.0f} -> {self.cost_after.cost:,.0f}"
-            f" (estimated rows {self.cost_before.rows:,.0f} -> {self.cost_after.rows:,.0f})",
+            f"cost     : {before.cost:,.0f} -> {self.cost_after.cost:,.0f}"
+            f" (estimated rows {before.rows:,.0f} -> {self.cost_after.rows:,.0f})",
         ]
         if self.statistics.samples:
             fixed = self.statistics.without_samples()
@@ -179,7 +181,6 @@ class Plan:
         order = self.join_order
         if order is not None:
             lines.append(f"join order: {order}")
-        lines.append(f"chosen   : {'rewritten' if self.improved else 'original'}")
         lines.append("chosen tree:")
         lines.append(self._render_chosen_tree())
         if self.applications:
@@ -207,11 +208,7 @@ class Plan:
         return render_with_certainty(self.chosen, context, "  ")
 
     def __repr__(self) -> str:
-        return (
-            f"Plan({len(self.applications)} rewrites, "
-            f"cost {self.cost_before.cost:,.0f} -> {self.cost_after.cost:,.0f}, "
-            f"chosen={'rewritten' if self.improved else 'original'})"
-        )
+        return f"Plan({len(self.applications)} rewrites, cost {self.cost_after.cost:,.0f})"
 
 
 # --------------------------------------------------------------------------- #
@@ -305,7 +302,7 @@ def rewrite(
 
 
 def plan(query: Query, statistics: Optional[Statistics] = None) -> Plan:
-    """Plan ``query``: rewrite, cost both trees, pick the cheaper one."""
+    """Plan ``query``: rewrite the tree, estimate it once, return it."""
     from ...obs.metrics import get_registry
     from ...obs.trace import get_tracer
 
@@ -325,18 +322,12 @@ def plan(query: Query, statistics: Optional[Statistics] = None) -> Plan:
         trace: List[RuleApplication] = []
         with get_tracer().span("rewrite"):
             optimized = rewrite(query, context, trace=trace)
-        # One memo for both trees: subtrees the rewrite left alone are
-        # estimated once.
-        estimates: Dict[int, NodeEstimate] = {}
-        model = statistics.cost_model()
-        estimate_forest(query, statistics, model, estimates)
-        estimate_forest(optimized, statistics, model, estimates)
+        estimates = estimate_forest(optimized, statistics)
         return Plan(
             original=query,
             optimized=optimized,
             applications=trace,
             statistics=statistics,
-            cost_before=estimates[id(query)].as_cost_estimate(),
             cost_after=estimates[id(optimized)].as_cost_estimate(),
             estimates=estimates,
         )

@@ -1,9 +1,8 @@
 """``repro.obs`` — the observability layer: tracing, metrics, EXPLAIN ANALYZE.
 
 The stack spans rewrite → join-order DP → sampling → lowering → backend
-execution, plus an always-on asyncio service with a plan cache and a
-cardinality-feedback replan loop.  This package is the one place all of it reports
-to:
+execution, plus an always-on asyncio service with a plan cache.  This
+package is the one place all of it reports to:
 
 * :mod:`repro.obs.trace` — a contextvar-based hierarchical :class:`Tracer`
   with a strict no-op fast path when disabled, spans for every planning and
@@ -21,7 +20,7 @@ validates that the Chrome export parses and nests (wired into CI).
 The human-facing artifact built on top of both is
 ``Query.explain_analyze(engine)`` / ``Session.explain_analyze(query)``: the
 chosen physical plan annotated per node with estimated vs actual rows,
-q-error, self vs cumulative time, and cache/feedback provenance.  See
+q-error, self vs cumulative time, and cache provenance.  See
 ``docs/observability.md``.
 """
 

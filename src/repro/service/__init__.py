@@ -1,16 +1,13 @@
-"""The always-on query service: sessions, plan cache, self-correction.
+"""The always-on query service: sessions and the plan cache.
 
 The paper's representation systems are built for *interactive* querying
 over large uncertain databases; this package is the serving layer that
 makes repeated traffic cheap.  A :class:`QueryService` owns the registered
 engines and serves concurrent asyncio sessions; per engine, a
 :class:`~repro.service.plan_cache.PlanCache` memoizes the full planning
-pipeline keyed by query fingerprint and validated by catalog version keys,
-and the executed plans' cardinality feedback (recorded under semantic keys
-by :func:`repro.core.exec.record_into_catalog`) lets the service evict and replan hot
-queries whose estimates stay wrong — the self-correcting loop.
+pipeline keyed by query fingerprint and validated by catalog version keys.
 
-* :mod:`repro.service.server`     — the service, request path, replan trigger.
+* :mod:`repro.service.server`     — the service and its request path.
 * :mod:`repro.service.session`    — client sessions and snapshot reads.
 * :mod:`repro.service.plan_cache` — fingerprint → lowered plan, version-key
   validated.
@@ -21,13 +18,11 @@ Observability: every request runs under a ``request`` span (cache lookup,
 planning and each physical operator nest inside it), feeds the process-wide
 :mod:`repro.obs` metrics registry, and lands in the slow-query log when it
 crosses the configured threshold; ``Session.explain_analyze`` renders the
-executed plan with cache/feedback provenance.  See ``docs/observability.md``.
+executed plan with cache provenance.  See ``docs/observability.md``.
 """
 
 from .plan_cache import CACHE_ATTRIBUTE, EVICTION_REASONS, CachedPlan, PlanCache, plan_cache_for
 from .server import (
-    DEFAULT_REPLAN_MIN_EXECUTIONS,
-    DEFAULT_REPLAN_QERROR,
     DEFAULT_SLOW_QUERY_SECONDS,
     SLOW_QUERY_ENV,
     QueryOutcome,
@@ -44,8 +39,6 @@ __all__ = [
     "CachedPlan",
     "PlanCache",
     "plan_cache_for",
-    "DEFAULT_REPLAN_MIN_EXECUTIONS",
-    "DEFAULT_REPLAN_QERROR",
     "DEFAULT_SLOW_QUERY_SECONDS",
     "SLOW_QUERY_ENV",
     "QueryOutcome",

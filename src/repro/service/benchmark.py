@@ -123,5 +123,4 @@ def run_traffic_benchmark(
         },
         "latency_seconds": summary,
         "warm_speedup": speedup,
-        "replans": stats.replans,
     }

@@ -42,9 +42,8 @@ CACHE_ATTRIBUTE = "_plan_cache"
 
 #: Eviction reasons recorded in ``repro.plan_cache.evictions{reason=...}``:
 #: ``stale-version`` (a base relation's version key moved under the entry),
-#: ``replan`` (the service's q-error trigger), ``explicit`` (direct
-#: invalidation), ``clear`` (whole-cache drop).
-EVICTION_REASONS = ("stale-version", "replan", "explicit", "clear")
+#: ``explicit`` (direct invalidation), ``clear`` (whole-cache drop).
+EVICTION_REASONS = ("stale-version", "explicit", "clear")
 
 
 @dataclass
@@ -69,8 +68,8 @@ class CachedPlan:
     #: Version key of every base relation at planning time; the entry is
     #: valid exactly while all of them still match.
     version_keys: Dict[str, Tuple[Any, ...]]
-    #: How many times this entry has been executed (feeds the replan
-    #: trigger: one execution is never enough evidence to replan).
+    #: How many times this entry has been executed (printed in the
+    #: ``Session.explain_analyze`` header).
     executions: int = 0
     metadata: Dict[str, Any] = field(default_factory=dict)
 
@@ -206,8 +205,7 @@ class PlanCache:
 
         With a ``fingerprint`` but no ``backend``, every backend's plan for
         that query is dropped (whatever its worker count).  ``reason``
-        labels the eviction counter (see :data:`EVICTION_REASONS`); the
-        service passes ``"replan"`` from its q-error trigger.
+        labels the eviction counter (see :data:`EVICTION_REASONS`).
         """
         registry = get_registry()
         with self._lock:

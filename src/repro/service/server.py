@@ -1,4 +1,4 @@
-"""The asyncio query service: three engines, shared plan cache, self-correction.
+"""The asyncio query service: three engines, shared plan cache.
 
 :class:`QueryService` owns a set of registered engines (Database / WSD /
 UWSDT) and serves concurrent client sessions.  Per request it
@@ -9,16 +9,8 @@ UWSDT) and serves concurrent client sessions.  Per request it
    the catalog version keys of every touched base relation) skips rewrite,
    join-order DP, sampling and lowering entirely,
 3. on a miss, plans + lowers once and caches the result,
-4. executes the physical plan with metrics collection, which feeds
-   estimated-vs-actual cardinalities into the statistics catalog's
-   semantically keyed observation store
-   (:mod:`~repro.core.planner.observed`),
-5. checks the replan trigger: when an entry has executed at least
-   :data:`DEFAULT_REPLAN_MIN_EXECUTIONS` times and its worst per-operator
-   q-error still exceeds :data:`DEFAULT_REPLAN_QERROR`, the cached plan is
-   evicted — the *next* request replans against statistics that now carry
-   the observations, so hot, mis-estimated queries self-correct their join
-   orders under live traffic without any operator intervention.
+4. executes the physical plan with metrics collection (per-operator
+   estimated vs actual cardinalities, reported on the outcome).
 
 Engine access is serialized per engine through an ``asyncio.Lock``: the
 representation engines mutate themselves on every ``Q̂`` execution, so two
@@ -46,15 +38,6 @@ from ..obs.metrics import LATENCY_BUCKETS, get_registry
 from ..obs.trace import get_tracer
 from .plan_cache import CachedPlan, PlanCache, plan_cache_for
 from .session import Session
-
-#: Evict (and thereby replan) a cached query whose worst per-operator
-#: q-error still exceeds this bound after the minimum execution count.
-DEFAULT_REPLAN_QERROR = 4.0
-
-#: Executions before the replan trigger may fire — must be at least
-#: :data:`~repro.core.planner.observed.OBSERVED_MIN_COUNT`, or the replan
-#: would run before the planner is allowed to consume the observations.
-DEFAULT_REPLAN_MIN_EXECUTIONS = 2
 
 #: Environment variable overriding the slow-query threshold (milliseconds).
 SLOW_QUERY_ENV = "REPRO_SLOW_QUERY_MS"
@@ -105,8 +88,6 @@ class QueryOutcome:
     result_name: str
     #: True when the request was served from the plan cache.
     cached: bool
-    #: True when this execution evicted the cached plan for replanning.
-    replanned: bool
     seconds: float
     metrics: Optional[ExecutionMetrics] = None
     #: The executed physical plan (its nodes carry this run's per-operator
@@ -129,7 +110,6 @@ class ServiceStats:
 
     requests: int = 0
     cache_hits: int = 0
-    replans: int = 0
     cold_latencies: List[float] = field(default_factory=list)
     warm_latencies: List[float] = field(default_factory=list)
 
@@ -214,7 +194,7 @@ class QueryService:
         backend=None,
         workers: Optional[int] = None,
     ) -> QueryOutcome:
-        """Serve one query: plan-cache lookup, execute, feed back, maybe evict.
+        """Serve one query: plan-cache lookup, plan on a miss, execute.
 
         ``backend`` is the executing-backend spec (``"row"`` / ``"columnar"``
         / ``"sharded"`` / None for the ``REPRO_BACKEND`` environment
@@ -261,8 +241,7 @@ class QueryService:
                 metrics = result.metrics
                 metrics.fingerprint = fingerprint
                 metrics.trace_id = trace_id
-                replanned = self._maybe_evict(cache, entry, metrics)
-            root.annotate(cached=cached, seconds=seconds, replanned=replanned)
+            root.annotate(cached=cached, seconds=seconds)
 
         self.stats.requests += 1
         outcome_label = "hit" if cached else "miss"
@@ -275,9 +254,6 @@ class QueryService:
             self.stats.warm_latencies.append(seconds)
         else:
             self.stats.cold_latencies.append(seconds)
-        if replanned:
-            self.stats.replans += 1
-            registry.counter("repro.service.replans").inc()
         self._record_if_slow(fingerprint, engine_name, seconds, cached, metrics, trace_id, name)
         return QueryOutcome(
             fingerprint=fingerprint,
@@ -285,7 +261,6 @@ class QueryService:
             value=result.value,
             result_name=name,
             cached=cached,
-            replanned=replanned,
             seconds=seconds,
             metrics=metrics,
             physical=result.physical,
@@ -341,26 +316,6 @@ class QueryService:
         physical = lower(plan.chosen, backend, plan.statistics, estimates=plan.estimates)
         return cache.store(fingerprint, plan, physical, workers=workers)
 
-    def _maybe_evict(
-        self, cache: PlanCache, entry: CachedPlan, metrics: ExecutionMetrics
-    ) -> bool:
-        """Evict a cached plan whose estimates stay badly wrong.
-
-        Eviction (not in-place replanning) keeps the request path simple:
-        the next request for this fingerprint replans against statistics
-        that now include the recorded observations, and caches the
-        corrected plan.
-        """
-        if entry.executions < DEFAULT_REPLAN_MIN_EXECUTIONS:
-            return False
-        error = metrics.max_cardinality_error()
-        if error is None or error < DEFAULT_REPLAN_QERROR:
-            return False
-        cache.invalidate(
-            entry.fingerprint, reason="replan", backend=entry.backend, workers=entry.workers
-        )
-        return True
-
     # ------------------------------------------------------------------ #
     # Telemetry exposition
     # ------------------------------------------------------------------ #
@@ -382,7 +337,6 @@ class QueryService:
             "requests": self.stats.requests,
             "cache_hits": self.stats.cache_hits,
             "hit_rate": self.stats.hit_rate,
-            "replans": self.stats.replans,
             "latency_seconds": self.stats.latency_summary(),
             "plan_caches": caches,
             "slow_queries": [

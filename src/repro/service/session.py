@@ -99,14 +99,10 @@ class Session:
         estimated vs actual rows, q-error, per-child input rows and self vs
         cumulative time — plus the *service* provenance a bare
         ``Query.explain_analyze`` cannot know: whether the plan came from
-        the cache, how many times the cached entry has executed, whether
-        this execution triggered a replan eviction, and the request's trace
-        id.  Estimates fed by executed-cardinality feedback (rather than
-        samples) are tagged ``est←feedback``.
+        the cache, how many times the cached entry has executed, and the
+        request's trace id.
         """
         outcome = await self.execute(query, result_name, backend, workers)
-        catalog = catalog_for(self.engine)
-        observed = frozenset(catalog.observed_view())
         entry = self.service.plan_cache(self.engine_name).peek(
             outcome.fingerprint, outcome.backend, outcome.workers
         )
@@ -114,12 +110,11 @@ class Session:
             f"fingerprint: {outcome.fingerprint}  engine: {outcome.engine}",
             "plan source: "
             + ("plan cache (hit)" if outcome.cached else "planned this request (miss)")
-            + (f", {entry.executions} cached execution(s)" if entry is not None else "")
-            + (", evicted for replan after this run" if outcome.replanned else ""),
+            + (f", {entry.executions} cached execution(s)" if entry is not None else ""),
             f"request: {outcome.seconds * 1e3:.3f} ms"
             + (f"  trace: {outcome.trace_id}" if outcome.trace_id else ""),
         ]
-        return outcome.physical.explain_analyze(observed, header)
+        return outcome.physical.explain_analyze(header)
 
     def snapshot(self, relations: Sequence[str]) -> Snapshot:
         """Capture the named relations' version keys for later staleness checks."""

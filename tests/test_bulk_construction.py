@@ -5,7 +5,8 @@
   whose values include ``⊥``, ``?``, ``None``, ``nan`` and hash-equal numbers:
   same rows, same row order, same ``version``, same schema.  Through
   ``rep()``, ``uwsdt_ops.select`` / ``project`` / ``rename`` / ``equi_join``
-  against the reference operators applied world by world.
+  against the reference operators applied world by world; a conjunctive
+  ``select`` against the same conjuncts as a chain of ``select``s.
 * **Relation semantics after bulk construction.**  A relation built by
   ``Relation.from_tuples`` mutates, compares, hashes, copies and notifies
   exactly like one built row by row; malformed rows are rejected.
@@ -20,7 +21,9 @@ from hypothesis import strategies as st
 
 from repro.analysis import invariants
 from repro.core.algebra import uwsdt_ops
+from repro.core.confidence import uwsdt_possible_with_confidence
 from repro.core.exec import ColumnBatch, ColumnarBackend
+from repro.core.fields import FieldRef
 from repro.core.uwsdt import UWSDT
 from repro.relational import (
     BOTTOM,
@@ -41,6 +44,7 @@ from repro.relational import (
 from repro.relational import algebra
 from repro.relational.errors import RepresentationError
 from repro.relational.relation import require_same_attributes
+from repro.worlds import OrSet, OrSetRelation
 
 from _fixtures import (
     benchmark_queries,
@@ -354,6 +358,15 @@ def assert_same_distribution(uwsdt, expected):
         assert actual[key] == pytest.approx(probability, abs=1e-9)
 
 
+def result_components(uwsdt):
+    """The components holding a placeholder field of the result relation."""
+    return {
+        uwsdt.component_of(FieldRef("P", tuple_id, attribute))
+        for tuple_id, attributes in uwsdt.uncertain_tuples("P").items()
+        for attribute in attributes
+    }
+
+
 def assert_bulk_template(uwsdt, source_order=None):
     """The result template is a set of distinct tuple ids, built in one step."""
     template = uwsdt.templates["P"]
@@ -387,6 +400,50 @@ class TestUwsdtOpsEqualReferencePerWorld:
         assert_same_distribution(uwsdt, expected)
         # An equality probes the template index: bucket order, not template order.
         assert_bulk_template(uwsdt, None if predicate.op == "=" else source_order)
+
+    @given(orset_relations(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_select_of_a_conjunction_equals_the_chain_of_selects(self, orset, data):
+        """σ[p1 ∧ … ∧ pk] ≡ σ[pk] ∘ … ∘ σ[p1] ≡ the per-world reference, and
+        merging the conjuncts never leaves the result in more components."""
+        attributes = orset.schema.attributes
+        conjunct = st.one_of(
+            st.builds(eq, st.sampled_from(attributes), st.integers(0, 4)),
+            st.builds(ne, st.sampled_from(attributes), st.integers(0, 4)),
+            st.builds(attr_eq, st.sampled_from(attributes), st.sampled_from(attributes)),
+        )
+        parts = data.draw(st.lists(conjunct, min_size=2, max_size=4))
+        merged = UWSDT.from_orset_relation(orset)
+        expected = expected_distribution(
+            merged.rep(), lambda db: ref_select(db.relation("R"), And(*parts))
+        )
+        uwsdt_ops.select(merged, "R", "P", And(*parts))
+        assert_same_distribution(merged, expected)
+        assert_bulk_template(merged)
+
+        chain = UWSDT.from_orset_relation(orset)
+        names = ["R"] + [f"T{i}" for i in range(1, len(parts))] + ["P"]
+        for part, source, target in zip(parts, names, names[1:]):
+            uwsdt_ops.select(chain, source, target, part)
+        assert_same_distribution(chain, expected)
+        assert sorted(uwsdt_possible_with_confidence(merged, "P"), key=repr) == pytest.approx(
+            sorted(uwsdt_possible_with_confidence(chain, "P"), key=repr)
+        )
+        assert len(result_components(merged)) <= len(result_components(chain))
+
+    def test_a_failing_certain_conjunct_copies_and_merges_nothing(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a component was touched for a tuple no world keeps")
+
+        orset = OrSetRelation.from_dicts(
+            "R", ["A", "B", "C"], [{"A": OrSet([1, 2]), "B": OrSet([1, 3]), "C": 0}]
+        )
+        uwsdt = UWSDT.from_orset_relation(orset)
+        monkeypatch.setattr(uwsdt_ops, "_copy_placeholder_fields", forbidden)
+        monkeypatch.setattr(uwsdt_ops, "_merge_target_components", forbidden)
+        uwsdt_ops.select(uwsdt, "R", "P", And(attr_eq("A", "B"), eq("C", 1)))
+        assert len(uwsdt.templates["P"]) == 0
+        uwsdt.validate()
 
     @given(orset_relations(), st.data())
     @settings(max_examples=80, deadline=None)

@@ -25,7 +25,6 @@ from repro.core import UWSDT, WSD
 from repro.core.algebra import BaseRelation, Query, evaluate_on_database
 from repro.core.exec import ExecutionResult, backend_for, index_pool_for, lower
 from repro.core.planner import COST_MODELS, Statistics
-from repro.core.planner.catalog import catalog_for
 from repro.relational import Database, QueryError, Relation, RelationSchema
 from repro.relational.predicates import AttrAttr, AttrConst, gt
 from repro.worlds import OrSet, OrSetRelation
@@ -226,17 +225,6 @@ class TestExecutionMetrics:
         assert final.cardinality_error is not None and final.cardinality_error >= 1.0
         assert "actual" in result.physical.explain()
         assert "execution metrics" in metrics.summary()
-
-    def test_metrics_fold_into_the_statistics_catalog(self):
-        database = small_large_database()
-        query = BaseRelation("R").select(eq("A", 1)).join(BaseRelation("S"), "B", "C")
-        result = query.run(database, "out", collect_metrics=True)
-        observed = catalog_for(database).observed_view(min_count=1)
-        assert observed
-        join = result.metrics.join_records()[0]
-        record = observed[join.semantic_key]
-        assert record.count == 1
-        assert record.actual_rows == join.rows_out
 
     def test_uwsdt_metrics_and_result_name(self):
         uwsdt = UWSDT.from_orset_relations(ORACLE_RELATIONS)

@@ -11,6 +11,9 @@ Two families:
 * **semantics** — planned evaluation of 3/4/5-way census joins produces
   exactly the written-order result, on the classical engine (row sets) and
   on the UWSDT (possible tuples with confidences).
+
+And one regression: the uncertain 4-way census join executes the order the
+DP picked, on eleven seeds.
 """
 
 import itertools
@@ -28,6 +31,7 @@ from repro.core.planner import (
     MIN_REORDER_RELATIONS,
     RewriteContext,
     Statistics,
+    describe_join_order,
     extract_join_graph,
     plan,
 )
@@ -210,10 +214,20 @@ class TestPlannedMatchesWrittenOrder:
         assert built.join_order.count("(") == built.join_order.count(")")
 
 
+@pytest.mark.parametrize("seed", [*range(1, 11), 42])
+def test_uncertain_four_way_join_runs_the_order_the_dp_picked(seed):
+    """Cold, plan only: the two unselective leaves are never joined to each
+    other first, and the executed tree carries the DP's order (an
+    accept-rewrite gate used to swap the written tree back in on five of
+    these seeds)."""
+    chased = census_instance(1000, 0.001, seed).chased()
+    built = q_four_way_join().plan(chased.copy())
+    assert "(R→C1 ⋈ R→C2)" not in built.join_order
+    assert describe_join_order(built.chosen) == describe_join_order(built.optimized)
+
+
 def test_describe_join_order_handles_rename_above_join():
     """A δ above a join must not mangle the rendered skeleton."""
-    from repro.core.planner import describe_join_order
-
     query = (
         BaseRelation("R")
         .rename("A", "W1")

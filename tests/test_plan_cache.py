@@ -277,7 +277,7 @@ class TestBackendKeying:
         columnar_physical = lower(plan.chosen, ColumnarBackend(database), plan.statistics)
         cache.store(query.fingerprint(), plan, columnar_physical)
 
-        cache.invalidate(query.fingerprint(), reason="replan", backend="columnar")
+        cache.invalidate(query.fingerprint(), reason="explicit", backend="columnar")
         assert cache.lookup(query.fingerprint(), "columnar") is None
         assert cache.lookup(query.fingerprint()) is row_entry
 

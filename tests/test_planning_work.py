@@ -3,8 +3,8 @@
 Work counts, not timings: on a warm statistics catalog a plan reads column
 types off the classes memoised on the catalog's samples (zero type scans),
 compiles and scans a sample at most once per distinct ``(sample, predicate)``
-of the trees it costs, and lowering estimates nothing the planner already
-did.  The counters are ``repro.analysis.type_scans`` and
+of the tree it costs — the one it returns, estimated in one pass — and
+lowering estimates nothing the planner already did and renders no tree.  The counters are ``repro.analysis.type_scans`` and
 ``repro.planner.sample_scans`` (docs/observability.md).
 """
 
@@ -14,7 +14,8 @@ import pytest
 
 from repro.analysis import invariants
 from repro.census import CENSUS_RELATION
-from repro.core.algebra.query import Select
+from repro.core.algebra.query import BaseRelation, Select
+from repro.core.planner import planner
 from repro.obs.metrics import get_registry
 
 from _fixtures import benchmark_queries, census_engines
@@ -29,7 +30,7 @@ def sample_scans() -> int:
 
 
 def selections(plan) -> set:
-    """The σ nodes of both trees the plan costed (shared subtrees once)."""
+    """The σ nodes of the tree the plan costed."""
     found = set()
 
     def walk(node):
@@ -38,7 +39,6 @@ def selections(plan) -> set:
         for child in node.children():
             walk(child)
 
-    walk(plan.original)
     walk(plan.optimized)
     return found
 
@@ -85,6 +85,32 @@ class TestWarmCatalog:
         query.plan(engine)
         assert type_scans("sample") == before + 1
         assert fresh.sample(CENSUS_RELATION) is not stale.sample(CENSUS_RELATION)
+
+
+@pytest.mark.parametrize("kind", ["database", "uwsdt"])
+def test_one_estimate_pass_per_plan_and_lowering_renders_no_tree(engines, kind, monkeypatch):
+    engine = engines[kind]
+    roots, rendered = [], []
+    estimate_forest, leaf_repr = planner.estimate_forest, BaseRelation.__repr__
+
+    def counted_forest(query, *args, **kwargs):
+        roots.append(query)
+        return estimate_forest(query, *args, **kwargs)
+
+    def counted_repr(leaf):
+        rendered.append(leaf)
+        return leaf_repr(leaf)
+
+    monkeypatch.setattr(planner, "estimate_forest", counted_forest)
+    for label, query in benchmark_queries():
+        del roots[:]
+        plan = query.plan(engine)
+        assert roots == [plan.chosen], label
+        # Every rendering of a tree reaches its leaves.
+        with monkeypatch.context() as patch:
+            patch.setattr(BaseRelation, "__repr__", counted_repr)
+            query.physical_plan(engine, plan=plan, backend="row")
+        assert rendered == [], label
 
 
 def test_planned_runs_leave_nothing_to_the_cycle_collector(engines):

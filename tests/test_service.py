@@ -1,12 +1,10 @@
-"""The asyncio query service: sessions, cache hits, replans, concurrency.
+"""The asyncio query service: sessions, cache hits, concurrency.
 
 End-to-end coverage of :mod:`repro.service`:
 
 * a repeated query is served from the plan cache — zero sampling calls,
   zero planner invocations, identical results,
 * mutations invalidate exactly the affected fingerprints,
-* the replan trigger evicts a hot mis-estimated query, and the next request
-  plans the genuinely cheaper join order from the recorded observations,
 * snapshot reads detect concurrent writers via version keys,
 * the shared statistics catalog and index pool survive overlapping clients
   (thread stress for the locking added in this PR),
@@ -23,8 +21,6 @@ from repro.core.planner import catalog_for, plan_call_count, sampling_call_count
 from repro.relational import Database, Relation, RelationSchema
 from repro.relational.predicates import AttrConst
 from repro.service import QueryService, run_traffic_benchmark
-
-from test_feedback_loop import skewed_database, skewed_query
 
 
 def small_database() -> Database:
@@ -103,45 +99,6 @@ class TestServiceRequests:
             await session.mutate(lambda engine: engine.relation("R").insert((4, 997)))
             assert snapshot.changed() == ["R"]
             assert not snapshot.valid()
-
-        asyncio.run(scenario())
-
-
-class TestReplanTrigger:
-    def test_hot_misestimated_query_replans_through_the_service(self):
-        async def scenario():
-            database = skewed_database()
-            # Configure the engine's catalog before registration: fixed
-            # constants mis-estimate the correlated join, which is the whole
-            # point of the scenario.
-            catalog_for(database, sample_size=0)
-            service = QueryService()
-            service.register_engine("database", database)
-            session = service.session("database")
-            query = skewed_query()
-
-            first = await session.execute(query)
-            second = await session.execute(query)
-            # The second execution crosses the observation threshold with a
-            # q-error far above the bound: the entry is evicted for replan.
-            assert second.cached and second.replanned
-            assert service.stats.replans == 1
-
-            third = await session.execute(query)
-            assert not third.cached
-            corrected = query.plan(database)
-            assert "(R ⋈ S)" not in corrected.join_order
-
-            assert sorted(first.value) == sorted(third.value)
-            oracle = query.run(database, optimize=False)
-            assert sorted(third.value) == sorted(oracle)
-
-            # The corrected plan's estimates now track reality → no further
-            # replans; the entry stays cached.
-            fourth = await session.execute(query)
-            fifth = await session.execute(query)
-            assert fourth.cached and fifth.cached
-            assert service.stats.replans == 1
 
         asyncio.run(scenario())
 

@@ -337,3 +337,41 @@ class TestCatalogEdges:
         assert stats.row_count("S") == 20
         assert stats.relation_attributes("S") == ("K2", "B")
         assert stats.provenance("S") == "fixed-constants"
+
+
+class TestWatcherRelease:
+    def test_invalidate_releases_relation_watchers(self):
+        database = _database()
+        catalog = catalog_for(database)
+        for _ in range(3):
+            JOIN_QUERY.plan(database)
+        # One persistent watcher per watched relation, however often planned.
+        assert len(database.relation("R")._watchers) == 1
+        assert len(database.relation("S")._watchers) == 1
+
+        catalog.invalidate("R")
+        assert len(database.relation("R")._watchers) == 0
+        assert len(database.relation("S")._watchers) == 1
+
+        catalog.invalidate()
+        for name in ("R", "S"):
+            assert len(database.relation(name)._watchers) == 0
+
+    def test_plan_invalidate_cycles_do_not_leak(self):
+        database = _database()
+        catalog = catalog_for(database)
+        for _ in range(5):
+            JOIN_QUERY.plan(database)
+            catalog.invalidate()
+        for name in ("R", "S"):
+            assert len(database.relation(name)._watchers) == 0
+
+    def test_watcher_fired_drop_keeps_single_watcher(self):
+        database = _database()
+        catalog_for(database)
+        JOIN_QUERY.plan(database)
+        # A mutation fires the watcher (entry dropped) but the watcher stays
+        # registered — replanning must not stack a second one.
+        database.relation("R").insert((877, 877))
+        JOIN_QUERY.plan(database)
+        assert len(database.relation("R")._watchers) == 1
