@@ -20,11 +20,17 @@ because removing worlds can never introduce new violations.
 The UWSDT variant applies the refinement discussed in the paper: fields
 whose template value already decides a premise or conclusion never force a
 component composition.  It splits every template on the UWSDT's placeholder
-index: rows without a placeholder on the dependency's attributes are checked
-by the one-world algorithm — the dependency compiled to a positional test on
-the raw row — and only the indexed rows reach their components, so with
-realistic placeholder densities almost all work happens on the template
-relations.
+index.  The certain side of an EGD is a selection: its violation condition
+``φ1 ∧ ... ∧ φm ∧ ¬φ0`` is a :class:`~repro.relational.predicates.Predicate`,
+rendered by ``Predicate.compile`` into one generated function and run over
+the template in one ``filter`` — a reported row without a placeholder on the
+dependency's attributes is inconsistent in every world.  The uncertain side
+walks the index, not the template: the placeholder rows are collected once
+per relation and only they reach their components, so with realistic
+placeholder densities almost all work happens on the template relations.
+``holds_for`` is the specification of both dependency classes (the naive
+baseline, the WSD chase and the generated function's ``TypeError`` fallback
+read it); the UWSDT chase itself never calls it.
 """
 
 from __future__ import annotations
@@ -33,28 +39,15 @@ import itertools
 import operator
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..obs.metrics import get_registry
 from ..relational.errors import InconsistentWorldSetError, RepresentationError
-from ..relational.predicates import compare
+from ..relational.predicates import AttrConst, Predicate, compare, comparator
 from ..relational.schema import RelationSchema
 from ..relational.values import BOTTOM
 from .component import Component, fill_placeholders
 from .fields import FieldRef
 from .uwsdt import UWSDT
 from .wsd import WSD
-
-
-class _PositionalRow:
-    """A raw row read by attribute name — the value assignment ``holds_for``
-    expects, without copying the row into a dict."""
-
-    __slots__ = ("row", "position")
-
-    def __init__(self, row: Sequence[Any], position: Callable[[str], int]) -> None:
-        self.row = row
-        self.position = position
-
-    def __getitem__(self, attribute: str) -> Any:
-        return self.row[self.position(attribute)]
 
 
 class FunctionalDependency:
@@ -80,9 +73,10 @@ class FunctionalDependency:
         self, schema: RelationSchema
     ) -> Callable[[Sequence[Any], Sequence[Any]], bool]:
         """:meth:`holds_for` on pairs of raw rows laid out by ``schema``."""
-        position = schema.position
-        return lambda left, right: self.holds_for(
-            _PositionalRow(left, position), _PositionalRow(right, position)
+        key_of = operator.itemgetter(*map(schema.position, self.determinants))
+        dependent = schema.position(self.dependent)
+        return lambda left, right: (
+            key_of(left) != key_of(right) or left[dependent] == right[dependent]
         )
 
     def __repr__(self) -> str:
@@ -93,6 +87,7 @@ class Comparison:
     """An atom ``A θ c`` used in equality-generating dependencies."""
 
     def __init__(self, attribute: str, op: str, constant: Any) -> None:
+        comparator(op)  # validate eagerly, as AttrConst does
         self.attribute = attribute
         self.op = op
         self.constant = constant
@@ -126,13 +121,39 @@ class EqualityGeneratingDependency:
         return True
 
     def compile(self, schema: RelationSchema) -> Callable[[Sequence[Any]], bool]:
-        """:meth:`holds_for` on raw rows laid out by ``schema`` (no per-row dict)."""
-        position = schema.position
-        return lambda row: self.holds_for(_PositionalRow(row, position))
+        """:meth:`holds_for` on raw rows laid out by ``schema``: generated code."""
+        violated = _Violation(self).compile(schema)
+        return lambda row: not violated(row)
 
     def __repr__(self) -> str:
         premises = " AND ".join(repr(p) for p in self.premises)
         return f"EGD({self.relation}: {premises} => {self.conclusion!r})"
+
+
+class _Violation(Predicate):
+    """The rows violating an EGD, ``φ1 ∧ ... ∧ φm ∧ ¬φ0``, as a selection condition.
+
+    The negation is a plain ``not``: :class:`~repro.relational.predicates.Not`
+    excludes ``⊥`` and ``?`` cells, which is selection semantics, whereas
+    ``holds_for`` says a ``⊥`` or ``?`` conclusion is not met.
+    """
+
+    def __init__(self, dependency: EqualityGeneratingDependency) -> None:
+        self.dependency = dependency
+
+    def evaluate(self, schema: RelationSchema, row: Sequence[Any]) -> bool:
+        attributes = self.dependency.attributes()
+        return not self.dependency.holds_for(
+            {attribute: row[schema.position(attribute)] for attribute in attributes}
+        )
+
+    def _fragment(self, source) -> str:
+        dependency = self.dependency
+        atoms = [
+            AttrConst(atom.attribute, atom.op, atom.constant)._fragment(source)
+            for atom in dependency.premises + (dependency.conclusion,)
+        ]
+        return "(" + " and ".join(atoms[:-1] + [f"not {atoms[-1]}"]) + ")"
 
 
 Dependency = Any  # FunctionalDependency | EqualityGeneratingDependency
@@ -349,36 +370,92 @@ def _possible_values_wsd(wsd: WSD, relation: str, tuple_id: Any, attribute: str)
 
 
 def chase_uwsdt(uwsdt: UWSDT, dependencies: Iterable[Dependency]) -> UWSDT:
-    """Chase all ``dependencies`` on ``uwsdt`` in place; returns ``uwsdt``."""
+    """Chase all ``dependencies`` on ``uwsdt`` in place; returns ``uwsdt``.
+
+    The certain rows of *every* EGD are scanned before the first component is
+    touched — the scan is read-only and independent of component state — so a
+    fully certain violation (or an unsupported dependency) raises with
+    ``uwsdt`` as it was passed in.  Not covered: certain rows violating an FD
+    are found inside its bucket walk, at the FD's place in the list, and an
+    inconsistency found *inside* a component (all its local worlds removed)
+    raises mid-way, after the earlier dependencies were applied, as in
+    Figure 24.
+    """
+    steps = []
     for dependency in dependencies:
         if isinstance(dependency, EqualityGeneratingDependency):
-            _chase_egd_uwsdt(uwsdt, dependency)
+            steps.append((dependency, _check_certain_rows_egd(uwsdt, dependency)))
         elif isinstance(dependency, FunctionalDependency):
-            _chase_fd_uwsdt(uwsdt, dependency)
+            steps.append((dependency, None))
         else:
             raise RepresentationError(f"unsupported dependency {dependency!r}")
+    # The chase never edits a template nor adds or drops a placeholder field,
+    # so each relation's placeholder rows are collected once, in template order.
+    placeholder_rows: Dict[str, List[Tuple[Tuple[Any, ...], Tuple[str, ...]]]] = {}
+    for dependency, violated in steps:
+        if violated is None:
+            _chase_fd_uwsdt(uwsdt, dependency)
+            continue
+        relation = dependency.relation
+        if relation not in placeholder_rows:
+            uncertain = uwsdt.uncertain_tuples(relation)
+            placeholder_rows[relation] = [
+                (row, uncertain[row[0]])
+                for row in uwsdt.templates[relation]
+                if row[0] in uncertain
+            ]
+        _chase_egd_uwsdt(uwsdt, dependency, violated, placeholder_rows[relation])
     return uwsdt
 
 
-def _chase_egd_uwsdt(uwsdt: UWSDT, dependency: EqualityGeneratingDependency) -> None:
+def _count_chase(rows_scanned: int, rows_through_components: int, removed: int) -> None:
+    """Once per dependency, never per row (docs/observability.md)."""
+    registry = get_registry()
+    registry.counter("repro.chase.rows_scanned").inc(rows_scanned)
+    registry.counter("repro.chase.rows_through_components").inc(rows_through_components)
+    registry.counter("repro.chase.local_worlds_removed").inc(removed)
+
+
+def _check_certain_rows_egd(
+    uwsdt: UWSDT, dependency: EqualityGeneratingDependency
+) -> Callable[[Sequence[Any]], bool]:
+    """One-world cleaning: one selection of the violating rows over the template.
+
+    A reported row with a placeholder on the dependency's attributes (``?``
+    never meets a conclusion) is not a certain violation; its components decide.
+    Returns the compiled violation test for the uncertain side.
+    """
     relation = dependency.relation
     template = uwsdt.templates[relation]
-    holds = dependency.compile(template.schema)
-    position_of = template.schema.position
-    attributes = dependency.attributes()
+    violated = _Violation(dependency).compile(template.schema)
     uncertain = uwsdt.uncertain_tuples(relation)
+    attributes = set(dependency.attributes())
+    for row in filter(violated, template):
+        if attributes.isdisjoint(uncertain.get(row[0], ())):
+            raise InconsistentWorldSetError(
+                f"certain tuple {row[0]!r} of {relation!r} violates {dependency!r} "
+                "in every world"
+            )
+    return violated
 
-    for row in template:
-        placeholders = uncertain.get(row[0])
-        open_attributes = [a for a in attributes if a in placeholders] if placeholders else ()
+
+def _chase_egd_uwsdt(
+    uwsdt: UWSDT,
+    dependency: EqualityGeneratingDependency,
+    violated: Callable[[Sequence[Any]], bool],
+    placeholder_rows: Sequence[Tuple[Tuple[Any, ...], Tuple[str, ...]]],
+) -> None:
+    """The uncertain side of one EGD: only the placeholder rows reach components."""
+    relation = dependency.relation
+    position_of = uwsdt.templates[relation].schema.position
+    attributes = dependency.attributes()
+    through_components = removed = 0
+
+    for row, placeholders in placeholder_rows:
+        open_attributes = [a for a in attributes if a in placeholders]
         if not open_attributes:
-            # One-world cleaning: the template alone decides the dependency.
-            if not holds(row):
-                raise InconsistentWorldSetError(
-                    f"certain tuple {row[0]!r} of {relation!r} violates {dependency!r} "
-                    "in every world"
-                )
             continue
+        through_components += 1
 
         # Refinement: skip when no world can jointly satisfy the premises and
         # falsify the conclusion.  The check is per component, not per
@@ -392,13 +469,17 @@ def _chase_egd_uwsdt(uwsdt: UWSDT, dependency: EqualityGeneratingDependency) -> 
         cid = uwsdt.merge_components(
             [uwsdt.component_of(FieldRef(relation, tuple_id, a)) for a in open_attributes]
         )
-        slots = uwsdt.components[cid].slots(relation, tuple_id, open_attributes, position_of)
+        component = uwsdt.components[cid]
+        slots = component.slots(relation, tuple_id, open_attributes, position_of)
 
         def keep(local_world: Tuple[Any, ...]) -> bool:
             values = fill_placeholders(row, slots, local_world)
-            return values is None or holds(values)
+            return values is None or not violated(values)
 
-        uwsdt.replace_component(cid, _filter_component(uwsdt, uwsdt.components[cid], keep))
+        filtered = _filter_component(uwsdt, component, keep)
+        removed += len(component.rows) - len(filtered.rows)
+        uwsdt.replace_component(cid, filtered)
+    _count_chase(len(uwsdt.templates[relation]), through_components, removed)
 
 
 def _egd_violation_possible_uwsdt(
@@ -485,6 +566,7 @@ def _chase_fd_uwsdt(uwsdt: UWSDT, dependency: FunctionalDependency) -> None:
         for key in keys:
             buckets.setdefault(key, []).append(row)
 
+    removed = 0
     examined: Set[Tuple[Any, Any]] = set()
     for rows in buckets.values():
         if len(rows) == 1:
@@ -509,9 +591,10 @@ def _chase_fd_uwsdt(uwsdt: UWSDT, dependency: FunctionalDependency) -> None:
                     if (first[0], second[0]) in examined:
                         continue
                     examined.add((first[0], second[0]))
-                _chase_fd_pair_uwsdt(
+                removed += _chase_fd_pair_uwsdt(
                     uwsdt, dependency, holds, first, first_open, second, second_open
                 )
+    _count_chase(len(template), len(open_attributes), removed)
 
 
 def _determinant_keys(
@@ -544,8 +627,10 @@ def _chase_fd_pair_uwsdt(
     first_open: Sequence[str],
     second: Tuple[Any, ...],
     second_open: Sequence[str],
-) -> None:
-    """Chase one pair of template rows of which at least one has open FD attributes."""
+) -> int:
+    """Chase one pair of template rows of which at least one has open FD attributes.
+
+    Returns the number of local worlds removed."""
     relation = dependency.relation
     position_of = uwsdt.templates[relation].schema.position
     dependent = position_of(dependency.dependent)
@@ -556,7 +641,7 @@ def _chase_fd_pair_uwsdt(
         and dependency.dependent not in second_open
         and first[dependent] == second[dependent]
     ):
-        return
+        return 0
 
     cid = uwsdt.merge_components(
         [uwsdt.component_of(FieldRef(relation, first[0], a)) for a in first_open]
@@ -571,7 +656,9 @@ def _chase_fd_pair_uwsdt(
         right = fill_placeholders(second, second_slots, local_world)
         return left is None or right is None or holds(left, right)
 
-    uwsdt.replace_component(cid, _filter_component(uwsdt, component, keep))
+    filtered = _filter_component(uwsdt, component, keep)
+    uwsdt.replace_component(cid, filtered)
+    return len(component.rows) - len(filtered.rows)
 
 
 def _possible_values_uwsdt(uwsdt: UWSDT, relation: str, tuple_id: Any, attribute: str) -> set:

@@ -22,6 +22,7 @@ from repro.core.chase import (
     Comparison,
     EqualityGeneratingDependency,
     FunctionalDependency,
+    _Violation,
     chase_uwsdt,
 )
 from repro.core.component import Component
@@ -139,7 +140,9 @@ class TestIndexEqualsTemplateScan:
 ATTRS = ("A", "B", "C")
 TEMPLATE_SCHEMA = RelationSchema("R", (TID,) + ATTRS)
 cell_values = st.one_of(
-    st.integers(min_value=0, max_value=3), st.sampled_from(["0", "2", "x"]), st.just(BOTTOM)
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(["0", "2", "x"]),
+    st.sampled_from([BOTTOM, PLACEHOLDER]),
 )
 template_rows = st.tuples(st.integers(), cell_values, cell_values, cell_values)
 atoms = st.builds(
@@ -158,6 +161,16 @@ class TestCompiledDependencies:
         compiled = dependency.compile(TEMPLATE_SCHEMA)
         assert compiled(row) == dependency.holds_for(dict(zip(ATTRS, row[1:])))
         assert compiled(list(row)) == compiled(row)  # filled-in copies are lists
+
+    @given(st.lists(atoms, min_size=1, max_size=3), atoms, template_rows)
+    @settings(max_examples=300, deadline=None)
+    def test_compiled_violation_is_not_holds_for(self, premises, conclusion, row):
+        """The chase's scan kernel: the violation predicate through ``Predicate.compile``."""
+        dependency = EqualityGeneratingDependency("R", premises, conclusion)
+        violated = _Violation(dependency).compile(TEMPLATE_SCHEMA)
+        expected = not dependency.holds_for(dict(zip(ATTRS, row[1:])))
+        assert violated(row) is expected and violated(list(row)) is expected
+        assert _Violation(dependency).evaluate(TEMPLATE_SCHEMA, row) is expected
 
     @given(
         st.lists(st.sampled_from(ATTRS), min_size=1, max_size=2, unique=True),
