@@ -18,9 +18,6 @@ the ones that have bitten (or nearly bitten) before:
 * ``async-blocking`` — coroutines in ``repro.service`` must not call
   blocking primitives (``time.sleep``, synchronous file I/O,
   ``subprocess``): one blocked coroutine stalls the whole event loop.
-* ``watch-release`` — a module that registers ``Relation.watch`` hooks
-  must also call ``unwatch`` somewhere: an unreleased hook pins the
-  watcher (and its engine) for the relation's lifetime.
 * ``picklable-plan`` — subclasses of ``PhysicalOperator`` / ``Predicate``
   must not store lambdas, open handles or engine/backend references on
   ``self``: physical plans are pickled wholesale to the sharded worker
@@ -57,7 +54,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 #: ``__init__`` (sample sizes, backend kinds) is deliberately not listed.
 LOCKED_CLASSES = {
     "MetricsRegistry": ("_metrics",),
-    "StatisticsCatalog": ("_entries", "_watchers", "_unwatch"),
+    "StatisticsCatalog": ("_entries",),
     "PlanCache": ("_entries",),
     "IndexPool": ("_cache",),
 }
@@ -385,35 +382,6 @@ def check_async_blocking(tree: ast.Module, path: str) -> List[Violation]:
     return violations
 
 
-def check_watch_release(tree: ast.Module, path: str) -> List[Violation]:
-    normalized = path.replace("\\", "/")
-    if normalized.endswith("relational/relation.py"):
-        return []  # defines watch/unwatch; pairing is the caller's duty
-    watch_calls: List[ast.Call] = []
-    has_unwatch = False
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr == "watch":
-                watch_calls.append(node)
-            elif node.func.attr == "unwatch":
-                has_unwatch = True
-    if watch_calls and not has_unwatch:
-        first = watch_calls[0]
-        return [
-            Violation(
-                rule="watch-release",
-                path=path,
-                line=first.lineno,
-                symbol="<module>",
-                message=(
-                    "registers Relation.watch hooks but never calls unwatch — "
-                    "the hook pins its watcher for the relation's lifetime"
-                ),
-            )
-        ]
-    return []
-
-
 def _unpicklable_reason(value: ast.AST) -> Optional[str]:
     """Why an assigned value cannot travel through pickle, or None."""
     for node in ast.walk(value):
@@ -590,7 +558,6 @@ RULES = (
     check_relation_storage,
     check_locked_state,
     check_async_blocking,
-    check_watch_release,
     check_picklable_plan_state,
     check_dynamic_code,
     check_operator_dispatch,

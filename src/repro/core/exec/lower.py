@@ -1,18 +1,18 @@
 """Lowering: logical :class:`Query` trees → :class:`PhysicalPlan`.
 
-This is where physical alternatives are decided, using the same per-operator
-cost steps the planner's join-order DP uses (so the DP's assumptions and the
-lowered plan agree):
+This is where physical alternatives are built.  What is structurally possible
+is decided here; what is cheaper was decided by the estimator that priced the
+tree (:mod:`~repro.core.planner.cost`) and is read off its per-node estimate:
 
 * a ``Select`` with a hashable equality predicate directly over a base
   relation becomes an :class:`~repro.core.exec.physical.IndexScan` on
   backends that can probe one (Database index pool, UWSDT template index);
 * a ``Join`` whose *right* input is a bare base-relation scan becomes an
-  :class:`~repro.core.exec.physical.IndexNestedLoopJoin` when
-  :func:`~repro.core.planner.cost.index_join_step` beats
-  :func:`~repro.core.planner.cost.join_step` under the estimated
-  cardinalities (the join-order DP steers the bare scan to the right-hand
-  side whenever that orientation wins, so the two layers compose);
+  :class:`~repro.core.exec.physical.IndexNestedLoopJoin` when the node's
+  estimate names that algorithm (``NodeEstimate.algorithm`` — the one
+  hash-vs-index comparison, whose winner is also what ``Plan.cost_after``
+  and the join-order DP priced; the DP steers the bare scan to the
+  right-hand side whenever that orientation wins);
 * an ``Intersection`` is native on the Database backend and lowered through
   its ``A − (A − B)`` expansion on the representation backends.
 
@@ -27,17 +27,7 @@ from typing import Dict, Optional
 from ...relational.errors import QueryError
 from ...relational.predicates import AttrConst
 from ..algebra import query as logical
-from ..planner.cost import (
-    DEFAULT_ARITY,
-    CostModel,
-    NodeEstimate,
-    Statistics,
-    equality_join_selectivity,
-    estimate_forest,
-    index_join_step,
-    join_step,
-    output_attributes,
-)
+from ..planner.cost import NodeEstimate, Statistics, estimate_forest
 from .backends import EngineBackend, backend_for
 from .physical import (
     Difference,
@@ -74,13 +64,11 @@ class _Lowering:
         self,
         backend: EngineBackend,
         statistics: Statistics,
-        model: CostModel,
         force_join: Optional[str],
         estimates: Optional[Dict[int, NodeEstimate]] = None,
     ) -> None:
         self.backend = backend
         self.statistics = statistics
-        self.model = model
         self.force_join = force_join
         #: Per-node estimates keyed by node identity: the planner's own, when
         #: it hands them over, else filled by one bottom-up pass before
@@ -98,7 +86,7 @@ class _Lowering:
     def seed_estimates(self, query: logical.Query) -> None:
         self._anchored.append(query)
         try:
-            estimate_forest(query, self.statistics, self.model, self.estimates)
+            estimate_forest(query, self.statistics, memo=self.estimates)
         except TypeError:
             # Unknown node types surface as a QueryError from lower() below,
             # with the query text attached, rather than a bare TypeError here.
@@ -113,17 +101,14 @@ class _Lowering:
         self.seed_estimates(node)
         return self.estimates.get(id(node))
 
-    def estimated_rows(self, node: logical.Query) -> Optional[float]:
-        estimate = self.estimate(node)
-        return estimate.rows if estimate is not None else None
-
     def lower(self, node: logical.Query) -> PhysicalOperator:
         physical = self._lower_node(node)
         physical.base_relation_names = tuple(sorted(node.base_relations()))
         return physical
 
     def _lower_node(self, node: logical.Query) -> PhysicalOperator:
-        rows = self.estimated_rows(node)
+        estimate = self.estimate(node)
+        rows = estimate.rows if estimate is not None else None
         if isinstance(node, logical.BaseRelation):
             return Scan(node.name, rows)
         if isinstance(node, logical.Select):
@@ -149,12 +134,14 @@ class _Lowering:
                 return Intersection(self.lower(node.left), self.lower(node.right), rows)
             return self.lower(node.expanded())
         if isinstance(node, logical.Join):
-            return self.lower_join(node, rows)
+            return self.lower_join(node, rows, estimate)
         raise QueryError(
             "cannot lower query node to a physical operator:\n" + node.to_text("  ")
         )
 
-    def lower_join(self, node: logical.Join, rows: float) -> PhysicalOperator:
+    def lower_join(
+        self, node: logical.Join, rows: Optional[float], estimate: Optional[NodeEstimate]
+    ) -> PhysicalOperator:
         left = self.lower(node.left)
         right = self.lower(node.right)
         applicable = (
@@ -163,25 +150,7 @@ class _Lowering:
             and self.force_join != "hash"
         )
         if applicable and self.force_join != "index-nested-loop":
-            # Same cost comparison as the join-order DP: hash build+probe
-            # versus per-outer-tuple probes of the engine's cached index.
-            left_estimate = self.estimate(node.left)
-            right_estimate = self.estimate(node.right)
-            if left_estimate is None or right_estimate is None:
-                applicable = False
-            else:
-                selectivity = equality_join_selectivity(
-                    left_estimate.sample, node.left_attr, right_estimate.sample, node.right_attr
-                )
-                attributes = output_attributes(node, self.statistics)
-                out_arity = len(attributes) if attributes is not None else DEFAULT_ARITY
-                _, hash_cost = join_step(
-                    left_estimate.rows, right_estimate.rows, selectivity, out_arity, self.model
-                )
-                _, inlj_cost = index_join_step(
-                    left_estimate.rows, right_estimate.rows, selectivity, out_arity, self.model
-                )
-                applicable = inlj_cost < hash_cost
+            applicable = estimate is not None and estimate.algorithm == "index-nested-loop"
         if applicable:
             return IndexNestedLoopJoin(left, right, node.left_attr, node.right_attr, rows)
         return HashJoin(left, right, node.left_attr, node.right_attr, rows)
@@ -216,9 +185,7 @@ def lower(
     from ...obs.trace import get_tracer
 
     with get_tracer().span("lowering", engine=backend.kind):
-        lowering = _Lowering(
-            backend, statistics, statistics.cost_model(), force_join, estimates
-        )
+        lowering = _Lowering(backend, statistics, force_join, estimates)
         lowering.seed_estimates(query)
         root = lowering.lower(query)
         if backend.kind == "columnar":

@@ -25,12 +25,10 @@ from .cost import (
     CostModel,
     FIXED_SELECTIVITY_FLOOR,
     Statistics,
-    equality_join_selectivity,
     estimate,
     floored_predicate_selectivity,
     output_attributes,
     predicate_selectivity,
-    selection_selectivity,
 )
 from .joins import (
     GREEDY_THRESHOLD,
@@ -80,12 +78,10 @@ __all__ = [
     "CostModel",
     "FIXED_SELECTIVITY_FLOOR",
     "Statistics",
-    "equality_join_selectivity",
     "estimate",
     "floored_predicate_selectivity",
     "output_attributes",
     "predicate_selectivity",
-    "selection_selectivity",
     "GREEDY_THRESHOLD",
     "JoinGraph",
     "MIN_REORDER_RELATIONS",

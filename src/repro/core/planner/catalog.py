@@ -31,10 +31,9 @@ WSD       ``WSD.revision`` (bumped by every component surgery and relation
 
 Entries are checked lazily on every access (polling the version key is an
 integer comparison plus, on a UWSDT, a sum over the relation's placeholder
-index — one term per uncertain tuple), and additionally dropped *eagerly* through
-:meth:`~repro.relational.relation.Relation.watch` hooks on the sampled
-relation objects — both layers together make "mutate, then replan" pick up
-fresh statistics through every mutation path.
+index — one term per uncertain tuple).  Polling is the one invalidation
+mechanism: every mutation path bumps a version, so "mutate, then replan"
+picks up fresh statistics, and a stale entry is replaced on its next read.
 
 One catalog is attached per engine object (:func:`catalog_for` stores it on
 the engine; engine ``copy()`` methods deliberately do not carry it over).
@@ -50,10 +49,9 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ...relational.database import Database
-from ...relational.relation import Relation
 from ..uwsdt import UWSDT
 from ..wsd import WSD
 from .cost import Statistics, uwsdt_relation_statistics, wsd_relation_statistics
@@ -91,24 +89,17 @@ class StatisticsCatalog:
     def __init__(self, engine: Any, sample_size: int = DEFAULT_SAMPLE_SIZE) -> None:
         if not isinstance(engine, (Database, WSD, UWSDT)):
             raise TypeError(f"cannot derive statistics from {type(engine).__name__}")
-        #: Weak, like the watcher closures below: the catalog hangs off its
-        #: engine (:func:`catalog_for`), and a strong reference back would turn
+        #: Weak: the catalog hangs off its engine (:func:`catalog_for`), and a
+        #: strong reference back would turn
         #: every discarded engine copy — templates included — into cyclic
         #: garbage that stays resident until the collector's next full pass.
         self._engine = weakref.ref(engine)
         self.sample_size = sample_size
-        #: Reentrant so watcher callbacks that fire while the lock is held
-        #: (a mutation inside a locked catalog method) cannot deadlock, and
-        #: so public methods can compose without lock juggling.  Concurrent
-        #: sessions share one catalog per engine; every read of a shared
-        #: dict below happens under this lock.
+        #: Reentrant so public methods can compose without lock juggling.
+        #: Concurrent sessions share one catalog per engine; every read of
+        #: the shared dict below happens under this lock.
         self._lock = threading.RLock()
         self._entries: Dict[str, CatalogEntry] = {}
-        #: Eager invalidation hooks: relation name -> (watched Relation, callback).
-        #: Invariant: a watcher is registered exactly while the relation has
-        #: (or had) an entry, and is released by :meth:`invalidate` — a
-        #: long-lived relation must not accumulate dead closures.
-        self._watchers: Dict[str, Tuple[Relation, Callable]] = {}
         #: Cache telemetry (reads that reused / rebuilt an entry).
         self.hits = 0
         self.misses = 0
@@ -200,7 +191,6 @@ class StatisticsCatalog:
                 anchor=anchor,
             )
             self._entries[name] = built
-            self._watch(name, anchor)
             return built, "fresh-sample"
 
     def version_key(self, name: str) -> Tuple[Any, ...]:
@@ -215,49 +205,12 @@ class StatisticsCatalog:
             return self.engine.relation(name).schema.attributes
         return self.engine.schema.relation(name).attributes
 
-    def _watch(self, name: str, anchor: Any) -> None:
-        """Eagerly drop the entry when the anchored Relation mutates.
-
-        Redundant with key polling for correctness, but it frees stale
-        samples immediately and exercises the mutation hooks end to end.
-        """
-        if not isinstance(anchor, Relation):
-            return  # WSD entries anchor the engine; revision polling covers them
-        with self._lock:
-            watched = self._watchers.get(name)
-            if watched is not None and watched[0] is anchor:
-                return
-            if watched is not None:
-                watched[0].unwatch(watched[1])
-
-            catalog_ref = weakref.ref(self)
-
-            def invalidate(_relation: Relation, name: str = name) -> None:
-                catalog = catalog_ref()
-                if catalog is not None:
-                    with catalog._lock:
-                        catalog._entries.pop(name, None)
-
-            anchor.watch(invalidate)
-            self._watchers[name] = (anchor, invalidate)
-
-    def _unwatch(self, name: str) -> None:
-        with self._lock:
-            watched = self._watchers.pop(name, None)
-            if watched is not None:
-                watched[0].unwatch(watched[1])
-
     def invalidate(self, name: Optional[str] = None) -> None:
-        """Drop one relation's entry (or all of them when ``name`` is None),
-        releasing its mutation watcher — an always-on process must not leave
-        dead closures on long-lived relations."""
+        """Drop one relation's entry (or all of them when ``name`` is None)."""
         with self._lock:
             if name is None:
-                for watched_name in list(self._watchers):
-                    self._unwatch(watched_name)
                 self._entries.clear()
             else:
-                self._unwatch(name)
                 self._entries.pop(name, None)
 
     def __len__(self) -> int:

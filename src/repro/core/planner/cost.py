@@ -17,6 +17,12 @@ and join selectivities are estimated from the sample whenever one is
 available, and fall back to the fixed constants (``EQUALITY_SELECTIVITY``
 etc.) otherwise — so schema-only planning keeps working unchanged.
 
+There is one estimator.  The node-level steps (``select_estimate``,
+``join_estimate``, …) turn the estimates of a node's inputs into the node's;
+``estimate()`` applies them along a tree, the join-order enumerator prices
+its candidates with them, and lowering reads the join algorithm they chose —
+so the number that picks a plan is the number every report shows for it.
+
 Per-operator constants are engine-specific (:class:`CostModel`): a WSD
 product pays component ``ext`` copies per output tuple while a classical
 product just concatenates rows, and the difference operator composes
@@ -217,11 +223,15 @@ class Statistics:
         #: holds its engine weakly; the type analysis goes through it to
         #: confirm a type inferred from a partial sample against whole columns.
         self.catalog = catalog
-        #: ``(sample, predicate) → (selectivity, derived sample)``, see
-        #: :meth:`selection`.
-        self._selections: Dict[
-            Tuple[RelationSample, Predicate], Tuple[Optional[float], RelationSample]
-        ] = {}
+        #: The sample work of one plan, each piece once — see :meth:`selection`.
+        self._derived: Dict[Tuple[Any, ...], Any] = {}
+
+    def _once(self, key: Tuple[Any, ...], compute: Any, *arguments: Any) -> Any:
+        try:
+            return self._derived[key]
+        except KeyError:
+            result = self._derived[key] = compute(*arguments)
+            return result
 
     def selection(
         self, sample: RelationSample, predicate: Predicate
@@ -231,17 +241,15 @@ class Statistics:
         A statistics object is built per plan, so every estimate pass of that
         plan (the join-order DP's leaves, the costed tree, lowering) shares
         one compile and one scan of a sample per predicate, and the memo dies
-        with the plan.  It is keyed by the two objects themselves — both hash
-        by identity and the dict keeps them alive, so no ``id()`` can be
-        reused while an entry exists.  Nothing is kept across plans: the
-        catalog's samples outlive any number of ad-hoc predicates, and a
-        repeated query is what the plan cache is for.
+        with the plan.  The same memo holds the plan's projected and renamed
+        samples and its cross-leaf ``A = B`` selectivities (one histogram
+        overlap per join predicate).  It is keyed by the objects themselves —
+        samples and predicates hash by identity and the dict keeps them alive,
+        so no ``id()`` can be reused while an entry exists.  Nothing is kept
+        across plans: the catalog's samples outlive any number of ad-hoc
+        predicates, and a repeated query is what the plan cache is for.
         """
-        key = (sample, predicate)
-        result = self._selections.get(key)
-        if result is None:
-            result = self._selections[key] = sample.select(predicate)
-        return result
+        return self._once((sample, predicate), _select_sample, sample, predicate)
 
     def provenance(self, relation_name: str) -> str:
         """How this relation's estimates are derived (for ``explain()``)."""
@@ -256,18 +264,10 @@ class Statistics:
         sample_size: int = DEFAULT_SAMPLE_SIZE,
         sample_relations: Optional[Tuple[str, ...]] = None,
     ) -> "Statistics":
-        """Fresh, uncached statistics: the view of a catalog attached to nothing.
-
-        The throwaway catalog is invalidated before it is dropped, so it
-        leaves no ``Relation.watch`` closure on the engine's relations.
-        """
+        """Fresh, uncached statistics: the view of a catalog attached to nothing."""
         from .catalog import StatisticsCatalog
 
-        catalog = StatisticsCatalog(engine, sample_size)
-        try:
-            statistics = catalog.statistics(sample_relations)
-        finally:
-            catalog.invalidate()
+        statistics = StatisticsCatalog(engine, sample_size).statistics(sample_relations)
         statistics.source = "fresh"
         statistics.catalog = None
         return statistics
@@ -382,27 +382,21 @@ def floored_predicate_selectivity(predicate: Predicate) -> float:
     return max(min(predicate_selectivity(predicate), 1.0), FIXED_SELECTIVITY_FLOOR)
 
 
-def selection_selectivity(predicate: Predicate, sample: Optional[RelationSample]) -> float:
-    """Sampled selectivity when a sample can answer, fixed constants otherwise."""
-    if sample is not None:
-        sampled = sample.selectivity(predicate)
-        if sampled is not None:
-            return sampled
-    return floored_predicate_selectivity(predicate)
-
-
-def equality_join_selectivity(
-    left_sample: Optional[RelationSample],
-    left_attr: str,
-    right_sample: Optional[RelationSample],
-    right_attr: str,
-) -> float:
-    """Sampled ``A = B`` selectivity across two subplans, or the fixed constant."""
-    if left_sample is not None and right_sample is not None:
-        sampled = join_selectivity(left_sample, left_attr, right_sample, right_attr)
-        if sampled is not None:
-            return sampled
-    return EQUALITY_SELECTIVITY
+def _select_sample(
+    sample: RelationSample, predicate: Predicate
+) -> Tuple[Optional[float], RelationSample]:
+    """:meth:`RelationSample.select`, except that a filter no sampled row
+    passes is a small selectivity and not a missing sample: the unfiltered
+    rows (the filter taken as independent of the other columns) keep the
+    leaf's column distributions for the joins above, which would otherwise
+    fall back to ``EQUALITY_SELECTIVITY`` — the worse, the more selective the
+    filter."""
+    selectivity, narrowed = sample.select(predicate)
+    if sample.rows and not narrowed.rows:
+        narrowed = RelationSample(
+            sample.relation, sample.attributes, sample.rows, narrowed.population
+        )
+    return selectivity, narrowed
 
 
 def output_attributes(query: Query, source: Any) -> Optional[Tuple[str, ...]]:
@@ -452,8 +446,9 @@ def arity_width(arity: int) -> float:
 
 
 # --------------------------------------------------------------------------- #
-# Per-operator steps — shared by estimate() and the join-order enumerator, so
-# a plan assembled by the enumerator costs exactly what estimate() reports.
+# Per-operator formulas — called by the node-level steps below and by nothing
+# else, so a plan assembled by the enumerator costs exactly what estimate()
+# reports.
 # --------------------------------------------------------------------------- #
 
 
@@ -524,21 +519,149 @@ def project_step(rows: float, in_arity: int, model: CostModel) -> float:
 
 
 # --------------------------------------------------------------------------- #
-# The recursive estimator
+# Node-level steps: NodeEstimate(, NodeEstimate) → NodeEstimate
 # --------------------------------------------------------------------------- #
 
 
 @dataclass
 class NodeEstimate:
-    """Internal per-node estimate: cardinality, cost, derived sample, density."""
+    """Per-node estimate: cardinality, cumulative cost, and what is below.
+
+    ``samples`` holds the (filtered / projected / renamed) sample of every
+    leaf below the node that has one, never a sample derived from two leaves.
+    Leaves have disjoint attribute sets, so an attribute names its leaf, and
+    a predicate across leaves is priced from the two owning leaf samples
+    whichever node spells it: a result's size is the product of its filtered
+    leaves' sizes and its predicates' selectivities, whatever order joined
+    it.  ``algorithm`` (joins only) is the cheaper of ``lower.JOIN_ALGORITHMS``
+    here — what ``cost`` includes and what lowering builds.
+    """
 
     rows: float
     cost: float
-    sample: Optional[RelationSample]
+    samples: Tuple[RelationSample, ...]
     density: float
+    #: Output width (a base relation of unknown schema counts ``DEFAULT_ARITY``).
+    arity: int
+    algorithm: Optional[str] = None
 
     def as_cost_estimate(self) -> CostEstimate:
         return CostEstimate(rows=self.rows, cost=self.cost)
+
+
+def _owner(samples: Tuple[RelationSample, ...], attribute: str) -> Optional[RelationSample]:
+    for sample in samples:
+        if attribute in sample.attributes:
+            return sample
+    return None
+
+
+def join_condition_selectivity(
+    left: NodeEstimate, left_attr: str, right: NodeEstimate, right_attr: str, statistics: Statistics
+) -> float:
+    """Selectivity of ``left_attr = right_attr`` from the two owning leaf
+    samples — one histogram overlap per plan, whichever side spells it first;
+    the fixed constant where a leaf has no sample or the samples cannot say."""
+    left_side = _owner(left.samples, left_attr), left_attr
+    right_side = _owner(right.samples, right_attr), right_attr
+    if left_side[0] is None or right_side[0] is None:
+        return EQUALITY_SELECTIVITY
+    sampled = statistics._once(
+        frozenset((left_side, right_side)), join_selectivity, *left_side, *right_side
+    )
+    return EQUALITY_SELECTIVITY if sampled is None else sampled
+
+
+def select_estimate(
+    child: NodeEstimate, predicate: Predicate, statistics: Statistics, model: CostModel
+) -> NodeEstimate:
+    """σ over one leaf: the whole predicate against its sample, placeholder
+    rows surviving (the density bump).  σ over several leaves: conjunct by
+    conjunct — one owned by a single leaf narrows that leaf's sample, with the
+    bump; every other multiplies in without it (an equality across two leaves
+    at its join selectivity, anything else at the fixed constants), because
+    the bump is not multiplicative and which predicate is "the join" and which
+    a residual σ must not change a result's size."""
+    samples = child.samples
+    if len(samples) <= 1:
+        selectivity = None
+        if samples:
+            selectivity, narrowed = statistics.selection(samples[0], predicate)
+            samples = (narrowed,)
+        if selectivity is None:
+            selectivity = floored_predicate_selectivity(predicate)
+        rows, added = select_step(child.rows, selectivity, child.density, model)
+        return NodeEstimate(rows, child.cost + added, samples, child.density, child.arity)
+    passing = 1.0
+    for part in predicate.parts if isinstance(predicate, And) else (predicate,):
+        owners = {_owner(samples, attribute) for attribute in part.attributes()}
+        selectivity, density = None, 0.0
+        if len(owners) == 1 and None not in owners:
+            (owner,) = owners
+            selectivity, narrowed = statistics.selection(owner, part)
+            samples = tuple(narrowed if sample is owner else sample for sample in samples)
+            density = child.density
+        elif (
+            len(owners) == 2
+            and None not in owners
+            and isinstance(part, AttrAttr)
+            and part.op in ("=", "==")
+        ):
+            selectivity = join_condition_selectivity(
+                child, part.left, child, part.right, statistics
+            )
+        if selectivity is None:
+            selectivity = floored_predicate_selectivity(part)
+        passing, _ = select_step(passing, selectivity, density, model)
+    rows, added = select_step(child.rows, passing, 0.0, model)
+    return NodeEstimate(rows, child.cost + added, samples, child.density, child.arity)
+
+
+def product_estimate(left: NodeEstimate, right: NodeEstimate, model: CostModel) -> NodeEstimate:
+    arity = left.arity + right.arity
+    rows, added = product_step(left.rows, right.rows, arity, model)
+    return NodeEstimate(
+        rows,
+        left.cost + right.cost + added,
+        left.samples + right.samples,
+        max(left.density, right.density),
+        arity,
+    )
+
+
+def join_estimate(
+    left: NodeEstimate,
+    right: NodeEstimate,
+    left_attr: str,
+    right_attr: str,
+    inner_is_base: bool,
+    statistics: Statistics,
+    model: CostModel,
+) -> NodeEstimate:
+    """``left ⋈ right``: a hash join, or — when the inner (right) input is a
+    bare base relation on an index-capable engine — the cheaper of that and an
+    index nested-loop join; ``algorithm`` records which."""
+    arity = left.arity + right.arity
+    selectivity = join_condition_selectivity(left, left_attr, right, right_attr, statistics)
+    rows, added = join_step(left.rows, right.rows, selectivity, arity, model)
+    algorithm = "hash"
+    if inner_is_base and statistics.engine in INDEX_JOIN_ENGINES:
+        _, probing = index_join_step(left.rows, right.rows, selectivity, arity, model)
+        if probing < added:
+            added, algorithm = probing, "index-nested-loop"
+    return NodeEstimate(
+        rows,
+        left.cost + right.cost + added,
+        left.samples + right.samples,
+        max(left.density, right.density),
+        arity,
+        algorithm,
+    )
+
+
+# --------------------------------------------------------------------------- #
+# The recursive estimator
+# --------------------------------------------------------------------------- #
 
 
 def estimate(
@@ -586,90 +709,89 @@ def _estimate_uncached(
     memo: Optional[Dict[int, NodeEstimate]] = None,
 ) -> NodeEstimate:
     if isinstance(query, BaseRelation):
+        sample = statistics.sample(query.name)
+        attributes = statistics.relation_attributes(query.name)
         return NodeEstimate(
             rows=float(statistics.row_count(query.name)),
             cost=0.0,
-            sample=statistics.sample(query.name),
+            samples=(sample,) if sample is not None else (),
             density=statistics.placeholder_density(query.name),
+            arity=len(attributes) if attributes is not None else DEFAULT_ARITY,
         )
     if isinstance(query, Select):
         child = _estimate(query.child, statistics, model, memo)
-        selectivity, sample = None, None
-        if child.sample is not None:
-            selectivity, sample = statistics.selection(child.sample, query.predicate)
-        if selectivity is None:
-            selectivity = floored_predicate_selectivity(query.predicate)
-        rows, added = select_step(child.rows, selectivity, child.density, model)
-        return NodeEstimate(rows, child.cost + added, sample, child.density)
+        return select_estimate(child, query.predicate, statistics, model)
     if isinstance(query, Project):
         child = _estimate(query.child, statistics, model, memo)
-        attributes = output_attributes(query.child, statistics)
-        in_arity = len(attributes) if attributes is not None else DEFAULT_ARITY
-        sample = child.sample.project(query.attributes) if child.sample is not None else None
+        samples = []
+        for sample in child.samples:
+            owned = tuple(a for a in query.attributes if a in sample.attributes)
+            if owned != sample.attributes:  # else a permutation across leaves
+                sample = statistics._once((sample, owned), sample.project, owned)
+            samples.append(sample)
         return NodeEstimate(
             child.rows,
-            child.cost + project_step(child.rows, in_arity, model),
-            sample,
+            child.cost + project_step(child.rows, child.arity, model),
+            tuple(samples),
             child.density,
+            len(query.attributes),
         )
     if isinstance(query, Rename):
         child = _estimate(query.child, statistics, model, memo)
-        sample = child.sample.rename(query.old, query.new) if child.sample is not None else None
+        samples = tuple(
+            statistics._once((sample, query.old, query.new), sample.rename, query.old, query.new)
+            if query.old in sample.attributes
+            else sample
+            for sample in child.samples
+        )
         return NodeEstimate(
-            child.rows, child.cost + child.rows * model.rename_tuple, sample, child.density
+            child.rows,
+            child.cost + child.rows * model.rename_tuple,
+            samples,
+            child.density,
+            child.arity,
         )
     if isinstance(query, Product):
         left = _estimate(query.left, statistics, model, memo)
         right = _estimate(query.right, statistics, model, memo)
-        attributes = output_attributes(query, statistics)
-        out_arity = len(attributes) if attributes is not None else DEFAULT_ARITY
-        rows, added = product_step(left.rows, right.rows, out_arity, model)
-        sample = (
-            left.sample.cross(right.sample)
-            if left.sample is not None and right.sample is not None
-            else None
-        )
-        return NodeEstimate(
-            rows, left.cost + right.cost + added, sample, max(left.density, right.density)
-        )
+        return product_estimate(left, right, model)
     if isinstance(query, Join):
         left = _estimate(query.left, statistics, model, memo)
         right = _estimate(query.right, statistics, model, memo)
-        attributes = output_attributes(query, statistics)
-        out_arity = len(attributes) if attributes is not None else DEFAULT_ARITY
-        selectivity = equality_join_selectivity(
-            left.sample, query.left_attr, right.sample, query.right_attr
-        )
-        rows, added = join_step(left.rows, right.rows, selectivity, out_arity, model)
-        sample = (
-            left.sample.equijoin(right.sample, query.left_attr, query.right_attr)
-            if left.sample is not None and right.sample is not None
-            else None
-        )
-        return NodeEstimate(
-            rows, left.cost + right.cost + added, sample, max(left.density, right.density)
+        return join_estimate(
+            left,
+            right,
+            query.left_attr,
+            query.right_attr,
+            isinstance(query.right, BaseRelation),
+            statistics,
+            model,
         )
     if isinstance(query, Union):
         left = _estimate(query.left, statistics, model, memo)
         right = _estimate(query.right, statistics, model, memo)
         out = left.rows + right.rows
-        sample = None
+        samples = ()
         if (
-            left.sample is not None
-            and right.sample is not None
-            and left.sample.attributes == right.sample.attributes
+            len(left.samples) == 1
+            and len(right.samples) == 1
+            and left.samples[0].attributes == right.samples[0].attributes
         ):
-            sample = RelationSample(
-                "",
-                left.sample.attributes,
-                left.sample.rows + right.sample.rows,
-                max(1, left.sample.population + right.sample.population),
+            (left_sample,), (right_sample,) = left.samples, right.samples
+            samples = (
+                RelationSample(
+                    "",
+                    left_sample.attributes,
+                    left_sample.rows + right_sample.rows,
+                    max(1, left_sample.population + right_sample.population),
+                ),
             )
         return NodeEstimate(
             out,
             left.cost + right.cost + out * model.union_tuple,
-            sample,
+            samples,
             max(left.density, right.density),
+            left.arity,
         )
     if isinstance(query, Difference):
         left = _estimate(query.left, statistics, model, memo)
@@ -679,8 +801,9 @@ def _estimate_uncached(
         return NodeEstimate(
             left.rows,
             left.cost + right.cost + left.rows * max(1.0, right.rows) * model.difference_pair,
-            left.sample,
+            left.samples,
             max(left.density, right.density),
+            left.arity,
         )
     if isinstance(query, Intersection):
         left = _estimate(query.left, statistics, model, memo)
@@ -692,21 +815,11 @@ def _estimate_uncached(
         return NodeEstimate(
             min(left.rows, right.rows),
             left.cost + right.cost + left.rows * max(1.0, right.rows) * model.difference_pair,
-            None,
+            (),
             max(left.density, right.density),
+            left.arity,
         )
     raise TypeError(f"cannot estimate cost of {query!r}")
-
-
-def estimate_node(query: Query, statistics: Statistics, model: Optional[CostModel] = None) -> NodeEstimate:
-    """Full per-node estimate (rows, cost, derived sample, density).
-
-    Used by the join-order enumerator to seed leaf states that cost exactly
-    what :func:`estimate` would report for the same subtree.
-    """
-    if model is None:
-        model = statistics.cost_model()
-    return _estimate(query, statistics, model)
 
 
 def estimate_forest(

@@ -16,15 +16,17 @@ picks the order instead:
 2. :func:`enumerate_plan` runs bottom-up dynamic programming over subsets
    of leaves (``DPsub``), producing *bushy* plans; splits connected by a
    join edge are preferred, cartesian splits are considered only when a
-   subset has no connected split.  Costing uses the shared per-operator
-   steps of :mod:`~repro.core.planner.cost`; each predicate's selectivity
-   is estimated *once* from the (filtered) leaf samples, so a subset's
-   cardinality estimate is independent of the join order that produced it
-   — the classical Selinger discipline that makes "keep one best plan per
-   subset" exact for the enumerator's own cost metric (and the reason the
-   ``DP ≤ every left-deep order`` property test is a theorem, not a
-   hope).  Above :data:`GREEDY_THRESHOLD` leaves the ``3^n`` subset
-   enumeration is replaced by a greedy cheapest-pair heuristic.
+   subset has no connected split.  This module is the *search* — which
+   pairs, which edge becomes the join condition, which side is the inner;
+   every candidate is priced by the node-level steps of
+   :mod:`~repro.core.planner.cost`, the estimator ``estimate()`` and
+   lowering read too.  It prices a predicate across leaves from the two
+   (filtered) leaf samples, so a subset's cardinality is independent of the
+   join order that produced it — the classical Selinger discipline that
+   makes "keep one best plan per subset" exact, and the ``DP ≤ every
+   left-deep order`` property test a theorem about ``estimate()``.  Above
+   :data:`GREEDY_THRESHOLD` leaves the ``3^n`` subset enumeration is
+   replaced by a greedy cheapest-pair heuristic.
 3. The winning tree is wrapped in a projection restoring the cluster's
    original output attribute order (a pure column permutation), so the
    reorder is invisible to everything downstream.
@@ -43,19 +45,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ...relational.predicates import AttrAttr, Predicate, TruePredicate
 from ..algebra.query import BaseRelation, Join, Product, Project, Query, Select
 from .cost import (
-    INDEX_JOIN_ENGINES,
-    CostModel,
+    NodeEstimate,
     Statistics,
-    equality_join_selectivity,
-    estimate_node,
-    floored_predicate_selectivity,
-    index_join_step,
-    join_step,
-    product_step,
-    select_step,
+    estimate_forest,
+    join_estimate,
+    product_estimate,
+    select_estimate,
 )
 from .rules import RewriteContext, conjunction, conjuncts
-from .sampling import RelationSample
 
 #: Reordering only pays off for ≥3 relations (2-way joins are already fused).
 MIN_REORDER_RELATIONS = 3
@@ -176,135 +173,106 @@ def extract_join_graph(query: Query, context: RewriteContext) -> Optional[JoinGr
 
 @dataclass
 class PlanState:
-    """A candidate plan covering the leaves in ``mask``."""
+    """A candidate plan covering the leaves in ``mask``, priced by the estimator."""
 
     mask: int
     query: Query
     attributes: Tuple[str, ...]
-    rows: float
-    cost: float
+    estimate: NodeEstimate
     joined: bool = False  # the last combine applied at least one join edge
 
+    @property
+    def rows(self) -> float:
+        return self.estimate.rows
 
-class _Costing:
-    """Per-graph costing context: leaf states + fixed per-predicate selectivities.
+    @property
+    def cost(self) -> float:
+        return self.estimate.cost
 
-    Selectivities are estimated once, from the *filtered* leaf samples, and
-    never from intermediate plans — so a subset's estimated cardinality is
-    the same whichever order built it (Bellman optimality for the DP).
-    For the same reason the enumerator's metric applies cross-leaf
-    predicates purely multiplicatively, *without* the placeholder-density
-    bump ``estimate()`` uses for selections: the bump is not multiplicative
-    across predicates, so which predicate becomes "the join" versus a
-    residual select would otherwise make a subset's cardinality depend on
-    the order that built it.
+
+class _Search:
+    """Per-graph search context: the leaf states and how two states combine.
+
+    It decides *which* candidates exist — which predicates a pair makes
+    applicable, which edge becomes the join condition, which side is the
+    inner — and builds their trees; every number is the estimator's
+    (:mod:`~repro.core.planner.cost`), whose cardinalities do not depend on
+    the order that built a subset (Bellman optimality for the DP).
     """
 
     def __init__(self, graph: JoinGraph, statistics: Statistics) -> None:
         self.graph = graph
         self.statistics = statistics
-        self.model: CostModel = statistics.cost_model()
-        # Physical property of a leaf: a bare, unfiltered base relation on an
-        # index-capable engine can serve as the *inner* of an index
-        # nested-loop join (probing the engine's cached hash index), so the
-        # DP costs joins against such leaves as min(hash, index-nested-loop).
-        self.index_leaf_masks: set = set()
-        if statistics.engine in INDEX_JOIN_ENGINES:
-            for index, leaf in enumerate(graph.leaves):
-                if isinstance(leaf, BaseRelation) and not graph.filters[index]:
-                    self.index_leaf_masks.add(1 << index)
+        self.model = statistics.cost_model()
         self.leaf_states: List[PlanState] = []
-        leaf_samples: List[Optional[RelationSample]] = []
         for index, leaf in enumerate(graph.leaves):
             if graph.filters[index]:
                 leaf = Select(leaf, conjunction(graph.filters[index]))
-            node = estimate_node(leaf, statistics, self.model)
-            leaf_samples.append(node.sample)
+            estimate = estimate_forest(leaf, statistics, self.model)[id(leaf)]
             self.leaf_states.append(
-                PlanState(
-                    mask=1 << index,
-                    query=leaf,
-                    attributes=graph.leaf_attributes[index],
-                    rows=node.rows,
-                    cost=node.cost,
-                )
+                PlanState(1 << index, leaf, graph.leaf_attributes[index], estimate)
             )
-        self.selectivities: Dict[int, float] = {}
-        for entry in graph.predicates:
-            if entry.join is not None:
-                leaf_l, attr_l, leaf_r, attr_r = entry.join
-                self.selectivities[entry.index] = equality_join_selectivity(
-                    leaf_samples[leaf_l], attr_l, leaf_samples[leaf_r], attr_r
-                )
-            else:
-                self.selectivities[entry.index] = floored_predicate_selectivity(entry.predicate)
+
+    def _join(self, left: PlanState, right: PlanState, edge: PredicateEntry) -> PlanState:
+        leaf_l, left_attr, _leaf_r, right_attr = edge.join
+        if not (1 << leaf_l) & left.mask:
+            left_attr, right_attr = right_attr, left_attr
+        estimate = join_estimate(
+            left.estimate,
+            right.estimate,
+            left_attr,
+            right_attr,
+            isinstance(right.query, BaseRelation),
+            self.statistics,
+            self.model,
+        )
+        return PlanState(
+            left.mask | right.mask,
+            Join(left.query, right.query, left_attr, right_attr),
+            left.attributes + right.attributes,
+            estimate,
+            joined=True,
+        )
 
     def combine(self, left: PlanState, right: PlanState) -> PlanState:
         """Join (or cross) two disjoint plan states, applying every predicate
-        that becomes available, with the shared cost steps of ``cost.py``."""
+        that becomes available."""
         mask = left.mask | right.mask
-        applicable = [
+        remaining = [
             entry
             for entry in self.graph.predicates
             if entry.mask & left.mask and entry.mask & right.mask and not entry.mask & ~mask
         ]
-        attributes = left.attributes + right.attributes
-        cost = left.cost + right.cost
-
-        join_edges = [entry for entry in applicable if entry.join is not None]
+        join_edges = [entry for entry in remaining if entry.join is not None]
         if join_edges:
             # The most selective edge becomes the join condition (fewest
             # emits); ties break on predicate index for determinism.
-            chosen = min(join_edges, key=lambda e: (self.selectivities[e.index], e.index))
-            leaf_l, attr_l, leaf_r, attr_r = chosen.join
-            if (1 << leaf_l) & left.mask:
-                left_attr, right_attr = attr_l, attr_r
-            else:
-                left_attr, right_attr = attr_r, attr_l
-            selectivity = self.selectivities[chosen.index]
-            out_arity = len(attributes)
-            rows, added = join_step(left.rows, right.rows, selectivity, out_arity, self.model)
-            query: Query = Join(left.query, right.query, left_attr, right_attr)
-            # Physical alternatives: an index nested-loop join with the bare
-            # base-relation side as the inner (either orientation — output
-            # cardinality is identical, so subset estimates stay
-            # order-independent; a swap only reorders columns, which the
-            # final projection restores).
-            if right.mask in self.index_leaf_masks:
-                _, inlj_cost = index_join_step(
-                    left.rows, right.rows, selectivity, out_arity, self.model
-                )
-                if inlj_cost < added:
-                    added = inlj_cost
-            if left.mask in self.index_leaf_masks:
-                _, inlj_cost = index_join_step(
-                    right.rows, left.rows, selectivity, out_arity, self.model
-                )
-                if inlj_cost < added:
-                    added = inlj_cost
-                    query = Join(right.query, left.query, right_attr, left_attr)
-                    attributes = right.attributes + left.attributes
-            remaining = [entry for entry in applicable if entry is not chosen]
-            joined = True
+            state, chosen = min(
+                ((self._join(left, right, edge), edge) for edge in join_edges),
+                key=lambda candidate: (candidate[0].rows, candidate[1].index),
+            )
+            # A bare base relation can be the inner of an index nested-loop
+            # join: price that orientation too (same cardinality; the swap
+            # only reorders columns, which the final projection restores).
+            if isinstance(left.query, BaseRelation):
+                swapped = self._join(right, left, chosen)
+                if swapped.cost < state.cost:
+                    state = swapped
+            remaining.remove(chosen)
         else:
-            out_arity = len(attributes)
-            rows, added = product_step(left.rows, right.rows, out_arity, self.model)
-            query = Product(left.query, right.query)
-            remaining = applicable
-            joined = False
-
-        cost += added
+            state = PlanState(
+                mask,
+                Product(left.query, right.query),
+                left.attributes + right.attributes,
+                product_estimate(left.estimate, right.estimate, self.model),
+            )
         if remaining:
-            selectivity = 1.0
-            for entry in remaining:
-                selectivity *= self.selectivities[entry.index]
-            # Density bump deliberately omitted (see class docstring): the
-            # metric must stay multiplicative for order-independence.
-            rows, select_cost = select_step(rows, selectivity, 0.0, self.model)
-            cost += select_cost
-            query = Select(query, conjunction([entry.predicate for entry in remaining]))
-
-        return PlanState(mask, query, attributes, rows, cost, joined)
+            predicate = conjunction([entry.predicate for entry in remaining])
+            state.query = Select(state.query, predicate)
+            state.estimate = select_estimate(
+                state.estimate, predicate, self.statistics, self.model
+            )
+        return state
 
 
 # --------------------------------------------------------------------------- #
@@ -316,9 +284,9 @@ def _popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
-def _dp_enumerate(costing: _Costing) -> PlanState:
-    best: Dict[int, PlanState] = {state.mask: state for state in costing.leaf_states}
-    full = (1 << len(costing.leaf_states)) - 1
+def _dp_enumerate(search: _Search) -> PlanState:
+    best: Dict[int, PlanState] = {state.mask: state for state in search.leaf_states}
+    full = (1 << len(search.leaf_states)) - 1
     masks = sorted(
         (m for m in range(3, full + 1) if _popcount(m) >= 2), key=_popcount
     )
@@ -332,7 +300,7 @@ def _dp_enumerate(costing: _Costing) -> PlanState:
         while sub:
             if sub & lowest:
                 other = mask ^ sub
-                candidate = costing.combine(best[sub], best[other])
+                candidate = search.combine(best[sub], best[other])
                 current = best.get(mask)
                 if current is None or candidate.cost < current.cost:
                     best[mask] = candidate
@@ -340,14 +308,14 @@ def _dp_enumerate(costing: _Costing) -> PlanState:
     return best[full]
 
 
-def _greedy_enumerate(costing: _Costing) -> PlanState:
-    current = list(costing.leaf_states)
+def _greedy_enumerate(search: _Search) -> PlanState:
+    current = list(search.leaf_states)
     while len(current) > 1:
         best_pair: Optional[Tuple[int, int]] = None
         best_state: Optional[PlanState] = None
         for i in range(len(current)):
             for j in range(i + 1, len(current)):
-                candidate = costing.combine(current[i], current[j])
+                candidate = search.combine(current[i], current[j])
                 # Never pick a cartesian pair while a joinable pair exists.
                 if best_state is not None and best_state.joined and not candidate.joined:
                     continue
@@ -375,24 +343,21 @@ def enumerate_plan(graph: JoinGraph, statistics: Statistics) -> Query:
 
 def enumerate_plan_state(graph: JoinGraph, statistics: Statistics) -> PlanState:
     """The winning :class:`PlanState` (exposed for the property tests)."""
-    costing = _Costing(graph, statistics)
-    if len(costing.leaf_states) > GREEDY_THRESHOLD:
-        return _greedy_enumerate(costing)
-    return _dp_enumerate(costing)
+    search = _Search(graph, statistics)
+    if len(search.leaf_states) > GREEDY_THRESHOLD:
+        return _greedy_enumerate(search)
+    return _dp_enumerate(search)
 
 
 def forced_order_state(
     graph: JoinGraph, statistics: Statistics, order: Sequence[int]
 ) -> PlanState:
-    """The left-deep plan joining the leaves in exactly ``order``.
-
-    Costed with the same per-subset discipline as the enumerator — the
-    property tests compare the DP winner against every such forced order.
-    """
-    costing = _Costing(graph, statistics)
-    state = costing.leaf_states[order[0]]
+    """The left-deep plan joining the leaves in exactly ``order`` — the
+    property tests compare the DP winner against every such forced order."""
+    search = _Search(graph, statistics)
+    state = search.leaf_states[order[0]]
     for index in order[1:]:
-        state = costing.combine(state, costing.leaf_states[index])
+        state = search.combine(state, search.leaf_states[index])
     return state
 
 

@@ -18,11 +18,11 @@ Design:
   predicate selectivity (a row whose referenced field is a ``?``
   placeholder counts as satisfied — on the representation such tuples
   survive every selection, lines 2–6 of Figure 16), per-attribute value
-  histograms, distinct counts, and *derived* samples: ``filter`` /
-  ``project`` / ``restrict`` / ``rename`` / ``cross`` / ``equijoin``
-  propagate a sample through the operators of a candidate plan, so the
-  selectivity of a predicate *above* a join is estimated against a sample
-  that already reflects the join.  Facts derived from the rows alone — the
+  histograms, distinct counts, and *derived* samples: ``select`` /
+  ``project`` / ``rename`` carry a leaf's sample up through the unary
+  operators above it.  Nothing derives a sample from two relations: the
+  estimator prices a predicate across leaves from the two leaf samples
+  (:mod:`~repro.core.planner.cost`).  Facts derived from the rows alone — the
   histograms and the per-column value classes the type analysis reads — are
   memoised on the sample, so they live exactly as long as the statistics
   catalog keeps the sample valid.
@@ -55,9 +55,6 @@ DEFAULT_SAMPLE_SIZE = 256
 
 #: Fixed seed: sampling must be deterministic for reproducible plans.
 SAMPLE_SEED = 0x5EED
-
-#: Cap on rows of derived (joined / crossed) samples.
-DERIVED_SAMPLE_CAP = DEFAULT_SAMPLE_SIZE
 
 #: Monotonic count of relations sampled since import.  The statistics
 #: catalog's whole point is that this stops moving once its entries are
@@ -242,60 +239,12 @@ class RelationSample:
     def project(self, attributes: Sequence[str]) -> Optional["RelationSample"]:
         if not self.has_attributes(attributes):
             return None
-        positions = [self.position(a) for a in attributes]
-        rows = [tuple(row[p] for p in positions) for row in self.rows]
-        return RelationSample(self.relation, attributes, rows, self.population)
+        columns = [map(itemgetter(self.position(a)), self.rows) for a in attributes]
+        return RelationSample(self.relation, attributes, zip(*columns), self.population)
 
     def rename(self, old: str, new: str) -> "RelationSample":
         attributes = tuple(new if a == old else a for a in self.attributes)
         return RelationSample(self.relation, attributes, self.rows, self.population)
-
-    def cross(self, other: "RelationSample", capacity: int = DERIVED_SAMPLE_CAP) -> "RelationSample":
-        """A capped sample of the cartesian product (deterministic pairing)."""
-        rows: List[Tuple[Any, ...]] = []
-        for left in self.rows:
-            for right in other.rows:
-                rows.append(left + right)
-                if len(rows) >= capacity:
-                    break
-            if len(rows) >= capacity:
-                break
-        return RelationSample(
-            "", self.attributes + other.attributes, rows, max(1, self.population * other.population)
-        )
-
-    def equijoin(
-        self,
-        other: "RelationSample",
-        left_attr: str,
-        right_attr: str,
-        capacity: int = DERIVED_SAMPLE_CAP,
-    ) -> Optional["RelationSample"]:
-        """A capped hash-join of the two samples (placeholder rows dropped)."""
-        selectivity = join_selectivity(self, left_attr, other, right_attr)
-        if selectivity is None:
-            return None
-        left_position = self.position(left_attr)
-        index: Dict[Any, List[Tuple[Any, ...]]] = {}
-        for row in self.rows:
-            value = row[left_position]
-            if is_placeholder(value):
-                continue
-            index.setdefault(value, []).append(row)
-        right_position = other.position(right_attr)
-        rows: List[Tuple[Any, ...]] = []
-        for right_row in other.rows:
-            value = right_row[right_position]
-            if is_placeholder(value):
-                continue
-            for left_row in index.get(value, ()):
-                rows.append(left_row + right_row)
-                if len(rows) >= capacity:
-                    break
-            if len(rows) >= capacity:
-                break
-        population = max(1, round(self.population * other.population * selectivity))
-        return RelationSample("", self.attributes + other.attributes, rows, population)
 
 
 def join_selectivity(

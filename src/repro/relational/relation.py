@@ -41,7 +41,7 @@ class Relation:
         schema order) or a mapping from attribute name to value.
     """
 
-    __slots__ = ("schema", "_rows", "_members", "_version", "_watchers")
+    __slots__ = ("schema", "_rows", "_members", "_version")
 
     def __init__(self, schema: RelationSchema, rows: Iterable[Any] = ()) -> None:
         self.schema = schema
@@ -50,7 +50,6 @@ class Relation:
         #: (:meth:`_member_set`), in step with ``_rows`` from then on.
         self._members: Optional[set] = set()
         self._version = 0
-        self._watchers: List[Any] = []
         for row in rows:
             self.insert(row)
 
@@ -158,8 +157,6 @@ class Relation:
         members.add(values)
         self._rows.append(values)
         self._version += 1
-        if self._watchers:
-            self._notify()
         return True
 
     def insert_many(self, rows: Iterable[Any]) -> int:
@@ -175,36 +172,7 @@ class Relation:
         members.discard(values)
         self._rows.remove(values)
         self._version += 1
-        if self._watchers:
-            self._notify()
         return True
-
-    # ------------------------------------------------------------------ #
-    # Mutation watchers (eager cache invalidation)
-    # ------------------------------------------------------------------ #
-
-    def watch(self, callback: Any) -> Any:
-        """Register ``callback(relation)`` to fire on every effective mutation.
-
-        Version polling already lets caches *detect* staleness; watchers let
-        them drop stale entries eagerly instead (see
-        :class:`~repro.core.planner.catalog.StatisticsCatalog`).  Watchers
-        are not copied by :meth:`copy`.  Returns the callback for symmetry
-        with :meth:`unwatch`.
-        """
-        self._watchers.append(callback)
-        return callback
-
-    def unwatch(self, callback: Any) -> None:
-        """Deregister a watcher (no-op if it was never registered)."""
-        try:
-            self._watchers.remove(callback)
-        except ValueError:
-            pass
-
-    def _notify(self) -> None:
-        for callback in tuple(self._watchers):
-            callback(self)
 
     # ------------------------------------------------------------------ #
     # Access
@@ -233,7 +201,8 @@ class Relation:
 
         Secondary indexes cache against this value so they can tell whether
         the relation changed underneath them (see
-        :class:`~repro.relational.indexes.IndexPool`).
+        :class:`~repro.relational.indexes.IndexPool`); polling it is also how
+        the statistics catalog and the plan cache invalidate — the only way.
         """
         return self._version
 

@@ -27,7 +27,6 @@ from repro.analysis.lint import (
     check_picklable_plan_state,
     check_relation_storage,
     check_relation_version,
-    check_watch_release,
     default_root,
     load_baseline,
     run_lint,
@@ -215,29 +214,6 @@ class TestAsyncBlocking:
         assert violations_of(check_async_blocking, source, "repro/core/x.py") == []
 
 
-class TestWatchRelease:
-    def test_watch_without_unwatch_flagged(self):
-        source = "def arm(relation, hook):\n    relation.watch(hook)\n"
-        found = violations_of(check_watch_release, source)
-        assert [v.rule for v in found] == ["watch-release"]
-        assert found[0].symbol == "<module>"
-
-    def test_watch_with_unwatch_clean(self):
-        source = (
-            "def arm(relation, hook):\n"
-            "    relation.watch(hook)\n"
-            "def disarm(relation, hook):\n"
-            "    relation.unwatch(hook)\n"
-        )
-        assert violations_of(check_watch_release, source) == []
-
-    def test_relation_module_exempt(self):
-        source = "def arm(relation, hook):\n    relation.watch(hook)\n"
-        assert (
-            check_watch_release(ast.parse(source), "repro/relational/relation.py") == []
-        )
-
-
 class TestPicklablePlanState:
     def test_lambda_on_operator_flagged(self):
         source = (
@@ -419,10 +395,6 @@ def synthetic_package(tmp_path):
         "async def tick():\n"
         "    time.sleep(1)\n"
     )
-    (root / "hooks.py").write_text(
-        "def arm(relation, hook):\n"
-        "    relation.watch(hook)\n"
-    )
     (root / "physical.py").write_text(
         "class Filter(PhysicalOperator):\n"
         "    def __init__(self, predicate):\n"
@@ -448,7 +420,6 @@ class TestRunLintAndBaseline:
             "picklable-plan",
             "relation-storage",
             "relation-version",
-            "watch-release",
         ]
         # Paths are relative to the package's parent, posix-style.
         assert all(v.path.startswith("pkg/") for v in found)

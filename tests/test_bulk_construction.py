@@ -567,16 +567,6 @@ class TestRelationAfterBulkConstruction:
         assert later_copy.rows == ((2, "b"), (3, "c"), (4, "d"))
         assert later_copy.schema.name == "S" and later_copy.version == original.version + 2
 
-    def test_watch_fires_on_the_first_mutation(self):
-        relation = bulk([(1, "a")], distinct=True)
-        seen = []
-        relation.watch(lambda changed: seen.append(changed.version))
-        assert relation.insert((1, "a")) is False and seen == []
-        relation.insert((2, "b"))
-        relation.remove((1, "a"))
-        assert seen == [2, 3]
-        assert relation.copy().insert((5, "e")) and seen == [2, 3]  # watchers are not copied
-
     @pytest.mark.parametrize(
         "bad, complaint",
         [

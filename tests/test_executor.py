@@ -25,6 +25,7 @@ from repro.core import UWSDT, WSD
 from repro.core.algebra import BaseRelation, Query, evaluate_on_database
 from repro.core.exec import ExecutionResult, backend_for, index_pool_for, lower
 from repro.core.planner import COST_MODELS, Statistics
+from repro.core.planner.cost import join_step
 from repro.relational import Database, QueryError, Relation, RelationSchema
 from repro.relational.predicates import AttrAttr, AttrConst, gt
 from repro.worlds import OrSet, OrSetRelation
@@ -204,6 +205,45 @@ class TestJoinAlgorithmChoice:
         )
         assert physical.uses("IndexNestedLoopJoin")
         assert not physical.uses("HashJoin")
+
+
+    @pytest.mark.parametrize(
+        "build, predicate, algorithm",
+        [
+            (small_large_database, eq("A", 1), "index-nested-loop"),
+            (balanced_database, gt("A", -1), "hash"),
+        ],
+    )
+    def test_lowering_builds_the_algorithm_the_estimate_names(self, build, predicate, algorithm):
+        """One hash-vs-index comparison: the estimator's.  The lowered join is
+        the algorithm ``Plan.estimates`` records for the node, ``force_join``
+        overrides it, and ``cost_after`` is the cost of the plan that runs —
+        an index nested-loop plan is priced below hash pricing of its tree."""
+        database = build()
+        query = BaseRelation("R").select(predicate).join(BaseRelation("S"), "B", "C")
+        built = query.plan(database)
+        join = built.estimates[id(built.chosen)]
+        assert join.algorithm == algorithm
+        operator = {"hash": "HashJoin", "index-nested-loop": "IndexNestedLoopJoin"}
+        lowered = query.physical_plan(database, plan=built)
+        assert type(lowered.root).__name__ == operator[algorithm]
+        for force, name in operator.items():
+            forced = query.physical_plan(database, plan=built, force_join=force)
+            assert type(forced.root).__name__ == name
+
+        left, right = (built.estimates[id(child)] for child in built.chosen.children())
+        _, hash_cost = join_step(
+            left.rows,
+            right.rows,
+            join.rows / (left.rows * right.rows),
+            join.arity,
+            built.statistics.cost_model(),
+        )
+        hash_priced = left.cost + right.cost + hash_cost
+        if algorithm == "index-nested-loop":
+            assert built.cost_after.cost < hash_priced
+        else:
+            assert built.cost_after.cost == pytest.approx(hash_priced)
 
 
 class TestExecutionMetrics:

@@ -2,18 +2,21 @@
 
 Two families:
 
-* **optimality** — on random join graphs the DP winner's cost (under the
-  enumerator's own order-independent cost metric) is never beaten by any
-  left-deep join order.  This is a theorem of the subset DP as long as a
-  subset's cardinality estimate does not depend on the order that built it
-  — which is exactly why ``joins._Costing`` fixes every predicate's
-  selectivity from the leaf samples up front.
+* **optimality** — on random join graphs the DP winner's cost is never
+  beaten by any left-deep join order.  This is a theorem of the subset DP as
+  long as a subset's cardinality estimate does not depend on the order that
+  built it — a property of the one estimator (``cost.py`` prices a predicate
+  across leaves from the two leaf samples, whichever node spells it), which
+  the DP, ``estimate()`` and lowering all read: the DP's cost *is*
+  ``estimate()``'s cost of the tree it returns.
 * **semantics** — planned evaluation of 3/4/5-way census joins produces
   exactly the written-order result, on the classical engine (row sets) and
   on the UWSDT (possible tuples with confidences).
 
-And one regression: the uncertain 4-way census join executes the order the
-DP picked, on eleven seeds.
+And two regressions: the uncertain 4-way census join executes the order the
+DP picked, on eleven seeds; and on the census 4-way join the DP's metric and
+``estimate()`` rank the 24 left-deep orders identically (two costings used to
+disagree on 8–20 of the 276 order pairs).
 """
 
 import itertools
@@ -24,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.bench import census_instance
 from repro.census.queries import q3, q4_citizen, q6, q_four_way_join
-from repro.core.algebra import BaseRelation, Join
+from repro.core.algebra import BaseRelation, Join, Project
 from repro.core.confidence import uwsdt_possible_with_confidence
 from repro.core.planner import (
     GREEDY_THRESHOLD,
@@ -32,10 +35,13 @@ from repro.core.planner import (
     RewriteContext,
     Statistics,
     describe_join_order,
+    estimate,
     extract_join_graph,
     plan,
 )
 from repro.core.planner.joins import enumerate_plan_state, forced_order_state
+from repro.core.planner.planner import rewrite
+from repro.core.planner.rules import DEFAULT_PHASES
 from repro.relational import AttrAttr, Database, Relation, RelationSchema
 from repro.relational.predicates import And
 
@@ -124,6 +130,35 @@ class TestEnumeratorOptimality:
         for order in itertools.permutations(range(leaf_count)):
             forced = forced_order_state(graph, statistics, order)
             assert best.cost <= forced.cost * (1 + 1e-9) + 1e-9
+
+    @given(
+        join_graph_cases(),
+        st.one_of(
+            st.none(),
+            st.lists(
+                st.floats(min_value=0.0, max_value=0.9, allow_nan=False),
+                min_size=MAX_LEAVES,
+                max_size=MAX_LEAVES,
+            ),
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_the_dp_metric_is_estimate_and_sizes_ignore_the_order(self, case, densities):
+        """One estimator: the DP winner costs what ``estimate()`` says its
+        tree costs, and ``estimate()`` gives every left-deep order of the
+        cluster the same output cardinality — with and without densities."""
+        database, query, leaf_count = case
+        statistics = Statistics.from_database(database)
+        for index in range(leaf_count if densities else 0):
+            statistics.placeholder_densities[f"L{index}"] = densities[index]
+        graph = extract_join_graph(query, RewriteContext(statistics))
+        best = enumerate_plan_state(graph, statistics)
+        assert estimate(best.query, statistics) == best.estimate.as_cost_estimate()
+        for order in itertools.permutations(range(leaf_count)):
+            forced = forced_order_state(graph, statistics, order)
+            estimated = estimate(forced.query, statistics)
+            assert estimated.cost == forced.cost
+            assert estimated.rows == pytest.approx(best.rows, rel=1e-9)
 
     @given(join_graph_cases(min_leaves=GREEDY_THRESHOLD + 1, max_leaves=GREEDY_THRESHOLD + 2))
     @settings(max_examples=10, deadline=None)
@@ -224,6 +259,52 @@ def test_uncertain_four_way_join_runs_the_order_the_dp_picked(seed):
     built = q_four_way_join().plan(chased.copy())
     assert "(R→C1 ⋈ R→C2)" not in built.join_order
     assert describe_join_order(built.chosen) == describe_join_order(built.optimized)
+
+
+def _sign(difference):
+    return (difference > 1e-9) - (difference < -1e-9)
+
+
+@pytest.mark.parametrize("kind", ["database", "uwsdt"])
+@pytest.mark.parametrize("seed", [1, 2, 3, 6, 42])
+def test_estimate_ranks_the_left_deep_orders_as_the_dp_does(seed, kind):
+    """The census 4-way join at 2 000 rows: over the 24 left-deep orders no
+    pair ranks one way under the DP's metric and the other under
+    ``estimate()``, every order has the same estimated size, and the winner's
+    numbers are the ones ``plan()`` reports (up to the column-restoring π)."""
+    instance = census_instance(2000, 0.001, seed)
+    engine = instance.one_world_database() if kind == "database" else instance.chased().copy()
+    query = q_four_way_join()
+    built = query.plan(engine)
+    statistics = built.statistics
+    context = RewriteContext(statistics)
+    cluster = rewrite(query, context, DEFAULT_PHASES[:3])  # everything before reorder-joins
+    graph = extract_join_graph(cluster, context)
+    assert graph is not None and len(graph.leaves) == 4
+
+    dp_costs, estimate_costs, sizes = [], [], set()
+    for order in itertools.permutations(range(4)):
+        forced = forced_order_state(graph, statistics, order)
+        estimated = estimate(forced.query, statistics)
+        dp_costs.append(forced.cost)
+        estimate_costs.append(estimated.cost)
+        sizes.add(round(estimated.rows, 6))
+    inversions = [
+        (i, j)
+        for i, j in itertools.combinations(range(24), 2)
+        if _sign(dp_costs[i] - dp_costs[j]) != _sign(estimate_costs[i] - estimate_costs[j])
+    ]
+    assert inversions == []
+    assert len(sizes) == 1
+
+    best = enumerate_plan_state(graph, statistics)
+    assert estimate(best.query, statistics) == best.estimate.as_cost_estimate()
+    cluster_root = built.optimized
+    if isinstance(cluster_root, Project):  # the column-restoring projection
+        cluster_root = cluster_root.child
+    reported = built.estimates[id(cluster_root)]
+    assert (reported.cost, reported.rows) == (best.cost, best.rows)
+    assert built.cost_after.rows == best.rows
 
 
 def test_describe_join_order_handles_rename_above_join():

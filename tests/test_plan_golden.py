@@ -8,6 +8,7 @@ a checked-in dump.  A PR that means to change a plan regenerates the dump
 (copy ``plans_400.actual.txt`` over ``plans_400.txt``) and says so.
 """
 
+import difflib
 from pathlib import Path
 
 from _fixtures import benchmark_queries, census_engines
@@ -31,9 +32,13 @@ def dump_plans() -> str:
 
 def test_benchmark_plans_match_the_golden_dump():
     actual = dump_plans()
-    if actual != GOLDEN.read_text(encoding="utf-8"):
+    golden = GOLDEN.read_text(encoding="utf-8")
+    if actual != golden:
         ACTUAL.write_text(actual, encoding="utf-8")
+        diff = difflib.unified_diff(
+            golden.splitlines(), actual.splitlines(), GOLDEN.name, ACTUAL.name, lineterm="", n=1
+        )
         raise AssertionError(
-            f"plans differ from {GOLDEN.name}; wrote {ACTUAL.name} beside it — "
-            "diff the two files"
+            f"plans differ from {GOLDEN.name}; wrote {ACTUAL.name} beside it:\n"
+            + "\n".join(diff)
         )

@@ -29,7 +29,6 @@ from repro.core.planner import (
     plan,
     predicate_selectivity,
     rewrite,
-    selection_selectivity,
 )
 from repro.relational import (
     And,
@@ -242,7 +241,6 @@ class TestSamplingGuards:
         right = RelationSample("S", ("B",), [(1,), (2,)], 2)
         assert left.distinct_count("A") == 1
         assert join_selectivity(left, "A", right, "B") is None
-        assert left.equijoin(right, "A", "B") is None
 
     def test_zero_overlap_join_selectivity_is_floored(self):
         left = RelationSample("R", ("A",), [(1,), (2,)], 2)
@@ -261,7 +259,17 @@ class TestSamplingGuards:
         impossible = Not(TruePredicate())
         assert predicate_selectivity(impossible) == 0.0  # the pure function
         assert floored_predicate_selectivity(impossible) == FIXED_SELECTIVITY_FLOOR
-        assert selection_selectivity(impossible, None) == FIXED_SELECTIVITY_FLOOR
+
+    def test_filter_no_sampled_row_passes_keeps_the_join_column_distribution(self):
+        """An empty *filtered* sample is not "no sample": the more selective a
+        leaf filter, the join above it must not fall back to the fixed 10 %."""
+        left = Relation(RelationSchema("L", ("K", "F")), [(i % 60, i % 7) for i in range(600)])
+        right = Relation(RelationSchema("S2", ("K2", "G")), [(i % 60, i) for i in range(600)])
+        statistics = Statistics.from_database(Database([left, right]))
+        filtered = BaseRelation("L").select(eq("F", 99))
+        joined = filtered.join(BaseRelation("S2"), "K", "K2")
+        expected = estimate(filtered, statistics).rows * 600 / 60
+        assert estimate(joined, statistics).rows == pytest.approx(expected, rel=0.25)
 
     def test_impossible_selection_does_not_zero_plan_costs(self):
         from repro.relational import Not

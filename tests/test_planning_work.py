@@ -15,7 +15,7 @@ import pytest
 from repro.analysis import invariants
 from repro.census import CENSUS_RELATION
 from repro.core.algebra.query import BaseRelation, Select
-from repro.core.planner import planner
+from repro.core.planner import cost, planner
 from repro.obs.metrics import get_registry
 
 from _fixtures import benchmark_queries, census_engines
@@ -111,6 +111,26 @@ def test_one_estimate_pass_per_plan_and_lowering_renders_no_tree(engines, kind, 
             patch.setattr(BaseRelation, "__repr__", counted_repr)
             query.physical_plan(engine, plan=plan, backend="row")
         assert rendered == [], label
+
+
+@pytest.mark.parametrize("kind", ["database", "uwsdt"])
+def test_each_join_predicate_overlaps_its_histograms_once(engines, kind, monkeypatch):
+    """The 4-way join has three cross-leaf equalities.  The join-order DP asks
+    for their selectivities dozens of times, the estimate pass over the
+    returned tree and lowering ask again: one histogram overlap each."""
+    engine = engines[kind]
+    overlaps = []
+    join_selectivity = cost.join_selectivity
+
+    def counted(left, left_attr, right, right_attr):
+        overlaps.append({left_attr, right_attr})
+        return join_selectivity(left, left_attr, right, right_attr)
+
+    monkeypatch.setattr(cost, "join_selectivity", counted)
+    query = dict(benchmark_queries())["four_way"]
+    plan = query.plan(engine)
+    query.physical_plan(engine, plan=plan, backend="row")
+    assert sorted(map(sorted, overlaps)) == [["C1", "C2"], ["P3", "P4"], ["P3", "W1"]]
 
 
 def test_planned_runs_leave_nothing_to_the_cycle_collector(engines):

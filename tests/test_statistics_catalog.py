@@ -45,13 +45,6 @@ def _orsets():
     return [r, s]
 
 
-def _watchable_relations(engine):
-    """The ``Relation`` objects a catalog over ``engine`` would watch."""
-    if isinstance(engine, Database):
-        return list(engine)
-    return list(getattr(engine, "templates", {}).values())  # a WSD stores none
-
-
 def assert_same_statistics(fresh, cached):
     """Everything the cost model reads, relation by relation."""
     assert fresh.engine == cached.engine
@@ -196,7 +189,6 @@ class TestMutationInvalidation:
         yet — also when sampling is restricted to some relations — and it
         leaves nothing behind on the engine."""
         engine = build()
-        relations = _watchable_relations(engine)
         for restriction in (None, ("S",)):
             fresh = fresh_statistics(engine, sample_relations=restriction)
             assert fresh.source == "fresh" and fresh.catalog is None
@@ -207,9 +199,6 @@ class TestMutationInvalidation:
                 assert fresh.provenance(name) == cached.provenance(name)
         assert fresh.provenance("R") == "fixed-constants"
         assert fresh.provenance("S") == "fresh-sample"
-        for _ in range(5):
-            fresh_statistics(engine)
-        assert [len(relation._watchers) for relation in relations] == [0] * len(relations)
         assert getattr(engine, "_statistics_catalog", None) is None
 
     def test_uwsdt_query_execution_keeps_base_entries_valid(self):
@@ -263,16 +252,6 @@ class TestMutationInvalidation:
             assert uwsdt.relation_placeholder_count(relation_schema.name) == recount
         copied = uwsdt.copy()
         assert copied.relation_placeholder_count("R") == uwsdt.relation_placeholder_count("R")
-
-    def test_watcher_drops_entry_eagerly(self):
-        """The Relation mutation hook frees the stale entry immediately,
-        before any replan polls the version key."""
-        database = _database()
-        catalog = catalog_for(database)
-        JOIN_QUERY.plan(database)
-        assert len(catalog) == 2
-        database.relation("R").insert((4, 999))
-        assert len(catalog) == 1  # R's entry dropped by the watcher
 
 
 class TestExplainProvenance:
@@ -337,41 +316,3 @@ class TestCatalogEdges:
         assert stats.row_count("S") == 20
         assert stats.relation_attributes("S") == ("K2", "B")
         assert stats.provenance("S") == "fixed-constants"
-
-
-class TestWatcherRelease:
-    def test_invalidate_releases_relation_watchers(self):
-        database = _database()
-        catalog = catalog_for(database)
-        for _ in range(3):
-            JOIN_QUERY.plan(database)
-        # One persistent watcher per watched relation, however often planned.
-        assert len(database.relation("R")._watchers) == 1
-        assert len(database.relation("S")._watchers) == 1
-
-        catalog.invalidate("R")
-        assert len(database.relation("R")._watchers) == 0
-        assert len(database.relation("S")._watchers) == 1
-
-        catalog.invalidate()
-        for name in ("R", "S"):
-            assert len(database.relation(name)._watchers) == 0
-
-    def test_plan_invalidate_cycles_do_not_leak(self):
-        database = _database()
-        catalog = catalog_for(database)
-        for _ in range(5):
-            JOIN_QUERY.plan(database)
-            catalog.invalidate()
-        for name in ("R", "S"):
-            assert len(database.relation(name)._watchers) == 0
-
-    def test_watcher_fired_drop_keeps_single_watcher(self):
-        database = _database()
-        catalog_for(database)
-        JOIN_QUERY.plan(database)
-        # A mutation fires the watcher (entry dropped) but the watcher stays
-        # registered — replanning must not stack a second one.
-        database.relation("R").insert((877, 877))
-        JOIN_QUERY.plan(database)
-        assert len(database.relation("R")._watchers) == 1
