@@ -17,7 +17,7 @@ Attribute *names* come from the planner statistics (or any
 :class:`SchemaContext`); attribute *types* are abstracted into a tiny
 lattice — ``number`` / ``str`` / ``bytes`` / ``any`` — and inferred from
 the set of Python classes of each column's values, which the catalog's
-reservoir samples memoise.  ``any`` is compatible with everything, so
+row samples memoise.  ``any`` is compatible with everything, so
 the analysis only rejects *definite* errors: a relation the context has
 never seen simply propagates "unknown" and disables the checks that would
 need it, and a type read off a sample that is not the whole relation is

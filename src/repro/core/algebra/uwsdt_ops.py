@@ -13,16 +13,22 @@ tuple id is not indexed is fully certain, so the compiled predicate,
 projection or hash join runs on the raw row exactly as on a one-world
 database; the indexed rows name their placeholder attributes and go through
 their components.  Every operator collects the result's template rows in a
-list, in template order, and installs them with one
-:meth:`~repro.core.uwsdt.UWSDT.load_template` — tuple ids are distinct, so the
-rows are a set by construction; a tuple that no local world keeps is left out
-of the list rather than inserted and removed again.
+list and installs them with one :meth:`~repro.core.uwsdt.UWSDT.load_template`
+— tuple ids are distinct, so the rows are a set by construction; a tuple that
+no local world keeps is left out of the list rather than inserted and removed
+again.  The list is in template order, except that a selection lists the rows
+its components decide after the rows the template decides (each part in
+template order).
 
 The selection algorithm follows Figure 16: the result template keeps the
 tuples that certainly satisfy the condition or have a placeholder on a
 referenced attribute; component values violating the condition are removed
 (here: marked ``⊥``), and tuples left without any satisfying local world are
-dropped from the result template again (lines 4–6 of the figure).
+dropped from the result template again (lines 4–6 of the figure).  As in the
+chase, a selection is a predicate: one compiled ``filter`` over the template
+judges line 1, and only the rows with a ``?`` on a referenced attribute —
+read off the memoised :meth:`~repro.core.uwsdt.UWSDT.placeholder_rows` —
+reach lines 2–6.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 import operator
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ...obs.metrics import get_registry
 from ...relational.errors import RepresentationError, SchemaError
 from ...relational.predicates import And, AttrConst, Predicate
 from ...relational.schema import RelationSchema
@@ -149,13 +156,16 @@ def _merge_target_components(uwsdt: UWSDT, fields: Sequence[FieldRef]) -> int:
 # --------------------------------------------------------------------------- #
 
 
-def _equality_candidates(uwsdt: UWSDT, source: str, predicate: Predicate) -> Optional[List[Row]]:
+def _equality_candidates(
+    uwsdt: UWSDT, source: str, predicate: Predicate
+) -> Optional[Tuple[List[Row], List[Row]]]:
     """Candidate template rows for an equality selection, or None.
 
     A pushed-down selection ``σ_{A=c}`` only ever keeps template rows whose
     ``A`` field equals ``c`` or is the ``?`` placeholder, so instead of
     scanning the template it probes the (cached) hash index of Section 5's
-    "employing indices" tuning with exactly those two keys.
+    "employing indices" tuning with exactly those two keys: the rows under
+    ``c``, which the template decides, and the rows under ``?``.
     """
     if not isinstance(predicate, AttrConst) or predicate.op not in ("=", "=="):
         return None
@@ -164,11 +174,27 @@ def _equality_candidates(uwsdt: UWSDT, source: str, predicate: Predicate) -> Opt
     except TypeError:
         return None
     index = uwsdt.template_index(source, predicate.attribute)
-    return index.lookup(predicate.constant) + index.lookup(PLACEHOLDER)
+    return index.lookup(predicate.constant), index.lookup(PLACEHOLDER)
+
+
+def _count_select(rows_scanned: int, rows_through_components: int) -> None:
+    """Once per selection, never per row (docs/observability.md)."""
+    registry = get_registry()
+    registry.counter("repro.uwsdt_ops.rows_scanned").inc(rows_scanned)
+    registry.counter("repro.uwsdt_ops.rows_through_components").inc(rows_through_components)
 
 
 def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None:
-    """Selection ``P := σ_pred(R)`` on a UWSDT (the algorithm of Figure 16, generalized)."""
+    """Selection ``P := σ_pred(R)`` on a UWSDT (the algorithm of Figure 16, generalized).
+
+    A selection is a predicate: one compiled ``filter`` over the template (or
+    over the equality index's bucket) judges every row as one-world data, and
+    only the rows with a ``?`` on a referenced attribute — taken from
+    :meth:`~repro.core.uwsdt.UWSDT.placeholder_rows`, or from the bucket under
+    ``?`` — go through Figure 16's lines 2–6.  The result holds the rows the
+    template decides, in template order, then the rows the components decide,
+    in template order.
+    """
     source_schema = uwsdt.schema.relation(source)
     referenced = predicate.attributes()
     for attribute in referenced:
@@ -176,42 +202,60 @@ def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None
     _add_result_relation(uwsdt, target, source_schema.attributes)
 
     template = uwsdt.templates[source]
-    position_of = template.schema.position
+    schema = template.schema
     # Compiled once against the raw template layout: certain rows are filtered
     # as in one world, local worlds are judged on a filled-in copy of the row.
-    satisfied = predicate.compile(template.schema)
+    satisfied = predicate.compile(schema)
     uncertain = uwsdt.uncertain_tuples(source)
+    # Line 1 of Figure 16: no ``?`` on a referenced attribute.
+    template_decides = set(referenced).isdisjoint
+    candidates = _equality_candidates(uwsdt, source, predicate)
+    if candidates is None:
+        rows = template
+        open_rows = [
+            (row, placeholders)
+            for row, placeholders in (uwsdt.placeholder_rows(source) if uncertain else ())
+            if not template_decides(placeholders)
+        ]
+    else:
+        rows = candidates[0]
+        open_rows = [(row, uncertain[row[0]]) for row in candidates[1]]
+    _count_select(len(rows), len(open_rows))
+    if not uncertain:
+        uwsdt.load_template(target, list(filter(satisfied, rows)), distinct=True)
+        return
+
+    def kept_by_template(row: Row, placeholders: Tuple[str, ...]) -> bool:
+        """Is an indexed row that ``satisfied`` passed kept on the template's word?"""
+        if not template_decides(placeholders):
+            return False  # its components decide, below
+        _copy_placeholder_fields(uwsdt, source, row[0], target, row[0], placeholders)
+        return True
+
     conjuncts = [
-        (set(part.attributes()), part.compile(template.schema))
-        for part in (predicate.parts if uncertain and isinstance(predicate, And) else ())
+        (set(part.attributes()), part)
+        for part in (predicate.parts if isinstance(predicate, And) else ())
     ]
 
     def keeps(row: Row, placeholders: Tuple[str, ...]) -> bool:
-        """Figure 16 for one row with placeholders: is it in the result template?"""
+        """Figure 16 for a row with a ``?`` on a referenced attribute: is it kept?"""
         tuple_id = row[0]
-        uncertain_refs = [a for a in referenced if a in placeholders]
-        if not uncertain_refs:
-            # Line 1 of Figure 16: the condition is decided by the template alone.
-            if not satisfied(row):
-                return False
-        elif any(
-            attributes.isdisjoint(placeholders) and not holds(row)
-            for attributes, holds in conjuncts
+        if any(
+            attributes.isdisjoint(placeholders) and not part.evaluate(schema, row)
+            for attributes, part in conjuncts
         ):
             # Line 1 per conjunct: one over certain fields fails, so no world
             # keeps the tuple and no component needs copying or merging.
             return False
         _copy_placeholder_fields(uwsdt, source, tuple_id, target, tuple_id, placeholders)
-        if not uncertain_refs:
-            return True
-
         # The condition depends on uncertain fields: keep the tuple and filter
         # its local worlds (lines 2-6 of Figure 16).
+        uncertain_refs = [a for a in referenced if a in placeholders]
         cid = _merge_target_components(
             uwsdt, [FieldRef(target, tuple_id, a) for a in uncertain_refs]
         )
         component = uwsdt.components[cid]
-        slots = component.slots(target, tuple_id, uncertain_refs, position_of)
+        slots = component.slots(target, tuple_id, uncertain_refs, schema.position)
         failing = []
         for index, local_world in enumerate(component.rows):
             values = fill_placeholders(row, slots, local_world)
@@ -219,21 +263,13 @@ def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None
                 failing.append(index)
         return not _delete_in_worlds(uwsdt, cid, target, row, failing)
 
-    candidates = _equality_candidates(uwsdt, source, predicate)
-    rows = template if candidates is None else candidates
-    if not uncertain:
-        kept = list(filter(satisfied, rows))
-    else:
-        placeholders_of = uncertain.get
-        kept = [
-            row
-            for row in rows
-            if (
-                satisfied(row)
-                if (placeholders := placeholders_of(row[0])) is None
-                else keeps(row, placeholders)
-            )
-        ]
+    placeholders_of = uncertain.get
+    kept = [
+        row
+        for row in filter(satisfied, rows)
+        if (placeholders := placeholders_of(row[0])) is None or kept_by_template(row, placeholders)
+    ]
+    kept.extend(row for row, placeholders in open_rows if keeps(row, placeholders))
     uwsdt.load_template(target, kept, distinct=True)
 
 
@@ -549,7 +585,7 @@ def difference(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
     uncertain_right = uwsdt.uncertain_tuples(right)
     right_rows = list(uwsdt.templates[right])
     certain_right = {row[1:] for row in right_rows if row[0] not in uncertain_right}
-    open_right = [row for row in right_rows if row[0] in uncertain_right]
+    open_right = [row for row, _ in uwsdt.placeholder_rows(right)]
 
     for left_row in uwsdt.templates[left]:
         left_tid = left_row[0]

@@ -390,21 +390,12 @@ def chase_uwsdt(uwsdt: UWSDT, dependencies: Iterable[Dependency]) -> UWSDT:
         else:
             raise RepresentationError(f"unsupported dependency {dependency!r}")
     # The chase never edits a template nor adds or drops a placeholder field,
-    # so each relation's placeholder rows are collected once, in template order.
-    placeholder_rows: Dict[str, List[Tuple[Tuple[Any, ...], Tuple[str, ...]]]] = {}
+    # so ``uwsdt.placeholder_rows`` is built once and stays valid throughout.
     for dependency, violated in steps:
         if violated is None:
             _chase_fd_uwsdt(uwsdt, dependency)
-            continue
-        relation = dependency.relation
-        if relation not in placeholder_rows:
-            uncertain = uwsdt.uncertain_tuples(relation)
-            placeholder_rows[relation] = [
-                (row, uncertain[row[0]])
-                for row in uwsdt.templates[relation]
-                if row[0] in uncertain
-            ]
-        _chase_egd_uwsdt(uwsdt, dependency, violated, placeholder_rows[relation])
+        else:
+            _chase_egd_uwsdt(uwsdt, dependency, violated)
     return uwsdt
 
 
@@ -443,7 +434,6 @@ def _chase_egd_uwsdt(
     uwsdt: UWSDT,
     dependency: EqualityGeneratingDependency,
     violated: Callable[[Sequence[Any]], bool],
-    placeholder_rows: Sequence[Tuple[Tuple[Any, ...], Tuple[str, ...]]],
 ) -> None:
     """The uncertain side of one EGD: only the placeholder rows reach components."""
     relation = dependency.relation
@@ -451,7 +441,7 @@ def _chase_egd_uwsdt(
     attributes = dependency.attributes()
     through_components = removed = 0
 
-    for row, placeholders in placeholder_rows:
+    for row, placeholders in uwsdt.placeholder_rows(relation):
         open_attributes = [a for a in attributes if a in placeholders]
         if not open_attributes:
             continue

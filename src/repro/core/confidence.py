@@ -219,21 +219,15 @@ def uwsdt_possible_with_confidence(uwsdt: UWSDT, relation_name: str) -> List[Ran
     uncertain = uwsdt.uncertain_tuples(relation_name)
     position_of = uwsdt.schema.relation(relation_name).position
 
+    # In first-production order; a certain row's confidence is 1 whatever
+    # else produces it.
     confidences: Dict[Tuple[Any, ...], float] = {}
-    order: List[Tuple[Any, ...]] = []
-
-    def note(row: Tuple[Any, ...], component_confidence: float) -> None:
-        if row not in confidences:
-            confidences[row] = 0.0
-            order.append(row)
-        confidences[row] = 1.0 - (1.0 - confidences[row]) * (1.0 - component_confidence)
-
     uncertain_values: Dict[Any, Tuple[Any, ...]] = {}
-    for tuple_id, values in uwsdt.template_rows(relation_name):
-        if tuple_id in uncertain:
-            uncertain_values[tuple_id] = values
+    for row in uwsdt.templates[relation_name]:
+        if row[0] in uncertain:
+            uncertain_values[row[0]] = row[1:]
         else:
-            note(values, 1.0)
+            confidences[row[1:]] = 1.0
 
     for cids, tuple_ids in _uwsdt_tuple_groups(uwsdt, relation_name):
         composed = compose_all([uwsdt.components[cid] for cid in cids])
@@ -256,9 +250,12 @@ def uwsdt_possible_with_confidence(uwsdt: UWSDT, relation_name: str) -> List[Ran
                     composed.probability(row_index)
                 )
         for produced_row, component_confidence in per_row_matches.items():
-            note(produced_row, min(component_confidence, 1.0))
+            previous = confidences.get(produced_row, 0.0)
+            confidences[produced_row] = 1.0 - (1.0 - previous) * (
+                1.0 - min(component_confidence, 1.0)
+            )
 
-    return [(row, confidences[row]) for row in order]
+    return list(confidences.items())
 
 
 def uwsdt_possible(uwsdt: UWSDT, relation_name: str) -> List[Tuple[Any, ...]]:

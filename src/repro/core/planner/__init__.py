@@ -7,7 +7,7 @@
   one checked-in set of operator constants per representation engine
   (``COST_MODELS``), fed by template-row counts, component statistics and
   bounded row samples.
-* :mod:`repro.core.planner.sampling` — reservoir samples of template rows;
+* :mod:`repro.core.planner.sampling` — bounded uniform samples of template rows;
   sampled predicate/join selectivities and distinct counts.
 * :mod:`repro.core.planner.joins`    — join-graph extraction and the
   Selinger-style bushy-plan enumerator (DP ≤ 8 relations, greedy above).
@@ -65,7 +65,7 @@ from .sampling import (
     DEFAULT_SAMPLE_SIZE,
     RelationSample,
     join_selectivity,
-    reservoir,
+    positional_sample,
     sampling_call_count,
 )
 
@@ -110,6 +110,6 @@ __all__ = [
     "DEFAULT_SAMPLE_SIZE",
     "RelationSample",
     "join_selectivity",
-    "reservoir",
+    "positional_sample",
     "sampling_call_count",
 ]

@@ -1,14 +1,14 @@
 """Persistent per-engine statistics catalog with version-based invalidation.
 
-Before this module, every ``Query.run(optimize=True)`` re-ran reservoir
-sampling over the query's base relations: planning the *same* query twice
-against an unchanged engine paid the full sampling cost twice.  The
+Before this module, every ``Query.run(optimize=True)`` re-sampled the
+query's base relations: planning the *same* query twice against an
+unchanged engine paid the full sampling cost twice.  The
 :class:`StatisticsCatalog` fixes that by caching, per relation,
 
-* the bounded reservoir :class:`~repro.core.planner.sampling.RelationSample`
-  (whose per-attribute value histograms and per-column value classes are
-  memoized on the sample object, so they persist — and are invalidated —
-  with it),
+* the bounded :class:`~repro.core.planner.sampling.RelationSample`, drawn by
+  position so that a cold entry reads at most ``sample_size`` rows; its
+  per-attribute value histograms and per-column value classes are memoized
+  on the sample object, so they persist — and are invalidated — with it,
 * the row count and the placeholder density,
 * the attribute list,
 

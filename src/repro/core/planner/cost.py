@@ -11,10 +11,10 @@ from :class:`Statistics`, which every engine can produce cheaply —
   placeholder density per template (the quantity the paper's Figure 27
   tracks as ``|R|`` and ``#comp``).
 
-Since PR 3 the statistics also carry a bounded reservoir *sample* of each
-relation's template rows (:mod:`~repro.core.planner.sampling`): predicate
-and join selectivities are estimated from the sample whenever one is
-available, and fall back to the fixed constants (``EQUALITY_SELECTIVITY``
+The statistics also carry a bounded uniform *sample* of each relation's
+template rows, drawn by position (:mod:`~repro.core.planner.sampling`):
+predicate and join selectivities are estimated from the sample whenever one
+is available, and fall back to the fixed constants (``EQUALITY_SELECTIVITY``
 etc.) otherwise — so schema-only planning keeps working unchanged.
 
 There is one estimator.  The node-level steps (``select_estimate``,
@@ -206,7 +206,7 @@ class Statistics:
         self.attributes: Dict[str, Tuple[str, ...]] = {
             name: tuple(attrs) for name, attrs in (attributes or {}).items()
         }
-        #: Bounded reservoir samples keyed by relation name (may be empty).
+        #: Bounded row samples keyed by relation name (may be empty).
         self.samples: Dict[str, RelationSample] = dict(samples or {})
         #: Which engine these statistics describe (selects the CostModel).
         self.engine = engine

@@ -66,7 +66,7 @@ class RewriteContext:
         """Lazily built :class:`~repro.analysis.schema.SchemaContext`.
 
         Shared by the plan-time analyzer and the rewrite verifier so base
-        relation types are derived from the reservoir samples exactly once
+        relation types are derived from the row samples exactly once
         per planning run.
         """
         if self._schema_context is None:

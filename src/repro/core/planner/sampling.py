@@ -1,4 +1,4 @@
-"""Sampled statistics for the planner: reservoir samples of template rows.
+"""Sampled statistics for the planner: bounded uniform samples of template rows.
 
 The cost model of PR 1 priced every equality atom at a fixed 10 % and every
 range atom at 1/3 — good enough to prefer a join over a product, but blind
@@ -6,13 +6,15 @@ to the difference between joining census copies on ``POWSTATE`` (60 states,
 selectivity ≈ 1/60) and on ``CITIZEN`` (85 % of the population shares one
 value, selectivity ≈ 0.73).  Join-order search lives or dies on exactly
 that distinction, so this module estimates selectivities and distinct
-counts from a *bounded reservoir sample* of template rows instead.
+counts from a *bounded uniform sample* of template rows instead.
 
 Design:
 
-* :func:`reservoir` draws a fixed-size uniform sample from a row iterator
-  of unknown length in one pass (Vitter's algorithm R) with a fixed seed,
-  so plans are deterministic for a given engine state.
+* :func:`positional_sample` draws a fixed-size uniform sample without
+  replacement from a row sequence by position: a seeded
+  ``random.Random.sample`` of ``capacity`` positions, read in increasing
+  order.  Its cost is O(capacity) — the rows that are not drawn are never
+  touched — and plans are deterministic for a given engine state.
 * :class:`RelationSample` holds the sampled rows plus the estimated
   population size and supports the operations the cost model needs:
   predicate selectivity (a row whose referenced field is a ``?``
@@ -90,22 +92,21 @@ def column_classes(rows: Iterable[Tuple[Any, ...]]) -> Tuple[FrozenSet[type], ..
     return tuple(frozenset(map(type, column)) for column in zip(*rows))
 
 
-def reservoir(
-    rows: Iterable[Tuple[Any, ...]], capacity: int, seed: int = SAMPLE_SEED
-) -> Tuple[List[Tuple[Any, ...]], int]:
-    """One-pass fixed-size uniform sample; returns ``(sample, population)``."""
-    rng = random.Random(seed)
-    sample: List[Tuple[Any, ...]] = []
-    population = 0
-    for row in rows:
-        population += 1
-        if len(sample) < capacity:
-            sample.append(tuple(row))
-            continue
-        slot = rng.randrange(population)
-        if slot < capacity:
-            sample[slot] = tuple(row)
-    return sample, population
+def positional_sample(
+    rows: Sequence[Any], capacity: int, seed: int = SAMPLE_SEED
+) -> Tuple[List[Any], int]:
+    """A uniform sample without replacement, read by position; ``(sample, population)``.
+
+    The ``capacity`` positions are drawn by one seeded ``random.Random.sample``
+    and read in increasing order, so the sample keeps the sequence's order;
+    a population no larger than ``capacity`` is taken whole.
+    """
+    population = len(rows)
+    if population <= capacity:
+        positions: Iterable[int] = range(population)
+    else:
+        positions = sorted(random.Random(seed).sample(range(population), capacity))
+    return [rows[position] for position in positions], population
 
 
 def floor_selectivity(selectivity: float, sample_size: int) -> float:
@@ -282,22 +283,27 @@ def sample_database(database: Any, name: str, capacity: int) -> RelationSample:
     """Sample the rows of one stored relation."""
     _record_sampling()
     relation = database.relation(name)
-    rows, population = reservoir(iter(relation), capacity)
+    rows, population = positional_sample(relation.rows, capacity)
     return RelationSample(name, relation.schema.attributes, rows, population)
 
 
 def sample_uwsdt(uwsdt: Any, name: str, capacity: int) -> RelationSample:
-    """Sample one relation's template rows; placeholder fields stay the ``?`` sentinel."""
+    """Sample one relation's template rows; placeholder fields stay the ``?`` sentinel.
+
+    Only the drawn rows lose their tuple-id column.
+    """
     _record_sampling()
-    rows, population = reservoir((values for _, values in uwsdt.template_rows(name)), capacity)
-    return RelationSample(name, uwsdt.schema.relation(name).attributes, rows, population)
+    rows, population = positional_sample(uwsdt.templates[name].rows, capacity)
+    return RelationSample(
+        name, uwsdt.schema.relation(name).attributes, [row[1:] for row in rows], population
+    )
 
 
 def sample_wsd(wsd: Any, name: str, capacity: int) -> RelationSample:
     """Sample one relation's WSD tuples, resolving each field through its component.
 
-    Tuple ids are reservoir-sampled first so only the sampled tuples pay
-    the per-field component lookups.  A field whose component gives it a
+    Tuple ids are sampled first so only the sampled tuples pay the
+    per-field component lookups.  A field whose component gives it a
     single domain value in every local world is certain; anything else
     (several candidate values, or possibly ``⊥``) becomes the placeholder
     sentinel, exactly as a UWSDT template would store it.
@@ -306,9 +312,9 @@ def sample_wsd(wsd: Any, name: str, capacity: int) -> RelationSample:
 
     _record_sampling()
     attributes = wsd.schema.relation(name).attributes
-    sampled_ids, population = reservoir(((tid,) for tid in wsd.tuple_ids.get(name, [])), capacity)
+    sampled_ids, population = positional_sample(wsd.tuple_ids.get(name, []), capacity)
     rows: List[Tuple[Any, ...]] = []
-    for (tuple_id,) in sampled_ids:
+    for tuple_id in sampled_ids:
         values: List[Any] = []
         for attribute in attributes:
             field = FieldRef(name, tuple_id, attribute)

@@ -45,6 +45,9 @@ from .wsdt import WSDT
 #: Name of the tuple-id column added to template relations.
 TID = "__tid__"
 
+#: A template row with a placeholder and its ``?`` attributes in schema order.
+PlaceholderRow = Tuple[Row, Tuple[str, ...]]
+
 
 class UWSDT:
     """A uniform world-set decomposition with template relations."""
@@ -62,6 +65,9 @@ class UWSDT:
         #: by :meth:`_map_field` / :meth:`_unmap_field`; a template row absent
         #: from it is fully certain and never needs the component machinery.
         self._placeholders: Dict[str, Dict[Any, Tuple[str, ...]]] = {}
+        #: Memo of :meth:`placeholder_rows`: ``relation -> (template, version,
+        #: rows)``.  Dropped by :meth:`_map_field` / :meth:`_unmap_field`.
+        self._placeholder_rows: Dict[str, Tuple[Relation, int, List[PlaceholderRow]]] = {}
         self._next_cid = 1
         #: Version-validated cache of template hash indexes (Section 5's
         #: "employing indices" on the fixed UWSDT schema).
@@ -139,6 +145,32 @@ class UWSDT:
         """
         return self._placeholders.get(relation_name, {})
 
+    def placeholder_rows(self, relation_name: str) -> List[PlaceholderRow]:
+        """The indexed template rows of one relation with their ``?`` attributes.
+
+        ``[(row, uncertain_tuples(name)[row[0]]) ...]`` in template order —
+        the rows that reach the component machinery, without a scan of the
+        template per consumer.  Memoised per relation; the entry is valid
+        while the template object and its ``version`` are unchanged, and
+        :meth:`_map_field` / :meth:`_unmap_field` drop it.  Read-only for
+        callers.
+        """
+        rows = self._memoised_placeholder_rows(relation_name)
+        if rows is None:
+            template = self.templates[relation_name]
+            uncertain = self.uncertain_tuples(relation_name)
+            rows = [(row, uncertain[row[0]]) for row in template if row[0] in uncertain]
+            self._placeholder_rows[relation_name] = (template, template.version, rows)
+        return rows
+
+    def _memoised_placeholder_rows(self, relation_name: str) -> Optional[List[PlaceholderRow]]:
+        """The memo entry of :meth:`placeholder_rows`, or None when absent or stale."""
+        template = self.templates[relation_name]
+        memo = self._placeholder_rows.get(relation_name)
+        if memo is None or memo[0] is not template or memo[1] != template.version:
+            return None
+        return memo[2]
+
     def _map_field(self, field: FieldRef, cid: int) -> None:
         existing = self.field_to_cid.get(field)
         if existing is not None:
@@ -146,6 +178,7 @@ class UWSDT:
                 f"field {field.label()} already assigned to component {existing}"
             )
         self.field_to_cid[field] = cid
+        self._placeholder_rows.pop(field.relation, None)
         rows = self._placeholders.setdefault(field.relation, {})
         attributes = rows.get(field.tuple_id, ()) + (field.attribute,)
         if len(attributes) > 1:
@@ -156,6 +189,7 @@ class UWSDT:
     def _unmap_field(self, field: FieldRef) -> None:
         if self.field_to_cid.pop(field, None) is None:
             return
+        self._placeholder_rows.pop(field.relation, None)
         rows = self._placeholders[field.relation]
         attributes = tuple(a for a in rows[field.tuple_id] if a != field.attribute)
         if attributes:
@@ -296,7 +330,8 @@ class UWSDT:
 
         The placeholder index must equal a scan of the templates in both
         directions: every ``?`` is indexed (and so has a component), and
-        every indexed field is a ``?`` of an existing template row.
+        every indexed field is a ``?`` of an existing template row.  A valid
+        :meth:`placeholder_rows` memo entry must equal the same scan.
         """
         for relation_schema in self.schema:
             name, attributes = relation_schema.name, relation_schema.attributes
@@ -317,6 +352,11 @@ class UWSDT:
                     f"{scanned.get(tuple_id, ())!r} but is indexed (has components) for "
                     f"{indexed.get(tuple_id, ())!r}"
                 )
+            memoised = self._memoised_placeholder_rows(name)
+            if memoised is not None and memoised != [
+                (row, scanned[row[0]]) for row in self.templates[name] if row[0] in scanned
+            ]:
+                raise RepresentationError(f"placeholder-row memo of {name!r} is out of date")
         for cid, component in self.components.items():
             component.validate()
             for field in component.fields:

@@ -313,7 +313,7 @@ class TestPlanTimeRejection:
 
 
 def rare_strings() -> Relation:
-    """5 000 numbers and three strings in ``A``: the 256-row reservoir holds
+    """5 000 numbers and three strings in ``A``: the 256-row sample holds
     numbers only."""
     rows = [(i, i % 7) for i in range(5000)] + [(5000 + i, "x") for i in range(3)]
     return Relation(RelationSchema("R", ("K", "A")), rows)

@@ -367,15 +367,20 @@ def result_components(uwsdt):
     }
 
 
-def assert_bulk_template(uwsdt, source_order=None):
-    """The result template is a set of distinct tuple ids, built in one step."""
+def assert_bulk_template(uwsdt, source_order=None, decided_by_components=frozenset()):
+    """The result template is a set of distinct tuple ids, built in one step.
+
+    With ``source_order``, template order is kept (rows may have been left
+    out) — for a selection in two segments: the rows the template decides,
+    then the rows whose components decide (``decided_by_components``).
+    """
     template = uwsdt.templates["P"]
     tuple_ids = [row[0] for row in template]
     assert len(set(tuple_ids)) == len(tuple_ids)
     assert template.version == len(template)
-    if source_order is not None:  # template order kept (rows may have been left out)
-        positions = [source_order.index(tid) for tid in tuple_ids]
-        assert positions == sorted(positions)
+    if source_order is not None:
+        segment_then_position = lambda tid: (tid in decided_by_components, source_order.index(tid))
+        assert tuple_ids == sorted(tuple_ids, key=segment_then_position)
     uwsdt.validate()
 
 
@@ -396,10 +401,16 @@ class TestUwsdtOpsEqualReferencePerWorld:
             uwsdt.rep(), lambda db: ref_select(db.relation("R"), predicate)
         )
         source_order = [row[0] for row in uwsdt.templates["R"]]
+        referenced = set(predicate.attributes())
+        open_rows = {
+            tid
+            for tid, placeholders in uwsdt.uncertain_tuples("R").items()
+            if referenced.intersection(placeholders)
+        }
         uwsdt_ops.select(uwsdt, "R", "P", predicate)
         assert_same_distribution(uwsdt, expected)
-        # An equality probes the template index: bucket order, not template order.
-        assert_bulk_template(uwsdt, None if predicate.op == "=" else source_order)
+        # The equality index's buckets are in template order too.
+        assert_bulk_template(uwsdt, source_order, open_rows)
 
     @given(orset_relations(), st.data())
     @settings(max_examples=120, deadline=None)
