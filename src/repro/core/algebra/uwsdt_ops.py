@@ -25,8 +25,9 @@ tuples that certainly satisfy the condition or have a placeholder on a
 referenced attribute; component values violating the condition are removed
 (here: marked ``⊥``), and tuples left without any satisfying local world are
 dropped from the result template again (lines 4–6 of the figure).  As in the
-chase, a selection is a predicate: one compiled ``filter`` over the template
-judges line 1, and only the rows with a ``?`` on a referenced attribute —
+chase, a selection is a predicate: one generated scan
+(:meth:`~repro.relational.predicates.Predicate.compile_scan`) over the
+template judges line 1, and only the rows with a ``?`` on a referenced attribute —
 read off the memoised :meth:`~repro.core.uwsdt.UWSDT.placeholder_rows` —
 reach lines 2–6.
 """
@@ -187,11 +188,12 @@ def _count_select(rows_scanned: int, rows_through_components: int) -> None:
 def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None:
     """Selection ``P := σ_pred(R)`` on a UWSDT (the algorithm of Figure 16, generalized).
 
-    A selection is a predicate: one compiled ``filter`` over the template (or
-    over the equality index's bucket) judges every row as one-world data, and
-    only the rows with a ``?`` on a referenced attribute — taken from
+    A selection is a predicate: one generated scan over the template (or over
+    the equality index's bucket) judges every row as one-world data, and only
+    the rows with a ``?`` on a referenced attribute — taken from
     :meth:`~repro.core.uwsdt.UWSDT.placeholder_rows`, or from the bucket under
-    ``?`` — go through Figure 16's lines 2–6.  The result holds the rows the
+    ``?`` — go through Figure 16's lines 2–6, judged by the row check, which is
+    compiled only when there are such rows.  The result holds the rows the
     template decides, in template order, then the rows the components decide,
     in template order.
     """
@@ -203,9 +205,9 @@ def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None
 
     template = uwsdt.templates[source]
     schema = template.schema
-    # Compiled once against the raw template layout: certain rows are filtered
-    # as in one world, local worlds are judged on a filled-in copy of the row.
-    satisfied = predicate.compile(schema)
+    # Compiled against the raw template layout: certain rows are scanned as in
+    # one world, local worlds are judged on a filled-in copy of the row.
+    scan = predicate.compile_scan(schema)
     uncertain = uwsdt.uncertain_tuples(source)
     # Line 1 of Figure 16: no ``?`` on a referenced attribute.
     template_decides = set(referenced).isdisjoint
@@ -222,11 +224,11 @@ def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None
         open_rows = [(row, uncertain[row[0]]) for row in candidates[1]]
     _count_select(len(rows), len(open_rows))
     if not uncertain:
-        uwsdt.load_template(target, list(filter(satisfied, rows)), distinct=True)
+        uwsdt.load_template(target, scan(rows), distinct=True)
         return
 
     def kept_by_template(row: Row, placeholders: Tuple[str, ...]) -> bool:
-        """Is an indexed row that ``satisfied`` passed kept on the template's word?"""
+        """Is an indexed row that the scan passed kept on the template's word?"""
         if not template_decides(placeholders):
             return False  # its components decide, below
         _copy_placeholder_fields(uwsdt, source, row[0], target, row[0], placeholders)
@@ -266,10 +268,12 @@ def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None
     placeholders_of = uncertain.get
     kept = [
         row
-        for row in filter(satisfied, rows)
+        for row in scan(rows)
         if (placeholders := placeholders_of(row[0])) is None or kept_by_template(row, placeholders)
     ]
-    kept.extend(row for row, placeholders in open_rows if keeps(row, placeholders))
+    if open_rows:
+        satisfied = predicate.compile(schema)  # read by ``keeps``
+        kept.extend(row for row, placeholders in open_rows if keeps(row, placeholders))
     uwsdt.load_template(target, kept, distinct=True)
 
 

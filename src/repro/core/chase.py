@@ -22,9 +22,10 @@ whose template value already decides a premise or conclusion never force a
 component composition.  It splits every template on the UWSDT's placeholder
 index.  The certain side of an EGD is a selection: its violation condition
 ``φ1 ∧ ... ∧ φm ∧ ¬φ0`` is a :class:`~repro.relational.predicates.Predicate`,
-rendered by ``Predicate.compile`` into one generated function and run over
-the template in one ``filter`` — a reported row without a placeholder on the
-dependency's attributes is inconsistent in every world.  The uncertain side
+rendered into one generated source whose scan loop runs over the template in
+one call — a reported row without a placeholder on the dependency's
+attributes is inconsistent in every world — and whose row check judges the
+filled-in local worlds.  The uncertain side
 walks the index, not the template: the placeholder rows are collected once
 per relation and only they reach their components, so with realistic
 placeholder densities almost all work happens on the template relations.
@@ -119,11 +120,6 @@ class EqualityGeneratingDependency:
         if all(premise.evaluate(values[premise.attribute]) for premise in self.premises):
             return self.conclusion.evaluate(values[self.conclusion.attribute])
         return True
-
-    def compile(self, schema: RelationSchema) -> Callable[[Sequence[Any]], bool]:
-        """:meth:`holds_for` on raw rows laid out by ``schema``: generated code."""
-        violated = _Violation(self).compile(schema)
-        return lambda row: not violated(row)
 
     def __repr__(self) -> str:
         premises = " AND ".join(repr(p) for p in self.premises)
@@ -410,18 +406,19 @@ def _count_chase(rows_scanned: int, rows_through_components: int, removed: int) 
 def _check_certain_rows_egd(
     uwsdt: UWSDT, dependency: EqualityGeneratingDependency
 ) -> Callable[[Sequence[Any]], bool]:
-    """One-world cleaning: one selection of the violating rows over the template.
+    """One-world cleaning: one generated scan for the violating rows of the template.
 
     A reported row with a placeholder on the dependency's attributes (``?``
     never meets a conclusion) is not a certain violation; its components decide.
-    Returns the compiled violation test for the uncertain side.
+    Returns the row check of the same source, the violation test for the
+    uncertain side.
     """
     relation = dependency.relation
     template = uwsdt.templates[relation]
-    violated = _Violation(dependency).compile(template.schema)
+    violated, scan = _Violation(dependency)._generate(template.schema)
     uncertain = uwsdt.uncertain_tuples(relation)
     attributes = set(dependency.attributes())
-    for row in filter(violated, template):
+    for row in scan(template):
         if attributes.isdisjoint(uncertain.get(row[0], ())):
             raise InconsistentWorldSetError(
                 f"certain tuple {row[0]!r} of {relation!r} violates {dependency!r} "

@@ -20,7 +20,7 @@ Design:
   predicate selectivity (a row whose referenced field is a ``?``
   placeholder counts as satisfied — on the representation such tuples
   survive every selection, lines 2–6 of Figure 16), per-attribute value
-  histograms, distinct counts, and *derived* samples: ``select`` /
+  histograms, and *derived* samples: ``select`` /
   ``project`` / ``rename`` carry a leaf's sample up through the unary
   operators above it.  Nothing derives a sample from two relations: the
   estimator prices a predicate across leaves from the two leaf samples
@@ -174,30 +174,22 @@ class RelationSample:
         get_registry().counter("repro.planner.sample_scans").inc()
         positions = [self.position(a) for a in referenced]
         schema = RelationSchema(self.relation or "__sample__", self.attributes)
-        compiled = predicate.compile(schema)
         if any(
             SENTINEL_CLASS in set(map(type, map(itemgetter(p), self.rows)))
             for p in positions
         ):
+            compiled = predicate.compile(schema)
             kept = [
                 row
                 for row in self.rows
                 if any(is_placeholder(row[p]) for p in positions) or compiled(row)
             ]
         else:
-            kept = list(filter(compiled, self.rows))
+            kept = predicate.compile_scan(schema)(self.rows)
         fraction = floor_selectivity(len(kept) / len(self.rows), len(self.rows))
         return fraction, RelationSample(
             self.relation, self.attributes, kept, max(1, round(self.population * fraction))
         )
-
-    def selectivity(self, predicate: Predicate) -> Optional[float]:
-        """Fraction of sampled rows satisfying ``predicate`` (see :meth:`select`)."""
-        return self.select(predicate)[0]
-
-    def filter(self, predicate: Predicate) -> "RelationSample":
-        """The sample restricted to rows satisfying ``predicate`` (see :meth:`select`)."""
-        return self.select(predicate)[1]
 
     # -- facts of the rows, memoised --------------------------------------- #
 
@@ -222,18 +214,6 @@ class RelationSample:
                 counts[value] = counts.get(value, 0) + 1
             self._histograms[attribute] = counts
         return self._histograms[attribute]
-
-    def distinct_count(self, attribute: str) -> int:
-        """Estimated number of distinct values of ``attribute`` (at least 1).
-
-        Empty samples, unknown attributes and all-placeholder columns all
-        report 1 rather than raising or returning 0 — a distinct count
-        feeds divisions in callers' estimates.
-        """
-        try:
-            return max(1, len(self.histogram(attribute)))
-        except KeyError:
-            return 1
 
     # -- derived samples --------------------------------------------------- #
 

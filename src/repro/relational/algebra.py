@@ -53,8 +53,8 @@ def select(
     ):
         # ``lookup`` returns a fresh copy of the bucket: adopted as is.
         return Relation.from_tuples(schema, index.lookup(predicate.constant), distinct=True)
-    check = predicate.compile(relation.schema)
-    return Relation.from_tuples(schema, list(filter(check, relation)), distinct=True)
+    scan = predicate.compile_scan(relation.schema)
+    return Relation.from_tuples(schema, scan(relation), distinct=True)
 
 
 def project(relation: Relation, attributes: Sequence[str], name: Optional[str] = None) -> Relation:

@@ -8,17 +8,23 @@ use conjunctions and disjunctions, can be expressed as single selections.
 
 Predicates are evaluated against a (schema, row) pair; ``evaluate`` and
 :func:`compare` are the specification.  For repeated evaluation over the
-rows of one layout, :meth:`Predicate.compile` generates one Python function
-whose body is a single expression over integer row positions
-(``row[17] is not BOTTOM and row[17] == c0``) and which agrees with
-``evaluate`` on every row.
+rows of one layout, one generated source holds a single expression over
+integer row positions (``row[17] is not BOTTOM and row[17] == c0``) twice:
+as the row check :meth:`Predicate.compile` returns, and inside the loop
+:meth:`Predicate.compile_scan` returns, which keeps the rows of a whole
+iterable in one call.  Both agree with ``evaluate`` on every row.  CPython
+compiles each distinct source once (:func:`_code`); the constants are bound
+per call, in the namespace the code object is executed in.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
+from types import CodeType
 from typing import Any, Callable, Dict, Iterable, List, Tuple
 
+from ..obs.metrics import get_registry
 from .errors import PredicateError
 from .schema import RelationSchema
 from .values import BOTTOM, PLACEHOLDER, is_domain_value
@@ -78,15 +84,49 @@ _TOKENS: Dict[Callable[[Any, Any], bool], str] = {
     operator.ge: ">=",
 }
 
-#: The generated function.  ``compare`` answers a ``TypeError`` of the
-#: comparison operator itself; here the whole row is re-judged by ``evaluate``.
+#: The generated functions.  ``compare`` answers a ``TypeError`` of the
+#: comparison operator itself; here the row that raised is re-judged by
+#: ``evaluate``.  The guard is per row in ``scan``: restarting the whole scan
+#: through ``evaluate`` would send every row there for one unorderable cell.
 _CHECK_SOURCE = """\
 def check(row):
     try:
-        return {}
+        return {0}
     except TypeError:
         return evaluate(schema, row)
+
+def scan(rows):
+    kept = []
+    keep = kept.append
+    for row in rows:
+        try:
+            if {0}:
+                keep(row)
+        except TypeError:
+            if evaluate(schema, row):
+                keep(row)
+    return kept
 """
+
+#: A row check and the scan over an iterable of rows.
+_Generated = Tuple[
+    Callable[[Tuple[Any, ...]], bool],
+    Callable[[Iterable[Tuple[Any, ...]]], List[Tuple[Any, ...]]],
+]
+
+
+@functools.lru_cache(maxsize=512)
+def _code(source: str) -> CodeType:
+    """CPython's compiler, once per distinct source.
+
+    A source holds ``schema.position()`` integers and ``c<i>`` names only,
+    never a constant or an attribute name, so one code object serves every
+    predicate of the same shape over the same layout and the key space is
+    bounded by shapes, not values.  Raises what ``compile`` raises; nothing
+    is cached then.
+    """
+    get_registry().counter("repro.predicates.code_generated").inc()
+    return compile(source, "<predicate>", "exec")
 
 
 class _Source:
@@ -121,11 +161,26 @@ class Predicate:
 
         The evaluator is one generated function over the whole predicate
         tree; it agrees with :meth:`evaluate` on every row (tuple or list).
-        Nothing is cached on the predicate: generating costs tens of
-        microseconds, and predicates travel pickled inside physical plans.
+        Nothing is cached on the predicate: predicates travel pickled inside
+        physical plans.
         """
+        return self._generate(schema)[0]
+
+    def compile_scan(
+        self, schema: RelationSchema
+    ) -> Callable[[Iterable[Tuple[Any, ...]]], List[Tuple[Any, ...]]]:
+        """Return the selection loop bound to ``schema``: ``scan(rows)`` is the
+        list of the rows satisfying the predicate, in the order given.
+
+        The loop is generated code too, so a row costs no Python call; it
+        keeps exactly the rows :meth:`compile`'s evaluator accepts.
+        """
+        return self._generate(schema)[1]
+
+    def _generate(self, schema: RelationSchema) -> _Generated:
+        """The row check and the scan, from one source and one code object."""
         source = _Source(schema)
-        code = _CHECK_SOURCE.format(self._fragment(source))
+        text = _CHECK_SOURCE.format(self._fragment(source))
         namespace: Dict[str, Any] = {
             "BOTTOM": BOTTOM,
             "PLACEHOLDER": PLACEHOLDER,
@@ -134,14 +189,18 @@ class Predicate:
         }
         namespace.update((f"c{i}", value) for i, value in enumerate(source.constants))
         try:
-            exec(code, namespace)
+            exec(_code(text), namespace)
         except (SyntaxError, RecursionError, MemoryError):
             # A tree nested deeper than the parser accepts; which of the three
             # it raises depends on the shape (And/Or, Not) and the version.
-            return lambda row: self.evaluate(schema, row)
-        # Popped, not read: a namespace that kept its own function would be a
+            evaluate = self.evaluate
+            return (
+                lambda row: evaluate(schema, row),
+                lambda rows: [row for row in rows if evaluate(schema, row)],
+            )
+        # Popped, not read: a namespace that kept its own functions would be a
         # reference cycle per call, freed only by the cycle collector.
-        return namespace.pop("check")
+        return namespace.pop("check"), namespace.pop("scan")
 
     def _fragment(self, source: _Source) -> str:
         """This node's expression over ``row`` for the generated function.

@@ -1,8 +1,8 @@
 """The UWSDT chase as one selection per dependency plus an index walk.
 
-An EGD's violation condition is a ``Predicate`` run through
-``Predicate.compile``; certain rows are judged by one ``filter`` over the
-template, only placeholder rows reach their components.  Pinned here: the
+An EGD's violation condition is a ``Predicate``; certain rows are judged by
+its generated scan (``Predicate.compile_scan``) over the template, only
+placeholder rows reach their components.  Pinned here: the
 per-row work is gone (exact counts, not timings), ``?`` cells never turn
 into certain violations, a bad operator cannot be constructed, a certain
 violation leaves the UWSDT untouched, and the chase equals per-world
@@ -119,8 +119,8 @@ class TestPlaceholderRowsAreNotCertainViolations:
             "R", [Comparison("A", "=", 1)], Comparison("B", op, constant)
         )
         template = uwsdt.templates["R"]
-        violated = chase._Violation(dependency).compile(template.schema)
-        assert [row[0] for row in filter(violated, template)] == ([1] if reported else [])
+        scan = chase._Violation(dependency).compile_scan(template.schema)
+        assert [row[0] for row in scan(template)] == ([1] if reported else [])
 
         chase_uwsdt(uwsdt, [dependency])
         uwsdt.validate()
@@ -136,7 +136,7 @@ class TestPlaceholderRowsAreNotCertainViolations:
             "R", [Comparison("A", "!=", 3)], Comparison("B", "<", 5)
         )
         template = uwsdt.templates["R"]
-        assert list(filter(chase._Violation(dependency).compile(template.schema), template))
+        assert chase._Violation(dependency).compile_scan(template.schema)(template)
         chase_uwsdt(uwsdt, [dependency])
         assert [set(world.database.relation("R").rows) for world in uwsdt.rep()] == [{(3, 7)}]
 

@@ -1,0 +1,110 @@
+"""A selection is one generated loop, and each distinct source is compiled once.
+
+``Predicate.compile_scan`` returns the whole scan as generated code, guarded
+per row; the code object behind it and behind ``Predicate.compile`` is
+memoised by its source text, which holds positions and ``c<i>`` names only.
+Pinned here, as exact counts: only a row that raises ``TypeError`` is
+re-judged by ``evaluate``; two predicates of one shape share one code object
+and keep their own constants; and the registry counter
+``repro.predicates.code_generated`` moves on cache misses only — a warm query
+pass generates nothing, and a WSD selection generates one code object per
+distinct layout however many tuples it compiles for.  The differential over
+the predicate strategies and the deep-tree fallback are in
+``tests/test_relational_algebra.py::TestCompiledPredicate``.
+"""
+
+import pytest
+
+from repro.census import census_query, query_names
+from repro.core import WSD
+from repro.core.algebra import wsd_ops
+from repro.core.fields import FieldRef
+from repro.obs.metrics import get_registry
+from repro.relational import BOTTOM, PLACEHOLDER, And, AttrConst, RelationSchema, eq, gt, ne
+from repro.relational.predicates import _code
+from repro.worlds import OrSet, OrSetRelation
+
+from _fixtures import census_engines
+
+
+def code_generated() -> int:
+    return get_registry().counter("repro.predicates.code_generated").value
+
+
+SCHEMA = RelationSchema("R", ("A", "B"))
+
+
+class TestPerRowGuard:
+    def test_only_the_rows_that_raise_are_rejudged(self, monkeypatch):
+        rows = [(4, 0), ("x", 0), (1, 0), (PLACEHOLDER, 0), (BOTTOM, 0), (5, 0), ("y", 0)]
+        raising = [row for row in rows if isinstance(row[0], str) or row[0] is PLACEHOLDER]
+        calls = []
+        evaluate = AttrConst.evaluate
+
+        def counted(self, schema, row):
+            calls.append(row)
+            return evaluate(self, schema, row)
+
+        monkeypatch.setattr(AttrConst, "evaluate", counted)
+        scan = gt("A", 3).compile_scan(SCHEMA)
+        assert scan(rows) == [(4, 0), (5, 0)]
+        # A restart of the whole scan through ``evaluate`` would judge all 7.
+        assert calls == raising
+
+
+class TestCodeObjectMemo:
+    def test_one_shape_shares_one_code_object_and_keeps_its_constants(self):
+        _code.cache_clear()
+        before = code_generated()
+        first, second = And(eq("A", 1), ne("B", "x")), And(eq("A", 2), ne("B", "y"))
+        check_first = first.compile(SCHEMA)
+        assert _code.cache_info().misses == 1
+        check_second, scan_second = second._generate(SCHEMA)
+        assert _code.cache_info().misses == 1 and _code.cache_info().hits == 1
+        assert code_generated() - before == 1
+        assert check_first.__code__ is check_second.__code__
+
+        rows = [(1, "y"), (2, "x"), (2, "z"), (1, "x")]
+        assert list(filter(check_first, rows)) == [(1, "y")]
+        assert scan_second(rows) == [(2, "x"), (2, "z")]
+        assert first.compile_scan(SCHEMA)(rows) == [(1, "y")]
+
+    def test_another_layout_is_another_source(self):
+        _code.cache_clear()
+        eq("A", 1).compile(SCHEMA)
+        eq("A", 1).compile(RelationSchema("S", ("B", "A")))
+        assert _code.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("kind", ["database", "uwsdt"])
+def test_a_warm_query_pass_generates_no_code(kind):
+    database, uwsdt = census_engines()
+    engine = database if kind == "database" else uwsdt
+    queries = [(name, census_query(name)) for name in query_names()]
+    for name, query in queries:  # warm-up: every source of the pass is compiled
+        query.run(engine.copy(), name)
+    before = code_generated()
+    fresh = engine.copy()
+    for name, query in queries:
+        query.run(fresh, name)
+    assert code_generated() == before
+
+
+def test_a_wsd_selection_generates_one_code_object_per_layout():
+    rows = [{"A": OrSet([i % 3, 3]), "B": OrSet([0, 1]), "C": i} for i in range(12)]
+    wsd = WSD.from_orset_relation(OrSetRelation.from_dicts("R", ["A", "B", "C"], rows))
+    _code.cache_clear()
+    before = code_generated()
+    # Compiles once per tuple, against the layout of the tuple's merged component.
+    wsd_ops.select(wsd, "R", "P", And(gt("A", 1), eq("B", 1)))
+    layouts = set()
+    for tuple_id in wsd.tuple_ids["P"]:
+        component = wsd.component_for(FieldRef("P", tuple_id, "A"))
+        layouts.add(
+            tuple(
+                field.attribute
+                for field in component.fields
+                if (field.relation, field.tuple_id) == ("P", tuple_id)
+            )
+        )
+    assert code_generated() - before == len(layouts) < len(rows)

@@ -223,23 +223,24 @@ class TestSamplingGuards:
 
     def test_empty_sample_falls_back_to_constants(self):
         empty = RelationSample("R", ("A", "B"), [], 0)
-        assert empty.selectivity(eq("A", 1)) is None
-        assert empty.distinct_count("A") == 1
-        assert empty.filter(eq("A", 1)) is empty
+        assert empty.select(eq("A", 1)) == (None, empty)
+        assert empty.histogram("A") == {}
         other = RelationSample("S", ("C",), [(1,)], 1)
         assert join_selectivity(empty, "A", other, "C") is None
         assert join_selectivity(other, "C", empty, "A") is None
 
-    def test_unknown_attribute_distinct_count(self):
+    def test_unknown_attribute_falls_back(self):
         sample = RelationSample("R", ("A",), [(1,)], 1)
-        assert sample.distinct_count("NOPE") == 1
+        assert sample.select(eq("NOPE", 1)) == (None, sample)
+        with pytest.raises(KeyError):
+            sample.histogram("NOPE")
 
     def test_all_placeholder_column_join_falls_back(self):
         from repro.relational.values import PLACEHOLDER
 
         left = RelationSample("R", ("A",), [(PLACEHOLDER,), (PLACEHOLDER,)], 2)
         right = RelationSample("S", ("B",), [(1,), (2,)], 2)
-        assert left.distinct_count("A") == 1
+        assert left.histogram("A") == {}
         assert join_selectivity(left, "A", right, "B") is None
 
     def test_zero_overlap_join_selectivity_is_floored(self):
@@ -250,8 +251,9 @@ class TestSamplingGuards:
 
     def test_zero_match_sample_selectivity_is_floored(self):
         sample = RelationSample("R", ("A",), [(1,), (2,), (3,)], 3)
-        selectivity = sample.selectivity(eq("A", 99))
+        selectivity, derived = sample.select(eq("A", 99))
         assert selectivity is not None and 0 < selectivity < 1
+        assert derived.rows == [] and derived.population == 1
 
     def test_impossible_fixed_predicate_is_floored(self):
         from repro.relational import Not
@@ -292,8 +294,8 @@ class TestSamplingGuards:
 
 
 def reference_selectivity(sample, predicate):
-    """``RelationSample.selectivity`` as it stood before ``select`` fused it
-    with ``filter`` — kept as the specification of the fused pass."""
+    """The selectivity half of ``RelationSample.select`` as one separate pass,
+    with the row check — the specification of the fused pass."""
     if not sample.rows:
         return None
     referenced = predicate.attributes()
@@ -311,7 +313,7 @@ def reference_selectivity(sample, predicate):
 
 
 def reference_filter(sample, predicate):
-    """``RelationSample.filter`` before the fusion (see above)."""
+    """The filtered-sample half of ``RelationSample.select`` (see above)."""
     referenced = predicate.attributes()
     if not sample.rows or not sample.has_attributes(referenced):
         return sample
@@ -342,7 +344,7 @@ SAMPLE_PREDICATES = [
 
 
 class TestFusedSampleSelection:
-    """``select`` is ``selectivity`` and ``filter`` in one compile and one scan."""
+    """``select`` is the two separate passes in one compile and one scan."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -363,15 +365,13 @@ class TestFusedSampleSelection:
         sample = RelationSample("R", ("A", "B"), rows, len(rows) * scale)
         selectivity, derived = sample.select(predicate)
         assert selectivity == reference_selectivity(sample, predicate)
-        assert selectivity == sample.selectivity(predicate)
         expected = reference_filter(sample, predicate)
         if expected is sample:
-            assert derived is sample and sample.filter(predicate) is sample
+            assert derived is sample
         else:
-            for actual in (derived, sample.filter(predicate)):
-                assert actual.rows == expected.rows
-                assert actual.population == expected.population
-                assert (actual.relation, actual.attributes) == ("R", ("A", "B"))
+            assert derived.rows == expected.rows
+            assert derived.population == expected.population
+            assert (derived.relation, derived.attributes) == ("R", ("A", "B"))
 
     def test_statistics_share_one_scan_per_sample_and_predicate(self):
         from repro.obs.metrics import get_registry

@@ -182,6 +182,10 @@ class TestCompiledPredicate:
             expected = predicate.evaluate(_SCHEMA, row)
             assert compiled(row) is expected, (predicate, row)
             assert compiled(list(row)) is expected, (predicate, row)
+        # The scan keeps the same rows, the same objects, in the same order.
+        kept = predicate.compile_scan(_SCHEMA)(rows)
+        expected_rows = [row for row in rows if predicate.evaluate(_SCHEMA, row)]
+        assert list(map(id, kept)) == list(map(id, expected_rows)), (predicate, rows)
 
     def test_bottom_and_type_error_contract(self):
         schema = RelationSchema("R", ("A", "B"))
@@ -239,11 +243,12 @@ class TestCompiledPredicate:
         gc.collect()
         gc.disable()
         try:
-            compiled = And(gt("A", 1), Not(eq("B", "x"))).compile(_SCHEMA)
-            assert compiled((2, "y", 0, 0)) is True
-            alive = weakref.ref(compiled)
-            del compiled
-            assert alive() is None
+            predicate = And(gt("A", 1), Not(eq("B", "x")))
+            compiled, scan = predicate.compile(_SCHEMA), predicate.compile_scan(_SCHEMA)
+            assert compiled((2, "y", 0, 0)) is True and scan([(2, "y", 0, 0)])
+            alive = weakref.ref(compiled), weakref.ref(scan)
+            del compiled, scan
+            assert alive[0]() is None and alive[1]() is None
         finally:
             gc.enable()
 
@@ -264,10 +269,12 @@ class TestCompiledPredicate:
             alternating = Or(And(alternating, TruePredicate()), eq("B", 2))
         for _ in range(250):
             negated = Not(negated)
+        rows = [(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 0, 0), (BOTTOM, 2, 0, 0)]
         for predicate in (alternating, negated):
             compiled = predicate.compile(_SCHEMA)
-            for row in [(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 0, 0), (BOTTOM, 2, 0, 0)]:
+            for row in rows:
                 assert compiled(row) is predicate.evaluate(_SCHEMA, row)
+            assert predicate.compile_scan(_SCHEMA)(rows) == list(filter(compiled, rows))
 
 
 class TestClassicalAlgebra:
