@@ -150,7 +150,7 @@ class SchemaContext:
         self,
         attributes: Optional[Mapping[str, Sequence[str]]] = None,
         types: Optional[Mapping[str, Mapping[str, str]]] = None,
-        type_loader: Optional[Callable[[str], Optional[Mapping[str, str]]]] = None,
+        schema_loader: Optional[Callable[[str], Optional[InferredSchema]]] = None,
         sampled: Collection[str] = (),
     ) -> None:
         self._attributes: Dict[str, Tuple[str, ...]] = {
@@ -159,12 +159,13 @@ class SchemaContext:
         self._types: Dict[str, Dict[str, str]] = {
             name: dict(mapping) for name, mapping in (types or {}).items()
         }
-        #: Lazily resolves a relation's column types on first use (type work
+        #: Lazily resolves a relation's typed schema on first use (type work
         #: is only paid for relations a query actually mentions).
-        self._type_loader = type_loader
+        self._schema_loader = schema_loader
         #: Relations whose types were read off a sample that is not the whole
         #: relation: likely, not definite (a rare value may have been missed).
         self.sampled = frozenset(sampled)
+        self._schemas: Dict[str, Optional[InferredSchema]] = {}
 
     @classmethod
     def empty(cls) -> "SchemaContext":
@@ -174,19 +175,21 @@ class SchemaContext:
     def from_statistics(cls, statistics: Any) -> "SchemaContext":
         """Schema context over planner statistics (names + sampled types).
 
-        Types come from the value classes memoised on each sample, so a warm
-        catalog serves them without looking at a row.
+        A relation's typed schema is memoised on its sample, next to the
+        value classes it is read from: one type scan per relation version,
+        and a warm catalog serves a plan its base relations' types without
+        looking at a row or a column.
         """
 
-        def load_types(name: str) -> Optional[Mapping[str, str]]:
+        def load_schema(name: str) -> Optional[InferredSchema]:
             sample = statistics.samples.get(name)
             if sample is None or not sample.rows:
                 return None
-            return dict(zip(sample.attributes, map(classes_type, sample.column_classes())))
+            return sample.derive("schema", _sample_schema, sample)
 
         return cls(
             attributes=statistics.attributes,
-            type_loader=load_types,
+            schema_loader=load_schema,
             sampled=[
                 name
                 for name, sample in statistics.samples.items()
@@ -207,7 +210,7 @@ class SchemaContext:
             return cls()
         attributes = {rs.name: rs.attributes for rs in schema}
 
-        def load_types(name: str) -> Optional[Mapping[str, str]]:
+        def load_schema(name: str) -> Optional[InferredSchema]:
             attrs = attributes.get(name)
             if attrs is None:
                 return None
@@ -220,12 +223,13 @@ class SchemaContext:
             from ..obs.metrics import get_registry
 
             get_registry().counter("repro.analysis.type_scans", source="engine").inc()
-            return {
-                attribute: ANY_TYPE if SENTINEL_CLASS in classes else classes_type(classes)
-                for attribute, classes in zip(attrs, column_classes(rows))
-            }
+            types = [
+                ANY_TYPE if SENTINEL_CLASS in classes else classes_type(classes)
+                for classes in column_classes(rows)
+            ]
+            return InferredSchema(attrs, tuple(types) or (ANY_TYPE,) * len(attrs))
 
-        return cls(attributes=attributes, type_loader=load_types)
+        return cls(attributes=attributes, schema_loader=load_schema)
 
     def confirmed_by(self, engine: Any) -> "SchemaContext":
         """This context with the types of its :attr:`sampled` relations read
@@ -233,25 +237,43 @@ class SchemaContext:
         is no engine to ask, or it cannot say."""
         exact = SchemaContext.from_engine(engine)
 
-        def load_types(name: str) -> Mapping[str, str]:
+        def load_schema(name: str) -> Optional[InferredSchema]:
             source = exact if name in self.sampled else self
-            return source.relation_types(name)
+            return source.relation_schema(name)
 
-        return SchemaContext(attributes=self._attributes, type_loader=load_types)
+        return SchemaContext(attributes=self._attributes, schema_loader=load_schema)
 
     def relation_attributes(self, name: str) -> Optional[Tuple[str, ...]]:
         return self._attributes.get(name)
 
+    def relation_schema(self, name: str) -> Optional[InferredSchema]:
+        """A base relation's attributes with their types (``any`` where
+        nothing says otherwise), or None when the relation is unknown."""
+        try:
+            return self._schemas[name]
+        except KeyError:
+            pass
+        attributes = self._attributes.get(name)
+        schema: Optional[InferredSchema] = None
+        if attributes is not None:
+            schema = self._schema_loader(name) if self._schema_loader is not None else None
+            if schema is None:
+                types = self._types.get(name, {})
+                schema = InferredSchema(
+                    attributes, tuple(types.get(a, ANY_TYPE) for a in attributes)
+                )
+            elif schema.attributes != attributes:
+                schema = InferredSchema(attributes, tuple(map(schema.type_of, attributes)))
+        self._schemas[name] = schema
+        return schema
+
     def relation_types(self, name: str) -> Mapping[str, str]:
-        cached = self._types.get(name)
-        if cached is None:
-            loaded = self._type_loader(name) if self._type_loader is not None else None
-            cached = dict(loaded) if loaded is not None else {}
-            self._types[name] = cached
-        return cached
+        schema = self.relation_schema(name)
+        return {} if schema is None else dict(zip(schema.attributes, schema.types))
 
     def attribute_type(self, relation: str, attribute: str) -> str:
-        return self.relation_types(relation).get(attribute, ANY_TYPE)
+        schema = self.relation_schema(relation)
+        return ANY_TYPE if schema is None else schema.type_of(attribute)
 
     def __repr__(self) -> str:
         return f"SchemaContext({sorted(self._attributes)})"
@@ -289,6 +311,12 @@ class InferredSchema:
             a if t == ANY_TYPE else f"{a}: {t}"
             for a, t in zip(self.attributes, self.types)
         ) + ")"
+
+
+def _sample_schema(sample: Any) -> InferredSchema:
+    """A sample's attributes with their types, from the value classes
+    memoised on it."""
+    return InferredSchema(sample.attributes, tuple(map(classes_type, sample.column_classes())))
 
 
 #: Marker appended to the offending node's line in rendered error trees.
@@ -359,11 +387,7 @@ class _Analyzer:
 
     def infer(self, node: Query) -> Optional[InferredSchema]:
         if isinstance(node, BaseRelation):
-            attrs = self.context.relation_attributes(node.name)
-            if attrs is None:
-                return None
-            types = tuple(self.context.attribute_type(node.name, a) for a in attrs)
-            return InferredSchema(attrs, types)
+            return self.context.relation_schema(node.name)
         if isinstance(node, Select):
             child = self.infer(node.child)
             if child is not None:

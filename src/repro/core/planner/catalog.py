@@ -6,9 +6,11 @@ unchanged engine paid the full sampling cost twice.  The
 :class:`StatisticsCatalog` fixes that by caching, per relation,
 
 * the bounded :class:`~repro.core.planner.sampling.RelationSample`, drawn by
-  position so that a cold entry reads at most ``sample_size`` rows; its
-  per-attribute value histograms and per-column value classes are memoized
-  on the sample object, so they persist — and are invalidated — with it,
+  position so that a cold entry reads at most ``sample_size`` rows; every
+  fact derived from it — histograms, value classes and column types, the
+  filtered, projected and renamed samples and the ``A = B`` selectivities,
+  each keyed by value in the sample's bounded memo — persists and is
+  invalidated with it, so a warm plan derives nothing twice,
 * the row count and the placeholder density,
 * the attribute list,
 

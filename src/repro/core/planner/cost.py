@@ -52,7 +52,7 @@ from ..algebra.query import (
     Select,
     Union,
 )
-from .sampling import DEFAULT_SAMPLE_SIZE, RelationSample, join_selectivity
+from .sampling import DEFAULT_SAMPLE_SIZE, RelationSample, equi_join_selectivity
 
 #: Cardinality assumed for relations the statistics do not know about.
 DEFAULT_ROW_COUNT = 1_000
@@ -223,33 +223,6 @@ class Statistics:
         #: holds its engine weakly; the type analysis goes through it to
         #: confirm a type inferred from a partial sample against whole columns.
         self.catalog = catalog
-        #: The sample work of one plan, each piece once — see :meth:`selection`.
-        self._derived: Dict[Tuple[Any, ...], Any] = {}
-
-    def _once(self, key: Tuple[Any, ...], compute: Any, *arguments: Any) -> Any:
-        try:
-            return self._derived[key]
-        except KeyError:
-            result = self._derived[key] = compute(*arguments)
-            return result
-
-    def selection(
-        self, sample: RelationSample, predicate: Predicate
-    ) -> Tuple[Optional[float], RelationSample]:
-        """:meth:`RelationSample.select`, once per ``(sample, predicate)``.
-
-        A statistics object is built per plan, so every estimate pass of that
-        plan (the join-order DP's leaves, the costed tree, lowering) shares
-        one compile and one scan of a sample per predicate, and the memo dies
-        with the plan.  The same memo holds the plan's projected and renamed
-        samples and its cross-leaf ``A = B`` selectivities (one histogram
-        overlap per join predicate).  It is keyed by the objects themselves —
-        samples and predicates hash by identity and the dict keeps them alive,
-        so no ``id()`` can be reused while an entry exists.  Nothing is kept
-        across plans: the catalog's samples outlive any number of ad-hoc
-        predicates, and a repeated query is what the plan cache is for.
-        """
-        return self._once((sample, predicate), _select_sample, sample, predicate)
 
     def provenance(self, relation_name: str) -> str:
         """How this relation's estimates are derived (for ``explain()``)."""
@@ -380,23 +353,6 @@ def floored_predicate_selectivity(predicate: Predicate) -> float:
     feeds a cost formula.
     """
     return max(min(predicate_selectivity(predicate), 1.0), FIXED_SELECTIVITY_FLOOR)
-
-
-def _select_sample(
-    sample: RelationSample, predicate: Predicate
-) -> Tuple[Optional[float], RelationSample]:
-    """:meth:`RelationSample.select`, except that a filter no sampled row
-    passes is a small selectivity and not a missing sample: the unfiltered
-    rows (the filter taken as independent of the other columns) keep the
-    leaf's column distributions for the joins above, which would otherwise
-    fall back to ``EQUALITY_SELECTIVITY`` — the worse, the more selective the
-    filter."""
-    selectivity, narrowed = sample.select(predicate)
-    if sample.rows and not narrowed.rows:
-        narrowed = RelationSample(
-            sample.relation, sample.attributes, sample.rows, narrowed.population
-        )
-    return selectivity, narrowed
 
 
 def output_attributes(query: Query, source: Any) -> Optional[Tuple[str, ...]]:
@@ -557,24 +513,20 @@ def _owner(samples: Tuple[RelationSample, ...], attribute: str) -> Optional[Rela
 
 
 def join_condition_selectivity(
-    left: NodeEstimate, left_attr: str, right: NodeEstimate, right_attr: str, statistics: Statistics
+    left: NodeEstimate, left_attr: str, right: NodeEstimate, right_attr: str
 ) -> float:
     """Selectivity of ``left_attr = right_attr`` from the two owning leaf
-    samples — one histogram overlap per plan, whichever side spells it first;
+    samples — one histogram overlap per pair of samples, memoised on them;
     the fixed constant where a leaf has no sample or the samples cannot say."""
-    left_side = _owner(left.samples, left_attr), left_attr
-    right_side = _owner(right.samples, right_attr), right_attr
-    if left_side[0] is None or right_side[0] is None:
+    left_sample = _owner(left.samples, left_attr)
+    right_sample = _owner(right.samples, right_attr)
+    if left_sample is None or right_sample is None:
         return EQUALITY_SELECTIVITY
-    sampled = statistics._once(
-        frozenset((left_side, right_side)), join_selectivity, *left_side, *right_side
-    )
+    sampled = equi_join_selectivity(left_sample, left_attr, right_sample, right_attr)
     return EQUALITY_SELECTIVITY if sampled is None else sampled
 
 
-def select_estimate(
-    child: NodeEstimate, predicate: Predicate, statistics: Statistics, model: CostModel
-) -> NodeEstimate:
+def select_estimate(child: NodeEstimate, predicate: Predicate, model: CostModel) -> NodeEstimate:
     """σ over one leaf: the whole predicate against its sample, placeholder
     rows surviving (the density bump).  σ over several leaves: conjunct by
     conjunct — one owned by a single leaf narrows that leaf's sample, with the
@@ -586,7 +538,7 @@ def select_estimate(
     if len(samples) <= 1:
         selectivity = None
         if samples:
-            selectivity, narrowed = statistics.selection(samples[0], predicate)
+            selectivity, narrowed = samples[0].selection(predicate)
             samples = (narrowed,)
         if selectivity is None:
             selectivity = floored_predicate_selectivity(predicate)
@@ -598,7 +550,7 @@ def select_estimate(
         selectivity, density = None, 0.0
         if len(owners) == 1 and None not in owners:
             (owner,) = owners
-            selectivity, narrowed = statistics.selection(owner, part)
+            selectivity, narrowed = owner.selection(part)
             samples = tuple(narrowed if sample is owner else sample for sample in samples)
             density = child.density
         elif (
@@ -607,9 +559,7 @@ def select_estimate(
             and isinstance(part, AttrAttr)
             and part.op in ("=", "==")
         ):
-            selectivity = join_condition_selectivity(
-                child, part.left, child, part.right, statistics
-            )
+            selectivity = join_condition_selectivity(child, part.left, child, part.right)
         if selectivity is None:
             selectivity = floored_predicate_selectivity(part)
         passing, _ = select_step(passing, selectivity, density, model)
@@ -642,7 +592,7 @@ def join_estimate(
     bare base relation on an index-capable engine — the cheaper of that and an
     index nested-loop join; ``algorithm`` records which."""
     arity = left.arity + right.arity
-    selectivity = join_condition_selectivity(left, left_attr, right, right_attr, statistics)
+    selectivity = join_condition_selectivity(left, left_attr, right, right_attr)
     rows, added = join_step(left.rows, right.rows, selectivity, arity, model)
     algorithm = "hash"
     if inner_is_base and statistics.engine in INDEX_JOIN_ENGINES:
@@ -664,19 +614,15 @@ def join_estimate(
 # --------------------------------------------------------------------------- #
 
 
-def estimate(
-    query: Query, statistics: Statistics, model: Optional[CostModel] = None
-) -> CostEstimate:
+def estimate(query: Query, statistics: Statistics) -> CostEstimate:
     """Estimate output cardinality and total work of evaluating ``query``.
 
     The unit of cost is "one tuple touched by one operator", scaled by the
-    per-engine constants of ``model`` (defaulting to the model matching
-    ``statistics.engine``).  Selectivities come from the statistics' row
-    samples when available and from the fixed constants otherwise.
+    constants of the model matching ``statistics.engine``.  Selectivities
+    come from the statistics' row samples when available and from the fixed
+    constants otherwise.
     """
-    if model is None:
-        model = statistics.cost_model()
-    return _estimate(query, statistics, model).as_cost_estimate()
+    return _estimate(query, statistics, statistics.cost_model()).as_cost_estimate()
 
 
 def _estimate(
@@ -720,14 +666,14 @@ def _estimate_uncached(
         )
     if isinstance(query, Select):
         child = _estimate(query.child, statistics, model, memo)
-        return select_estimate(child, query.predicate, statistics, model)
+        return select_estimate(child, query.predicate, model)
     if isinstance(query, Project):
         child = _estimate(query.child, statistics, model, memo)
         samples = []
         for sample in child.samples:
             owned = tuple(a for a in query.attributes if a in sample.attributes)
             if owned != sample.attributes:  # else a permutation across leaves
-                sample = statistics._once((sample, owned), sample.project, owned)
+                sample = sample.project(owned)
             samples.append(sample)
         return NodeEstimate(
             child.rows,
@@ -739,9 +685,7 @@ def _estimate_uncached(
     if isinstance(query, Rename):
         child = _estimate(query.child, statistics, model, memo)
         samples = tuple(
-            statistics._once((sample, query.old, query.new), sample.rename, query.old, query.new)
-            if query.old in sample.attributes
-            else sample
+            sample.rename(query.old, query.new) if query.old in sample.attributes else sample
             for sample in child.samples
         )
         return NodeEstimate(

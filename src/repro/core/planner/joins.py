@@ -269,9 +269,7 @@ class _Search:
         if remaining:
             predicate = conjunction([entry.predicate for entry in remaining])
             state.query = Select(state.query, predicate)
-            state.estimate = select_estimate(
-                state.estimate, predicate, self.statistics, self.model
-            )
+            state.estimate = select_estimate(state.estimate, predicate, self.model)
         return state
 
 

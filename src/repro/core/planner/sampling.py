@@ -24,14 +24,18 @@ Design:
   ``project`` / ``rename`` carry a leaf's sample up through the unary
   operators above it.  Nothing derives a sample from two relations: the
   estimator prices a predicate across leaves from the two leaf samples
-  (:mod:`~repro.core.planner.cost`).  Facts derived from the rows alone — the
-  histograms and the per-column value classes the type analysis reads — are
-  memoised on the sample, so they live exactly as long as the statistics
-  catalog keeps the sample valid.
+  (:mod:`~repro.core.planner.cost`).  Every fact derived from a sample —
+  its histograms, its per-column value classes and types, the samples
+  ``selection`` / ``project`` / ``rename`` derive from it and the ``A = B``
+  selectivities it takes part in — is memoised on it, keyed by value and
+  bounded (:data:`MEMO_ENTRIES`), so it lives exactly as long as the
+  statistics catalog keeps the sample valid and a warm plan derives nothing
+  twice.
 * :func:`join_selectivity` estimates the selectivity of ``A = B`` across
   two samples from the value histograms, ``Σ_v f_L(v) · f_R(v)`` — the
   frequency-weighted generalization of Selinger's ``1/max(d_A, d_B)`` that
-  stays accurate under the census generator's skew.
+  stays accurate under the census generator's skew;
+  :func:`equi_join_selectivity` is its memoised, orientation-free form.
 
 Estimated selectivities are floored (:func:`floor_selectivity`) so an
 empty sample intersection never makes a plan look free.
@@ -45,8 +49,20 @@ uncertain fields to the placeholder sentinel).
 from __future__ import annotations
 
 import random
+import weakref
 from operator import itemgetter
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ...relational.predicates import Predicate
 from ...relational.schema import RelationSchema
@@ -115,10 +131,27 @@ def floor_selectivity(selectivity: float, sample_size: int) -> float:
     return max(min(selectivity, 1.0), floor)
 
 
+#: Entries one sample's memo keeps (:meth:`RelationSample.derive`).  A catalog
+#: sample outlives any number of ad-hoc predicates; at the bound its memo
+#: starts over, like a full ``lru_cache`` dropping its entries.
+MEMO_ENTRIES = 64
+
+_MISSING = object()
+
+
 class RelationSample:
     """A bounded row sample of one relation (or of a derived subplan)."""
 
-    __slots__ = ("relation", "attributes", "rows", "population", "_histograms", "_classes")
+    __slots__ = (
+        "relation",
+        "attributes",
+        "rows",
+        "population",
+        "_histograms",
+        "_classes",
+        "_memo",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -133,6 +166,7 @@ class RelationSample:
         self.population = population
         self._histograms: Dict[str, Dict[Any, int]] = {}
         self._classes: Optional[Tuple[FrozenSet[type], ...]] = None
+        self._memo: Dict[Hashable, Any] = {}
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -147,6 +181,39 @@ class RelationSample:
         known = set(self.attributes)
         return all(a in known for a in attributes)
 
+    # -- the memo ---------------------------------------------------------- #
+
+    def derive(
+        self, key: Optional[Hashable], compute: Callable[..., Any], *arguments: Any
+    ) -> Any:
+        """``compute(*arguments)``, once per ``key`` for as long as this sample lives.
+
+        ``key`` is a value; None means the fact has none and is computed
+        without being stored.  A catalog sample lives for one relation version
+        (the catalog's version-key polling), and so does everything derived
+        from it, derived samples included, each memoising its own derivations.
+        At most :data:`MEMO_ENTRIES` entries are kept: the insert that passes
+        the bound empties the memo.  Each step is one dict operation, atomic
+        under the GIL, so the samples concurrent sessions share through one
+        catalog need no lock; two threads deriving one key at once compute
+        it twice and one of the two equal results stays.
+        """
+        if key is None:
+            return compute(*arguments)
+        memo = self._memo
+        found = memo.get(key, _MISSING)
+        if found is _MISSING:
+            found = memo[key] = compute(*arguments)
+            if len(memo) > MEMO_ENTRIES:
+                memo.clear()
+        return found
+
+    def _layout(self) -> RelationSchema:
+        """The row layout predicates compile against."""
+        return self.derive(
+            "layout", RelationSchema, self.relation or "__sample__", self.attributes
+        )
+
     # -- selection --------------------------------------------------------- #
 
     def select(self, predicate: Predicate) -> Tuple[Optional[float], "RelationSample"]:
@@ -158,13 +225,8 @@ class RelationSample:
         referenced attribute count as satisfied (they survive the selection
         on the representation).  An empty sample, or one missing a
         referenced attribute, answers ``(None, self)`` — callers fall back
-        to the fixed constants.
-
-        Nothing is memoised here: a memo keyed by predicate on a sample the
-        catalog keeps across plans would grow without bound under ad-hoc
-        traffic.  :meth:`~repro.core.planner.cost.Statistics.selection`
-        shares the result within one plan; across plans that is the plan
-        cache's job.
+        to the fixed constants.  Every call scans; the estimator reads the
+        memoised :meth:`selection`.
         """
         referenced = predicate.attributes()
         if not self.rows or not self.has_attributes(referenced):
@@ -173,7 +235,7 @@ class RelationSample:
 
         get_registry().counter("repro.planner.sample_scans").inc()
         positions = [self.position(a) for a in referenced]
-        schema = RelationSchema(self.relation or "__sample__", self.attributes)
+        schema = self._layout()
         if any(
             SENTINEL_CLASS in set(map(type, map(itemgetter(p), self.rows)))
             for p in positions
@@ -190,6 +252,36 @@ class RelationSample:
         return fraction, RelationSample(
             self.relation, self.attributes, kept, max(1, round(self.population * fraction))
         )
+
+    def selection(self, predicate: Predicate) -> Tuple[Optional[float], "RelationSample"]:
+        """:meth:`select` as the estimator reads it, once per predicate *value*.
+
+        Keyed by :meth:`~repro.relational.predicates.Predicate.fingerprint`
+        and the referenced attributes, so the same query planned again on an
+        unchanged relation — or an equal predicate built separately — scans
+        nothing; a predicate without value identity is scanned every time.
+        A filter no sampled row passes is a small selectivity and not a
+        missing sample: the unfiltered rows (the filter taken as independent
+        of the other columns) keep the leaf's column distributions for the
+        joins above under the scaled population, which would otherwise fall
+        back to ``EQUALITY_SELECTIVITY`` — the worse, the more selective the
+        filter.
+        """
+        referenced = predicate.attributes()
+        if not self.rows or not self.has_attributes(referenced):
+            return None, self
+        key = predicate.fingerprint(self._layout())
+        if key is not None:
+            key = ("σ", referenced, key)
+        return self.derive(key, self._narrow, predicate)
+
+    def _narrow(self, predicate: Predicate) -> Tuple[Optional[float], "RelationSample"]:
+        selectivity, narrowed = self.select(predicate)
+        if not narrowed.rows:
+            narrowed = RelationSample(
+                self.relation, self.attributes, self.rows, narrowed.population
+            )
+        return selectivity, narrowed
 
     # -- facts of the rows, memoised --------------------------------------- #
 
@@ -215,17 +307,42 @@ class RelationSample:
             self._histograms[attribute] = counts
         return self._histograms[attribute]
 
-    # -- derived samples --------------------------------------------------- #
+    # -- derived samples, memoised ---------------------------------------- #
 
     def project(self, attributes: Sequence[str]) -> Optional["RelationSample"]:
+        attributes = tuple(attributes)
+        return self.derive(("π", attributes), self._project, attributes)
+
+    def _project(self, attributes: Tuple[str, ...]) -> Optional["RelationSample"]:
         if not self.has_attributes(attributes):
             return None
         columns = [map(itemgetter(self.position(a)), self.rows) for a in attributes]
         return RelationSample(self.relation, attributes, zip(*columns), self.population)
 
     def rename(self, old: str, new: str) -> "RelationSample":
+        return self.derive(("ρ", old, new), self._rename, old, new)
+
+    def _rename(self, old: str, new: str) -> "RelationSample":
         attributes = tuple(new if a == old else a for a in self.attributes)
         return RelationSample(self.relation, attributes, self.rows, self.population)
+
+
+def equi_join_selectivity(
+    left: RelationSample, left_attr: str, right: RelationSample, right_attr: str
+) -> Optional[float]:
+    """:func:`join_selectivity`, memoised on the side that sorts first by
+    (relation, attribute): one histogram overlap per join predicate and pair
+    of samples, whichever side spells it first.  The order is by name, never
+    by ``id()``, so the overlap's float sum is the same in every process.
+    The other side is in the key weakly: no sample keeps another alive, so
+    two samples never form a cycle the collector would have to find."""
+    (first, first_attr), (second, second_attr) = sorted(
+        ((left, left_attr), (right, right_attr)), key=lambda side: (side[0].relation, side[1])
+    )
+    return first.derive(
+        ("⋈", first_attr, weakref.ref(second), second_attr),
+        join_selectivity, first, first_attr, second, second_attr,
+    )
 
 
 def join_selectivity(

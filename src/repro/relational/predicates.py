@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import operator
 from types import CodeType
-from typing import Any, Callable, Dict, Iterable, List, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from ..obs.metrics import get_registry
 from .errors import PredicateError
@@ -136,6 +136,9 @@ class _Source:
     def __init__(self, schema: RelationSchema) -> None:
         self.schema = schema
         self.constants: List[Any] = []
+        #: False once a node without a fragment of its own is bound by its
+        #: ``evaluate``: the function is then that object's, not a value's.
+        self.by_value = True
 
     def cell(self, attribute: str) -> str:
         """The expression reading ``attribute`` from the row: attribute names
@@ -207,7 +210,25 @@ class Predicate:
 
         A subclass that defines only :meth:`evaluate` is called through it.
         """
+        source.by_value = False
         return f"{source.bind(self.evaluate)}(schema, row)"
+
+    def fingerprint(self, schema: RelationSchema) -> Optional[Hashable]:
+        """A key two predicates share exactly when they generate the same
+        function over ``schema``: the expression and the bound constants,
+        each with its class — ``A = 1``, ``A = 1.0``, ``A = True`` and
+        ``A = '1'`` are four keys, and two equal predicates built separately
+        are one.  None when the predicate has no value identity (a constant
+        that does not hash, or a node called through its ``evaluate``)."""
+        source = _Source(schema)
+        key = (self._fragment(source), tuple((type(c), c) for c in source.constants))
+        if not source.by_value:
+            return None
+        try:
+            hash(key)
+        except TypeError:
+            return None
+        return key
 
     def attributes(self) -> Tuple[str, ...]:
         """Return the attributes referenced by the predicate (with duplicates removed)."""

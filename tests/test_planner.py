@@ -377,21 +377,23 @@ class TestFusedSampleSelection:
         from repro.obs.metrics import get_registry
 
         scans = get_registry().counter("repro.planner.sample_scans")
-        sample = RelationSample("R", ("A", "B", "C"), [(1, 2, 3), (4, 5, 6)], 2)
-        statistics = Statistics(
-            {"R": 2}, attributes={"R": ("A", "B", "C")}, samples={"R": sample}
-        )
-        predicate = eq("A", 1)
-        query = BaseRelation("R").select(predicate)
-        before = scans.value
-        first = statistics.selection(sample, predicate)
-        assert statistics.selection(sample, predicate) is first
-        assert estimate(query, statistics) == estimate(query, statistics)
+
+        def drawn():
+            return RelationSample("R", ("A", "B", "C"), [(1, 2, 3), (4, 5, 6)], 2)
+
+        def view(sample):  # what each plan gets from the catalog
+            return Statistics({"R": 2}, attributes={"R": ("A", "B", "C")}, samples={"R": sample})
+
+        def selected(constant):
+            return BaseRelation("R").select(eq("A", constant))
+
+        sample, before = drawn(), scans.value
+        # Two plans, each with an equal predicate built separately: one scan.
+        assert estimate(selected(1), view(sample)) == estimate(selected(1), view(sample))
         assert scans.value == before + 1
-        # An equal predicate that is another object is another selection, and
-        # other statistics (another plan) share nothing.
-        statistics.selection(sample, eq("A", 1))
-        Statistics(samples={"R": sample}).selection(sample, predicate)
+        # Another predicate value, or another sample (a fresh view), scans again.
+        estimate(selected(4), view(sample))
+        estimate(selected(1), view(drawn()))
         assert scans.value == before + 3
 
 
