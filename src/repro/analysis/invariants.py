@@ -431,9 +431,8 @@ def verify_set_output(label: str, backend: Any, handle: Any) -> None:
 
     ``handle`` is a :class:`Relation` on a Database backend, a relation name
     on a UWSDT backend (checked on its template's tuple ids).  Batches inside
-    a columnar region and WSD handles pass: the first are checked when
-    ``Dematerialize`` turns them into one of the above, the second hold no
-    rows at all.
+    a columnar region pass: they are checked when ``Dematerialize`` turns
+    them into one of the above.
     """
     if isinstance(handle, Relation):
         total, distinct, what = len(handle), len(handle.row_set()), "rows"

@@ -28,11 +28,13 @@ the ones that have bitten (or nearly bitten) before:
   called in ``relational/predicates.py`` only: ``Predicate.compile`` is the
   one place that generates code, and it keeps constants and attribute names
   out of the source it generates.
-* ``operator-dispatch`` — the operators of ``wsd_ops`` / ``uwsdt_ops`` may be
-  called in ``core/exec/backends.py`` only, and those of
-  ``relational.algebra`` there and in ``query.py``'s ``_evaluate_db`` (the
-  possible-worlds oracle's reference): the executor is the only interpreter
-  of a query tree, so a second tree-walker cannot grow back beside it.
+* ``operator-dispatch`` — the operators of ``uwsdt_ops`` may be called in
+  ``core/exec/backends.py`` only, those of ``relational.algebra`` there and
+  in ``query.py``'s ``_evaluate_db`` (the possible-worlds oracle's per-world
+  reference), and those of ``wsd_ops`` in ``query.py``'s ``_evaluate_wsd``
+  only (the Figure 9 specification): the executor is the only interpreter
+  of a query tree on an engine, so a second tree-walker cannot grow back
+  beside it.
 
 Findings are compared against a checked-in baseline
 (``lint_baseline.json`` next to this module): pre-existing violations are
@@ -106,15 +108,17 @@ DYNAMIC_CODE_MODULE = "relational/predicates.py"
 
 #: The modules implementing the algebra's operators (suffixes of the imported
 #: module's absolute name), the classical operators the ``relational`` package
-#: re-exports, the one module that may call any of them, and the function
-#: that may besides call the classical ones.
+#: re-exports, the executor module that may call the engines' operators, and
+#: the reference functions that may call one operator module each.
 CLASSICAL_MODULE = "relational.algebra"
-OPERATOR_MODULES = ("core.algebra.wsd_ops", "core.algebra.uwsdt_ops", CLASSICAL_MODULE)
+SPECIFICATION_MODULE = "core.algebra.wsd_ops"
+OPERATOR_MODULES = (SPECIFICATION_MODULE, "core.algebra.uwsdt_ops", CLASSICAL_MODULE)
 CLASSICAL_OPERATORS = frozenset(
     "select project rename product union difference intersection equi_join natural_join".split()
 )
 OPERATOR_DISPATCH_MODULE = "core/exec/backends.py"
-ORACLE_REFERENCE = ("core/algebra/query.py", "_evaluate_db")
+REFERENCE_MODULE = "core/algebra/query.py"
+REFERENCE_FUNCTIONS = {"_evaluate_db": CLASSICAL_MODULE, "_evaluate_wsd": SPECIFICATION_MODULE}
 
 #: The format tag written into baselines and reports.
 BASELINE_FORMAT = "repro-lint-baseline/1"
@@ -514,8 +518,6 @@ def _operator_bindings(tree: ast.Module, path: str) -> Dict[str, str]:
 
 def check_operator_dispatch(tree: ast.Module, path: str) -> List[Violation]:
     normalized = path.replace("\\", "/")
-    if normalized.endswith(OPERATOR_DISPATCH_MODULE):
-        return []
     bindings = _operator_bindings(tree, normalized)
     calls: List[Tuple[ast.Call, str, str]] = []
     for node in ast.walk(tree):
@@ -532,7 +534,14 @@ def check_operator_dispatch(tree: ast.Module, path: str) -> List[Violation]:
     if not calls:
         return []
     enclosing = _enclosing_symbols(tree)
-    in_reference_module = normalized.endswith(ORACLE_REFERENCE[0])
+    in_dispatch_module = normalized.endswith(OPERATOR_DISPATCH_MODULE)
+    in_reference_module = normalized.endswith(REFERENCE_MODULE)
+
+    def allowed(call: ast.Call, origin: str) -> bool:
+        if in_dispatch_module:
+            return origin != SPECIFICATION_MODULE
+        return in_reference_module and REFERENCE_FUNCTIONS.get(enclosing.get(call, "")) == origin
+
     return [
         Violation(
             rule="operator-dispatch",
@@ -542,14 +551,14 @@ def check_operator_dispatch(tree: ast.Module, path: str) -> List[Violation]:
             message=(
                 f"calls {name}() of {origin} outside {OPERATOR_DISPATCH_MODULE} — the "
                 "executor is the only interpreter of a query tree; go through Query.run"
+                if origin != SPECIFICATION_MODULE
+                else f"calls {name}() of {origin} outside {REFERENCE_MODULE}'s "
+                "_evaluate_wsd — the Figure 9 operators are the specification, "
+                "not an engine; go through evaluate_on_wsd"
             ),
         )
         for call, name, origin in calls
-        if not (
-            origin == CLASSICAL_MODULE
-            and in_reference_module
-            and enclosing.get(call) == ORACLE_REFERENCE[1]
-        )
+        if not allowed(call, origin)
     ]
 
 

@@ -202,9 +202,9 @@ class SchemaContext:
         """Schema context for a live engine: names from its schema, exact
         types from whole columns — stored rows on a Database, template rows
         on a UWSDT, where a column holding a ``?`` is ``any`` (its values
-        live in components).  A WSD contributes names only."""
+        live in components)."""
         schema = getattr(engine, "schema", None)
-        if callable(schema):  # Database.schema() is a method; UWSDT/WSD attribute
+        if callable(schema):  # Database.schema() is a method; UWSDT attribute
             schema = schema()
         if schema is None:
             return cls()
@@ -216,10 +216,8 @@ class SchemaContext:
                 return None
             if hasattr(engine, "relation"):  # Database
                 rows: Iterable[Tuple[Any, ...]] = engine.relation(name)
-            elif hasattr(engine, "template_rows"):  # UWSDT
+            else:  # UWSDT
                 rows = (values for _, values in engine.template_rows(name))
-            else:
-                return None
             from ..obs.metrics import get_registry
 
             get_registry().counter("repro.analysis.type_scans", source="engine").inc()
@@ -610,8 +608,7 @@ def analyze_for_statistics(
     confirmed first: the analysis runs once more with the sampled relations'
     types read from the whole columns of the engine behind the statistics'
     catalog.  Statistics without an engine to ask (hand-built ones, a
-    collected engine) and engines without stored columns (a WSD) cannot
-    confirm, so the mismatch is not reported.
+    collected engine) cannot confirm, so the mismatch is not reported.
     """
     if context is None:
         context = SchemaContext.from_statistics(statistics)

@@ -10,7 +10,7 @@ Contents:
   decomposition and the normalization algorithms of Section 7 / Figure 20.
 * :mod:`repro.core.algebra` — query evaluation (Figure 9 and Section 5).
 * :mod:`repro.core.planner` — the logical planner: rewrite rules and a cost
-  model over query ASTs, shared by all three engines.
+  model over query ASTs, shared by the two query engines (Database, UWSDT).
 * :mod:`repro.core.confidence` — confidence computation and ``possible``
   (Section 6, Figures 17–19).
 * :mod:`repro.core.chase` — data cleaning by chasing FDs and EGDs

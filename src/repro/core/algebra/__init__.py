@@ -1,9 +1,10 @@
 """Query evaluation on world-set decompositions.
 
-* :mod:`repro.core.algebra.wsd_ops`   — the operators of Figure 9 on WSDs.
+* :mod:`repro.core.algebra.wsd_ops`   — the operators of Figure 9 on WSDs,
+  the specification (run by ``evaluate_on_wsd`` only).
 * :mod:`repro.core.algebra.uwsdt_ops` — the native UWSDT operators of Section 5.
-* :mod:`repro.core.algebra.query`     — query ASTs evaluable on databases,
-  WSDs and UWSDTs alike.
+* :mod:`repro.core.algebra.query`     — query ASTs, planned and executed on a
+  Database or a UWSDT.
 """
 
 from . import uwsdt_ops, wsd_ops

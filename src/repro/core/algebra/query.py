@@ -1,30 +1,35 @@
-"""Relational algebra query ASTs and their evaluation on all three engines.
+"""Relational algebra query ASTs and their evaluation.
 
 A :class:`Query` is a small algebra expression tree (the operators of
-Section 2: σ, π, ×, ∪, −, δ, plus an equi-join convenience node).  The same
-tree can be evaluated
+Section 2: σ, π, ×, ∪, −, δ, plus an equi-join convenience node).
+:meth:`Query.run` plans and executes it on the two query engines:
 
-* on an ordinary :class:`~repro.relational.database.Database` (classical,
-  one-world semantics) — used for the naive baseline and the 0 %-density
-  runs of Figure 30,
-* on a :class:`~repro.core.wsd.WSD` via the operators of Figure 9,
-* on a :class:`~repro.core.uwsdt.UWSDT` via the native operators of
-  Section 5.
+* an ordinary :class:`~repro.relational.database.Database` (classical,
+  one-world semantics) — the 0 %-density runs of Figure 30,
+* a :class:`~repro.core.uwsdt.UWSDT` via the native operators of Section 5.
 
-For the WSD/UWSDT engines the query processor ``Q̂`` extends the input
-representation with one intermediate relation per operator (so correlations
-with the input are preserved) and returns the name of the result relation.
+On a UWSDT the query processor ``Q̂`` extends the input representation with
+one intermediate relation per operator (so correlations with the input are
+preserved) and returns the name of the result relation.
+
+Two reference evaluators stand beside the engine, each a direct recursion
+that shares nothing with it: :func:`evaluate_on_database` (one world, the
+brute-force oracle's per-world step) and :func:`evaluate_on_wsd` (the
+operators of Figure 9 on a :class:`~repro.core.wsd.WSD`, the paper's
+specification).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+import itertools
+from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Sequence, Tuple
 
 from ...relational import algebra as relational_algebra
 from ...relational.database import Database
 from ...relational.errors import QueryError
-from ...relational.predicates import Predicate
+from ...relational.predicates import Predicate, attr_eq
 from ...relational.relation import Relation
+from . import wsd_ops
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..exec.backends import EngineBackend
@@ -136,7 +141,7 @@ class Query:
     def plan(self, engine: Optional[Any] = None, statistics: Optional[Any] = None) -> "Plan":
         """Build a :class:`~repro.core.planner.Plan` for this query.
 
-        ``engine`` may be a Database, WSD or UWSDT: statistics are served
+        ``engine`` may be a Database or a UWSDT: statistics are served
         from the engine's attached
         :class:`~repro.core.planner.catalog.StatisticsCatalog`, so planning
         a repeated (or similar) query against an unchanged engine performs
@@ -213,13 +218,17 @@ class Query:
         backend: Any = None,
         workers: Optional[int] = None,
     ) -> Any:
-        """Evaluate this query on any of the three engines.
+        """Evaluate this query on a query engine.
 
         * on a :class:`~repro.relational.database.Database` — returns the
           result :class:`~repro.relational.relation.Relation`;
-        * on a :class:`~repro.core.wsd.WSD` or :class:`~repro.core.uwsdt.UWSDT`
-          — extends the representation in place and returns the name of the
-          result relation (the paper's ``Q̂`` convention).
+        * on a :class:`~repro.core.uwsdt.UWSDT` — extends the representation
+          in place and returns the name of the result relation (the paper's
+          ``Q̂`` convention).
+
+        A :class:`~repro.core.wsd.WSD` is not an engine and raises
+        :class:`~repro.relational.errors.QueryError`: run the query on
+        ``UWSDT.from_wsd(wsd)``, or use :func:`evaluate_on_wsd`.
 
         With ``optimize=True`` (the default) the query is first rewritten by
         the logical planner (selection pushdown, join fusion, join-order
@@ -279,7 +288,7 @@ class Query:
         returns the physical tree annotated per operator with estimated vs
         actual rows, q-error, per-child input rows and self vs cumulative
         time.  Note the representation-engine convention still applies: on a
-        WSD/UWSDT the run *extends* the representation with ``result_name``.
+        UWSDT the run *extends* the representation with ``result_name``.
         For cache provenance, use
         :meth:`repro.service.Session.explain_analyze`, which serves the
         query through the plan cache.
@@ -414,9 +423,9 @@ class Difference(Query):
 class Intersection(Query):
     """Intersection ∩ (derived: ``A ∩ B = A − (A − B)``).
 
-    The Database engine evaluates it natively; the representation engines
-    evaluate the difference expansion, which is world-by-world equivalent
-    and therefore correct on WSDs/UWSDTs by Theorem 1.
+    The Database engine evaluates it natively; a UWSDT and the Figure 9
+    specification evaluate the difference expansion, which is world-by-world
+    equivalent and therefore correct on representations by Theorem 1.
     """
 
     def __init__(self, left: Query, right: Query) -> None:
@@ -427,7 +436,7 @@ class Intersection(Query):
         return (self.left, self.right)
 
     def expanded(self) -> Difference:
-        """The ``A − (A − B)`` form the representation engines evaluate."""
+        """The ``A − (A − B)`` form a UWSDT and a WSD evaluate."""
         return Difference(self.left, Difference(self.left, self.right))
 
     def node_label(self) -> str:
@@ -543,18 +552,82 @@ def _evaluate_db(query: Query, database: Database) -> Relation:
 
 
 # --------------------------------------------------------------------------- #
-# Evaluation on WSDs (Figure 9) and UWSDTs (Section 5)
+# Evaluation on WSDs (Figure 9): the specification the UWSDT engine meets
 # --------------------------------------------------------------------------- #
 
+# A WSD is the paper's *definition* of query semantics on decompositions
+# (Sections 3–4), not a query engine: the planner, the executor, the
+# statistics catalog and the service serve Database and UWSDT only.
+# ``evaluate_on_wsd`` is therefore, like ``evaluate_on_database``, a direct
+# recursion over its operator module that shares nothing with the code the
+# oracle checks.  To run a query on a WSD through the engine, convert it:
+# ``UWSDT.from_wsd(wsd)``, ``query.run(...)``, ``.to_wsd()``.
 
-def evaluate_on_wsd(query: Query, engine: Any, result_name: str = "result") -> str:
-    """Evaluate ``query`` on a WSD or UWSDT in place; return the result relation's name.
+
+def evaluate_on_wsd(query: Query, wsd: Any, result_name: str = "result") -> str:
+    """Evaluate ``query`` on a WSD in place with the operators of Figure 9.
+
+    The WSD is extended with one relation per operator (the paper's ``Q̂``)
+    and the last one is named ``result_name``, which is returned.  A join is
+    the derived ``σ_{A=B}(R × S)`` of Section 2, an intersection
+    ``A − (A − B)``.
+    """
+    names = (
+        name
+        for name in (f"__q{index}" for index in itertools.count(1))
+        if not wsd.schema.has_relation(name)
+    )
+    return _evaluate_wsd(query, wsd, result_name, names)
+
+
+def _evaluate_wsd(query: Query, wsd: Any, target: Optional[str], names: Iterator[str]) -> str:
+    """Write ``query``'s answer into ``target`` (a fresh name when None)."""
+    if isinstance(query, BaseRelation):
+        if target is None or target == query.name:
+            return query.name
+        wsd_ops.copy_relation(wsd, query.name, target)
+        return target
+    if isinstance(query, Join):
+        product = Product(query.left, query.right)
+        return _evaluate_wsd(
+            Select(product, attr_eq(query.left_attr, query.right_attr)), wsd, target, names
+        )
+    if isinstance(query, Intersection):
+        return _evaluate_wsd(query.expanded(), wsd, target, names)
+    if isinstance(query, (Select, Project, Rename)):
+        child = _evaluate_wsd(query.child, wsd, None, names)
+        result = target if target is not None else next(names)
+        if isinstance(query, Select):
+            wsd_ops.select(wsd, child, result, query.predicate)
+        elif isinstance(query, Project):
+            wsd_ops.project(wsd, child, result, query.attributes)
+        else:
+            wsd_ops.rename(wsd, child, result, query.old, query.new)
+        return result
+    if isinstance(query, (Product, Union, Difference)):
+        left = _evaluate_wsd(query.left, wsd, None, names)
+        right = _evaluate_wsd(query.right, wsd, None, names)
+        if isinstance(query, Union) and right == left:
+            # Union tuple ids derive from the operand names: alias one side.
+            alias = next(names)
+            wsd_ops.copy_relation(wsd, right, alias)
+            right = alias
+        result = target if target is not None else next(names)
+        if isinstance(query, Product):
+            wsd_ops.product(wsd, left, right, result)
+        elif isinstance(query, Union):
+            wsd_ops.union(wsd, left, right, result)
+        else:
+            wsd_ops.difference(wsd, left, right, result)
+        return result
+    raise QueryError(f"unknown query node {query!r}")
+
+
+def evaluate_on_uwsdt(query: Query, engine: Any, result_name: str = "result") -> str:
+    """Evaluate ``query`` on a UWSDT in place; return the result relation's name.
 
     The representation is extended with one relation per operator of the
     query; the final operator's output is named ``result_name``.  A spelling
     of ``query.run(engine, result_name, optimize=False)`` on the row backend.
     """
     return query.run(engine, result_name, optimize=False, backend="row")
-
-
-evaluate_on_uwsdt = evaluate_on_wsd

@@ -1,5 +1,10 @@
 """Relational algebra on WSDs — the algorithms of Figure 9.
 
+These operators are the specification the UWSDT engine is checked against,
+not a query engine: :func:`~repro.core.algebra.query.evaluate_on_wsd` is
+their one interpreter, and they carry no fast paths.  A join is the derived
+``σ_{A=B}(R × S)``.
+
 Every operator follows the paper's pattern: the input WSD is *extended*
 with a result relation (so correlations between the input and the result
 are preserved, as required for compositional query evaluation), and the
@@ -17,14 +22,12 @@ components of the referenced fields first, exactly as ``select[AθB]``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-from ...relational.errors import RepresentationError, SchemaError
-from ...relational.indexes import HashIndex
-from ...relational.predicates import AttrConst, Predicate
-from ...relational.relation import Relation
+from ...relational.errors import SchemaError
+from ...relational.predicates import Predicate
 from ...relational.schema import DatabaseSchema, RelationSchema
-from ...relational.values import BOTTOM, is_domain_value
+from ...relational.values import BOTTOM
 from ..component import Component
 from ..fields import FieldRef, product_tuple_id, union_tuple_id
 from ..wsd import WSD
@@ -80,48 +83,6 @@ def _mark_deleted(component: Component, relation: str, tuple_id: Any, row_indice
     return Component(component.fields, new_rows, component.probabilities)
 
 
-def _equality_fast_path(wsd: WSD, target: str, predicate: Predicate):
-    """Resolve tuples with a *certain* referenced field via a hash-index probe.
-
-    For a pushed-down equality selection ``σ_{A=c}``, a tuple whose ``A``
-    field takes the same domain value in every local world is decided by a
-    single probe of a :class:`~repro.relational.indexes.HashIndex` built
-    over those certain values: matching tuples are kept untouched, the rest
-    are marked deleted (``⊥``) wholesale.  Returns the tuple ids whose
-    referenced field is genuinely uncertain (they still need the per-local-
-    world treatment of Figure 9), or None when the fast path does not apply.
-    """
-    if not isinstance(predicate, AttrConst) or predicate.op not in ("=", "=="):
-        return None
-    try:
-        hash(predicate.constant)
-    except TypeError:
-        return None
-    attribute = predicate.attribute
-    probe = Relation(RelationSchema("__select_probe__", ("TID", "VAL")))
-    uncertain = []
-    for tuple_id in wsd.tuple_ids[target]:
-        field = FieldRef(target, tuple_id, attribute)
-        component = wsd.component_for(field)
-        column = component.column(field)
-        first = column[0] if column else BOTTOM
-        if is_domain_value(first) and all(value == first for value in column[1:]):
-            probe.insert((tuple_id, first))
-        else:
-            uncertain.append(tuple_id)
-    index = HashIndex(probe, ("VAL",))
-    matching = {row[0] for row in index.lookup(predicate.constant)}
-    for tuple_id, _ in probe:
-        if tuple_id in matching:
-            continue
-        field = FieldRef(target, tuple_id, attribute)
-        component_index = wsd.component_of(field)
-        component = wsd.components[component_index]
-        component = _mark_deleted(component, target, tuple_id, range(component.size))
-        wsd.replace_component(component_index, component.propagate_bottom())
-    return uncertain
-
-
 def select(wsd: WSD, source: str, target: str, predicate: Predicate) -> None:
     """Selection ``P := σ_pred(R)`` on a WSD (Figure 9, both selection variants).
 
@@ -136,10 +97,7 @@ def select(wsd: WSD, source: str, target: str, predicate: Predicate) -> None:
 
     copy_relation(wsd, source, target)
     referenced = predicate.attributes()
-    remaining = _equality_fast_path(wsd, target, predicate)
-    if remaining is None:
-        remaining = wsd.tuple_ids[target]
-    for tuple_id in remaining:
+    for tuple_id in wsd.tuple_ids[target]:
         fields = [FieldRef(target, tuple_id, attribute) for attribute in referenced]
         component_index = wsd.merge_components_of(fields)
         component = wsd.components[component_index]
@@ -258,116 +216,6 @@ def product(wsd: WSD, left: str, right: str, target: str) -> None:
     # its fields is ⊥, so copying ⊥ values from either operand already
     # encodes "present only if both operands are present"; no component
     # composition is needed here (it is performed lazily by projection).
-
-
-def equi_join(wsd: WSD, left: str, right: str, left_attr: str, right_attr: str, target: str) -> None:
-    """Equi-join ``T := R ⋈_{A=B} S`` natively on a WSD.
-
-    The derived-operator expansion (product, then selection) extends every
-    component once per *pair* of tuples — quadratic even when almost no pair
-    can ever join.  This operator creates result slots only for pairs whose
-    join fields share at least one possible domain value: certain/certain
-    pairs are matched with a hash index, pairs involving an uncertain join
-    field are matched on candidate-set overlap and then conditioned on the
-    join values actually agreeing (compose + mark-deleted + ``propagate-⊥``,
-    the ``select[AθB]`` machinery of Figure 9).
-
-    Tuple-presence composition is inherited from the product argument: a
-    result tuple is absent from a world as soon as any copied field is
-    ``⊥``, so copying the operand columns already encodes "present only if
-    both operands are present".
-    """
-    left_schema = wsd.schema.relation(left)
-    right_schema = wsd.schema.relation(right)
-    overlap = set(left_schema.attributes) & set(right_schema.attributes)
-    if overlap:
-        raise SchemaError(
-            f"equi-join requires disjoint attributes, both sides have {sorted(overlap)!r}"
-        )
-    left_schema.position(left_attr)
-    right_schema.position(right_attr)
-    if wsd.schema.has_relation(target):
-        raise SchemaError(f"relation {target!r} already exists in the WSD")
-
-    def candidates(relation: str, tuple_id: Any, attribute: str) -> frozenset:
-        field = FieldRef(relation, tuple_id, attribute)
-        column = wsd.component_for(field).column(field)
-        return frozenset(value for value in column if value is not BOTTOM)
-
-    certain_probe = Relation(RelationSchema("__join_probe__", ("TID", "VAL")))
-    uncertain_right: List[Tuple[Any, frozenset]] = []
-    for j in wsd.tuple_ids[right]:
-        right_candidates = candidates(right, j, right_attr)
-        if not right_candidates:
-            continue  # deleted in every world: can never join
-        if len(right_candidates) == 1:
-            certain_probe.insert((j, next(iter(right_candidates))))
-        else:
-            uncertain_right.append((j, right_candidates))
-    certain_index = HashIndex(certain_probe, ("VAL",))
-
-    #: Matched pairs; ``must_check`` marks pairs whose join values can differ.
-    pairs: List[Tuple[Any, Any, bool]] = []
-    for i in wsd.tuple_ids[left]:
-        left_candidates = candidates(left, i, left_attr)
-        if not left_candidates:
-            continue
-        left_certain = len(left_candidates) == 1
-        matched: set = set()
-        for value in left_candidates:
-            for j, _ in certain_index.lookup(value):
-                if j not in matched:
-                    matched.add(j)
-                    pairs.append((i, j, not left_certain))
-        for j, right_candidates in uncertain_right:
-            if left_candidates & right_candidates:
-                pairs.append((i, j, True))
-
-    target_ids = [product_tuple_id(i, j) for i, j, _ in pairs]
-    wsd.add_relation(
-        RelationSchema(target, left_schema.attributes + right_schema.attributes), target_ids
-    )
-
-    pairs_by_left: Dict[Any, List[Any]] = {}
-    pairs_by_right: Dict[Any, List[Any]] = {}
-    for i, j, _ in pairs:
-        tuple_id = product_tuple_id(i, j)
-        pairs_by_left.setdefault(i, []).append(tuple_id)
-        pairs_by_right.setdefault(j, []).append(tuple_id)
-
-    for index, component in enumerate(wsd.components):
-        extended = component
-        for field in component.fields:
-            if field.relation == left:
-                for tuple_id in pairs_by_left.get(field.tuple_id, ()):
-                    extended = extended.ext(field, FieldRef(target, tuple_id, field.attribute))
-            elif field.relation == right:
-                for tuple_id in pairs_by_right.get(field.tuple_id, ()):
-                    extended = extended.ext(field, FieldRef(target, tuple_id, field.attribute))
-        if extended is not component:
-            wsd.replace_component(index, extended)
-
-    # Condition pairs with uncertain join fields on the values agreeing.
-    for i, j, must_check in pairs:
-        if not must_check:
-            continue
-        tuple_id = product_tuple_id(i, j)
-        left_field = FieldRef(target, tuple_id, left_attr)
-        right_field = FieldRef(target, tuple_id, right_attr)
-        component_index = wsd.merge_components_of([left_field, right_field])
-        component = wsd.components[component_index]
-        left_position = component.position(left_field)
-        right_position = component.position(right_field)
-        failing = [
-            row_index
-            for row_index, row in enumerate(component.rows)
-            if row[left_position] is not BOTTOM
-            and row[right_position] is not BOTTOM
-            and row[left_position] != row[right_position]
-        ]
-        if failing:
-            component = _mark_deleted(component, target, tuple_id, failing)
-            wsd.replace_component(component_index, component.propagate_bottom())
 
 
 def union(wsd: WSD, left: str, right: str, target: str) -> None:

@@ -5,14 +5,14 @@ package *lowers* its chosen tree into a :class:`PhysicalPlan` of concrete
 operators (``Scan`` / ``IndexScan`` / ``Filter`` / ``HashJoin`` /
 ``IndexNestedLoopJoin`` / ``Product`` / ``Project`` / ``Rename`` /
 ``Union`` / ``Difference`` / ``Intersection``) and executes it through an
-:class:`EngineBackend` — one per representation system, all wrapping the
-operator modules that implement the paper's semantics.  Execution records
+:class:`EngineBackend` — one per query engine (Database, UWSDT), each
+wrapping the operator module that implements the paper's semantics.  Execution records
 per-operator runtime metrics (estimated vs actual cardinality among them).
 
 * :mod:`repro.core.exec.physical` — operator nodes, the executor,
   ``PhysicalPlan.explain()``.
 * :mod:`repro.core.exec.backends` — the ``EngineBackend`` protocol and the
-  Database/WSD/UWSDT implementations (the only place engine types are
+  Database/UWSDT implementations (the only place engine types are
   dispatched on).
 * :mod:`repro.core.exec.lower`    — logical → physical lowering, including
   the hash-join vs index-nested-loop-join cost decision.
@@ -25,7 +25,6 @@ from .backends import (
     DatabaseBackend,
     EngineBackend,
     UWSDTBackend,
-    WSDBackend,
     backend_for,
     index_pool_for,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "DatabaseBackend",
     "EngineBackend",
     "UWSDTBackend",
-    "WSDBackend",
     "backend_for",
     "index_pool_for",
     "BACKEND_ENV",

@@ -1,20 +1,22 @@
-"""Engine backends: one executor per representation system.
+"""Engine backends: one executor per query engine.
 
 The physical layer talks to engines exclusively through the
-:class:`EngineBackend` interface, and this module is the only caller of the
-operator modules (lint rule ``operator-dispatch``).  Each backend wraps one
-(:mod:`~repro.relational.algebra` for classical relations,
-:mod:`~repro.core.algebra.wsd_ops` for WSDs,
-:mod:`~repro.core.algebra.uwsdt_ops` for UWSDTs) behind a uniform
-handle-passing protocol:
+:class:`EngineBackend` interface, and this module is the executor's only
+caller of the operator modules (lint rule ``operator-dispatch``).  Each
+backend wraps one (:mod:`~repro.relational.algebra` for classical
+relations, :mod:`~repro.core.algebra.uwsdt_ops` for UWSDTs) behind a
+uniform handle-passing protocol:
 
 * on a :class:`~repro.relational.database.Database` a handle is a
   :class:`~repro.relational.relation.Relation` (operators are pure
   functions);
-* on a :class:`~repro.core.wsd.WSD` / :class:`~repro.core.uwsdt.UWSDT` a
-  handle is a relation *name* — the operators extend the representation in
-  place, one intermediate relation per operator, preserving correlations
-  with the input (the paper's ``Q̂`` convention).
+* on a :class:`~repro.core.uwsdt.UWSDT` a handle is a relation *name* —
+  the operators extend the representation in place, one intermediate
+  relation per operator, preserving correlations with the input (the
+  paper's ``Q̂`` convention).
+
+A :class:`~repro.core.wsd.WSD` has no backend: it is the specification the
+UWSDT operators are checked against (:func:`unsupported_engine`).
 
 Capability flags (``supports_index_scan``, ``supports_index_join``,
 ``native_intersection``) tell the lowering pass which physical operators
@@ -32,9 +34,8 @@ from ...relational.errors import QueryError
 from ...relational.indexes import INDEX_POOL_ATTRIBUTE, IndexPool
 from ...relational.predicates import Predicate
 from ...relational.relation import Relation
-from ..algebra import uwsdt_ops, wsd_ops
+from ..algebra import uwsdt_ops
 from ..uwsdt import UWSDT
-from ..wsd import WSD
 
 
 def index_pool_for(engine: Any) -> IndexPool:
@@ -179,16 +180,16 @@ def _name_generator(prefix: str, schema) -> Iterator[str]:
             yield name
 
 
-class _RepresentationBackend(EngineBackend):
-    """The in-place WSD/UWSDT backends: one body over the operator module.
+class UWSDTBackend(EngineBackend):
+    """The native Section 5 operators over template relations.
 
-    ``wsd_ops`` and ``uwsdt_ops`` share one calling convention (engine,
-    operand names, target name), so the operators are written once, over
-    :attr:`ops`; a subclass names its module, its copy device
-    (``copy(name, target)``) and how it counts rows.
+    The operators extend the UWSDT in place: a handle is a relation name,
+    and each operator writes one new relation (the paper's ``Q̂``).
     """
 
-    ops: Any = None
+    kind = "uwsdt"
+    supports_index_scan = True
+    supports_index_join = True
 
     def begin(self, result_name: str) -> None:
         self._names = _name_generator("__q", self.engine.schema)
@@ -196,30 +197,40 @@ class _RepresentationBackend(EngineBackend):
     def target(self, result_name: Optional[str]) -> str:
         return result_name if result_name is not None else next(self._names)
 
+    def copy(self, name: str, target: str) -> None:
+        # uwsdt_ops has no copy operator: an identity rename is one.
+        attribute = self.engine.schema.relation(name).attributes[0]
+        uwsdt_ops.rename(self.engine, name, target, attribute, attribute)
+
     def scan(self, name: str, result_name: Optional[str]) -> str:
         if result_name is not None and result_name != name:
             self.copy(name, result_name)
             return result_name
         return name
 
+    def index_scan(self, name: str, predicate: Predicate, result_name) -> str:
+        # uwsdt_ops.select probes the cached template index itself for
+        # hashable equality predicates (the candidate fast path).
+        return self.filter(name, predicate, result_name)
+
     def filter(self, child: str, predicate: Predicate, result_name) -> str:
         target = self.target(result_name)
-        self.ops.select(self.engine, child, target, predicate)
+        uwsdt_ops.select(self.engine, child, target, predicate)
         return target
 
     def project(self, child: str, attributes: Sequence[str], result_name) -> str:
         target = self.target(result_name)
-        self.ops.project(self.engine, child, target, attributes)
+        uwsdt_ops.project(self.engine, child, target, attributes)
         return target
 
     def rename(self, child: str, old: str, new: str, result_name) -> str:
         target = self.target(result_name)
-        self.ops.rename(self.engine, child, target, old, new)
+        uwsdt_ops.rename(self.engine, child, target, old, new)
         return target
 
     def product(self, left: str, right: str, result_name) -> str:
         target = self.target(result_name)
-        self.ops.product(self.engine, left, right, target)
+        uwsdt_ops.product(self.engine, left, right, target)
         return target
 
     def union(self, left: str, right: str, result_name) -> str:
@@ -230,59 +241,18 @@ class _RepresentationBackend(EngineBackend):
             self.copy(right, alias)
             right = alias
         target = self.target(result_name)
-        self.ops.union(self.engine, left, right, target)
+        uwsdt_ops.union(self.engine, left, right, target)
         return target
 
     def difference(self, left: str, right: str, result_name) -> str:
         target = self.target(result_name)
-        self.ops.difference(self.engine, left, right, target)
+        uwsdt_ops.difference(self.engine, left, right, target)
         return target
 
     def hash_join(self, left: str, right: str, left_attr: str, right_attr: str, result_name) -> str:
         target = self.target(result_name)
-        self.ops.equi_join(self.engine, left, right, left_attr, right_attr, target)
+        uwsdt_ops.equi_join(self.engine, left, right, left_attr, right_attr, target)
         return target
-
-    def arity(self, handle: str) -> int:
-        return self.engine.schema.relation(handle).arity
-
-    def base_arity(self, relation_name: str) -> int:
-        return self.engine.schema.relation(relation_name).arity
-
-    def base_rows(self, relation_name: str) -> int:
-        return self.row_count(relation_name)
-
-
-class WSDBackend(_RepresentationBackend):
-    """The Figure 9 operators over world-set decompositions."""
-
-    kind = "wsd"
-    ops = wsd_ops
-
-    def copy(self, name: str, target: str) -> None:
-        wsd_ops.copy_relation(self.engine, name, target)
-
-    def row_count(self, handle: str) -> int:
-        return len(self.engine.tuple_ids.get(handle, ()))
-
-
-class UWSDTBackend(_RepresentationBackend):
-    """The native Section 5 operators over template relations."""
-
-    kind = "uwsdt"
-    ops = uwsdt_ops
-    supports_index_scan = True
-    supports_index_join = True
-
-    def copy(self, name: str, target: str) -> None:
-        # uwsdt_ops has no copy operator: an identity rename is one.
-        attribute = self.engine.schema.relation(name).attributes[0]
-        uwsdt_ops.rename(self.engine, name, target, attribute, attribute)
-
-    def index_scan(self, name: str, predicate: Predicate, result_name) -> str:
-        # uwsdt_ops.select probes the cached template index itself for
-        # hashable equality predicates (the candidate fast path).
-        return self.filter(name, predicate, result_name)
 
     def index_join(self, outer: str, inner_name: str, outer_attr: str, inner_attr: str, result_name) -> str:
         target = self.target(result_name)
@@ -300,6 +270,26 @@ class UWSDTBackend(_RepresentationBackend):
     def row_count(self, handle: str) -> int:
         return self.engine.template_size(handle)
 
+    def arity(self, handle: str) -> int:
+        return self.engine.schema.relation(handle).arity
+
+    def base_rows(self, relation_name: str) -> int:
+        return self.row_count(relation_name)
+
+    def base_arity(self, relation_name: str) -> int:
+        return self.engine.schema.relation(relation_name).arity
+
+
+def unsupported_engine(engine: Any) -> QueryError:
+    """The error for planning or running a query on anything but the two
+    engines.  A :class:`~repro.core.wsd.WSD` is the paper's specification
+    of query semantics (Sections 3–4), not an engine: it runs a query as a
+    UWSDT, or through the Figure 9 operators of ``evaluate_on_wsd``."""
+    return QueryError(
+        f"cannot plan or run a query on {type(engine).__name__}; expected Database or "
+        "UWSDT (a WSD runs one as UWSDT.from_wsd(wsd), or through evaluate_on_wsd)"
+    )
+
 
 def backend_for(engine: Any) -> EngineBackend:
     """The backend matching an engine object.
@@ -311,9 +301,4 @@ def backend_for(engine: Any) -> EngineBackend:
         return DatabaseBackend(engine)
     if isinstance(engine, UWSDT):
         return UWSDTBackend(engine)
-    if isinstance(engine, WSD):
-        return WSDBackend(engine)
-    raise QueryError(
-        f"cannot evaluate a query on {type(engine).__name__}; "
-        "expected Database, WSD or UWSDT"
-    )
+    raise unsupported_engine(engine)

@@ -51,7 +51,7 @@ from ...relational.relation import Relation
 from ...relational.schema import RelationSchema
 from ...relational.predicates import Predicate
 from ...relational.values import PLACEHOLDER
-from .backends import DatabaseBackend, EngineBackend, UWSDTBackend, backend_for, index_pool_for
+from .backends import DatabaseBackend, EngineBackend, backend_for, index_pool_for
 from .physical import (
     Dematerialize,
     IndexNestedLoopJoin,
@@ -318,13 +318,7 @@ class ColumnarBackend(EngineBackend):
 
     def __init__(self, engine: Any) -> None:
         super().__init__(engine)
-        inner = backend_for(engine)
-        if not isinstance(inner, (DatabaseBackend, UWSDTBackend)):
-            raise QueryError(
-                f"the columnar backend cannot wrap a {inner.kind!r} engine; "
-                "use backend='row' (WSD fields resolve through components)"
-            )
-        self.inner = inner
+        self.inner = inner = backend_for(engine)
         self.pool = index_pool_for(engine)
         self._scanned: Set[str] = set()
         self.supports_index_scan = inner.supports_index_scan
@@ -586,10 +580,8 @@ def resolve_backend(
 
     ``spec`` is ``"row"``, ``"columnar"``, ``"sharded"`` or None (meaning:
     the ``REPRO_BACKEND`` environment variable, defaulting to ``"row"``).
-    An already-constructed backend passes through unchanged.  WSD engines
-    have neither columnar kernels nor shardable tuple ids, so every spec
-    resolves to their row backend.  ``workers`` sizes the sharded worker
-    pool (default: ``REPRO_SHARD_WORKERS``, else 2).
+    An already-constructed backend passes through unchanged.  ``workers``
+    sizes the sharded worker pool (default: ``REPRO_SHARD_WORKERS``, else 2).
     """
     if isinstance(spec, EngineBackend):
         return spec
@@ -597,9 +589,8 @@ def resolve_backend(
         spec = os.environ.get(BACKEND_ENV) or "row"
     if spec not in BACKEND_SPECS:
         raise QueryError(f"unknown backend {spec!r}; expected one of {BACKEND_SPECS}")
-    row = backend_for(engine)
-    if spec == "row" or row.kind == "wsd":
-        return row
+    if spec == "row":
+        return backend_for(engine)
     if spec == "columnar":
         return ColumnarBackend(engine)
     from .shard import ShardedBackend

@@ -8,7 +8,7 @@ relation becomes an :class:`IndexScan`; a ``Join`` becomes a
 model and index availability).  The plan is engine-agnostic — executing it
 against an :class:`~repro.core.exec.backends.EngineBackend` produces a
 classical relation on a Database and extends the representation in place on
-a WSD/UWSDT, exactly as the paper's ``Q̂`` convention prescribes.
+a UWSDT, exactly as the paper's ``Q̂`` convention prescribes.
 
 Execution records an :class:`~repro.core.exec.metrics.OperatorMetrics` per
 node (rows in/out, wall time, estimated vs actual cardinality), which
@@ -340,7 +340,7 @@ class ExecutionResult:
 
     ``value`` is what ``Query.run`` returns without metrics collection: the
     result :class:`~repro.relational.relation.Relation` on a Database, the
-    result relation's name on a WSD/UWSDT.
+    result relation's name on a UWSDT.
     """
 
     def __init__(self, value: Any, metrics: ExecutionMetrics, physical: "PhysicalPlan") -> None:
@@ -369,7 +369,7 @@ class PhysicalPlan:
     def execute(self, backend: Any, result_name: str = "result") -> Any:
         """Run the plan against ``backend``; returns the backend's result
         (the result :class:`~repro.relational.relation.Relation` on a
-        Database, the result relation's *name* on a WSD/UWSDT)."""
+        Database, the result relation's *name* on a UWSDT)."""
         if backend.kind != self.engine:
             raise QueryError(
                 f"plan lowered for the {self.engine!r} engine cannot run on "

@@ -58,7 +58,7 @@ from ..component import Component
 from ..fields import FieldRef
 from ..unionfind import UnionFind
 from ..uwsdt import UWSDT
-from .backends import DatabaseBackend, EngineBackend, UWSDTBackend, backend_for
+from .backends import EngineBackend, backend_for
 from .metrics import OperatorMetrics
 from .physical import (
     Exchange,
@@ -291,11 +291,6 @@ class ShardedBackend(EngineBackend):
     def __init__(self, engine: Any, workers: int = DEFAULT_WORKERS) -> None:
         super().__init__(engine)
         inner = backend_for(engine)
-        if not isinstance(inner, (DatabaseBackend, UWSDTBackend)):
-            raise QueryError(
-                f"the sharded backend cannot wrap a {inner.kind!r} engine; "
-                "use backend='row' (WSD tuple ids are engine-global)"
-            )
         if workers < 1:
             raise QueryError(f"sharded execution needs workers >= 1, got {workers}")
         self.inner = inner

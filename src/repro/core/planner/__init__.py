@@ -4,8 +4,8 @@
   (selection pushdown, σ(A=B)∘× → equi-join fusion, projection pushdown,
   rename elimination, join-order search).
 * :mod:`repro.core.planner.cost`     — cardinality/width cost model with
-  one checked-in set of operator constants per representation engine
-  (``COST_MODELS``), fed by template-row counts, component statistics and
+  one checked-in set of operator constants per query engine, Database or
+  UWSDT (``COST_MODELS``), fed by row counts, placeholder densities and
   bounded row samples.
 * :mod:`repro.core.planner.sampling` — bounded uniform samples of template rows;
   sampled predicate/join selectivities and distinct counts.

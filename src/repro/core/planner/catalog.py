@@ -26,10 +26,11 @@ UWSDT     identity + version of the ``R`` template relation, plus
           determine ``R``'s statistics (samples read only the template,
           densities only the count), so query intermediates added by
           ``Q̂`` and chase component merges leave base entries valid
-WSD       ``WSD.revision`` (bumped by every component surgery and relation
-          add/drop — WSD samples resolve each field *through* its
-          component, so any surgery may change any relation's sample)
 ========  ==================================================================
+
+A :class:`~repro.core.wsd.WSD` has no catalog: it is the paper's
+specification (Sections 3–4), not a query engine.  Plan on
+``UWSDT.from_wsd(wsd)`` instead.
 
 Entries are checked lazily on every access (polling the version key is an
 integer comparison plus, on a UWSDT, a sum over the relation's placeholder
@@ -55,15 +56,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ...relational.database import Database
 from ..uwsdt import UWSDT
-from ..wsd import WSD
-from .cost import Statistics, uwsdt_relation_statistics, wsd_relation_statistics
-from .sampling import (
-    DEFAULT_SAMPLE_SIZE,
-    RelationSample,
-    sample_database,
-    sample_uwsdt,
-    sample_wsd,
-)
+from .cost import Statistics, uwsdt_relation_statistics
+from .sampling import DEFAULT_SAMPLE_SIZE, RelationSample, sample_database, sample_uwsdt
 
 #: Attribute under which :func:`catalog_for` stores the catalog on an engine.
 CATALOG_ATTRIBUTE = "_statistics_catalog"
@@ -80,8 +74,8 @@ class CatalogEntry:
     attributes: Tuple[str, ...]
     sample: Optional[RelationSample]
     #: The versioned object the key's identity component refers to (the
-    #: relation / template Relation, or the WSD itself).  Holding it keeps
-    #: the identity check sound (no id reuse while the entry lives).
+    #: relation or the template Relation).  Holding it keeps the identity
+    #: check sound (no id reuse while the entry lives).
     anchor: Any
 
 
@@ -89,8 +83,10 @@ class StatisticsCatalog:
     """Version-validated cache of per-relation planner statistics."""
 
     def __init__(self, engine: Any, sample_size: int = DEFAULT_SAMPLE_SIZE) -> None:
-        if not isinstance(engine, (Database, WSD, UWSDT)):
-            raise TypeError(f"cannot derive statistics from {type(engine).__name__}")
+        if not isinstance(engine, (Database, UWSDT)):
+            from ..exec.backends import unsupported_engine
+
+            raise unsupported_engine(engine)
         #: Weak: the catalog hangs off its engine (:func:`catalog_for`), and a
         #: strong reference back would turn
         #: every discarded engine copy — templates included — into cyclic
@@ -105,12 +101,7 @@ class StatisticsCatalog:
         #: Cache telemetry (reads that reused / rebuilt an entry).
         self.hits = 0
         self.misses = 0
-        if isinstance(engine, Database):
-            self.kind = "database"
-        elif isinstance(engine, UWSDT):
-            self.kind = "uwsdt"
-        else:
-            self.kind = "wsd"
+        self.kind = "database" if isinstance(engine, Database) else "uwsdt"
 
     @property
     def engine(self) -> Any:
@@ -135,17 +126,13 @@ class StatisticsCatalog:
         if self.kind == "database":
             relation = self.engine.relation(name)
             return (relation.version,), relation
-        if self.kind == "uwsdt":
-            template = self.engine.templates[name]
-            return (template.version, self.engine.relation_placeholder_count(name)), template
-        return (self.engine.revision,), self.engine
+        template = self.engine.templates[name]
+        return (template.version, self.engine.relation_placeholder_count(name)), template
 
     def _row_count_and_density(self, name: str) -> Tuple[int, float]:
         if self.kind == "database":
             return len(self.engine.relation(name)), 0.0
-        if self.kind == "uwsdt":
-            return uwsdt_relation_statistics(self.engine, name)
-        return wsd_relation_statistics(self.engine, name)
+        return uwsdt_relation_statistics(self.engine, name)
 
     def _sample_one(self, name: str, sample_size: int) -> Optional[RelationSample]:
         if not sample_size:
@@ -155,9 +142,7 @@ class StatisticsCatalog:
         with get_tracer().span("sampling", relation=name, engine=self.kind):
             if self.kind == "database":
                 return sample_database(self.engine, name, sample_size)
-            if self.kind == "uwsdt":
-                return sample_uwsdt(self.engine, name, sample_size)
-            return sample_wsd(self.engine, name, sample_size)
+            return sample_uwsdt(self.engine, name, sample_size)
 
     # ------------------------------------------------------------------ #
     # Entries
@@ -235,8 +220,8 @@ class StatisticsCatalog:
         scanned); row counts, densities and attribute lists still cover
         every relation of the engine.  Warm entries are served without any
         sampling work; a catalog attached to nothing has none, which is how
-        ``Statistics.from_database`` / ``from_wsd`` / ``from_uwsdt`` build
-        fresh statistics.
+        ``Statistics.from_database`` / ``from_uwsdt`` build fresh
+        statistics.
         """
         with self._lock:
             size = self.sample_size if sample_size is None else sample_size

@@ -2,11 +2,9 @@
 
 The planner compares rewritten plans through a simple cost model: estimated
 operator work as a function of input cardinalities.  The cardinalities come
-from :class:`Statistics`, which every engine can produce cheaply —
+from :class:`Statistics`, which both query engines produce cheaply —
 
 * a :class:`~repro.relational.database.Database` reports relation sizes,
-* a :class:`~repro.core.wsd.WSD` reports tuple counts per relation plus the
-  fraction of fields whose component has more than one local world,
 * a :class:`~repro.core.uwsdt.UWSDT` reports template-row counts plus the
   placeholder density per template (the quantity the paper's Figure 27
   tracks as ``|R|`` and ``#comp``).
@@ -23,10 +21,10 @@ There is one estimator.  The node-level steps (``select_estimate``,
 its candidates with them, and lowering reads the join algorithm they chose —
 so the number that picks a plan is the number every report shows for it.
 
-Per-operator constants are engine-specific (:class:`CostModel`): a WSD
-product pays component ``ext`` copies per output tuple while a classical
-product just concatenates rows, and the difference operator composes
-components pairwise on both representation engines.  The planner only ever
+Per-operator constants are engine-specific (:class:`CostModel`): a UWSDT
+product pays component ``ext`` copies for its placeholder fields while a
+classical product just concatenates rows, and the UWSDT difference composes
+components pairwise.  The planner only ever
 compares plans for the *same* engine, so only the constants' ratios matter.
 
 Uncertainty matters to cost: a selection over a template keeps every tuple
@@ -82,11 +80,9 @@ class CostModel:
 
     * ``Database`` operators move plain tuples; the hash join's build and
       probe are as cheap as a scan.
-    * ``WSD`` operators copy component columns (``ext``) per output tuple
-      and ``select``/``project`` run the per-local-world machinery of
-      Figure 9; ``difference`` composes components pairwise.
     * ``UWSDT`` operators are template-relation work plus component ``ext``
-      only for placeholder fields — cheaper than WSD, dearer than classical.
+      only for placeholder fields — dearer than classical; ``difference``
+      composes components pairwise.
     """
 
     name: str = "generic"
@@ -127,18 +123,6 @@ DATABASE_COST = CostModel(
     difference_pair=0.8,
 )
 
-WSD_COST = CostModel(
-    name="wsd",
-    select_tuple=2.5,
-    project_tuple=3.0,
-    rename_tuple=2.0,
-    union_tuple=2.0,
-    emit_tuple=6.0,
-    join_build=1.5,
-    join_probe=1.5,
-    difference_pair=25.0,
-)
-
 UWSDT_COST = CostModel(
     name="uwsdt",
     select_tuple=1.0,
@@ -152,13 +136,12 @@ UWSDT_COST = CostModel(
     difference_pair=15.0,
 )
 
-#: The one source of cost constants: a model per representation engine,
-#: keyed by ``Statistics.engine``.  Execution backends (row / columnar /
-#: sharded) price with the model of the engine they wrap.
+#: The one source of cost constants: a model per query engine, keyed by
+#: ``Statistics.engine``.  Execution backends (row / columnar / sharded)
+#: price with the model of the engine they wrap.
 COST_MODELS: Dict[str, CostModel] = {
     "generic": GENERIC_COST,
     "database": DATABASE_COST,
-    "wsd": WSD_COST,
     "uwsdt": UWSDT_COST,
 }
 
@@ -169,21 +152,6 @@ def uwsdt_relation_statistics(uwsdt: Any, relation_name: str) -> Tuple[int, floa
     arity = uwsdt.schema.relation(relation_name).arity
     placeholders = uwsdt.relation_placeholder_count(relation_name)
     return rows, min(1.0, placeholders / max(1, rows * arity))
-
-
-def wsd_relation_statistics(wsd: Any, relation_name: str) -> Tuple[int, float]:
-    """``(row count, uncertain-field density)`` of one WSD relation.
-
-    A field is uncertain when its component has more than one local world.
-    """
-    rows = len(wsd.tuple_ids.get(relation_name, ()))
-    arity = wsd.schema.relation(relation_name).arity
-    uncertain = 0
-    for component in wsd.components:
-        if component.size <= 1:
-            continue
-        uncertain += sum(1 for field in component.fields if field.relation == relation_name)
-    return rows, min(1.0, uncertain / max(1, rows * arity))
 
 
 class Statistics:
@@ -245,8 +213,8 @@ class Statistics:
         statistics.catalog = None
         return statistics
 
-    #: One body under three names: the catalog tells the engines apart.
-    from_wsd = from_uwsdt = from_database
+    #: One body under two names: the catalog tells the engines apart.
+    from_uwsdt = from_database
 
     @classmethod
     def from_engine(
@@ -260,7 +228,7 @@ class Statistics:
         This is a thin view over the engine's attached
         :class:`~repro.core.planner.catalog.StatisticsCatalog`: samples, row
         counts and densities are cached per relation and invalidated by
-        version/revision counters, so planning a repeated (or similar) query
+        version counters, so planning a repeated (or similar) query
         against an unchanged engine performs **zero** sampling work.
         ``sample_relations`` restricts row sampling to the named relations —
         planning passes the query's base relations, so relations a query
@@ -269,7 +237,7 @@ class Statistics:
         defers to the attached catalog's configured size, so an engine set
         up with ``catalog_for(engine, sample_size=...)`` keeps that choice
         across every ``Query.plan``/``Query.run``.  Use ``from_database`` /
-        ``from_wsd`` / ``from_uwsdt`` to force fresh, uncached sampling.
+        ``from_uwsdt`` to force fresh, uncached sampling.
         """
         from .catalog import catalog_for
 
@@ -456,8 +424,8 @@ def index_join_step(
     return out, cost
 
 
-#: Engines whose backends can execute an index nested-loop join (the WSD
-#: operators resolve fields through components, so there is no index to probe).
+#: Engines whose backends can execute an index nested-loop join (every
+#: engine; the schema-blind ``generic`` statistics know of none).
 INDEX_JOIN_ENGINES = ("database", "uwsdt")
 
 
@@ -740,7 +708,7 @@ def _estimate_uncached(
     if isinstance(query, Difference):
         left = _estimate(query.left, statistics, model, memo)
         right = _estimate(query.right, statistics, model, memo)
-        # On WSDs/UWSDTs difference composes components pairwise — by far the
+        # On a UWSDT difference composes components pairwise — by far the
         # paper's most expensive operator — so it is costed quadratically.
         return NodeEstimate(
             left.rows,
@@ -752,9 +720,9 @@ def _estimate_uncached(
     if isinstance(query, Intersection):
         left = _estimate(query.left, statistics, model, memo)
         right = _estimate(query.right, statistics, model, memo)
-        # Evaluated natively on a Database, as A − (A − B) on the
-        # representation engines; either way the work is difference-like
-        # (pairwise on representations), and the output is bounded by the
+        # Evaluated natively on a Database, as A − (A − B) on a UWSDT;
+        # either way the work is difference-like (pairwise on a UWSDT),
+        # and the output is bounded by the
         # smaller side.
         return NodeEstimate(
             min(left.rows, right.rows),

@@ -3,11 +3,11 @@
 Every rule is a semantics-preserving logical rewrite: it holds world-by-world
 in classical relational algebra, and therefore — by the compositionality of
 the paper's ``Q̂`` rewriting (Theorem 1) — also on the represented world-set
-when the plan is evaluated on a WSD or UWSDT.  The rules implemented here
-are the classical ones that matter most for the representation engines:
+when the plan is evaluated on a UWSDT.  The rules implemented here are the
+classical ones that matter most for the representation engine:
 
 * **selection pushdown** — σ moves below ×, ⋈, ∪, −, π and δ so that the
-  per-tuple component machinery of Figures 9/16 runs on as few tuples as
+  per-tuple component machinery of Figure 16 runs on as few tuples as
   possible;
 * **join fusion** — ``σ_{A=B}(L × R)`` becomes the native ``equi_join``
   operator, avoiding materializing the quadratic product template that
@@ -15,7 +15,8 @@ are the classical ones that matter most for the representation engines:
 * **projection pushdown** — π moves below ×, ⋈ and ∪ to shrink the width of
   intermediate templates;
 * **rename elimination** — identity and mutually-cancelling δ chains are
-  removed (each δ on a WSD copies every component column it touches).
+  removed (each δ on a UWSDT copies its template and every placeholder
+  field it touches).
 
 Rules are pure functions ``apply(query, context) -> Optional[Query]``
 returning the rewritten node, or ``None`` when the rule does not apply.

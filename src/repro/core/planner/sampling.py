@@ -40,10 +40,8 @@ Design:
 Estimated selectivities are floored (:func:`floor_selectivity`) so an
 empty sample intersection never makes a plan look free.
 
-``sample_database`` / ``sample_wsd`` / ``sample_uwsdt`` draw one relation's
-sample for the statistics catalog; for WSDs the sampled tuples resolve each
-field through its component (certain fields to their value, genuinely
-uncertain fields to the placeholder sentinel).
+``sample_database`` / ``sample_uwsdt`` draw one relation's sample for the
+statistics catalog; a UWSDT's placeholder fields stay the ``?`` sentinel.
 """
 
 from __future__ import annotations
@@ -394,32 +392,3 @@ def sample_uwsdt(uwsdt: Any, name: str, capacity: int) -> RelationSample:
     return RelationSample(
         name, uwsdt.schema.relation(name).attributes, [row[1:] for row in rows], population
     )
-
-
-def sample_wsd(wsd: Any, name: str, capacity: int) -> RelationSample:
-    """Sample one relation's WSD tuples, resolving each field through its component.
-
-    Tuple ids are sampled first so only the sampled tuples pay the
-    per-field component lookups.  A field whose component gives it a
-    single domain value in every local world is certain; anything else
-    (several candidate values, or possibly ``⊥``) becomes the placeholder
-    sentinel, exactly as a UWSDT template would store it.
-    """
-    from ...core.fields import FieldRef
-
-    _record_sampling()
-    attributes = wsd.schema.relation(name).attributes
-    sampled_ids, population = positional_sample(wsd.tuple_ids.get(name, []), capacity)
-    rows: List[Tuple[Any, ...]] = []
-    for tuple_id in sampled_ids:
-        values: List[Any] = []
-        for attribute in attributes:
-            field = FieldRef(name, tuple_id, attribute)
-            column = wsd.component_for(field).column(field)
-            first = column[0]
-            if first is not BOTTOM and all(value == first for value in column[1:]):
-                values.append(first)
-            else:
-                values.append(PLACEHOLDER)
-        rows.append(tuple(values))
-    return RelationSample(name, attributes, rows, population)

@@ -14,6 +14,11 @@ The class below stores
   (``|R|max`` entries),
 * ``components``  — the list of :class:`~repro.core.component.Component`
   factors, jointly covering every field exactly once.
+
+A WSD defines semantics (Sections 3–4): ``rep()``, the normalisations, the
+chase and the Figure 9 operators.  Queries are planned and executed on its
+Section 5 refinement, the :class:`~repro.core.uwsdt.UWSDT`
+(``UWSDT.from_wsd`` / ``UWSDT.to_wsd``).
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ class WSD:
         }
         self.components: List[Component] = list(components)
         self._field_owner: Dict[FieldRef, int] = {}
-        self._revision = 0
         self._rebuild_field_index()
         self._check_coverage()
 
@@ -58,11 +62,6 @@ class WSD:
     # ------------------------------------------------------------------ #
 
     def _rebuild_field_index(self) -> None:
-        # Every component-surgery path (replace_component(s), drop_relation,
-        # the in-place rewrites in wsd_ops) rebuilds this index, so the bump
-        # here is what version-keys cached statistics (see
-        # repro.core.planner.catalog).
-        self._revision += 1
         self._field_owner = {}
         for index, component in enumerate(self.components):
             for field in component.fields:
@@ -101,17 +100,6 @@ class WSD:
     def component_for(self, field: FieldRef) -> Component:
         """The component defining ``field``."""
         return self.components[self.component_of(field)]
-
-    @property
-    def revision(self) -> int:
-        """Mutation counter over the component structure.
-
-        Bumped whenever components are replaced, merged, extended or a
-        relation is added/dropped — any change that could alter which
-        fields are certain or what values they take.  Cached statistics
-        (samples resolve fields *through* components) key on it.
-        """
-        return self._revision
 
     @property
     def is_probabilistic(self) -> bool:
@@ -216,11 +204,11 @@ class WSD:
         """Register a new (empty so far) relation; its fields must be added next.
 
         Callers must immediately extend/attach components covering every field
-        of the new relation — the operators in :mod:`repro.core.algebra` do so.
+        of the new relation — the operators in
+        :mod:`repro.core.algebra.wsd_ops` do so.
         """
         self.schema.add(relation_schema)
         self.tuple_ids[relation_schema.name] = list(tuple_ids)
-        self._revision += 1
 
     # ------------------------------------------------------------------ #
     # Semantics: rep()

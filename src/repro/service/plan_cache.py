@@ -7,7 +7,7 @@ canonical ``to_text()`` rendering) and validated by the *catalog version
 keys* of every base relation the query touches — the exact per-engine
 tokens :class:`~repro.core.planner.catalog.StatisticsCatalog` already uses
 to invalidate statistics (``Relation.version`` on a Database, template
-version + placeholder count on a UWSDT, ``WSD.revision`` on a WSD).
+version + placeholder count on a UWSDT).
 
 Validation is by *polling* at lookup time: a hit compares each stored
 version key against the relation's current one, so any mutation of any
@@ -16,13 +16,9 @@ more (untouched queries keep their plans) and no less (a stale plan is
 never served).  Polling costs a few integer comparisons per base relation,
 and it composes with every mutation path for free: classical inserts,
 template inserts, component surgery, the chase — anything that moves the
-version key.
-
-Note the WSD caveat: ``WSD.revision`` bumps on *every* relation addition,
-including the intermediates ``Q̂`` itself creates, so on a WSD the cache is
-deliberately conservative — each execution invalidates all entries.  The
-Database and UWSDT keys are precise and serve repeated traffic sample- and
-DP-free.
+version key.  Both keys are precise — the intermediates ``Q̂`` adds to a
+UWSDT move no base relation's key — so repeated traffic is served sample-
+and DP-free.
 """
 
 from __future__ import annotations

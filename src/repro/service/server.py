@@ -1,7 +1,7 @@
-"""The asyncio query service: three engines, shared plan cache.
+"""The asyncio query service: two engines, shared plan cache.
 
-:class:`QueryService` owns a set of registered engines (Database / WSD /
-UWSDT) and serves concurrent client sessions.  Per request it
+:class:`QueryService` owns a set of registered engines (Database / UWSDT)
+and serves concurrent client sessions.  Per request it
 
 1. fingerprints the query (:meth:`Query.fingerprint`),
 2. looks the fingerprint up in the engine's
@@ -13,8 +13,8 @@ UWSDT) and serves concurrent client sessions.  Per request it
    estimated vs actual cardinalities, reported on the outcome).
 
 Engine access is serialized per engine through an ``asyncio.Lock``: the
-representation engines mutate themselves on every ``Q̂`` execution, so two
-interleaved queries against the same WSD/UWSDT must not overlap.  Requests
+UWSDT engine mutates itself on every ``Q̂`` execution, so two interleaved
+queries against the same UWSDT must not overlap.  Requests
 against *different* engines interleave freely.  The underlying shared
 structures (statistics catalog, index pool, plan cache) carry their own
 thread locks besides, so even thread-offloaded work cannot corrupt them.
@@ -33,7 +33,6 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 from ..core.exec import lower, resolve_backend
 from ..core.exec.metrics import ExecutionMetrics
 from ..core.exec.physical import PhysicalPlan
-from ..core.planner.catalog import catalog_for
 from ..obs.metrics import LATENCY_BUCKETS, get_registry
 from ..obs.trace import get_tracer
 from .plan_cache import CachedPlan, PlanCache, plan_cache_for
@@ -96,7 +95,7 @@ class QueryOutcome:
     #: Trace id of the request span (None with tracing disabled).
     trace_id: Optional[str] = None
     #: Kind of the backend that executed the request (``"database"`` /
-    #: ``"wsd"`` / ``"uwsdt"`` / ``"columnar"`` / ``"sharded"``) — also the
+    #: ``"uwsdt"`` / ``"columnar"`` / ``"sharded"``) — also the
     #: plan-cache sub-key the request was served under.
     backend: Optional[str] = None
     #: Worker count of a sharded request (None for in-process backends) —
@@ -156,10 +155,10 @@ class QueryService:
     # ------------------------------------------------------------------ #
 
     def register_engine(self, name: str, engine: Any) -> None:
-        """Register an engine; attaches its catalog and plan cache eagerly."""
-        self.engines[name] = engine
-        catalog_for(engine)
+        """Register a Database or UWSDT; attaches its catalog and plan cache
+        eagerly (anything else, a WSD included, raises ``QueryError``)."""
         plan_cache_for(engine)
+        self.engines[name] = engine
 
     def session(self, engine_name: str, name: Optional[str] = None) -> Session:
         """Open a client session against one registered engine."""

@@ -10,7 +10,7 @@ Layers of coverage:
   UWSDT engines, with the expected Materialize/Dematerialize boundaries
   (uncertain subtrees stay row-at-a-time),
 * backend selection: the ``REPRO_BACKEND`` env var, unknown specs
-  (``"auto"`` included) rejected, and WSD falling back to the row backend,
+  (``"auto"`` included) rejected, and a WSD rejected (it has no backend),
 * the cached column store (the engine's index pool) is never stale — after
   any interleaving of inserts/removes on a Database relation, or template
   inserts and chase steps on a UWSDT, it equals a fresh ``from_rows`` — is
@@ -429,10 +429,13 @@ class TestBackendSelection:
         with pytest.raises(QueryError, match=r"'row', 'columnar', 'sharded'"):
             BaseRelation("R").run(database, "out")
 
-    def test_wsd_always_runs_row(self):
+    def test_a_wsd_has_no_backend(self):
         relation = OrSetRelation(RelationSchema("R", ("A0", "A1", "A2")))
         relation.insert((1, OrSet([1, 2]), 3))
         wsd = WSD.from_orset_relation(relation)
-        assert resolve_backend(wsd, "columnar").kind == "wsd"
+        for spec in ("row", "columnar"):
+            with pytest.raises(QueryError, match=r"UWSDT\.from_wsd"):
+                resolve_backend(wsd, spec)
         with pytest.raises(QueryError):
             ColumnarBackend(wsd)
+        assert resolve_backend(UWSDT.from_wsd(wsd), "columnar").kind == "columnar"

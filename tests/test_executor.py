@@ -15,14 +15,14 @@ Covers the PR 5 tentpole:
   engine's cost model, so verbatim and planned trees lower to the same join
   algorithm on row, columnar and sharded alike,
 * ``Query.intersection`` evaluates natively on a Database and through its
-  ``A − (A − B)`` expansion on the representation engines.
+  ``A − (A − B)`` expansion on a UWSDT and in the Figure 9 specification.
 """
 
 import pytest
 
 from repro.baselines import naive
 from repro.core import UWSDT, WSD
-from repro.core.algebra import BaseRelation, Query, evaluate_on_database
+from repro.core.algebra import BaseRelation, Query, evaluate_on_database, evaluate_on_wsd
 from repro.core.exec import ExecutionResult, backend_for, index_pool_for, lower
 from repro.core.planner import COST_MODELS, Statistics
 from repro.core.planner.cost import join_step
@@ -72,11 +72,12 @@ class TestLowering:
         assert physical.uses("IndexScan")
         assert "IndexScan(R" in physical.explain()
 
-    def test_wsd_backend_has_no_index_scan(self):
+    def test_a_wsd_is_lowered_as_its_uwsdt(self):
         wsd = WSD.from_orset_relations(ORACLE_RELATIONS)
-        physical = BaseRelation("R").select(eq("A0", 1)).physical_plan(wsd)
-        assert not physical.uses("IndexScan")
-        assert physical.uses("Filter")
+        query = BaseRelation("R").select(eq("A0", 1))
+        with pytest.raises(QueryError, match=r"UWSDT\.from_wsd"):
+            query.physical_plan(wsd)
+        assert query.physical_plan(UWSDT.from_wsd(wsd)).uses("IndexScan")
 
     def test_unplanned_lowering_executes_verbatim_tree(self):
         database = small_large_database()
@@ -115,11 +116,10 @@ class TestLowering:
         with pytest.raises(QueryError):
             BaseRelation("R").run(42)
 
-    def test_one_cost_model_per_representation_engine(self):
-        assert set(COST_MODELS) == {"generic", "database", "wsd", "uwsdt"}
+    def test_one_cost_model_per_query_engine(self):
+        assert set(COST_MODELS) == {"generic", "database", "uwsdt"}
         engines = [
             small_large_database(),
-            WSD.from_orset_relations(ORACLE_RELATIONS),
             UWSDT.from_orset_relations(ORACLE_RELATIONS),
         ]
         for engine in engines:
@@ -292,7 +292,7 @@ class TestIntersection:
         assert_same_result_distribution(uwsdt.rep(), reference, "P")
 
         wsd = WSD.from_orset_relations(ORACLE_RELATIONS)
-        query.run(wsd, "P")
+        evaluate_on_wsd(query, wsd, "P")
         assert_same_result_distribution(wsd.rep(), reference, "P")
 
         certain_rows = [

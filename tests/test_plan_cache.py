@@ -10,7 +10,7 @@ keys of every touched base relation.  The contract under test:
 * any mutation of a touched base relation (insert / remove / template
   insert / chase) invalidates exactly the entries that touch it,
 * a cache *hit* never changes results: executing the cached physical plan
-  matches a freshly planned run on all three engines — fuzzed against the
+  matches a freshly planned run on both engines — fuzzed against the
   possible-worlds oracle on the UWSDT.
 """
 
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import invariants
 from repro.core import UWSDT, WSD
-from repro.core.algebra import BaseRelation
+from repro.core.algebra import BaseRelation, evaluate_on_wsd
 from repro.core.chase import chase_uwsdt
 from repro.core.exec import ColumnarBackend, backend_for, lower
 from repro.relational.errors import QueryError
@@ -155,31 +155,32 @@ class TestRepresentationEngines:
         query.run(cold_copy, "P", optimize=False)
         assert_same_result_distribution(warm_copy.rep(), cold_copy.rep(), "P")
 
-    def test_wsd_cache_is_conservative(self):
-        # Every Q̂ run extends the WSD and bumps its revision — the version
-        # key the cache snapshots — so WSD entries never outlive an
-        # execution.  Always-miss is the documented conservative behavior.
-        wsd = WSD.from_orset_relations(small_orset_relations())
-        cache = plan_cache_for(wsd)
+    def test_uwsdt_entry_survives_its_own_executions(self):
+        # Q̂ extends the UWSDT with intermediates but moves no base relation's
+        # version key, so a cached plan stays valid across its executions.
+        uwsdt = UWSDT.from_orset_relations(small_orset_relations())
+        cache = plan_cache_for(uwsdt)
         query = BaseRelation("R").join(BaseRelation("S"), "A1", "B1")
-        entry = populate(cache, query, wsd)
-        assert cache.lookup(query.fingerprint()) is entry
+        entry = populate(cache, query, uwsdt)
+        for name in ("P1", "P2"):
+            query.run(uwsdt, name, physical=entry.physical)
+            assert cache.lookup(query.fingerprint()) is entry
+        assert cache.invalidations == 0
 
-        query.run(wsd, "P1", physical=entry.physical)
-        assert cache.lookup(query.fingerprint()) is None
-        assert cache.invalidations == 1
-
-    def test_wsd_cached_physical_matches_cold_plan(self):
+    def test_a_wsd_is_cached_as_its_uwsdt(self):
         wsd = WSD.from_orset_relations(small_orset_relations())
-        cache = plan_cache_for(wsd)
+        with pytest.raises(QueryError, match=r"UWSDT\.from_wsd"):
+            plan_cache_for(wsd)
+        converted = UWSDT.from_wsd(wsd)
+        cache = plan_cache_for(converted)
         query = BaseRelation("S").product(BaseRelation("T")).select(AttrAttr("B0", "=", "C0"))
-        entry = populate(cache, query, wsd)
+        entry = populate(cache, query, converted)
 
-        warm_copy = wsd.copy()
+        warm_copy = converted.copy()
         query.run(warm_copy, "P", physical=entry.physical)
-        cold_copy = wsd.copy()
-        query.run(cold_copy, "P", optimize=False)
-        assert_same_result_distribution(warm_copy.rep(), cold_copy.rep(), "P")
+        specified = wsd.copy()
+        evaluate_on_wsd(query, specified, "P")
+        assert_same_result_distribution(warm_copy.to_wsd().rep(), specified.rep(), "P")
 
 
 class TestEngineLifetime:

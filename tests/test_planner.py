@@ -14,6 +14,7 @@ from repro.core.algebra import (
     Rename,
     Select,
     Union,
+    evaluate_on_wsd,
 )
 from repro.core.planner import (
     CostEstimate,
@@ -212,9 +213,10 @@ class TestCostModel:
         assert uwsdt_stats.row_count("R") == 2
         assert 0.0 < uwsdt_stats.placeholder_density("R") < 1.0
 
-        wsd_stats = Statistics.from_wsd(WSD.from_orset_relation(orset))
-        assert wsd_stats.row_count("R") == 2
-        assert 0.0 < wsd_stats.placeholder_density("R") < 1.0
+        # A WSD is described by the UWSDT it converts to.
+        converted = Statistics.from_uwsdt(UWSDT.from_wsd(WSD.from_orset_relation(orset)))
+        assert converted.row_count("R") == 2
+        assert converted.placeholder_density("R") == uwsdt_stats.placeholder_density("R")
 
 
 class TestSamplingGuards:
@@ -464,13 +466,13 @@ class TestQueryRun:
             _distribution(unplanned.rep(), "P")
         )
 
-    def test_run_planned_matches_unplanned_on_wsd(self, orset, join_query):
-        planned = WSD.from_orset_relation(orset)
-        unplanned = WSD.from_orset_relation(orset)
+    def test_run_planned_on_a_converted_wsd_matches_figure_9(self, orset, join_query):
+        planned = UWSDT.from_wsd(WSD.from_orset_relation(orset))
         join_query.run(planned, "P", optimize=True)
-        join_query.run(unplanned, "P", optimize=False)
-        assert _distribution(planned.rep(), "P") == pytest.approx(
-            _distribution(unplanned.rep(), "P")
+        specified = WSD.from_orset_relation(orset)
+        evaluate_on_wsd(join_query, specified, "P")
+        assert _distribution(planned.to_wsd().rep(), "P") == pytest.approx(
+            _distribution(specified.rep(), "P")
         )
 
     def test_rerun_on_extended_representation(self, orset, join_query):
@@ -480,8 +482,11 @@ class TestQueryRun:
         join_query.run(uwsdt, "first", optimize=False)
         join_query.run(uwsdt, "second", optimize=False)
         wsd = WSD.from_orset_relation(orset)
-        join_query.run(wsd, "first", optimize=False)
-        join_query.run(wsd, "second", optimize=False)
+        evaluate_on_wsd(join_query, wsd, "first")
+        evaluate_on_wsd(join_query, wsd, "second")
+        assert _distribution(wsd.rep(), "second") == pytest.approx(
+            _distribution(wsd.rep(), "first")
+        )
         fresh = UWSDT.from_orset_relation(orset)
         join_query.run(fresh, "first", optimize=False)
         assert _distribution(uwsdt.rep(), "second") == pytest.approx(

@@ -1,4 +1,4 @@
-"""The possible-worlds oracle: four evaluation strategies must agree.
+"""The possible-worlds oracle: five evaluation strategies must agree.
 
 For random small or-set inputs and random query trees, the following must
 produce the same distribution over result relations:
@@ -6,8 +6,12 @@ produce the same distribution over result relations:
 1. **planned UWSDT** evaluation (``Query.run(..., optimize=True)`` — rewrite
    rules, join-order search, index fast paths),
 2. **unplanned UWSDT** evaluation (the AST executed verbatim),
-3. **WSD** evaluation (the Figure 9 operators, planned),
-4. **brute force**: enumerate ``rep(W)`` world by world, evaluate the query
+3. **the WSD as a UWSDT**: ``UWSDT.from_wsd``, planned, then ``to_wsd()`` —
+   a WSD is not an engine, so this conversion round trip is how it runs a
+   query,
+4. **the Figure 9 specification** (``evaluate_on_wsd``: the WSD operators,
+   interpreted directly, sharing nothing with the planner or the executor),
+5. **brute force**: enumerate ``rep(W)`` world by world, evaluate the query
    classically in every world (Theorem 1's right-hand side).
 
 Three oracle depths are exercised:
@@ -40,7 +44,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import naive
 from repro.core import UWSDT, WSD
-from repro.core.algebra import BaseRelation
+from repro.core.algebra import BaseRelation, evaluate_on_wsd
 from repro.core.chase import (
     Comparison,
     EqualityGeneratingDependency,
@@ -240,10 +244,23 @@ def run_planned(query, engine, name):
     return query.run(engine, name, plan=plan)
 
 
+def assert_wsd_matches_reference(reference, wsd, query):
+    """The WSD's two cells: planned as the UWSDT it converts to (and read
+    back as a WSD), and evaluated by the Figure 9 specification."""
+    converted = UWSDT.from_wsd(wsd)
+    run_planned(query, converted, "P")
+    converted.validate()
+    assert_same_result_distribution(converted.to_wsd().rep(), reference, "P")
+
+    specified = wsd.copy()
+    evaluate_on_wsd(query, specified, "P")
+    assert_same_result_distribution(specified.rep(), reference, "P")
+
+
 def assert_engines_match_reference(reference, uwsdt, wsd, query):
-    """Planned UWSDT, unplanned UWSDT and (planned) WSD must match ``reference``
-    — and both UWSDT paths again under the columnar vectorized backend, in
-    every state of its column cache."""
+    """Planned UWSDT, unplanned UWSDT and both WSD cells must match
+    ``reference`` — and both UWSDT paths again under the columnar vectorized
+    backend, in every state of its column cache."""
     planned = uwsdt.copy()
     run_planned(query, planned, "P")
     planned.validate()
@@ -254,9 +271,7 @@ def assert_engines_match_reference(reference, uwsdt, wsd, query):
     unplanned.validate()
     assert_same_result_distribution(unplanned.rep(), reference, "P")
 
-    wsd_copy = wsd.copy()
-    run_planned(query, wsd_copy, "P")
-    assert_same_result_distribution(wsd_copy.rep(), reference, "P")
+    assert_wsd_matches_reference(reference, wsd, query)
 
     for optimize in (True, False):
         engine = uwsdt.copy()
@@ -278,7 +293,7 @@ def assert_engines_match_reference(reference, uwsdt, wsd, query):
 
 
 def check_against_oracle(orset_relation, query):
-    """All four strategies must yield the same result-world distribution."""
+    """All five strategies must yield the same result-world distribution."""
     base_wsd = WSD.from_orset_relation(orset_relation)
     reference = naive.evaluate_query(base_wsd.rep(), query, "P")
     assert_engines_match_reference(
@@ -526,13 +541,7 @@ def assert_warm_catalog_plans_match_reference(reference, uwsdt, wsd, query):
     planned.validate()
     assert_same_result_distribution(planned.rep(), reference, "P")
 
-    wsd_copy = wsd.copy()
-    query.plan(wsd_copy)
-    calls_before = sampling_call_count()
-    rebuilt = query.plan(wsd_copy)
-    assert sampling_call_count() == calls_before
-    query.run(wsd_copy, "P", plan=rebuilt)
-    assert_same_result_distribution(wsd_copy.rep(), reference, "P")
+    assert_wsd_matches_reference(reference, wsd, query)
 
 
 class TestUnionDifferenceOracle:
@@ -554,7 +563,7 @@ class TestUnionDifferenceOracle:
         )
 
     def test_difference_of_unions_deterministic(self):
-        """(σR ∪ R) − σR over an uncertain relation, all three engines."""
+        """(σR ∪ R) − σR over an uncertain relation, every cell."""
         relation = OrSetRelation.from_dicts(
             "R",
             ["A0", "A1", "A2"],
@@ -676,7 +685,7 @@ class TestConfidenceOracle:
             )
 
         wsd = WSD.from_orset_relations(relations)
-        query.run(wsd, "P", optimize=True)
+        evaluate_on_wsd(query, wsd, "P")
         for row in expected_possible:
             assert confidence(wsd, "P", row) == pytest.approx(
                 reference.tuple_confidence("P", row), abs=1e-6

@@ -4,8 +4,8 @@ The central correctness statement is Theorem 1: for every relational algebra
 query ``Q`` and WSD ``W``, evaluating the rewritten query ``Q̂`` on ``W`` and
 keeping only the result relation represents ``{Q(A) | A ∈ rep(W)}``.  These
 tests verify it, operator by operator and for composed queries, against the
-naive engine that evaluates ``Q`` in every world — on both the WSD and the
-UWSDT engines.
+naive engine that evaluates ``Q`` in every world — for the Figure 9
+specification on the WSD and for the UWSDT engine.
 """
 
 from collections import Counter
@@ -34,7 +34,8 @@ from _fixtures import (
 
 
 def check_query_on_both_engines(orset_relation, query, relation_name="P"):
-    """Evaluate the query on the WSD and UWSDT engines and compare with the naive engine."""
+    """Evaluate the query by Figure 9 on the WSD and on the UWSDT engine, and
+    compare both with the naive engine."""
     wsd = WSD.from_orset_relation(orset_relation)
     reference = naive.evaluate_query(wsd.rep(), query, relation_name)
 
@@ -190,16 +191,18 @@ def operator_observations(kind):
 
 
 class TestEvaluateOnIsTheExecutor:
-    """``evaluate_on_wsd`` / ``evaluate_on_uwsdt`` are spellings of
-    ``Query.run(optimize=False)``: same executor, same names, same worlds."""
+    """``evaluate_on_uwsdt`` is a spelling of ``Query.run(optimize=False)``:
+    same executor, same names, same worlds.  ``evaluate_on_wsd`` is the
+    Figure 9 specification beside it: it executes no physical operator, yet
+    names its relations as the executor does on the converted WSD."""
 
     ENGINES = [
-        ("wsd", WSD.from_orset_relation, evaluate_on_wsd),
-        ("uwsdt", UWSDT.from_orset_relation, evaluate_on_uwsdt),
+        ("wsd", WSD.from_orset_relation, evaluate_on_wsd, UWSDT.from_wsd),
+        ("uwsdt", UWSDT.from_orset_relation, evaluate_on_uwsdt, UWSDT.copy),
     ]
 
-    @pytest.mark.parametrize("kind, build, evaluate", ENGINES, ids=["wsd", "uwsdt"])
-    def test_one_executed_physical_operator_per_node(self, abc_orset, kind, build, evaluate):
+    @pytest.mark.parametrize("kind, build, evaluate, runner", ENGINES, ids=["wsd", "uwsdt"])
+    def test_one_executed_physical_operator_per_node(self, abc_orset, kind, build, evaluate, runner):
         query = (
             BaseRelation("R")
             .select(gt("A", 0))
@@ -208,19 +211,20 @@ class TestEvaluateOnIsTheExecutor:
             .intersection(BaseRelation("R").project(["A", "C"]))
         )
         engine = build(abc_orset)
-        twin = engine.copy()
-        before = operator_observations(kind)
+        twin = runner(engine)
+        before = operator_observations("uwsdt")
         assert evaluate(query, engine, "P") == "P"
-        executed = operator_observations(kind) - before
+        executed = operator_observations("uwsdt") - before
         physical = query.physical_plan(twin, optimize=False, backend="row")
-        assert executed == Counter(node.op_name for node in physical.operators())
+        operators = Counter(node.op_name for node in physical.operators())
+        assert executed == (operators if kind == "uwsdt" else Counter())
         assert query.run(twin, "P", optimize=False) == "P"
         assert [rs.name for rs in engine.schema] == [rs.name for rs in twin.schema]
         assert_same_result_distribution(engine.rep(), twin.rep(), "P")
 
-    @pytest.mark.parametrize("kind, build, evaluate", ENGINES, ids=["wsd", "uwsdt"])
+    @pytest.mark.parametrize("kind, build, evaluate, runner", ENGINES, ids=["wsd", "uwsdt"])
     def test_self_union_alias_and_reuse_of_an_extended_engine(
-        self, abc_orset, kind, build, evaluate
+        self, abc_orset, kind, build, evaluate, runner
     ):
         # R ∪ R needs an alias of one operand (tuple ids derive from operand
         # names); a second evaluation restarts the intermediate counter on an
@@ -228,7 +232,7 @@ class TestEvaluateOnIsTheExecutor:
         query = BaseRelation("R").union(BaseRelation("R")).select(eq("C", 7))
         engine = build(abc_orset)
         worlds = engine.rep()
-        twin = engine.copy()
+        twin = runner(engine)
         for name in ("P", "P2"):
             assert evaluate(query, engine, name) == name
             assert query.run(twin, name, optimize=False) == name
@@ -239,6 +243,12 @@ class TestEvaluateOnIsTheExecutor:
             reference = naive.evaluate_query(worlds, query, name)
             assert_same_result_distribution(engine.rep(), reference, name)
             assert_same_result_distribution(twin.rep(), reference, name)
+
+    def test_a_wsd_is_not_an_engine(self, abc_orset):
+        wsd = WSD.from_orset_relation(abc_orset)
+        with pytest.raises(QueryError, match=r"UWSDT\.from_wsd"):
+            BaseRelation("R").run(wsd, "P")
+        assert [rs.name for rs in wsd.schema] == ["R"]
 
 
 class TestQueryAst:

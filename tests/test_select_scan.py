@@ -21,7 +21,7 @@ from repro.core.algebra import uwsdt_ops
 from repro.core.component import Component
 from repro.core.fields import FieldRef
 from repro.core.planner import DEFAULT_SAMPLE_SIZE, positional_sample
-from repro.core.planner.sampling import SAMPLE_SEED, sample_database, sample_uwsdt, sample_wsd
+from repro.core.planner.sampling import SAMPLE_SEED, sample_database, sample_uwsdt
 from repro.obs.metrics import get_registry
 from repro.relational import (
     And,
@@ -89,7 +89,9 @@ class TestPositionalSample:
         uwsdt = UWSDT.from_relation(relation)
         assert sample_uwsdt(uwsdt, "R", 256).rows == expected
 
-        assert sample_wsd(WSD.from_relation(relation), "R", 256).rows == expected
+        # A WSD is planned as the UWSDT it converts to: the same draw.
+        converted = UWSDT.from_wsd(WSD.from_relation(relation))
+        assert sample_uwsdt(converted, "R", 256).rows == expected
 
 
 # --------------------------------------------------------------------------- #

@@ -15,12 +15,16 @@ End-to-end coverage of :mod:`repro.service`:
 import asyncio
 import threading
 
+import pytest
+
+from repro.core import UWSDT, WSD
 from repro.core.algebra import BaseRelation
 from repro.core.exec.backends import index_pool_for
 from repro.core.planner import catalog_for, plan_call_count, sampling_call_count
-from repro.relational import Database, Relation, RelationSchema
+from repro.relational import Database, QueryError, Relation, RelationSchema
 from repro.relational.predicates import AttrConst
 from repro.service import QueryService, run_traffic_benchmark
+from repro.worlds import OrSet, OrSetRelation
 
 
 def small_database() -> Database:
@@ -99,6 +103,23 @@ class TestServiceRequests:
             await session.mutate(lambda engine: engine.relation("R").insert((4, 997)))
             assert snapshot.changed() == ["R"]
             assert not snapshot.valid()
+
+        asyncio.run(scenario())
+
+    def test_a_wsd_is_served_as_its_uwsdt(self):
+        forms = OrSetRelation.from_dicts("R", ["A", "RV"], [{"A": OrSet([1, 2]), "RV": 7}])
+        service = QueryService()
+        with pytest.raises(QueryError, match=r"UWSDT\.from_wsd"):
+            service.register_engine("wsd", WSD.from_orset_relation(forms))
+        assert "wsd" not in service.engines
+
+        async def scenario():
+            service.register_engine("uwsdt", UWSDT.from_wsd(WSD.from_orset_relation(forms)))
+            session = service.session("uwsdt")
+            query = BaseRelation("R").select(AttrConst("A", "=", 1))
+            first = await session.execute(query)
+            second = await session.execute(query)
+            assert not first.cached and second.cached
 
         asyncio.run(scenario())
 

@@ -19,7 +19,7 @@ from repro.core.algebra import BaseRelation
 from repro.core.chase import FunctionalDependency, chase_uwsdt, chase_wsd
 from repro.core.planner import Statistics, catalog_for, sampling_call_count
 from repro.core.planner.catalog import StatisticsCatalog
-from repro.relational import Database, Relation, RelationSchema, attr_eq, eq
+from repro.relational import Database, QueryError, Relation, RelationSchema, attr_eq, eq
 from repro.worlds import OrSet, OrSetRelation
 
 
@@ -98,8 +98,11 @@ class TestZeroResamplingOnRepeat:
         assert sampling_call_count() == before
         assert built.statistics.provenance("R") == "cached-sample"
 
-    def test_same_query_twice_on_uwsdt_and_wsd(self):
-        for engine in (UWSDT.from_orset_relations(_orsets()), WSD.from_orset_relations(_orsets())):
+    def test_same_query_twice_on_uwsdt_and_a_converted_wsd(self):
+        for engine in (
+            UWSDT.from_orset_relations(_orsets()),
+            UWSDT.from_wsd(WSD.from_orset_relations(_orsets())),
+        ):
             JOIN_QUERY.plan(engine)
             before = sampling_call_count()
             plan2 = JOIN_QUERY.plan(engine)
@@ -176,7 +179,7 @@ class TestMutationInvalidation:
         "fresh_statistics, build",
         [
             (Statistics.from_database, _database),
-            (Statistics.from_wsd, lambda: WSD.from_orset_relations(_orsets())),
+            (Statistics.from_uwsdt, lambda: UWSDT.from_wsd(WSD.from_orset_relations(_orsets()))),
             (Statistics.from_uwsdt, lambda: UWSDT.from_orset_relations(_orsets())),
         ],
         ids=["database", "wsd", "uwsdt"],
@@ -212,15 +215,18 @@ class TestMutationInvalidation:
         assert sampling_call_count() == before
         assert plan2.statistics.provenance("R") == "cached-sample"
 
-    def test_wsd_component_surgery_invalidates(self):
-        """WSD samples resolve fields *through* components, so chase surgery
-        (which can force a formerly uncertain field to one value) must
-        invalidate — unlike on the UWSDT, where templates are untouched."""
+    def test_a_wsd_is_planned_as_its_uwsdt(self):
+        """A WSD has no catalog: planning one is a typed error naming the
+        conversion, and the converted chased WSD plans like any UWSDT."""
         wsd = WSD.from_orset_relations(_chaseable_orsets())
-        JOIN_QUERY.plan(wsd)
+        with pytest.raises(QueryError, match=r"UWSDT\.from_wsd"):
+            JOIN_QUERY.plan(wsd)
+        assert getattr(wsd, "_statistics_catalog", None) is None
         chase_wsd(wsd, [FunctionalDependency("R", ["K"], "A")])
-        plan2 = JOIN_QUERY.plan(wsd)
-        assert plan2.statistics.provenance("R") == "fresh-sample"
+        uwsdt = UWSDT.from_wsd(wsd)
+        plan = JOIN_QUERY.plan(uwsdt)
+        assert plan.statistics.engine == "uwsdt"
+        assert_same_statistics(Statistics.from_uwsdt(uwsdt), plan.statistics)
 
     def test_explicit_invalidate(self):
         database = _database()
@@ -286,7 +292,7 @@ class TestExplainProvenance:
 
 class TestCatalogEdges:
     def test_unknown_engine_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(QueryError):
             StatisticsCatalog(object())
 
     def test_sample_size_change_rebuilds(self):
