@@ -129,8 +129,9 @@ class Query:
 
         Two structurally identical trees fingerprint identically, whatever
         object identities built them — the plan-cache key of
-        :mod:`repro.service`.  Uses SHA-1 rather than ``hash()`` so the value
-        is stable across processes (``PYTHONHASHSEED``) and usable in logs.
+        :mod:`repro.core.exec.plan_cache`.  Uses SHA-1 rather than
+        ``hash()`` so the value is stable across processes
+        (``PYTHONHASHSEED``) and usable in logs.
         """
         import hashlib
 
@@ -147,7 +148,8 @@ class Query:
         a repeated (or similar) query against an unchanged engine performs
         zero sampling work.  Alternatively pass prebuilt ``statistics``.
         With neither, planning runs with default statistics (schema-blind
-        rewrites only).
+        rewrites only).  Every call plans: the cached plan of a query is
+        what :meth:`run` and :meth:`physical_plan` use by default.
         """
         from ..planner import Statistics, plan as build_plan
 
@@ -165,18 +167,26 @@ class Query:
         force_join: Optional[str] = None,
         backend: Any = None,
         workers: Optional[int] = None,
-    ) -> "Tuple[EngineBackend, PhysicalPlan]":
-        """Resolve the executable tree and lower it for ``engine``'s backend.
+    ) -> "Tuple[EngineBackend, PhysicalPlan, Optional[Plan]]":
+        """The backend, the physical plan and the logical plan it came from.
 
-        ``backend`` is the user-facing spec (``"row"`` / ``"columnar"`` /
-        ``"sharded"`` / None for the ``REPRO_BACKEND`` environment variable,
-        or an already-constructed :class:`~repro.core.exec.EngineBackend`).
-        ``workers`` sizes the sharded backend's worker pool.
+        By default the physical plan is the engine's plan-cache entry for
+        this query and backend (:mod:`repro.core.exec.plan_cache`), planned
+        and lowered on a miss.  An explicit ``plan``, ``force_join`` or
+        ``optimize=False`` lowers fresh and leaves the cache alone.
+        ``backend`` is ``"row"`` (None) / ``"columnar"`` / ``"sharded"`` or
+        an :class:`~repro.core.exec.EngineBackend`; ``workers`` sizes the
+        sharded worker pool.
         """
         from ..exec import lower, resolve_backend
 
         resolved = resolve_backend(engine, backend, workers=workers)
         if plan is None and optimize:
+            if force_join is None:
+                from ..exec.plan_cache import plan_cache_for
+
+                entry, _hit = plan_cache_for(engine).lowered(self, resolved)
+                return resolved, entry.physical, entry.plan
             plan = self.plan(engine)
         if plan is not None:
             executable, statistics, estimates = plan.chosen, plan.statistics, plan.estimates
@@ -184,9 +194,10 @@ class Query:
             # Verbatim execution: no sampling; lowering prices its physical
             # choices with the engine's cost model over default statistics.
             executable, statistics, estimates = self, None, None
-        return resolved, lower(
+        physical = lower(
             executable, resolved, statistics, force_join=force_join, estimates=estimates
         )
+        return resolved, physical, plan
 
     def physical_plan(
         self,
@@ -201,10 +212,11 @@ class Query:
 
         ``physical_plan(engine).explain()`` shows the chosen physical
         operators (index scans, hash vs index-nested-loop joins) without
-        executing anything.
+        executing anything.  By default it is the engine's plan-cache entry,
+        the very plan a default :meth:`run` executes; an explicit ``plan``,
+        ``force_join`` or ``optimize=False`` lowers a fresh one.
         """
-        _, physical = self._lowered(engine, optimize, plan, force_join, backend, workers)
-        return physical
+        return self._lowered(engine, optimize, plan, force_join, backend, workers)[1]
 
     def run(
         self,
@@ -230,41 +242,40 @@ class Query:
         :class:`~repro.relational.errors.QueryError`: run the query on
         ``UWSDT.from_wsd(wsd)``, or use :func:`evaluate_on_wsd`.
 
-        With ``optimize=True`` (the default) the query is first rewritten by
-        the logical planner (selection pushdown, join fusion, join-order
-        search, projection pushdown, rename elimination) using statistics
-        gathered from the engine; pass a prebuilt ``plan`` to skip
-        re-planning, or ``optimize=False`` to execute this AST verbatim.
+        By default the query is planned (selection pushdown, join fusion,
+        join-order search, projection pushdown, rename elimination, with
+        statistics from the engine's catalog) and lowered once per engine
+        and backend: the engine's plan cache
+        (:mod:`repro.core.exec.plan_cache`) serves the same physical plan to
+        every later call for as long as the query's base relations are the
+        same, unmutated objects.  Each of these bypasses the cache: a
+        prebuilt ``plan``, a previously lowered ``physical`` plan (for the
+        same engine kind; the caller answers for its freshness),
+        ``force_join`` (``"hash"`` / ``"index-nested-loop"``, for
+        benchmarking the join algorithms) and ``optimize=False`` (this AST,
+        verbatim).
 
-        Either way the tree is lowered to a
-        :class:`~repro.core.exec.PhysicalPlan` and executed through the
-        engine's :class:`~repro.core.exec.EngineBackend` — engine-specific
-        dispatch lives entirely in :mod:`repro.core.exec`.  With
+        The physical plan executes through the engine's
+        :class:`~repro.core.exec.EngineBackend` — engine-specific dispatch
+        lives entirely in :mod:`repro.core.exec`.  With
         ``collect_metrics=True`` the return value is an
         :class:`~repro.core.exec.ExecutionResult` bundling the result with
-        per-operator runtime metrics; ``force_join`` overrides the
-        hash-vs-index join choice for benchmarking.
+        per-operator runtime metrics.
 
-        Pass a previously lowered ``physical`` plan (for the same engine
-        kind) to skip planning *and* lowering entirely — the plan-cache hit
-        path of :mod:`repro.service`.  The caller is responsible for the
-        plan's freshness; a stale plan still computes the query it was
-        lowered from, just possibly sub-optimally.
-
-        ``backend`` selects the executing backend: ``"row"`` (the engine's
-        classical row-at-a-time backend), ``"columnar"`` (vectorized kernels
-        over certain subtrees, see :mod:`repro.core.exec.columnar`),
-        ``"sharded"`` (component-partitioned parallel execution across a
-        worker pool sized by ``workers``, see :mod:`repro.core.exec.shard`),
-        or None to honor the ``REPRO_BACKEND`` environment variable (default
-        ``"row"``).
+        ``backend`` selects the executing backend: ``"row"`` or None (the
+        engine's classical row-at-a-time backend), ``"columnar"``
+        (vectorized kernels over certain subtrees, see
+        :mod:`repro.core.exec.columnar`) or ``"sharded"``
+        (component-partitioned parallel execution across a worker pool
+        sized by ``workers``, default ``DEFAULT_WORKERS``, see
+        :mod:`repro.core.exec.shard`).
         """
         if physical is not None:
             from ..exec import resolve_backend
 
             backend = resolve_backend(engine, backend, workers=workers)
         else:
-            backend, physical = self._lowered(
+            backend, physical, _plan = self._lowered(
                 engine, optimize, plan, force_join, backend, workers
             )
         value = physical.execute(backend, result_name)
@@ -284,25 +295,16 @@ class Query:
     ) -> str:
         """Run this query with metrics and render its EXPLAIN ANALYZE report.
 
-        Plans (honoring ``optimize``), executes with metrics collection, and
-        returns the physical tree annotated per operator with estimated vs
-        actual rows, q-error, per-child input rows and self vs cumulative
-        time.  Note the representation-engine convention still applies: on a
-        UWSDT the run *extends* the representation with ``result_name``.
-        For cache provenance, use
-        :meth:`repro.service.Session.explain_analyze`, which serves the
-        query through the plan cache.
+        Executes the plan a default :meth:`run` would (the plan-cache entry,
+        or the verbatim tree with ``optimize=False``) and returns the
+        physical tree annotated per operator with estimated vs actual rows,
+        q-error, per-child input rows and self vs cumulative time.  Note the
+        representation-engine convention still applies: on a UWSDT the run
+        *extends* the representation with ``result_name``.  For cache
+        provenance, use :meth:`repro.service.Session.explain_analyze`.
         """
-        plan = self.plan(engine) if optimize else None
-        result = self.run(
-            engine,
-            result_name,
-            optimize=optimize,
-            plan=plan,
-            collect_metrics=True,
-            backend=backend,
-            workers=workers,
-        )
+        resolved, physical, plan = self._lowered(engine, optimize, None, None, backend, workers)
+        physical.execute(resolved, result_name)
         header = []
         certainty = None
         if plan is not None:
@@ -313,7 +315,7 @@ class Query:
                 from ...analysis.certainty import CertaintyContext
 
                 certainty = CertaintyContext.from_statistics(plan.statistics)
-        return result.physical.explain_analyze(header, certainty)
+        return physical.explain_analyze(header, certainty)
 
 
 class BaseRelation(Query):

@@ -16,6 +16,8 @@ per-operator runtime metrics (estimated vs actual cardinality among them).
   dispatched on).
 * :mod:`repro.core.exec.lower`    — logical → physical lowering, including
   the hash-join vs index-nested-loop-join cost decision.
+* :mod:`repro.core.exec.plan_cache` — the per-engine cache of lowered
+  plans every default ``Query.run`` and service request goes through.
 * :mod:`repro.core.exec.metrics`  — ``OperatorMetrics`` /
   ``ExecutionMetrics`` (rows in/out, wall time, estimated vs actual
   cardinality).
@@ -29,9 +31,7 @@ from .backends import (
     index_pool_for,
 )
 from .columnar import (
-    BACKEND_ENV,
     BACKEND_SPECS,
-    SHARD_WORKERS_ENV,
     ColumnBatch,
     ColumnarBackend,
     insert_columnar_boundaries,
@@ -74,9 +74,7 @@ __all__ = [
     "UWSDTBackend",
     "backend_for",
     "index_pool_for",
-    "BACKEND_ENV",
     "BACKEND_SPECS",
-    "SHARD_WORKERS_ENV",
     "ColumnBatch",
     "ColumnarBackend",
     "insert_columnar_boundaries",

@@ -35,13 +35,11 @@ runs row-at-a-time, and mixed plans stitch the two regions together with
 explicit ``Materialize`` / ``Dematerialize`` nodes.
 
 :func:`resolve_backend` maps the user-facing backend spec (``"row"`` /
-``"columnar"`` / ``"sharded"``, or the ``REPRO_BACKEND`` environment
-variable) to a concrete backend.
+``"columnar"`` / ``"sharded"``; None is ``"row"``) to a concrete backend.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import compress, repeat
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -59,13 +57,7 @@ from .physical import (
     PhysicalOperator,
 )
 
-#: Environment variable selecting the default backend spec for ``Query.run``.
-BACKEND_ENV = "REPRO_BACKEND"
-
-#: Environment variable with the default worker count for ``backend="sharded"``.
-SHARD_WORKERS_ENV = "REPRO_SHARD_WORKERS"
-
-#: The specs ``Query.run(backend=...)`` / ``REPRO_BACKEND`` accept.
+#: The specs ``Query.run(backend=...)`` accepts.
 BACKEND_SPECS = ("row", "columnar", "sharded")
 
 #: Physical operators with a vectorized kernel.  ``Scan`` is deliberately
@@ -559,18 +551,6 @@ def insert_columnar_boundaries(
 # --------------------------------------------------------------------------- #
 
 
-def _default_workers() -> int:
-    from .shard import DEFAULT_WORKERS
-
-    raw = os.environ.get(SHARD_WORKERS_ENV, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_WORKERS
-
-
 def resolve_backend(
     engine: Any,
     spec: Optional[str] = None,
@@ -578,21 +558,22 @@ def resolve_backend(
 ) -> EngineBackend:
     """Map a backend spec to a concrete :class:`EngineBackend`.
 
-    ``spec`` is ``"row"``, ``"columnar"``, ``"sharded"`` or None (meaning:
-    the ``REPRO_BACKEND`` environment variable, defaulting to ``"row"``).
+    ``spec`` is ``"row"``, ``"columnar"``, ``"sharded"`` or None (``"row"``).
     An already-constructed backend passes through unchanged.  ``workers``
-    sizes the sharded worker pool (default: ``REPRO_SHARD_WORKERS``, else 2).
+    sizes the sharded worker pool (None: ``shard.DEFAULT_WORKERS``).  The
+    result depends on the arguments alone, never on the process
+    environment: the backend kind and worker count key the plan cache.
     """
     if isinstance(spec, EngineBackend):
         return spec
     if spec is None:
-        spec = os.environ.get(BACKEND_ENV) or "row"
+        spec = "row"
     if spec not in BACKEND_SPECS:
         raise QueryError(f"unknown backend {spec!r}; expected one of {BACKEND_SPECS}")
     if spec == "row":
         return backend_for(engine)
     if spec == "columnar":
         return ColumnarBackend(engine)
-    from .shard import ShardedBackend
+    from .shard import DEFAULT_WORKERS, ShardedBackend
 
-    return ShardedBackend(engine, workers if workers is not None else _default_workers())
+    return ShardedBackend(engine, DEFAULT_WORKERS if workers is None else workers)

@@ -1,0 +1,192 @@
+"""One plan cache per engine: a query's lowered plan, planned once.
+
+:meth:`PlanCache.lowered` is the one path from a query to the physical plan
+an engine runs it with.  ``Query.run``, ``Query.physical_plan`` and
+``Query.explain_analyze`` take it by default, and so does
+``QueryService.execute``: the first call of a query on an engine plans
+(rewrite, join-order DP, sampling) and lowers it for the executing backend,
+and every later call of the same query on the unchanged engine reuses that
+physical plan.  An explicit ``plan=``, ``physical=``, ``force_join=`` or
+``optimize=False`` lowers fresh and leaves the cache alone, and
+``Query.plan`` is the uncached planner.
+
+An entry is keyed by the query's
+:meth:`~repro.core.algebra.query.Query.fingerprint` (a hash of its canonical
+text, in which every constant is rendered by its ``repr``), the backend kind
+and, for the sharded backend, the worker count its Exchange nodes were sized
+for.  It is valid for the relation objects it was planned on: it keeps the
+catalog version key of every base relation of the query, which names the
+relation object and its mutation count (``Relation.version`` on a Database,
+template version + placeholder count on a UWSDT), and a lookup compares
+them with the current ones.  A mutation, ``Database.replace`` or
+``UWSDT.load_template`` of any base relation therefore invalidates exactly
+the entries that read it; the intermediates ``Q̂`` adds to a UWSDT move no
+base relation's key.  Polling is the only invalidation.
+
+The cache holds at most :data:`MAX_ENTRIES` entries; storing one more
+empties it (``repro.plan_cache.evictions{reason="bound"}``), so ad-hoc
+queries cannot grow it without end.  An executed entry's operator nodes
+carry the metrics of its latest execution.
+"""
+
+from __future__ import annotations
+
+import threading
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+
+from ...obs.metrics import get_registry
+from ..planner.catalog import StatisticsCatalog, catalog_for
+from .backends import EngineBackend, backend_for
+from .lower import lower
+from .physical import PhysicalPlan
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from ..algebra.query import Query
+    from ..planner.planner import Plan
+
+#: Attribute under which :func:`plan_cache_for` stores the cache on an engine.
+CACHE_ATTRIBUTE = "_plan_cache"
+
+#: Entries one engine's cache holds before storing another empties it.
+MAX_ENTRIES = 256
+
+
+@dataclass
+class CachedPlan:
+    """One planned and lowered query, ready to execute again."""
+
+    plan: "Plan"
+    physical: PhysicalPlan
+    #: Backend kind the physical plan was lowered for (``physical.engine``).
+    backend: str
+    #: Version key of every base relation at planning time; the entry is
+    #: valid exactly while all of them still match.
+    version_keys: Dict[str, Tuple[Any, ...]]
+    #: How many service requests executed this entry (printed in the
+    #: ``Session.explain_analyze`` header).
+    executions: int = 0
+
+
+class PlanCache:
+    """Per-engine cache of lowered plans, validated by version-key polling."""
+
+    def __init__(self, engine: Any) -> None:
+        #: No reference back to ``engine`` (the cache hangs off it, the catalog
+        #: holds it weakly): a discarded engine dies by reference count.
+        self.catalog: StatisticsCatalog = catalog_for(engine)
+        self._lock = threading.RLock()
+        self._entries: Dict[str, CachedPlan] = {}
+        #: Backend kind assumed when ``lookup`` is called without one.
+        self._default_backend = backend_for(engine).kind
+        self.hits = 0
+        self.misses = 0
+        #: Entries dropped because a base relation's version key moved.
+        self.invalidations = 0
+
+    def _key(self, fingerprint: str, backend: Optional[str], workers: Optional[int]) -> str:
+        return f"{fingerprint}@{backend or self._default_backend}@{workers or 0}"
+
+    def _current_keys(self, relations: Tuple[str, ...]) -> Optional[Dict[str, Tuple[Any, ...]]]:
+        try:
+            return {name: self.catalog.version_key(name) for name in relations}
+        except KeyError:
+            return None  # a base relation is missing: nothing valid to key on
+
+    def _verify(self, recorded: str, physical: PhysicalPlan) -> None:
+        from ...analysis import invariants
+
+        if invariants.verification_enabled():
+            invariants.verify_cached_backend(
+                recorded, physical.engine, (self._default_backend, "columnar", "sharded")
+            )
+
+    def lookup(
+        self,
+        fingerprint: str,
+        backend: Optional[str] = None,
+        workers: Optional[int] = None,
+    ) -> Optional[CachedPlan]:
+        """The valid entry for ``fingerprint`` on ``backend``, or None.
+
+        ``backend`` is the executing backend's kind (default: the engine's
+        row backend) and ``workers`` a sharded plan's worker count.  A stale
+        entry (some base relation's version key moved) is dropped and
+        counted as an invalidation and a miss.
+        """
+        registry = get_registry()
+        key = self._key(fingerprint, backend, workers)
+        with self._lock:
+            entry = self._entries.get(key)
+            stale = entry is not None and (
+                self._current_keys(tuple(entry.version_keys)) != entry.version_keys
+            )
+            if stale:
+                del self._entries[key]
+                self.invalidations += 1
+                registry.counter("repro.plan_cache.evictions", reason="stale-version").inc()
+                entry = None
+            if entry is None:
+                self.misses += 1
+                registry.counter("repro.plan_cache.misses").inc()
+                return None
+            self.hits += 1
+            registry.counter("repro.plan_cache.hits").inc()
+            self._verify(entry.backend, entry.physical)
+            return entry
+
+    def lowered(self, query: "Query", backend: EngineBackend) -> Tuple[CachedPlan, bool]:
+        """The valid entry for ``query`` on ``backend`` and whether it was a
+        hit; on a miss, plan, lower and store it first."""
+        fingerprint = query.fingerprint()
+        workers = getattr(backend, "workers", None)
+        entry = self.lookup(fingerprint, backend.kind, workers)
+        if entry is not None:
+            return entry, True
+        relations = tuple(query.base_relations())
+        statistics = self.catalog.statistics(relations)
+        plan = query.plan(statistics=statistics)
+        physical = lower(plan.chosen, backend, statistics, estimates=plan.estimates)
+        # The keys of the relation versions the plan was made from: a
+        # mutation during planning leaves the entry stale, never wrong.
+        keys = statistics.version_keys
+        entry = CachedPlan(plan, physical, backend.kind, keys)
+        self._verify(backend.kind, physical)
+        if len(keys) == len(relations):
+            with self._lock:
+                if len(self._entries) >= MAX_ENTRIES:
+                    get_registry().counter("repro.plan_cache.evictions", reason="bound").inc(
+                        len(self._entries)
+                    )
+                    self._entries.clear()
+                self._entries[self._key(fingerprint, backend.kind, workers)] = entry
+        return entry, False
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def __repr__(self) -> str:
+        with self._lock:
+            count = len(self._entries)
+        return (
+            f"PlanCache({count} plans, {self.hits} hits / "
+            f"{self.misses} misses, {self.invalidations} invalidations)"
+        )
+
+
+def plan_cache_for(engine: Any) -> PlanCache:
+    """The plan cache attached to ``engine``, created on first use.
+
+    Engine ``copy()`` methods do not carry the cache over, mirroring the
+    statistics catalog's attachment discipline.  Anything but a Database or
+    a UWSDT (a WSD included) raises ``QueryError``.
+    """
+    cache = getattr(engine, CACHE_ATTRIBUTE, None)
+    if cache is None:
+        cache = PlanCache(engine)
+        try:
+            setattr(engine, CACHE_ATTRIBUTE, cache)
+        except AttributeError:
+            pass
+    return cache

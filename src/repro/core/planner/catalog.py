@@ -52,7 +52,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ...relational.database import Database
 from ..uwsdt import UWSDT
@@ -61,6 +61,28 @@ from .sampling import DEFAULT_SAMPLE_SIZE, RelationSample, sample_database, samp
 
 #: Attribute under which :func:`catalog_for` stores the catalog on an engine.
 CATALOG_ATTRIBUTE = "_statistics_catalog"
+
+
+class Same:
+    """The identity part of a version key: equal to another ``Same`` exactly
+    when both hold the same object.  ``Relation.version`` counts mutations
+    of one object, so two relations (a replaced one and its replacement)
+    can share a version; the key tells them apart by identity, and holding
+    the object keeps its ``id`` from being reused while the key lives."""
+
+    __slots__ = ("target",)
+
+    def __init__(self, target: Any) -> None:
+        self.target = target
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Same and other.target is self.target
+
+    def __hash__(self) -> int:
+        return id(self.target)
+
+    def __repr__(self) -> str:
+        return f"Same({type(self.target).__name__}@{id(self.target):#x})"
 
 
 @dataclass
@@ -73,10 +95,6 @@ class CatalogEntry:
     density: float
     attributes: Tuple[str, ...]
     sample: Optional[RelationSample]
-    #: The versioned object the key's identity component refers to (the
-    #: relation or the template Relation).  Holding it keeps the identity
-    #: check sound (no id reuse while the entry lives).
-    anchor: Any
 
 
 class StatisticsCatalog:
@@ -121,14 +139,6 @@ class StatisticsCatalog:
             return list(self.engine.relation_names)
         return [rs.name for rs in self.engine.schema]
 
-    def _version_key(self, name: str) -> Tuple[Tuple[Any, ...], Any]:
-        """``(key, anchor)`` of one relation's current state."""
-        if self.kind == "database":
-            relation = self.engine.relation(name)
-            return (relation.version,), relation
-        template = self.engine.templates[name]
-        return (template.version, self.engine.relation_placeholder_count(name)), template
-
     def _row_count_and_density(self, name: str) -> Tuple[int, float]:
         if self.kind == "database":
             return len(self.engine.relation(name)), 0.0
@@ -153,14 +163,9 @@ class StatisticsCatalog:
         ``"cached-sample"`` when reused, ``"fresh-sample"`` when rebuilt."""
         with self._lock:
             size = self.sample_size if sample_size is None else sample_size
-            key, anchor = self._version_key(name)
+            key = self.version_key(name)
             cached = self._entries.get(name)
-            if (
-                cached is not None
-                and cached.anchor is anchor
-                and cached.key == key
-                and cached.sample_size == size
-            ):
+            if cached is not None and cached.key == key and cached.sample_size == size:
                 self.hits += 1
                 self._registry_counter("hits").inc()
                 return cached, "cached-sample"
@@ -175,17 +180,20 @@ class StatisticsCatalog:
                 density=density,
                 attributes=attributes,
                 sample=self._sample_one(name, size),
-                anchor=anchor,
             )
             self._entries[name] = built
             return built, "fresh-sample"
 
     def version_key(self, name: str) -> Tuple[Any, ...]:
-        """The current version key of one relation — the token plan caches
-        snapshot per base relation and poll to validate cached plans."""
-        with self._lock:
-            key, _anchor = self._version_key(name)
-            return key
+        """The current version key of one relation — the token catalog
+        entries, plan-cache entries and session snapshots keep and poll.
+        It moves when the relation object is replaced (``Database.replace``,
+        ``UWSDT.load_template``) as well as when it is mutated."""
+        if self.kind == "database":
+            relation = self.engine.relation(name)
+            return (Same(relation), relation.version)
+        template = self.engine.templates[name]
+        return (Same(template), template.version, self.engine.relation_placeholder_count(name))
 
     def _relation_attributes(self, name: str) -> Tuple[str, ...]:
         if self.kind == "database":
@@ -215,44 +223,39 @@ class StatisticsCatalog:
     ) -> Statistics:
         """A :class:`Statistics` view over the catalog.
 
-        ``relations`` restricts *sampling* (planning passes the query's
-        base relations so unrelated, possibly huge relations are never
-        scanned); row counts, densities and attribute lists still cover
-        every relation of the engine.  Warm entries are served without any
-        sampling work; a catalog attached to nothing has none, which is how
+        ``relations`` restricts the view to the named relations (planning
+        passes the query's base relations, so a plan reads nothing of a
+        relation outside its query and is valid exactly as long as its own
+        relations' version keys are); None covers every relation of the
+        engine.  Warm entries are served without any sampling work; a
+        catalog attached to nothing has none, which is how
         ``Statistics.from_database`` / ``from_uwsdt`` build fresh
         statistics.
         """
         with self._lock:
             size = self.sample_size if sample_size is None else sample_size
             known = self.relation_names()
-            if relations is None:
-                wanted: Iterable[str] = known
-            else:
-                present = set(known)
-                wanted = set(name for name in relations if name in present)
+            if relations is not None:
+                wanted = set(relations)
+                known = [name for name in known if name in wanted]
             row_counts: Dict[str, int] = {}
             densities: Dict[str, float] = {}
             attributes: Dict[str, Tuple[str, ...]] = {}
             samples: Dict[str, RelationSample] = {}
             provenance: Dict[str, str] = {}
+            keys: Dict[str, Tuple[Any, ...]] = {}
             for name in known:
-                if name in wanted:
-                    entry, source = self.entry(name, size)
-                    row_counts[name] = entry.row_count
-                    densities[name] = entry.density
-                    attributes[name] = entry.attributes
-                    if entry.sample is not None:
-                        samples[name] = entry.sample
-                        provenance[name] = source
-                    else:
-                        provenance[name] = "fixed-constants"
+                entry, source = self.entry(name, size)
+                keys[name] = entry.key
+                row_counts[name] = entry.row_count
+                densities[name] = entry.density
+                attributes[name] = entry.attributes
+                if entry.sample is not None:
+                    samples[name] = entry.sample
+                    provenance[name] = source
                 else:
-                    # Outside the sampling restriction: cheap metadata only.
-                    row_counts[name], densities[name] = self._row_count_and_density(name)
-                    attributes[name] = self._relation_attributes(name)
                     provenance[name] = "fixed-constants"
-            return Statistics(
+            view = Statistics(
                 row_counts,
                 densities,
                 attributes,
@@ -262,6 +265,8 @@ class StatisticsCatalog:
                 source="catalog",
                 catalog=self,
             )
+            view.version_keys = keys
+            return view
 
     def __repr__(self) -> str:
         with self._lock:

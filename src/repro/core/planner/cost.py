@@ -191,6 +191,10 @@ class Statistics:
         #: holds its engine weakly; the type analysis goes through it to
         #: confirm a type inferred from a partial sample against whole columns.
         self.catalog = catalog
+        #: The version key of every relation a catalog view covers, as the
+        #: catalog read it (empty for hand-built statistics): what a plan made
+        #: from this view stays valid for.
+        self.version_keys: Dict[str, Tuple[Any, ...]] = {}
 
     def provenance(self, relation_name: str) -> str:
         """How this relation's estimates are derived (for ``explain()``)."""

@@ -28,8 +28,8 @@ class Database:
     # statistics cache (see repro.core.planner.catalog.catalog_for);
     # ``_index_pool`` is the executor's persistent hash-index pool
     # (see repro.core.exec.backends.index_pool_for); ``_plan_cache`` is the
-    # query service's fingerprinted plan cache
-    # (see repro.service.plan_cache.plan_cache_for).
+    # engine's cache of lowered plans, used by every default ``Query.run``
+    # (see repro.core.exec.plan_cache.plan_cache_for).
     __slots__ = ("_relations", "_statistics_catalog", "_index_pool", "_plan_cache", "__weakref__")
 
     def __init__(self, relations: Iterable[Relation] = ()) -> None:

@@ -1,16 +1,15 @@
-"""The always-on query service: sessions and the plan cache.
+"""The always-on query service: sessions over registered engines.
 
 The paper's representation systems are built for *interactive* querying
-over large uncertain databases; this package is the serving layer that
-makes repeated traffic cheap.  A :class:`QueryService` owns the registered
-engines and serves concurrent asyncio sessions; per engine, a
-:class:`~repro.service.plan_cache.PlanCache` memoizes the full planning
-pipeline keyed by query fingerprint and validated by catalog version keys.
+over large uncertain databases; this package is the serving layer.  A
+:class:`QueryService` owns the registered engines and serves concurrent
+asyncio sessions; repeated traffic is cheap because every request takes its
+lowered plan from the engine's
+:class:`~repro.core.exec.plan_cache.PlanCache`, the same cache a default
+``Query.run`` uses.
 
 * :mod:`repro.service.server`     — the service and its request path.
 * :mod:`repro.service.session`    — client sessions and snapshot reads.
-* :mod:`repro.service.plan_cache` — fingerprint → lowered plan, version-key
-  validated.
 * :mod:`repro.service.benchmark`  — the concurrent-traffic benchmark
   (p50/p95/p99 + hit rate), run by ``python -m repro.service``.
 
@@ -21,7 +20,6 @@ crosses the configured threshold; ``Session.explain_analyze`` renders the
 executed plan with cache provenance.  See ``docs/observability.md``.
 """
 
-from .plan_cache import CACHE_ATTRIBUTE, EVICTION_REASONS, CachedPlan, PlanCache, plan_cache_for
 from .server import (
     DEFAULT_SLOW_QUERY_SECONDS,
     SLOW_QUERY_ENV,
@@ -34,11 +32,6 @@ from .session import Session, Snapshot
 from .benchmark import run_traffic_benchmark, traffic_database, traffic_queries
 
 __all__ = [
-    "CACHE_ATTRIBUTE",
-    "EVICTION_REASONS",
-    "CachedPlan",
-    "PlanCache",
-    "plan_cache_for",
     "DEFAULT_SLOW_QUERY_SECONDS",
     "SLOW_QUERY_ENV",
     "QueryOutcome",

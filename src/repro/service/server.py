@@ -1,15 +1,15 @@
-"""The asyncio query service: two engines, shared plan cache.
+"""The asyncio query service: two engines, one plan cache each.
 
 :class:`QueryService` owns a set of registered engines (Database / UWSDT)
 and serves concurrent client sessions.  Per request it
 
-1. fingerprints the query (:meth:`Query.fingerprint`),
-2. looks the fingerprint up in the engine's
-   :class:`~repro.service.plan_cache.PlanCache` — a hit (validated against
-   the catalog version keys of every touched base relation) skips rewrite,
-   join-order DP, sampling and lowering entirely,
-3. on a miss, plans + lowers once and caches the result,
-4. executes the physical plan with metrics collection (per-operator
+1. takes the query's lowered plan from the engine's
+   :class:`~repro.core.exec.plan_cache.PlanCache` — the same entry a
+   default ``Query.run`` of the query uses; a hit (validated against the
+   catalog version keys of every touched base relation) skips rewrite,
+   join-order DP, sampling and lowering entirely, a miss plans and lowers
+   once and stores the result,
+2. executes the physical plan with metrics collection (per-operator
    estimated vs actual cardinalities, reported on the outcome).
 
 Engine access is serialized per engine through an ``asyncio.Lock``: the
@@ -30,12 +30,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional
 
-from ..core.exec import lower, resolve_backend
+from ..core.exec import resolve_backend
 from ..core.exec.metrics import ExecutionMetrics
 from ..core.exec.physical import PhysicalPlan
+from ..core.exec.plan_cache import PlanCache, plan_cache_for
 from ..obs.metrics import LATENCY_BUCKETS, get_registry
 from ..obs.trace import get_tracer
-from .plan_cache import CachedPlan, PlanCache, plan_cache_for
 from .session import Session
 
 #: Environment variable overriding the slow-query threshold (milliseconds).
@@ -101,6 +101,8 @@ class QueryOutcome:
     #: Worker count of a sharded request (None for in-process backends) —
     #: the remaining plan-cache sub-key.
     workers: Optional[int] = None
+    #: Service executions of the served plan-cache entry, this one included.
+    executions: int = 0
 
 
 @dataclass
@@ -193,20 +195,19 @@ class QueryService:
         backend=None,
         workers: Optional[int] = None,
     ) -> QueryOutcome:
-        """Serve one query: plan-cache lookup, plan on a miss, execute.
+        """Serve one query: take its lowered plan from the engine's plan
+        cache (planned and lowered on a miss), then execute it.
 
-        ``backend`` is the executing-backend spec (``"row"`` / ``"columnar"``
-        / ``"sharded"`` / None for the ``REPRO_BACKEND`` environment
-        variable); ``workers`` sizes the sharded backend's pool.
-        The resolved backend kind *and* worker count are part of the
-        plan-cache key, so a plan lowered for the row backend is never
-        served to a columnar request, and a sharded plan's Exchange fan-out
-        is never reused at a different worker count.
+        ``backend`` is the executing-backend spec (``"row"`` or None /
+        ``"columnar"`` / ``"sharded"``); ``workers`` sizes the sharded
+        backend's pool.  The resolved backend kind *and* worker count are
+        part of the plan-cache key, so a plan lowered for the row backend is
+        never served to a columnar request, and a sharded plan's Exchange
+        fan-out is never reused at a different worker count.
         """
         engine = self.engines[engine_name]
         cache = plan_cache_for(engine)
         executor = resolve_backend(engine, backend, workers=workers)
-        worker_count = getattr(executor, "workers", None)
         fingerprint = query.fingerprint()
         name = result_name or self._next_result_name()
         tracer = get_tracer()
@@ -221,12 +222,7 @@ class QueryService:
                 ).observe(waited)
                 start = time.perf_counter()
                 with tracer.span("cache-lookup", backend=executor.kind):
-                    entry = cache.lookup(fingerprint, executor.kind, worker_count)
-                cached = entry is not None
-                if entry is None:
-                    entry = self._plan_and_cache(
-                        engine, cache, query, fingerprint, executor, worker_count
-                    )
+                    entry, cached = cache.lowered(query, executor)
                 with tracer.span("execute", cached=cached):
                     result = query.run(
                         engine,
@@ -265,7 +261,8 @@ class QueryService:
             physical=result.physical,
             trace_id=trace_id,
             backend=executor.kind,
-            workers=worker_count,
+            workers=getattr(executor, "workers", None),
+            executions=entry.executions,
         )
 
     def _record_if_slow(
@@ -301,19 +298,6 @@ class QueryService:
             f"{record.worst_qerror:.2f}" if record.worst_qerror is not None else "n/a",
             trace_id or "-",
         )
-
-    def _plan_and_cache(
-        self,
-        engine: Any,
-        cache: PlanCache,
-        query,
-        fingerprint: str,
-        backend,
-        workers: Optional[int] = None,
-    ) -> CachedPlan:
-        plan = query.plan(engine)
-        physical = lower(plan.chosen, backend, plan.statistics, estimates=plan.estimates)
-        return cache.store(fingerprint, plan, physical, workers=workers)
 
     # ------------------------------------------------------------------ #
     # Telemetry exposition

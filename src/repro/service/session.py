@@ -103,14 +103,11 @@ class Session:
         request's trace id.
         """
         outcome = await self.execute(query, result_name, backend, workers)
-        entry = self.service.plan_cache(self.engine_name).peek(
-            outcome.fingerprint, outcome.backend, outcome.workers
-        )
         header = [
             f"fingerprint: {outcome.fingerprint}  engine: {outcome.engine}",
             "plan source: "
             + ("plan cache (hit)" if outcome.cached else "planned this request (miss)")
-            + (f", {entry.executions} cached execution(s)" if entry is not None else ""),
+            + f", {outcome.executions} cached execution(s)",
             f"request: {outcome.seconds * 1e3:.3f} ms"
             + (f"  trace: {outcome.trace_id}" if outcome.trace_id else ""),
         ]

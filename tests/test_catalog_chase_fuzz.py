@@ -30,12 +30,12 @@ from repro.core.component import Component
 from repro.core.fields import FieldRef
 from repro.core.planner import sampling_call_count
 from repro.core.planner.catalog import catalog_for
-from repro.core.exec import backend_for, lower
+from repro.core.exec import backend_for
 from repro.core.uwsdt import TID
 from repro.relational import InconsistentWorldSetError
 from repro.relational.predicates import AttrAttr, AttrConst
 from repro.relational.values import PLACEHOLDER
-from repro.service import plan_cache_for
+from repro.core.exec.plan_cache import plan_cache_for
 
 from _fixtures import assert_same_result_distribution, budgeted_orset_relations
 from test_planner_oracle import ORACLE_SCHEMAS, chase_dependencies
@@ -234,9 +234,7 @@ class TestPlaceholderCountInvalidation:
         cache = plan_cache_for(uwsdt)
         query = BaseRelation("R").join(BaseRelation("S"), "A1", "B1")
 
-        plan = query.plan(uwsdt)
-        physical = lower(plan.chosen, backend_for(uwsdt), plan.statistics)
-        cache.store(query.fingerprint(), plan, physical)
+        cache.lowered(query, backend_for(uwsdt))
         assert cache.lookup(query.fingerprint()) is not None
         _, provenance = catalog.entry("R")
         assert provenance == "cached-sample"

@@ -9,8 +9,8 @@ Layers of coverage:
 * the backend produces the same results as the row backend on Database and
   UWSDT engines, with the expected Materialize/Dematerialize boundaries
   (uncertain subtrees stay row-at-a-time),
-* backend selection: the ``REPRO_BACKEND`` env var, unknown specs
-  (``"auto"`` included) rejected, and a WSD rejected (it has no backend),
+* backend selection: None is the row backend, unknown specs (``"auto"``
+  included) rejected, and a WSD rejected (it has no backend),
 * the cached column store (the engine's index pool) is never stale — after
   any interleaving of inserts/removes on a Database relation, or template
   inserts and chase steps on a UWSDT, it equals a fresh ``from_rows`` — is
@@ -37,7 +37,6 @@ from repro.core import UWSDT, WSD
 from repro.core.algebra import BaseRelation
 from repro.core.chase import chase_uwsdt
 from repro.core.exec import (
-    BACKEND_ENV,
     ColumnarBackend,
     ColumnBatch,
     Dematerialize,
@@ -404,14 +403,7 @@ class TestActualRowsMatchRowBackend:
 
 
 class TestBackendSelection:
-    def test_env_var_selects_columnar(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "columnar")
-        backend = resolve_backend(small_database(), None)
-        assert isinstance(backend, ColumnarBackend)
-        assert backend.kind == "columnar"
-
-    def test_default_is_the_row_backend(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+    def test_default_is_the_row_backend(self):
         backend = resolve_backend(small_database(), None)
         assert backend.kind == "database"
 
@@ -419,15 +411,14 @@ class TestBackendSelection:
         with pytest.raises(QueryError):
             resolve_backend(small_database(), "simd")
 
-    def test_auto_is_not_a_backend_spec(self, monkeypatch):
-        """The error names the three specs there are — as an argument and
-        through the environment variable."""
+    def test_auto_is_not_a_backend_spec(self):
+        """The error names the three specs there are — from the resolver
+        and from ``Query.run``."""
         database = small_database()
         with pytest.raises(QueryError, match=r"'row', 'columnar', 'sharded'"):
             resolve_backend(database, "auto")
-        monkeypatch.setenv(BACKEND_ENV, "auto")
         with pytest.raises(QueryError, match=r"'row', 'columnar', 'sharded'"):
-            BaseRelation("R").run(database, "out")
+            BaseRelation("R").run(database, "out", backend="auto")
 
     def test_a_wsd_has_no_backend(self):
         relation = OrSetRelation(RelationSchema("R", ("A0", "A1", "A2")))

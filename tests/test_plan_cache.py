@@ -1,14 +1,19 @@
 """Plan-cache correctness: fingerprints, version-key invalidation, oracles.
 
-The service's :class:`~repro.service.plan_cache.PlanCache` memoizes the
+The engine's :class:`~repro.core.exec.plan_cache.PlanCache` memoizes the
 whole planning pipeline (rewrite + join-order DP + sampling + lowering)
 keyed by the query fingerprint and validated against the catalog version
-keys of every touched base relation.  The contract under test:
+keys of every touched base relation.  Every default ``Query.run`` and every
+service request goes through it.  The contract under test:
 
 * equal query text ⇒ equal fingerprint ⇒ cache hit with **zero** sampling
   and **zero** planner invocations,
-* any mutation of a touched base relation (insert / remove / template
-  insert / chase) invalidates exactly the entries that touch it,
+* any mutation or replacement of a touched base relation (insert / remove /
+  template insert / chase / ``Database.replace`` / ``UWSDT.load_template``)
+  invalidates exactly the entries that touch it,
+* ``plan=``, ``physical=``, ``force_join=`` and ``optimize=False`` bypass
+  the cache; ``Query.run`` and the service share its entries,
+* the cache is bounded, and safe under concurrent ``Query.run``,
 * a cache *hit* never changes results: executing the cached physical plan
   matches a freshly planned run on both engines — fuzzed against the
   possible-worlds oracle on the UWSDT.
@@ -17,26 +22,32 @@ keys of every touched base relation.  The contract under test:
 import asyncio
 import gc
 import itertools
+import sys
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import invariants
+from repro.analysis.schema import AnalysisError
 from repro.core import UWSDT, WSD
-from repro.core.algebra import BaseRelation, evaluate_on_wsd
+from repro.core.algebra import BaseRelation, evaluate_on_database, evaluate_on_wsd
 from repro.core.chase import chase_uwsdt
 from repro.core.exec import ColumnarBackend, backend_for, lower
+from repro.core.exec.plan_cache import MAX_ENTRIES, plan_cache_for
 from repro.relational.errors import QueryError
 from repro.core.planner import plan_call_count, sampling_call_count
 from repro.core.planner.catalog import catalog_for
+from repro.obs.metrics import get_registry
 from repro.relational import Database, InconsistentWorldSetError, Relation, RelationSchema
-from repro.relational.predicates import AttrAttr, AttrConst
-from repro.service import plan_cache_for
+from repro.relational.predicates import AttrAttr, AttrConst, Not
+from repro.service import QueryService
 from repro.worlds import OrSet, OrSetRelation
 
-from _fixtures import assert_same_result_distribution, budgeted_orset_relations
+from _fixtures import assert_same_result_distribution, budgeted_orset_relations, census_engines
 from test_catalog_chase_fuzz import _query_pool
 from test_planner_oracle import ORACLE_SCHEMAS, chase_dependencies
 
@@ -59,11 +70,10 @@ def small_orset_relations():
     return relations
 
 
-def populate(cache, query, engine):
-    """Plan + lower + store, as the service's miss path does."""
-    plan = query.plan(engine)
-    physical = lower(plan.chosen, backend_for(engine), plan.statistics)
-    return cache.store(query.fingerprint(), plan, physical)
+def populate(cache, query, engine, backend=None):
+    """The cache's entry for ``query`` (planned, lowered and stored on a miss)."""
+    entry, _hit = cache.lowered(query, backend or backend_for(engine))
+    return entry
 
 
 class TestFingerprints:
@@ -96,7 +106,7 @@ class TestDatabaseInvalidation:
         assert plan_call_count() == plans_before
         assert sampling_call_count() == samples_before
         assert sorted(result) == sorted(query.run(database, optimize=False))
-        assert cache.hits == 1 and cache.misses == 0
+        assert cache.hits == 1 and cache.misses == 1
 
     def test_insert_invalidates_exactly_the_touched_entries(self):
         database = small_database()
@@ -236,9 +246,7 @@ class TestBackendKeying:
         # row plan.
         assert cache.lookup(query.fingerprint(), "columnar") is None
 
-        plan = query.plan(database)
-        columnar_physical = lower(plan.chosen, ColumnarBackend(database), plan.statistics)
-        columnar_entry = cache.store(query.fingerprint(), plan, columnar_physical)
+        columnar_entry = populate(cache, query, database, ColumnarBackend(database))
 
         # Both entries coexist under the same fingerprint, keyed by backend.
         assert columnar_entry is not row_entry
@@ -268,23 +276,6 @@ class TestBackendKeying:
         columnar_physical = lower(plan.chosen, ColumnarBackend(database), plan.statistics)
         with pytest.raises(QueryError):
             columnar_physical.execute(backend_for(database), "mismatch")
-
-    def test_invalidate_with_backend_pops_only_that_entry(self):
-        database = small_database()
-        cache = plan_cache_for(database)
-        query = BaseRelation("R").join(BaseRelation("S"), "A", "B")
-        row_entry = populate(cache, query, database)
-        plan = query.plan(database)
-        columnar_physical = lower(plan.chosen, ColumnarBackend(database), plan.statistics)
-        cache.store(query.fingerprint(), plan, columnar_physical)
-
-        cache.invalidate(query.fingerprint(), reason="explicit", backend="columnar")
-        assert cache.lookup(query.fingerprint(), "columnar") is None
-        assert cache.lookup(query.fingerprint()) is row_entry
-
-        # Fingerprint-only invalidation still sweeps every backend's entry.
-        cache.invalidate(query.fingerprint())
-        assert cache.lookup(query.fingerprint()) is None
 
     def test_service_keys_cache_entries_by_backend(self):
         from repro.service import QueryService
@@ -385,3 +376,216 @@ class TestPlanCacheChaseFuzz:
                     assert cache.lookup(query.fingerprint()) is entry
 
         assert executed_any_run
+
+
+class TestReplacedRelations:
+    """A version key names the relation object, not only its mutation count:
+    ``Relation.version`` of a bulk-built relation is its row count, so a
+    replacement of the same size has the same count as the relation it
+    replaces, and only the identity tells a plan cached for the old one
+    from a plan for the new one."""
+
+    @staticmethod
+    def _relation(second: str, offset: int = 0) -> Relation:
+        rows = [(i + offset, -i) for i in range(100)]
+        return Relation.from_tuples(RelationSchema("R", ("A", second)), rows)
+
+    def test_database_replace_invalidates_plans_and_snapshots(self):
+        database = Database([self._relation("B")])
+        query = BaseRelation("R").select(AttrConst("A", "=", 5)).project(["A", "B"])
+
+        async def scenario():
+            service = QueryService()
+            service.register_engine("db", database)
+            session = service.session("db")
+            snapshot = session.snapshot(["R"])
+            assert sorted((await session.execute(query)).value) == [(5, -5)]
+            await session.mutate(lambda engine: engine.replace(self._relation("C")))
+            # Planned afresh, the query names an attribute R no longer has.
+            with pytest.raises(AnalysisError, match="unknown-attribute"):
+                await session.execute(query)
+            assert snapshot.changed() == ["R"]
+
+        asyncio.run(scenario())
+        with pytest.raises(AnalysisError, match="unknown-attribute"):
+            query.run(database)
+
+    def test_uwsdt_load_template_invalidates_plans_and_snapshots(self):
+        uwsdt = UWSDT.from_relation(self._relation("B"))
+        query = BaseRelation("R").select(AttrConst("A", "=", 5))
+
+        async def scenario():
+            service = QueryService()
+            service.register_engine("uw", uwsdt)
+            session = service.session("uw")
+            snapshot = session.snapshot(["R"])
+            await session.execute(query)
+            assert (await session.execute(query)).cached
+            shifted = [(tid, a + 3, b) for tid, a, b in uwsdt.templates["R"]]
+            await session.mutate(lambda engine: engine.load_template("R", shifted, True))
+            fresh = await session.execute(query, "fresh")
+            assert not fresh.cached
+            assert snapshot.changed() == ["R"]
+            return fresh.result_name
+
+        name = asyncio.run(scenario())
+        verbatim = uwsdt.copy()
+        query.run(verbatim, "verbatim", optimize=False)
+        assert sorted(row[1:] for row in uwsdt.templates[name]) == sorted(
+            row[1:] for row in verbatim.templates["verbatim"]
+        ) == [(5, -2)]
+
+
+class TestOnePath:
+    """``Query.run``, ``physical_plan``, ``explain_analyze`` and the service
+    share one cache; the explicit arguments bypass it."""
+
+    def test_repeated_runs_plan_once_and_an_insert_replans_once(self):
+        database = small_database()
+        query = BaseRelation("R").join(BaseRelation("S"), "A", "B")
+        before = plan_call_count()
+        first = query.run(database)
+        assert query.run(database) == first
+        assert plan_call_count() == before + 1
+        database.relation("R").insert((4, 999))
+        query.run(database)
+        query.run(database)
+        assert plan_call_count() == before + 2
+        assert query.physical_plan(database) is plan_cache_for(database).lookup(
+            query.fingerprint()
+        ).physical
+
+    def test_explicit_arguments_bypass_the_cache(self):
+        database = small_database()
+        query = BaseRelation("R").join(BaseRelation("S"), "A", "B")
+        cache = plan_cache_for(database)
+        expected = sorted(query.run(database))
+        counts = (cache.hits, cache.misses, len(cache))
+        physical = query.physical_plan(database, optimize=False)
+        results = [
+            query.run(database, plan=query.plan(database)),
+            query.run(database, physical=physical),
+            query.run(database, force_join="hash"),
+            query.run(database, force_join="index-nested-loop"),
+            query.run(database, optimize=False),
+        ]
+        query.physical_plan(database, force_join="hash")
+        query.explain_analyze(database, optimize=False)
+        assert (cache.hits, cache.misses, len(cache)) == counts
+        assert all(sorted(result) == expected for result in results)
+
+    def test_a_run_after_a_service_request_is_a_hit(self):
+        database = small_database()
+        query = BaseRelation("R").join(BaseRelation("S"), "A", "B")
+
+        async def request():
+            service = QueryService()
+            service.register_engine("db", database)
+            return await service.session("db").execute(query)
+
+        served = asyncio.run(request())
+        cache = plan_cache_for(database)
+        hits, plans = cache.hits, plan_call_count()
+        assert sorted(query.run(database)) == sorted(served.value)
+        assert cache.hits == hits + 1 and plan_call_count() == plans
+        assert "cost model: database" in query.explain_analyze(database)
+        assert cache.hits == hits + 2
+
+    def test_census_queries_served_twice_on_a_chased_uwsdt(self):
+        from repro.census import census_query, query_names
+        from repro.core.confidence import uwsdt_possible_with_confidence
+
+        _database, chased = census_engines(200, 0.005)
+        for name in query_names():
+            query = census_query(name)
+            verbatim = chased.copy()
+            query.run(verbatim, "V", optimize=False)
+            expected = sorted(uwsdt_possible_with_confidence(verbatim, "V"), key=repr)
+            for label in (f"{name}_a", f"{name}_b"):
+                query.run(chased, label)
+                served = sorted(uwsdt_possible_with_confidence(chased, label), key=repr)
+                assert [row for row, _ in served] == [row for row, _ in expected]
+                assert [p for _, p in served] == pytest.approx([p for _, p in expected])
+        cache = plan_cache_for(chased)
+        assert len(cache) == len(query_names())
+        assert cache.hits == len(query_names())
+
+    def test_the_cache_is_bounded(self):
+        database = small_database()
+        cache = plan_cache_for(database)
+        evictions = get_registry().counter("repro.plan_cache.evictions", reason="bound")
+        before = evictions.value
+        for constant in range(MAX_ENTRIES + 20):
+            query = BaseRelation("T").select(AttrConst("TV", "=", constant))
+            query.run(database)
+            assert len(cache) <= MAX_ENTRIES
+        assert evictions.value - before == MAX_ENTRIES
+
+    def test_concurrent_runs_return_the_single_thread_answers(self):
+        from repro.census import census_query, query_names
+
+        database, _chased = census_engines(400, 0.005)
+        queries = [census_query(name) for name in query_names()]
+        expected = [sorted(evaluate_on_database(query, database)) for query in queries]
+        cache = plan_cache_for(database)
+        barrier = threading.Barrier(8, timeout=60)
+
+        def work(_index):
+            barrier.wait()
+            return [[sorted(query.run(database)) for query in queries] for _ in range(2)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                answers = list(pool.map(work, range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(passes == [expected, expected] for passes in answers)
+        # One lookup per run, none lost; every query planned at least once.
+        assert cache.hits + cache.misses == 8 * 2 * len(queries)
+        assert len(cache) == len(queries)
+
+
+MIXED = Database(
+    [
+        Relation(
+            RelationSchema("M", ("A", "B")),
+            [(1, "1"), (2, 1.5), ("1", 1), (0, True), (1.5, "x"), ("x", 0)],
+        )
+    ]
+)
+
+predicates = st.one_of(
+    st.builds(
+        AttrConst,
+        st.sampled_from(["A", "B"]),
+        st.sampled_from(["=", "!=", "<"]),
+        st.sampled_from([1, 1.0, True, "1"]),
+    ),
+    st.builds(AttrAttr, st.just("A"), st.sampled_from(["=", "!="]), st.just("B")),
+)
+
+
+def _value(predicate):
+    """A predicate as a value: what two queries must agree on to share an entry."""
+    if isinstance(predicate, AttrConst):
+        constant = predicate.constant
+        return ("const", predicate.attribute, predicate.op, type(constant), constant)
+    return ("attr", predicate.left, predicate.op, predicate.right)
+
+
+class TestEntriesAreKeyedByValue:
+    @given(shapes=st.lists(st.tuples(predicates, st.booleans()), min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_queries_differing_in_a_constant_type_attribute_or_shape_never_share(
+        self, shapes
+    ):
+        database = Database([MIXED.relation("M").copy()])
+        values = set()
+        for predicate, negate in shapes:
+            query = BaseRelation("M").select(Not(predicate) if negate else predicate)
+            answer = evaluate_on_database(query, database)
+            assert sorted(query.run(database), key=repr) == sorted(answer, key=repr)
+            values.add((negate, _value(predicate)))
+        assert len(plan_cache_for(database)) == len(values)

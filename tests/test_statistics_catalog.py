@@ -317,8 +317,9 @@ class TestCatalogEdges:
         assert sampling_call_count() == before + 1
         assert stats.sample("R") is not None
         assert stats.sample("S") is None
-        # The restriction limits *sampling* only: true cardinalities and
-        # schemas of other relations are still reported (pre-catalog API).
-        assert stats.row_count("S") == 20
-        assert stats.relation_attributes("S") == ("K2", "B")
+        # The restriction covers everything the view reads: a plan depends
+        # on its query's relations only, so their version keys validate it.
+        assert set(stats.row_counts) == {"R"}
+        assert stats.relation_attributes("S") is None
         assert stats.provenance("S") == "fixed-constants"
+        assert set(catalog_for(database).statistics(("R",)).row_counts) == {"R"}
