@@ -182,13 +182,13 @@ def attribute_facts(
     return walk(query)
 
 
-def node_certainty(query: Query, context: CertaintyContext) -> Dict[int, str]:
-    """Relation-level fact per node, keyed by ``id(node)``.
+def node_certainty(query: Query, context: CertaintyContext) -> Dict[Query, str]:
+    """Relation-level fact per node, keyed by node.
 
     A node's fact is the lub over the base relations its subtree reads —
     exactly the quantity columnar eligibility is decided on.
     """
-    facts: Dict[int, str] = {}
+    facts: Dict[Query, str] = {}
 
     def walk(node: Query) -> str:
         if isinstance(node, BaseRelation):
@@ -199,7 +199,7 @@ def node_certainty(query: Query, context: CertaintyContext) -> Dict[int, str]:
             for child in children:
                 child_fact = walk(child)
                 fact = child_fact if fact is None else lub(fact, child_fact)
-        facts[id(node)] = fact
+        facts[node] = fact
         return fact
 
     walk(query)
@@ -217,7 +217,7 @@ def render_with_certainty(
     facts = node_certainty(query, context)
 
     def walk(node: Query, prefix: str) -> list:
-        fact = facts[id(node)]
+        fact = facts[node]
         suffix = f"  [{fact}]" if fact != UNKNOWN else ""
         lines = [prefix + node.node_label() + suffix]
         for child in node.children():

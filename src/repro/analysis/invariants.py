@@ -43,6 +43,7 @@ import os
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from ..relational.errors import QueryError
+from ..relational.predicates import is_index_equality
 from ..relational.relation import Relation
 from ..core.uwsdt import UWSDT
 from ..core.exec.physical import (
@@ -163,18 +164,6 @@ def _fail(plan: PhysicalPlan, node: PhysicalOperator, reason: str) -> None:
     )
 
 
-def _hashable_equality(predicate: Any) -> bool:
-    from ..relational.predicates import AttrConst
-
-    if not isinstance(predicate, AttrConst) or predicate.op not in ("=", "=="):
-        return False
-    try:
-        hash(predicate.constant)
-    except TypeError:
-        return False
-    return True
-
-
 def verify_physical(
     plan: PhysicalPlan,
     backend: Any = None,
@@ -241,7 +230,7 @@ def verify_physical(
         if isinstance(node, IndexScan):
             if backend is not None and not backend.supports_index_scan:
                 _fail(plan, node, "IndexScan on a backend without index support")
-            if not _hashable_equality(node.predicate):
+            if not is_index_equality(node.predicate):
                 _fail(
                     plan,
                     node,

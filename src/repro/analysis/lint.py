@@ -35,6 +35,11 @@ the ones that have bitten (or nearly bitten) before:
   only (the Figure 9 specification): the executor is the only interpreter
   of a query tree on an engine, so a second tree-walker cannot grow back
   beside it.
+* ``identity-key`` — no call of the builtin ``id`` in ``core/planner``,
+  ``core/exec`` or ``analysis`` but in ``catalog.Same``, which holds the
+  object it names: a memo keyed by a node's address serves a freed node's
+  entry to whatever object reuses it.  Query trees and predicates are
+  values; key by them.
 
 Findings are compared against a checked-in baseline
 (``lint_baseline.json`` next to this module): pre-existing violations are
@@ -53,7 +58,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 #: Mutable state per lock-guarded class: these attributes must only be
 #: touched under ``self._lock``.  Immutable configuration set once in
-#: ``__init__`` (sample sizes, backend kinds) is deliberately not listed.
+#: ``__init__`` (the engine reference, backend kinds) is deliberately not listed.
 LOCKED_CLASSES = {
     "MetricsRegistry": ("_metrics",),
     "StatisticsCatalog": ("_entries",),
@@ -119,6 +124,11 @@ CLASSICAL_OPERATORS = frozenset(
 OPERATOR_DISPATCH_MODULE = "core/exec/backends.py"
 REFERENCE_MODULE = "core/algebra/query.py"
 REFERENCE_FUNCTIONS = {"_evaluate_db": CLASSICAL_MODULE, "_evaluate_wsd": SPECIFICATION_MODULE}
+
+#: Packages whose memos key by value, never by the builtin ``id``, and the
+#: one class there that may call it (it keeps its target alive).
+IDENTITY_KEY_PACKAGES = ("core/planner/", "core/exec/", "analysis/")
+IDENTITY_KEY_EXEMPT = ("core/planner/catalog.py", "Same.")
 
 #: The format tag written into baselines and reports.
 BASELINE_FORMAT = "repro-lint-baseline/1"
@@ -463,16 +473,18 @@ def check_picklable_plan_state(tree: ast.Module, path: str) -> List[Violation]:
     return violations
 
 
+def _builtin_calls(tree: ast.Module, names: Iterable[str]) -> List[ast.Call]:
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names
+    ]
+
+
 def check_dynamic_code(tree: ast.Module, path: str) -> List[Violation]:
     if path.replace("\\", "/").endswith(DYNAMIC_CODE_MODULE):
         return []
-    calls = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in DYNAMIC_CODE_BUILTINS
-    ]
+    calls = _builtin_calls(tree, DYNAMIC_CODE_BUILTINS)
     if not calls:
         return []
     enclosing = _enclosing_symbols(tree)
@@ -562,6 +574,20 @@ def check_operator_dispatch(tree: ast.Module, path: str) -> List[Violation]:
     ]
 
 
+def check_identity_key(tree: ast.Module, path: str) -> List[Violation]:
+    normalized = "/" + path.replace("\\", "/")
+    if not any(f"/{package}" in normalized for package in IDENTITY_KEY_PACKAGES):
+        return []
+    enclosing = _enclosing_symbols(tree)
+    module, owner = IDENTITY_KEY_EXEMPT
+    message = "calls the builtin id — an address a freed object hands on; key by the value"
+    return [
+        Violation("identity-key", path, call.lineno, enclosing.get(call, "<module>"), message)
+        for call in _builtin_calls(tree, ("id",))
+        if not (normalized.endswith(module) and enclosing.get(call, "").startswith(owner))
+    ]
+
+
 RULES = (
     check_relation_version,
     check_relation_storage,
@@ -570,6 +596,7 @@ RULES = (
     check_picklable_plan_state,
     check_dynamic_code,
     check_operator_dispatch,
+    check_identity_key,
 )
 
 

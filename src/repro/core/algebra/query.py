@@ -21,8 +21,10 @@ specification).
 
 from __future__ import annotations
 
+import hashlib
 import itertools
-from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ...relational import algebra as relational_algebra
 from ...relational.database import Database
@@ -37,8 +39,37 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..planner.planner import Plan
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Query:
-    """Base class of relational algebra query expressions."""
+    """Base class of relational algebra query expressions.
+
+    A query is a value: a frozen dataclass, equal to a node of its class
+    with equal fields and hashed to match; its hash and :meth:`fingerprint`
+    are computed once.
+    """
+
+    def _fields(self) -> Tuple[Any, ...]:
+        # ``__dataclass_fields__`` names the fields in order, as ``fields()``
+        # does, without building a Field tuple per call.
+        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Query) or type(other) is not type(self):
+            return NotImplemented
+        return hash(self) == hash(other) and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((type(self), self._fields()))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # ``hash()`` of a string differs between processes: recompute it there.
+        return {name: value for name, value in self.__dict__.items() if name != "_hash"}
 
     # -- convenient combinators -------------------------------------------- #
 
@@ -46,7 +77,7 @@ class Query:
         return Select(self, predicate)
 
     def project(self, attributes: Sequence[str]) -> "Project":
-        return Project(self, attributes)
+        return Project(self, tuple(attributes))
 
     def product(self, other: "Query") -> "Product":
         return Product(self, other)
@@ -73,29 +104,12 @@ class Query:
         return Join(self, other, left_attr, right_attr)
 
     def children(self) -> Tuple["Query", ...]:
-        raise NotImplementedError
+        return ()
 
     def with_children(self, children: Tuple["Query", ...]) -> "Query":
-        """Clone this node with new children (used by the planner's rewrites)."""
-        if isinstance(self, BaseRelation):
-            return self
-        if isinstance(self, Select):
-            return Select(children[0], self.predicate)
-        if isinstance(self, Project):
-            return Project(children[0], self.attributes)
-        if isinstance(self, Rename):
-            return Rename(children[0], self.old, self.new)
-        if isinstance(self, Product):
-            return Product(children[0], children[1])
-        if isinstance(self, Union):
-            return Union(children[0], children[1])
-        if isinstance(self, Difference):
-            return Difference(children[0], children[1])
-        if isinstance(self, Intersection):
-            return Intersection(children[0], children[1])
-        if isinstance(self, Join):
-            return Join(children[0], children[1], self.left_attr, self.right_attr)
-        raise TypeError(f"cannot rebuild {self!r}")
+        """This node over new children, every other field kept (the
+        planner's rewrites rebuild through it)."""
+        return self
 
     def base_relations(self) -> List[str]:
         """Names of base relations referenced by the query."""
@@ -112,6 +126,10 @@ class Query:
         """This operator alone, in σ/π/⋈ notation (no children)."""
         raise NotImplementedError
 
+    def __repr__(self) -> str:
+        """The compact one-line algebra expression."""
+        return self.node_label()
+
     def to_text(self, indent: str = "") -> str:
         """Multi-line indented rendering of the query tree.
 
@@ -125,17 +143,19 @@ class Query:
         return "\n".join(lines)
 
     def fingerprint(self) -> str:
-        """Stable identity of this query's canonical text rendering.
-
-        Two structurally identical trees fingerprint identically, whatever
-        object identities built them — the plan-cache key of
-        :mod:`repro.core.exec.plan_cache`.  Uses SHA-1 rather than
-        ``hash()`` so the value is stable across processes
-        (``PYTHONHASHSEED``) and usable in logs.
+        """A 16-hex digest of this query's value, the plan-cache key of
+        :mod:`repro.core.exec.plan_cache`: equal trees share it, whatever
+        objects built them.  It digests each node's class and fields, not the
+        display text, which is ambiguous (``π[A, B]`` also projects on
+        ``"A, B"``).  SHA-1 rather than ``hash()``, so the value is the same
+        in every process and usable in logs.
         """
-        import hashlib
-
-        return hashlib.sha1(self.to_text().encode("utf-8")).hexdigest()[:16]
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            text = "|".join(map(_stable_text, (type(self), *self._fields())))
+            cached = hashlib.sha1(text.encode("utf-8")).hexdigest()[:16]
+            object.__setattr__(self, "_fingerprint", cached)
+        return cached
 
     # -- planned evaluation ------------------------------------------------ #
 
@@ -318,14 +338,44 @@ class Query:
         return physical.explain_analyze(header, certainty)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class _Unary(Query):
+    """An operator over one child query."""
+
+    child: Query
+
+    def children(self) -> Tuple[Query, ...]:
+        return (self.child,)
+
+    def with_children(self, children: Tuple[Query, ...]) -> Query:
+        return replace(self, child=children[0])
+
+    def __repr__(self) -> str:
+        return f"{self.node_label()}({self.child!r})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class _Binary(Query):
+    """An operator over two child queries."""
+
+    left: Query
+    right: Query
+
+    def children(self) -> Tuple[Query, ...]:
+        return (self.left, self.right)
+
+    def with_children(self, children: Tuple[Query, ...]) -> Query:
+        return replace(self, left=children[0], right=children[1])
+
+    def __repr__(self) -> str:
+        return f"({self.left!r} {self.node_label()} {self.right!r})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class BaseRelation(Query):
     """A reference to a stored relation."""
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def children(self) -> Tuple[Query, ...]:
-        return ()
+    name: str
 
     def base_relations(self) -> List[str]:
         return [self.name]
@@ -333,109 +383,62 @@ class BaseRelation(Query):
     def node_label(self) -> str:
         return self.name
 
-    def __repr__(self) -> str:
-        return self.name
 
-
-class Select(Query):
+@dataclass(frozen=True, eq=False, repr=False)
+class Select(_Unary):
     """Selection σ_pred."""
 
-    def __init__(self, child: Query, predicate: Predicate) -> None:
-        self.child = child
-        self.predicate = predicate
-
-    def children(self) -> Tuple[Query, ...]:
-        return (self.child,)
+    predicate: Predicate
 
     def node_label(self) -> str:
         return f"σ[{self.predicate!r}]"
 
-    def __repr__(self) -> str:
-        return f"σ[{self.predicate!r}]({self.child!r})"
 
-
-class Project(Query):
+@dataclass(frozen=True, eq=False, repr=False)
+class Project(_Unary):
     """Projection π_U."""
 
-    def __init__(self, child: Query, attributes: Sequence[str]) -> None:
-        self.child = child
-        self.attributes = tuple(attributes)
+    attributes: Tuple[str, ...]
 
-    def children(self) -> Tuple[Query, ...]:
-        return (self.child,)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "attributes", tuple(self.attributes))
 
     def node_label(self) -> str:
         return f"π[{', '.join(self.attributes)}]"
 
-    def __repr__(self) -> str:
-        return f"π[{', '.join(self.attributes)}]({self.child!r})"
 
-
-class Product(Query):
+@dataclass(frozen=True, eq=False, repr=False)
+class Product(_Binary):
     """Cartesian product ×."""
-
-    def __init__(self, left: Query, right: Query) -> None:
-        self.left = left
-        self.right = right
-
-    def children(self) -> Tuple[Query, ...]:
-        return (self.left, self.right)
 
     def node_label(self) -> str:
         return "×"
 
-    def __repr__(self) -> str:
-        return f"({self.left!r} × {self.right!r})"
 
-
-class Union(Query):
+@dataclass(frozen=True, eq=False, repr=False)
+class Union(_Binary):
     """Union ∪."""
-
-    def __init__(self, left: Query, right: Query) -> None:
-        self.left = left
-        self.right = right
-
-    def children(self) -> Tuple[Query, ...]:
-        return (self.left, self.right)
 
     def node_label(self) -> str:
         return "∪"
 
-    def __repr__(self) -> str:
-        return f"({self.left!r} ∪ {self.right!r})"
 
-
-class Difference(Query):
+@dataclass(frozen=True, eq=False, repr=False)
+class Difference(_Binary):
     """Difference −."""
-
-    def __init__(self, left: Query, right: Query) -> None:
-        self.left = left
-        self.right = right
-
-    def children(self) -> Tuple[Query, ...]:
-        return (self.left, self.right)
 
     def node_label(self) -> str:
         return "−"
 
-    def __repr__(self) -> str:
-        return f"({self.left!r} − {self.right!r})"
 
-
-class Intersection(Query):
+@dataclass(frozen=True, eq=False, repr=False)
+class Intersection(_Binary):
     """Intersection ∩ (derived: ``A ∩ B = A − (A − B)``).
 
     The Database engine evaluates it natively; a UWSDT and the Figure 9
     specification evaluate the difference expansion, which is world-by-world
     equivalent and therefore correct on representations by Theorem 1.
     """
-
-    def __init__(self, left: Query, right: Query) -> None:
-        self.left = left
-        self.right = right
-
-    def children(self) -> Tuple[Query, ...]:
-        return (self.left, self.right)
 
     def expanded(self) -> Difference:
         """The ``A − (A − B)`` form a UWSDT and a WSD evaluate."""
@@ -444,45 +447,48 @@ class Intersection(Query):
     def node_label(self) -> str:
         return "∩"
 
-    def __repr__(self) -> str:
-        return f"({self.left!r} ∩ {self.right!r})"
 
-
-class Rename(Query):
+@dataclass(frozen=True, eq=False, repr=False)
+class Rename(_Unary):
     """Attribute renaming δ_{A→A'}."""
 
-    def __init__(self, child: Query, old: str, new: str) -> None:
-        self.child = child
-        self.old = old
-        self.new = new
-
-    def children(self) -> Tuple[Query, ...]:
-        return (self.child,)
+    old: str
+    new: str
 
     def node_label(self) -> str:
         return f"δ[{self.old}→{self.new}]"
 
-    def __repr__(self) -> str:
-        return f"δ[{self.old}→{self.new}]({self.child!r})"
 
-
-class Join(Query):
+@dataclass(frozen=True, eq=False, repr=False)
+class Join(_Binary):
     """Equi-join ⋈_{A=B} (a derived operator: product followed by selection)."""
 
-    def __init__(self, left: Query, right: Query, left_attr: str, right_attr: str) -> None:
-        self.left = left
-        self.right = right
-        self.left_attr = left_attr
-        self.right_attr = right_attr
-
-    def children(self) -> Tuple[Query, ...]:
-        return (self.left, self.right)
+    left_attr: str
+    right_attr: str
 
     def node_label(self) -> str:
         return f"⋈[{self.left_attr}={self.right_attr}]"
 
-    def __repr__(self) -> str:
-        return f"({self.left!r} ⋈[{self.left_attr}={self.right_attr}] {self.right!r})"
+
+def _stable_text(value: Any) -> str:
+    """``value`` as text that is the same in every process: strings quoted,
+    constants with their class, a predicate by its value key (or, without
+    one, its class and ``repr``; the plan cache's equality check then tells
+    two such predicates apart)."""
+    if isinstance(value, Query):
+        return value.fingerprint()
+    if isinstance(value, str):
+        return repr(value)
+    if isinstance(value, type):
+        return f"{value.__module__}.{value.__qualname__}"
+    if isinstance(value, tuple):
+        return "(" + ",".join(map(_stable_text, value)) + ")"
+    if isinstance(value, Predicate):
+        key = value.value_key()
+        return _stable_text(key if key is not None else (type(value), repr(value)))
+    if type(value) is float and value == 0:
+        value = 0.0  # -0.0 == 0.0: equal constants render alike
+    return f"{_stable_text(type(value))}:{value!r}"
 
 
 def _check_set_operation(operator: str, left: Query, right: Query, node: Query) -> None:

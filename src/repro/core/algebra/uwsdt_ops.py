@@ -39,7 +39,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ...obs.metrics import get_registry
 from ...relational.errors import RepresentationError, SchemaError
-from ...relational.predicates import And, AttrConst, Predicate
+from ...relational.predicates import And, Predicate, is_index_equality
 from ...relational.schema import RelationSchema
 from ...relational.values import BOTTOM, PLACEHOLDER
 from ..component import Component, fill_placeholders
@@ -168,11 +168,7 @@ def _equality_candidates(
     "employing indices" tuning with exactly those two keys: the rows under
     ``c``, which the template decides, and the rows under ``?``.
     """
-    if not isinstance(predicate, AttrConst) or predicate.op not in ("=", "=="):
-        return None
-    try:
-        hash(predicate.constant)
-    except TypeError:
+    if not is_index_equality(predicate):
         return None
     index = uwsdt.template_index(source, predicate.attribute)
     return index.lookup(predicate.constant), index.lookup(PLACEHOLDER)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ...relational.errors import QueryError
-from ...relational.predicates import AttrConst
+from ...relational.predicates import is_index_equality
 from ..algebra import query as logical
 from ..planner.cost import NodeEstimate, Statistics, estimate_forest
 from .backends import EngineBackend, backend_for
@@ -49,57 +49,34 @@ from .physical import (
 JOIN_ALGORITHMS = ("hash", "index-nested-loop")
 
 
-def _hashable_equality(predicate) -> bool:
-    if not isinstance(predicate, AttrConst) or predicate.op not in ("=", "=="):
-        return False
-    try:
-        hash(predicate.constant)
-    except TypeError:
-        return False
-    return True
-
-
 class _Lowering:
     def __init__(
         self,
         backend: EngineBackend,
         statistics: Statistics,
         force_join: Optional[str],
-        estimates: Optional[Dict[int, NodeEstimate]] = None,
+        estimates: Optional[Dict[logical.Query, NodeEstimate]] = None,
     ) -> None:
         self.backend = backend
         self.statistics = statistics
         self.force_join = force_join
-        #: Per-node estimates keyed by node identity: the planner's own, when
-        #: it hands them over, else filled by one bottom-up pass before
-        #: lowering starts (re-estimating every subtree here would be
-        #: quadratic in the statistics' sample work).  A copy, because nodes
-        #: synthesized during lowering extend it and die with the lowering.
+        #: Per-node estimates keyed by node: the planner's own, when it hands
+        #: them over, else filled by one bottom-up pass at the root's lookup
+        #: (re-estimating every subtree here would be quadratic in the
+        #: statistics' sample work).  A copy, because nodes synthesized during
+        #: lowering extend it and die with the lowering.
         self.estimates = dict(estimates or ())
-        #: Every tree the memo was seeded from.  The memo is keyed by
-        #: ``id(node)``, so seeded nodes must stay alive for the lowering's
-        #: lifetime — a freed node (e.g. a transient ``expanded()`` tree)
-        #: could otherwise alias a later allocation's id and serve it a
-        #: stale estimate.
-        self._anchored = []
 
-    def seed_estimates(self, query: logical.Query) -> None:
-        self._anchored.append(query)
-        try:
-            estimate_forest(query, self.statistics, memo=self.estimates)
-        except TypeError:
-            # Unknown node types surface as a QueryError from lower() below,
-            # with the query text attached, rather than a bare TypeError here.
-            pass
-
-    def estimate(self, node: logical.Query):
-        cached = self.estimates.get(id(node))
-        if cached is not None:
-            return cached
-        # Nodes synthesized during lowering (the intersection expansion)
-        # extend the memo on first sight; their children are already cached.
-        self.seed_estimates(node)
-        return self.estimates.get(id(node))
+    def estimate(self, node: logical.Query) -> Optional[NodeEstimate]:
+        """The node's estimate, made on first sight for a node synthesized
+        here (the ∩ expansion); None for an unknown node, which ``lower``
+        rejects with a QueryError showing the query."""
+        if node not in self.estimates:
+            try:
+                estimate_forest(node, self.statistics, memo=self.estimates)
+            except TypeError:
+                return None
+        return self.estimates[node]
 
     def lower(self, node: logical.Query) -> PhysicalOperator:
         physical = self._lower_node(node)
@@ -115,7 +92,7 @@ class _Lowering:
             if (
                 self.backend.supports_index_scan
                 and isinstance(node.child, logical.BaseRelation)
-                and _hashable_equality(node.predicate)
+                and is_index_equality(node.predicate)
             ):
                 return IndexScan(node.child.name, node.predicate, rows)
             return Filter(self.lower(node.child), node.predicate, rows)
@@ -161,7 +138,7 @@ def lower(
     backend: EngineBackend,
     statistics: Optional[Statistics] = None,
     force_join: Optional[str] = None,
-    estimates: Optional[Dict[int, NodeEstimate]] = None,
+    estimates: Optional[Dict[logical.Query, NodeEstimate]] = None,
 ) -> PhysicalPlan:
     """Lower a logical query tree into a physical plan for ``backend``.
 
@@ -174,9 +151,8 @@ def lower(
     overrides the hash-vs-index choice where an index join is structurally
     possible (``"hash"`` / ``"index-nested-loop"``).  ``estimates`` is
     :attr:`Plan.estimates <repro.core.planner.planner.Plan.estimates>` of the
-    plan ``query`` was chosen by (made with the same ``statistics``, its
-    nodes still alive): lowering then estimates nothing the planner already
-    did.
+    plan ``query`` was chosen by (made with the same ``statistics``):
+    lowering then estimates nothing the planner already did.
     """
     if force_join is not None and force_join not in JOIN_ALGORITHMS:
         raise ValueError(f"unknown join algorithm {force_join!r}; expected {JOIN_ALGORITHMS}")
@@ -186,7 +162,6 @@ def lower(
 
     with get_tracer().span("lowering", engine=backend.kind):
         lowering = _Lowering(backend, statistics, force_join, estimates)
-        lowering.seed_estimates(query)
         root = lowering.lower(query)
         if backend.kind == "columnar":
             from .columnar import insert_columnar_boundaries

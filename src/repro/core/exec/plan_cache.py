@@ -11,10 +11,12 @@ physical plan.  An explicit ``plan=``, ``physical=``, ``force_join=`` or
 ``Query.plan`` is the uncached planner.
 
 An entry is keyed by the query's
-:meth:`~repro.core.algebra.query.Query.fingerprint` (a hash of its canonical
-text, in which every constant is rendered by its ``repr``), the backend kind
-and, for the sharded backend, the worker count its Exchange nodes were sized
-for.  It is valid for the relation objects it was planned on: it keeps the
+:meth:`~repro.core.algebra.query.Query.fingerprint` (a digest of the query's
+value), the backend kind and, for the sharded backend, the worker count its
+Exchange nodes were sized for.  :meth:`PlanCache.lowered` serves an entry
+only to a query equal to the one it planned (query trees are values), so
+a digest collision is a miss, never a wrong answer.  An entry is valid for
+the relation objects it was planned on: it keeps the
 catalog version key of every base relation of the query, which names the
 relation object and its mutation count (``Relation.version`` on a Database,
 template version + placeholder count on a UWSDT), and a lookup compares
@@ -112,10 +114,15 @@ class PlanCache:
         ``backend`` is the executing backend's kind (default: the engine's
         row backend) and ``workers`` a sharded plan's worker count.  A stale
         entry (some base relation's version key moved) is dropped and
-        counted as an invalidation and a miss.
+        counted as an invalidation and a miss.  The fingerprint alone names
+        the entry: :meth:`lowered` also checks that it planned an equal query.
         """
+        return self._get(self._key(fingerprint, backend, workers), None)
+
+    def _get(self, key: str, query: Optional["Query"]) -> Optional[CachedPlan]:
+        """:meth:`lookup` under ``key``, a miss unless the entry planned
+        ``query`` (when one is given)."""
         registry = get_registry()
-        key = self._key(fingerprint, backend, workers)
         with self._lock:
             entry = self._entries.get(key)
             stale = entry is not None and (
@@ -126,6 +133,8 @@ class PlanCache:
                 self.invalidations += 1
                 registry.counter("repro.plan_cache.evictions", reason="stale-version").inc()
                 entry = None
+            if entry is not None and query is not None and entry.plan.original != query:
+                entry = None  # another query with the same digest
             if entry is None:
                 self.misses += 1
                 registry.counter("repro.plan_cache.misses").inc()
@@ -138,9 +147,8 @@ class PlanCache:
     def lowered(self, query: "Query", backend: EngineBackend) -> Tuple[CachedPlan, bool]:
         """The valid entry for ``query`` on ``backend`` and whether it was a
         hit; on a miss, plan, lower and store it first."""
-        fingerprint = query.fingerprint()
-        workers = getattr(backend, "workers", None)
-        entry = self.lookup(fingerprint, backend.kind, workers)
+        key = self._key(query.fingerprint(), backend.kind, getattr(backend, "workers", None))
+        entry = self._get(key, query)
         if entry is not None:
             return entry, True
         relations = tuple(query.base_relations())
@@ -159,7 +167,7 @@ class PlanCache:
                         len(self._entries)
                     )
                     self._entries.clear()
-                self._entries[self._key(fingerprint, backend.kind, workers)] = entry
+                self._entries[key] = entry
         return entry, False
 
     def __len__(self) -> int:

@@ -6,7 +6,7 @@ unchanged engine paid the full sampling cost twice.  The
 :class:`StatisticsCatalog` fixes that by caching, per relation,
 
 * the bounded :class:`~repro.core.planner.sampling.RelationSample`, drawn by
-  position so that a cold entry reads at most ``sample_size`` rows; every
+  position so that a cold entry reads at most ``DEFAULT_SAMPLE_SIZE`` rows; every
   fact derived from it — histograms, value classes and column types, the
   filtered, projected and renamed samples and the ``A = B`` selectivities,
   each keyed by value in the sample's bounded memo — persists and is
@@ -90,17 +90,16 @@ class CatalogEntry:
     """Cached statistics of one relation, valid while ``key`` matches."""
 
     key: Tuple[Any, ...]
-    sample_size: int
     row_count: int
     density: float
     attributes: Tuple[str, ...]
-    sample: Optional[RelationSample]
+    sample: RelationSample
 
 
 class StatisticsCatalog:
     """Version-validated cache of per-relation planner statistics."""
 
-    def __init__(self, engine: Any, sample_size: int = DEFAULT_SAMPLE_SIZE) -> None:
+    def __init__(self, engine: Any) -> None:
         if not isinstance(engine, (Database, UWSDT)):
             from ..exec.backends import unsupported_engine
 
@@ -110,7 +109,6 @@ class StatisticsCatalog:
         #: every discarded engine copy — templates included — into cyclic
         #: garbage that stays resident until the collector's next full pass.
         self._engine = weakref.ref(engine)
-        self.sample_size = sample_size
         #: Reentrant so public methods can compose without lock juggling.
         #: Concurrent sessions share one catalog per engine; every read of
         #: the shared dict below happens under this lock.
@@ -144,28 +142,25 @@ class StatisticsCatalog:
             return len(self.engine.relation(name)), 0.0
         return uwsdt_relation_statistics(self.engine, name)
 
-    def _sample_one(self, name: str, sample_size: int) -> Optional[RelationSample]:
-        if not sample_size:
-            return None
+    def _sample_one(self, name: str) -> RelationSample:
         from ...obs.trace import get_tracer
 
         with get_tracer().span("sampling", relation=name, engine=self.kind):
             if self.kind == "database":
-                return sample_database(self.engine, name, sample_size)
-            return sample_uwsdt(self.engine, name, sample_size)
+                return sample_database(self.engine, name, DEFAULT_SAMPLE_SIZE)
+            return sample_uwsdt(self.engine, name, DEFAULT_SAMPLE_SIZE)
 
     # ------------------------------------------------------------------ #
     # Entries
     # ------------------------------------------------------------------ #
 
-    def entry(self, name: str, sample_size: Optional[int] = None) -> Tuple[CatalogEntry, str]:
+    def entry(self, name: str) -> Tuple[CatalogEntry, str]:
         """The (validated) entry for one relation, plus its provenance:
         ``"cached-sample"`` when reused, ``"fresh-sample"`` when rebuilt."""
         with self._lock:
-            size = self.sample_size if sample_size is None else sample_size
             key = self.version_key(name)
             cached = self._entries.get(name)
-            if cached is not None and cached.key == key and cached.sample_size == size:
+            if cached is not None and cached.key == key:
                 self.hits += 1
                 self._registry_counter("hits").inc()
                 return cached, "cached-sample"
@@ -175,11 +170,10 @@ class StatisticsCatalog:
             attributes = self._relation_attributes(name)
             built = CatalogEntry(
                 key=key,
-                sample_size=size,
                 row_count=row_count,
                 density=density,
                 attributes=attributes,
-                sample=self._sample_one(name, size),
+                sample=self._sample_one(name),
             )
             self._entries[name] = built
             return built, "fresh-sample"
@@ -216,11 +210,7 @@ class StatisticsCatalog:
     # The Statistics view
     # ------------------------------------------------------------------ #
 
-    def statistics(
-        self,
-        relations: Optional[Sequence[str]] = None,
-        sample_size: Optional[int] = None,
-    ) -> Statistics:
+    def statistics(self, relations: Optional[Sequence[str]] = None) -> Statistics:
         """A :class:`Statistics` view over the catalog.
 
         ``relations`` restricts the view to the named relations (planning
@@ -233,7 +223,6 @@ class StatisticsCatalog:
         statistics.
         """
         with self._lock:
-            size = self.sample_size if sample_size is None else sample_size
             known = self.relation_names()
             if relations is not None:
                 wanted = set(relations)
@@ -245,16 +234,13 @@ class StatisticsCatalog:
             provenance: Dict[str, str] = {}
             keys: Dict[str, Tuple[Any, ...]] = {}
             for name in known:
-                entry, source = self.entry(name, size)
+                entry, source = self.entry(name)
                 keys[name] = entry.key
                 row_counts[name] = entry.row_count
                 densities[name] = entry.density
                 attributes[name] = entry.attributes
-                if entry.sample is not None:
-                    samples[name] = entry.sample
-                    provenance[name] = source
-                else:
-                    provenance[name] = "fixed-constants"
+                samples[name] = entry.sample
+                provenance[name] = source
             view = Statistics(
                 row_counts,
                 densities,
@@ -277,12 +263,12 @@ class StatisticsCatalog:
         )
 
 
-def catalog_for(engine: Any, sample_size: int = DEFAULT_SAMPLE_SIZE) -> StatisticsCatalog:
+def catalog_for(engine: Any) -> StatisticsCatalog:
     """The catalog attached to ``engine``, creating (and attaching) it on
     first use.  Engine copies start with no catalog of their own."""
     catalog = getattr(engine, CATALOG_ATTRIBUTE, None)
     if catalog is None:
-        catalog = StatisticsCatalog(engine, sample_size)
+        catalog = StatisticsCatalog(engine)
         try:
             setattr(engine, CATALOG_ATTRIBUTE, catalog)
         except AttributeError:

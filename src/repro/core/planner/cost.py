@@ -206,13 +206,12 @@ class Statistics:
     def from_database(
         cls,
         engine: Any,
-        sample_size: int = DEFAULT_SAMPLE_SIZE,
         sample_relations: Optional[Tuple[str, ...]] = None,
     ) -> "Statistics":
         """Fresh, uncached statistics: the view of a catalog attached to nothing."""
         from .catalog import StatisticsCatalog
 
-        statistics = StatisticsCatalog(engine, sample_size).statistics(sample_relations)
+        statistics = StatisticsCatalog(engine).statistics(sample_relations)
         statistics.source = "fresh"
         statistics.catalog = None
         return statistics
@@ -224,7 +223,6 @@ class Statistics:
     def from_engine(
         cls,
         engine: Any,
-        sample_size: Optional[int] = None,
         sample_relations: Optional[Tuple[str, ...]] = None,
     ) -> "Statistics":
         """Statistics for a live engine, served from its statistics catalog.
@@ -237,20 +235,12 @@ class Statistics:
         ``sample_relations`` restricts row sampling to the named relations —
         planning passes the query's base relations, so relations a query
         never touches are not scanned (their row counts, densities and
-        attributes are still reported).  ``sample_size=None`` (the default)
-        defers to the attached catalog's configured size, so an engine set
-        up with ``catalog_for(engine, sample_size=...)`` keeps that choice
-        across every ``Query.plan``/``Query.run``.  Use ``from_database`` /
+        attributes are still reported).  Use ``from_database`` /
         ``from_uwsdt`` to force fresh, uncached sampling.
         """
         from .catalog import catalog_for
 
-        catalog = (
-            catalog_for(engine)
-            if sample_size is None
-            else catalog_for(engine, sample_size)
-        )
-        return catalog.statistics(sample_relations, sample_size)
+        return catalog_for(engine).statistics(sample_relations)
 
     # -- lookups ----------------------------------------------------------- #
 
@@ -594,37 +584,34 @@ def estimate(query: Query, statistics: Statistics) -> CostEstimate:
     come from the statistics' row samples when available and from the fixed
     constants otherwise.
     """
-    return _estimate(query, statistics, statistics.cost_model()).as_cost_estimate()
+    return estimate_forest(query, statistics)[query].as_cost_estimate()
 
 
 def _estimate(
     query: Query,
     statistics: Statistics,
     model: CostModel,
-    memo: Optional[Dict[int, NodeEstimate]] = None,
+    memo: Dict[Query, NodeEstimate],
 ) -> NodeEstimate:
-    """Per-node estimate, optionally memoized by node identity.
+    """Per-node estimate, memoised by node (a node is a value, and equal
+    subtrees have equal estimates).
 
     The memo makes one top-level call record an estimate for *every* node of
     the tree — the executor's lowering pass reads per-node cardinalities
     from it in a single bottom-up traversal instead of re-estimating each
     subtree (which would be quadratic in the sample work).
     """
-    if memo is not None:
-        cached = memo.get(id(query))
-        if cached is not None:
-            return cached
-    result = _estimate_uncached(query, statistics, model, memo)
-    if memo is not None:
-        memo[id(query)] = result
-    return result
+    cached = memo.get(query)
+    if cached is None:
+        cached = memo[query] = _estimate_uncached(query, statistics, model, memo)
+    return cached
 
 
 def _estimate_uncached(
     query: Query,
     statistics: Statistics,
     model: CostModel,
-    memo: Optional[Dict[int, NodeEstimate]] = None,
+    memo: Dict[Query, NodeEstimate],
 ) -> NodeEstimate:
     if isinstance(query, BaseRelation):
         sample = statistics.sample(query.name)
@@ -742,9 +729,9 @@ def estimate_forest(
     query: Query,
     statistics: Statistics,
     model: Optional[CostModel] = None,
-    memo: Optional[Dict[int, NodeEstimate]] = None,
-) -> Dict[int, NodeEstimate]:
-    """Estimates for *every* node of ``query``, keyed by ``id(node)``.
+    memo: Optional[Dict[Query, NodeEstimate]] = None,
+) -> Dict[Query, NodeEstimate]:
+    """Estimates for *every* node of ``query``, keyed by node.
 
     One bottom-up pass fills the memo — the executor's lowering reads
     per-node cardinalities from it instead of re-estimating each subtree.

@@ -208,7 +208,7 @@ class _Search:
         for index, leaf in enumerate(graph.leaves):
             if graph.filters[index]:
                 leaf = Select(leaf, conjunction(graph.filters[index]))
-            estimate = estimate_forest(leaf, statistics, self.model)[id(leaf)]
+            estimate = estimate_forest(leaf, statistics, self.model)[leaf]
             self.leaf_states.append(
                 PlanState(1 << index, leaf, graph.leaf_attributes[index], estimate)
             )
@@ -378,7 +378,7 @@ def reorder_tree(query: Query, context: RewriteContext) -> Optional[Query]:
             if leaves_changed:
                 graph = graph.replace_leaves(rewritten_leaves)
             best = enumerate_plan(graph, context.statistics)
-            if repr(best) != repr(query):
+            if best != query:
                 return best
             return None
     children = query.children()

@@ -109,11 +109,10 @@ class Plan:
     applications: List[RuleApplication]
     statistics: Statistics
     cost_after: CostEstimate
-    #: The estimate of every node of ``optimized``, keyed by ``id(node)`` —
-    #: the plan keeps the nodes alive, so the ids stay theirs.  Lowering
+    #: The estimate of every node of ``optimized``, keyed by node.  Lowering
     #: reads its cardinalities and join inputs from here instead of
     #: estimating ``chosen`` a second time.
-    estimates: Dict[int, NodeEstimate] = field(default_factory=dict, repr=False, compare=False)
+    estimates: Dict[Query, NodeEstimate] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def chosen(self) -> Query:
@@ -216,11 +215,6 @@ class Plan:
 # --------------------------------------------------------------------------- #
 
 
-def _rebuild(query: Query, children: Tuple[Query, ...]) -> Query:
-    """Clone ``query`` with new children (Query nodes are plain objects)."""
-    return query.with_children(children)
-
-
 def _apply_once(
     query: Query,
     rules: Sequence[RewriteRule],
@@ -238,7 +232,7 @@ def _apply_once(
             changed = changed or child_changed
             new_children.append(new_child)
         if changed:
-            query = _rebuild(query, tuple(new_children))
+            query = query.with_children(tuple(new_children))
     for rule in rules:
         rewritten = rule.apply(query, context)
         if rewritten is not None:
@@ -328,6 +322,6 @@ def plan(query: Query, statistics: Optional[Statistics] = None) -> Plan:
             optimized=optimized,
             applications=trace,
             statistics=statistics,
-            cost_after=estimates[id(optimized)].as_cost_estimate(),
+            cost_after=estimates[optimized].as_cost_estimate(),
             estimates=estimates,
         )

@@ -254,10 +254,10 @@ class RelationSample:
     def selection(self, predicate: Predicate) -> Tuple[Optional[float], "RelationSample"]:
         """:meth:`select` as the estimator reads it, once per predicate *value*.
 
-        Keyed by :meth:`~repro.relational.predicates.Predicate.fingerprint`
-        and the referenced attributes, so the same query planned again on an
-        unchanged relation — or an equal predicate built separately — scans
-        nothing; a predicate without value identity is scanned every time.
+        Keyed by the predicate, a value, so the same query planned again on
+        an unchanged relation — or an equal predicate built separately —
+        scans nothing; a predicate without value identity is scanned every
+        time and stored nowhere.
         A filter no sampled row passes is a small selectivity and not a
         missing sample: the unfiltered rows (the filter taken as independent
         of the other columns) keep the leaf's column distributions for the
@@ -268,9 +268,8 @@ class RelationSample:
         referenced = predicate.attributes()
         if not self.rows or not self.has_attributes(referenced):
             return None, self
-        key = predicate.fingerprint(self._layout())
-        if key is not None:
-            key = ("σ", referenced, key)
+        value = predicate.value_key()
+        key = ("σ", value) if value is not None else None
         return self.derive(key, self._narrow, predicate)
 
     def _narrow(self, predicate: Predicate) -> Tuple[Optional[float], "RelationSample"]:
@@ -331,7 +330,7 @@ def equi_join_selectivity(
     """:func:`join_selectivity`, memoised on the side that sorts first by
     (relation, attribute): one histogram overlap per join predicate and pair
     of samples, whichever side spells it first.  The order is by name, never
-    by ``id()``, so the overlap's float sum is the same in every process.
+    by object identity, so the overlap's float sum is the same in every process.
     The other side is in the key weakly: no sample keeps another alive, so
     two samples never form a cycle the collector would have to find."""
     (first, first_attr), (second, second_attr) = sorted(

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import operator
 from types import CodeType
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..obs.metrics import get_registry
 from .errors import PredicateError
@@ -136,9 +136,6 @@ class _Source:
     def __init__(self, schema: RelationSchema) -> None:
         self.schema = schema
         self.constants: List[Any] = []
-        #: False once a node without a fragment of its own is bound by its
-        #: ``evaluate``: the function is then that object's, not a value's.
-        self.by_value = True
 
     def cell(self, attribute: str) -> str:
         """The expression reading ``attribute`` from the row: attribute names
@@ -210,25 +207,27 @@ class Predicate:
 
         A subclass that defines only :meth:`evaluate` is called through it.
         """
-        source.by_value = False
         return f"{source.bind(self.evaluate)}(schema, row)"
 
-    def fingerprint(self, schema: RelationSchema) -> Optional[Hashable]:
-        """A key two predicates share exactly when they generate the same
-        function over ``schema``: the expression and the bound constants,
-        each with its class — ``A = 1``, ``A = 1.0``, ``A = True`` and
-        ``A = '1'`` are four keys, and two equal predicates built separately
-        are one.  None when the predicate has no value identity (a constant
-        that does not hash, or a node called through its ``evaluate``)."""
-        source = _Source(schema)
-        key = (self._fragment(source), tuple((type(c), c) for c in source.constants))
-        if not source.by_value:
-            return None
-        try:
-            hash(key)
-        except TypeError:
-            return None
-        return key
+    def value_key(self) -> Optional[Tuple[Any, ...]]:
+        """The predicate's value, which ``==`` and ``hash`` compare: class,
+        attributes, operator and each constant with its class (``A = 1``,
+        ``1.0``, ``True`` and ``'1'`` are four values).  None, and equal only
+        to itself, for a subclass defining only :meth:`evaluate`, a constant
+        that does not hash, or a combinator over such a part."""
+        return None
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Predicate) or type(other) is not type(self):
+            return NotImplemented
+        key = self.value_key()
+        return key is not None and key == other.value_key()
+
+    def __hash__(self) -> int:
+        key = self.value_key()
+        return object.__hash__(self) if key is None else hash(key)
 
     def attributes(self) -> Tuple[str, ...]:
         """Return the attributes referenced by the predicate (with duplicates removed)."""
@@ -273,6 +272,13 @@ class AttrConst(Predicate):
             return "False"
         return f"({cell} is not BOTTOM and {cell} {token} {source.bind(self.constant)})"
 
+    def value_key(self) -> Optional[Tuple[Any, ...]]:
+        try:
+            hash(self.constant)
+        except TypeError:
+            return None
+        return (type(self), self.attribute, self.op, type(self.constant), self.constant)
+
     def _referenced(self) -> Iterable[str]:
         return (self.attribute,)
 
@@ -301,6 +307,9 @@ class AttrAttr(Predicate):
         token = _TOKENS[comparator(self.op)]
         return f"({left} is not BOTTOM and {right} is not BOTTOM and {left} {token} {right})"
 
+    def value_key(self) -> Optional[Tuple[Any, ...]]:
+        return (type(self), self.left, self.op, self.right)
+
     def _referenced(self) -> Iterable[str]:
         return (self.left, self.right)
 
@@ -308,64 +317,59 @@ class AttrAttr(Predicate):
         return f"({self.left} {self.op} {self.right})"
 
 
-class And(Predicate):
-    """Conjunction of predicates."""
+class _Connective(Predicate):
+    """``And`` / ``Or`` over the parts in order; a nested part of the same
+    class is flattened into them."""
 
     __slots__ = ("parts",)
+    #: Upper case in ``repr``, lower case in the generated code.
+    word = ""
 
     def __init__(self, *parts: Predicate) -> None:
         if not parts:
-            raise PredicateError("And requires at least one operand")
-        flattened = []
+            raise PredicateError(f"{type(self).__name__} requires at least one operand")
+        flattened: List[Predicate] = []
         for part in parts:
-            if isinstance(part, And):
+            if isinstance(part, _Connective) and type(part) is type(self):
                 flattened.extend(part.parts)
             else:
                 flattened.append(part)
         self.parts = tuple(flattened)
+
+    def _fragment(self, source: _Source) -> str:
+        joined = f" {self.word.lower()} ".join(part._fragment(source) for part in self.parts)
+        return f"({joined})"
+
+    def value_key(self) -> Optional[Tuple[Any, ...]]:
+        keys = tuple(part.value_key() for part in self.parts)
+        return None if None in keys else (type(self), *keys)
+
+    def _referenced(self) -> Iterable[str]:
+        for part in self.parts:
+            yield from part._referenced()
+
+    def __repr__(self) -> str:
+        return "(" + f" {self.word} ".join(repr(p) for p in self.parts) + ")"
+
+
+class And(_Connective):
+    """Conjunction of predicates."""
+
+    __slots__ = ()
+    word = "AND"
 
     def evaluate(self, schema: RelationSchema, row: Tuple[Any, ...]) -> bool:
         return all(part.evaluate(schema, row) for part in self.parts)
 
-    def _fragment(self, source: _Source) -> str:
-        return "(" + " and ".join(part._fragment(source) for part in self.parts) + ")"
 
-    def _referenced(self) -> Iterable[str]:
-        for part in self.parts:
-            yield from part._referenced()
-
-    def __repr__(self) -> str:
-        return "(" + " AND ".join(repr(p) for p in self.parts) + ")"
-
-
-class Or(Predicate):
+class Or(_Connective):
     """Disjunction of predicates."""
 
-    __slots__ = ("parts",)
-
-    def __init__(self, *parts: Predicate) -> None:
-        if not parts:
-            raise PredicateError("Or requires at least one operand")
-        flattened = []
-        for part in parts:
-            if isinstance(part, Or):
-                flattened.extend(part.parts)
-            else:
-                flattened.append(part)
-        self.parts = tuple(flattened)
+    __slots__ = ()
+    word = "OR"
 
     def evaluate(self, schema: RelationSchema, row: Tuple[Any, ...]) -> bool:
         return any(part.evaluate(schema, row) for part in self.parts)
-
-    def _fragment(self, source: _Source) -> str:
-        return "(" + " or ".join(part._fragment(source) for part in self.parts) + ")"
-
-    def _referenced(self) -> Iterable[str]:
-        for part in self.parts:
-            yield from part._referenced()
-
-    def __repr__(self) -> str:
-        return "(" + " OR ".join(repr(p) for p in self.parts) + ")"
 
 
 class Not(Predicate):
@@ -396,6 +400,10 @@ class Not(Predicate):
         checks.append(f"not {self.inner._fragment(source)}")
         return "(" + " and ".join(checks) + ")"
 
+    def value_key(self) -> Optional[Tuple[Any, ...]]:
+        inner = self.inner.value_key()
+        return None if inner is None else (type(self), inner)
+
     def _referenced(self) -> Iterable[str]:
         return self.inner._referenced()
 
@@ -412,11 +420,23 @@ class TruePredicate(Predicate):
     def _fragment(self, source: _Source) -> str:
         return "True"
 
+    def value_key(self) -> Optional[Tuple[Any, ...]]:
+        return (type(self),)
+
     def _referenced(self) -> Iterable[str]:
         return ()
 
     def __repr__(self) -> str:
         return "TRUE"
+
+
+def is_index_equality(predicate: Predicate) -> bool:
+    """``A = c`` with a hashable ``c``: the condition a hash index answers."""
+    return (
+        isinstance(predicate, AttrConst)
+        and predicate.op in ("=", "==")
+        and predicate.value_key() is not None
+    )
 
 
 def eq(attribute: str, constant: Any) -> AttrConst:

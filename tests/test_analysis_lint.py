@@ -22,6 +22,7 @@ from repro.analysis.lint import (
     build_report,
     check_async_blocking,
     check_dynamic_code,
+    check_identity_key,
     check_locked_state,
     check_operator_dispatch,
     check_picklable_plan_state,
@@ -418,6 +419,24 @@ def synthetic_package(tmp_path):
         "    wsd_ops.select(wsd, 'R', 'P', predicate)\n"
     )
     return root
+
+
+class TestIdentityKey:
+    def test_id_keyed_memo_flagged_outside_same(self):
+        source = (
+            "def estimate(node, memo):\n"
+            "    memo[id(node)] = 1\n"
+            "class Same:\n"
+            "    def __hash__(self):\n"
+            "        return id(self.target)\n"
+        )
+        found = violations_of(check_identity_key, source, "repro/core/planner/memo.py")
+        assert {v.rule for v in found} == {"identity-key"}
+        assert sorted(v.symbol for v in found) == ["Same.__hash__", "estimate"]
+        # ``catalog.Same`` holds the object whose id it hashes: exempt there only.
+        catalog = violations_of(check_identity_key, source, "repro/core/planner/catalog.py")
+        assert [v.symbol for v in catalog] == ["estimate"]
+        assert violations_of(check_identity_key, source, "repro/relational/indexes.py") == []
 
 
 class TestRunLintAndBaseline:

@@ -222,7 +222,7 @@ class TestJoinAlgorithmChoice:
         database = build()
         query = BaseRelation("R").select(predicate).join(BaseRelation("S"), "B", "C")
         built = query.plan(database)
-        join = built.estimates[id(built.chosen)]
+        join = built.estimates[built.chosen]
         assert join.algorithm == algorithm
         operator = {"hash": "HashJoin", "index-nested-loop": "IndexNestedLoopJoin"}
         lowered = query.physical_plan(database, plan=built)
@@ -231,7 +231,7 @@ class TestJoinAlgorithmChoice:
             forced = query.physical_plan(database, plan=built, force_join=force)
             assert type(forced.root).__name__ == name
 
-        left, right = (built.estimates[id(child)] for child in built.chosen.children())
+        left, right = (built.estimates[child] for child in built.chosen.children())
         _, hash_cost = join_step(
             left.rows,
             right.rows,

@@ -302,7 +302,7 @@ def test_estimate_ranks_the_left_deep_orders_as_the_dp_does(seed, kind):
     cluster_root = built.optimized
     if isinstance(cluster_root, Project):  # the column-restoring projection
         cluster_root = cluster_root.child
-    reported = built.estimates[id(cluster_root)]
+    reported = built.estimates[cluster_root]
     assert (reported.cost, reported.rows) == (best.cost, best.rows)
     assert built.cost_after.rows == best.rows
 

@@ -589,3 +589,83 @@ class TestEntriesAreKeyedByValue:
             assert sorted(query.run(database), key=repr) == sorted(answer, key=repr)
             values.add((negate, _value(predicate)))
         assert len(plan_cache_for(database)) == len(values)
+
+    # Two pairs of unequal queries whose display texts are identical: the
+    # attribute list ``A, B`` is also one attribute named ``A, B``, and
+    # ``δ[B→C→D]`` renames ``B`` to ``C→D`` as well as ``B→C`` to ``D``.
+    # Whichever of a pair runs second must get its own answer.
+    COLLIDING = {
+        "projection": (
+            BaseRelation("R").project(["A", "B"]),
+            BaseRelation("R").project(["A, B"]),
+        ),
+        "rename": (
+            BaseRelation("R").rename("B", "C→D"),
+            BaseRelation("R").rename("B→C", "D"),
+        ),
+    }
+
+    TRICKY = RelationSchema("R", ("A", "B", "B→C", "A, B"))
+    TRICKY_ROWS = ((1, 2, 3, 4), (5, 6, 7, 8), (1, 2, 9, 9))
+
+    def tricky_database(self):
+        return Database([Relation(self.TRICKY, self.TRICKY_ROWS)])
+
+    def tricky_uwsdt(self):
+        relation = OrSetRelation(self.TRICKY)
+        for row in self.TRICKY_ROWS:
+            relation.insert(row)
+        return UWSDT.from_orset_relation(relation)
+
+    @staticmethod
+    def one_world_answer(uwsdt, name):
+        (world,) = list(uwsdt.rep())
+        answer = world.database.relation(name)
+        return answer.schema.attributes, sorted(answer.rows)
+
+    @pytest.mark.parametrize("pair", sorted(COLLIDING))
+    def test_queries_rendering_alike_each_get_their_own_answer_on_a_database(self, pair):
+        database = self.tricky_database()
+        for query in self.COLLIDING[pair]:
+            answer, expected = query.run(database), evaluate_on_database(query, database)
+            assert answer.schema.attributes == expected.schema.attributes
+            assert sorted(answer.rows) == sorted(expected.rows)
+        assert len(plan_cache_for(database)) == 2
+
+    @pytest.mark.parametrize("pair", sorted(COLLIDING))
+    def test_queries_rendering_alike_each_get_their_own_answer_on_a_uwsdt(self, pair):
+        uwsdt = self.tricky_uwsdt()
+        for index, query in enumerate(self.COLLIDING[pair]):
+            name = f"P{index}"
+            written = uwsdt.copy()
+            query.run(written, name, optimize=False)
+            query.run(uwsdt, name)
+            assert self.one_world_answer(uwsdt, name) == self.one_world_answer(written, name)
+        assert len(plan_cache_for(uwsdt)) == 2
+
+    @pytest.mark.parametrize("pair", sorted(COLLIDING))
+    def test_queries_rendering_alike_each_get_their_own_answer_from_the_service(self, pair):
+        database = self.tricky_database()
+        uwsdt = self.tricky_uwsdt()
+
+        async def serve():
+            service = QueryService()
+            service.register_engine("db", database)
+            service.register_engine("uw", uwsdt)
+            return [
+                [await service.session(engine).execute(query) for query in self.COLLIDING[pair]]
+                for engine in ("db", "uw")
+            ]
+
+        on_database, on_uwsdt = asyncio.run(serve())
+        for query, outcome in zip(self.COLLIDING[pair], on_database):
+            expected = evaluate_on_database(query, database)
+            assert outcome.value.schema.attributes == expected.schema.attributes
+            assert sorted(outcome.value.rows) == sorted(expected.rows)
+        for query, outcome in zip(self.COLLIDING[pair], on_uwsdt):
+            written = self.tricky_uwsdt()
+            query.run(written, "P", optimize=False)
+            assert self.one_world_answer(uwsdt, outcome.value) == self.one_world_answer(
+                written, "P"
+            )
+        assert not any(outcome.cached for outcome in on_database + on_uwsdt)

@@ -536,7 +536,7 @@ def assert_warm_catalog_plans_match_reference(reference, uwsdt, wsd, query):
     calls_before = sampling_call_count()
     second = query.plan(planned)
     assert sampling_call_count() == calls_before, "warm replanning re-sampled"
-    assert repr(second.chosen) == repr(first.chosen)
+    assert second.chosen == first.chosen
     query.run(planned, "P", plan=second)
     planned.validate()
     assert_same_result_distribution(planned.rep(), reference, "P")
@@ -636,7 +636,7 @@ class TestGreedyFallbackFuzz:
         calls_before = sampling_call_count()
         second = query.plan(uwsdt)
         assert sampling_call_count() == calls_before
-        assert repr(second.chosen) == repr(first.chosen)
+        assert second.chosen == first.chosen
         query.run(uwsdt, "P", plan=second)
         uwsdt.validate()
         assert_same_result_distribution(uwsdt.rep(), reference, "P")

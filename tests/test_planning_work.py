@@ -54,7 +54,7 @@ def node_estimates(plan) -> list:
     found = []
 
     def walk(node):
-        estimate = plan.estimates[id(node)]
+        estimate = plan.estimates[node]
         found.append((node.node_label(), estimate.rows, estimate.cost, estimate.algorithm))
         for child in node.children():
             walk(child)

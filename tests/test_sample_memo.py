@@ -68,17 +68,16 @@ class TestKeyedByValue:
         results = [memoised.selection(eq("A", constant)) for constant in constants]
         assert len({id(result) for result in results}) == len(constants)
         assert sample_scans() == before + len(constants)
-        layout = RelationSchema("R", ("A", "B"))
-        keys = {eq("A", constant).fingerprint(layout) for constant in constants}
+        keys = {eq("A", constant) for constant in constants}
         assert len(keys) == len(constants)
-        # The referenced attribute is part of the key: ``A = ⊥`` and ``B = ⊥``
-        # generate one function but keep different placeholder rows.
-        assert eq("A", 1).fingerprint(layout) != eq("B", 1).fingerprint(layout)
+        # The referenced attribute is part of the value: ``A = ⊥`` and
+        # ``B = ⊥`` generate one function but keep different placeholder rows.
+        assert eq("A", 1) != eq("B", 1)
 
     def test_a_predicate_without_value_identity_is_computed_and_not_stored(self):
         memoised = sample()
         for predicate in (eq("A", [1]), Odd()):
-            assert predicate.fingerprint(RelationSchema("R", ("A", "B"))) is None
+            assert predicate.value_key() is None
             before = sample_scans()
             (first, narrowed), (second, again) = (
                 memoised.selection(predicate) for _ in range(2)

@@ -295,21 +295,6 @@ class TestCatalogEdges:
         with pytest.raises(QueryError):
             StatisticsCatalog(object())
 
-    def test_sample_size_change_rebuilds(self):
-        database = _database()
-        catalog = catalog_for(database)
-        entry_small, _ = catalog.entry("R", sample_size=4)
-        assert len(entry_small.sample) == 4
-        entry_large, source = catalog.entry("R", sample_size=16)
-        assert source == "fresh-sample"
-        assert len(entry_large.sample) == 16
-
-    def test_zero_sample_size_yields_fixed_constants(self):
-        database = _database()
-        stats = Statistics.from_engine(database, sample_size=0)
-        assert stats.sample("R") is None
-        assert stats.provenance("R") == "fixed-constants"
-
     def test_restricted_view_samples_only_named_relations(self):
         database = _database()
         before = sampling_call_count()
