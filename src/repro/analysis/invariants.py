@@ -6,11 +6,11 @@ every rewrite-rule application, every lowering and every executed operator
 in every test is checked):
 
 * **Rewrites are schema-preserving.**  After every successful rule firing
-  the planner compares the inferred output attribute list of the tree
-  before and after the rewrite (via
-  :func:`~repro.analysis.schema.inferred_attributes`).  A rule that
-  changes the output schema is a planner bug, reported with the rule name,
-  both trees and both schemas.
+  the planner compares the output attribute list of the tree before and
+  after the rewrite (via :func:`~repro.core.algebra.schema.output_schema`,
+  over the rewriter's own context).  A rule that changes the output schema
+  — or builds a tree that does not derive — is a planner bug, reported
+  with the rule name, both trees and both schemas.
 
 * **Physical plans are well-formed.**  After lowering, the physical tree
   is checked for: attribute resolution through every operator (the same
@@ -33,19 +33,23 @@ in every test is checked):
   become a set).  A violation names the operator.
 
 Violations raise :class:`PlanInvariantError`.  Verification is off by
-default in library use (zero overhead beyond one truthiness check); tests
-and the CI suite run with it on.
+default in library use: the runtime reaches this module only through
+:func:`repro.core.verify.verifier`, which does not import it while the flag
+is off.  Tests and the CI suite run with it on.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from ..relational.errors import QueryError
 from ..relational.predicates import is_index_equality
 from ..relational.relation import Relation
+from ..core.algebra.query import BaseRelation
+from ..core.algebra.schema import AnalysisError, SchemaContext, output_schema
 from ..core.uwsdt import UWSDT
+# The switch lives beside the runtime's one hook into this module; re-exported.
+from ..core.verify import VERIFY_ENV, set_verification, verification_enabled  # noqa: F401
 from ..core.exec.physical import (
     Dematerialize,
     Difference,
@@ -65,10 +69,6 @@ from ..core.exec.physical import (
     Scan,
     Union,
 )
-from .schema import SchemaContext, inferred_attributes
-
-#: Environment variable that switches verification on (``1``/``true``/...).
-VERIFY_ENV = "REPRO_VERIFY_PLANS"
 
 #: Operators allowed inside a columnar batch region (must mirror
 #: ``repro.core.exec.columnar.COLUMNAR_KERNEL_OPS``).
@@ -82,30 +82,12 @@ KERNEL_OPS = frozenset(
 #: above the Gather, on the merged engine.
 SHARDABLE_OPS = frozenset({"Scan", "IndexScan", "Filter", "Project", "Rename"})
 
-_OVERRIDE: Optional[bool] = None
 _REWRITES_VERIFIED = 0
 _PLANS_VERIFIED = 0
 
 
 class PlanInvariantError(QueryError):
     """A rewrite or a lowered plan violated a planner invariant."""
-
-
-def set_verification(enabled: Optional[bool]) -> Optional[bool]:
-    """Force verification on/off for this process (None restores the env
-    variable's say); returns the previous override, for restoring."""
-    global _OVERRIDE
-    previous = _OVERRIDE
-    _OVERRIDE = enabled
-    return previous
-
-
-def verification_enabled() -> bool:
-    """Whether plan verification is active (override, else ``REPRO_VERIFY_PLANS``)."""
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    value = os.environ.get(VERIFY_ENV, "").strip().lower()
-    return value not in ("", "0", "false", "no", "off")
 
 
 def rewrites_verified() -> int:
@@ -139,16 +121,22 @@ def verify_rewrite(
     """
     global _REWRITES_VERIFIED
     _REWRITES_VERIFIED += 1
-    before_attrs = inferred_attributes(before, schema_context)
-    after_attrs = inferred_attributes(after, schema_context)
-    if before_attrs is None or after_attrs is None:
+    context = schema_context or SchemaContext()
+    before_schema = output_schema(before, context)
+    try:
+        after_schema = output_schema(after, context)
+    except AnalysisError as error:
+        raise PlanInvariantError(
+            f"rewrite rule {rule_name!r} (phase {phase!r}) produced an ill-formed tree:\n{error}"
+        ) from error
+    if before_schema is None or after_schema is None:
         return
-    if tuple(before_attrs) != tuple(after_attrs):
+    if before_schema.attributes != after_schema.attributes:
         raise PlanInvariantError(
             f"rewrite rule {rule_name!r} (phase {phase!r}) is not "
             f"schema-preserving:\n"
-            f"  before {tuple(before_attrs)!r}:\n{before.to_text('    ')}\n"
-            f"  after  {tuple(after_attrs)!r}:\n{after.to_text('    ')}"
+            f"  before {before_schema.attributes!r}:\n{before.to_text('    ')}\n"
+            f"  after  {after_schema.attributes!r}:\n{after.to_text('    ')}"
         )
 
 
@@ -180,7 +168,11 @@ def verify_physical(
     """
     global _PLANS_VERIFIED
     _PLANS_VERIFIED += 1
-    context = schema_context or SchemaContext.empty()
+    context = schema_context or SchemaContext()
+
+    def base_attributes(name: str) -> Optional[Tuple[str, ...]]:
+        schema = output_schema(BaseRelation(name), context)
+        return None if schema is None else schema.attributes
 
     if backend is not None and backend.kind != plan.engine:
         raise PlanInvariantError(
@@ -226,7 +218,7 @@ def verify_physical(
         if isinstance(node, Exchange):
             _fail(plan, node, "Exchange without an enclosing Gather")
         if isinstance(node, Scan):
-            return context.relation_attributes(node.relation), "row"
+            return base_attributes(node.relation), "row"
         if isinstance(node, IndexScan):
             if backend is not None and not backend.supports_index_scan:
                 _fail(plan, node, "IndexScan on a backend without index support")
@@ -237,7 +229,7 @@ def verify_physical(
                     f"IndexScan predicate {node.predicate!r} is not a hashable "
                     "equality — no index can serve it",
                 )
-            attrs = context.relation_attributes(node.relation)
+            attrs = base_attributes(node.relation)
             if attrs is not None:
                 for attribute in node.predicate.attributes():
                     if attribute not in attrs:
@@ -262,7 +254,7 @@ def verify_physical(
             outer_attrs, outer_kind = visit(node.outer)
             if outer_kind != "row":
                 _fail(plan, node, "IndexNestedLoopJoin outer input must be a row handle")
-            inner_attrs = context.relation_attributes(node.inner.relation)
+            inner_attrs = base_attributes(node.inner.relation)
             if outer_attrs is not None and node.left_attr not in outer_attrs:
                 _fail(
                     plan,

@@ -40,6 +40,11 @@ the ones that have bitten (or nearly bitten) before:
   object it names: a memo keyed by a node's address serves a freed node's
   entry to whatever object reuses it.  Query trees and predicates are
   values; key by them.
+* ``layering`` — no module under ``core`` or ``relational`` imports
+  ``repro.analysis`` or ``repro.service``, but ``core/verify.py``'s
+  ``verifier``, the one hook that imports the plan verifier while
+  verification is on: the runtime must not depend on the layers built on
+  top of it.
 
 Findings are compared against a checked-in baseline
 (``lint_baseline.json`` next to this module): pre-existing violations are
@@ -129,6 +134,12 @@ REFERENCE_FUNCTIONS = {"_evaluate_db": CLASSICAL_MODULE, "_evaluate_wsd": SPECIF
 #: one class there that may call it (it keeps its target alive).
 IDENTITY_KEY_PACKAGES = ("core/planner/", "core/exec/", "analysis/")
 IDENTITY_KEY_EXEMPT = ("core/planner/catalog.py", "Same.")
+
+#: The runtime packages, the packages built on top of them, and the one
+#: function in the runtime that may import one of those.
+RUNTIME_PACKAGES = ("core", "relational")
+UPPER_PACKAGES = ("analysis", "service")
+LAYERING_HOOK = ("core/verify.py", "verifier")
 
 #: The format tag written into baselines and reports.
 BASELINE_FORMAT = "repro-lint-baseline/1"
@@ -588,6 +599,47 @@ def check_identity_key(tree: ast.Module, path: str) -> List[Violation]:
     ]
 
 
+def _imported_modules(node: ast.AST, package: List[str]) -> List[str]:
+    """The absolute names an ``import`` / ``from … import`` statement may bind
+    (``package``: the importing module's package path)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    base = package[: len(package) - node.level + 1] if node.level else []
+    source = ".".join(base + ([node.module] if node.module else []))
+    return [source] + [f"{source}.{alias.name}" for alias in node.names]
+
+
+def check_layering(tree: ast.Module, path: str) -> List[Violation]:
+    parts = path.replace("\\", "/").split("/")
+    if len(parts) < 3 or parts[1] not in RUNTIME_PACKAGES:
+        return []
+    root, module = parts[0], "/".join(parts[1:])
+    enclosing = _enclosing_symbols(tree)
+    violations: List[Violation] = []
+    for node in ast.walk(tree):
+        upper = set()
+        for name in _imported_modules(node, parts[:-1]):
+            head, _, rest = name.partition(".")
+            package = rest.split(".")[0]
+            if head == root and package in UPPER_PACKAGES:
+                upper.add(f"{root}.{package}")
+        symbol = enclosing.get(node, "<module>")
+        if upper and (module, symbol) != LAYERING_HOOK:
+            violations.append(
+                Violation(
+                    "layering",
+                    path,
+                    node.lineno,
+                    symbol,
+                    f"imports {', '.join(sorted(upper))} from the runtime — only "
+                    f"{LAYERING_HOOK[0]}'s {LAYERING_HOOK[1]}() may (the plan verifier)",
+                )
+            )
+    return violations
+
+
 RULES = (
     check_relation_version,
     check_relation_storage,
@@ -597,6 +649,7 @@ RULES = (
     check_dynamic_code,
     check_operator_dispatch,
     check_identity_key,
+    check_layering,
 )
 
 

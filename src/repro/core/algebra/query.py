@@ -83,19 +83,13 @@ class Query:
         return Product(self, other)
 
     def union(self, other: "Query") -> "Union":
-        node = Union(self, other)
-        _check_set_operation("∪", self, other, node)
-        return node
+        return _checked(Union(self, other))
 
     def difference(self, other: "Query") -> "Difference":
-        node = Difference(self, other)
-        _check_set_operation("−", self, other, node)
-        return node
+        return _checked(Difference(self, other))
 
     def intersection(self, other: "Query") -> "Intersection":
-        node = Intersection(self, other)
-        _check_set_operation("∩", self, other, node)
-        return node
+        return _checked(Intersection(self, other))
 
     def rename(self, old: str, new: str) -> "Rename":
         return Rename(self, old, new)
@@ -325,17 +319,12 @@ class Query:
         """
         resolved, physical, plan = self._lowered(engine, optimize, None, None, backend, workers)
         physical.execute(resolved, result_name)
-        header = []
-        certainty = None
-        if plan is not None:
-            header.append(f"cost model: {plan.statistics.cost_model().name}")
-            if plan.join_order is not None:
-                header.append(f"join order: {plan.join_order}")
-            if plan.statistics.placeholder_densities:
-                from ...analysis.certainty import CertaintyContext
-
-                certainty = CertaintyContext.from_statistics(plan.statistics)
-        return physical.explain_analyze(header, certainty)
+        if plan is None:
+            return physical.explain_analyze()
+        header = [f"cost model: {plan.statistics.cost_model().name}"]
+        if plan.join_order is not None:
+            header.append(f"join order: {plan.join_order}")
+        return physical.explain_analyze(header, plan.statistics.certainty)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -491,19 +480,18 @@ def _stable_text(value: Any) -> str:
     return f"{_stable_text(type(value))}:{value!r}"
 
 
-def _check_set_operation(operator: str, left: Query, right: Query, node: Query) -> None:
-    """Eagerly reject structurally incompatible set operations.
+def _checked(node: "_Binary") -> Any:
+    """``node`` — a ∪ / − / ∩ — once its schema derives over the empty context.
 
-    Called from the ``union``/``difference``/``intersection`` combinators —
-    deliberately *not* from the constructors, so the planner's
-    ``with_children`` rebuilds never re-validate mid-rewrite.  Raises
-    :class:`~repro.analysis.schema.AnalysisError` (a ``SchemaError``) with
-    both operand schemas when the attribute lists provably differ.
+    Called from the ``union`` / ``difference`` / ``intersection`` combinators
+    — deliberately *not* from the constructors, so the planner's
+    ``with_children`` rebuilds never re-validate mid-rewrite.  With no base
+    relation known, only what projections pin takes part; a definitely
+    incompatible pair raises :class:`~repro.core.algebra.schema.AnalysisError`
+    (a ``SchemaError``) with both operand schemas.
     """
-    # Lazy import: repro.analysis depends on this module.
-    from ...analysis.schema import check_set_operation
-
-    check_set_operation(operator, left, right, node)
+    output_schema(node, SchemaContext())
+    return node
 
 
 # --------------------------------------------------------------------------- #
@@ -639,3 +627,8 @@ def evaluate_on_uwsdt(query: Query, engine: Any, result_name: str = "result") ->
     of ``query.run(engine, result_name, optimize=False)`` on the row backend.
     """
     return query.run(engine, result_name, optimize=False, backend="row")
+
+
+# The schema derivation reads the node classes above; the set-operation
+# combinators read it.
+from .schema import SchemaContext, output_schema  # noqa: E402

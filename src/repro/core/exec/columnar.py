@@ -40,6 +40,7 @@ explicit ``Materialize`` / ``Dematerialize`` nodes.
 
 from __future__ import annotations
 
+import functools
 from itertools import compress, repeat
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -362,10 +363,10 @@ class ColumnarBackend(EngineBackend):
         uwsdt = not isinstance(self.inner, DatabaseBackend)
         # UWSDT: the handle is a relation name.  A template that carries
         # placeholders (the engine may have changed since the plan was
-        # lowered) stays a row handle; downstream operators delegate.  The
-        # static certainty analysis already kept uncertain subtrees in the
-        # row world, so this fallback firing means a stale cached plan —
-        # counted so the drift is observable.
+        # lowered) stays a row handle; downstream operators delegate.
+        # Lowering already kept uncertain subtrees in the row world, so this
+        # fallback firing means a stale cached plan — counted so the drift
+        # is observable.
         if uwsdt and self.engine.relation_placeholder_count(handle) != 0:
             from ...obs.metrics import get_registry
 
@@ -507,18 +508,15 @@ def insert_columnar_boundaries(
     """
     if not isinstance(backend, ColumnarBackend):
         return root
-    # Eligibility is decided by the reusable certainty dataflow of
-    # repro.analysis — a context over the backend's live probe (memoized:
-    # one engine query per relation).  The runtime materialize fallback
-    # below is only defense-in-depth against plans cached before an engine
-    # mutation.
-    from ...analysis.certainty import CertaintyContext
-    from ...analysis.certainty import subtree_certain as certain_sources
-
-    certainty = CertaintyContext.from_probe(backend.certain_base)
+    # One engine query per relation.  The runtime materialize fallback is
+    # only defense-in-depth against plans cached before an engine mutation.
+    certain_base = functools.lru_cache(maxsize=None)(backend.certain_base)
 
     def subtree_certain(node: PhysicalOperator) -> bool:
-        return certain_sources(node.base_relation_names, certainty)
+        """Every base relation the subtree reads is certain; a node without
+        recorded base relations (a hand-built plan) is not eligible."""
+        names = node.base_relation_names
+        return bool(names) and all(map(certain_base, names))
 
     def bridge(
         node: PhysicalOperator, produces_batch: bool, want_batch: bool

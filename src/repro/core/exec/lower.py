@@ -27,7 +27,9 @@ from typing import Dict, Optional
 from ...relational.errors import QueryError
 from ...relational.predicates import is_index_equality
 from ..algebra import query as logical
+from ..algebra.schema import SchemaContext
 from ..planner.cost import NodeEstimate, Statistics, estimate_forest
+from ..verify import verifier
 from .backends import EngineBackend, backend_for
 from .physical import (
     Difference,
@@ -172,18 +174,12 @@ def lower(
 
             root = insert_shard_boundaries(root, backend)
         physical = PhysicalPlan(root, backend.kind)
-        from ...analysis import invariants
-
-        if invariants.verification_enabled():
-            from ...analysis.schema import SchemaContext
-
-            certain_base = None
-            if backend.kind == "columnar":
-                certain_base = backend.certain_base
-            invariants.verify_physical(
+        checker = verifier()
+        if checker is not None:
+            checker.verify_physical(
                 physical,
                 backend=backend,
-                schema_context=SchemaContext.from_statistics(statistics),
-                certain_base=certain_base,
+                schema_context=SchemaContext(statistics.attributes),
+                certain_base=backend.certain_base if backend.kind == "columnar" else None,
             )
         return physical

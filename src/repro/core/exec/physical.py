@@ -25,11 +25,14 @@ from ...obs.metrics import LATENCY_BUCKETS, QERROR_BUCKETS, get_registry
 from ...obs.trace import get_tracer
 from ...relational.errors import QueryError
 from ...relational.predicates import Predicate
+from ..verify import verifier
 from .metrics import ExecutionMetrics, OperatorMetrics
 
 #: ``check(operator label, backend, handle)`` applied to every operator's
 #: output while plan verification is on (None otherwise).
 OutputCheck = Optional[Callable[[str, Any, Any], None]]
+#: A node's placeholder verdict from the base relations it reads.
+Certainty = Callable[[Sequence[str]], Optional[str]]
 
 
 class PhysicalOperator:
@@ -375,10 +378,9 @@ class PhysicalPlan:
                 f"plan lowered for the {self.engine!r} engine cannot run on "
                 f"a {backend.kind!r} backend"
             )
-        from ...analysis import invariants  # imports this module
-
         # Read once per execution: off costs nothing per operator.
-        check = invariants.verify_set_output if invariants.verification_enabled() else None
+        checker = verifier()
+        check = checker.verify_set_output if checker is not None else None
         backend.begin(result_name)
         handle = self._execute(self.root, backend, result_name, check)
         return backend.finish(handle, result_name)
@@ -558,15 +560,16 @@ class PhysicalPlan:
     def explain_analyze(
         self,
         header_lines: Sequence[str] = (),
-        certainty: Optional[Any] = None,
+        certainty: Optional[Certainty] = None,
     ) -> str:
         """The executed plan, annotated per node with estimated vs actual
         rows, q-error, self vs cumulative time, and per-child input rows.
 
         Must run after :meth:`execute`; unexecuted nodes render without
         actuals.
-        ``certainty`` (a :class:`~repro.analysis.certainty.CertaintyContext`)
-        additionally tags each node with its placeholder-certainty verdict.
+        ``certainty`` (:meth:`Statistics.certainty
+        <repro.core.planner.cost.Statistics.certainty>` of the plan's
+        statistics) additionally tags each node with its placeholder verdict.
         """
         header = f"EXPLAIN ANALYZE ({self.engine})"
         lines = [header, "=" * len(header)]
@@ -588,7 +591,7 @@ class PhysicalPlan:
         node: PhysicalOperator,
         prefix: str,
         child_prefix: str,
-        certainty: Optional[Any] = None,
+        certainty: Optional[Certainty] = None,
     ) -> List[str]:
         annotations: List[str] = []
         if node.estimated_rows is not None:
@@ -613,12 +616,9 @@ class PhysicalPlan:
                 + f" (max {max(node.shard_rows):,}, min {min(node.shard_rows):,})"
             )
             annotations.append(f"merge {node.merge_seconds * 1e3:.3f} ms")
-        if certainty is not None:
-            from ...analysis.certainty import UNKNOWN, physical_certainty
-
-            verdict = physical_certainty(node.base_relation_names, certainty)
-            if verdict != UNKNOWN:
-                annotations.append(verdict)
+        verdict = certainty(node.base_relation_names) if certainty is not None else None
+        if verdict is not None:
+            annotations.append(verdict)
         suffix = f"  [{' | '.join(annotations)}]" if annotations else ""
         lines = [f"{prefix}{node.label()}{suffix}"]
         for index, child in enumerate(node.children):

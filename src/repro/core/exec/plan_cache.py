@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from ...obs.metrics import get_registry
 from ..planner.catalog import StatisticsCatalog, catalog_for
+from ..verify import verifier
 from .backends import EngineBackend, backend_for
 from .lower import lower
 from .physical import PhysicalPlan
@@ -96,10 +97,9 @@ class PlanCache:
             return None  # a base relation is missing: nothing valid to key on
 
     def _verify(self, recorded: str, physical: PhysicalPlan) -> None:
-        from ...analysis import invariants
-
-        if invariants.verification_enabled():
-            invariants.verify_cached_backend(
+        checker = verifier()
+        if checker is not None:
+            checker.verify_cached_backend(
                 recorded, physical.engine, (self._default_backend, "columnar", "sharded")
             )
 

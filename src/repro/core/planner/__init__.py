@@ -27,7 +27,6 @@ from .cost import (
     Statistics,
     estimate,
     floored_predicate_selectivity,
-    output_attributes,
     predicate_selectivity,
 )
 from .joins import (
@@ -80,7 +79,6 @@ __all__ = [
     "Statistics",
     "estimate",
     "floored_predicate_selectivity",
-    "output_attributes",
     "predicate_selectivity",
     "GREEDY_THRESHOLD",
     "JoinGraph",

@@ -35,7 +35,7 @@ effective selectivity is ``s + d·(1 − s)`` for placeholder density ``d``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from ...relational.predicates import And, AttrAttr, AttrConst, Not, Or, Predicate, TruePredicate
 from ..algebra.query import (
@@ -250,6 +250,18 @@ class Statistics:
     def placeholder_density(self, relation_name: str) -> float:
         return self.placeholder_densities.get(relation_name, 0.0)
 
+    def certainty(self, relation_names: Iterable[str]) -> Optional[str]:
+        """The ``explain`` verdict of a node reading ``relation_names``:
+        ``"maybe"`` when any has a placeholder density above 0, else
+        ``"certain"`` when every one has density 0, else None (no relations,
+        or one without a density)."""
+        densities = [self.placeholder_densities.get(name) for name in relation_names]
+        if any(density for density in densities):
+            return "maybe"
+        if densities and None not in densities:
+            return "certain"
+        return None
+
     def relation_attributes(self, relation_name: str) -> Optional[Tuple[str, ...]]:
         return self.attributes.get(relation_name)
 
@@ -315,39 +327,6 @@ def floored_predicate_selectivity(predicate: Predicate) -> float:
     feeds a cost formula.
     """
     return max(min(predicate_selectivity(predicate), 1.0), FIXED_SELECTIVITY_FLOOR)
-
-
-def output_attributes(query: Query, source: Any) -> Optional[Tuple[str, ...]]:
-    """Output attribute list of a query, or None where it cannot be resolved.
-
-    The one schema propagation: pure structure, no validation, never raises
-    (:func:`repro.analysis.schema.analyze` is the strict, typed analysis).
-    ``source`` answers ``relation_attributes(name)``: :class:`Statistics` for
-    the planner — rewrite legality and the width-aware cost factor derive
-    from it — or a :class:`~repro.analysis.schema.SchemaContext` for the
-    plan verifier.
-    """
-    if isinstance(query, BaseRelation):
-        return source.relation_attributes(query.name)
-    if isinstance(query, Select):
-        return output_attributes(query.child, source)
-    if isinstance(query, Project):
-        return tuple(query.attributes)
-    if isinstance(query, Rename):
-        child = output_attributes(query.child, source)
-        if child is None:
-            return None
-        return tuple(query.new if a == query.old else a for a in child)
-    if isinstance(query, (Product, Join)):
-        left = output_attributes(query.left, source)
-        right = output_attributes(query.right, source)
-        if left is None or right is None:
-            return None
-        return left + right
-    if isinstance(query, (Union, Difference, Intersection)):
-        left = output_attributes(query.left, source)
-        return left if left is not None else output_attributes(query.right, source)
-    return None
 
 
 #: Arity assumed when schema inference cannot resolve a subquery's width.

@@ -26,6 +26,8 @@ from ..algebra.query import (
     Select,
     Union,
 )
+from ..algebra.schema import analyze_for_statistics
+from ..verify import verifier
 from .cost import CostEstimate, NodeEstimate, Statistics, estimate, estimate_forest
 from .rules import DEFAULT_PHASES, RewriteContext, RewriteRule
 
@@ -193,18 +195,17 @@ class Plan:
         return "\n".join(lines)
 
     def _render_chosen_tree(self) -> str:
-        """The chosen tree, certainty-annotated when statistics allow.
+        """The chosen tree, each node suffixed with its placeholder verdict
+        (:meth:`Statistics.certainty`) where the statistics give one."""
 
-        Each node carrying placeholder-density information is suffixed with
-        its :mod:`~repro.analysis.certainty` verdict (``[certain]`` /
-        ``[maybe]``); without densities this is plain ``to_text``.
-        """
-        from ...analysis.certainty import CertaintyContext, render_with_certainty
+        def walk(node: Query, prefix: str) -> List[str]:
+            verdict = self.statistics.certainty(node.base_relations())
+            lines = [prefix + node.node_label() + (f"  [{verdict}]" if verdict else "")]
+            for child in node.children():
+                lines.extend(walk(child, prefix + "  "))
+            return lines
 
-        if not self.statistics.placeholder_densities:
-            return self.chosen.to_text("  ")
-        context = CertaintyContext.from_statistics(self.statistics)
-        return render_with_certainty(self.chosen, context, "  ")
+        return "\n".join(walk(self.chosen, "  "))
 
     def __repr__(self) -> str:
         return f"Plan({len(self.applications)} rewrites, cost {self.cost_after.cost:,.0f})"
@@ -248,16 +249,13 @@ def _verify_rule_output(
     """Check a rewrite-rule output is schema-preserving (REPRO_VERIFY_PLANS).
 
     A no-op unless plan verification is enabled; a rule that changes the
-    inferred output schema raises
+    output schema raises
     :class:`~repro.analysis.invariants.PlanInvariantError` naming the rule
     and showing both trees.
     """
-    from ...analysis import invariants
-
-    if invariants.verification_enabled():
-        invariants.verify_rewrite(
-            rule_name, phase, before, after, context.schema_context
-        )
+    checker = verifier()
+    if checker is not None:
+        checker.verify_rewrite(rule_name, phase, before, after, context.schema)
 
 
 def rewrite(
@@ -305,14 +303,12 @@ def plan(query: Query, statistics: Optional[Statistics] = None) -> Plan:
     get_registry().counter("repro.planner.plan_calls").inc()
     statistics = statistics or Statistics()
     with get_tracer().span("plan", engine=statistics.engine):
-        context = RewriteContext(statistics)
         # Strict static analysis before any rewriting: unknown attributes,
         # duplicate attributes, set-operation mismatches and predicate type
         # errors are rejected here with a rendered tree pointing at the
         # offending node, instead of surfacing mid-execution.
-        from ...analysis.schema import analyze_for_statistics
-
-        analyze_for_statistics(query, statistics, context.schema_context)
+        analyze_for_statistics(query, statistics)
+        context = RewriteContext(statistics)
         trace: List[RuleApplication] = []
         with get_tracer().span("rewrite"):
             optimized = rewrite(query, context, trace=trace)

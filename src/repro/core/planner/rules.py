@@ -48,7 +48,8 @@ from ..algebra.query import (
     Select,
     Union,
 )
-from .cost import Statistics, output_attributes
+from ..algebra.schema import SchemaContext, output_schema
+from .cost import Statistics
 
 
 class RewriteContext:
@@ -56,25 +57,17 @@ class RewriteContext:
 
     def __init__(self, statistics: Optional[Statistics] = None) -> None:
         self.statistics = statistics or Statistics()
-        self._schema_context = None
+        #: The base relations' attribute lists, without types: rules and the
+        #: rewrite verifier read names only, and a typed derivation is not
+        #: stable under rewriting — a selection pushed into one input of a
+        #: set operation meets that input's narrower column type.  Types are
+        #: ``plan()``'s up-front check.
+        self.schema = SchemaContext(self.statistics.attributes)
 
     def attributes_of(self, query: Query) -> Optional[Tuple[str, ...]]:
         """Output attributes of a subquery, or None if a base schema is unknown."""
-        return output_attributes(query, self.statistics)
-
-    @property
-    def schema_context(self):
-        """Lazily built :class:`~repro.analysis.schema.SchemaContext`.
-
-        Shared by the plan-time analyzer and the rewrite verifier so base
-        relation types are derived from the row samples exactly once
-        per planning run.
-        """
-        if self._schema_context is None:
-            from ...analysis.schema import SchemaContext
-
-            self._schema_context = SchemaContext.from_statistics(self.statistics)
-        return self._schema_context
+        schema = output_schema(query, self.schema)
+        return None if schema is None else schema.attributes
 
 
 # --------------------------------------------------------------------------- #

@@ -64,7 +64,8 @@ from typing import (
 
 from ...relational.predicates import Predicate
 from ...relational.schema import RelationSchema
-from ...relational.values import BOTTOM, PLACEHOLDER, is_placeholder
+from ...relational.values import BOTTOM, is_placeholder
+from ..algebra.schema import SENTINEL_CLASS, column_classes
 
 #: Default bound on sampled rows per relation.
 DEFAULT_SAMPLE_SIZE = 256
@@ -89,21 +90,6 @@ def _record_sampling() -> None:
     global _SAMPLING_CALLS
     _SAMPLING_CALLS += 1
     get_registry().counter("repro.planner.sampling_calls").inc()
-
-
-#: The class of the ``⊥`` / ``?`` markers: a column without it holds domain
-#: values only.
-SENTINEL_CLASS = type(PLACEHOLDER)
-
-
-def column_classes(rows: Iterable[Tuple[Any, ...]]) -> Tuple[FrozenSet[type], ...]:
-    """The set of Python classes of each column's values, one pass per column.
-
-    This is all the type analysis needs from the rows (a type is a property
-    of a column's whole domain), and a column has a handful of classes
-    however many rows it has.
-    """
-    return tuple(frozenset(map(type, column)) for column in zip(*rows))
 
 
 def positional_sample(

@@ -11,7 +11,7 @@ package is the one place all of it reports to:
   operator), and exporters for JSON-lines and the Chrome trace-event format
   (``REPRO_TRACE=<path>`` enables both the tracer and an exit-time export).
 * :mod:`repro.obs.metrics` — a process-wide, thread-safe
-  :class:`MetricsRegistry` of counters, gauges and bounded histograms, with
+  :class:`MetricsRegistry` of counters and bounded histograms, with
   a JSON snapshot and Prometheus-style text exposition.
 
 ``python -m repro.obs --selfcheck`` runs a traced workload end to end and
@@ -29,7 +29,6 @@ from .metrics import (
     LATENCY_BUCKETS,
     QERROR_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     get_registry,
@@ -50,7 +49,6 @@ __all__ = [
     "LATENCY_BUCKETS",
     "QERROR_BUCKETS",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "get_registry",

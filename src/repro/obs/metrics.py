@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, bounded histograms.
+"""Process-wide metrics registry: counters and bounded histograms.
 
 Before this module every layer reported itself differently — the planner
 through module-level probes (``plan_call_count`` / ``sampling_call_count``),
@@ -9,7 +9,6 @@ vocabulary:
 
 * :class:`Counter` — monotonically increasing event counts
   (``repro.planner.plan_calls``, ``repro.plan_cache.evictions{reason=...}``),
-* :class:`Gauge` — last-written values,
 * :class:`Histogram` — bounded-bucket distributions with exact count / sum /
   min / max and bucket-resolution percentiles
   (``repro.exec.operator_seconds{operator=...}``,
@@ -77,31 +76,6 @@ class Counter:
 
     @property
     def value(self) -> int:
-        with self._lock:
-            return self._value
-
-
-class Gauge:
-    """A last-written value (thread-safe)."""
-
-    __slots__ = ("name", "labels", "_lock", "_value")
-
-    def __init__(self, name: str, labels: Tuple[Tuple[str, str], ...] = ()) -> None:
-        self.name = name
-        self.labels = labels
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def add(self, delta: float) -> None:
-        with self._lock:
-            self._value += float(delta)
-
-    @property
-    def value(self) -> float:
         with self._lock:
             return self._value
 
@@ -221,9 +195,6 @@ class MetricsRegistry:
     def counter(self, name: str, **labels: Any) -> Counter:
         return self._get_or_create(Counter, name, labels)
 
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._get_or_create(Gauge, name, labels)
-
     def histogram(
         self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS, **labels: Any
     ) -> Histogram:
@@ -243,21 +214,17 @@ class MetricsRegistry:
         with self._lock:
             metrics = dict(self._metrics)
         counters: Dict[str, int] = {}
-        gauges: Dict[str, float] = {}
         histograms: Dict[str, Dict[str, Any]] = {}
         for (name, labels), metric in sorted(metrics.items()):
             rendered = render_name(name, labels)
             if isinstance(metric, Counter):
                 counters[rendered] = metric.value
-            elif isinstance(metric, Gauge):
-                gauges[rendered] = metric.value
             elif isinstance(metric, Histogram):
                 histograms[rendered] = metric.snapshot()
         return {
             "format": "repro-metrics",
             "version": 1,
             "counters": counters,
-            "gauges": gauges,
             "histograms": histograms,
         }
 
@@ -280,11 +247,6 @@ class MetricsRegistry:
                 if seen_types.get(flat) != "counter":
                     lines.append(f"# TYPE {flat} counter")
                     seen_types[flat] = "counter"
-                lines.append(f"{flat}{label_text} {metric.value}")
-            elif isinstance(metric, Gauge):
-                if seen_types.get(flat) != "gauge":
-                    lines.append(f"# TYPE {flat} gauge")
-                    seen_types[flat] = "gauge"
                 lines.append(f"{flat}{label_text} {metric.value}")
             elif isinstance(metric, Histogram):
                 if seen_types.get(flat) != "histogram":

@@ -20,7 +20,6 @@ from .algebra import (
     select,
     union,
 )
-from .csvio import load_relation, save_relation
 from .database import Database, empty_database, single_relation_database
 from .errors import (
     ArityError,
@@ -69,8 +68,6 @@ __all__ = [
     "rename_relation",
     "select",
     "union",
-    "load_relation",
-    "save_relation",
     "Database",
     "empty_database",
     "single_relation_database",

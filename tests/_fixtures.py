@@ -13,7 +13,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from repro.relational import Relation, RelationSchema
+from repro.core import FieldRef
+from repro.relational import BOTTOM, Database, Relation, RelationSchema
+from repro.relational.values import is_placeholder
 from repro.worlds import OrSet, OrSetRelation
 
 #: Small domain values for generated relations/or-sets.
@@ -127,7 +129,7 @@ def benchmark_queries():
 
 
 # --------------------------------------------------------------------------- #
-# World-set comparison helpers (shared by the query and planner oracle tests)
+# World-set helpers (shared by the query, planner and world-sampling oracle tests)
 # --------------------------------------------------------------------------- #
 
 
@@ -147,3 +149,30 @@ def assert_same_result_distribution(left, right, relation_name="P"):
     assert set(first) == set(second)
     for key in first:
         assert first[key] == pytest.approx(second[key], abs=1e-9)
+
+
+def sampled_world(uwsdt, choices, relations=None):
+    """The one-world ``Database`` a UWSDT represents when every component
+    takes the local world ``choices[cid]`` (an index into its rows).
+
+    Each ``?`` field reads its component's value in that local world; a
+    tuple with a ``⊥`` field is absent from the world.  ``relations``
+    restricts the result to the named relations (default: all of them).
+    """
+    values = {}
+    for cid, component in uwsdt.components.items():
+        values.update(zip(component.fields, component.rows[choices[cid]]))
+    database = Database()
+    for schema in uwsdt.schema:
+        if relations is not None and schema.name not in relations:
+            continue
+        rows = []
+        for tid, template in uwsdt.template_rows(schema.name):
+            row = tuple(
+                values[FieldRef(schema.name, tid, attribute)] if is_placeholder(value) else value
+                for attribute, value in zip(schema.attributes, template)
+            )
+            if not any(value is BOTTOM for value in row):
+                rows.append(row)
+        database.add(Relation.from_tuples(schema, rows))
+    return database

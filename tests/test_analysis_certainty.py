@@ -1,35 +1,22 @@
-"""The certainty dataflow: facts, rendering, columnar eligibility, fallback.
+"""The explain verdict of placeholder certainty, and columnar eligibility.
 
-* Lattice and context behavior: densities → certain/maybe, probe fallback,
-  unknown for unseen relations, memoized probes.
-* Per-attribute propagation through σ/π/δ/⋈/∪/−.
-* ``Plan.explain()`` and ``explain_analyze`` annotate nodes with their
-  verdicts when placeholder densities are known.
-* Columnar eligibility is the static analysis' call: certain subtrees get
-  boundaries, uncertain ones stay row-at-a-time (already covered by
-  test_columnar; here we pin the analysis function itself), and the runtime
+* ``Statistics.certainty``: a node reading only relations of placeholder
+  density 0 is ``certain``, one reading any relation of density above 0 is
+  ``maybe``, anything else carries no verdict.
+* ``Plan.explain()`` and ``explain_analyze`` annotate nodes with it when
+  placeholder densities are known.
+* Columnar eligibility asks the backend about each base relation directly:
+  certain subtrees get boundaries, uncertain ones stay row-at-a-time, a node
+  without recorded base relations is not eligible, and the runtime
   materialize fallback counts into ``repro.columnar.materialize_fallbacks``
   when a cached plan goes stale under an engine mutation.
 """
 
-import pytest
-
-from repro.analysis.certainty import (
-    CERTAIN,
-    MAYBE,
-    UNKNOWN,
-    CertaintyContext,
-    attribute_facts,
-    lub,
-    node_certainty,
-    physical_certainty,
-    render_with_certainty,
-    subtree_certain,
-)
-from repro.analysis.schema import SchemaContext
 from repro.core import UWSDT
 from repro.core.algebra import BaseRelation
 from repro.core.exec import ColumnarBackend
+from repro.core.exec.columnar import insert_columnar_boundaries
+from repro.core.exec.physical import Filter, Scan
 from repro.core.planner import Statistics, plan
 from repro.obs.metrics import get_registry
 from repro.relational import RelationSchema
@@ -37,101 +24,34 @@ from repro.relational.predicates import AttrAttr, AttrConst
 from repro.worlds import OrSet, OrSetRelation
 
 
-@pytest.fixture
-def context() -> CertaintyContext:
-    return CertaintyContext(densities={"R": 0.0, "S": 0.25})
+class TestTheVerdict:
+    STATISTICS = Statistics(placeholder_densities={"R": 0.0, "S": 0.25})
 
+    def test_one_relation(self):
+        assert self.STATISTICS.certainty(["R"]) == "certain"
+        assert self.STATISTICS.certainty(["S"]) == "maybe"
+        assert self.STATISTICS.certainty(["T"]) is None
 
-class TestLatticeAndContext:
-    def test_lub_ordering(self):
-        assert lub(CERTAIN, CERTAIN) == CERTAIN
-        assert lub(CERTAIN, MAYBE) == MAYBE
-        assert lub(UNKNOWN, CERTAIN) == UNKNOWN
-        assert lub(UNKNOWN, MAYBE) == MAYBE
+    def test_several_relations(self):
+        # An uncertain source decides; otherwise one unknown source leaves
+        # the node without a verdict.
+        assert self.STATISTICS.certainty(["R", "S"]) == "maybe"
+        assert self.STATISTICS.certainty(["T", "S"]) == "maybe"
+        assert self.STATISTICS.certainty(["R", "T"]) is None
+        assert self.STATISTICS.certainty([]) is None
 
-    def test_density_facts(self, context):
-        assert context.relation("R") == CERTAIN
-        assert context.relation("S") == MAYBE
-        assert context.relation("T") == UNKNOWN
-
-    def test_probe_fallback_memoized(self):
-        calls = []
-
-        def probe(name):
-            calls.append(name)
-            return name == "R"
-
-        context = CertaintyContext(probe=probe)
-        assert context.relation("R") == CERTAIN
-        assert context.relation("R") == CERTAIN
-        assert context.relation("S") == MAYBE
-        assert calls == ["R", "S"]
-
-    def test_relations_combined(self, context):
-        assert context.relations(["R"]) == CERTAIN
-        assert context.relations(["R", "S"]) == MAYBE
-        assert context.relations([]) == UNKNOWN
-
-    def test_subtree_certain(self, context):
-        assert subtree_certain(("R",), context)
-        assert not subtree_certain(("R", "S"), context)
-        # No provenance: the analysis cannot vouch, so not eligible.
-        assert not subtree_certain((), context)
-
-    def test_physical_certainty(self, context):
-        assert physical_certainty(("R",), context) == CERTAIN
-        assert physical_certainty((), context) == UNKNOWN
-
-
-class TestDataflow:
-    def test_facts_flow_through_operators(self, context):
-        schema_context = SchemaContext(
-            attributes={"R": ("A", "B"), "S": ("A", "B")}
+    def test_explain_marks_every_node(self):
+        statistics = Statistics(
+            row_counts={"R": 10, "S": 10},
+            placeholder_densities={"R": 0.0, "S": 0.25},
+            attributes={"R": ("A", "B"), "S": ("A", "B")},
         )
-        query = (
-            BaseRelation("R")
-            .select(AttrConst("A", "=", 1))
-            .rename("B", "B2")
-            .union(BaseRelation("S").rename("B", "B2"))
-        )
-        facts = attribute_facts(query, context, schema_context)
-        # Union takes the pointwise lub: certain R ⊔ maybe S = maybe.
-        assert facts == (("A", MAYBE), ("B2", MAYBE))
+        explained = plan(BaseRelation("R").union(BaseRelation("S")), statistics).explain()
+        assert "chosen tree:\n  ∪  [maybe]\n    R  [certain]\n    S  [maybe]\n" in explained
 
-    def test_join_concatenates_facts(self, context):
-        schema_context = SchemaContext(
-            attributes={"R": ("A", "B"), "S": ("C", "D")}
-        )
-        query = BaseRelation("R").join(BaseRelation("S"), "A", "C")
-        facts = attribute_facts(query, context, schema_context)
-        assert facts == (
-            ("A", CERTAIN),
-            ("B", CERTAIN),
-            ("C", MAYBE),
-            ("D", MAYBE),
-        )
-
-    def test_difference_keeps_left_facts(self, context):
-        schema_context = SchemaContext(attributes={"R": ("A",), "S": ("A",)})
-        query = BaseRelation("R").difference(BaseRelation("S"))
-        assert attribute_facts(query, context, schema_context) == (("A", CERTAIN),)
-
-    def test_node_certainty_is_subtree_lub(self, context):
-        query = BaseRelation("R").product(BaseRelation("S").rename("A", "X"))
-        facts = node_certainty(query, context)
-        assert facts[query] == MAYBE
-        assert facts[query.left] == CERTAIN
-
-    def test_render_marks_certain_and_maybe(self, context):
-        query = BaseRelation("R").union(BaseRelation("S"))
-        rendered = render_with_certainty(query, context)
-        assert rendered == "∪  [maybe]\n  R  [certain]\n  S  [maybe]"
-
-    def test_render_leaves_unknown_unannotated(self):
-        rendered = render_with_certainty(
-            BaseRelation("T"), CertaintyContext(densities={})
-        )
-        assert rendered == "T"
+    def test_explain_leaves_unknown_unannotated(self):
+        statistics = Statistics(placeholder_densities={"R": 0.0})
+        assert "chosen tree:\n  T\n" in plan(BaseRelation("T"), statistics).explain()
 
 
 class TestExplainAnnotations:
@@ -172,6 +92,24 @@ class TestExplainAnnotations:
         report = BaseRelation("R").select(AttrConst("A", "=", 1)).explain_analyze(database)
         assert "certain" in report
 
+    def test_explain_analyze_marks_every_physical_node(self):
+        # The join reads an uncertain and a certain relation: the verdict of
+        # each operator is that of the base relations beneath it.
+        uncertain = OrSetRelation(RelationSchema("R", ("A", "B")))
+        uncertain.insert((1, OrSet([1, 2])))
+        uncertain.insert((2, 0))
+        certain = OrSetRelation(RelationSchema("S", ("C", "D")))
+        certain.insert((1, 5))
+        certain.insert((2, 6))
+        uwsdt = UWSDT.from_orset_relations([uncertain, certain])
+        report = BaseRelation("R").join(BaseRelation("S"), "A", "C").explain_analyze(uwsdt)
+        verdicts = {
+            line.split("  [")[0].lstrip("├└─ "): line.rsplit(" | ", 1)[1].rstrip("]")
+            for line in report.splitlines()
+            if "  [" in line
+        }
+        assert verdicts == {"HashJoin(A = C)": "maybe", "Scan(R)": "maybe", "Scan(S)": "certain"}
+
 
 class TestColumnarEligibilityAndFallback:
     def _uwsdt(self):
@@ -190,6 +128,16 @@ class TestColumnarEligibilityAndFallback:
             .physical_plan(uwsdt, backend="columnar")
         )
         assert physical.uses("Materialize") and physical.uses("Dematerialize")
+
+    def test_a_node_without_base_relations_is_not_eligible(self):
+        backend = ColumnarBackend(self._uwsdt())
+        predicate = AttrAttr("A0", "<", "A2")
+        bare = insert_columnar_boundaries(Filter(Scan("R"), predicate), backend)
+        assert "Materialize" not in {node.op_name for node in bare.walk()}
+        named = Filter(Scan("R"), predicate)
+        named.base_relation_names = named.children[0].base_relation_names = ("R",)
+        lowered = insert_columnar_boundaries(named, backend)
+        assert "Materialize" in {node.op_name for node in lowered.walk()}
 
     def test_stale_plan_fallback_is_counted(self):
         uwsdt = self._uwsdt()

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 
 from repro.analysis import invariants
 from repro.analysis.invariants import PlanInvariantError
-from repro.analysis.schema import SchemaContext, inferred_attributes
+from repro.analysis.schema import SchemaContext
+from repro.core import verify
 from repro.core.algebra import BaseRelation
 from repro.core.exec import backend_for, lower
 from repro.core.exec.physical import (
@@ -33,7 +34,7 @@ from repro.core.exec.physical import (
     PhysicalPlan,
     Scan,
 )
-from repro.core.planner import Statistics, output_attributes, plan
+from repro.core.planner import Statistics, plan
 from repro.core.planner.planner import rewrite
 from repro.core.planner.rules import RewriteContext, RewriteRule
 from repro.relational import Database, Relation, RelationSchema
@@ -71,17 +72,8 @@ class TestRewritePreservation:
         # Each rule application was individually verified (no exception),
         # and the end-to-end schema is unchanged.
         assert invariants.rewrites_verified() - checked_before >= len(result.applications)
-        context = SchemaContext.from_statistics(statistics)
-        assert inferred_attributes(result.optimized, context) == inferred_attributes(
-            query, context
-        )
-        # One propagation: the verifier's answer is the planner's, whichever
-        # of the two sources the base schemas come from — also where only one
-        # side of a set operation resolves.
-        for source in (statistics, Statistics(attributes={"S": ORACLE_ATTRS["S"]})):
-            context = SchemaContext.from_statistics(source)
-            for tree in (query, result.optimized):
-                assert inferred_attributes(tree, context) == output_attributes(tree, source)
+        context = RewriteContext(statistics)
+        assert context.attributes_of(result.optimized) == context.attributes_of(query)
 
     def test_broken_rule_is_caught_and_named(self):
         class DropColumn(RewriteRule):
@@ -103,7 +95,7 @@ class TestRewritePreservation:
         assert "('A0', 'A1', 'A2')" in message and "('A0',)" in message
 
     def test_unknown_schemas_skip_the_check(self):
-        # No statistics: inferred_attributes is None on both sides — a rule
+        # No statistics: both sides derive to None — a rule
         # firing over opaque relations must not be reported as a violation.
         class Identityish(RewriteRule):
             name = "rename-roundtrip"
@@ -281,10 +273,8 @@ class TestOperatorOutputsAreSets:
         assert len(physical.operators()) == 4
         invariants.set_verification(False)
         reads = []
-        enabled = invariants.verification_enabled
-        monkeypatch.setattr(
-            invariants, "verification_enabled", lambda: reads.append(1) or enabled()
-        )
+        enabled = verify.verification_enabled
+        monkeypatch.setattr(verify, "verification_enabled", lambda: reads.append(1) or enabled())
         physical.execute(backend, "out")
         assert len(reads) == 1
 
@@ -308,6 +298,12 @@ class TestEnablement:
         monkeypatch.setenv(invariants.VERIFY_ENV, "0")
         invariants.set_verification(True)
         assert invariants.verification_enabled()
+
+    def test_the_hook_hands_out_the_verifier_only_when_on(self):
+        invariants.set_verification(False)
+        assert verify.verifier() is None
+        invariants.set_verification(True)
+        assert verify.verifier() is invariants
 
     def test_cached_backend_mismatch(self):
         with pytest.raises(PlanInvariantError, match="lowered for"):

@@ -5,11 +5,16 @@ triggers it) and negatively (the compliant variant is clean); the baseline
 round-trips and partitions findings; the CLI exit codes match the CI
 contract (2 without ``--lint``, 1 with new violations, 0 when clean or
 updating the baseline); and the real tree is clean against the checked-in
-baseline — the actual CI gate, run in-process.
+baseline — the actual CI gate, run in-process.  Beside the ``layering``
+rule, a subprocess that plans, runs and explains the census queries with
+verification off must not load ``repro.analysis`` at all.
 """
 
 import ast
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +28,7 @@ from repro.analysis.lint import (
     check_async_blocking,
     check_dynamic_code,
     check_identity_key,
+    check_layering,
     check_locked_state,
     check_operator_dispatch,
     check_picklable_plan_state,
@@ -418,6 +424,9 @@ def synthetic_package(tmp_path):
         "def walk(wsd, predicate):\n"
         "    wsd_ops.select(wsd, 'R', 'P', predicate)\n"
     )
+    (root / "core").mkdir()
+    (root / "core" / "__init__.py").write_text("")
+    (root / "core" / "layers.py").write_text("from ..service import loop\n")
     return root
 
 
@@ -439,12 +448,83 @@ class TestIdentityKey:
         assert violations_of(check_identity_key, source, "repro/relational/indexes.py") == []
 
 
+class TestLayering:
+    def test_planted_imports_of_upper_layers_flagged(self):
+        source = (
+            "from ...analysis.schema import analyze\n"
+            "def explain(plan):\n"
+            "    from ...service import QueryService\n"
+            "    import repro.analysis.invariants\n"
+            "    from repro import analysis\n"
+        )
+        found = violations_of(check_layering, source, "repro/core/planner/planner.py")
+        assert {v.rule for v in found} == {"layering"}
+        assert sorted((v.line, v.symbol) for v in found) == [
+            (1, "<module>"), (3, "explain"), (4, "explain"), (5, "explain"),
+        ]
+        assert "repro.service" in found[1].message
+        relational = "from ..service import QueryService\n"
+        assert len(violations_of(check_layering, relational, "repro/relational/database.py")) == 1
+
+    def test_the_hook_and_the_upper_layers_themselves_clean(self):
+        hook = "def verifier():\n    from ..analysis import invariants\n    return invariants\n"
+        assert violations_of(check_layering, hook, "repro/core/verify.py") == []
+        elsewhere = hook.replace("..analysis", "...analysis")
+        assert len(violations_of(check_layering, elsewhere, "repro/core/exec/lower.py")) == 1
+        upper = "from ..core.algebra.schema import output_schema\nfrom ..analysis import lint\n"
+        assert violations_of(check_layering, upper, "repro/service/server.py") == []
+        # Same-named modules of another package are not the upper layers.
+        assert violations_of(check_layering, "from tools import analysis\n", "repro/core/x.py") == []
+
+
+#: Plans, runs and explains Q1–Q6 on a Database and a chased UWSDT, rejects a
+#: set operation at build time, then prints the analysis modules it loaded.
+RUNTIME_ONLY = """
+import sys
+from repro.census import CensusGenerator, census_dependencies, census_query, query_names
+from repro.core import UWSDT, chase_uwsdt
+from repro.core.algebra import BaseRelation
+from repro.relational import Database
+from repro.relational.errors import SchemaError
+
+generator = CensusGenerator(seed=7)
+database = Database([generator.clean_relation(300)])
+uwsdt = UWSDT.from_orset_relation(generator.add_noise(generator.clean_relation(300), 0.01))
+chase_uwsdt(uwsdt, census_dependencies())
+for engine in (database, uwsdt):
+    for name in query_names():
+        query = census_query(name)
+        query.plan(engine).explain()
+        query.run(engine, name)
+        query.explain_analyze(engine, name + "_analyzed")
+try:
+    BaseRelation("R").project(["A", "B"]).union(BaseRelation("R").project(["A"]))
+except SchemaError as error:
+    assert "arity-mismatch" in str(error)
+else:
+    raise SystemExit("the set operation was not rejected")
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "analysis"]))
+"""
+
+
+def test_the_runtime_with_verification_off_never_imports_the_analysis_package():
+    source_root = default_root().parent
+    environment = dict(os.environ, REPRO_VERIFY_PLANS="0", PYTHONPATH=str(source_root))
+    completed = subprocess.run(
+        [sys.executable, "-c", RUNTIME_ONLY],
+        capture_output=True, text=True, env=environment, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"
+
+
 class TestRunLintAndBaseline:
     def test_all_rules_fire_over_synthetic_tree(self, tmp_path):
         found = run_lint(synthetic_package(tmp_path))
         assert sorted({v.rule for v in found}) == [
             "async-blocking",
             "dynamic-code",
+            "layering",
             "locked-state",
             "operator-dispatch",
             "picklable-plan",

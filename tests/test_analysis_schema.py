@@ -2,8 +2,8 @@
 
 Covers the tentpole's analyzer contract:
 
-* each :data:`~repro.analysis.schema.ERROR_CODES` class raises an
-  :class:`~repro.analysis.schema.AnalysisError` (a ``SchemaError``) whose
+* each :data:`~repro.core.algebra.schema.ERROR_CODES` class raises an
+  :class:`~repro.core.algebra.schema.AnalysisError` (a ``SchemaError``) whose
   message embeds the rendered query tree with the offending node marked —
   the golden tests below pin the exact rendering for four error classes;
 * incompatible ∪ / − / ∩ are rejected *at builder time* when both operand
@@ -25,12 +25,12 @@ from repro.analysis.schema import (
     SchemaContext,
     analyze,
     column_types,
-    inferred_attributes,
     join_types,
     type_name,
 )
 from repro.core import UWSDT
 from repro.core.algebra import BaseRelation
+from repro.core.algebra.schema import output_schema
 from repro.core.planner import RelationSample, Statistics, plan
 from repro.obs.metrics import get_registry
 from repro.relational import Database, Relation, RelationSchema, eq
@@ -199,7 +199,7 @@ class TestBuilderTimeSetOperations:
         message = str(excinfo.value)
         assert "arity-mismatch" in message
         # Both operand schemas are spelled out in the message.
-        assert "('A', 'B')" in message and "('A',)" in message
+        assert "arity 2 (A, B) but right has arity 1 (A)" in message
 
     def test_difference_attribute_mismatch_at_build(self):
         left = BaseRelation("R").project(("A", "B"))
@@ -275,11 +275,35 @@ class TestInference:
         argument = (row for row in rows) if lazily else rows
         assert column_types(attributes, argument) == reference_column_types(attributes, rows)
 
-    def test_inferred_attributes_matches_context(self, context):
+    def test_attributes_through_a_rename(self, context):
         query = BaseRelation("EMP").select(AttrConst("EID", "=", 1)).rename("EID", "X")
-        assert inferred_attributes(query, context) == ("X", "NAME", "DEPT")
+        assert analyze(query, context).attributes == ("X", "NAME", "DEPT")
         # Without context the base relation is opaque.
-        assert inferred_attributes(query) is None
+        assert analyze(query) is None
+
+    def test_the_derivation_is_memoised_by_node_value(self, context):
+        query = BaseRelation("EMP").rename("EID", "X").project(("X", "DEPT"))
+        schema = output_schema(query, context)
+        assert schema == InferredSchema(("X", "DEPT"), (NUMBER, STRING))
+        # An equal query built afresh is served from the memo, sub-nodes too.
+        again = BaseRelation("EMP").rename("EID", "X").project(("X", "DEPT"))
+        assert again is not query and output_schema(again, context) is schema
+        assert context.derived[BaseRelation("EMP").rename("EID", "X")].attributes == (
+            "X",
+            "NAME",
+            "DEPT",
+        )
+
+    def test_a_failed_derivation_is_not_memoised(self, context):
+        query = BaseRelation("EMP").project(("SALARY",))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(AnalysisError) as excinfo:
+                output_schema(query, context)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1] and query not in context.derived
+        # The input below the failing node was resolved and kept.
+        assert context.derived[BaseRelation("EMP")] is context.relation_schema("EMP")
 
 
 class TestPlanTimeRejection:
@@ -319,6 +343,13 @@ def rare_strings() -> Relation:
     return Relation(RelationSchema("R", ("K", "A")), rows)
 
 
+def as_orset(relation: Relation) -> OrSetRelation:
+    orset = OrSetRelation(relation.schema)
+    for row in relation:
+        orset.insert(row)
+    return orset
+
+
 def whole_column_scans() -> int:
     return get_registry().counter("repro.analysis.type_scans", source="engine").value
 
@@ -331,7 +362,7 @@ class TestSampledTypesAreConfirmed:
         statistics = Statistics.from_engine(database)
         assert column_types(("K", "A"), statistics.sample("R").rows)["A"] == NUMBER
         assert SchemaContext.from_statistics(statistics).sampled == {"R"}
-        assert SchemaContext.from_engine(database).attribute_type("R", "A") == ANY_TYPE
+        assert SchemaContext.from_engine(database).relation_schema("R").type_of("A") == ANY_TYPE
 
     def test_database_planned_equals_verbatim(self):
         database = Database([rare_strings()])
@@ -353,12 +384,40 @@ class TestSampledTypesAreConfirmed:
             results.append(sorted(map(repr, uwsdt.template_rows("out"))))
         assert results[0] == results[1] and len(results[0]) == 3
 
+    def test_a_selection_moved_by_pushdown_stays_confirmed(self):
+        # Over a join the selection is pushed onto R, where its constant
+        # meets the sampled (number) type of A again: the rewriter must not
+        # re-raise the mismatch the whole column already refuted.
+        other = Relation(RelationSchema("S", ("J", "B")), [(5001, "b"), (7, "c")])
+        query = BaseRelation("R").join(BaseRelation("S"), "K", "J").select(eq("A", "x"))
+        database = Database([rare_strings(), other])
+        planned = query.plan(database)
+        assert "push-select-down" in [application.rule for application in planned.applications]
+        rows = query.run(database)
+        assert sorted(rows) == sorted(query.run(database, optimize=False)) == [(5001, "x", 5001, "b")]
+        results = []
+        for optimize in (True, False):
+            uwsdt = UWSDT.from_orset_relations([as_orset(rare_strings()), as_orset(other)])
+            query.run(uwsdt, "out", optimize=optimize)
+            results.append(sorted(map(repr, uwsdt.template_rows("out"))))
+        assert results[0] == results[1] and len(results[0]) == 1
+
+    def test_a_selection_pushed_into_a_narrower_set_operand_plans(self):
+        # E is empty, so the union's A is ``any``; pushed into R, the
+        # selection compares a number column with a string constant.
+        empty = Relation(RelationSchema("E", ("K", "A")))
+        numbers = Relation(RelationSchema("R", ("K", "A")), [(i, i % 7) for i in range(100)])
+        query = BaseRelation("E").union(BaseRelation("R")).select(eq("A", "x"))
+        database = Database([empty, numbers])
+        assert len(query.run(database)) == 0
+        assert query.plan(database).chosen != query
+
     def test_a_template_column_holding_a_placeholder_is_any(self):
         orset = OrSetRelation.from_dicts(
             "R", ["K", "A"], [{"K": 1, "A": OrSet([1, "x"])}, {"K": 2, "A": 2}]
         )
         context = SchemaContext.from_engine(UWSDT.from_orset_relation(orset))
-        assert context.relation_types("R") == {"K": NUMBER, "A": ANY_TYPE}
+        assert context.relation_schema("R") == InferredSchema(("K", "A"), (NUMBER, ANY_TYPE))
 
     def test_a_confirmed_mismatch_still_raises_with_the_same_tree(self):
         names = Relation(

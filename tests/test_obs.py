@@ -2,7 +2,7 @@
 
 Coverage of :mod:`repro.obs` and its wiring:
 
-* counters / gauges / bounded histograms — get-or-create identity, label
+* counters / bounded histograms — get-or-create identity, label
   separation, exact totals under thread stress, bucket-edge percentiles,
   snapshot and Prometheus text exposition,
 * the contextvar tracer — parentage within one context, isolation across
@@ -81,17 +81,11 @@ class TestMetricsRegistry:
         a.inc(3)
         assert a.value == 4 and c.value == 0
 
-    def test_gauge_set_and_add(self):
-        gauge = get_registry().gauge("repro.test.level")
-        gauge.set(2.5)
-        gauge.add(-0.5)
-        assert gauge.value == 2.0
-
     def test_type_conflict_is_an_error(self):
         registry = get_registry()
         registry.counter("repro.test.conflict")
         with pytest.raises(TypeError):
-            registry.gauge("repro.test.conflict")
+            registry.histogram("repro.test.conflict")
 
     def test_render_name(self):
         assert render_name("repro.x", ()) == "repro.x"
@@ -143,12 +137,10 @@ class TestMetricsRegistry:
     def test_snapshot_document(self):
         registry = get_registry()
         registry.counter("repro.test.events", kind="x").inc(2)
-        registry.gauge("repro.test.level").set(1.5)
         registry.histogram("repro.test.seconds", buckets=(1.0,)).observe(0.5)
         snap = registry.snapshot()
         assert snap["format"] == "repro-metrics" and snap["version"] == 1
         assert snap["counters"]['repro.test.events{kind="x"}'] == 2
-        assert snap["gauges"]["repro.test.level"] == 1.5
         assert snap["histograms"]["repro.test.seconds"]["count"] == 1
         json.dumps(snap)  # must be JSON-serializable as-is
 

@@ -26,7 +26,6 @@ from repro.core.planner import (
     estimate,
     floored_predicate_selectivity,
     join_selectivity,
-    output_attributes,
     plan,
     predicate_selectivity,
     rewrite,
@@ -154,16 +153,17 @@ class TestRules:
         result = plan(query, Statistics()).optimized
         assert isinstance(result, Select)
 
-    def test_output_attributes_inference(self):
+    def test_attributes_of_inference(self):
+        context = RewriteContext(STATS)
         query = BaseRelation("R").rename("A", "X").join(BaseRelation("S"), "X", "D")
-        assert output_attributes(query, STATS) == ("X", "B", "C", "D", "E")
-        assert output_attributes(BaseRelation("T"), STATS) is None
-        # The one propagation never raises: where only the right side of a
-        # set operation resolves, that side answers, and a node of no known
-        # type is unresolvable, not an error.
-        assert output_attributes(Union(BaseRelation("T"), BaseRelation("S")), STATS) == ("D", "E")
-        assert output_attributes(Difference(BaseRelation("T"), BaseRelation("U")), STATS) is None
-        assert output_attributes(object(), STATS) is None
+        assert context.attributes_of(query) == ("X", "B", "C", "D", "E")
+        assert context.attributes_of(BaseRelation("T")) is None
+        # Where only the right side of a set operation resolves, that side
+        # answers; a node of no known class is an error, not unresolvable.
+        assert context.attributes_of(Union(BaseRelation("T"), BaseRelation("S"))) == ("D", "E")
+        assert context.attributes_of(Difference(BaseRelation("T"), BaseRelation("U"))) is None
+        with pytest.raises(TypeError):
+            context.attributes_of(object())
 
 
 class TestCostModel:

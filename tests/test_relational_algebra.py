@@ -33,14 +33,12 @@ from repro.relational import (
     gt,
     intersection,
     le,
-    load_relation,
     lt,
     natural_join,
     ne,
     product,
     project,
     rename,
-    save_relation,
     select,
     union,
 )
@@ -386,29 +384,3 @@ class TestIndexes:
         index = SortedIndex(relation, "A")
         assert index.min_key() is None and index.max_key() is None and len(index) == 0
 
-
-class TestCsvIO:
-    def test_roundtrip_with_types_and_sentinels(self, tmp_path):
-        from repro.relational import PLACEHOLDER
-
-        relation = Relation(
-            RelationSchema("R", ("A", "B")),
-            [(1, "x"), (2, BOTTOM), (3, PLACEHOLDER)],
-        )
-        path = tmp_path / "r.csv"
-        save_relation(relation, path)
-        loaded = load_relation(path, types={"A": int})
-        assert loaded.schema.name == "r"
-        assert loaded.row_set() == relation.row_set()
-
-    def test_load_missing_header(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(SchemaError):
-            load_relation(path)
-
-    def test_load_bad_arity(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("A,B\n1\n")
-        with pytest.raises(SchemaError):
-            load_relation(path)
