@@ -394,7 +394,13 @@ def verify_physical(
         # Unknown / future operator kinds: nothing to check structurally.
         return None, kind
 
-    _, root_kind = visit(plan.root)
+    try:
+        _, root_kind = visit(plan.root)
+    finally:
+        # A recursive closure is a reference cycle, and this one holds the
+        # backend and its engine: break it so the engine dies by reference
+        # count, not at the collector's next pass.
+        del visit
     if root_kind != "row":
         raise PlanInvariantError(
             "physical plan root produces a batch handle — the final "

@@ -11,10 +11,9 @@ the ones that have bitten (or nearly bitten) before:
   in ``relational/relation.py`` only: the row set exists only once something
   asked for it, so code reaching past ``iter(relation)`` / ``row_set()``
   would read ``None`` — or, writing, desynchronize the two.
-* ``locked-state`` — methods of ``MetricsRegistry`` / ``StatisticsCatalog``
-  / ``PlanCache`` / ``IndexPool`` must touch their private state only under
-  ``self._lock`` (these objects are shared across the async service's
-  worker threads).
+* ``locked-state`` — methods of ``MetricsRegistry`` / ``PlanCache`` /
+  ``IndexPool`` must touch their private state only under ``self._lock``
+  (these objects are shared across the async service's worker threads).
 * ``async-blocking`` — coroutines in ``repro.service`` must not call
   blocking primitives (``time.sleep``, synchronous file I/O,
   ``subprocess``): one blocked coroutine stalls the whole event loop.
@@ -45,6 +44,11 @@ the ones that have bitten (or nearly bitten) before:
   ``verifier``, the one hook that imports the plan verifier while
   verification is on: the runtime must not depend on the layers built on
   top of it.
+* ``template-mutation`` — no call of ``insert`` / ``insert_many`` /
+  ``remove`` on a subscript of a ``.templates`` attribute outside
+  ``core/uwsdt.py``: a UWSDT shares its template relations with its copies,
+  and only ``UWSDT.add_template_tuple`` copies a shared template before it
+  writes.
 
 Findings are compared against a checked-in baseline
 (``lint_baseline.json`` next to this module): pre-existing violations are
@@ -66,7 +70,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 #: ``__init__`` (the engine reference, backend kinds) is deliberately not listed.
 LOCKED_CLASSES = {
     "MetricsRegistry": ("_metrics",),
-    "StatisticsCatalog": ("_entries",),
     "PlanCache": ("_entries",),
     "IndexPool": ("_cache",),
 }
@@ -140,6 +143,11 @@ IDENTITY_KEY_EXEMPT = ("core/planner/catalog.py", "Same.")
 RUNTIME_PACKAGES = ("core", "relational")
 UPPER_PACKAGES = ("analysis", "service")
 LAYERING_HOOK = ("core/verify.py", "verifier")
+
+#: Relation methods that write rows in place, and the one module allowed to
+#: call them on a UWSDT template (it copies a shared template first).
+TEMPLATE_WRITES = frozenset({"insert", "insert_many", "remove"})
+TEMPLATE_MODULE = "core/uwsdt.py"
 
 #: The format tag written into baselines and reports.
 BASELINE_FORMAT = "repro-lint-baseline/1"
@@ -640,6 +648,29 @@ def check_layering(tree: ast.Module, path: str) -> List[Violation]:
     return violations
 
 
+def check_template_mutation(tree: ast.Module, path: str) -> List[Violation]:
+    if path.replace("\\", "/").endswith(TEMPLATE_MODULE):
+        return []
+    enclosing = _enclosing_symbols(tree)
+    return [
+        Violation(
+            "template-mutation",
+            path,
+            node.lineno,
+            enclosing.get(node, "<module>"),
+            f"calls {node.func.attr}() on a UWSDT template in place — copies share "
+            "templates; go through UWSDT.add_template_tuple or load_template",
+        )
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in TEMPLATE_WRITES
+        and isinstance(node.func.value, ast.Subscript)
+        and isinstance(node.func.value.value, ast.Attribute)
+        and node.func.value.value.attr == "templates"
+    ]
+
+
 RULES = (
     check_relation_version,
     check_relation_storage,
@@ -650,6 +681,7 @@ RULES = (
     check_operator_dispatch,
     check_identity_key,
     check_layering,
+    check_template_mutation,
 )
 
 

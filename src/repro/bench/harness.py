@@ -73,16 +73,25 @@ class CensusInstance:
         self.seed = seed
         generator = CensusGenerator(seed=seed)
         self.clean_relation: Relation = generator.clean_relation(rows)
-        if density > 0:
-            self.orset_relation = generator.add_noise(self.clean_relation, density)
-            self.uwsdt: UWSDT = UWSDT.from_orset_relation(self.orset_relation)
-        else:
-            self.orset_relation = None
-            self.uwsdt = UWSDT.from_relation(self.clean_relation)
+        self.orset_relation = (
+            generator.add_noise(self.clean_relation, density) if density > 0 else None
+        )
+        self.uwsdt: UWSDT = self.loaded()
+
+    def loaded(self) -> UWSDT:
+        """A UWSDT built anew from the generated input."""
+        if self.orset_relation is not None:
+            return UWSDT.from_orset_relation(self.orset_relation)
+        return UWSDT.from_relation(self.clean_relation)
 
     def chased(self) -> UWSDT:
-        """A chased copy of the UWSDT (the paper's cleaned representation)."""
-        cleaned = self.uwsdt.copy()
+        """A chased UWSDT (the paper's cleaned representation), built anew.
+
+        Not a copy of :attr:`uwsdt`: a copy shares its templates, and with
+        them the statistics and indexes derived from them, so a plan on it
+        would not be cold.
+        """
+        cleaned = self.loaded()
         chase_uwsdt(cleaned, census_dependencies())
         return cleaned
 

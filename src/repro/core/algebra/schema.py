@@ -445,7 +445,13 @@ def output_schema(query: Query, context: SchemaContext) -> Optional[InferredSche
             )
         raise TypeError(f"cannot analyze query node {node!r}")
 
-    return walk(query)
+    try:
+        return walk(query)
+    finally:
+        # ``walk`` and ``derive`` reach each other through their closures: a
+        # reference cycle holding the context (and the statistics behind it)
+        # until the collector's next full pass, unless broken here.
+        del walk, derive
 
 
 Fail = Callable[[str, Query, str], NoReturn]

@@ -15,6 +15,12 @@ built from:
 * ``propagate_bottom`` — the ``propagate-⊥`` algorithm of Figure 12,
 * ``project_away`` / ``restrict`` / ``compress`` — used by projection,
   selection and the normalization algorithms of Figure 20.
+
+A component is immutable: its fields, local worlds and probabilities are
+tuples, and every primitive returns a new component.  A UWSDT and its
+copies share component objects (:meth:`~repro.core.uwsdt.UWSDT.copy`), so
+an in-place write would change every engine holding one; as tuples, such a
+write raises instead.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ class Component:
             raise RepresentationError("a component must cover at least one field")
         if len(set(self.fields)) != len(self.fields):
             raise RepresentationError(f"component fields must be distinct: {self.fields!r}")
-        self.rows: List[Tuple[Any, ...]] = [tuple(row) for row in rows]
+        self.rows: Tuple[Tuple[Any, ...], ...] = tuple(tuple(row) for row in rows)
         if not self.rows:
             raise RepresentationError("a component must have at least one local world")
         for row in self.rows:
@@ -54,9 +60,9 @@ class Component:
                     f"local world {row!r} has {len(row)} values, expected {len(self.fields)}"
                 )
         if probabilities is None:
-            self.probabilities: Optional[List[float]] = None
+            self.probabilities: Optional[Tuple[float, ...]] = None
         else:
-            self.probabilities = [float(p) for p in probabilities]
+            self.probabilities = tuple(float(p) for p in probabilities)
             if len(self.probabilities) != len(self.rows):
                 raise RepresentationError("probabilities must parallel the local worlds")
         self._positions: Dict[FieldRef, int] = {f: i for i, f in enumerate(self.fields)}

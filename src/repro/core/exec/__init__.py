@@ -28,7 +28,6 @@ from .backends import (
     EngineBackend,
     UWSDTBackend,
     backend_for,
-    index_pool_for,
 )
 from .columnar import (
     BACKEND_SPECS,
@@ -73,7 +72,6 @@ __all__ = [
     "EngineBackend",
     "UWSDTBackend",
     "backend_for",
-    "index_pool_for",
     "BACKEND_SPECS",
     "ColumnBatch",
     "ColumnarBackend",

@@ -31,28 +31,11 @@ from typing import Any, Iterator, Optional, Sequence
 from ...relational import algebra as relational_algebra
 from ...relational.database import Database
 from ...relational.errors import QueryError
-from ...relational.indexes import INDEX_POOL_ATTRIBUTE, IndexPool
+from ...relational.indexes import hash_index
 from ...relational.predicates import Predicate
 from ...relational.relation import Relation
 from ..algebra import uwsdt_ops
 from ..uwsdt import UWSDT
-
-
-def index_pool_for(engine: Any) -> IndexPool:
-    """The index pool attached to an engine, creating it on first use.
-
-    Persisting the pool on the engine means repeated queries — and the index
-    nested-loop join — probe indexes built once, instead of one throwaway
-    pool per ``Query.run``.
-    """
-    pool = getattr(engine, INDEX_POOL_ATTRIBUTE, None)
-    if pool is None:
-        pool = IndexPool()
-        try:
-            setattr(engine, INDEX_POOL_ATTRIBUTE, pool)
-        except AttributeError:
-            pass  # engine type without the slot: still usable, just unattached
-    return pool
 
 
 class EngineBackend:
@@ -103,10 +86,6 @@ class DatabaseBackend(EngineBackend):
     supports_index_join = True
     native_intersection = True
 
-    def __init__(self, engine: Database) -> None:
-        super().__init__(engine)
-        self.pool = index_pool_for(engine)
-
     def finish(self, handle: Relation, result_name: str) -> Relation:
         return handle.copy(result_name)
 
@@ -117,7 +96,7 @@ class DatabaseBackend(EngineBackend):
 
     def index_scan(self, name: str, predicate: Predicate, result_name: Optional[str]) -> Relation:
         relation = self.engine.relation(name)
-        index = self.pool.hash_index(relation, (predicate.attribute,))
+        index = hash_index(relation, (predicate.attribute,))
         return relational_algebra.select(relation, predicate, index=index)
 
     def filter(self, child: Relation, predicate: Predicate, result_name: Optional[str]) -> Relation:
@@ -149,9 +128,9 @@ class DatabaseBackend(EngineBackend):
     def index_join(
         self, outer: Relation, inner_name: str, outer_attr: str, inner_attr: str, result_name
     ) -> Relation:
-        """Probe the pool's cached index over the stored inner relation."""
+        """Probe the index kept on the stored inner relation."""
         inner = self.engine.relation(inner_name)
-        index = self.pool.hash_index(inner, (inner_attr,))
+        index = hash_index(inner, (inner_attr,))
         schema = outer.schema.concat(inner.schema, None)
         position = outer.schema.position(outer_attr)
         rows = [row + inner_row for row in outer for inner_row in index.lookup(row[position])]

@@ -3,14 +3,15 @@
 A :class:`ColumnBatch` presents the rows of a Database relation or a UWSDT
 template as shared per-attribute columns plus a selection vector, with a
 row-id column carrying provenance (Database row positions, UWSDT template
-tuple ids).  The columns of a *stored* relation live in the engine's
-:class:`~repro.relational.indexes.IndexPool`, validated by the relation's
-version like its hash indexes and transposed one attribute at a time when
-first read.  Vectorized kernels implement Filter / Project / Rename /
-HashJoin / Union / Difference / Intersection over batches without
-per-operator ``Relation`` construction and without copying a value before
-a join or the region's exit needs it; relations stay sets inside the
-region (Project and Union collapse the duplicates they create).
+tuple ids).  The columns of a *stored* relation live on the relation
+(:func:`~repro.relational.indexes.column_store`), validated by its version
+like its hash indexes, shared by every engine holding it and transposed one
+attribute at a time when first read.  Vectorized kernels implement
+Filter / Project / Rename / HashJoin / Union / Difference / Intersection
+over batches without per-operator ``Relation`` construction and without
+copying a value before a join or the region's exit needs it; relations
+stay sets inside the region (Project and Union collapse the duplicates
+they create).
 
 :class:`ColumnarBackend` wraps the engine's row backend
 (:class:`~repro.core.exec.backends.DatabaseBackend` or
@@ -45,12 +46,12 @@ from itertools import compress, repeat
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ...relational.errors import QueryError
-from ...relational.indexes import Column, ColumnStore
+from ...relational.indexes import Column, ColumnStore, column_store
 from ...relational.relation import Relation
 from ...relational.schema import RelationSchema
 from ...relational.predicates import Predicate
 from ...relational.values import PLACEHOLDER
-from .backends import DatabaseBackend, EngineBackend, backend_for, index_pool_for
+from .backends import DatabaseBackend, EngineBackend, backend_for
 from .physical import (
     Dematerialize,
     IndexNestedLoopJoin,
@@ -312,7 +313,6 @@ class ColumnarBackend(EngineBackend):
     def __init__(self, engine: Any) -> None:
         super().__init__(engine)
         self.inner = inner = backend_for(engine)
-        self.pool = index_pool_for(engine)
         self._scanned: Set[str] = set()
         self.supports_index_scan = inner.supports_index_scan
         self.supports_index_join = inner.supports_index_join
@@ -335,8 +335,8 @@ class ColumnarBackend(EngineBackend):
 
     def _stored(self, handle) -> bool:
         """True iff a row handle is a relation the engine stores rather than
-        an intermediate result: only those use (and stay in) the engine's
-        index pool, and only those need ``finish``'s protective copy."""
+        an intermediate result: only those keep their column store, and only
+        those need ``finish``'s protective copy."""
         if isinstance(self.inner, DatabaseBackend):
             name = handle.schema.name
             return self.engine.has_relation(name) and self.engine.relation(name) is handle
@@ -353,10 +353,9 @@ class ColumnarBackend(EngineBackend):
     def materialize(self, handle, result_name: Optional[str]):
         """Row handle → batch (the vectorized scan half of the boundary).
 
-        The columns of a relation the engine stores come from (and stay in)
-        the engine's index pool; an intermediate result gets a throwaway
-        store — either way only the columns the region reads are ever
-        transposed.
+        The columns of a relation the engine stores come from (and stay on)
+        the relation; an intermediate result gets a throwaway store —
+        either way only the columns the region reads are ever transposed.
         """
         if isinstance(handle, ColumnBatch):
             return handle
@@ -375,7 +374,7 @@ class ColumnarBackend(EngineBackend):
         relation = self.engine.templates[handle] if uwsdt else handle
         attributes, arity = relation.schema.attributes, relation.schema.arity
         stored = self._stored(handle)
-        store = self.pool.columns(relation) if stored else ColumnStore(relation.rows, arity)
+        store = column_store(relation) if stored else ColumnStore(relation.rows, arity)
         if uwsdt:  # the tid column is stored first and becomes the row ids
             return ColumnBatch(attributes[1:], store.columns[1:], store.size, None, store.columns[0])
         return ColumnBatch(attributes, store.columns, store.size)

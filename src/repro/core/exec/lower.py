@@ -6,7 +6,7 @@ tree (:mod:`~repro.core.planner.cost`) and is read off its per-node estimate:
 
 * a ``Select`` with a hashable equality predicate directly over a base
   relation becomes an :class:`~repro.core.exec.physical.IndexScan` on
-  backends that can probe one (Database index pool, UWSDT template index);
+  backends that can probe one (the hash index kept on the relation);
 * a ``Join`` whose *right* input is a bare base-relation scan becomes an
   :class:`~repro.core.exec.physical.IndexNestedLoopJoin` when the node's
   estimate names that algorithm (``NodeEstimate.algorithm`` — the one

@@ -81,10 +81,10 @@ class Scan(PhysicalOperator):
 class IndexScan(PhysicalOperator):
     """Equality selection over a base relation served by a hash-index probe.
 
-    On a Database the probe hits the engine's shared
-    :class:`~repro.relational.indexes.IndexPool`; on a UWSDT it hits the
-    cached ``template_index`` (probing the constant plus the ``?``
-    placeholder key, per Figure 16's uncertain-field path).
+    The probe hits the hash index kept on the stored relation
+    (:func:`~repro.relational.indexes.hash_index`); on a UWSDT that is the
+    ``template_index`` of the template, probed with the constant plus the
+    ``?`` placeholder key, per Figure 16's uncertain-field path.
     """
 
     op_name = "IndexScan"
@@ -311,8 +311,9 @@ class IndexNestedLoopJoin(PhysicalOperator):
 
     The *inner* child must be a :class:`Scan` of a stored relation: the
     backend never executes it — each outer tuple probes the engine's
-    persistent hash index (Database :class:`~repro.relational.indexes.IndexPool`
-    / ``UWSDT.template_index``) instead.
+    hash index kept on the stored relation
+    (:func:`~repro.relational.indexes.hash_index` / ``UWSDT.template_index``)
+    instead.
     """
 
     op_name = "IndexNestedLoopJoin"

@@ -1,9 +1,9 @@
-"""Persistent per-engine statistics catalog with version-based invalidation.
+"""Planner statistics kept on the relations, with version-based invalidation.
 
-Before this module, every ``Query.run(optimize=True)`` re-sampled the
+Before the catalog, every ``Query.run(optimize=True)`` re-sampled the
 query's base relations: planning the *same* query twice against an
-unchanged engine paid the full sampling cost twice.  The
-:class:`StatisticsCatalog` fixes that by caching, per relation,
+unchanged engine paid the full sampling cost twice.  The catalog caches,
+per relation,
 
 * the bounded :class:`~repro.core.planner.sampling.RelationSample`, drawn by
   position so that a cold entry reads at most ``DEFAULT_SAMPLE_SIZE`` rows; every
@@ -14,8 +14,8 @@ unchanged engine paid the full sampling cost twice.  The
 * the row count and the placeholder density,
 * the attribute list,
 
-keyed by a *version key* that moves exactly when the underlying relation
-could have changed:
+valid while a *version key* is unchanged, one that moves exactly when the
+underlying relation could have changed:
 
 ========  ==================================================================
 engine    version key of relation ``R``
@@ -28,6 +28,13 @@ UWSDT     identity + version of the ``R`` template relation, plus
           ``Q̂`` and chase component merges leave base entries valid
 ========  ==================================================================
 
+An entry is stored on the relation object itself (:meth:`Relation.derived
+<repro.relational.relation.Relation.derived>`, which checks the identity
+and version parts of the key), under the rest of the key — the engine kind
+and, on a UWSDT, the placeholder count.  Every engine holding the relation
+therefore reads the same entry: a UWSDT copy shares its templates
+(:meth:`~repro.core.uwsdt.UWSDT.copy`) and plans from warm statistics.
+
 A :class:`~repro.core.wsd.WSD` has no catalog: it is the paper's
 specification (Sections 3–4), not a query engine.  Plan on
 ``UWSDT.from_wsd(wsd)`` instead.
@@ -38,13 +45,13 @@ index — one term per uncertain tuple).  Polling is the one invalidation
 mechanism: every mutation path bumps a version, so "mutate, then replan"
 picks up fresh statistics, and a stale entry is replaced on its next read.
 
-One catalog is attached per engine object (:func:`catalog_for` stores it on
-the engine; engine ``copy()`` methods deliberately do not carry it over).
-``Statistics.from_engine`` — and therefore ``Query.plan``/``Query.run`` —
-is a thin view over the catalog: planning a repeated or similar query
-performs zero sampling work, which
-:func:`~repro.core.planner.sampling.sampling_call_count` lets tests and
-benchmarks assert directly.
+The :class:`StatisticsCatalog` object itself is per engine
+(:func:`catalog_for` stores it on the engine; a copy gets its own): it
+computes version keys, counts hits and misses and serialises one engine's
+readers.  ``Statistics.from_engine`` — and therefore ``Query.plan``/``Query.run`` —
+is a thin view over it: planning a repeated or similar query performs zero
+sampling work, which :func:`~repro.core.planner.sampling.sampling_call_count`
+lets tests and benchmarks assert directly.
 """
 
 from __future__ import annotations
@@ -87,9 +94,8 @@ class Same:
 
 @dataclass
 class CatalogEntry:
-    """Cached statistics of one relation, valid while ``key`` matches."""
+    """Cached statistics of one relation, kept on the relation object."""
 
-    key: Tuple[Any, ...]
     row_count: int
     density: float
     attributes: Tuple[str, ...]
@@ -97,7 +103,7 @@ class CatalogEntry:
 
 
 class StatisticsCatalog:
-    """Version-validated cache of per-relation planner statistics."""
+    """Version-validated view of the per-relation planner statistics of one engine."""
 
     def __init__(self, engine: Any) -> None:
         if not isinstance(engine, (Database, UWSDT)):
@@ -106,14 +112,13 @@ class StatisticsCatalog:
             raise unsupported_engine(engine)
         #: Weak: the catalog hangs off its engine (:func:`catalog_for`), and a
         #: strong reference back would turn
-        #: every discarded engine copy — templates included — into cyclic
-        #: garbage that stays resident until the collector's next full pass.
+        #: every discarded engine copy into cyclic garbage that stays
+        #: resident until the collector's next full pass.
         self._engine = weakref.ref(engine)
         #: Reentrant so public methods can compose without lock juggling.
-        #: Concurrent sessions share one catalog per engine; every read of
-        #: the shared dict below happens under this lock.
+        #: Concurrent sessions share one catalog per engine; one engine's
+        #: readers build each missing entry once.
         self._lock = threading.RLock()
-        self._entries: Dict[str, CatalogEntry] = {}
         #: Cache telemetry (reads that reused / rebuilt an entry).
         self.hits = 0
         self.misses = 0
@@ -154,35 +159,53 @@ class StatisticsCatalog:
     # Entries
     # ------------------------------------------------------------------ #
 
+    def _build(self, name: str) -> CatalogEntry:
+        row_count, density = self._row_count_and_density(name)
+        return CatalogEntry(
+            row_count=row_count,
+            density=density,
+            attributes=self._relation_attributes(name),
+            sample=self._sample_one(name),
+        )
+
+    def _lookup(self, name: str, key: Tuple[Any, ...]) -> Tuple[CatalogEntry, bool]:
+        """The entry for ``key`` and whether it was built by this call.
+
+        ``key[0]`` names the relation and ``key[1]`` is its version — the
+        relation's memo checks both; the rest of the key, with the engine
+        kind, names the entry in the memo.
+        """
+        built: List[CatalogEntry] = []
+
+        def build() -> CatalogEntry:
+            built.append(self._build(name))
+            return built[0]
+
+        entry = key[0].target.derived(("statistics", self.kind) + key[2:], build)
+        return entry, bool(built)
+
     def entry(self, name: str) -> Tuple[CatalogEntry, str]:
         """The (validated) entry for one relation, plus its provenance:
         ``"cached-sample"`` when reused, ``"fresh-sample"`` when rebuilt."""
+        return self._entry(name, self.version_key(name))
+
+    def _entry(self, name: str, key: Tuple[Any, ...]) -> Tuple[CatalogEntry, str]:
         with self._lock:
-            key = self.version_key(name)
-            cached = self._entries.get(name)
-            if cached is not None and cached.key == key:
-                self.hits += 1
-                self._registry_counter("hits").inc()
-                return cached, "cached-sample"
-            self.misses += 1
-            self._registry_counter("misses").inc()
-            row_count, density = self._row_count_and_density(name)
-            attributes = self._relation_attributes(name)
-            built = CatalogEntry(
-                key=key,
-                row_count=row_count,
-                density=density,
-                attributes=attributes,
-                sample=self._sample_one(name),
-            )
-            self._entries[name] = built
-            return built, "fresh-sample"
+            entry, fresh = self._lookup(name, key)
+            if fresh:
+                self.misses += 1
+                self._registry_counter("misses").inc()
+                return entry, "fresh-sample"
+            self.hits += 1
+            self._registry_counter("hits").inc()
+            return entry, "cached-sample"
 
     def version_key(self, name: str) -> Tuple[Any, ...]:
         """The current version key of one relation — the token catalog
         entries, plan-cache entries and session snapshots keep and poll.
         It moves when the relation object is replaced (``Database.replace``,
-        ``UWSDT.load_template``) as well as when it is mutated."""
+        ``UWSDT.load_template``, a copy-on-write ``UWSDT.add_template_tuple``)
+        as well as when it is mutated."""
         if self.kind == "database":
             relation = self.engine.relation(name)
             return (Same(relation), relation.version)
@@ -193,18 +216,6 @@ class StatisticsCatalog:
         if self.kind == "database":
             return self.engine.relation(name).schema.attributes
         return self.engine.schema.relation(name).attributes
-
-    def invalidate(self, name: Optional[str] = None) -> None:
-        """Drop one relation's entry (or all of them when ``name`` is None)."""
-        with self._lock:
-            if name is None:
-                self._entries.clear()
-            else:
-                self._entries.pop(name, None)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
     # ------------------------------------------------------------------ #
     # The Statistics view
@@ -234,8 +245,8 @@ class StatisticsCatalog:
             provenance: Dict[str, str] = {}
             keys: Dict[str, Tuple[Any, ...]] = {}
             for name in known:
-                entry, source = self.entry(name)
-                keys[name] = entry.key
+                keys[name] = key = self.version_key(name)
+                entry, source = self._entry(name, key)
                 row_counts[name] = entry.row_count
                 densities[name] = entry.density
                 attributes[name] = entry.attributes
@@ -255,17 +266,21 @@ class StatisticsCatalog:
             return view
 
     def __repr__(self) -> str:
-        with self._lock:
-            count = len(self._entries)
-        return (
-            f"StatisticsCatalog({self.kind}, {count} entries, "
-            f"{self.hits} hits / {self.misses} misses)"
-        )
+        return f"StatisticsCatalog({self.kind}, {self.hits} hits / {self.misses} misses)"
+
+
+class FreshStatistics(StatisticsCatalog):
+    """A catalog that derives every entry anew and keeps none: the
+    uncached statistics of ``Statistics.from_database`` / ``from_uwsdt``."""
+
+    def _lookup(self, name: str, key: Tuple[Any, ...]) -> Tuple[CatalogEntry, bool]:
+        return self._build(name), True
 
 
 def catalog_for(engine: Any) -> StatisticsCatalog:
     """The catalog attached to ``engine``, creating (and attaching) it on
-    first use.  Engine copies start with no catalog of their own."""
+    first use.  A copy of an engine gets a catalog object of its own, which
+    reads the entries kept on the relations it shares."""
     catalog = getattr(engine, CATALOG_ATTRIBUTE, None)
     if catalog is None:
         catalog = StatisticsCatalog(engine)

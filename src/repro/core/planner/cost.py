@@ -208,10 +208,10 @@ class Statistics:
         engine: Any,
         sample_relations: Optional[Tuple[str, ...]] = None,
     ) -> "Statistics":
-        """Fresh, uncached statistics: the view of a catalog attached to nothing."""
-        from .catalog import StatisticsCatalog
+        """Fresh, uncached statistics: every relation sampled anew, nothing kept."""
+        from .catalog import FreshStatistics
 
-        statistics = StatisticsCatalog(engine).statistics(sample_relations)
+        statistics = FreshStatistics(engine).statistics(sample_relations)
         statistics.source = "fresh"
         statistics.catalog = None
         return statistics
@@ -388,9 +388,9 @@ def index_join_step(
     """``(output rows, added cost)`` of an index nested-loop equi-join.
 
     The outer side probes a prebuilt hash index over the inner *base*
-    relation (the :class:`~repro.relational.indexes.IndexPool` index on a
-    Database, ``UWSDT.template_index`` on a UWSDT — both cached on the
-    engine, so the inner side contributes no per-query build cost).
+    relation (:func:`~repro.relational.indexes.hash_index`, kept on the
+    relation — a UWSDT template's is ``UWSDT.template_index`` — so the
+    inner side contributes no per-query build cost).
     """
     out = outer_rows * inner_rows * selectivity
     cost = outer_rows * model.index_probe + out * arity_width(out_arity) * model.emit_tuple

@@ -23,15 +23,25 @@ PostgreSQL with indexes on ``FID`` and ``CID``.
 Tuple presence semantics follow the WSD convention: a template tuple is
 present in a chosen world unless one of its placeholder fields takes the
 ``⊥`` value in that world.
+
+A query (Section 4's ``Q̂``) only *adds* relations and components, so
+:meth:`UWSDT.copy` shares the template relations and the (immutable)
+components with the original and copies only the dictionaries that index
+them.  Whatever is derived from a template — its hash indexes, its column
+store, the planner's statistics — lives on the template relation
+(:meth:`Relation.derived <repro.relational.relation.Relation.derived>`), so
+an engine and all its copies derive each structure once per template
+version.  The one in-place template write, :meth:`UWSDT.add_template_tuple`,
+first gives the writing engine a private copy of a shared template.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..relational.database import Database
 from ..relational.errors import ArityError, RepresentationError
-from ..relational.indexes import HashIndex, IndexPool
+from ..relational.indexes import HashIndex, hash_index
 from ..relational.relation import Relation, Row
 from ..relational.schema import DatabaseSchema, RelationSchema
 from ..relational.values import BOTTOM, PLACEHOLDER, is_placeholder
@@ -68,10 +78,10 @@ class UWSDT:
         #: Memo of :meth:`placeholder_rows`: ``relation -> (template, version,
         #: rows)``.  Dropped by :meth:`_map_field` / :meth:`_unmap_field`.
         self._placeholder_rows: Dict[str, Tuple[Relation, int, List[PlaceholderRow]]] = {}
+        #: Names of the templates no other engine holds: only these may be
+        #: written in place.  :meth:`copy` empties it on both sides.
+        self._private_templates: Set[str] = set()
         self._next_cid = 1
-        #: Version-validated cache of template hash indexes (Section 5's
-        #: "employing indices" on the fixed UWSDT schema).
-        self._index_pool = IndexPool()
         for relation_schema in self.schema:
             self._init_template(relation_schema)
 
@@ -84,6 +94,7 @@ class UWSDT:
             relation_schema.name, (TID,) + relation_schema.attributes
         )
         self.templates[relation_schema.name] = Relation(template_schema)
+        self._private_templates.add(relation_schema.name)
 
     def add_relation(self, relation_schema: RelationSchema) -> None:
         """Declare a new (initially empty) represented relation."""
@@ -93,13 +104,21 @@ class UWSDT:
         self._init_template(relation_schema)
 
     def add_template_tuple(self, relation_name: str, tuple_id: Any, values: Sequence[Any]) -> None:
-        """Add one template tuple (values may include ``PLACEHOLDER``)."""
+        """Add one template tuple (values may include ``PLACEHOLDER``).
+
+        A template shared with a copy is first replaced by a private
+        :meth:`Relation.copy <repro.relational.relation.Relation.copy>`, so
+        the write reaches this engine only.
+        """
         relation_schema = self.schema.relation(relation_name)
         if len(values) != relation_schema.arity:
             raise RepresentationError(
                 f"template tuple for {relation_name!r} has arity {len(values)}, "
                 f"expected {relation_schema.arity}"
             )
+        if relation_name not in self._private_templates:
+            self.templates[relation_name] = self.templates[relation_name].copy()
+            self._private_templates.add(relation_name)
         self.templates[relation_name].insert((tuple_id,) + tuple(values))
 
     def load_template(
@@ -121,6 +140,7 @@ class UWSDT:
             raise RepresentationError(
                 f"malformed template tuple for {relation_name!r}: {error}"
             ) from error
+        self._private_templates.add(relation_name)
 
     def relation_placeholder_count(self, relation_name: str) -> int:
         """Number of ``?`` fields of one relation (its slice of ``F``).
@@ -265,10 +285,11 @@ class UWSDT:
         The index maps template values — including the ``?`` placeholder
         sentinel — to full template rows.  Pushed-down equality selections
         probe it with the constant plus ``?`` instead of scanning the whole
-        template; the cache is invalidated automatically when the template
-        relation changes (see :class:`~repro.relational.indexes.IndexPool`).
+        template.  It is kept on the template relation and rebuilt when the
+        template changes (:func:`~repro.relational.indexes.hash_index`), so
+        copies sharing the template share the index.
         """
-        return self._index_pool.hash_index(self.templates[relation_name], (attribute,))
+        return hash_index(self.templates[relation_name], (attribute,))
 
     def template_rows(self, relation_name: str) -> Iterator[Tuple[Any, Tuple[Any, ...]]]:
         """Yield ``(tuple_id, values)`` pairs of one template (values without the tid column).
@@ -471,17 +492,28 @@ class UWSDT:
         return all(component.is_probabilistic for component in self.components.values())
 
     def copy(self) -> "UWSDT":
-        """Structural copy."""
-        result = UWSDT(DatabaseSchema(list(self.schema)))
-        for name, template in self.templates.items():
-            result.templates[name] = template.copy()
-        for cid, component in self.components.items():
-            result.components[cid] = Component(
-                component.fields, component.rows, component.probabilities
-            )
+        """A copy sharing everything a query does not change, in O(relations + components).
+
+        The template relations and the components (immutable) are shared;
+        only the dictionaries indexing them are copied — ``templates``,
+        ``components``, ``field_to_cid``, the placeholder index — and the
+        :meth:`placeholder_rows` memo, whose entries check the template's
+        identity and version.  Structures derived from a shared template
+        (hash indexes, column stores, statistics) live on it and stay warm
+        for both engines.  Afterwards neither engine owns a template: the
+        first :meth:`add_template_tuple` on either side copies it.  The plan
+        cache and the statistics catalog object are per engine and are not
+        carried over, so the copy plans every query anew.
+        """
+        result = UWSDT()
+        result.schema = DatabaseSchema(list(self.schema))
+        result.templates = dict(self.templates)
+        result.components = dict(self.components)
         result.field_to_cid = dict(self.field_to_cid)
         result._placeholders = {name: dict(rows) for name, rows in self._placeholders.items()}
+        result._placeholder_rows = dict(self._placeholder_rows)
         result._next_cid = self._next_cid
+        self._private_templates = set()
         return result
 
     # ------------------------------------------------------------------ #

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .errors import SchemaError, UnknownRelationError
-from .indexes import INDEX_POOL_ATTRIBUTE
 from .relation import Relation
 from .schema import DatabaseSchema, RelationSchema
 
@@ -25,12 +24,12 @@ class Database:
     """
 
     # ``_statistics_catalog`` is the planner's lazily attached per-engine
-    # statistics cache (see repro.core.planner.catalog.catalog_for);
-    # ``_index_pool`` is the executor's persistent hash-index pool
-    # (see repro.core.exec.backends.index_pool_for); ``_plan_cache`` is the
+    # view of the statistics kept on the relations (see
+    # repro.core.planner.catalog.catalog_for); ``_plan_cache`` is the
     # engine's cache of lowered plans, used by every default ``Query.run``
-    # (see repro.core.exec.plan_cache.plan_cache_for).
-    __slots__ = ("_relations", "_statistics_catalog", "_index_pool", "_plan_cache", "__weakref__")
+    # (see repro.core.exec.plan_cache.plan_cache_for).  Hash indexes and
+    # column stores live on the relations themselves (Relation.derived).
+    __slots__ = ("_relations", "_statistics_catalog", "_plan_cache", "__weakref__")
 
     def __init__(self, relations: Iterable[Relation] = ()) -> None:
         self._relations: Dict[str, Relation] = {}
@@ -60,18 +59,7 @@ class Database:
 
     def replace(self, relation: Relation) -> None:
         """Add or overwrite a relation."""
-        outgoing = self._relations.get(relation.schema.name)
         self._relations[relation.schema.name] = relation
-        if outgoing is not None and outgoing is not relation:
-            self._release(outgoing)
-
-    def _release(self, relation: Relation) -> None:
-        """Evict a no-longer-stored relation from the attached index pool,
-        whose ``id(relation)``-keyed entries would otherwise pin its rows,
-        indexes and columns for the life of the database."""
-        pool = getattr(self, INDEX_POOL_ATTRIBUTE, None)
-        if pool is not None:
-            pool.invalidate(relation)
 
     def relation(self, name: str) -> Relation:
         """Return the relation called ``name``."""
@@ -87,7 +75,7 @@ class Database:
         """Remove a relation from the database."""
         if name not in self._relations:
             raise UnknownRelationError(name, tuple(self._relations))
-        self._release(self._relations.pop(name))
+        del self._relations[name]
 
     @property
     def relation_names(self) -> Tuple[str, ...]:

@@ -2,20 +2,26 @@
 
 The paper's prototype tunes query evaluation on the fixed UWSDT schema
 "by employing indices and materializing often used temporary results"
-(Section 5).  The UWSDT component relation ``C[FID, LWID, VAL]`` and the
-mapping relation ``F[FID, CID]`` are looked up by field identifier and by
-component identifier on every operator, so the UWSDT engine builds hash
-indexes over those columns.  This module provides the two index flavours
-used by the engine: an exact-match hash index and a sorted index supporting
-range scans.  The same pool also caches the *column* representation of a
-stored relation (:class:`ColumnStore`), the "materialized temporary result"
-the columnar executor scans instead of re-transposing the rows per query.
+(Section 5).  This module provides the two index flavours used by the
+engines: an exact-match hash index and a sorted index supporting range
+scans, plus the *column* representation of a stored relation
+(:class:`ColumnStore`), the "materialized temporary result" the columnar
+executor scans instead of re-transposing the rows per query.
+
+:func:`hash_index` and :func:`column_store` keep what they build on the
+relation itself (:meth:`Relation.derived
+<repro.relational.relation.Relation.derived>`), valid while its version is
+unchanged: every engine holding the relation — a Database, a UWSDT and
+each of its copies, which share their templates — probes the same index,
+built once per version.  Nothing derived holds a strong reference back to
+its relation, so a dropped relation is freed without the cycle collector.
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
+import weakref
 from collections import defaultdict
 from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
@@ -26,16 +32,22 @@ from .relation import Relation, Row, project_rows
 class HashIndex:
     """Exact-match index mapping a key (one or more attributes) to rows."""
 
-    __slots__ = ("relation", "attributes", "_positions", "_buckets")
+    __slots__ = ("_relation", "attributes", "_positions", "_buckets")
 
     def __init__(self, relation: Relation, attributes: Sequence[str]) -> None:
-        self.relation = relation
+        #: Weak: the index may live in its relation's memo.
+        self._relation = weakref.ref(relation)
         self.attributes = tuple(attributes)
         self._positions = relation.schema.positions(self.attributes)
         buckets: Dict[Tuple[Any, ...], List[Row]] = defaultdict(list)
         for key, row in zip(project_rows(relation, self._positions), relation):
             buckets[key].append(row)
         self._buckets = dict(buckets)
+
+    @property
+    def relation(self) -> Optional[Relation]:
+        """The indexed relation (None once it has been freed)."""
+        return self._relation()
 
     def _key(self, row: Row) -> Tuple[Any, ...]:
         return tuple(row[p] for p in self._positions)
@@ -90,58 +102,64 @@ def _transpose(rows: Sequence[Row], position: int) -> List[Any]:
 class ColumnStore:
     """The columns of one row snapshot, each transposed only when read.
 
-    Built over a stored relation by :meth:`IndexPool.columns` (and then
-    reused until the relation's version moves), or directly over the rows
-    of an intermediate result, which never enters the pool.
+    Built over a stored relation by :func:`column_store` (and then reused
+    until the relation's version moves), or directly over the rows of an
+    intermediate result, which nothing keeps.
     """
 
-    __slots__ = ("relation", "size", "columns")
+    __slots__ = ("size", "columns")
 
-    def __init__(
-        self, rows: Sequence[Row], arity: int, relation: Optional[Relation] = None
-    ) -> None:
-        self.relation = relation
+    def __init__(self, rows: Sequence[Row], arity: int) -> None:
         self.size = len(rows)
         self.columns = tuple(Column(partial(_transpose, rows, p)) for p in range(arity))
 
 
-_Cached = TypeVar("_Cached")  # a HashIndex or a ColumnStore
+def hash_index(relation: Relation, attributes: Sequence[str]) -> HashIndex:
+    """The hash index over ``attributes`` of ``relation``, kept on the relation.
 
-#: Attribute under which an engine (Database, UWSDT) holds its :class:`IndexPool`.
-INDEX_POOL_ATTRIBUTE = "_index_pool"
+    Built on the first probe after each mutation and shared by every engine
+    holding the relation.
+    """
+    key = tuple(attributes)
+    return relation.derived(("hash-index", key), lambda: HashIndex(relation, key))
+
+
+def column_store(relation: Relation) -> ColumnStore:
+    """The column store of a stored ``relation``, kept on the relation."""
+    return relation.derived(
+        "column-store", lambda: ColumnStore(relation.rows, relation.schema.arity)
+    )
+
+
+_Cached = TypeVar("_Cached")  # a HashIndex or a ColumnStore
 
 
 class IndexPool:
     """A version-validated cache of :class:`HashIndex` and :class:`ColumnStore` objects.
 
-    The engines ask the pool for an index on every pushed-down equality
-    selection, and the columnar executor for the columns of every stored
-    relation it scans; the pool rebuilds either only when the underlying
-    relation has actually changed (tracked via :attr:`Relation.version`), so
-    repeated queries over the same base relation share one index and one
-    column store instead of rescanning it.  Keys use ``id(relation)`` — the
-    pool must therefore keep a reference to the relation, which it does via
-    the stored object; :meth:`invalidate` releases it when the engine drops
-    the relation.
+    No engine owns one: indexes and column stores live on their relation
+    (:func:`hash_index`, :func:`column_store`).  The class stays only for the
+    benchmark's index-build probe, which times a fresh build through
+    ``IndexPool().hash_index(...)``; ROADMAP item 1 ("Benchmark of record
+    v2") deletes it with that probe.
 
-    One pool is shared per engine, so concurrent sessions can race on the
-    cache dict; a lock makes check-then-build atomic.  (Two sessions racing
-    the build would each get a *correct* index either way — the lock mainly
-    prevents dict corruption and duplicated build work.)
+    Keys use ``id(relation)``, and each entry keeps its relation so that the
+    id cannot be reused while the entry lives; :meth:`invalidate` releases
+    it.  A lock makes check-then-build atomic.
     """
 
     __slots__ = ("_cache", "_lock")
 
     def __init__(self) -> None:
         #: ``(id(relation), indexed attributes — None for the column store)``
-        #: → ``(relation version at build time, the HashIndex or ColumnStore)``.
-        self._cache: Dict[Tuple[int, Optional[Tuple[str, ...]]], Tuple[int, Any]] = {}
+        #: → ``(relation, its version at build time, the HashIndex or ColumnStore)``.
+        self._cache: Dict[Tuple[int, Optional[Tuple[str, ...]]], Tuple[Relation, int, Any]] = {}
         self._lock = threading.RLock()
 
     def __getstate__(self) -> bool:
         # The cache keys by ``id(relation)`` — meaningless in another
         # process — and the lock cannot pickle.  A pool crossing a process
-        # boundary (a shard payload) starts empty and rebuilds on demand.
+        # boundary starts empty and rebuilds on demand.
         return True
 
     def __setstate__(self, state: bool) -> None:
@@ -153,10 +171,11 @@ class IndexPool:
         with self._lock:
             key = (id(relation), what)
             entry = self._cache.get(key)
-            if entry is not None and entry[0] == relation.version and entry[1].relation is relation:
-                return entry[1]
+            if entry is not None and entry[0] is relation and entry[1] == relation.version:
+                return entry[2]
+            version = relation.version
             built = build()
-            self._cache[key] = (relation.version, built)
+            self._cache[key] = (relation, version, built)
             return built
 
     def hash_index(self, relation: Relation, attributes: Sequence[str]) -> HashIndex:
@@ -166,7 +185,7 @@ class IndexPool:
     def columns(self, relation: Relation) -> ColumnStore:
         """Return the (cached) column store of a stored ``relation``."""
         return self._cached(
-            relation, None, lambda: ColumnStore(relation.rows, relation.schema.arity, relation)
+            relation, None, lambda: ColumnStore(relation.rows, relation.schema.arity)
         )
 
     def invalidate(self, relation: Relation) -> None:

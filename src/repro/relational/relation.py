@@ -14,19 +14,41 @@ one row at a time — the user-facing mutation API — while
 is how every operator builds its result.  The hash set behind membership
 tests is derived from the row list on first need: a result that is only ever
 iterated never hashes its rows.
+
+Everything else derived from the rows — hash indexes, column stores, the
+planner's statistics entry — lives on the relation too, in one memo
+(:meth:`Relation.derived`) validated by :attr:`Relation.version`.  Every
+engine holding the same relation object (a UWSDT and its copies share their
+templates) therefore derives each structure once per version.  The memo is
+neither copied nor pickled: :meth:`Relation.copy` and an unpickled relation
+start without one.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from operator import itemgetter
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from .errors import ArityError, SchemaError
 from .schema import RelationSchema
 from .values import format_value
 
 Row = Tuple[Any, ...]
+
+_Derived = TypeVar("_Derived")
 
 
 class Relation:
@@ -41,7 +63,7 @@ class Relation:
         schema order) or a mapping from attribute name to value.
     """
 
-    __slots__ = ("schema", "_rows", "_members", "_version")
+    __slots__ = ("schema", "_rows", "_members", "_version", "_derived", "__weakref__")
 
     def __init__(self, schema: RelationSchema, rows: Iterable[Any] = ()) -> None:
         self.schema = schema
@@ -50,8 +72,20 @@ class Relation:
         #: (:meth:`_member_set`), in step with ``_rows`` from then on.
         self._members: Optional[set] = set()
         self._version = 0
+        #: The memo of :meth:`derived`: ``key -> (version at build, structure)``;
+        #: None until something derives a structure.
+        self._derived: Optional[Dict[Hashable, Tuple[int, Any]]] = None
         for row in rows:
             self.insert(row)
+
+    def __getstate__(self) -> Tuple[Any, ...]:
+        # The memo stays behind: a relation crossing a process boundary (a
+        # shard payload) carries its rows only and derives on demand.
+        return (self.schema, self._rows, self._members, self._version)
+
+    def __setstate__(self, state: Tuple[Any, ...]) -> None:
+        self.schema, self._rows, self._members, self._version = state
+        self._derived = None
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -199,12 +233,33 @@ class Relation:
     def version(self) -> int:
         """Mutation counter; bumped on every effective insert or remove.
 
-        Secondary indexes cache against this value so they can tell whether
-        the relation changed underneath them (see
-        :class:`~repro.relational.indexes.IndexPool`); polling it is also how
-        the statistics catalog and the plan cache invalidate — the only way.
+        The memo of :meth:`derived` (hash indexes, column stores, the
+        statistics catalog's entries) validates against this value; polling
+        it is also how the plan cache invalidates — the only way.
         """
         return self._version
+
+    def derived(self, key: Hashable, build: Callable[[], _Derived]) -> _Derived:
+        """The structure ``build()`` derives from this relation, built once per version.
+
+        ``key`` names the structure (its kind and parameters).  An entry is
+        served while :attr:`version` equals the version read before it was
+        built, and replaced on the first read after a mutation.  A structure
+        must not hold a strong reference back to this relation: the memo
+        lives on it, and a cycle would leave every dropped relation to the
+        cycle collector.  Two sessions racing the first build each build
+        the same structure; one wins.
+        """
+        memo = self._derived
+        if memo is None:
+            memo = self._derived = {}
+        version = self._version
+        entry = memo.get(key)
+        if entry is not None and entry[0] == version:
+            return entry[1]
+        built = build()
+        memo[key] = (version, built)
+        return built
 
     def row_set(self) -> frozenset:
         """The rows as a frozen set (for order-insensitive comparison)."""
@@ -251,7 +306,10 @@ class Relation:
         return hash((self.schema, self.row_set()))
 
     def copy(self, name: Optional[str] = None) -> "Relation":
-        """Return a shallow copy (rows are immutable tuples, so this is safe)."""
+        """Return a shallow copy (rows are immutable tuples, so this is safe).
+
+        The copy starts with an empty :meth:`derived` memo.
+        """
         schema = self.schema if name is None else self.schema.renamed(name)
         copied = Relation(schema)
         copied._rows = list(self._rows)

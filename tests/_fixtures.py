@@ -103,7 +103,9 @@ def plain_relations(draw, name: str = "R", max_rows: int = 5, max_attrs: int = 3
 
 def census_engines(rows: int = 400, density: float = 0.005, seed: int = 42):
     """``(Database, chased UWSDT)`` over one generated census relation —
-    perfbench's input at its smoke scale, each with no catalog yet."""
+    perfbench's input at its smoke scale.  Both are built anew on each call,
+    so nothing is derived from their relations yet (a UWSDT *copy* would
+    share its templates, and with them their statistics and indexes)."""
     from repro.bench import census_instance
 
     instance = census_instance(rows, density, seed)

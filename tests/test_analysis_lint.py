@@ -34,6 +34,7 @@ from repro.analysis.lint import (
     check_picklable_plan_state,
     check_relation_storage,
     check_relation_version,
+    check_template_mutation,
     default_root,
     load_baseline,
     run_lint,
@@ -177,7 +178,7 @@ class TestLockedState:
     def test_nested_callback_loses_the_lock(self):
         # A closure registered under the lock runs later, without it.
         source = (
-            "class StatisticsCatalog:\n"
+            "class PlanCache:\n"
             "    def arm(self):\n"
             "        with self._lock:\n"
             "            def hook():\n"
@@ -185,7 +186,7 @@ class TestLockedState:
             "            return hook\n"
         )
         found = violations_of(check_locked_state, source)
-        assert [v.symbol for v in found] == ["StatisticsCatalog.arm"]
+        assert [v.symbol for v in found] == ["PlanCache.arm"]
 
 
 class TestAsyncBlocking:
@@ -427,6 +428,10 @@ def synthetic_package(tmp_path):
     (root / "core").mkdir()
     (root / "core" / "__init__.py").write_text("")
     (root / "core" / "layers.py").write_text("from ..service import loop\n")
+    (root / "core" / "cleanup.py").write_text(
+        "def drop(uwsdt, row):\n"
+        "    uwsdt.templates['R'].remove(row)\n"
+    )
     return root
 
 
@@ -475,6 +480,26 @@ class TestLayering:
         assert violations_of(check_layering, upper, "repro/service/server.py") == []
         # Same-named modules of another package are not the upper layers.
         assert violations_of(check_layering, "from tools import analysis\n", "repro/core/x.py") == []
+
+
+class TestTemplateMutation:
+    def test_in_place_template_writes_flagged_outside_the_uwsdt(self):
+        source = (
+            "def fuzz(uwsdt, row):\n"
+            "    uwsdt.templates['R'].insert(row)\n"
+            "    uwsdt.templates[name].insert_many([row])\n"
+            "    self.engine.templates['R'].remove(row)\n"
+            "    uwsdt.templates['R'].copy()\n"
+            "    uwsdt.relation('R').insert(row)\n"
+        )
+        found = violations_of(check_template_mutation, source, "repro/core/chase.py")
+        assert [(v.rule, v.line, v.symbol) for v in found] == [
+            ("template-mutation", 2, "fuzz"),
+            ("template-mutation", 3, "fuzz"),
+            ("template-mutation", 4, "fuzz"),
+        ]
+        # ``add_template_tuple`` copies a shared template before it writes.
+        assert violations_of(check_template_mutation, source, "repro/core/uwsdt.py") == []
 
 
 #: Plans, runs and explains Q1–Q6 on a Database and a chased UWSDT, rejects a
@@ -530,6 +555,7 @@ class TestRunLintAndBaseline:
             "picklable-plan",
             "relation-storage",
             "relation-version",
+            "template-mutation",
         ]
         # Paths are relative to the package's parent, posix-style.
         assert all(v.path.startswith("pkg/") for v in found)

@@ -160,7 +160,9 @@ class TestCatalogChaseFuzz:
                 executed_any_run = True
                 query = data.draw(st.sampled_from(_query_pool()))
 
-                cold_engine = warm.copy()
+                # Built anew, not copied: a copy would share warm's templates
+                # and read the statistics kept on them.
+                cold_engine = UWSDT.from_wsdt(warm.to_wsdt())
                 assert getattr(cold_engine, "_statistics_catalog", None) is None
 
                 warm_plan = query.plan(warm)

@@ -44,7 +44,7 @@ from repro.core.exec import (
     backend_for,
     resolve_backend,
 )
-from repro.core.exec.backends import index_pool_for
+from repro.core.exec.backends import DatabaseBackend
 from repro.core.exec.columnar import filter_batch
 from repro.relational import Database, InconsistentWorldSetError, Relation, RelationSchema
 from repro.relational.errors import QueryError
@@ -249,7 +249,7 @@ class TestCachedColumnStore:
         for insert, row in steps:
             relation.insert(row) if insert else relation.remove(row)
             _assert_scan_is_fresh(backend, "R", attributes, relation.rows, None)
-        assert len(backend.pool) == 1  # one store per relation, however many versions
+        assert list(relation._derived) == ["column-store"]  # one, however many versions
 
     @given(
         budgeted_orset_relations(ORACLE_SCHEMAS, max_rows=2, uncertain_budget=3),
@@ -285,36 +285,42 @@ class TestCachedColumnStore:
 
     @pytest.mark.parametrize("evict", ["drop", "replace"])
     def test_dropped_relation_is_released_by_the_pool(self, evict):
+        """The column store and the hash index live on the relation and hold
+        no strong reference back to it: a relation the database no longer
+        stores dies by reference count, its derived state with it."""
         big = _WeaklyReferable(
             RelationSchema("R", ("A", "B")), [(i % 7, i) for i in range(10_000)]
         )
         database = Database([big, Relation(RelationSchema("S", ("C",)), [(1,)])])
-        pool = index_pool_for(database)
-        before = len(pool)
-        pool.columns(big).columns[0].values
-        pool.hash_index(big, ("A",))
-        assert len(pool) == before + 2
+        assert _vectorized_scan(ColumnarBackend(database), "R").columns[0][:2] == [0, 1]
+        DatabaseBackend(database).index_scan("R", AttrConst("A", "=", 1), None)
+        assert sorted(map(str, big._derived)) == ["('hash-index', ('A',))", "column-store"]
         reference = weakref.ref(big)
         if evict == "drop":
             database.drop("R")
         else:
             database.replace(Relation(RelationSchema("R", ("A", "B"))))
         del big
-        gc.collect()
-        assert reference() is None
-        assert len(pool) == before
+        gc.disable()
+        try:
+            assert reference() is None
+        finally:
+            gc.enable()
 
     def test_pickled_engines_start_with_an_empty_pool(self):
-        """A shard payload ships its engine; the column cache stays behind."""
+        """A shard payload ships its engine; the column store kept on each
+        relation stays behind."""
         relation = OrSetRelation(RelationSchema("R", ("A0", "A1")))
         relation.insert((1, 2))
         uwsdt = UWSDT.from_orset_relation(relation)
         database = Database([Relation(RelationSchema("R", ("A", "B")), [(1, 2)])])
         for engine in (uwsdt, database):
+            stored = engine.templates["R"] if engine is uwsdt else engine.relation("R")
             before = _vectorized_scan(ColumnarBackend(engine), "R").to_rows()
-            assert len(index_pool_for(engine)) == 1
+            assert list(stored._derived) == ["column-store"]
             shipped = pickle.loads(pickle.dumps(engine))
-            assert len(index_pool_for(shipped)) == 0
+            shipped_stored = shipped.templates["R"] if engine is uwsdt else shipped.relation("R")
+            assert shipped_stored._derived is None
             after = _vectorized_scan(ColumnarBackend(shipped), "R").to_rows()
             assert after == before == [(1, 2)]
 

@@ -56,7 +56,7 @@ class TestComponent:
         component = Component((field(1, "A"),), [(1,), (2,)], [0.6, 0.4])
         extended = component.ext(field(1, "A"), FieldRef("P", 1, "A"))
         assert extended.fields == (field(1, "A"), FieldRef("P", 1, "A"))
-        assert extended.rows == [(1, 1), (2, 2)]
+        assert extended.rows == ((1, 1), (2, 2))
         with pytest.raises(RepresentationError):
             extended.ext(field(1, "A"), FieldRef("P", 1, "A"))
 
@@ -94,7 +94,7 @@ class TestComponent:
             [0.2, 0.3, 0.5],
         )
         reduced = component.project_away([field(1, "B")])
-        assert reduced.rows == [(1,), (2,)]
+        assert reduced.rows == ((1,), (2,))
         assert reduced.probabilities == pytest.approx([0.5, 0.5])
         assert component.project_away(component.fields) is None
 

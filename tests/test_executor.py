@@ -23,7 +23,7 @@ import pytest
 from repro.baselines import naive
 from repro.core import UWSDT, WSD
 from repro.core.algebra import BaseRelation, Query, evaluate_on_database, evaluate_on_wsd
-from repro.core.exec import ExecutionResult, backend_for, index_pool_for, lower
+from repro.core.exec import ExecutionResult, backend_for, lower
 from repro.core.planner import COST_MODELS, Statistics
 from repro.core.planner.cost import join_step
 from repro.relational import Database, QueryError, Relation, RelationSchema
@@ -184,12 +184,14 @@ class TestJoinAlgorithmChoice:
 
     def test_index_pool_is_shared_across_runs(self):
         database = small_large_database()
-        pool = index_pool_for(database)
         query = BaseRelation("R").select(eq("A", 1)).join(BaseRelation("S"), "B", "C")
         query.run(database, "first", force_join="index-nested-loop")
-        built = len(pool)
+        built = {name: dict(database.relation(name)._derived or {}) for name in ("R", "S")}
+        assert built["S"]  # the index nested-loop join's index over S
         query.run(database, "second", force_join="index-nested-loop")
-        assert len(pool) == built  # the second run probed cached indexes
+        # The second run probed the indexes kept on the relations.
+        for name, derived in built.items():
+            assert dict(database.relation(name)._derived or {}) == derived
 
     @pytest.mark.parametrize("backend", ["row", "columnar", "sharded"])
     @pytest.mark.parametrize("optimize", [False, True])

@@ -198,8 +198,16 @@ def chase_digest(uwsdt):
     digest = hashlib.sha1()
     for cid in sorted(uwsdt.components):
         component = uwsdt.components[cid]
+        probabilities = component.probabilities
         digest.update(
-            repr((cid, component.fields, component.rows, component.probabilities)).encode()
+            repr(
+                (
+                    cid,
+                    component.fields,
+                    list(component.rows),
+                    None if probabilities is None else list(probabilities),
+                )
+            ).encode()
         )
     digest.update(repr(sorted(uwsdt.statistics().items())).encode())
     return digest.hexdigest()

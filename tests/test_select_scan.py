@@ -33,6 +33,7 @@ from repro.relational import (
     ne,
 )
 from repro.relational.predicates import Predicate
+from repro.relational.values import PLACEHOLDER
 
 from _fixtures import orset_relations
 
@@ -244,13 +245,24 @@ class TestPlaceholderRowMemo:
             apply_operation(uwsdt, operation, data, step)
             assert_memo_coherent(uwsdt)
 
-    def test_memoised_per_relation_and_not_copied(self, chased_census):
+    def test_memoised_per_relation_and_carried_by_a_copy(self, chased_census):
         uwsdt = chased_census.copy()
         rows = uwsdt.placeholder_rows("R")
         assert uwsdt.placeholder_rows("R") is rows
         assert len(rows) == len(uwsdt.uncertain_tuples("R"))
         uwsdt.validate()  # checks the present entry against its scan
-        assert uwsdt.copy()._placeholder_rows == {}
+
+        # A copy shares R's template, so the entry stays valid there; the
+        # copy's own field mapping drops the copy's entry only.
+        copied = uwsdt.copy()
+        assert copied.placeholder_rows("R") is rows
+        attributes = copied.schema.relation("R").attributes
+        copied.add_template_tuple("R", "new", (PLACEHOLDER,) + (0,) * (len(attributes) - 1))
+        copied.new_component(Component.uniform(FieldRef("R", "new", attributes[0]), [1, 2]))
+        assert "R" not in copied._placeholder_rows
+        assert len(copied.placeholder_rows("R")) == len(rows) + 1
+        copied.validate()
+        assert uwsdt.placeholder_rows("R") is rows
 
         template = uwsdt.templates["R"]
         uwsdt._placeholder_rows["R"] = (template, template.version, rows[1:])

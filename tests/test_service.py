@@ -19,8 +19,8 @@ import pytest
 
 from repro.core import UWSDT, WSD
 from repro.core.algebra import BaseRelation
-from repro.core.exec.backends import index_pool_for
 from repro.core.planner import catalog_for, plan_call_count, sampling_call_count
+from repro.relational.indexes import hash_index
 from repro.relational import Database, QueryError, Relation, RelationSchema
 from repro.relational.predicates import AttrConst
 from repro.service import QueryService, run_traffic_benchmark
@@ -128,7 +128,6 @@ class TestSharedStateUnderConcurrency:
     def test_catalog_and_index_pool_survive_overlapping_clients(self):
         database = small_database()
         catalog = catalog_for(database)
-        pool = index_pool_for(database)
         relation = database.relation("R")
         errors = []
         stop = threading.Event()
@@ -138,7 +137,7 @@ class TestSharedStateUnderConcurrency:
                 while not stop.is_set():
                     catalog.entry("R")
                     catalog.statistics(("R", "S"))
-                    pool.hash_index(relation, ("A",))
+                    hash_index(relation, ("A",))
             except Exception as exc:  # pragma: no cover - the assertion
                 errors.append(exc)
 
@@ -146,10 +145,6 @@ class TestSharedStateUnderConcurrency:
             try:
                 for i in range(200):
                     relation.insert((5 + (i % 7), 1000 + i))
-                    if i % 5 == 0:
-                        pool.invalidate(relation)
-                    if i % 11 == 0:
-                        catalog.invalidate("R")
             except Exception as exc:  # pragma: no cover - the assertion
                 errors.append(exc)
 
@@ -167,7 +162,7 @@ class TestSharedStateUnderConcurrency:
         # The catalog converges on the final state of the relation.
         entry, _ = catalog.entry("R")
         assert entry.row_count == len(relation.rows)
-        index = pool.hash_index(relation, ("A",))
+        index = hash_index(relation, ("A",))
         indexed = sum(len(index.lookup(key)) for key in range(12))
         assert indexed == len(relation.rows)
 

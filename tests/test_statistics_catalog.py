@@ -228,16 +228,6 @@ class TestMutationInvalidation:
         assert plan.statistics.engine == "uwsdt"
         assert_same_statistics(Statistics.from_uwsdt(uwsdt), plan.statistics)
 
-    def test_explicit_invalidate(self):
-        database = _database()
-        catalog = catalog_for(database)
-        JOIN_QUERY.plan(database)
-        assert len(catalog) == 2
-        catalog.invalidate("R")
-        assert len(catalog) == 1
-        catalog.invalidate()
-        assert len(catalog) == 0
-
     def test_placeholder_counts_stay_in_sync_with_field_map(self):
         """The incremental per-relation placeholder counters must equal a
         recount of ``field_to_cid`` after every mutation path — ingestion,
