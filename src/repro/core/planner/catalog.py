@@ -30,10 +30,11 @@ UWSDT     identity + version of the ``R`` template relation, plus
 
 An entry is stored on the relation object itself (:meth:`Relation.derived
 <repro.relational.relation.Relation.derived>`, which checks the identity
-and version parts of the key), under the rest of the key — the engine kind
-and, on a UWSDT, the placeholder count.  Every engine holding the relation
-therefore reads the same entry: a UWSDT copy shares its templates
-(:meth:`~repro.core.uwsdt.UWSDT.copy`) and plans from warm statistics.
+and version parts of the key), one per engine kind, stamped with the rest
+of the key — on a UWSDT, the placeholder count — and rebuilt when that
+moves.  Every engine holding the relation therefore reads the same entry:
+a UWSDT copy shares its templates (:meth:`~repro.core.uwsdt.UWSDT.copy`)
+and plans from warm statistics.
 
 A :class:`~repro.core.wsd.WSD` has no catalog: it is the paper's
 specification (Sections 3–4), not a query engine.  Plan on
@@ -172,8 +173,8 @@ class StatisticsCatalog:
         """The entry for ``key`` and whether it was built by this call.
 
         ``key[0]`` names the relation and ``key[1]`` is its version — the
-        relation's memo checks both; the rest of the key, with the engine
-        kind, names the entry in the memo.
+        relation's memo checks both; the rest of the key stamps the one
+        entry the relation keeps for this engine kind.
         """
         built: List[CatalogEntry] = []
 
@@ -181,7 +182,7 @@ class StatisticsCatalog:
             built.append(self._build(name))
             return built[0]
 
-        entry = key[0].target.derived(("statistics", self.kind) + key[2:], build)
+        entry = key[0].target.derived(("statistics", self.kind), build, stamp=key[2:])
         return entry, bool(built)
 
     def entry(self, name: str) -> Tuple[CatalogEntry, str]:

@@ -72,9 +72,9 @@ class Relation:
         #: (:meth:`_member_set`), in step with ``_rows`` from then on.
         self._members: Optional[set] = set()
         self._version = 0
-        #: The memo of :meth:`derived`: ``key -> (version at build, structure)``;
+        #: The memo of :meth:`derived`: ``key -> ((version, stamp) at build, structure)``;
         #: None until something derives a structure.
-        self._derived: Optional[Dict[Hashable, Tuple[int, Any]]] = None
+        self._derived: Optional[Dict[Hashable, Tuple[Tuple[int, Hashable], Any]]] = None
         for row in rows:
             self.insert(row)
 
@@ -239,13 +239,17 @@ class Relation:
         """
         return self._version
 
-    def derived(self, key: Hashable, build: Callable[[], _Derived]) -> _Derived:
+    def derived(
+        self, key: Hashable, build: Callable[[], _Derived], stamp: Hashable = None
+    ) -> _Derived:
         """The structure ``build()`` derives from this relation, built once per version.
 
-        ``key`` names the structure (its kind and parameters).  An entry is
-        served while :attr:`version` equals the version read before it was
-        built, and replaced on the first read after a mutation.  A structure
-        must not hold a strong reference back to this relation: the memo
+        ``key`` names the structure (its kind and parameters); there is one
+        entry per key.  An entry is served while :attr:`version` equals the
+        version read before it was built and ``stamp`` equals the stamp it
+        was built under (state outside the relation that the structure also
+        depends on), and replaced on the first read after either moves.  A
+        structure must not hold a strong reference back to this relation: the memo
         lives on it, and a cycle would leave every dropped relation to the
         cycle collector.  Two sessions racing the first build each build
         the same structure; one wins.
@@ -253,12 +257,12 @@ class Relation:
         memo = self._derived
         if memo is None:
             memo = self._derived = {}
-        version = self._version
+        token = (self._version, stamp)
         entry = memo.get(key)
-        if entry is not None and entry[0] == version:
+        if entry is not None and entry[0] == token:
             return entry[1]
         built = build()
-        memo[key] = (version, built)
+        memo[key] = (token, built)
         return built
 
     def row_set(self) -> frozenset:

@@ -232,11 +232,6 @@ def _assert_scan_is_fresh(backend, name, attributes, rows, row_ids):
 _small_row = st.tuples(*[st.integers(min_value=0, max_value=3)] * 3)
 
 
-class _WeaklyReferable(Relation):
-    """A Relation the eviction test can watch (no ``__slots__``: the
-    subclass gains ``__weakref__``, the production class stays slim)."""
-
-
 class TestCachedColumnStore:
     @given(st.lists(st.tuples(st.booleans(), _small_row), max_size=12))
     @settings(max_examples=60, deadline=None)
@@ -288,7 +283,7 @@ class TestCachedColumnStore:
         """The column store and the hash index live on the relation and hold
         no strong reference back to it: a relation the database no longer
         stores dies by reference count, its derived state with it."""
-        big = _WeaklyReferable(
+        big = Relation(
             RelationSchema("R", ("A", "B")), [(i % 7, i) for i in range(10_000)]
         )
         database = Database([big, Relation(RelationSchema("S", ("C",)), [(1,)])])

@@ -202,6 +202,22 @@ class TestDerivedStateIsShared:
         # Each copy still plans and lowers every query itself.
         assert len(plan_cache_for(second)) == len(PAPER_QUERIES)
 
+    def test_replanning_after_uncertain_inserts_keeps_one_statistics_entry(self):
+        engine = chased()
+        query = census_query("Q1")
+        query.plan(engine)
+        for round_ in range(4):
+            attribute = engine.schema.relation(CENSUS_RELATION).attributes[0]
+            tuple_id = f"open{round_}"
+            engine.add_template_tuple(
+                CENSUS_RELATION, tuple_id, (PLACEHOLDER,) + new_row(engine)[1:]
+            )
+            field = FieldRef(CENSUS_RELATION, tuple_id, attribute)
+            engine.new_component(Component.uniform(field, [1, 2]))
+            assert query.plan(engine).statistics.provenance(CENSUS_RELATION) == "fresh-sample"
+        memo = engine.templates[CENSUS_RELATION]._derived
+        assert [key for key in memo if key[0] == "statistics"] == [("statistics", "uwsdt")]
+
     def test_a_pickled_relation_leaves_its_index_behind(self):
         schema = RelationSchema("R", ("A", "B"))
         rows = [(i % 7, i) for i in range(500)]
