@@ -30,7 +30,10 @@ in every test is checked):
   operator's output as it is produced: a Database handle has as many
   distinct rows as rows, a UWSDT handle's template has distinct tuple ids
   (which is also how a batch leaving ``Dematerialize`` is checked to have
-  become a set).  A violation names the operator.
+  become a set).  On a UWSDT every component holding a field of the
+  output is validated as well: the component primitives derive their
+  results without the constructor's checks, and this re-checks them.  A
+  violation names the operator.
 
 Violations raise :class:`PlanInvariantError`.  Verification is off by
 default in library use: the runtime reaches this module only through
@@ -42,11 +45,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional, Sequence, Tuple
 
-from ..relational.errors import QueryError
+from ..relational.errors import QueryError, RepresentationError
 from ..relational.predicates import is_index_equality
 from ..relational.relation import Relation
 from ..core.algebra.query import BaseRelation
 from ..core.algebra.schema import AnalysisError, SchemaContext, output_schema
+from ..core.fields import FieldRef
 from ..core.uwsdt import UWSDT
 # The switch lives beside the runtime's one hook into this module; re-exported.
 from ..core.verify import VERIFY_ENV, set_verification, verification_enabled  # noqa: F401
@@ -419,13 +423,15 @@ def verify_set_output(label: str, backend: Any, handle: Any) -> None:
     ``handle`` is a :class:`Relation` on a Database backend, a relation name
     on a UWSDT backend (checked on its template's tuple ids).  Batches inside
     a columnar region pass: they are checked when ``Dematerialize`` turns
-    them into one of the above.
+    them into one of the above.  On a UWSDT the components holding a field
+    of the result are checked too (:func:`verify_result_components`).
     """
     if isinstance(handle, Relation):
         total, distinct, what = len(handle), len(handle.row_set()), "rows"
     elif isinstance(handle, str) and isinstance(backend.engine, UWSDT):
         template = backend.engine.templates[handle]
         total, distinct, what = len(template), len({row[0] for row in template}), "tuple ids"
+        verify_result_components(label, backend.engine, handle)
     else:
         return
     if distinct != total:
@@ -433,6 +439,32 @@ def verify_set_output(label: str, backend: Any, handle: Any) -> None:
             f"operator {label} produced a bag, not a set: {total - distinct} "
             f"duplicate {what} among its {total} output rows"
         )
+
+
+def verify_result_components(label: str, uwsdt: UWSDT, relation: str) -> None:
+    """Validate every component holding a field of ``relation``.
+
+    The component primitives derive their results without the checking
+    constructor (:mod:`repro.core.component`); this is where their proof is
+    re-checked, once per component an operator's result reaches.
+    """
+    cids = set()
+    for tuple_id, attributes in uwsdt.uncertain_tuples(relation).items():
+        for attribute in attributes:
+            field = FieldRef(relation, tuple_id, attribute)
+            cid = uwsdt.component_of(field)
+            if cid not in uwsdt.components:
+                raise PlanInvariantError(
+                    f"operator {label} left field {field.label()} without a component"
+                )
+            cids.add(cid)
+    for cid in cids:
+        try:
+            uwsdt.components[cid].validate()
+        except RepresentationError as error:
+            raise PlanInvariantError(
+                f"operator {label} left an invalid component {cid}: {error}"
+            ) from error
 
 
 # --------------------------------------------------------------------------- #

@@ -20,16 +20,29 @@ again.  The list is in template order, except that a selection lists the rows
 its components decide after the rows the template decides (each part in
 template order).
 
+An operator's field copies (the ``copy`` step of Figure 9, Section 4's
+``ext``) are collected in a buffer local to the call and applied as one
+:meth:`~repro.core.uwsdt.UWSDT.copy_fields` — one
+:meth:`~repro.core.component.Component.ext_many` per touched component — at
+the end of the operator.  The pending-copy rule: the buffer is flushed
+before the operator merges, replaces or creates a component or reads a
+copied field, so the component store sees the same writes in the same
+order as with each copy applied at once; reading a column a component had
+before needs no flush.  The buffer never outlives the call and is never
+kept on the engine or in this module: services run operators concurrently.
+
 The selection algorithm follows Figure 16: the result template keeps the
 tuples that certainly satisfy the condition or have a placeholder on a
 referenced attribute; component values violating the condition are removed
-(here: marked ``⊥``), and tuples left without any satisfying local world are
-dropped from the result template again (lines 4–6 of the figure).  As in the
-chase, a selection is a predicate: one generated scan
+(here: marked ``⊥`` and propagated by one
+:meth:`~repro.core.component.Component.delete_tuple`), and tuples left
+without any satisfying local world are dropped from the result template
+again (lines 4–6 of the figure).  As in the chase, a selection is a
+predicate: one generated scan
 (:meth:`~repro.relational.predicates.Predicate.compile_scan`) over the
-template judges line 1, and only the rows with a ``?`` on a referenced attribute —
-read off the memoised :meth:`~repro.core.uwsdt.UWSDT.placeholder_rows` —
-reach lines 2–6.
+template judges line 1, and only the rows with a ``?`` on a referenced
+attribute — read off the memoised per-attribute lookup
+:meth:`~repro.core.uwsdt.UWSDT.placeholder_rows_on` — reach lines 2–6.
 """
 
 from __future__ import annotations
@@ -62,53 +75,47 @@ def _add_result_relation(uwsdt: UWSDT, target: str, attributes: Sequence[str]) -
     uwsdt.add_relation(RelationSchema(target, tuple(attributes)))
 
 
+class _FieldCopies:
+    """The field copies (``ext``) one operator call has made and not yet applied.
+
+    A copy only adds a column, so copies wait here and reach the engine as
+    one :meth:`~repro.core.uwsdt.UWSDT.copy_fields` — one ``ext_many`` per
+    touched component — when the operator is done, or earlier, by
+    :meth:`flush`, before it touches the component store in any other way:
+    a merge, a replacement, a new component, or a read of a copied field.
+    The store then sees the same writes in the same order as with every copy
+    applied at once, with runs of copies merged.  Reading a column the
+    component had before the copies needs no flush.  The buffer lives and
+    dies with one operator call: services run operators concurrently, so no
+    pending copy is kept on the engine or in this module.
+    """
+
+    __slots__ = ("uwsdt", "pending")
+
+    def __init__(self, uwsdt: UWSDT) -> None:
+        self.uwsdt = uwsdt
+        self.pending: List[Tuple[FieldRef, FieldRef]] = []
+
+    def flush(self) -> UWSDT:
+        """Apply the pending copies; returns the engine."""
+        if self.pending:
+            self.uwsdt.copy_fields(self.pending)
+            self.pending = []
+        return self.uwsdt
+
+
 def _copy_placeholder_fields(
-    uwsdt: UWSDT,
+    copies: _FieldCopies,
     source: str,
     source_tid: Any,
     target: str,
     target_tid: Any,
     attributes: Iterable[str],
 ) -> None:
-    """Extend the owning components with copies ``target.tid.A`` of ``source.tid.A``."""
-    for attribute in attributes:
-        uwsdt.copy_field(
-            FieldRef(source, source_tid, attribute), FieldRef(target, target_tid, attribute)
-        )
-
-
-def _tuple_positions(component: Component, relation: str, tuple_id: Any) -> List[int]:
-    return [
-        index
-        for index, field in enumerate(component.fields)
-        if field.relation == relation and field.tuple_id == tuple_id
-    ]
-
-
-def _mark_tuple_deleted(
-    component: Component, relation: str, tuple_id: Any, row_indices: Sequence[int]
-) -> Component:
-    """Set every field of ``(relation, tuple_id)`` to ``⊥`` in the given local worlds."""
-    positions = _tuple_positions(component, relation, tuple_id)
-    target_rows = set(row_indices)
-    rows = []
-    for index, row in enumerate(component.rows):
-        if index in target_rows:
-            values = list(row)
-            for position in positions:
-                values[position] = BOTTOM
-            rows.append(tuple(values))
-        else:
-            rows.append(row)
-    return Component(component.fields, rows, component.probabilities)
-
-
-def _tuple_deleted_everywhere(component: Component, relation: str, tuple_id: Any) -> bool:
-    """True iff every local world marks the tuple as deleted (some field ``⊥``)."""
-    positions = _tuple_positions(component, relation, tuple_id)
-    if not positions:
-        return False
-    return all(any(row[p] is BOTTOM for p in positions) for row in component.rows)
+    """Copy ``source.tid.A`` to ``target.tid.A`` for each attribute ``A``, into ``copies``."""
+    copies.pending.extend(
+        (FieldRef(source, source_tid, a), FieldRef(target, target_tid, a)) for a in attributes
+    )
 
 
 def _drop_result_fields(uwsdt: UWSDT, relation: str, tuple_id: Any) -> None:
@@ -124,25 +131,27 @@ def _drop_result_fields(uwsdt: UWSDT, relation: str, tuple_id: Any) -> None:
 
 
 def _delete_in_worlds(
-    uwsdt: UWSDT, cid: int, relation: str, row: Row, failing: Sequence[int]
+    copies: _FieldCopies, cid: int, relation: str, row: Row, failing: Sequence[int]
 ) -> bool:
     """Delete result tuple ``row`` in the ``failing`` local worlds of component ``cid``.
 
-    Lines 4–6 of Figure 16: returns True iff no local world keeps the tuple;
-    its fields are then gone from the components again and the caller leaves
-    the row out of the result template.
+    Lines 4–6 of Figure 16 (:meth:`~repro.core.component.Component.delete_tuple`):
+    returns True iff no local world keeps the tuple; its fields are then gone
+    from the components again and the caller leaves the row out of the
+    result template.
     """
+    uwsdt = copies.flush()
+    component, deleted = uwsdt.components[cid].delete_tuple(relation, row[0], failing)
     if failing:
-        component = _mark_tuple_deleted(uwsdt.components[cid], relation, row[0], failing)
-        uwsdt.replace_component(cid, component.propagate_bottom())
-    if _tuple_deleted_everywhere(uwsdt.components[cid], relation, row[0]):
+        uwsdt.replace_component(cid, component)
+    if deleted:
         _drop_result_fields(uwsdt, relation, row[0])
-        return True
-    return False
+    return deleted
 
 
-def _merge_target_components(uwsdt: UWSDT, fields: Sequence[FieldRef]) -> int:
+def _merge_target_components(copies: _FieldCopies, fields: Sequence[FieldRef]) -> int:
     """Ensure all placeholder ``fields`` live in one component; return its cid."""
+    uwsdt = copies.flush()
     cids = []
     for field in fields:
         cid = uwsdt.component_of(field)
@@ -184,14 +193,15 @@ def _count_select(rows_scanned: int, rows_through_components: int) -> None:
 def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None:
     """Selection ``P := σ_pred(R)`` on a UWSDT (the algorithm of Figure 16, generalized).
 
-    A selection is a predicate: one generated scan over the template (or over
-    the equality index's bucket) judges every row as one-world data, and only
-    the rows with a ``?`` on a referenced attribute — taken from
-    :meth:`~repro.core.uwsdt.UWSDT.placeholder_rows`, or from the bucket under
-    ``?`` — go through Figure 16's lines 2–6, judged by the row check, which is
-    compiled only when there are such rows.  The result holds the rows the
-    template decides, in template order, then the rows the components decide,
-    in template order.
+    A selection is a predicate: one generated scan over the template judges
+    every row as one-world data — or, for ``A = c``, the equality index's
+    bucket under ``c`` is adopted as it is — and only the rows with a ``?`` on
+    a referenced attribute — taken from
+    :meth:`~repro.core.uwsdt.UWSDT.placeholder_rows_on`, or from the bucket
+    under ``?`` — go through Figure 16's lines 2–6, judged by the row check,
+    which is compiled only when there are such rows.  The result holds the
+    rows the template decides, in template order, then the rows the
+    components decide, in template order.
     """
     source_schema = uwsdt.schema.relation(source)
     referenced = predicate.attributes()
@@ -201,33 +211,33 @@ def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None
 
     template = uwsdt.templates[source]
     schema = template.schema
-    # Compiled against the raw template layout: certain rows are scanned as in
-    # one world, local worlds are judged on a filled-in copy of the row.
-    scan = predicate.compile_scan(schema)
     uncertain = uwsdt.uncertain_tuples(source)
-    # Line 1 of Figure 16: no ``?`` on a referenced attribute.
-    template_decides = set(referenced).isdisjoint
     candidates = _equality_candidates(uwsdt, source, predicate)
     if candidates is None:
-        rows = template
-        open_rows = [
-            (row, placeholders)
-            for row, placeholders in (uwsdt.placeholder_rows(source) if uncertain else ())
-            if not template_decides(placeholders)
-        ]
+        # Compiled against the raw template layout: certain rows are scanned as
+        # in one world, local worlds are judged on a filled-in copy of the row.
+        rows_scanned = len(template)
+        decided = predicate.compile_scan(schema)(template)
+        open_rows = uwsdt.placeholder_rows_on(source, referenced) if uncertain else []
     else:
-        rows = candidates[0]
+        # Every row under ``c`` meets ``A = c``; the bucket is a fresh list.
+        decided = candidates[0]
+        rows_scanned = len(decided)
         open_rows = [(row, uncertain[row[0]]) for row in candidates[1]]
-    _count_select(len(rows), len(open_rows))
+    _count_select(rows_scanned, len(open_rows))
     if not uncertain:
-        uwsdt.load_template(target, scan(rows), distinct=True)
+        uwsdt.load_template(target, decided, distinct=True)
         return
+
+    copies = _FieldCopies(uwsdt)
+    # Line 1 of Figure 16: no ``?`` on a referenced attribute.
+    template_decides = set(referenced).isdisjoint
 
     def kept_by_template(row: Row, placeholders: Tuple[str, ...]) -> bool:
         """Is an indexed row that the scan passed kept on the template's word?"""
         if not template_decides(placeholders):
             return False  # its components decide, below
-        _copy_placeholder_fields(uwsdt, source, row[0], target, row[0], placeholders)
+        _copy_placeholder_fields(copies, source, row[0], target, row[0], placeholders)
         return True
 
     conjuncts = [
@@ -245,12 +255,12 @@ def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None
             # Line 1 per conjunct: one over certain fields fails, so no world
             # keeps the tuple and no component needs copying or merging.
             return False
-        _copy_placeholder_fields(uwsdt, source, tuple_id, target, tuple_id, placeholders)
+        _copy_placeholder_fields(copies, source, tuple_id, target, tuple_id, placeholders)
         # The condition depends on uncertain fields: keep the tuple and filter
         # its local worlds (lines 2-6 of Figure 16).
         uncertain_refs = [a for a in referenced if a in placeholders]
         cid = _merge_target_components(
-            uwsdt, [FieldRef(target, tuple_id, a) for a in uncertain_refs]
+            copies, [FieldRef(target, tuple_id, a) for a in uncertain_refs]
         )
         component = uwsdt.components[cid]
         slots = component.slots(target, tuple_id, uncertain_refs, schema.position)
@@ -259,17 +269,18 @@ def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None
             values = fill_placeholders(row, slots, local_world)
             if values is not None and not satisfied(values):
                 failing.append(index)
-        return not _delete_in_worlds(uwsdt, cid, target, row, failing)
+        return not _delete_in_worlds(copies, cid, target, row, failing)
 
     placeholders_of = uncertain.get
     kept = [
         row
-        for row in scan(rows)
+        for row in decided
         if (placeholders := placeholders_of(row[0])) is None or kept_by_template(row, placeholders)
     ]
     if open_rows:
         satisfied = predicate.compile(schema)  # read by ``keeps``
         kept.extend(row for row, placeholders in open_rows if keeps(row, placeholders))
+    copies.flush()
     uwsdt.load_template(target, kept, distinct=True)
 
 
@@ -295,6 +306,7 @@ def project(uwsdt: UWSDT, source: str, target: str, attributes: Sequence[str]) -
     template = uwsdt.templates[source]
     kept = operator.itemgetter(0, *(template.schema.position(a) for a in attributes))
     uncertain = uwsdt.uncertain_tuples(source)
+    copies = _FieldCopies(uwsdt)
 
     def projected(row: Row, placeholders: Tuple[str, ...]) -> Row:
         """The result row of one row with placeholders, its components extended."""
@@ -312,15 +324,11 @@ def project(uwsdt: UWSDT, source: str, target: str, attributes: Sequence[str]) -
                 presence_fields.append(field)
 
         if kept_placeholders or not presence_fields:
-            _copy_placeholder_fields(
-                uwsdt, source, tuple_id, target, tuple_id, kept_placeholders
-            )
+            _copy_placeholder_fields(copies, source, tuple_id, target, tuple_id, kept_placeholders)
             if not presence_fields:
                 return kept(row)
             target_fields = [FieldRef(target, tuple_id, a) for a in kept_placeholders]
-            cid = uwsdt.merge_components(
-                [uwsdt.component_of(f) for f in target_fields + presence_fields]
-            )
+            cid = _merge_target_components(copies, target_fields + presence_fields)
             component = uwsdt.components[cid]
             presence_positions = [component.position(f) for f in presence_fields]
             absent_rows = [
@@ -329,28 +337,18 @@ def project(uwsdt: UWSDT, source: str, target: str, attributes: Sequence[str]) -
                 if any(local_world[p] is BOTTOM for p in presence_positions)
             ]
             if absent_rows:
-                component = _mark_tuple_deleted(component, target, tuple_id, absent_rows)
-                uwsdt.replace_component(cid, component.propagate_bottom())
+                component, _ = component.delete_tuple(target, tuple_id, absent_rows)
+                uwsdt.replace_component(cid, component)
             return kept(row)
 
         # All kept attributes are certain: turn the first kept attribute into a
         # placeholder that encodes tuple presence.
         kept_row = kept(row)
-        cid = uwsdt.merge_components([uwsdt.component_of(f) for f in presence_fields])
-        component = uwsdt.components[cid]
-        presence_positions = [component.position(f) for f in presence_fields]
-        rows = []
-        for local_world in component.rows:
-            absent = any(local_world[p] is BOTTOM for p in presence_positions)
-            rows.append(local_world + (BOTTOM if absent else kept_row[1],))
-        uwsdt.replace_component(
-            cid,
-            Component(
-                component.fields + (FieldRef(target, tuple_id, attributes[0]),),
-                rows,
-                component.probabilities,
-            ),
+        cid = _merge_target_components(copies, presence_fields)
+        presence = uwsdt.components[cid].ext_presence(
+            FieldRef(target, tuple_id, attributes[0]), kept_row[1], presence_fields
         )
+        uwsdt.replace_component(cid, presence)
         return (tuple_id, PLACEHOLDER) + kept_row[2:]
 
     if not uncertain:
@@ -363,6 +361,7 @@ def project(uwsdt: UWSDT, source: str, target: str, attributes: Sequence[str]) -
             else projected(row, placeholders)
             for row in template
         ]
+        copies.flush()
     uwsdt.load_template(target, result, distinct=True)
 
 
@@ -376,12 +375,13 @@ def rename(uwsdt: UWSDT, source: str, target: str, old: str, new: str) -> None:
     renamed_schema = uwsdt.schema.relation(source).rename_attribute(old, new, target)
     _add_result_relation(uwsdt, target, renamed_schema.attributes)
     uwsdt.load_template(target, list(uwsdt.templates[source]), distinct=True)
-    for tuple_id, placeholders in uwsdt.uncertain_tuples(source).items():
-        for attribute in placeholders:
-            uwsdt.copy_field(
-                FieldRef(source, tuple_id, attribute),
-                FieldRef(target, tuple_id, new if attribute == old else attribute),
-            )
+    uwsdt.copy_fields(
+        [
+            (FieldRef(source, tuple_id, a), FieldRef(target, tuple_id, new if a == old else a))
+            for tuple_id, placeholders in uwsdt.uncertain_tuples(source).items()
+            for a in placeholders
+        ]
+    )
 
 
 def union(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
@@ -393,29 +393,29 @@ def union(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
     rows = [((side, row[0]), *row[1:]) for side in (left, right) for row in uwsdt.templates[side]]
     # The side-tagged tuple ids are distinct unless a relation meets itself.
     uwsdt.load_template(target, rows, distinct=left != right)
+    copies = _FieldCopies(uwsdt)
     for side in (left, right):
         for tuple_id, placeholders in uwsdt.uncertain_tuples(side).items():
-            _copy_placeholder_fields(
-                uwsdt, side, tuple_id, target, (side, tuple_id), placeholders
-            )
+            _copy_placeholder_fields(copies, side, tuple_id, target, (side, tuple_id), placeholders)
+    copies.flush()
 
 
-def _pair_builder(uwsdt: UWSDT, left: str, right: str, target: str):
+def _pair_builder(copies: _FieldCopies, left: str, right: str, target: str):
     """``pair(left_row, right_row)``: the rows' concatenation as a row of ``target``,
     the placeholder fields of either side copied under its tuple id."""
-    uncertain_left = uwsdt.uncertain_tuples(left)
-    uncertain_right = uwsdt.uncertain_tuples(right)
+    uncertain_left = copies.uwsdt.uncertain_tuples(left)
+    uncertain_right = copies.uwsdt.uncertain_tuples(right)
 
     def pair(left_row: Row, right_row: Row) -> Row:
         left_tid, right_tid = left_row[0], right_row[0]
         target_tid = (left_tid, right_tid)
         if left_tid in uncertain_left:
             _copy_placeholder_fields(
-                uwsdt, left, left_tid, target, target_tid, uncertain_left[left_tid]
+                copies, left, left_tid, target, target_tid, uncertain_left[left_tid]
             )
         if right_tid in uncertain_right:
             _copy_placeholder_fields(
-                uwsdt, right, right_tid, target, target_tid, uncertain_right[right_tid]
+                copies, right, right_tid, target, target_tid, uncertain_right[right_tid]
             )
         return (target_tid, *left_row[1:], *right_row[1:])
 
@@ -426,12 +426,14 @@ def product(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
     """Product ``T := R × S`` on a UWSDT (attribute sets must be disjoint)."""
     target_schema = uwsdt.schema.relation(left).concat(uwsdt.schema.relation(right), target)
     _add_result_relation(uwsdt, target, target_schema.attributes)
-    pair = _pair_builder(uwsdt, left, right, target)
+    copies = _FieldCopies(uwsdt)
+    pair = _pair_builder(copies, left, right, target)
     rows = [
         pair(left_row, right_row)
         for left_row in uwsdt.templates[left]
         for right_row in uwsdt.templates[right]
     ]
+    copies.flush()
     uwsdt.load_template(target, rows, distinct=True)
 
 
@@ -474,7 +476,8 @@ def equi_join(
     left_position = left_schema.position(left_attr) + 1
     right_position = right_schema.position(right_attr) + 1
     target_position = uwsdt.templates[target].schema.position
-    pair = _pair_builder(uwsdt, left, right, target)
+    copies = _FieldCopies(uwsdt)
+    pair = _pair_builder(copies, left, right, target)
     rows: List[Row] = []
 
     def candidates(relation: str, tuple_id: Any, attribute: str) -> Set[Any]:
@@ -516,7 +519,7 @@ def equi_join(
             (right_attr, right_row[right_position]),
         )
         check = [attribute for attribute, value in join_values if value is PLACEHOLDER]
-        cid = _merge_target_components(uwsdt, [FieldRef(target, row[0], a) for a in check])
+        cid = _merge_target_components(copies, [FieldRef(target, row[0], a) for a in check])
         component = uwsdt.components[cid]
         slots = component.slots(target, row[0], check, target_position)
         left_value, right_value = target_position(left_attr), target_position(right_attr)
@@ -525,7 +528,7 @@ def equi_join(
             values = fill_placeholders(row, slots, local_world)
             if values is not None and values[left_value] != values[right_value]:
                 failing.append(index)
-        if not _delete_in_worlds(uwsdt, cid, target, row, failing):
+        if not _delete_in_worlds(copies, cid, target, row, failing):
             rows.append(row)
 
     for left_row in uwsdt.templates[left]:
@@ -548,6 +551,7 @@ def equi_join(
             for right_row, right_candidates in uncertain_right:
                 if left_candidates & right_candidates:
                     emit_conditioned(left_row, right_row)
+    copies.flush()
     uwsdt.load_template(target, rows, distinct=True)
 
 
@@ -586,6 +590,7 @@ def difference(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
     right_rows = list(uwsdt.templates[right])
     certain_right = {row[1:] for row in right_rows if row[0] not in uncertain_right}
     open_right = [row for row, _ in uwsdt.placeholder_rows(right)]
+    copies = _FieldCopies(uwsdt)
 
     for left_row in uwsdt.templates[left]:
         left_tid = left_row[0]
@@ -604,18 +609,18 @@ def difference(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
             # (the "exists column" device) on the first attribute.
             left_placeholders = attributes[:1]
             target_row = (left_tid, PLACEHOLDER) + left_row[2:]
-            uwsdt.new_component(
-                Component((FieldRef(target, left_tid, attributes[0]),), [(left_row[1],)], [1.0])
+            copies.flush().new_component(
+                Component.certain(FieldRef(target, left_tid, attributes[0]), left_row[1])
             )
         else:
             target_row = left_row
-            _copy_placeholder_fields(uwsdt, left, left_tid, target, left_tid, left_placeholders)
+            _copy_placeholder_fields(copies, left, left_tid, target, left_tid, left_placeholders)
 
         target_fields = [FieldRef(target, left_tid, a) for a in left_placeholders]
         for right_row in conditional_matches:
             right_placeholders = uncertain_right.get(right_row[0], ())
             right_fields = [FieldRef(right, right_row[0], a) for a in right_placeholders]
-            cid = _merge_target_components(uwsdt, target_fields + right_fields)
+            cid = _merge_target_components(copies, target_fields + right_fields)
             component = uwsdt.components[cid]
             target_slots = component.slots(target, left_tid, left_placeholders, position_of)
             right_slots = component.slots(right, right_row[0], right_placeholders, position_of)
@@ -628,8 +633,9 @@ def difference(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
                 right_values = fill_placeholders(right_row, right_slots, local_world)
                 if right_values is not None and left_values[1:] == right_values[1:]:
                     failing.append(index)
-            if _delete_in_worlds(uwsdt, cid, target, target_row, failing):
+            if _delete_in_worlds(copies, cid, target, target_row, failing):
                 break  # no world keeps the tuple: it stays out of the result
         else:
             rows.append(target_row)
+    copies.flush()
     uwsdt.load_template(target, rows, distinct=True)

@@ -27,8 +27,10 @@ one call — a reported row without a placeholder on the dependency's
 attributes is inconsistent in every world — and whose row check judges the
 filled-in local worlds.  The uncertain side
 walks the index, not the template: the placeholder rows are collected once
-per relation and only they reach their components, so with realistic
-placeholder densities almost all work happens on the template relations.
+per relation, and an EGD visits only those with a ``?`` on one of its
+attributes (:meth:`~repro.core.uwsdt.UWSDT.placeholder_rows_on`), so with
+realistic placeholder densities almost all work happens on the template
+relations.
 ``holds_for`` is the specification of both dependency classes (the naive
 baseline, the WSD chase and the generated function's ``TypeError`` fallback
 read it); the UWSDT chase itself never calls it.
@@ -432,16 +434,14 @@ def _chase_egd_uwsdt(
     dependency: EqualityGeneratingDependency,
     violated: Callable[[Sequence[Any]], bool],
 ) -> None:
-    """The uncertain side of one EGD: only the placeholder rows reach components."""
+    """The uncertain side of one EGD: the rows with a ``?`` on its attributes reach components."""
     relation = dependency.relation
     position_of = uwsdt.templates[relation].schema.position
     attributes = dependency.attributes()
     through_components = removed = 0
 
-    for row, placeholders in uwsdt.placeholder_rows(relation):
+    for row, placeholders in uwsdt.placeholder_rows_on(relation, attributes):
         open_attributes = [a for a in attributes if a in placeholders]
-        if not open_attributes:
-            continue
         through_components += 1
 
         # Refinement: skip when no world can jointly satisfy the premises and

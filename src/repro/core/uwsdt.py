@@ -37,7 +37,7 @@ first gives the writing engine a private copy of a shared template.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..relational.database import Database
 from ..relational.errors import ArityError, RepresentationError
@@ -57,6 +57,19 @@ TID = "__tid__"
 
 #: A template row with a placeholder and its ``?`` attributes in schema order.
 PlaceholderRow = Tuple[Row, Tuple[str, ...]]
+#: A :meth:`UWSDT.placeholder_rows` memo entry: the template and its version it
+#: was built from, the rows, and per attribute the positions of the rows in
+#: that list with a ``?`` on it (ascending).
+_PlaceholderMemo = Tuple[Relation, int, List[PlaceholderRow], Dict[str, List[int]]]
+
+
+def _positions_by_attribute(rows: Sequence[PlaceholderRow]) -> Dict[str, List[int]]:
+    """Per attribute, the positions in ``rows`` of the rows with a ``?`` on it."""
+    by_attribute: Dict[str, List[int]] = {}
+    for position, (_, placeholders) in enumerate(rows):
+        for attribute in placeholders:
+            by_attribute.setdefault(attribute, []).append(position)
+    return by_attribute
 
 
 class UWSDT:
@@ -76,8 +89,9 @@ class UWSDT:
         #: from it is fully certain and never needs the component machinery.
         self._placeholders: Dict[str, Dict[Any, Tuple[str, ...]]] = {}
         #: Memo of :meth:`placeholder_rows`: ``relation -> (template, version,
-        #: rows)``.  Dropped by :meth:`_map_field` / :meth:`_unmap_field`.
-        self._placeholder_rows: Dict[str, Tuple[Relation, int, List[PlaceholderRow]]] = {}
+        #: rows, attribute -> positions in rows)``.  Dropped by
+        #: :meth:`_map_field` / :meth:`_unmap_field`.
+        self._placeholder_rows: Dict[str, _PlaceholderMemo] = {}
         #: Names of the templates no other engine holds: only these may be
         #: written in place.  :meth:`copy` empties it on both sides.
         self._private_templates: Set[str] = set()
@@ -175,21 +189,42 @@ class UWSDT:
         :meth:`_map_field` / :meth:`_unmap_field` drop it.  Read-only for
         callers.
         """
-        rows = self._memoised_placeholder_rows(relation_name)
-        if rows is None:
+        return self._placeholder_memo(relation_name)[2]
+
+    def placeholder_rows_on(
+        self, relation_name: str, attributes: Iterable[str]
+    ) -> List[PlaceholderRow]:
+        """The :meth:`placeholder_rows` with a ``?`` on one of ``attributes``, in template order.
+
+        Read off the memo entry's per-attribute positions: a selection or a
+        dependency visits the rows its attributes make uncertain, not every
+        row with a placeholder.
+        """
+        _, _, rows, by_attribute = self._placeholder_memo(relation_name)
+        hits = [by_attribute[a] for a in set(attributes) if a in by_attribute]
+        if not hits:
+            return []
+        positions = hits[0] if len(hits) == 1 else sorted(set().union(*hits))
+        return [rows[position] for position in positions]
+
+    def _placeholder_memo(self, relation_name: str) -> _PlaceholderMemo:
+        """The valid memo entry of one relation, built from a template scan when needed."""
+        memo = self._memoised_placeholder_rows(relation_name)
+        if memo is None:
             template = self.templates[relation_name]
             uncertain = self.uncertain_tuples(relation_name)
             rows = [(row, uncertain[row[0]]) for row in template if row[0] in uncertain]
-            self._placeholder_rows[relation_name] = (template, template.version, rows)
-        return rows
+            memo = (template, template.version, rows, _positions_by_attribute(rows))
+            self._placeholder_rows[relation_name] = memo
+        return memo
 
-    def _memoised_placeholder_rows(self, relation_name: str) -> Optional[List[PlaceholderRow]]:
+    def _memoised_placeholder_rows(self, relation_name: str) -> Optional[_PlaceholderMemo]:
         """The memo entry of :meth:`placeholder_rows`, or None when absent or stale."""
         template = self.templates[relation_name]
         memo = self._placeholder_rows.get(relation_name)
         if memo is None or memo[0] is not template or memo[1] != template.version:
             return None
-        return memo[2]
+        return memo
 
     def _map_field(self, field: FieldRef, cid: int) -> None:
         existing = self.field_to_cid.get(field)
@@ -238,15 +273,35 @@ class UWSDT:
                     self._map_field(field, cid)
         self.components[cid] = component
 
-    def copy_field(self, source: FieldRef, target: FieldRef) -> None:
-        """Add ``target`` as a copy of ``source`` to the component defining it (``ext``)."""
-        cid = self.field_to_cid.get(source)
-        if cid is None:
-            raise RepresentationError(
-                f"expected a component for placeholder field {source.label()}"
-            )
-        self._map_field(target, cid)
-        self.components[cid] = self.components[cid].ext(source, target)
+    def copy_fields(self, pairs: Iterable[Tuple[FieldRef, FieldRef]]) -> None:
+        """Add each ``target`` as a copy of its ``source`` to the component defining it (``ext``).
+
+        One ``ext_many`` per component: the field map takes the targets in
+        the order given, and each component receives its pairs in that
+        order, so the result equals the pairs copied one by one, while a
+        component receiving k copies is rebuilt once, not k times.  Every
+        source must already have a component and no target may have one;
+        otherwise nothing changes.
+        """
+        batches: Dict[int, List[Tuple[FieldRef, FieldRef]]] = {}
+        mapped: Dict[FieldRef, int] = {}
+        for source, target in pairs:
+            cid = self.field_to_cid.get(source)
+            if cid is None:
+                raise RepresentationError(
+                    f"expected a component for placeholder field {source.label()}"
+                )
+            existing = self.field_to_cid.get(target, mapped.get(target))
+            if existing is not None:
+                raise RepresentationError(
+                    f"field {target.label()} already assigned to component {existing}"
+                )
+            mapped[target] = cid
+            batches.setdefault(cid, []).append((source, target))
+        extended = {cid: self.components[cid].ext_many(batch) for cid, batch in batches.items()}
+        for target, cid in mapped.items():
+            self._map_field(target, cid)
+        self.components.update(extended)
 
     def remove_component(self, cid: int) -> None:
         component = self.components.pop(cid)
@@ -374,10 +429,12 @@ class UWSDT:
                     f"{indexed.get(tuple_id, ())!r}"
                 )
             memoised = self._memoised_placeholder_rows(name)
-            if memoised is not None and memoised != [
-                (row, scanned[row[0]]) for row in self.templates[name] if row[0] in scanned
-            ]:
-                raise RepresentationError(f"placeholder-row memo of {name!r} is out of date")
+            if memoised is not None:
+                rows = [
+                    (row, scanned[row[0]]) for row in self.templates[name] if row[0] in scanned
+                ]
+                if memoised[2] != rows or memoised[3] != _positions_by_attribute(rows):
+                    raise RepresentationError(f"placeholder-row memo of {name!r} is out of date")
         for cid, component in self.components.items():
             component.validate()
             for field in component.fields:

@@ -172,7 +172,12 @@ def scanned_placeholder_rows(uwsdt, name):
 
 def assert_memo_coherent(uwsdt):
     for name in uwsdt.schema.relation_names:
-        assert uwsdt.placeholder_rows(name) == scanned_placeholder_rows(uwsdt, name)
+        scanned = scanned_placeholder_rows(uwsdt, name)
+        assert uwsdt.placeholder_rows(name) == scanned
+        for attribute in uwsdt.schema.relation(name).attributes:
+            assert uwsdt.placeholder_rows_on(name, [attribute]) == [
+                (row, placeholders) for row, placeholders in scanned if attribute in placeholders
+            ]
 
 
 OPERATIONS = (
@@ -181,7 +186,7 @@ OPERATIONS = (
     "new_component",
     "replace_component",
     "remove_component",
-    "copy_field",
+    "copy_fields",
     "select",
 )
 
@@ -217,9 +222,10 @@ def apply_operation(uwsdt, operation, data, step):
             uwsdt.replace_component(cid, component.project_away(component.fields[:1]))
     elif operation == "remove_component" and uwsdt.components:
         uwsdt.remove_component(data.draw(st.sampled_from(sorted(uwsdt.components))))
-    elif operation == "copy_field" and uwsdt.field_to_cid and unmapped:
-        source = data.draw(st.sampled_from(sorted(uwsdt.field_to_cid, key=repr)))
-        uwsdt.copy_field(source, data.draw(st.sampled_from(unmapped)))
+    elif operation == "copy_fields" and uwsdt.field_to_cid and unmapped:
+        sources = sorted(uwsdt.field_to_cid, key=repr)
+        targets = data.draw(st.lists(st.sampled_from(unmapped), min_size=1, unique=True))
+        uwsdt.copy_fields([(data.draw(st.sampled_from(sources)), t) for t in targets])
     elif operation == "select":
         # ≠ and a conjunction take the template scan, which reads the memo.
         attribute = data.draw(st.sampled_from(attributes))
@@ -265,6 +271,7 @@ class TestPlaceholderRowMemo:
         assert uwsdt.placeholder_rows("R") is rows
 
         template = uwsdt.templates["R"]
-        uwsdt._placeholder_rows["R"] = (template, template.version, rows[1:])
+        by_attribute = uwsdt._placeholder_rows["R"][3]
+        uwsdt._placeholder_rows["R"] = (template, template.version, rows[1:], by_attribute)
         with pytest.raises(RepresentationError, match="out of date"):
             uwsdt.validate()
