@@ -153,27 +153,16 @@ def project(wsd: WSD, source: str, target: str, attributes: Sequence[str]) -> No
             component = wsd.components[component_index].propagate_bottom()
             wsd.replace_component(component_index, component)
 
-    # Drop the non-projected fields from all components.
-    drop_fields = {
-        FieldRef(target, tuple_id, attribute)
-        for tuple_id in wsd.tuple_ids[target]
-        for attribute in dropped
-    }
-    new_components: List[Component] = []
-    for component in wsd.components:
-        to_drop = [field for field in component.fields if field in drop_fields]
-        if not to_drop:
-            new_components.append(component)
-            continue
-        reduced = component.project_away(to_drop)
-        if reduced is not None:
-            new_components.append(reduced)
-    wsd.components = new_components
-    # Adjust the schema of the target relation.
+    wsd.project_away_fields(
+        {
+            FieldRef(target, tuple_id, attribute)
+            for tuple_id in wsd.tuple_ids[target]
+            for attribute in dropped
+        }
+    )
     wsd.schema = DatabaseSchema(
         RelationSchema(target, tuple(kept)) if rs.name == target else rs for rs in wsd.schema
     )
-    wsd._rebuild_field_index()
 
 
 def product(wsd: WSD, left: str, right: str, target: str) -> None:

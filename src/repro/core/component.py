@@ -339,26 +339,6 @@ class Component:
         )
         return component, deleted
 
-    def map_rows(self, transform: Callable[[Tuple[Any, ...]], Tuple[Any, ...]]) -> "Component":
-        """Return a component with ``transform`` applied to every local world."""
-        rows = tuple([tuple(transform(row)) for row in self.rows])
-        return _derive(self.fields, rows, self.probabilities, self._positions)
-
-    def set_field_where(
-        self, field: FieldRef, value: Any, condition: Callable[[Tuple[Any, ...]], bool]
-    ) -> "Component":
-        """Set ``field`` to ``value`` in every local world satisfying ``condition``."""
-        position = self.position(field)
-
-        def transform(row: Tuple[Any, ...]) -> Tuple[Any, ...]:
-            if condition(row):
-                values = list(row)
-                values[position] = value
-                return tuple(values)
-            return row
-
-        return self.map_rows(transform)
-
     def _merged(self, rows: Iterable[Tuple[Any, ...]]) -> Tuple[Rows, Optional[Probabilities]]:
         """``rows`` (parallel to the local worlds) with equal rows merged, probabilities summed."""
         merged: Dict[Tuple[Any, ...], float] = {}

@@ -156,8 +156,3 @@ def decompose_wsd(wsd) -> None:
         new_components.extend(decompose_component(component))
     wsd.components = new_components
     wsd._rebuild_field_index()
-
-
-def maximal_decomposition_size(component: Component) -> int:
-    """Number of factors in the maximal decomposition (used by tests/benchmarks)."""
-    return len(decompose_component(component))

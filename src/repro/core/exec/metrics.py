@@ -89,10 +89,6 @@ class ExecutionMetrics:
         """
         return sum(record.seconds for record in self.records)
 
-    @property
-    def total_rows_out(self) -> int:
-        return sum(record.rows_out for record in self.records)
-
     def by_operator(self) -> Dict[str, List[OperatorMetrics]]:
         grouped: Dict[str, List[OperatorMetrics]] = {}
         for record in self.records:

@@ -14,10 +14,9 @@ the minimal equivalent WSD the paper's Section 7 describes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Set, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..relational.values import BOTTOM
-from .component import Component
 from .decompose import decompose_wsd
 from .fields import FieldRef
 from .wsd import WSD
@@ -39,26 +38,17 @@ def remove_invalid_tuples(wsd: WSD) -> List[Tuple[str, Any]]:
     if not invalid:
         return invalid
 
-    invalid_set: Set[Tuple[str, Any]] = set(invalid)
-    new_components: List[Component] = []
-    for component in wsd.components:
-        drop = [
-            field
-            for field in component.fields
-            if (field.relation, field.tuple_id) in invalid_set
-        ]
-        if not drop:
-            new_components.append(component)
-            continue
-        reduced = component.project_away(drop)
-        if reduced is not None:
-            new_components.append(reduced)
+    wsd.project_away_fields(
+        {
+            FieldRef(relation_name, tuple_id, attribute)
+            for relation_name, tuple_id in invalid
+            for attribute in wsd.schema.relation(relation_name).attributes
+        }
+    )
     for relation_name, tuple_id in invalid:
         wsd.tuple_ids[relation_name] = [
             existing for existing in wsd.tuple_ids[relation_name] if existing != tuple_id
         ]
-    wsd.components = new_components
-    wsd._rebuild_field_index()
     return invalid
 
 

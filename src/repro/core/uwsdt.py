@@ -324,16 +324,6 @@ class UWSDT:
         self.components[unique[0]] = merged
         return unique[0]
 
-    def field_value(self, relation_name: str, tuple_id: Any, attribute: str) -> Any:
-        """Template value of a field (may be ``PLACEHOLDER``)."""
-        template = self.templates[relation_name]
-        rows = self.template_index(relation_name, TID).lookup(tuple_id)
-        if not rows:
-            raise RepresentationError(
-                f"tuple {tuple_id!r} not found in template of {relation_name!r}"
-            )
-        return rows[0][template.schema.position(attribute)]
-
     def template_index(self, relation_name: str, attribute: str) -> HashIndex:
         """A (cached) hash index over one attribute of a template relation.
 

@@ -24,7 +24,7 @@ Section 5 refinement, the :class:`~repro.core.uwsdt.UWSDT`
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..relational.database import Database
 from ..relational.errors import RepresentationError
@@ -80,15 +80,6 @@ class WSD:
                         raise RepresentationError(
                             f"field {field.label()} is not covered by any component"
                         )
-
-    def all_fields(self) -> List[FieldRef]:
-        """Every field of the inlined schema, in schema order."""
-        fields = []
-        for relation_schema in self.schema:
-            for tuple_id in self.tuple_ids.get(relation_schema.name, ()):
-                for attribute in relation_schema.attributes:
-                    fields.append(FieldRef(relation_schema.name, tuple_id, attribute))
-        return fields
 
     def component_of(self, field: FieldRef) -> int:
         """Index of the component defining ``field``."""
@@ -166,26 +157,32 @@ class WSD:
         """Remove a relation (and all its fields) from the WSD."""
         if not self.schema.has_relation(relation_name):
             raise RepresentationError(f"relation {relation_name!r} is not part of this WSD")
-        drop_fields = {
-            field for field in self._field_owner if field.relation == relation_name
-        }
-        new_components: List[Component] = []
-        for component in self.components:
-            to_drop = [f for f in component.fields if f in drop_fields]
-            if not to_drop:
-                new_components.append(component)
-                continue
-            reduced = component.project_away(to_drop)
-            if reduced is not None:
-                new_components.append(reduced)
-        new_schema = DatabaseSchema(
+        self.project_away_fields(
+            {field for field in self._field_owner if field.relation == relation_name}
+        )
+        self.schema = DatabaseSchema(
             relation_schema
             for relation_schema in self.schema
             if relation_schema.name != relation_name
         )
-        self.schema = new_schema
         self.tuple_ids.pop(relation_name, None)
-        self.components = new_components
+
+    def project_away_fields(self, fields: Collection[FieldRef]) -> None:
+        """Project ``fields`` out of every component defining one of them.
+
+        A component left without fields is dropped.  The schema and the
+        tuple ids are the caller's to adjust.
+        """
+        components: List[Component] = []
+        for component in self.components:
+            dropped = [field for field in component.fields if field in fields]
+            if not dropped:
+                components.append(component)
+                continue
+            reduced = component.project_away(dropped)
+            if reduced is not None:
+                components.append(reduced)
+        self.components = components
         self._rebuild_field_index()
 
     def restrict_to_relations(self, relation_names: Sequence[str]) -> "WSD":

@@ -11,7 +11,7 @@ from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .errors import SchemaError, UnknownRelationError
 from .relation import Relation
-from .schema import DatabaseSchema, RelationSchema
+from .schema import DatabaseSchema
 
 
 class Database:
@@ -129,8 +129,3 @@ def empty_database(schema: DatabaseSchema) -> Database:
 def single_relation_database(relation: Relation) -> Database:
     """Convenience constructor for the common single-relation case."""
     return Database([relation])
-
-
-def make_relation_schema(name: str, attributes: Iterable[str]) -> RelationSchema:
-    """Convenience re-export so callers can avoid importing two modules."""
-    return RelationSchema(name, tuple(attributes))

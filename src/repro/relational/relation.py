@@ -140,11 +140,6 @@ class Relation:
             relation.insert(record)
         return relation
 
-    def empty_like(self, name: Optional[str] = None) -> "Relation":
-        """Return an empty relation with the same (possibly renamed) schema."""
-        schema = self.schema if name is None else self.schema.renamed(name)
-        return Relation(schema)
-
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #

@@ -1,4 +1,4 @@
-"""Shared hypothesis strategies and world-set comparison helpers.
+"""Shared strategies and the possible-worlds oracle.
 
 This module is imported by test modules as ``from _fixtures import ...``.
 It deliberately has a non-``conftest`` name: the benchmark suite has its own
@@ -6,16 +6,48 @@ It deliberately has a non-``conftest`` name: the benchmark suite has its own
 file called ``conftest`` resolves to whichever conftest pytest put on
 ``sys.path`` first — a collection-order lottery.  Pytest fixtures proper
 live in ``tests/conftest.py`` (which re-exports from here).
+
+The oracle checks the paper's correctness condition ``rep(Q̂(W)) = Q(rep(W))``:
+a :class:`Case` is (or-set relations, dependencies chased into them, a
+query), :func:`check_oracle` computes the reference once by brute force
+(``naive.clean``, then ``naive.evaluate_query`` in every world) and holds
+every execution path of :data:`CELLS` to it — result distribution, the
+representation's invariants and every result tuple's confidence.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from dataclasses import dataclass
+from typing import Callable, Tuple
+
 import pytest
 from hypothesis import strategies as st
 
-from repro.core import FieldRef
-from repro.relational import BOTTOM, Database, Relation, RelationSchema
-from repro.relational.values import is_placeholder
+from repro.baselines import naive
+from repro.core import UWSDT, WSD, FieldRef, normalize_wsd
+from repro.core.algebra import BaseRelation, Query, evaluate_on_database, evaluate_on_wsd
+from repro.core.chase import (
+    Comparison,
+    EqualityGeneratingDependency,
+    FunctionalDependency,
+    chase_uwsdt,
+    chase_wsd,
+)
+from repro.core.confidence import confidence, possible, uwsdt_possible_with_confidence
+from repro.core.planner import GREEDY_THRESHOLD, plan_call_count, sampling_call_count
+from repro.relational import (
+    BOTTOM,
+    And,
+    AttrAttr,
+    AttrConst,
+    Database,
+    InconsistentWorldSetError,
+    Or,
+    Relation,
+    RelationSchema,
+)
 from repro.worlds import OrSet, OrSetRelation
 
 #: Small domain values for generated relations/or-sets.
@@ -97,6 +129,655 @@ def plain_relations(draw, name: str = "R", max_rows: int = 5, max_attrs: int = 3
 
 
 # --------------------------------------------------------------------------- #
+# Query trees and dependencies
+# --------------------------------------------------------------------------- #
+
+#: The three disjoint-attribute relations of the deep oracle.
+ORACLE_SCHEMAS = (
+    ("R", ("A0", "A1", "A2")),
+    ("S", ("B0", "B1", "B2")),
+    ("T", ("C0", "C1", "C2")),
+)
+ORACLE_ATTRS = dict(ORACLE_SCHEMAS)
+
+
+@st.composite
+def atoms(draw, attrs):
+    """``A θ c`` or, over two attributes, ``A θ B``."""
+    attr = draw(st.sampled_from(sorted(attrs)))
+    if len(attrs) >= 2 and draw(st.integers(min_value=0, max_value=2)) == 0:
+        other = draw(st.sampled_from(sorted(set(attrs) - {attr})))
+        return AttrAttr(attr, draw(st.sampled_from(["=", "<"])), other)
+    return AttrConst(attr, draw(st.sampled_from(["=", "!=", "<", ">="])), draw(values_strategy))
+
+
+@st.composite
+def predicates(draw, attrs):
+    """An atom, or a conjunction / disjunction of 2–4 atoms."""
+    kind = draw(st.sampled_from(["atom", "atom", "and", "or"]))
+    if kind == "atom":
+        return draw(atoms(attrs))
+    parts = draw(st.lists(atoms(attrs), min_size=2, max_size=4))
+    return And(*parts) if kind == "and" else Or(*parts)
+
+
+def _schema_preserving(draw, name, attrs):
+    """A selection chain over one base relation (keeps the base schema)."""
+    query = BaseRelation(name)
+    for _ in range(draw(st.integers(min_value=0, max_value=1))):
+        query = query.select(draw(predicates(attrs)))
+    return query
+
+
+@st.composite
+def query_trees(draw, schemas=ORACLE_SCHEMAS, min_depth=3, max_depth=4):
+    """Random trees of every operator over the given base relations."""
+    depth = draw(st.integers(min_value=min_depth, max_value=max_depth))
+    query, _ = _tree(draw, depth, [0], dict(schemas))
+    return query
+
+
+def _base(draw, schemas):
+    name = draw(st.sampled_from(sorted(schemas)))
+    return BaseRelation(name), schemas[name]
+
+
+def _tree(draw, depth, counter, schemas):
+    if depth == 0:
+        return _base(draw, schemas)
+    op = draw(
+        st.sampled_from(
+            [
+                "base",
+                "select",
+                "select",
+                "project",
+                "rename",
+                "union",
+                "difference",
+                "intersection",
+                "product",
+                "join",
+            ]
+        )
+    )
+    if op == "base":
+        return _base(draw, schemas)
+    if op == "select":
+        child, attrs = _tree(draw, depth - 1, counter, schemas)
+        return child.select(draw(predicates(attrs))), attrs
+    if op == "project":
+        child, attrs = _tree(draw, depth - 1, counter, schemas)
+        keep = tuple(a for a in attrs if draw(st.booleans()))
+        if not keep:
+            keep = (attrs[0],)
+        return child.project(keep), keep
+    if op == "rename":
+        child, attrs = _tree(draw, depth - 1, counter, schemas)
+        old = draw(st.sampled_from(sorted(attrs)))
+        new = f"Z{draw(st.integers(min_value=0, max_value=2))}"
+        if new in attrs:
+            return child, attrs
+        return child.rename(old, new), tuple(new if a == old else a for a in attrs)
+    if op in ("union", "difference", "intersection"):
+        name = draw(st.sampled_from(sorted(schemas)))
+        attrs = schemas[name]
+        left = _schema_preserving(draw, name, attrs)
+        right = _schema_preserving(draw, name, attrs)
+        if op == "union":
+            return left.union(right), attrs
+        if op == "intersection":
+            return left.intersection(right), attrs
+        return left.difference(right), attrs
+    # product / join: the right side is a fully renamed copy of a base
+    # relation so the attribute sets are disjoint (the counter keeps nested
+    # products apart).
+    left, left_attrs = _tree(draw, depth - 1, counter, schemas)
+    right, base_attrs = _base(draw, schemas)
+    right_attrs = []
+    for attribute in base_attrs:
+        fresh = f"W{counter[0]}"
+        counter[0] += 1
+        right = right.rename(attribute, fresh)
+        right_attrs.append(fresh)
+    if op == "product":
+        return left.product(right), tuple(left_attrs) + tuple(right_attrs)
+    left_attr = draw(st.sampled_from(sorted(left_attrs)))
+    right_attr = draw(st.sampled_from(sorted(right_attrs)))
+    return left.join(right, left_attr, right_attr), tuple(left_attrs) + tuple(right_attrs)
+
+
+@st.composite
+def set_heavy_trees(draw, schemas=ORACLE_SCHEMAS, max_set_depth=2):
+    """Union/difference/intersection trees over selection chains.
+
+    The operands of a set operator are drawn from the relations sharing one
+    attribute list (so they stay union-compatible); the tree is optionally
+    topped by a selection and joined with, or multiplied by, a set tree
+    over a relation with disjoint attributes.
+    """
+    schemas = dict(schemas)
+
+    def set_tree(attrs, depth):
+        compatible = sorted(name for name, other in schemas.items() if other == attrs)
+        if depth == 0:
+            return _schema_preserving(draw, draw(st.sampled_from(compatible)), attrs)
+        left = set_tree(attrs, depth - 1)
+        right = set_tree(attrs, depth - 1)
+        op = draw(st.sampled_from(["union", "difference", "intersection", "union"]))
+        if op == "union":
+            return left.union(right)
+        if op == "intersection":
+            return left.intersection(right)
+        return left.difference(right)
+
+    attrs = schemas[draw(st.sampled_from(sorted(schemas)))]
+    query = set_tree(attrs, draw(st.integers(min_value=1, max_value=max_set_depth)))
+    if draw(st.booleans()):
+        query = query.select(draw(predicates(attrs)))
+    disjoint = sorted(name for name, other in schemas.items() if not set(other) & set(attrs))
+    if disjoint and draw(st.booleans()):
+        other_attrs = schemas[draw(st.sampled_from(disjoint))]
+        other = set_tree(other_attrs, draw(st.integers(min_value=0, max_value=1)))
+        if draw(st.booleans()):
+            query = query.join(
+                other,
+                draw(st.sampled_from(sorted(attrs))),
+                draw(st.sampled_from(sorted(other_attrs))),
+            )
+        else:
+            query = query.product(other)
+    return query
+
+
+COMPARISONS = ["=", "!=", "<", "<=", ">", ">="]
+
+
+@st.composite
+def chase_dependencies(draw):
+    """A random FD or single-tuple EGD (1-2 premises) over the oracle relation ``R``."""
+    attrs = ORACLE_ATTRS["R"]
+    if draw(st.booleans()):
+        determinants = draw(
+            st.lists(st.sampled_from(attrs), min_size=1, max_size=2, unique=True)
+        )
+        remaining = [a for a in attrs if a not in determinants]
+        dependent = draw(st.sampled_from(remaining or list(attrs)))
+        return FunctionalDependency("R", determinants, dependent)
+    premise_attrs = draw(
+        st.lists(st.sampled_from(attrs), min_size=1, max_size=2, unique=True)
+    )
+    premises = [
+        Comparison(attribute, draw(st.sampled_from(COMPARISONS)), draw(values_strategy))
+        for attribute in premise_attrs
+    ]
+    conclusion_attr = draw(st.sampled_from(attrs))
+    conclusion = Comparison(
+        conclusion_attr, draw(st.sampled_from(COMPARISONS)), draw(values_strategy)
+    )
+    return EqualityGeneratingDependency("R", premises, conclusion)
+
+
+@st.composite
+def chase_dependency_lists(draw, max_size=3):
+    """1-3 dependencies chased in sequence, so they can interact on shared components."""
+    return draw(st.lists(chase_dependencies(), min_size=1, max_size=max_size))
+
+
+# --------------------------------------------------------------------------- #
+# Cases
+# --------------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True, repr=False)
+class Case:
+    """One oracle input: or-set relations, the dependencies chased into them, a query."""
+
+    relations: Tuple[OrSetRelation, ...]
+    query: Query
+    dependencies: Tuple = ()
+
+    def uwsdt(self) -> UWSDT:
+        """A fresh UWSDT of the input, chased — nothing derived from another run."""
+        engine = UWSDT.from_orset_relations(self.relations)
+        return chase_uwsdt(engine, self.dependencies) if self.dependencies else engine
+
+    def wsd(self) -> WSD:
+        wsd = WSD.from_orset_relations(self.relations)
+        return chase_wsd(wsd, self.dependencies) if self.dependencies else wsd
+
+    def __repr__(self) -> str:
+        relations = "; ".join(
+            f"{r.schema.name}{r.schema.attributes}: {list(r.rows)}" for r in self.relations
+        )
+        return f"Case({relations} | dependencies {list(self.dependencies)} | {self.query.to_text()})"
+
+
+@st.composite
+def cases(
+    draw,
+    schemas=ORACLE_SCHEMAS,
+    queries=None,
+    dependencies=False,
+    max_rows=2,
+    max_alternatives=2,
+    uncertain_budget=4,
+):
+    """The one case strategy: relations with at most ``uncertain_budget``
+    uncertain fields in all, 1–3 random FDs/EGDs over ``R`` if
+    ``dependencies``, and a query (default: a deep tree over ``schemas``).
+
+    The budget itself is drawn, so some inputs are (nearly) certain: those
+    run the one-world paths — certain rows, column kernels — end to end.
+    """
+    budget = draw(st.integers(min_value=0, max_value=uncertain_budget))
+    relations = draw(budgeted_orset_relations(schemas, max_rows, max_alternatives, budget))
+    chased = tuple(draw(chase_dependency_lists())) if dependencies else ()
+    query = draw(queries if queries is not None else query_trees(schemas))
+    return Case(tuple(relations), query, chased)
+
+
+@st.composite
+def single_relation_cases(draw):
+    """Depth-2 trees over one relation of 1–3 attributes, 1–3 rows and
+    or-sets of up to three alternatives."""
+    arity = draw(st.integers(min_value=1, max_value=3))
+    schemas = (("R", tuple(f"A{i}" for i in range(arity))),)
+    return draw(cases(schemas, query_trees(schemas, 2, 2), max_rows=3, max_alternatives=3))
+
+
+#: Schemas for the greedy-fallback chains: one more relation than the DP limit.
+GREEDY_SCHEMAS = tuple(
+    (f"G{i}", (f"G{i}a", f"G{i}b")) for i in range(GREEDY_THRESHOLD + 1)
+)
+
+
+@st.composite
+def greedy_chain_queries(draw):
+    """A (GREEDY_THRESHOLD+1)-way product chain with consecutive equality
+    predicates — the join-order enumerator must take the greedy fallback."""
+    query = BaseRelation(GREEDY_SCHEMAS[0][0])
+    for name, _ in GREEDY_SCHEMAS[1:]:
+        query = query.product(BaseRelation(name))
+    equalities = [
+        AttrAttr(
+            f"G{i - 1}{draw(st.sampled_from('ab'))}",
+            "=",
+            f"G{i}{draw(st.sampled_from('ab'))}",
+        )
+        for i in range(1, len(GREEDY_SCHEMAS))
+    ]
+    return query.select(And(*equalities))
+
+
+# --------------------------------------------------------------------------- #
+# Worlds
+# --------------------------------------------------------------------------- #
+
+
+def world_values(uwsdt, choices):
+    """``{field: value}`` when each component ``cid`` of ``choices`` takes the
+    local world ``choices[cid]`` (an index into its rows)."""
+    values = {}
+    for cid, index in choices.items():
+        component = uwsdt.components[cid]
+        values.update(zip(component.fields, component.rows[index]))
+    return values
+
+
+def local_worlds(uwsdt, cids):
+    """``(values, probability)`` of every combination of local worlds of the
+    components ``cids``."""
+    components = [uwsdt.components[cid] for cid in cids]
+    for choice in itertools.product(*(range(len(c.rows)) for c in components)):
+        probability = math.prod(c.probability(i) for c, i in zip(components, choice))
+        yield world_values(uwsdt, dict(zip(cids, choice))), probability
+
+
+def tuple_in_world(uwsdt, relation_name, tid, template, values):
+    """The row of one template tuple in the world ``values`` describes: its
+    ``?`` fields read there.  None when a ``⊥`` makes the tuple absent."""
+    attributes = uwsdt.uncertain_tuples(relation_name).get(tid, ())
+    if attributes:
+        position = uwsdt.schema.relation(relation_name).position
+        row = list(template)
+        for attribute in attributes:
+            row[position(attribute)] = values[FieldRef(relation_name, tid, attribute)]
+        template = tuple(row)
+    return None if BOTTOM in template else template
+
+
+def world_tuples(uwsdt, values, relation_name):
+    """``{tuple id: row}`` of one relation in the world ``values`` describes."""
+    tuples = {}
+    for tid, template in uwsdt.template_rows(relation_name):
+        row = tuple_in_world(uwsdt, relation_name, tid, template, values)
+        if row is not None:
+            tuples[tid] = row
+    return tuples
+
+
+def world_database(uwsdt, values, relations=None):
+    """The one-world ``Database`` a UWSDT represents in the world ``values``
+    describes, restricted to the named ``relations`` (default: all)."""
+    database = Database()
+    for schema in uwsdt.schema:
+        if relations is None or schema.name in relations:
+            rows = list(world_tuples(uwsdt, values, schema.name).values())
+            database.add(Relation.from_tuples(schema, rows))
+    return database
+
+
+def placeholder_components(uwsdt, names):
+    """The components holding a ``?`` of the named relations."""
+    return sorted(
+        {
+            uwsdt.component_of(FieldRef(name, tid, attribute))
+            for name in names
+            for tid, attributes in uwsdt.uncertain_tuples(name).items()
+            for attribute in attributes
+        }
+    )
+
+
+def uwsdt_distribution(uwsdt, names):
+    """``{(row set of each of names): probability}`` over the worlds of a
+    UWSDT, enumerating only the components holding a ``?`` of those
+    relations (the others sum to one and drop out)."""
+    assert uwsdt.is_probabilistic  # else the other components would not sum to one
+    distribution = {}
+    for values, probability in local_worlds(uwsdt, placeholder_components(uwsdt, names)):
+        world = world_database(uwsdt, values, names)
+        key = tuple(world.relation(name).row_set() for name in names)
+        distribution[key] = distribution.get(key, 0.0) + probability
+    return distribution
+
+
+def worldset_distribution(worldset, names):
+    """``{(row set of each of names): probability}`` over explicit worlds."""
+    distribution = {}
+    for world in worldset:
+        key = tuple(world.database.relation(name).row_set() for name in names)
+        probability = world.probability if world.probability is not None else 1.0
+        distribution[key] = distribution.get(key, 0.0) + probability
+    return distribution
+
+
+def assert_same_distribution(actual, expected):
+    assert set(actual) == set(expected)
+    assert actual == pytest.approx(expected, abs=1e-9)
+
+
+def assert_same_result_distribution(left, right, relation_name="P"):
+    """Two explicit world-sets agree on the distribution of one relation."""
+    assert_same_distribution(
+        worldset_distribution(left, (relation_name,)),
+        worldset_distribution(right, (relation_name,)),
+    )
+
+
+# --------------------------------------------------------------------------- #
+# The oracle
+# --------------------------------------------------------------------------- #
+
+
+#: How many possible tuples of a WSD result get their confidence checked.
+WSD_CONFIDENCE_SAMPLE = 16
+
+
+class Oracle:
+    """The brute-force reference of one case: the (cleaned) input worlds and
+    the query's result ``P`` in each."""
+
+    def __init__(self, case: Case, worlds) -> None:
+        self.case = case
+        self.input = worlds
+        self._inserted = {}
+        self.result = naive.evaluate_query(worlds, case.query, "P")
+        self.distribution = worldset_distribution(self.result, ("P",))
+        self.confidences = {
+            row: naive.tuple_confidence(self.result, "P", row)
+            for row in naive.possible_tuples(self.result, "P")
+        }
+
+    @classmethod
+    def of(cls, case: Case) -> "Oracle":
+        worlds = WSD.from_orset_relations(case.relations).rep()
+        if case.dependencies:
+            worlds = naive.clean(worlds, case.dependencies)
+        return cls(case, worlds)
+
+    def with_row(self, relation_name: str, row) -> "Oracle":
+        """The reference after inserting the certain ``row`` into a base relation."""
+
+        def insert(database):
+            extended = database.copy()
+            relation = database.relation(relation_name)
+            extended.replace(Relation(relation.schema, list(relation.rows) + [row]))
+            return extended
+
+        key = (relation_name, row)
+        if key not in self._inserted:
+            self._inserted[key] = Oracle(self.case, self.input.map(insert))
+        return self._inserted[key]
+
+    def check_input(self) -> None:
+        """The case's UWSDT and WSD, chased, represent the reference input."""
+        names = tuple(relation.schema.name for relation in self.case.relations)
+        expected = worldset_distribution(self.input, names)
+        engine = self.case.uwsdt()
+        check_representation(engine)
+        assert_same_distribution(uwsdt_distribution(engine, names), expected)
+        assert_same_distribution(worldset_distribution(self.case.wsd().rep(), names), expected)
+
+    def check_uwsdt(self, engine: UWSDT, name: str) -> None:
+        """``engine``'s relation ``name`` is ``P``: representation invariants,
+        world distribution and every tuple's confidence."""
+        check_representation(engine)
+        assert_same_distribution(uwsdt_distribution(engine, (name,)), self.distribution)
+        ranked = dict(uwsdt_possible_with_confidence(engine, name))
+        assert set(ranked) == set(self.confidences)
+        assert ranked == pytest.approx(self.confidences, abs=1e-9)
+
+    def check_wsd(self, wsd: WSD, name: str) -> None:
+        """The WSD's relation ``name`` is ``P``: distribution and confidences,
+        read after dropping every other relation — and again after the
+        Figure 20 normalisation."""
+        wsd = wsd.restrict_to_relations([name])
+        assert_same_distribution(worldset_distribution(wsd.rep(), (name,)), self.distribution)
+        assert set(possible(wsd, name)) == set(self.confidences)
+        # Figure 17 recomposes the relation's components for every tuple it
+        # is asked about: a sample of the possible tuples keeps products cheap.
+        sample = sorted(self.confidences, key=repr)[:WSD_CONFIDENCE_SAMPLE]
+        ranked = {row: confidence(wsd, name, row) for row in sample}
+        assert ranked == pytest.approx({row: self.confidences[row] for row in sample}, abs=1e-9)
+        normalized = normalize_wsd(wsd)
+        assert_same_distribution(
+            worldset_distribution(normalized.rep(), (name,)), self.distribution
+        )
+
+
+def check_representation(uwsdt: UWSDT) -> None:
+    """``validate()``, and the field map holds exactly the templates' ``?`` fields."""
+    uwsdt.validate()
+    placeholders = set()
+    for schema in uwsdt.schema:
+        uncertain = uwsdt.uncertain_tuples(schema.name)
+        assert uwsdt.relation_placeholder_count(schema.name) == sum(map(len, uncertain.values()))
+        placeholders.update(
+            FieldRef(schema.name, tid, attribute)
+            for tid, attributes in uncertain.items()
+            for attribute in attributes
+        )
+    assert set(uwsdt.field_to_cid) == placeholders
+
+
+# --------------------------------------------------------------------------- #
+# The cells: one execution path each
+# --------------------------------------------------------------------------- #
+
+
+def _inserted_row(oracle):
+    """A certain row for the first base relation the query reads."""
+    name = sorted(oracle.case.query.base_relations())[0]
+    arity = next(r.schema.arity for r in oracle.case.relations if r.schema.name == name)
+    return name, (1,) * arity
+
+
+def _one_engine(backend, optimize):
+    """One engine through the states a long-lived one passes: cold; again
+    (planned: a plan-cache hit, no planning and no sampling; columnar: the
+    stored relations scan their cached column store); on a ``copy()``
+    planning from the statistics it shares (row backend); after a certain
+    insert (planned: exactly one replan; columnar: the column store is
+    stale)."""
+
+    def run(oracle):
+        query, engine = oracle.case.query, oracle.case.uwsdt()
+
+        def execute(target, name):
+            query.run(target, name, optimize=optimize, backend=backend)
+
+        execute(engine, "P")
+        oracle.check_uwsdt(engine, "P")
+        plans, samples = plan_call_count(), sampling_call_count()
+        execute(engine, "P_cached")
+        if optimize:
+            assert (plan_call_count(), sampling_call_count()) == (plans, samples), "not a hit"
+        oracle.check_uwsdt(engine, "P_cached")
+        if backend == "row":
+            names = engine.schema.relation_names
+            twin = engine.copy()
+            execute(twin, "P_copy")
+            assert sampling_call_count() == samples, "the copy re-sampled its shared relations"
+            oracle.check_uwsdt(twin, "P_copy")
+            assert engine.schema.relation_names == names  # nothing wrote through
+            check_representation(engine)
+        relation, row = _inserted_row(oracle)
+        engine.add_template_tuple(relation, "inserted", row)
+        plans = plan_call_count()
+        execute(engine, "P_inserted")
+        if optimize:
+            assert plan_call_count() == plans + 1, "the insert did not invalidate the plan"
+        oracle.with_row(relation, row).check_uwsdt(engine, "P_inserted")
+
+    return run
+
+
+def _verbatim(oracle):
+    engine = oracle.case.uwsdt()
+    oracle.case.query.run(engine, "P", optimize=False)
+    oracle.check_uwsdt(engine, "P")
+
+
+def _chased_after_caching(oracle):
+    """The dependencies are chased into an engine whose plan is cached
+    already: the next run must answer for the chased worlds."""
+    case = oracle.case
+    if not case.dependencies:
+        return
+    engine = UWSDT.from_orset_relations(case.relations)
+    case.query.run(engine, "P_unchased")
+    chase_uwsdt(engine, case.dependencies)
+    case.query.run(engine, "P")
+    oracle.check_uwsdt(engine, "P")
+
+
+def _forced_join(join):
+    def run(oracle):
+        engine = oracle.case.uwsdt()
+        oracle.case.query.run(engine, "P", force_join=join)
+        oracle.check_uwsdt(engine, "P")
+
+    return run
+
+
+def _wsd_as_uwsdt(oracle):
+    converted = UWSDT.from_wsd(oracle.case.wsd())
+    oracle.case.query.run(converted, "P")
+    oracle.check_uwsdt(converted, "P")
+    oracle.check_wsd(converted.to_wsd(), "P")
+
+
+def _figure9(oracle):
+    wsd = oracle.case.wsd()
+    evaluate_on_wsd(oracle.case.query, wsd, "P")
+    oracle.check_wsd(wsd, "P")
+
+
+def _sharded(optimize):
+    def run(oracle):
+        engine = oracle.case.uwsdt()
+        oracle.case.query.run(engine, "P", optimize=optimize, backend="sharded", workers=2)
+        oracle.check_uwsdt(engine, "P")
+
+    return run
+
+
+def _one_world_database(oracle):
+    """The classical engine on one world of the input, planned and verbatim."""
+    query = oracle.case.query
+    world = next(iter(oracle.input)).database
+    expected = evaluate_on_database(query, world, "P")
+    for optimize in (True, False):
+        result = query.run(world.copy(), "P", optimize=optimize)
+        assert result.schema.attributes == expected.schema.attributes
+        assert result.row_set() == expected.row_set()
+
+
+@dataclass(frozen=True)
+class Cell:
+    name: str
+    kind: str
+    run: Callable[[Oracle], None]
+
+
+#: Every execution path the oracle holds to brute force.  A shape picks
+#: cells by kind: "row" (the UWSDT on the row backend), "join" (the two
+#: join algorithms forced), "wsd", "columnar", "sharded" and "database".
+CELLS = (
+    Cell("UWSDT planned: cold, cached, on a copy, after an insert", "row", _one_engine("row", True)),
+    Cell("UWSDT verbatim", "row", _verbatim),
+    Cell("UWSDT chased after its plan was cached", "row", _chased_after_caching),
+    Cell("UWSDT hash join forced", "join", _forced_join("hash")),
+    Cell("UWSDT index nested-loop join forced", "join", _forced_join("index-nested-loop")),
+    Cell("WSD as a UWSDT", "wsd", _wsd_as_uwsdt),
+    Cell("WSD by Figure 9", "wsd", _figure9),
+    Cell("columnar planned: cold, cached, after an insert", "columnar", _one_engine("columnar", True)),
+    Cell("columnar verbatim: cold, again, after an insert", "columnar", _one_engine("columnar", False)),
+    Cell("sharded planned, 2 workers", "sharded", _sharded(True)),
+    Cell("sharded verbatim, 2 workers", "sharded", _sharded(False)),
+    Cell("Database on one world, planned and verbatim", "database", _one_world_database),
+)
+
+
+def cells(*kinds):
+    return tuple(cell for cell in CELLS if cell.kind in kinds)
+
+
+def check_oracle(case: Case, cells=CELLS) -> None:
+    """Compute the reference of ``case`` once and hold every cell to it.
+
+    An input no world of which satisfies the dependencies must make both
+    chases raise instead.
+    """
+    try:
+        oracle = Oracle.of(case)
+    except InconsistentWorldSetError:
+        with pytest.raises(InconsistentWorldSetError):
+            case.uwsdt()
+        with pytest.raises(InconsistentWorldSetError):
+            case.wsd()
+        return
+    oracle.check_input()
+    for cell in cells:
+        try:
+            cell.run(oracle)
+        except AssertionError as error:
+            raise AssertionError(f"cell {cell.name!r} disagrees with brute force: {error}") from error
+
+
+# --------------------------------------------------------------------------- #
 # The benchmark's inputs and queries at smoke size
 # --------------------------------------------------------------------------- #
 
@@ -128,53 +809,3 @@ def benchmark_queries():
     queries.append(("Q6_self_join", q6_self_join_product_form()))
     queries.append(("four_way", q_four_way_join()))
     return queries
-
-
-# --------------------------------------------------------------------------- #
-# World-set helpers (shared by the query, planner and world-sampling oracle tests)
-# --------------------------------------------------------------------------- #
-
-
-def result_distribution(worldset, relation_name="P"):
-    """Map each world to (frozenset of result rows) -> total probability."""
-    distribution = {}
-    for world in worldset:
-        key = frozenset(world.database.relation(relation_name).rows)
-        probability = world.probability if world.probability is not None else 1.0
-        distribution[key] = distribution.get(key, 0.0) + probability
-    return distribution
-
-
-def assert_same_result_distribution(left, right, relation_name="P"):
-    first = result_distribution(left, relation_name)
-    second = result_distribution(right, relation_name)
-    assert set(first) == set(second)
-    for key in first:
-        assert first[key] == pytest.approx(second[key], abs=1e-9)
-
-
-def sampled_world(uwsdt, choices, relations=None):
-    """The one-world ``Database`` a UWSDT represents when every component
-    takes the local world ``choices[cid]`` (an index into its rows).
-
-    Each ``?`` field reads its component's value in that local world; a
-    tuple with a ``⊥`` field is absent from the world.  ``relations``
-    restricts the result to the named relations (default: all of them).
-    """
-    values = {}
-    for cid, component in uwsdt.components.items():
-        values.update(zip(component.fields, component.rows[choices[cid]]))
-    database = Database()
-    for schema in uwsdt.schema:
-        if relations is not None and schema.name not in relations:
-            continue
-        rows = []
-        for tid, template in uwsdt.template_rows(schema.name):
-            row = tuple(
-                values[FieldRef(schema.name, tid, attribute)] if is_placeholder(value) else value
-                for attribute, value in zip(schema.attributes, template)
-            )
-            if not any(value is BOTTOM for value in row):
-                rows.append(row)
-        database.add(Relation.from_tuples(schema, rows))
-    return database

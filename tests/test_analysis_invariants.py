@@ -40,7 +40,7 @@ from repro.core.planner.rules import RewriteContext, RewriteRule
 from repro.relational import Database, Relation, RelationSchema
 from repro.relational.predicates import AttrAttr, AttrConst
 
-from test_planner_oracle import ORACLE_ATTRS, deep_query_trees
+from _fixtures import ORACLE_ATTRS, query_trees
 
 
 @pytest.fixture(autouse=True)
@@ -63,7 +63,7 @@ def oracle_statistics() -> Statistics:
 
 
 class TestRewritePreservation:
-    @given(deep_query_trees())
+    @given(query_trees())
     @settings(max_examples=120, deadline=None)
     def test_pipeline_preserves_schema_on_random_trees(self, query):
         statistics = oracle_statistics()

@@ -4,15 +4,13 @@ An EGD's violation condition is a ``Predicate``; certain rows are judged by
 its generated scan (``Predicate.compile_scan``) over the template, only
 placeholder rows reach their components.  Pinned here: the
 per-row work is gone (exact counts, not timings), ``?`` cells never turn
-into certain violations, a bad operator cannot be constructed, a certain
-violation leaves the UWSDT untouched, and the chase equals per-world
-filtering of ``rep()``.
+into certain violations, a bad operator cannot be constructed, and a
+certain violation leaves the UWSDT untouched.  That the chase equals
+per-world filtering of ``rep()`` is the possible-worlds oracle's.
 """
 
 import pytest
-from hypothesis import given, settings
 
-from repro.baselines import naive
 from repro.bench import census_instance
 from repro.census import census_dependencies
 from repro.core import UWSDT, chase
@@ -26,9 +24,7 @@ from repro.obs.metrics import get_registry
 from repro.relational import InconsistentWorldSetError, PredicateError, RepresentationError
 from repro.worlds import OrSet, OrSetRelation
 
-from _fixtures import assert_same_result_distribution, budgeted_orset_relations
 from test_placeholder_index import chase_digest
-from test_planner_oracle import ORACLE_SCHEMAS, chase_dependency_lists
 
 COUNTERS = ("rows_scanned", "rows_through_components", "local_worlds_removed")
 
@@ -195,28 +191,3 @@ class TestNothingIsHalfApplied:
         with pytest.raises(RepresentationError, match="unsupported dependency"):
             chase_uwsdt(uwsdt, [removes_worlds, "not a dependency"])
         assert chase_digest(uwsdt) == before
-
-
-# --------------------------------------------------------------------------- #
-# (d) chase_uwsdt ≡ per-world filtering of rep()
-# --------------------------------------------------------------------------- #
-
-
-class TestChaseEqualsPerWorldFiltering:
-    @given(
-        budgeted_orset_relations(ORACLE_SCHEMAS, max_rows=3, uncertain_budget=5),
-        chase_dependency_lists(),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_mixed_dependency_lists(self, relations, dependencies):
-        uwsdt = UWSDT.from_orset_relations(relations)
-        try:
-            cleaned = naive.clean(uwsdt.rep(), dependencies)
-        except InconsistentWorldSetError:
-            with pytest.raises(InconsistentWorldSetError):
-                chase_uwsdt(uwsdt, dependencies)
-            return
-        chase_uwsdt(uwsdt, dependencies)
-        uwsdt.validate()
-        for name, _attributes in ORACLE_SCHEMAS:
-            assert_same_result_distribution(uwsdt.rep(), cleaned, name)

@@ -52,8 +52,12 @@ from repro.relational.predicates import And, AttrAttr, AttrConst, Not, Or
 from repro.relational.values import BOTTOM, PLACEHOLDER, is_placeholder
 from repro.worlds import OrSet, OrSetRelation
 
-from _fixtures import assert_same_result_distribution, budgeted_orset_relations
-from test_planner_oracle import ORACLE_SCHEMAS, chase_dependency_lists
+from _fixtures import (
+    ORACLE_SCHEMAS,
+    assert_same_result_distribution,
+    budgeted_orset_relations,
+    chase_dependency_lists,
+)
 
 
 # --------------------------------------------------------------------------- #

@@ -110,13 +110,6 @@ class TestComponent:
         assert compressed.size == 2
         assert compressed.probabilities == pytest.approx([0.5, 0.5])
 
-    def test_rename_fields_and_set_field_where(self):
-        component = Component((field(1, "A"),), [(1,), (2,)], [0.5, 0.5])
-        renamed = component.rename_fields({field(1, "A"): FieldRef("P", 1, "A")})
-        assert renamed.fields == (FieldRef("P", 1, "A"),)
-        marked = component.set_field_where(field(1, "A"), BOTTOM, lambda row: row[0] == 2)
-        assert marked.rows[1] == (BOTTOM,)
-
     def test_to_text(self):
         component = Component((field(1, "A"),), [(1,), (BOTTOM,)], [0.5, 0.5])
         text = component.to_text()

@@ -4,7 +4,8 @@
 lets the chase and every ``uwsdt_ops`` operator treat fully certain template
 rows as one-world data.  These tests pin the invariant it rests on — after
 *every* operation the index equals a scan of the templates, in both
-directions — and the behaviour the split must not change: compiled
+directions (the possible-worlds oracle checks it after ingest, chase, copy
+and every cell's query) — and the behaviour the split must not change: compiled
 dependencies agree with ``holds_for``, a certain violation still raises,
 and the census chase leaves exactly the components it left before.
 """
@@ -26,7 +27,6 @@ from repro.core.chase import (
     chase_uwsdt,
 )
 from repro.core.component import Component
-from repro.core.exec import reset_shard_pool
 from repro.core.fields import FieldRef
 from repro.core.uwsdt import TID
 from repro.relational import InconsistentWorldSetError, RelationSchema, RepresentationError, eq
@@ -34,19 +34,6 @@ from repro.relational.predicates import COMPARATORS
 from repro.relational.values import BOTTOM, PLACEHOLDER
 from repro.worlds import OrSet, OrSetRelation
 
-from _fixtures import budgeted_orset_relations
-from test_planner_oracle import (
-    ORACLE_SCHEMAS,
-    chase_dependency_lists,
-    deep_query_trees,
-    set_heavy_trees,
-)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _tear_down_pool():
-    yield
-    reset_shard_pool()
 
 
 def assert_index_matches_template_scan(uwsdt):
@@ -76,29 +63,6 @@ def assert_index_matches_template_scan(uwsdt):
 
 
 class TestIndexEqualsTemplateScan:
-    @given(
-        budgeted_orset_relations(ORACLE_SCHEMAS, max_rows=3, uncertain_budget=5),
-        chase_dependency_lists(),
-        st.one_of(deep_query_trees(min_depth=2, max_depth=3), set_heavy_trees()),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_after_ingest_chase_copy_and_queries(self, relations, dependencies, query):
-        uwsdt = UWSDT.from_orset_relations(relations)
-        assert_index_matches_template_scan(uwsdt)
-        try:
-            chase_uwsdt(uwsdt, dependencies)
-        except InconsistentWorldSetError:
-            uwsdt = UWSDT.from_orset_relations(relations)
-        assert_index_matches_template_scan(uwsdt)
-
-        for optimize, backend in ((True, "row"), (False, "row"), (True, "sharded")):
-            copy = uwsdt.copy()
-            assert_index_matches_template_scan(copy)
-            query.run(copy, "P", optimize=optimize, backend=backend, workers=2)
-            assert_index_matches_template_scan(copy)
-        # Query evaluation on the copies never wrote through to the original.
-        assert_index_matches_template_scan(uwsdt)
-
     def test_component_surgery_keeps_the_index_in_step(self):
         uwsdt = UWSDT.from_orset_relation(
             OrSetRelation.from_dicts(

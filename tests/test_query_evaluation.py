@@ -1,18 +1,16 @@
-"""Query evaluation on WSDs and UWSDTs, checked against per-world evaluation.
+"""Query evaluation entry points on WSDs and UWSDTs.
 
-The central correctness statement is Theorem 1: for every relational algebra
-query ``Q`` and WSD ``W``, evaluating the rewritten query ``Q̂`` on ``W`` and
-keeping only the result relation represents ``{Q(A) | A ∈ rep(W)}``.  These
-tests verify it, operator by operator and for composed queries, against the
-naive engine that evaluates ``Q`` in every world — for the Figure 9
-specification on the WSD and for the UWSDT engine.
+Theorem 1 — ``Q̂`` on ``W`` represents ``{Q(A) | A ∈ rep(W)}`` — is checked
+operator by operator and for composed queries by the possible-worlds
+oracle (``tests/test_possible_worlds_oracle.py``), Figure 9 on the WSD and
+the UWSDT engine alike.  Here: ``evaluate_on_uwsdt`` is the executor run
+verbatim, ``evaluate_on_wsd`` names its relations as the executor does, a
+WSD is not an engine, and the query AST's own helpers.
 """
 
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.baselines import naive
 from repro.core import UWSDT, WSD
@@ -23,30 +21,10 @@ from repro.core.algebra import (
     evaluate_on_wsd,
 )
 from repro.obs.metrics import get_registry
-from repro.relational import And, Database, Or, QueryError, attr_eq, eq, gt, ne
+from repro.relational import Database, QueryError, eq, gt
 from repro.worlds import OrSet, OrSetRelation
 
-from _fixtures import (
-    assert_same_result_distribution,
-    orset_relations,
-    result_distribution,
-)
-
-
-def check_query_on_both_engines(orset_relation, query, relation_name="P"):
-    """Evaluate the query by Figure 9 on the WSD and on the UWSDT engine, and
-    compare both with the naive engine."""
-    wsd = WSD.from_orset_relation(orset_relation)
-    reference = naive.evaluate_query(wsd.rep(), query, relation_name)
-
-    wsd_copy = WSD.from_orset_relation(orset_relation)
-    evaluate_on_wsd(query, wsd_copy, relation_name)
-    assert_same_result_distribution(wsd_copy.rep(), reference, relation_name)
-
-    uwsdt = UWSDT.from_orset_relation(orset_relation)
-    evaluate_on_uwsdt(query, uwsdt, relation_name)
-    uwsdt.validate()
-    assert_same_result_distribution(uwsdt.rep(), reference, relation_name)
+from _fixtures import assert_same_result_distribution
 
 
 @pytest.fixture
@@ -61,121 +39,6 @@ def abc_orset():
             {"A": 6, "B": 6, "C": OrSet([7, 0])},
         ],
     )
-
-
-class TestOperatorsAgainstNaive:
-    def test_selection_constant(self, abc_orset):
-        check_query_on_both_engines(abc_orset, BaseRelation("R").select(eq("C", 7)))
-
-    def test_selection_constant_no_match(self, abc_orset):
-        check_query_on_both_engines(abc_orset, BaseRelation("R").select(eq("A", 99)))
-
-    def test_selection_conjunction_and_disjunction(self, abc_orset):
-        query = BaseRelation("R").select(And(gt("A", 1), Or(eq("C", 7), eq("B", 3))))
-        check_query_on_both_engines(abc_orset, query)
-
-    def test_selection_attribute_comparison(self, abc_orset):
-        check_query_on_both_engines(abc_orset, BaseRelation("R").select(attr_eq("A", "B")))
-
-    def test_selection_on_two_uncertain_fields_of_one_tuple(self):
-        relation = OrSetRelation.from_dicts(
-            "R",
-            ["A", "B"],
-            [{"A": OrSet([1, 2]), "B": OrSet([1, 2])}, {"A": 3, "B": 3}],
-        )
-        check_query_on_both_engines(relation, BaseRelation("R").select(attr_eq("A", "B")))
-
-    def test_projection(self, abc_orset):
-        check_query_on_both_engines(abc_orset, BaseRelation("R").project(["A", "B"]))
-
-    def test_projection_after_selection_keeps_presence(self, abc_orset):
-        query = BaseRelation("R").select(eq("C", 7)).project(["A"])
-        check_query_on_both_engines(abc_orset, query)
-
-    def test_projection_dropping_the_uncertain_attribute(self, abc_orset):
-        query = BaseRelation("R").select(eq("B", 1)).project(["C"])
-        check_query_on_both_engines(abc_orset, query)
-
-    def test_rename(self, abc_orset):
-        check_query_on_both_engines(abc_orset, BaseRelation("R").rename("A", "X"))
-
-    def test_union(self, abc_orset):
-        query = (
-            BaseRelation("R").select(eq("C", 7)).union(BaseRelation("R").select(eq("B", 3)))
-        )
-        check_query_on_both_engines(abc_orset, query)
-
-    def test_difference(self):
-        relation = OrSetRelation.from_dicts(
-            "R",
-            ["A", "B"],
-            [{"A": 1, "B": OrSet([1, 2])}, {"A": OrSet([1, 3]), "B": 2}],
-        )
-        query = BaseRelation("R").difference(BaseRelation("R").select(eq("B", 2)))
-        check_query_on_both_engines(relation, query)
-
-    def test_difference_certain_left_uncertain_right(self):
-        relation = OrSetRelation.from_dicts(
-            "R",
-            ["A", "B"],
-            [{"A": 1, "B": 2}, {"A": OrSet([1, 9]), "B": 2}],
-        )
-        query = BaseRelation("R").select(eq("A", 1)).difference(
-            BaseRelation("R").select(gt("A", 5))
-        )
-        check_query_on_both_engines(relation, query)
-
-    def test_product(self):
-        left = OrSetRelation.from_dicts("R", ["A"], [{"A": OrSet([1, 2])}, {"A": 3}])
-        wsd = WSD.from_orset_relation(left)
-        # Add a second relation S by unioning another or-set relation into the same WSD.
-        right = OrSetRelation.from_dicts("S", ["B"], [{"B": OrSet([7, 8])}])
-        right_wsd = WSD.from_orset_relation(right)
-        # Merge the two WSDs manually (disjoint relations are independent).
-        combined = WSD(
-            __import__("repro.relational.schema", fromlist=["DatabaseSchema"]).DatabaseSchema(
-                list(wsd.schema) + list(right_wsd.schema)
-            ),
-            {**wsd.tuple_ids, **right_wsd.tuple_ids},
-            wsd.components + right_wsd.components,
-        )
-        query = BaseRelation("R").product(BaseRelation("S"))
-        reference = naive.evaluate_query(combined.rep(), query, "P")
-        working = combined.copy()
-        evaluate_on_wsd(query, working, "P")
-        assert_same_result_distribution(working.rep(), reference, "P")
-
-    def test_join(self):
-        relation = OrSetRelation.from_dicts(
-            "R",
-            ["A", "B"],
-            [{"A": 1, "B": OrSet([1, 2])}, {"A": 2, "B": 1}],
-        )
-        query = (
-            BaseRelation("R")
-            .rename("A", "A1")
-            .rename("B", "B1")
-            .join(BaseRelation("R").rename("A", "A2").rename("B", "B2"), "B1", "A2")
-        )
-        check_query_on_both_engines(relation, query)
-
-    def test_composed_census_like_query(self, abc_orset):
-        query = (
-            BaseRelation("R")
-            .select(Or(eq("C", 7), eq("C", 0)))
-            .select(gt("A", 0))
-            .project(["A", "C"])
-        )
-        check_query_on_both_engines(abc_orset, query)
-
-    def test_unknown_node_raises(self):
-        class Bogus(BaseRelation):
-            pass
-
-        bogus = Bogus("R")
-        bogus.__class__ = type("Strange", (), {"children": lambda self: ()})
-        with pytest.raises(Exception):
-            evaluate_on_database(object(), Database([]))  # type: ignore[arg-type]
 
 
 def operator_observations(kind):
@@ -252,6 +115,15 @@ class TestEvaluateOnIsTheExecutor:
 
 
 class TestQueryAst:
+    def test_unknown_node_raises(self):
+        class Bogus(BaseRelation):
+            pass
+
+        bogus = Bogus("R")
+        bogus.__class__ = type("Strange", (), {"children": lambda self: ()})
+        with pytest.raises(Exception):
+            evaluate_on_database(object(), Database([]))  # type: ignore[arg-type]
+
     def test_base_relations_collected(self):
         query = (
             BaseRelation("R").select(eq("A", 1)).join(BaseRelation("S"), "A", "B").union(
@@ -271,29 +143,3 @@ class TestQueryAst:
         result = evaluate_on_database(query, database, "names")
         assert result.row_set() == {("ann",), ("bob",)}
         assert result.schema.name == "names"
-
-
-class TestPropertyBasedQueries:
-    @given(orset_relations(max_rows=2, max_attrs=2), st.integers(min_value=0, max_value=4))
-    @settings(max_examples=20, deadline=None)
-    def test_random_selection_matches_naive(self, relation, constant):
-        attribute = relation.schema.attributes[0]
-        query = BaseRelation("R").select(eq(attribute, constant))
-        check_query_on_both_engines(relation, query)
-
-    @given(orset_relations(max_rows=2, max_attrs=3))
-    @settings(max_examples=20, deadline=None)
-    def test_random_projection_matches_naive(self, relation):
-        attributes = list(relation.schema.attributes[:1])
-        query = BaseRelation("R").project(attributes)
-        check_query_on_both_engines(relation, query)
-
-    @given(orset_relations(max_rows=2, max_attrs=2))
-    @settings(max_examples=15, deadline=None)
-    def test_random_select_project_pipeline(self, relation):
-        first_attribute = relation.schema.attributes[0]
-        last_attribute = relation.schema.attributes[-1]
-        query = (
-            BaseRelation("R").select(gt(first_attribute, 0)).project([last_attribute])
-        )
-        check_query_on_both_engines(relation, query)

@@ -5,9 +5,11 @@ the engine under test (SNIPPETS §1, "Sets, Not Bags"): closure (every result
 is duplicate-free), ``R ∪ R = R``, ``π`` collapses the duplicates it creates,
 ``A ∩ B = A − (A − B)``, ``σ_p σ_q = σ_q σ_p = σ_{p∧q}``, the rename round
 trip and ``|R ⋈ S| ≤ |R|·|S|``.  They hold on a Database under the row and
-the columnar backend, planned and verbatim, and on a UWSDT in every world of
-``rep()``.  A bag sneaking through a kernel, a boundary or an operator that
-wrongly claims ``distinct`` breaks the first law it meets.
+the columnar backend, planned and verbatim.  A bag sneaking through a
+kernel, a boundary or an operator that wrongly claims ``distinct`` breaks
+the first law it meets.  On a UWSDT every world of a result equals the
+Database answer in that world — the possible-worlds oracle's statement,
+whose shapes include these laws' trees.
 """
 
 import pytest
@@ -15,10 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.algebra import BaseRelation
-from repro.core.uwsdt import UWSDT
 from repro.relational import And, Database, Relation, RelationSchema, eq, ne
 
-from _fixtures import budgeted_orset_relations, orset_relations, plain_relations, values_strategy
+from _fixtures import plain_relations, values_strategy
 
 BACKENDS = ("row", "columnar")
 MODES = [(backend, optimize) for backend in BACKENDS for optimize in (True, False)]
@@ -121,96 +122,3 @@ class TestDatabaseSetLaws:
         product = self.evaluate(R.product(S), [left, right], mode)
         assert len(product) == len(left) * len(right)
         assert joined.row_set() <= product.row_set()
-
-
-# --------------------------------------------------------------------------- #
-# UWSDT, in every world
-# --------------------------------------------------------------------------- #
-
-
-def small_orsets():
-    return orset_relations(max_rows=3, max_attrs=2, max_alternatives=2)  # ≤ 64 worlds
-
-
-class TestUwsdtSetLawsPerWorld:
-    def worlds(self, orsets, queries, backend):
-        """Evaluate every named query on one UWSDT; yield each world's results."""
-        uwsdt = UWSDT.from_orset_relations(orsets)
-        for name, query in queries.items():
-            query.run(uwsdt, name, backend=backend)
-        uwsdt.validate()
-        for world in uwsdt.rep():
-            results = {name: world.database.relation(name) for name in queries}
-            for name, relation in results.items():
-                assert is_set(relation), f"{name} is a bag in some world"  # closure
-            yield world.database, results
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @given(orset=small_orsets())
-    @settings(max_examples=25, deadline=None)
-    def test_union_is_idempotent(self, backend, orset):
-        for database, results in self.worlds([orset], {"u": R.union(R)}, backend):
-            assert results["u"].same_rows(database.relation("R"))
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @given(orset=small_orsets(), data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_projection_collapses_duplicates(self, backend, orset, data):
-        attributes = orset.schema.attributes
-        kept = list(data.draw(st.permutations(attributes))[: max(1, len(attributes) - 1)])
-        positions = orset.schema.positions(kept)
-        queries = {"once": R.project(kept), "twice": R.project(kept).project(kept)}
-        for database, results in self.worlds([orset], queries, backend):
-            base = database.relation("R")
-            assert len(results["once"]) == len({tuple(row[p] for p in positions) for row in base})
-            assert results["twice"].same_rows(results["once"])
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @given(orset=small_orsets(), data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_selections_commute_and_fuse(self, backend, orset, data):
-        p = data.draw(atoms(orset.schema.attributes))
-        q = data.draw(atoms(orset.schema.attributes))
-        queries = {
-            "pq": R.select(q).select(p),
-            "qp": R.select(p).select(q),
-            "fused": R.select(And(p, q)),
-        }
-        for _, results in self.worlds([orset], queries, backend):
-            assert results["pq"].same_rows(results["qp"])
-            assert results["pq"].same_rows(results["fused"])
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @given(orset=small_orsets())
-    @settings(max_examples=25, deadline=None)
-    def test_rename_round_trip(self, backend, orset):
-        attribute = orset.schema.attributes[0]
-        queries = {"back": R.rename(attribute, "Z").rename("Z", attribute)}
-        for database, results in self.worlds([orset], queries, backend):
-            assert results["back"].same_rows(database.relation("R"))
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @given(
-        orsets=budgeted_orset_relations([("R", ("A0", "A1")), ("S", ("A0", "A1"))]),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_intersection_is_double_difference(self, backend, orsets):
-        queries = {"direct": R.intersection(S), "derived": R.difference(R.difference(S))}
-        for database, results in self.worlds(orsets, queries, backend):
-            assert results["direct"].same_rows(results["derived"])
-            expected = database.relation("R").row_set() & database.relation("S").row_set()
-            assert results["direct"].row_set() == expected
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @given(
-        orsets=budgeted_orset_relations([("R", ("A0", "A1")), ("S", ("B0", "B1"))]),
-        left_attr=st.sampled_from(["A0", "A1"]),
-        right_attr=st.sampled_from(["B0", "B1"]),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_join_is_bounded_by_the_product(self, backend, orsets, left_attr, right_attr):
-        queries = {"joined": R.join(S, left_attr, right_attr), "product": R.product(S)}
-        for database, results in self.worlds(orsets, queries, backend):
-            bound = len(database.relation("R")) * len(database.relation("S"))
-            assert len(results["joined"]) <= bound == len(results["product"])
-            assert results["joined"].row_set() <= results["product"].row_set()

@@ -1,10 +1,10 @@
-"""Sharded execution: oracle, partition invariant, boundary, crash fallback.
+"""Sharded execution: partition invariant, boundary, crash fallback.
 
-Three correctness pillars of the sharded backend:
+Sharded execution of random trees equals brute force in every world, with
+exact confidences — planned and verbatim, 2 workers — under the
+possible-worlds oracle (``tests/test_possible_worlds_oracle.py``).  Here:
 
-1. **Possible-worlds oracle** — planned and unplanned sharded execution must
-   produce the same result-world distribution (and exact per-tuple
-   confidences) as brute-force enumeration, on random deep query trees.
+1. **The certain engine** — sharded and row execution agree row for row.
 2. **Partition invariant** — no world-set component's covered tuples are
    ever split across shards (property-tested over chased, correlated
    inputs), every template row lands on exactly one shard, and every
@@ -23,11 +23,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import naive
 from repro.core import UWSDT, WSD
 from repro.core.algebra import BaseRelation
 from repro.core.chase import FunctionalDependency, chase_uwsdt
-from repro.core.confidence import uwsdt_possible_with_confidence
 from repro.core.exec import (
     SHARDABLE_OPS,
     Exchange,
@@ -49,8 +47,7 @@ from repro.relational import (
 )
 from repro.worlds import OrSet, OrSetRelation
 
-from _fixtures import assert_same_result_distribution, budgeted_orset_relations
-from test_planner_oracle import ORACLE_SCHEMAS, deep_query_trees
+from _fixtures import ORACLE_SCHEMAS, budgeted_orset_relations
 
 SCANNED = tuple(name for name, _ in ORACLE_SCHEMAS)
 
@@ -61,55 +58,12 @@ def _tear_down_pool():
     reset_shard_pool()
 
 
-def run_sharded(uwsdt, query, optimize, workers=2):
-    copy = uwsdt.copy()
-    query.run(copy, "P", optimize=optimize, backend="sharded", workers=workers)
-    copy.validate()
-    return copy
-
-
 # --------------------------------------------------------------------------- #
-# 1. The possible-worlds oracle under backend="sharded"
+# 1. The certain engine (the possible-worlds oracle runs its sharded cells)
 # --------------------------------------------------------------------------- #
 
 
-class TestShardedPossibleWorldsOracle:
-    @given(
-        budgeted_orset_relations(ORACLE_SCHEMAS, max_rows=2, uncertain_budget=4),
-        deep_query_trees(min_depth=3, max_depth=4),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_sharded_plans_match_brute_force(self, relations, query):
-        base_wsd = WSD.from_orset_relations(relations)
-        reference = naive.evaluate_query(base_wsd.rep(), query, "P")
-        uwsdt = UWSDT.from_orset_relations(relations)
-
-        planned = run_sharded(uwsdt, query, optimize=True)
-        assert_same_result_distribution(planned.rep(), reference, "P")
-
-        unplanned = run_sharded(uwsdt, query, optimize=False)
-        assert_same_result_distribution(unplanned.rep(), reference, "P")
-
-    @given(
-        budgeted_orset_relations(ORACLE_SCHEMAS, max_rows=2, uncertain_budget=3),
-        deep_query_trees(min_depth=2, max_depth=3),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_sharded_confidences_match_world_frequency(self, relations, query):
-        base_wsd = WSD.from_orset_relations(relations)
-        reference = naive.evaluate_query(base_wsd.rep(), query, "P")
-        expected_possible = naive.possible_tuples(reference, "P")
-
-        sharded = run_sharded(
-            UWSDT.from_orset_relations(relations), query, optimize=True
-        )
-        ranked = uwsdt_possible_with_confidence(sharded, "P")
-        assert {row for row, _ in ranked} == expected_possible
-        for row, conf in ranked:
-            assert conf == pytest.approx(
-                reference.tuple_confidence("P", row), abs=1e-6
-            )
-
+class TestShardedDatabase:
     def test_sharded_matches_row_backend_on_database(self):
         """The certain engine: sharded and row execution agree row-for-row."""
         database = Database(
