@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import naive
 from repro.core import UWSDT, WSD, FieldRef, normalize_wsd
-from repro.core.algebra import BaseRelation, Query, evaluate_on_database, evaluate_on_wsd
+from repro.core.algebra import BaseRelation, Query, evaluate_on_wsd
 from repro.core.chase import (
     Comparison,
     EqualityGeneratingDependency,
@@ -715,10 +715,11 @@ def _sharded(optimize):
 
 
 def _one_world_database(oracle):
-    """The classical engine on one world of the input, planned and verbatim."""
+    """The classical engine on the first world of the input, planned and
+    verbatim, against the reference's ``P`` in that world."""
     query = oracle.case.query
     world = next(iter(oracle.input)).database
-    expected = evaluate_on_database(query, world, "P")
+    expected = next(iter(oracle.result)).database.relation("P")
     for optimize in (True, False):
         result = query.run(world.copy(), "P", optimize=optimize)
         assert result.schema.attributes == expected.schema.attributes

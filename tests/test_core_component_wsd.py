@@ -206,6 +206,46 @@ class TestWSDConstruction:
         assert wsd.schema.relation_names == ("R",)
 
 
+class TestProjectAwayFields:
+    def wsd(self):
+        schema = DatabaseSchema([RelationSchema("R", ("A", "B"))])
+        pair = Component((field(1, "A"), field(1, "B")), [(1, 10), (1, 20), (2, 30)], [0.2, 0.3, 0.5])
+        singles = [
+            Component((field(2, "A"),), [(5,), (6,)], [0.5, 0.5]),
+            Component.certain(field(2, "B"), 7),
+        ]
+        return WSD(schema, {"R": [1, 2]}, [pair, *singles])
+
+    def test_reduces_only_the_components_defining_a_field(self):
+        wsd = self.wsd()
+        untouched = wsd.components[1:]
+        wsd.project_away_fields({field(1, "B")})
+        reduced = wsd.component_for(field(1, "A"))
+        assert reduced.fields == (field(1, "A"),)
+        assert reduced.rows == ((1,), (2,))
+        assert reduced.probabilities == pytest.approx([0.5, 0.5])
+        assert all(any(c is u for c in wsd.components) for u in untouched)
+
+    def test_drops_emptied_components_and_reindexes_the_rest(self):
+        wsd = self.wsd()
+        wsd.project_away_fields({field(1, "A"), field(1, "B"), field(2, "B")})
+        assert wsd.component_count() == 1
+        assert wsd.component_for(field(2, "A")).rows == ((5,), (6,))
+        for gone in (field(1, "A"), field(1, "B"), field(2, "B")):
+            with pytest.raises(RepresentationError):
+                wsd.component_of(gone)
+
+    def test_drop_relation_keeps_the_other_relations_worlds(self, census_forms):
+        wsd = WSD.from_orset_relation(census_forms)
+        from repro.core.algebra import wsd_ops
+
+        before = wsd.rep()
+        wsd_ops.copy_relation(wsd, "R", "P")
+        wsd.drop_relation("P")
+        assert not any(f.relation == "P" for c in wsd.components for f in c.fields)
+        assert wsd.rep().same_distribution(before)
+
+
 class TestDecompose:
     def test_independent_fields_split(self):
         component = Component(

@@ -46,6 +46,8 @@ from _fixtures import (
     CELLS,
     GREEDY_SCHEMAS,
     Case,
+    Oracle,
+    assert_same_distribution,
     cases,
     cells,
     check_oracle,
@@ -247,12 +249,73 @@ EXPLICIT_CASES = {
         .union(R)
         .difference(R.select(AttrConst("A1", ">=", 3))),
     ),
+    "an FD correlates two tuples": Case(
+        (orsets("R", "AB", (1, OrSet([2, 3])), (1, OrSet([3, 4]))),),
+        R.project(["B"]),
+        (FunctionalDependency("R", ["A"], "B"),),
+    ),
+    "an EGD with a certain premise fixes a ?": Case(
+        (orsets("R", "AB", (1, OrSet([2, 3])), (OrSet([1, 2]), 5)),),
+        R.select(gt("B", 1)),
+        (EqualityGeneratingDependency("R", [Comparison("A", "=", 1)], Comparison("B", "!=", 3)),),
+    ),
+    "dependencies no world satisfies": Case(
+        (orsets("R", "AB", (1, OrSet([2, 3]))),),
+        R,
+        (EqualityGeneratingDependency("R", [Comparison("A", "=", 1)], Comparison("B", "=", 9)),),
+    ),
 }
 
 
 @pytest.mark.parametrize("case", EXPLICIT_CASES.values(), ids=EXPLICIT_CASES.keys())
 def test_written_cases(case):
     check_oracle(case, CELLS)
+
+
+#: R with a row two worlds repeat, S union-compatible with it, and U with
+#: attributes disjoint from R's.
+LAW_R = orsets("R", "AB", (1, OrSet([1, 2])), (OrSet([1, 3]), 2), (1, 2))
+LAW_S = orsets("S", "AB", (OrSet([1, 3]), 2), (1, OrSet([2, 4])))
+LAW_U = orsets("U", "CD", (OrSet([1, 3]), 0), (2, OrSet([5, 6])))
+P_AND_Q = (eq("A", 1), gt("B", 1))
+
+#: Algebraic laws: each names its input and the queries that must agree.
+LAWS = {
+    "union is idempotent": ((LAW_R,), (R.union(R), R)),
+    "projection collapses duplicates": ((LAW_R,), (R.project(["A"]), R.project(["A"]).project(["A"]))),
+    "selections commute and fuse": (
+        (LAW_R,),
+        (
+            R.select(P_AND_Q[0]).select(P_AND_Q[1]),
+            R.select(P_AND_Q[1]).select(P_AND_Q[0]),
+            R.select(And(*P_AND_Q)),
+        ),
+    ),
+    "rename round trip": ((LAW_R,), (R.rename("A", "Z").rename("Z", "A"), R)),
+    "intersection is double difference": (
+        (LAW_R, LAW_S),
+        (R.intersection(BaseRelation("S")), R.difference(R.difference(BaseRelation("S")))),
+    ),
+    "join is a selection over the product": (
+        (LAW_R, LAW_U),
+        (
+            R.join(BaseRelation("U"), "A", "C"),
+            R.product(BaseRelation("U")).select(AttrAttr("A", "=", "C")),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("law", LAWS.values(), ids=LAWS.keys())
+def test_algebraic_laws(law):
+    """Every side of the law is held to brute force, and brute force gives
+    the sides one distribution."""
+    relations, sides = law
+    first = Oracle.of(Case(relations, sides[0])).distribution
+    for side in sides:
+        case = Case(relations, side)
+        assert_same_distribution(Oracle.of(case).distribution, first)
+        check_oracle(case, CELLS)
 
 
 def attribute_sets(components):
