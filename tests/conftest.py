@@ -17,10 +17,18 @@ os.environ.setdefault("REPRO_VERIFY_PLANS", "1")
 
 import pytest
 
+from repro.core.exec import reset_shard_pool
 from repro.relational import Relation, RelationSchema
 from repro.worlds import OrSet, OrSetRelation
 
 from _fixtures import orset_relations, plain_relations, values_strategy  # noqa: F401
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _tear_down_shard_pool():
+    """No module leaves sharded-backend worker processes to the next."""
+    yield
+    reset_shard_pool()
 
 
 # --------------------------------------------------------------------------- #

@@ -1,10 +1,8 @@
-"""Confidence computation (Section 6) and the chase (Section 8), against the naive oracle.
-
-On the paper's examples; random relations and random FDs/EGDs, on the WSD
-and the UWSDT, are the possible-worlds oracle's (``check_oracle``).
-"""
+"""Confidence computation (Section 6) and the chase (Section 8), against the naive oracle."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import naive
 from repro.core import (
@@ -27,6 +25,8 @@ from repro.core import (
 from repro.core.algebra import BaseRelation, evaluate_on_wsd
 from repro.relational import InconsistentWorldSetError, RepresentationError
 from repro.worlds import OrSet, OrSetRelation
+
+from _fixtures import orset_relations
 
 
 @pytest.fixture
@@ -131,6 +131,14 @@ class TestConfidenceOnUWSDT:
         worlds = uwsdt.rep()
         assert set(uwsdt_possible(uwsdt, "R")) == naive.possible_tuples(worlds, "R")
 
+    @given(orset_relations(max_rows=2, max_attrs=2))
+    @settings(max_examples=20, deadline=None)
+    def test_confidences_match_naive(self, relation):
+        uwsdt = UWSDT.from_orset_relation(relation)
+        worlds = uwsdt.rep()
+        for row, value in uwsdt_possible_with_confidence(uwsdt, "R"):
+            assert value == pytest.approx(naive.tuple_confidence(worlds, "R", row), abs=1e-9)
+
 
 class TestChaseOnWSD:
     def test_intro_key_constraint(self, census_forms):
@@ -195,6 +203,23 @@ class TestChaseOnWSD:
         with pytest.raises(RepresentationError):
             FunctionalDependency("R", [], "A")
 
+    @given(orset_relations(max_rows=2, max_attrs=2), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=20, deadline=None)
+    def test_random_egd_matches_naive(self, relation, constant):
+        first, last = relation.schema.attributes[0], relation.schema.attributes[-1]
+        egd = EqualityGeneratingDependency(
+            "R", [Comparison(first, "=", constant)], Comparison(last, "!=", constant)
+        )
+        wsd = WSD.from_orset_relation(relation)
+        try:
+            reference = naive.clean(wsd.rep(), [egd])
+        except InconsistentWorldSetError:
+            with pytest.raises(InconsistentWorldSetError):
+                chase_wsd(wsd, [egd])
+            return
+        chase_wsd(wsd, [egd])
+        assert wsd.rep().same_distribution(reference)
+
 
 class TestChaseOnUWSDT:
     def test_matches_wsd_chase(self, census_forms):
@@ -236,3 +261,35 @@ class TestChaseOnUWSDT:
         chase_uwsdt(uwsdt, [egd])
         assert uwsdt.component_count() == before
         assert uwsdt.multi_placeholder_component_count() == 0
+
+    @given(orset_relations(max_rows=3, max_attrs=2), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=20, deadline=None)
+    def test_random_egd_matches_naive(self, relation, constant):
+        first, last = relation.schema.attributes[0], relation.schema.attributes[-1]
+        egd = EqualityGeneratingDependency(
+            "R", [Comparison(first, ">", constant)], Comparison(last, "<=", constant)
+        )
+        uwsdt = UWSDT.from_orset_relation(relation)
+        try:
+            reference = naive.clean(uwsdt.rep(), [egd])
+        except InconsistentWorldSetError:
+            with pytest.raises(InconsistentWorldSetError):
+                chase_uwsdt(uwsdt, [egd])
+            return
+        chase_uwsdt(uwsdt, [egd])
+        assert uwsdt.rep().same_distribution(reference)
+
+    @given(orset_relations(max_rows=3, max_attrs=2))
+    @settings(max_examples=15, deadline=None)
+    def test_random_fd_matches_naive(self, relation):
+        first, last = relation.schema.attributes[0], relation.schema.attributes[-1]
+        dependency = FunctionalDependency("R", [first], last)
+        uwsdt = UWSDT.from_orset_relation(relation)
+        try:
+            reference = naive.clean(uwsdt.rep(), [dependency])
+        except InconsistentWorldSetError:
+            with pytest.raises(InconsistentWorldSetError):
+                chase_uwsdt(uwsdt, [dependency])
+            return
+        chase_uwsdt(uwsdt, [dependency])
+        assert uwsdt.rep().same_distribution(reference)

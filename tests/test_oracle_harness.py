@@ -16,23 +16,12 @@ import pytest
 from repro.core import FieldRef
 from repro.core.algebra import BaseRelation
 from repro.core.chase import Comparison, EqualityGeneratingDependency, FunctionalDependency
-from repro.core.exec import reset_shard_pool
 from repro.core.exec.plan_cache import PlanCache
 from repro.relational import eq
-from repro.worlds import OrSet, OrSetRelation
+from repro.worlds import OrSet
 
 import _fixtures
-from _fixtures import CELLS, Case, Oracle, cells, check_oracle, check_representation
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _tear_down_pool():
-    yield
-    reset_shard_pool()
-
-
-def orsets(name, attributes, *rows):
-    return OrSetRelation.from_dicts(name, list(attributes), [dict(zip(attributes, r)) for r in rows])
+from _fixtures import CELLS, Case, Oracle, cells, check_oracle, check_representation, orsets
 
 
 #: A join over a chased R whose FD correlates its first two tuples and
@@ -86,11 +75,25 @@ def test_a_wrong_uwsdt_confidence_is_rejected(monkeypatch):
         check_oracle(CASE, cells("row"))
 
 
+#: A self-product with 30 possible tuples.
+PRODUCT = Case(
+    (orsets("R", "AB", (OrSet([1, 2]), 0), (OrSet([3, 4]), 1), (OrSet([0, 4]), 2)),),
+    BaseRelation("R").product(BaseRelation("R").rename("A", "C").rename("B", "D")),
+)
+
+
 def test_a_wrong_figure_17_confidence_is_rejected(monkeypatch):
+    """Wrong for the possible tuple sorted last only: a result this small
+    has every tuple's confidence checked."""
+    last = max(Oracle.of(PRODUCT).confidences, key=repr)
     exact = _fixtures.confidence
-    monkeypatch.setattr(_fixtures, "confidence", lambda wsd, name, row: exact(wsd, name, row) / 2)
+
+    def halved(wsd, name, row):
+        return exact(wsd, name, row) / (2 if row == last else 1)
+
+    monkeypatch.setattr(_fixtures, "confidence", halved)
     with pytest.raises(AssertionError, match="WSD by Figure 9"):
-        check_oracle(CASE, [cell for cell in cells("wsd") if "Figure 9" in cell.name])
+        check_oracle(PRODUCT, [cell for cell in cells("wsd") if "Figure 9" in cell.name])
 
 
 def test_a_field_map_entry_for_a_certain_field_is_rejected():

@@ -37,22 +37,20 @@ from repro.core import FieldRef
 from repro.core.algebra import BaseRelation, evaluate_on_database
 from repro.core.chase import Comparison, EqualityGeneratingDependency, FunctionalDependency
 from repro.core.confidence import uwsdt_possible_with_confidence
-from repro.core.exec import reset_shard_pool
 from repro.relational import And, AttrAttr, AttrConst, Database, Or, Relation, attr_eq, eq, gt
 from repro.relational.values import is_placeholder
-from repro.worlds import OrSet, OrSetRelation
+from repro.worlds import OrSet
 
 from _fixtures import (
     CELLS,
     GREEDY_SCHEMAS,
     Case,
-    Oracle,
-    assert_same_distribution,
     cases,
     cells,
     check_oracle,
     greedy_chain_queries,
     local_worlds,
+    orsets,
     query_trees,
     set_heavy_trees,
     single_relation_cases,
@@ -61,12 +59,6 @@ from _fixtures import (
     world_tuples,
     world_values,
 )
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _tear_down_pool():
-    yield
-    reset_shard_pool()
 
 
 # --------------------------------------------------------------------------- #
@@ -184,10 +176,6 @@ def test_select_over_product_fused_into_a_join(case):
 # --------------------------------------------------------------------------- #
 
 
-def orsets(name, attributes, *rows):
-    return OrSetRelation.from_dicts(name, list(attributes), [dict(zip(attributes, r)) for r in rows])
-
-
 ABC = orsets(
     "R", "ABC", (1, OrSet([1, 2]), 7), (OrSet([4, 5]), 3, 0), (6, 6, OrSet([7, 0]))
 )
@@ -199,6 +187,63 @@ RST = (
     orsets("R", ("A0", "A1", "A2"), (1, OrSet([2, 3]), 0), (0, 4, OrSet([0, 1]))),
     orsets("S", ("B0", "B1", "B2"), (1, 2, 3)),
     orsets("T", ("C0", "C1", "C2"), (0, 2, 4)),
+)
+
+#: R with a row two worlds repeat, S union-compatible with it, and U with
+#: attributes disjoint from R's.
+LAW_R = orsets("R", "AB", (1, OrSet([1, 2])), (OrSet([1, 3]), 2), (1, 2))
+LAW_S = orsets("S", "AB", (OrSet([1, 3]), 2), (1, OrSet([2, 4])))
+LAW_U = orsets("U", "CD", (OrSet([1, 3]), 0), (2, OrSet([5, 6])))
+P_AND_Q = (eq("A", 1), gt("B", 1))
+
+#: Algebraic laws, each with its input and its sides: every side is a
+#: written case (that the sides agree in every world is the Database's
+#: law, ``test_set_laws.py``).
+LAWS = {
+    "union is idempotent": ((LAW_R,), (R.union(R), R)),
+    "projection collapses duplicates": ((LAW_R,), (R.project(["A"]), R.project(["A"]).project(["A"]))),
+    "selections commute and fuse": (
+        (LAW_R,),
+        (
+            R.select(P_AND_Q[0]).select(P_AND_Q[1]),
+            R.select(P_AND_Q[1]).select(P_AND_Q[0]),
+            R.select(And(*P_AND_Q)),
+        ),
+    ),
+    "rename round trip": ((LAW_R,), (R.rename("A", "Z").rename("Z", "A"), R)),
+    "intersection is double difference": (
+        (LAW_R, LAW_S),
+        (R.intersection(BaseRelation("S")), R.difference(R.difference(BaseRelation("S")))),
+    ),
+    "join is a selection over the product": (
+        (LAW_R, LAW_U),
+        (
+            R.join(BaseRelation("U"), "A", "C"),
+            R.product(BaseRelation("U")).select(AttrAttr("A", "=", "C")),
+        ),
+    ),
+}
+
+#: Regression: two interacting EGDs used to produce a wrong merged component.
+INTERACTING_EGDS = Case(
+    (orsets("R", ("A0", "A1", "A2"), (OrSet([0, 1]), OrSet([0, 1]), OrSet([0, 1]))),),
+    R.select(AttrAttr("A0", "<", "A1")).project(["A2"]),
+    (
+        EqualityGeneratingDependency("R", [Comparison("A0", "=", 0)], Comparison("A1", "!=", 0)),
+        EqualityGeneratingDependency("R", [Comparison("A0", "=", 1)], Comparison("A1", "!=", 1)),
+        EqualityGeneratingDependency(
+            "R",
+            [Comparison("A0", "=", 0), Comparison("A1", "=", 0)],
+            Comparison("A2", "=", 1),
+        ),
+    ),
+)
+
+#: A join over a relation whose chase correlates two of its tuples.
+MULTI_TEMPLATE_JOIN = Case(
+    (orsets("R", ("A0", "A1", "A2"), (1, OrSet([2, 3]), 0), (1, OrSet([2, 4]), 1)), *RST[1:]),
+    R.join(BaseRelation("S"), "A1", "B1").join(BaseRelation("T"), "B1", "C1"),
+    (FunctionalDependency("R", ["A0"], "A1"),),
 )
 
 EXPLICIT_CASES = {
@@ -264,6 +309,13 @@ EXPLICIT_CASES = {
         R,
         (EqualityGeneratingDependency("R", [Comparison("A", "=", 1)], Comparison("B", "=", 9)),),
     ),
+    "interacting EGDs": INTERACTING_EGDS,
+    "a join over a multi-template component": MULTI_TEMPLATE_JOIN,
+    **{
+        f"{law}, side {number}": Case(relations, side)
+        for law, (relations, sides) in LAWS.items()
+        for number, side in enumerate(sides, 1)
+    },
 }
 
 
@@ -272,81 +324,20 @@ def test_written_cases(case):
     check_oracle(case, CELLS)
 
 
-#: R with a row two worlds repeat, S union-compatible with it, and U with
-#: attributes disjoint from R's.
-LAW_R = orsets("R", "AB", (1, OrSet([1, 2])), (OrSet([1, 3]), 2), (1, 2))
-LAW_S = orsets("S", "AB", (OrSet([1, 3]), 2), (1, OrSet([2, 4])))
-LAW_U = orsets("U", "CD", (OrSet([1, 3]), 0), (2, OrSet([5, 6])))
-P_AND_Q = (eq("A", 1), gt("B", 1))
-
-#: Algebraic laws: each names its input and the queries that must agree.
-LAWS = {
-    "union is idempotent": ((LAW_R,), (R.union(R), R)),
-    "projection collapses duplicates": ((LAW_R,), (R.project(["A"]), R.project(["A"]).project(["A"]))),
-    "selections commute and fuse": (
-        (LAW_R,),
-        (
-            R.select(P_AND_Q[0]).select(P_AND_Q[1]),
-            R.select(P_AND_Q[1]).select(P_AND_Q[0]),
-            R.select(And(*P_AND_Q)),
-        ),
-    ),
-    "rename round trip": ((LAW_R,), (R.rename("A", "Z").rename("Z", "A"), R)),
-    "intersection is double difference": (
-        (LAW_R, LAW_S),
-        (R.intersection(BaseRelation("S")), R.difference(R.difference(BaseRelation("S")))),
-    ),
-    "join is a selection over the product": (
-        (LAW_R, LAW_U),
-        (
-            R.join(BaseRelation("U"), "A", "C"),
-            R.product(BaseRelation("U")).select(AttrAttr("A", "=", "C")),
-        ),
-    ),
-}
-
-
-@pytest.mark.parametrize("law", LAWS.values(), ids=LAWS.keys())
-def test_algebraic_laws(law):
-    """Every side of the law is held to brute force, and brute force gives
-    the sides one distribution."""
-    relations, sides = law
-    first = Oracle.of(Case(relations, sides[0])).distribution
-    for side in sides:
-        case = Case(relations, side)
-        assert_same_distribution(Oracle.of(case).distribution, first)
-        check_oracle(case, CELLS)
-
-
 def attribute_sets(components):
     return sorted(tuple(sorted(f.attribute for f in component.fields)) for component in components)
 
 
 def test_interacting_egds_keep_independent_component_unmerged():
-    """Regression: two interacting EGDs used to produce a wrong merged component.
-
-    The first two EGDs force ``A0 != A1``, leaving their merged component
-    with the local worlds ``{(0, 1), (1, 0)}``.  The third EGD's premises
-    ``A0 = 0 ∧ A1 = 0`` are then *jointly* unsatisfiable, but the old
-    per-attribute refinement judged each premise in isolation, saw both as
-    still possible, and composed ``A2``'s component in as well — a
-    spuriously correlated three-field component.  ``A2`` must stay in its
-    own singleton component and every cell must match brute force.
-    """
-    case = Case(
-        (orsets("R", ("A0", "A1", "A2"), (OrSet([0, 1]), OrSet([0, 1]), OrSet([0, 1]))),),
-        R.select(AttrAttr("A0", "<", "A1")).project(["A2"]),
-        (
-            EqualityGeneratingDependency("R", [Comparison("A0", "=", 0)], Comparison("A1", "!=", 0)),
-            EqualityGeneratingDependency("R", [Comparison("A0", "=", 1)], Comparison("A1", "!=", 1)),
-            EqualityGeneratingDependency(
-                "R",
-                [Comparison("A0", "=", 0), Comparison("A1", "=", 0)],
-                Comparison("A2", "=", 1),
-            ),
-        ),
-    )
-    chased = case.uwsdt()
+    """The first two EGDs of ``INTERACTING_EGDS`` force ``A0 != A1``,
+    leaving their merged component with the local worlds ``{(0, 1), (1, 0)}``.
+    The third EGD's premises ``A0 = 0 ∧ A1 = 0`` are then *jointly*
+    unsatisfiable, but the old per-attribute refinement judged each premise
+    in isolation, saw both as still possible, and composed ``A2``'s
+    component in as well — a spuriously correlated three-field component.
+    ``A2`` must stay in its own singleton component (the cells are held to
+    brute force as a written case)."""
+    chased = INTERACTING_EGDS.uwsdt()
     assert attribute_sets(chased.components.values()) == [("A0", "A1"), ("A2",)]
     pair = next(c for c in chased.components.values() if len(c.fields) == 2)
     order = sorted(pair.fields, key=lambda f: f.attribute)
@@ -354,26 +345,16 @@ def test_interacting_egds_keep_independent_component_unmerged():
         (0, 1),
         (1, 0),
     ]
-    assert ("A2",) in attribute_sets(case.wsd().components)
-    check_oracle(case, CELLS)
+    assert ("A2",) in attribute_sets(INTERACTING_EGDS.wsd().components)
 
 
 def test_multi_template_component_join():
-    """The chase *must* correlate the two R tuples here, and a join over
-    the chased relation must still match brute force."""
-    case = Case(
-        (
-            orsets("R", ("A0", "A1", "A2"), (1, OrSet([2, 3]), 0), (1, OrSet([2, 4]), 1)),
-            *RST[1:],
-        ),
-        R.join(BaseRelation("S"), "A1", "B1").join(BaseRelation("T"), "B1", "C1"),
-        (FunctionalDependency("R", ["A0"], "A1"),),
-    )
+    """The chase *must* correlate the two R tuples of ``MULTI_TEMPLATE_JOIN``
+    (the cells are held to brute force as a written case)."""
     assert any(
         len({f.tuple_id for f in component.fields}) > 1
-        for component in case.uwsdt().components.values()
-    ), "expected the chase to correlate the two R tuples"
-    check_oracle(case, CELLS)
+        for component in MULTI_TEMPLATE_JOIN.uwsdt().components.values()
+    )
 
 
 # --------------------------------------------------------------------------- #

@@ -33,7 +33,6 @@ from repro.core.exec import (
     ShardedBackend,
     insert_shard_boundaries,
     partition_uwsdt_components,
-    reset_shard_pool,
 )
 from repro.core.exec import shard as shard_module
 from repro.relational import (
@@ -50,12 +49,6 @@ from repro.worlds import OrSet, OrSetRelation
 from _fixtures import ORACLE_SCHEMAS, budgeted_orset_relations
 
 SCANNED = tuple(name for name, _ in ORACLE_SCHEMAS)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _tear_down_pool():
-    yield
-    reset_shard_pool()
 
 
 # --------------------------------------------------------------------------- #
