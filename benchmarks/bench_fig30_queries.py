@@ -135,26 +135,33 @@ def test_planned_vs_unplanned(benchmark, query_name, density, optimize):
 # Row vs columnar vs sharded backend: the same plans, three execution modes
 # --------------------------------------------------------------------------- #
 
-BACKENDS = ("row", "columnar", "sharded")
+#: Sweep points ``(density, backend)``: the row backend at every density,
+#: the Database-only columnar and sharded backends at 0 % (the one-world
+#: Database) only.
+BACKEND_POINTS = tuple((density, "row") for density in PLANNER_DENSITIES) + (
+    (0.0, "columnar"),
+    (0.0, "sharded"),
+)
 
 #: Pool size of the sharded sweep points (also recorded in the JSON).
 SHARD_WORKERS = 2
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
-    "density", PLANNER_DENSITIES, ids=[density_label(d) for d in PLANNER_DENSITIES]
+    "density, backend",
+    BACKEND_POINTS,
+    ids=[f"{density_label(density)}-{backend}" for density, backend in BACKEND_POINTS],
 )
 def test_row_vs_columnar_vs_sharded_backend(benchmark, density, backend):
     """One point of the backend sweep on the 4-way census join.
 
     The same planned query executes row-at-a-time, through the columnar
-    kernels (certain subtrees run over ``ColumnBatch`` values between
-    Materialize/Dematerialize boundaries; uncertain subtrees stay on the
-    row path), and sharded (component-confined subtrees hash-partitioned
-    across a ``SHARD_WORKERS``-process pool between Exchange/Gather
-    boundaries).  Each backend appears as its own series in the benchmark
-    JSON.
+    kernels (vectorized regions over ``ColumnBatch`` values between
+    Materialize/Dematerialize boundaries), and sharded (per-row subtrees
+    hash-partitioned across a ``SHARD_WORKERS``-process pool between
+    Exchange/Gather boundaries).  The columnar and sharded backends run on
+    a Database only, so above 0 % the row backend is the one series.  Each
+    backend appears as its own series in the benchmark JSON.
     """
     rows = base_rows()
     instance = census_instance(rows, density)
@@ -174,7 +181,7 @@ def test_row_vs_columnar_vs_sharded_backend(benchmark, density, backend):
 
         def run():
             working_copy = chased.copy()
-            query.run(working_copy, "result", backend=backend, workers=workers)
+            query.run(working_copy, "result")
             return working_copy
 
         result = benchmark(run)

@@ -18,19 +18,18 @@ in every test is checked):
   ``IndexScan`` only where the backend can probe an index (hashable
   equality predicate over a stored relation), ``Materialize`` /
   ``Dematerialize`` properly paired (batch regions open with Materialize,
-  close with Dematerialize, contain only vectorized-kernel operators, and
-  sit over provably-certain subtrees), and the plan's engine kind matching
-  the backend that will execute it.  The plan cache re-checks kind
-  consistency when serving entries.
+  close with Dematerialize and contain only vectorized-kernel operators),
+  ``Exchange`` subtrees holding per-row operators only, and the plan's
+  engine kind matching the backend that will execute it.  The plan cache
+  re-checks kind consistency when serving entries.
 
 * **Operator outputs are sets.**  The row operators build their results
   with ``Relation.from_tuples(..., distinct=True)`` — a proof by the
   operator that its output has no duplicates, which nothing re-checks at
   run time.  With verification on, ``PhysicalPlan.execute`` checks every
-  operator's output as it is produced: a Database handle has as many
-  distinct rows as rows, a UWSDT handle's template has distinct tuple ids
-  (which is also how a batch leaving ``Dematerialize`` is checked to have
-  become a set).  On a UWSDT every component holding a field of the
+  operator's output as it is produced: a Database handle and a columnar
+  batch have as many distinct rows as rows, a UWSDT handle's template has
+  distinct tuple ids.  On a UWSDT every component holding a field of the
   output is validated as well: the component primitives derive their
   results without the constructor's checks, and this re-checks them.  A
   violation names the operator.
@@ -43,7 +42,7 @@ is off.  Tests and the CI suite run with it on.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 from ..relational.errors import QueryError, RepresentationError
 from ..relational.predicates import is_index_equality
@@ -54,6 +53,7 @@ from ..core.fields import FieldRef
 from ..core.uwsdt import UWSDT
 # The switch lives beside the runtime's one hook into this module; re-exported.
 from ..core.verify import VERIFY_ENV, set_verification, verification_enabled  # noqa: F401
+from ..core.exec.columnar import ColumnBatch
 from ..core.exec.physical import (
     Dematerialize,
     Difference,
@@ -81,9 +81,8 @@ KERNEL_OPS = frozenset(
 )
 
 #: Operators allowed inside an ``Exchange`` shard subtree (must mirror
-#: ``repro.core.exec.shard.SHARDABLE_OPS``): per-tuple operators only —
-#: anything that merges components across distinct base tuples must run
-#: above the Gather, on the merged engine.
+#: ``repro.core.exec.shard.SHARDABLE_OPS``): per-row operators only —
+#: anything that relates rows of different shards must run above the Gather.
 SHARDABLE_OPS = frozenset({"Scan", "IndexScan", "Filter", "Project", "Rename"})
 
 _REWRITES_VERIFIED = 0
@@ -160,15 +159,13 @@ def verify_physical(
     plan: PhysicalPlan,
     backend: Any = None,
     schema_context: Optional[SchemaContext] = None,
-    certain_base: Optional[Callable[[str], bool]] = None,
 ) -> None:
     """Check a lowered plan's structural well-formedness.
 
     ``backend`` (optional) contributes capability checks — engine-kind
     match, index support; ``schema_context`` contributes attribute
-    resolution; ``certain_base`` (optional, the columnar backend's probe)
-    lets the verifier confirm Materialize only sits over certain subtrees.
-    Any information not supplied simply disables the checks that need it.
+    resolution.  Any information not supplied simply disables the checks
+    that need it.
     """
     global _PLANS_VERIFIED
     _PLANS_VERIFIED += 1
@@ -213,7 +210,7 @@ def verify_physical(
                         plan,
                         node,
                         f"{inner.op_name} inside an Exchange subtree — only "
-                        "per-tuple (component-confined) operators may shard",
+                        "per-row operators may shard",
                     )
             attrs, kind = visit(exchange.children[0])
             if kind != "row":
@@ -280,15 +277,6 @@ def verify_physical(
             child_attrs, child_kind = visit(node.children[0])
             if child_kind != "row":
                 _fail(plan, node, "Materialize over a batch handle (double boundary)")
-            if certain_base is not None and node.base_relation_names:
-                for name in node.base_relation_names:
-                    if not certain_base(name):
-                        _fail(
-                            plan,
-                            node,
-                            f"Materialize over subtree reading uncertain relation "
-                            f"{name!r} — kernels only run over certain subtrees",
-                        )
             return child_attrs, "batch"
         if isinstance(node, Dematerialize):
             child_attrs, child_kind = visit(node.children[0])
@@ -420,14 +408,19 @@ def verify_physical(
 def verify_set_output(label: str, backend: Any, handle: Any) -> None:
     """Assert the handle an operator just produced denotes a set.
 
-    ``handle`` is a :class:`Relation` on a Database backend, a relation name
-    on a UWSDT backend (checked on its template's tuple ids).  Batches inside
-    a columnar region pass: they are checked when ``Dematerialize`` turns
-    them into one of the above.  On a UWSDT the components holding a field
-    of the result are checked too (:func:`verify_result_components`).
+    ``handle`` is a :class:`Relation` on a Database backend, a
+    :class:`ColumnBatch` inside a columnar region (its kernels keep sets, so
+    a bag is caught at the kernel that made it, not hidden by the
+    deduplicating ``Dematerialize``), a relation name on a UWSDT backend
+    (checked on its template's tuple ids).  On a UWSDT the components
+    holding a field of the result are checked too
+    (:func:`verify_result_components`).
     """
     if isinstance(handle, Relation):
         total, distinct, what = len(handle), len(handle.row_set()), "rows"
+    elif isinstance(handle, ColumnBatch):
+        rows = handle.to_rows()
+        total, distinct, what = len(rows), len(set(rows)), "rows"
     elif isinstance(handle, str) and isinstance(backend.engine, UWSDT):
         template = backend.engine.templates[handle]
         total, distinct, what = len(template), len({row[0] for row in template}), "tuple ids"
@@ -479,7 +472,7 @@ def verify_cached_backend(
 
     The entry's ``backend`` must equal the engine kind its physical plan was
     lowered for, and that kind must be one the owning engine can execute
-    (its row backend kind, or ``columnar``).
+    (its row backend kind, or on a Database ``columnar`` / ``sharded``).
     """
     if entry_backend != physical_engine:
         raise PlanInvariantError(

@@ -190,7 +190,9 @@ class Query:
         ``optimize=False`` lowers fresh and leaves the cache alone.
         ``backend`` is ``"row"`` (None) / ``"columnar"`` / ``"sharded"`` or
         an :class:`~repro.core.exec.EngineBackend`; ``workers`` sizes the
-        sharded worker pool.
+        sharded worker pool.  The backend is resolved first, so a
+        Database-only backend asked for on a UWSDT raises before anything
+        is planned or cached.
         """
         from ..exec import lower, resolve_backend
 
@@ -229,6 +231,9 @@ class Query:
         executing anything.  By default it is the engine's plan-cache entry,
         the very plan a default :meth:`run` executes; an explicit ``plan``,
         ``force_join`` or ``optimize=False`` lowers a fresh one.
+        ``backend`` and ``workers`` are those of :meth:`run`: a UWSDT has
+        the row backend only, and asking for another raises
+        :class:`~repro.relational.errors.QueryError`.
         """
         return self._lowered(engine, optimize, plan, force_join, backend, workers)[1]
 
@@ -277,12 +282,14 @@ class Query:
         per-operator runtime metrics.
 
         ``backend`` selects the executing backend: ``"row"`` or None (the
-        engine's classical row-at-a-time backend), ``"columnar"``
-        (vectorized kernels over certain subtrees, see
-        :mod:`repro.core.exec.columnar`) or ``"sharded"``
-        (component-partitioned parallel execution across a worker pool
-        sized by ``workers``, default ``DEFAULT_WORKERS``, see
-        :mod:`repro.core.exec.shard`).
+        engine's row-at-a-time backend — on a UWSDT the Section 5
+        operators, its only executor).  A Database also runs
+        ``"columnar"`` (vectorized kernels, see
+        :mod:`repro.core.exec.columnar`) and ``"sharded"`` (row-partitioned
+        parallel execution across a worker pool sized by ``workers``,
+        default ``DEFAULT_WORKERS``, see :mod:`repro.core.exec.shard`); on
+        a UWSDT either raises :class:`~repro.relational.errors.QueryError`
+        before anything is planned or cached.
         """
         if physical is not None:
             from ..exec import resolve_backend

@@ -119,48 +119,48 @@ def _tuple_values(
 
 def confidence(wsd: WSD, relation_name: str, values: Sequence[Any]) -> float:
     """``conf(t)``: probability that tuple ``values`` is in ``relation_name`` (Figure 17)."""
-    if not wsd.is_probabilistic:
-        raise RepresentationError("confidence computation requires a probabilistic WSD")
     target = tuple(values)
+    arity = wsd.schema.relation(relation_name).arity
+    if len(target) != arity:
+        raise RepresentationError(f"tuple {target!r} has arity {len(target)}, expected {arity}")
+    return dict(possible_with_confidence(wsd, relation_name)).get(target, 0.0)
+
+
+def _confidences(wsd: WSD, relation_name: str) -> Dict[Tuple[Any, ...], float]:
+    """Every possible tuple of ``relation_name`` with its confidence, in one
+    pass over the tuple-level components: each component's matching mass is
+    accumulated per tuple it produces, and the independent components
+    combine as ``c := 1 − (1 − c) · (1 − conf_C)``.  Tuples are in order of
+    first production (component, local world, tuple id)."""
     attributes = wsd.schema.relation(relation_name).attributes
-    if len(target) != len(attributes):
-        raise RepresentationError(
-            f"tuple {target!r} has arity {len(target)}, expected {len(attributes)}"
-        )
-    result = 0.0
+    confidences: Dict[Tuple[Any, ...], float] = {}
     for component, tuple_ids in tuple_level_components(wsd, relation_name):
-        component_confidence = 0.0
+        matches: Dict[Tuple[Any, ...], float] = {}
         for row_index, row in enumerate(component.rows):
-            matched = False
-            for tuple_id in tuple_ids:
-                candidate = _tuple_values(component, relation_name, tuple_id, row, attributes, {})
-                if candidate == target:
-                    matched = True
-                    break
-            if matched:
-                component_confidence += component.probability(row_index)
-        result = 1.0 - (1.0 - result) * (1.0 - component_confidence)
-    return result
+            # A tuple two ids produce in one local world counts that world once.
+            produced = dict.fromkeys(
+                _tuple_values(component, relation_name, tuple_id, row, attributes, {})
+                for tuple_id in tuple_ids
+            )
+            produced.pop(None, None)
+            for candidate in produced:
+                matches[candidate] = matches.get(candidate, 0.0) + component.probability(row_index)
+        for candidate, mass in matches.items():
+            confidences[candidate] = 1.0 - (1.0 - confidences.get(candidate, 0.0)) * (1.0 - mass)
+    return confidences
 
 
 def possible(wsd: WSD, relation_name: str) -> List[Tuple[Any, ...]]:
     """``possible(R)``: tuples appearing in at least one world (Figure 18)."""
-    attributes = wsd.schema.relation(relation_name).attributes
-    seen: List[Tuple[Any, ...]] = []
-    seen_set = set()
-    for component, tuple_ids in tuple_level_components(wsd, relation_name):
-        for row in component.rows:
-            for tuple_id in tuple_ids:
-                candidate = _tuple_values(component, relation_name, tuple_id, row, attributes, {})
-                if candidate is not None and candidate not in seen_set:
-                    seen_set.add(candidate)
-                    seen.append(candidate)
-    return seen
+    return list(_confidences(wsd, relation_name))
 
 
 def possible_with_confidence(wsd: WSD, relation_name: str) -> List[RankedTuple]:
-    """``possible_p(R)``: possible tuples with their confidences (Figure 19)."""
-    return [(row, confidence(wsd, relation_name, row)) for row in possible(wsd, relation_name)]
+    """``possible_p(R)``: possible tuples with their confidences (Figure 19),
+    in the order :func:`possible` lists them."""
+    if not wsd.is_probabilistic:
+        raise RepresentationError("confidence computation requires a probabilistic WSD")
+    return list(_confidences(wsd, relation_name).items())
 
 
 def certain(wsd: WSD, relation_name: str, tolerance: float = 1e-9) -> List[Tuple[Any, ...]]:

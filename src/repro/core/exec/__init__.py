@@ -14,6 +14,9 @@ per-operator runtime metrics (estimated vs actual cardinality among them).
 * :mod:`repro.core.exec.backends` — the ``EngineBackend`` protocol and the
   Database/UWSDT implementations (the only place engine types are
   dispatched on).
+* :mod:`repro.core.exec.columnar` / :mod:`repro.core.exec.shard` — the
+  vectorized and the sharded backend, both Database-only: on a UWSDT the
+  row backend is the one executor.
 * :mod:`repro.core.exec.lower`    — logical → physical lowering, including
   the hash-join vs index-nested-loop-join cost decision.
 * :mod:`repro.core.exec.plan_cache` — the per-engine cache of lowered
@@ -63,7 +66,6 @@ from .shard import (
     SHARDABLE_OPS,
     ShardedBackend,
     insert_shard_boundaries,
-    partition_uwsdt_components,
     reset_shard_pool,
 )
 
@@ -81,7 +83,6 @@ __all__ = [
     "SHARDABLE_OPS",
     "ShardedBackend",
     "insert_shard_boundaries",
-    "partition_uwsdt_components",
     "reset_shard_pool",
     "JOIN_ALGORITHMS",
     "lower",

@@ -281,3 +281,24 @@ def backend_for(engine: Any) -> EngineBackend:
     if isinstance(engine, UWSDT):
         return UWSDTBackend(engine)
     raise unsupported_engine(engine)
+
+
+#: The execution backends that run on a Database only.  A UWSDT query runs
+#: on its row backend, the Section 5 operators.
+DATABASE_ONLY_BACKENDS = ("columnar", "sharded")
+
+
+def database_only(engine: Any, kind: str) -> DatabaseBackend:
+    """The row backend a Database-only backend of ``kind`` wraps.
+
+    A WSD (or any other non-engine) raises :func:`unsupported_engine`'s
+    error; a UWSDT raises that ``kind`` runs on a Database only.
+    """
+    inner = backend_for(engine)
+    if not isinstance(inner, DatabaseBackend):
+        raise QueryError(
+            f"backend {kind!r} runs on a Database only (the Database-only backends are "
+            f"{', '.join(DATABASE_ONLY_BACKENDS)}); run a {type(engine).__name__} "
+            "on the row backend"
+        )
+    return inner

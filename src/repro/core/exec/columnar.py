@@ -1,9 +1,8 @@
-"""Columnar vectorized execution over certain (placeholder-free) subtrees.
+"""Columnar vectorized execution over the one-world Database.
 
-A :class:`ColumnBatch` presents the rows of a Database relation or a UWSDT
-template as shared per-attribute columns plus a selection vector, with a
-row-id column carrying provenance (Database row positions, UWSDT template
-tuple ids).  The columns of a *stored* relation live on the relation
+A :class:`ColumnBatch` presents the rows of a Database relation as shared
+per-attribute columns plus a selection vector.  The columns of a *stored*
+relation live on the relation
 (:func:`~repro.relational.indexes.column_store`), validated by its version
 like its hash indexes, shared by every engine holding it and transposed one
 attribute at a time when first read.  Vectorized kernels implement
@@ -13,27 +12,21 @@ copying a value before a join or the region's exit needs it; relations
 stay sets inside the region (Project and Union collapse the duplicates
 they create).
 
-:class:`ColumnarBackend` wraps the engine's row backend
-(:class:`~repro.core.exec.backends.DatabaseBackend` or
-:class:`~repro.core.exec.backends.UWSDTBackend`) and adds two boundary
+:class:`ColumnarBackend` wraps the Database's row backend
+(:class:`~repro.core.exec.backends.DatabaseBackend`) and adds two boundary
 operators, mirroring the Transfer-marker idea:
 
-* ``materialize``  — row handle → batch (the vectorized scan).  On a UWSDT
-  the template's tid column becomes the row ids; if the relation turns out
-  to carry placeholders *at execution time* (the plan may be cached from
-  before an update) it passes the row handle through unchanged and the
-  downstream kernels transparently delegate to the row backend.
-* ``dematerialize`` — batch → row handle.  On a Database this registers a
-  :class:`~repro.relational.relation.Relation`; on a UWSDT it adds a
-  certain template relation, one tuple per distinct batch row under its
-  batch row id.
+* ``materialize``  — relation → batch (the vectorized scan);
+* ``dematerialize`` — batch → :class:`~repro.relational.relation.Relation`.
 
 :func:`insert_columnar_boundaries` is the lowering pass that decides where
-the boundaries go: an operator runs columnar exactly when it has a kernel
-and every base relation under it is certain.  Everything else — Product,
-IndexNestedLoopJoin, any subtree touching a placeholder-bearing template —
-runs row-at-a-time, and mixed plans stitch the two regions together with
-explicit ``Materialize`` / ``Dematerialize`` nodes.
+the boundaries go: an operator runs columnar exactly when it has a kernel.
+Everything else — Product, IndexNestedLoopJoin and the scans a
+``Materialize`` reads — runs row-at-a-time, and mixed plans stitch the two
+regions together with explicit ``Materialize`` / ``Dematerialize`` nodes.
+
+The backend is Database-only, like the sharded one: a UWSDT query runs on
+the Section 5 operators of its row backend.
 
 :func:`resolve_backend` maps the user-facing backend spec (``"row"`` /
 ``"columnar"`` / ``"sharded"``; None is ``"row"``) to a concrete backend.
@@ -41,17 +34,15 @@ explicit ``Materialize`` / ``Dematerialize`` nodes.
 
 from __future__ import annotations
 
-import functools
 from itertools import compress, repeat
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ...relational.errors import QueryError
 from ...relational.indexes import Column, ColumnStore, column_store
 from ...relational.relation import Relation
 from ...relational.schema import RelationSchema
 from ...relational.predicates import Predicate
-from ...relational.values import PLACEHOLDER
-from .backends import DatabaseBackend, EngineBackend, backend_for
+from .backends import EngineBackend, backend_for, database_only
 from .physical import (
     Dematerialize,
     IndexNestedLoopJoin,
@@ -82,14 +73,11 @@ class ColumnBatch:
     all ``size`` of them, in order), so Filter / Project / Rename pass the
     same :class:`~repro.relational.indexes.Column` objects along and no
     value is copied before a join or the region's exit reads it.
-    ``columns`` / ``to_rows`` / ``row_ids`` / ``placeholder_masks`` are the
-    *selected* view — raw values, including the ``?`` sentinel, so
-    ``from_rows`` → ``to_rows`` is exact.  Row ids carry provenance: base
-    positions for Database relations (``ids`` None), the template's tid
-    column for UWSDTs, kernel-composed pairs downstream.
+    ``columns`` / ``to_rows`` are the *selected* view — raw values, so
+    ``from_rows`` → ``to_rows`` is exact.
     """
 
-    __slots__ = ("attributes", "base", "size", "selection", "ids")
+    __slots__ = ("attributes", "base", "size", "selection")
 
     def __init__(
         self,
@@ -97,31 +85,20 @@ class ColumnBatch:
         base: Sequence[Column],
         size: int,
         selection: Optional[List[int]] = None,
-        ids: Optional[Column] = None,
     ) -> None:
         self.attributes = tuple(attributes)
         self.base = tuple(base)
         self.size = size
         self.selection = selection
-        self.ids = ids
 
     @classmethod
-    def from_rows(
-        cls,
-        attributes: Sequence[str],
-        rows: Sequence[Tuple[Any, ...]],
-        row_ids: Optional[List[Any]] = None,
-    ) -> "ColumnBatch":
+    def from_rows(cls, attributes: Sequence[str], rows: Sequence[Tuple[Any, ...]]) -> "ColumnBatch":
         store = ColumnStore(rows, len(attributes))
-        ids = None if row_ids is None else Column(row_ids.copy)
-        return cls(attributes, store.columns, store.size, None, ids)
+        return cls(attributes, store.columns, store.size)
 
     def positions(self) -> Sequence[int]:
         """The base position of every row of the batch."""
         return range(self.size) if self.selection is None else self.selection
-
-    def base_ids(self) -> Sequence[Any]:
-        return range(self.size) if self.ids is None else self.ids.values
 
     def values(self, attribute: str) -> Sequence[Any]:
         """One attribute's values over the selected rows."""
@@ -133,16 +110,8 @@ class ColumnBatch:
         selection these are the shared base lists themselves)."""
         return tuple(_take(column.values, self.selection) for column in self.base)
 
-    @property
-    def row_ids(self) -> List[Any]:
-        return list(_take(self.base_ids(), self.selection))
-
-    @property
-    def placeholder_masks(self) -> Tuple[List[bool], ...]:
-        return tuple([value is PLACEHOLDER for value in column] for column in self.columns)
-
     def to_rows(self) -> List[Tuple[Any, ...]]:
-        """Rows in batch order, duplicates and placeholders preserved."""
+        """Rows in batch order, duplicates preserved."""
         if not self.base:
             return [() for _ in self.positions()]
         return list(zip(*self.columns))
@@ -153,13 +122,6 @@ class ColumnBatch:
     @property
     def arity(self) -> int:
         return len(self.attributes)
-
-    @property
-    def placeholder_count(self) -> int:
-        return sum(sum(mask) for mask in self.placeholder_masks)
-
-    def has_placeholders(self) -> bool:
-        return any(PLACEHOLDER in column for column in self.columns)
 
     def position(self, attribute: str) -> int:
         try:
@@ -173,7 +135,7 @@ class ColumnBatch:
         """A new batch selecting the given row positions, in order: the
         selection vectors compose, no column is read."""
         selection = list(_take(self.positions(), indices))
-        return ColumnBatch(self.attributes, self.base, self.size, selection, self.ids)
+        return ColumnBatch(self.attributes, self.base, self.size, selection)
 
     def __repr__(self) -> str:
         return f"ColumnBatch({self.attributes!r}, {len(self)} rows)"
@@ -191,11 +153,11 @@ def filter_batch(batch: ColumnBatch, predicate: Predicate) -> ColumnBatch:
     check = predicate.compile(RelationSchema("__batch", referenced))
     truth = map(check, zip(*(batch.values(attribute) for attribute in referenced)))
     selection = list(compress(batch.positions(), truth))
-    return ColumnBatch(batch.attributes, batch.base, batch.size, selection, batch.ids)
+    return ColumnBatch(batch.attributes, batch.base, batch.size, selection)
 
 
 def _distinct(batch: ColumnBatch) -> ColumnBatch:
-    """The batch without duplicate rows; first occurrence (and id) wins."""
+    """The batch without duplicate rows; the first occurrence wins."""
     rows = batch.to_rows()
     first = dict(zip(reversed(rows), range(len(rows) - 1, -1, -1)))
     return batch if len(first) == len(rows) else batch.gather(sorted(first.values()))
@@ -206,7 +168,7 @@ def project_batch(batch: ColumnBatch, attributes: Sequence[str]) -> ColumnBatch:
     drops a column collapses the duplicates it creates."""
     positions = [batch.position(a) for a in attributes]
     projected = ColumnBatch(
-        attributes, [batch.base[p] for p in positions], batch.size, batch.selection, batch.ids
+        attributes, [batch.base[p] for p in positions], batch.size, batch.selection
     )
     return projected if len(set(positions)) == batch.arity else _distinct(projected)
 
@@ -215,22 +177,18 @@ def rename_batch(batch: ColumnBatch, old: str, new: str) -> ColumnBatch:
     """δ: relabel one column; the columns are shared, not copied."""
     batch.position(old)  # validate
     attributes = tuple(new if a == old else a for a in batch.attributes)
-    return ColumnBatch(attributes, batch.base, batch.size, batch.selection, batch.ids)
+    return ColumnBatch(attributes, batch.base, batch.size, batch.selection)
 
 
 def union_batch(left: ColumnBatch, right: ColumnBatch) -> ColumnBatch:
-    """∪ as deduplicated column concatenation; side-tagged ids keep
-    provenance distinct even for a union of a batch with itself."""
+    """∪ as deduplicated column concatenation."""
     _require_same_attributes("union", left, right)
 
     def concatenated(lc: Sequence[Any], rc: Sequence[Any]) -> Column:
         return Column(lambda: [*lc, *rc])
 
     columns = [concatenated(lc, rc) for lc, rc in zip(left.columns, right.columns)]
-    ids = Column(
-        lambda: [(0, rid) for rid in left.row_ids] + [(1, rid) for rid in right.row_ids]
-    )
-    return _distinct(ColumnBatch(left.attributes, columns, len(left) + len(right), None, ids))
+    return _distinct(ColumnBatch(left.attributes, columns, len(left) + len(right)))
 
 
 def difference_batch(left: ColumnBatch, right: ColumnBatch) -> ColumnBatch:
@@ -255,8 +213,7 @@ def hash_join_batch(
     """Equi-join: build on the right key column, probe the left key column.
 
     The output columns gather from the inputs' *base* columns, each only
-    when something downstream reads it.  Output ids are ``(left id, right
-    id)`` pairs, matching the row backends' provenance convention.
+    when something downstream reads it.
     """
     build: Dict[Any, List[int]] = {}
     for position, value in zip(right.positions(), right.values(right_attr)):
@@ -274,14 +231,7 @@ def hash_join_batch(
 
     columns = [gathered(column, left_positions) for column in left.base]
     columns += [gathered(column, right_positions) for column in right.base]
-    ids = Column(
-        lambda: list(
-            zip(_take(left.base_ids(), left_positions), _take(right.base_ids(), right_positions))
-        )
-    )
-    return ColumnBatch(
-        left.attributes + right.attributes, columns, len(left_positions), None, ids
-    )
+    return ColumnBatch(left.attributes + right.attributes, columns, len(left_positions))
 
 
 def _require_same_attributes(operator: str, left: ColumnBatch, right: ColumnBatch) -> None:
@@ -298,22 +248,19 @@ def _require_same_attributes(operator: str, left: ColumnBatch, right: ColumnBatc
 
 
 class ColumnarBackend(EngineBackend):
-    """Vectorized execution wrapping the engine's row backend.
+    """Vectorized execution wrapping the Database's row backend.
 
     Handles are *either* :class:`ColumnBatch` objects (inside a columnar
-    region) or the inner backend's row handles (outside).  Every operator
-    method is handle-polymorphic: batch inputs run the kernel, anything
-    else delegates to the row backend — so a plan whose materialize
-    boundary fell back at runtime (placeholders appeared after planning)
-    still executes correctly, just row-at-a-time.
+    region) or relations (outside).  Every operator method is
+    handle-polymorphic: batch inputs run the kernel, relations go to the
+    row backend.
     """
 
     kind = "columnar"
 
     def __init__(self, engine: Any) -> None:
         super().__init__(engine)
-        self.inner = inner = backend_for(engine)
-        self._scanned: Set[str] = set()
+        self.inner = inner = database_only(engine, self.kind)
         self.supports_index_scan = inner.supports_index_scan
         self.supports_index_join = inner.supports_index_join
         self.native_intersection = inner.native_intersection
@@ -326,97 +273,49 @@ class ColumnarBackend(EngineBackend):
     def finish(self, handle, result_name: str):
         if isinstance(handle, ColumnBatch):
             handle = self.dematerialize(handle, result_name)
-        if isinstance(handle, Relation) and handle.schema.name == result_name:
-            if not self._stored(handle):
-                # Built by the boundary under its final name and aliased by
-                # nothing stored: the row backend's protective copy is waste.
-                return handle
+        if handle.schema.name == result_name and not self._stored(handle):
+            # Built by the boundary under its final name and aliased by
+            # nothing stored: the row backend's protective copy is waste.
+            return handle
         return self.inner.finish(handle, result_name)
 
-    def _stored(self, handle) -> bool:
-        """True iff a row handle is a relation the engine stores rather than
-        an intermediate result: only those keep their column store, and only
+    def _stored(self, relation: Relation) -> bool:
+        """True iff a relation is one the engine stores rather than an
+        intermediate result: only those keep their column store, and only
         those need ``finish``'s protective copy."""
-        if isinstance(self.inner, DatabaseBackend):
-            name = handle.schema.name
-            return self.engine.has_relation(name) and self.engine.relation(name) is handle
-        return handle in self._scanned  # UWSDT intermediates are templates too
+        name = relation.schema.name
+        return self.engine.has_relation(name) and self.engine.relation(name) is relation
 
     # -- boundaries -------------------------------------------------------- #
 
-    def certain_base(self, relation_name: str) -> bool:
-        """True iff a stored relation is placeholder-free (kernel-eligible)."""
-        if isinstance(self.inner, DatabaseBackend):
-            return True
-        return self.engine.relation_placeholder_count(relation_name) == 0
-
-    def materialize(self, handle, result_name: Optional[str]):
-        """Row handle → batch (the vectorized scan half of the boundary).
+    def materialize(self, handle: Relation, result_name: Optional[str]) -> ColumnBatch:
+        """Relation → batch (the vectorized scan half of the boundary).
 
         The columns of a relation the engine stores come from (and stay on)
         the relation; an intermediate result gets a throwaway store —
         either way only the columns the region reads are ever transposed.
         """
-        if isinstance(handle, ColumnBatch):
-            return handle
-        uwsdt = not isinstance(self.inner, DatabaseBackend)
-        # UWSDT: the handle is a relation name.  A template that carries
-        # placeholders (the engine may have changed since the plan was
-        # lowered) stays a row handle; downstream operators delegate.
-        # Lowering already kept uncertain subtrees in the row world, so this
-        # fallback firing means a stale cached plan — counted so the drift
-        # is observable.
-        if uwsdt and self.engine.relation_placeholder_count(handle) != 0:
-            from ...obs.metrics import get_registry
-
-            get_registry().counter("repro.columnar.materialize_fallbacks").inc()
-            return handle
-        relation = self.engine.templates[handle] if uwsdt else handle
-        attributes, arity = relation.schema.attributes, relation.schema.arity
+        schema = handle.schema
         stored = self._stored(handle)
-        store = column_store(relation) if stored else ColumnStore(relation.rows, arity)
-        if uwsdt:  # the tid column is stored first and becomes the row ids
-            return ColumnBatch(attributes[1:], store.columns[1:], store.size, None, store.columns[0])
-        return ColumnBatch(attributes, store.columns, store.size)
+        store = column_store(handle) if stored else ColumnStore(handle.rows, schema.arity)
+        return ColumnBatch(schema.attributes, store.columns, store.size)
 
-    def dematerialize(self, handle, result_name: Optional[str]):
-        """Batch → row handle the inner backend (and engine) understand."""
-        if not isinstance(handle, ColumnBatch):
-            # Runtime fallback passed a row handle straight through; honor
-            # the result naming contract the row backends implement.
-            if isinstance(self.inner, DatabaseBackend):
-                return handle
-            return self.inner.scan(handle, result_name)
-        if handle.has_placeholders():
-            raise QueryError(
-                "cannot dematerialize a placeholder-bearing batch; columnar "
-                "kernels only run over certain relations"
-            )
-        if isinstance(self.inner, DatabaseBackend):
-            name = result_name if result_name is not None else "__columnar"
-            # No ``distinct`` claim: a caller-built batch may be a bag.
-            return Relation.from_tuples(RelationSchema(name, handle.attributes), handle.to_rows())
-        target = self.inner.target(result_name)
-        self.engine.add_relation(RelationSchema(target, handle.attributes))
-        # Certain duplicates denote the same tuple: set semantics.
-        distinct = _distinct(handle)
-        rows = list(zip(distinct.row_ids, *distinct.columns))
-        self.engine.load_template(target, rows, distinct=True)
-        return target
+    def dematerialize(self, handle: ColumnBatch, result_name: Optional[str]) -> Relation:
+        """Batch → relation."""
+        name = result_name if result_name is not None else "__columnar"
+        # No ``distinct`` claim: a caller-built batch may be a bag.
+        return Relation.from_tuples(RelationSchema(name, handle.attributes), handle.to_rows())
 
     def _row_handle(self, handle):
-        """Coerce a batch to an inner row handle (delegation path)."""
+        """Coerce a batch to a relation (delegation path)."""
         if isinstance(handle, ColumnBatch):
             return self.dematerialize(handle, None)
         return handle
 
     # -- operators --------------------------------------------------------- #
 
-    def scan(self, name: str, result_name: Optional[str]):
-        handle = self.inner.scan(name, result_name)
-        if isinstance(handle, str):
-            self._scanned.add(handle)
-        return handle
+    def scan(self, name: str, result_name: Optional[str]) -> Relation:
+        return self.inner.scan(name, result_name)
 
     def index_scan(self, name: str, predicate: Predicate, result_name):
         return self.inner.index_scan(name, predicate, result_name)
@@ -499,23 +398,13 @@ def insert_columnar_boundaries(
 ) -> PhysicalOperator:
     """Mark columnar regions and stitch them to the row world.
 
-    A node runs columnar when it has a kernel and every base relation its
-    subtree reads is certain; ``Materialize`` / ``Dematerialize`` nodes are
-    inserted wherever the produced handle kind differs from what the parent
-    consumes.  The root always hands a row handle to ``finish``.  Plans for
-    row backends pass through untouched.
+    A node runs columnar when it has a kernel; ``Materialize`` /
+    ``Dematerialize`` nodes are inserted wherever the produced handle kind
+    differs from what the parent consumes.  The root always hands a row
+    handle to ``finish``.  Plans for row backends pass through untouched.
     """
     if not isinstance(backend, ColumnarBackend):
         return root
-    # One engine query per relation.  The runtime materialize fallback is
-    # only defense-in-depth against plans cached before an engine mutation.
-    certain_base = functools.lru_cache(maxsize=None)(backend.certain_base)
-
-    def subtree_certain(node: PhysicalOperator) -> bool:
-        """Every base relation the subtree reads is certain; a node without
-        recorded base relations (a hand-built plan) is not eligible."""
-        names = node.base_relation_names
-        return bool(names) and all(map(certain_base, names))
 
     def bridge(
         node: PhysicalOperator, produces_batch: bool, want_batch: bool
@@ -536,7 +425,7 @@ def insert_columnar_boundaries(
             node.outer = outer
             node.children = (outer, node.inner)
             return bridge(node, False, want_batch)
-        runs_columnar = node.op_name in COLUMNAR_KERNEL_OPS and subtree_certain(node)
+        runs_columnar = node.op_name in COLUMNAR_KERNEL_OPS
         node.children = tuple(visit(child, runs_columnar) for child in node.children)
         return bridge(node, runs_columnar, want_batch)
 
@@ -556,10 +445,14 @@ def resolve_backend(
     """Map a backend spec to a concrete :class:`EngineBackend`.
 
     ``spec`` is ``"row"``, ``"columnar"``, ``"sharded"`` or None (``"row"``).
-    An already-constructed backend passes through unchanged.  ``workers``
-    sizes the sharded worker pool (None: ``shard.DEFAULT_WORKERS``).  The
-    result depends on the arguments alone, never on the process
-    environment: the backend kind and worker count key the plan cache.
+    An already-constructed backend passes through unchanged.  ``"row"`` is
+    the engine's own backend; ``"columnar"`` and ``"sharded"``
+    (:data:`~repro.core.exec.backends.DATABASE_ONLY_BACKENDS`) run on a
+    Database only and raise :class:`QueryError` on any other engine.
+    ``workers`` sizes the sharded worker pool (None:
+    ``shard.DEFAULT_WORKERS``).  The result depends on the arguments alone,
+    never on the process environment: the backend kind and worker count key
+    the plan cache.
     """
     if isinstance(spec, EngineBackend):
         return spec

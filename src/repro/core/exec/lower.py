@@ -146,10 +146,10 @@ def lower(
 
     ``statistics`` should be the statistics the logical plan was built with
     (physical choices then see the same cardinality estimates); without
-    them, lowering falls back to default statistics for the representation
-    engine the backend executes on — the columnar and sharded backends
-    price with the cost model of the engine they wrap, so a verbatim tree
-    lowers to the same join algorithm on every backend.  ``force_join``
+    them, lowering falls back to default statistics for the engine the
+    backend executes on — the Database-only columnar and sharded backends
+    price with the Database's cost model, so a verbatim tree lowers to the
+    same join algorithm on every backend.  ``force_join``
     overrides the hash-vs-index choice where an index join is structurally
     possible (``"hash"`` / ``"index-nested-loop"``).  ``estimates`` is
     :attr:`Plan.estimates <repro.core.planner.planner.Plan.estimates>` of the
@@ -180,6 +180,5 @@ def lower(
                 physical,
                 backend=backend,
                 schema_context=SchemaContext(statistics.attributes),
-                certain_base=backend.certain_base if backend.kind == "columnar" else None,
             )
         return physical

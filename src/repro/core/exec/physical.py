@@ -241,12 +241,12 @@ class Dematerialize(PhysicalOperator):
 
 
 class Exchange(PhysicalOperator):
-    """Shard boundary: the subtree below is hash-partitioned by world-set
-    component and executed once per shard in the worker pool.
+    """Shard boundary: the rows the subtree below scans are hash-partitioned
+    and the subtree executes once per shard in the worker pool.
 
     Inserted by :func:`~repro.core.exec.shard.insert_shard_boundaries`
-    around component-confined subtrees (per-tuple operators only); only the
-    sharded backend executes it — via the enclosing :class:`Gather`, which
+    around per-row subtrees of a Database plan; only the sharded backend
+    executes it — via the enclosing :class:`Gather`, which
     hands the whole pair to ``backend.gather``.  After execution its
     metrics carry the coordination overhead (partition + ship time not
     accounted to the subtree's own operators) and ``shard_rows`` the
@@ -273,9 +273,8 @@ class Exchange(PhysicalOperator):
 
 
 class Gather(PhysicalOperator):
-    """Merge boundary over an :class:`Exchange`: collects the per-shard
-    results back into the parent engine (template rows under their original
-    tuple ids, evolved components replacing the shipped originals)."""
+    """Merge boundary over an :class:`Exchange`: the union of the per-shard
+    results."""
 
     op_name = "Gather"
 

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 from ...obs.metrics import get_registry
 from ..planner.catalog import StatisticsCatalog, catalog_for
 from ..verify import verifier
-from .backends import EngineBackend, backend_for
+from .backends import DATABASE_ONLY_BACKENDS, EngineBackend, backend_for
 from .lower import lower
 from .physical import PhysicalPlan
 
@@ -82,6 +82,10 @@ class PlanCache:
         self._entries: Dict[str, CachedPlan] = {}
         #: Backend kind assumed when ``lookup`` is called without one.
         self._default_backend = backend_for(engine).kind
+        #: The other backend kinds the engine runs: a Database's only.
+        self._database_only: Tuple[str, ...] = (
+            DATABASE_ONLY_BACKENDS if self._default_backend == "database" else ()
+        )
         self.hits = 0
         self.misses = 0
         #: Entries dropped because a base relation's version key moved.
@@ -100,7 +104,7 @@ class PlanCache:
         checker = verifier()
         if checker is not None:
             checker.verify_cached_backend(
-                recorded, physical.engine, (self._default_backend, "columnar", "sharded")
+                recorded, physical.engine, (self._default_backend, *self._database_only)
             )
 
     def lookup(

@@ -1,40 +1,31 @@
-"""Sharded parallel execution over world-set components.
+"""Sharded parallel execution: row-partitioned per-row subtrees of a Database.
 
-The paper's central structural property — a UWSDT decomposes into
-*independent* world-set components — is exactly a shard key: a subtree that
-only ever touches one template tuple at a time (Scan / IndexScan / Filter /
-Project / Rename chains, the legs of the census join queries) evaluates each
-tuple against the components covering it and never correlates two tuples
-that do not already share a component.  Partitioning the template rows so
-that no component's covered tuples are split across shards therefore makes
-per-shard execution *exact*: running the subtree on every shard and
-re-installing the evolved components yields the same world-set — including
-per-tuple confidences — as single-process execution.
+A subtree that reads one row at a time (Scan / IndexScan / Filter / Project
+/ Rename chains, the legs of the census join queries) computes its result
+row by row, so hash-partitioning the rows of the relations it scans into
+``workers`` shards and running the subtree on every shard yields the same
+relation — the union of the per-shard results — as running it once.
+The backend is Database-only, like the columnar one.
 
-:class:`ShardedBackend` wraps the engine's row backend
-(:class:`~repro.core.exec.backends.DatabaseBackend` or
-:class:`~repro.core.exec.backends.UWSDTBackend`) and executes the explicit
-``Gather(Exchange(subtree))`` boundary pair that
+:class:`ShardedBackend` wraps the Database's row backend
+(:class:`~repro.core.exec.backends.DatabaseBackend`) and executes the
+explicit ``Gather(Exchange(subtree))`` boundary pair that
 :func:`insert_shard_boundaries` places during lowering (mirroring the
 columnar ``Materialize``/``Dematerialize`` markers):
 
-* ``Exchange`` marks a component-confined subtree that is hash-partitioned
-  into ``workers`` shards and shipped to a persistent ``multiprocessing``
-  worker pool;
-* ``Gather`` merges the per-shard results back into the parent engine —
-  template rows under their original tuple ids, evolved components replacing
-  the originals — and re-attributes the workers' per-operator metrics onto
-  the parent plan's nodes.
+* ``Exchange`` marks a per-row subtree whose scanned relations are
+  hash-partitioned into ``workers`` shards and shipped to a persistent
+  ``multiprocessing`` worker pool;
+* ``Gather`` unions the per-shard results and re-attributes the workers'
+  per-operator metrics onto the parent plan's nodes.
 
-Joins, products and set operations stay *above* the Gather: their operators
-merge components across distinct base tuples (``equi_join``) or create
-presence components spanning both inputs (``difference``), which a
-row-partitioned execution cannot reproduce.  ``analysis/invariants.py``
-enforces exactly this boundary rule on every lowered plan.
+Joins, products and set operations stay *above* the Gather: they relate
+rows that may sit on different shards.  ``analysis/invariants.py`` enforces
+exactly this boundary rule on every lowered plan.
 
 When a worker dies (or a payload refuses to pickle), the affected shard
 falls back to in-process execution: counted in
-``repro.shard.fallbacks{reason=...}``, logged, and oracle-identical — the
+``repro.shard.fallbacks{reason=...}``, logged, and identical in result — the
 same :func:`_execute_shard` function runs either way.
 """
 
@@ -46,7 +37,7 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ...obs.metrics import DEFAULT_BUCKETS, get_registry
 from ...obs.trace import get_tracer
@@ -54,11 +45,7 @@ from ...relational.database import Database
 from ...relational.errors import QueryError
 from ...relational.relation import Relation
 from ...relational.schema import RelationSchema
-from ..component import Component
-from ..fields import FieldRef
-from ..unionfind import UnionFind
-from ..uwsdt import UWSDT
-from .backends import EngineBackend, backend_for
+from .backends import DatabaseBackend, EngineBackend, database_only
 from .metrics import OperatorMetrics
 from .physical import (
     Exchange,
@@ -75,16 +62,13 @@ logger = logging.getLogger(__name__)
 #: Default worker count when ``backend="sharded"`` is requested without one.
 DEFAULT_WORKERS = 2
 
-#: Physical operators safe inside an ``Exchange`` subtree: each processes
-#: one template tuple at a time and only ever merges components *of that
-#: tuple* — so a partition that keeps every component's covered tuples on
-#: one shard is exact.  Joins/Product merge components across distinct base
-#: tuples and Difference creates presence components spanning both inputs;
-#: they must execute above the Gather, on the merged engine.
+#: Physical operators safe inside an ``Exchange`` subtree: each computes its
+#: output row by row, so any partition of the scanned rows is exact.
+#: Joins, Product and the set operations relate rows of different shards;
+#: they must execute above the Gather.
 SHARDABLE_OPS = frozenset({"Scan", "IndexScan", "Filter", "Project", "Rename"})
 
-#: Result relation name inside a shard engine (renamed to the parent's
-#: target at merge time).
+#: Result relation name inside a shard engine.
 SHARD_RESULT = "__shard__"
 
 
@@ -102,49 +86,20 @@ def _stable_hash(key: Any) -> int:
 class ShardResult:
     """What one shard sends back to the parent."""
 
-    kind: str
     attributes: Tuple[str, ...]
-    #: ``(tuple_id, values)`` pairs on a UWSDT, raw value tuples on a Database.
-    rows: List[Any]
-    #: Evolved components, already stripped of worker-intermediate fields
-    #: (UWSDT only).
-    components: List[Component] = field(default_factory=list)
+    rows: List[Tuple[Any, ...]]
     #: Per-node :class:`OperatorMetrics` in ``subtree.walk()`` order.
     records: List[Optional[OperatorMetrics]] = field(default_factory=list)
 
 
 def _execute_shard(payload: Tuple[Any, PhysicalOperator]) -> ShardResult:
     """Execute one shard: runs in a pool worker, or in-process on fallback."""
-    engine, subtree = payload
-    backend = backend_for(engine)
-    # Relations present before execution: shipped components may reference
-    # them, and their fields must survive the stripping below.  Anything the
-    # worker itself creates (intermediates) is marginalized out — exactly:
-    # the joint distribution of base + result fields is unchanged.
-    shipped_relations: Set[str] = (
-        set(engine.schema.relation_names) if isinstance(engine, UWSDT) else set()
-    )
+    database, subtree = payload
+    backend = DatabaseBackend(database)
     plan = PhysicalPlan(subtree, backend.kind)
-    value = plan.execute(backend, SHARD_RESULT)
+    relation = plan.execute(backend, SHARD_RESULT)
     records = [node.metrics for node in plan.operators()]
-    if isinstance(engine, UWSDT):
-        attributes = engine.schema.relation(SHARD_RESULT).attributes
-        rows = list(engine.template_rows(SHARD_RESULT))
-        components: List[Component] = []
-        for component in engine.components.values():
-            drop = [
-                f
-                for f in component.fields
-                if f.relation not in shipped_relations and f.relation != SHARD_RESULT
-            ]
-            reduced = component.project_away(drop) if drop else component
-            if reduced is not None:
-                components.append(reduced)
-        return ShardResult("uwsdt", attributes, rows, components, records)
-    relation = value  # DatabaseBackend.finish returned a Relation copy
-    return ShardResult(
-        "database", relation.schema.attributes, list(relation.rows), [], records
-    )
+    return ShardResult(relation.schema.attributes, list(relation.rows), records)
 
 
 # --------------------------------------------------------------------------- #
@@ -180,83 +135,6 @@ def reset_shard_pool() -> None:
 # --------------------------------------------------------------------------- #
 
 
-@dataclass
-class _UwsdtShard:
-    """One shard's slice of the parent UWSDT, before being built."""
-
-    rows: Dict[str, List[Tuple[Any, Tuple[Any, ...]]]] = field(default_factory=dict)
-    cids: List[int] = field(default_factory=list)
-
-
-def partition_uwsdt_components(
-    engine: UWSDT, scanned: Sequence[str], shards: int
-) -> Tuple[List[_UwsdtShard], List[int]]:
-    """Partition template rows + components of the scanned relations.
-
-    Components sharing a covered ``(relation, tuple_id)`` are transitively
-    grouped (union-find), each group lands wholly on one shard, and every
-    template row follows its group — so no component is ever split.  Rows
-    covered by no component hash independently by their own tuple id.
-    Returns the shard specs plus the full list of shipped component ids
-    (the parent removes exactly these at merge time).
-    """
-    scanned_set = set(scanned)
-    groups = UnionFind()
-    component_keys: Dict[int, Tuple[str, Any]] = {}
-    for cid, component in engine.components.items():
-        keys = [
-            (relation, tid)
-            for relation, tid in component.tuples_covered()
-            if relation in scanned_set
-        ]
-        if not keys:
-            continue  # never touched by this subtree: stays in the parent
-        component_keys[cid] = keys[0]
-        for key in keys[1:]:
-            groups.union(keys[0], key)
-    specs = [_UwsdtShard() for _ in range(shards)]
-    for relation in scanned:
-        for tid, values in engine.template_rows(relation):
-            key = (relation, tid)
-            anchor = groups.find(key) if key in groups else key
-            spec = specs[_stable_hash(anchor) % shards]
-            spec.rows.setdefault(relation, []).append((tid, values))
-    for cid, key in component_keys.items():
-        specs[_stable_hash(groups.find(key)) % shards].cids.append(cid)
-    return specs, list(component_keys)
-
-
-def _build_uwsdt_shard(
-    engine: UWSDT, scanned: Sequence[str], spec: _UwsdtShard
-) -> UWSDT:
-    shard = UWSDT()
-    for relation in scanned:
-        shard.add_relation(
-            RelationSchema(relation, engine.schema.relation(relation).attributes)
-        )
-    # Declare (empty) every non-scanned relation referenced by shipped
-    # components: the worker's intermediate-name generator must not reuse a
-    # name whose fields already exist (they would collide on FieldRefs), and
-    # the shard's placeholder index orders those fields by their schema.
-    reserved: Set[str] = set()
-    for cid in spec.cids:
-        for f in engine.components[cid].fields:
-            if f.relation not in spec.rows and f.relation not in scanned:
-                reserved.add(f.relation)
-    if SHARD_RESULT in reserved:
-        raise QueryError(
-            f"cannot shard: components reference the reserved name {SHARD_RESULT!r}"
-        )
-    for name in sorted(reserved):
-        shard.add_relation(RelationSchema(name, engine.schema.relation(name).attributes))
-    for relation, rows in spec.rows.items():
-        # A slice of the parent's template: a set because that one is.
-        shard.load_template(relation, [(tid, *values) for tid, values in rows], distinct=True)
-    for cid in spec.cids:
-        shard.new_component(engine.components[cid])
-    return shard
-
-
 def _build_database_shards(
     engine: Database, scanned: Sequence[str], shards: int
 ) -> List[Database]:
@@ -278,7 +156,7 @@ def _build_database_shards(
 
 
 class ShardedBackend(EngineBackend):
-    """Parallel execution wrapping the engine's row backend.
+    """Parallel execution wrapping the Database's row backend.
 
     All ordinary operators delegate to the inner row backend — only the
     ``Gather`` boundary does anything sharded, so the parts of a plan above
@@ -290,7 +168,7 @@ class ShardedBackend(EngineBackend):
 
     def __init__(self, engine: Any, workers: int = DEFAULT_WORKERS) -> None:
         super().__init__(engine)
-        inner = backend_for(engine)
+        inner = database_only(engine, self.kind)
         if workers < 1:
             raise QueryError(f"sharded execution needs workers >= 1, got {workers}")
         self.inner = inner
@@ -363,11 +241,10 @@ class ShardedBackend(EngineBackend):
     def gather(self, exchange: Exchange, result_name: Optional[str]):
         """Execute an ``Exchange`` subtree sharded and merge the results.
 
-        Partitions the scanned relations (component-closed on a UWSDT),
-        ships one ``(shard engine, subtree)`` payload per non-empty shard to
-        the worker pool, merges rows + evolved components into the parent
-        engine, and re-attributes the workers' per-operator metrics onto the
-        subtree's nodes (summed across shards).
+        Partitions the scanned relations, ships one ``(shard database,
+        subtree)`` payload per non-empty shard to the worker pool, unions
+        the per-shard rows, and re-attributes the workers' per-operator
+        metrics onto the subtree's nodes (summed across shards).
         """
         subtree = exchange.children[0]
         scanned = sorted(
@@ -378,36 +255,20 @@ class ShardedBackend(EngineBackend):
             }
         )
         started = time.perf_counter()
-        shipped_cids: List[int] = []
-        if isinstance(self.engine, UWSDT):
-            specs, shipped_cids = partition_uwsdt_components(
-                self.engine, scanned, self.workers
-            )
-            payloads = [
-                (index, (_build_uwsdt_shard(self.engine, scanned, spec), subtree))
-                for index, spec in enumerate(specs)
-                if spec.rows
-            ]
-            if not payloads:
-                payloads = [(0, (_build_uwsdt_shard(self.engine, scanned, _UwsdtShard()), subtree))]
-        else:
-            databases = _build_database_shards(self.engine, scanned, self.workers)
-            payloads = [
-                (index, (database, subtree))
-                for index, database in enumerate(databases)
-                if any(len(database.relation(name)) for name in scanned)
-            ]
-            if not payloads:
-                payloads = [(0, (databases[0], subtree))]
+        databases = _build_database_shards(self.engine, scanned, self.workers)
+        payloads = [
+            (index, (database, subtree))
+            for index, database in enumerate(databases)
+            if any(len(database.relation(name)) for name in scanned)
+        ]
+        if not payloads:
+            payloads = [(0, (databases[0], subtree))]
 
         results = self._run_shards(payloads)
         parallel_seconds = time.perf_counter() - started
 
         merge_started = time.perf_counter()
-        if isinstance(self.engine, UWSDT):
-            handle = self._merge_uwsdt(results, shipped_cids, result_name)
-        else:
-            handle = self._merge_database(results, result_name)
+        handle = self._merge_database(results, result_name)
         merge_seconds = time.perf_counter() - merge_started
 
         self._attribute_metrics(
@@ -493,35 +354,6 @@ class ShardedBackend(EngineBackend):
 
     # -- merging ----------------------------------------------------------- #
 
-    def _merge_uwsdt(
-        self,
-        results: Sequence[ShardResult],
-        shipped_cids: Sequence[int],
-        result_name: Optional[str],
-    ):
-        engine: UWSDT = self.engine
-        target = self.inner.target(result_name)
-        engine.add_relation(RelationSchema(target, results[0].attributes))
-        engine.load_template(
-            target, [(tid, *values) for result in results for tid, values in result.rows]
-        )
-        # Replace the shipped components with their evolved versions: the
-        # originals first (their fields must unmap before the evolved
-        # components — which extend them with result fields — remap them).
-        for cid in shipped_cids:
-            engine.remove_component(cid)
-        for result in results:
-            for component in result.components:
-                mapping = {
-                    f: FieldRef(target, f.tuple_id, f.attribute)
-                    for f in component.fields
-                    if f.relation == SHARD_RESULT
-                }
-                if mapping:
-                    component = component.rename_fields(mapping)
-                engine.new_component(component)
-        return target
-
     def _merge_database(
         self, results: Sequence[ShardResult], result_name: Optional[str]
     ) -> Relation:
@@ -598,12 +430,12 @@ class ShardedBackend(EngineBackend):
 def insert_shard_boundaries(
     root: PhysicalOperator, backend: EngineBackend
 ) -> PhysicalOperator:
-    """Wrap maximal component-confined subtrees in ``Gather(Exchange(...))``.
+    """Wrap maximal per-row subtrees in ``Gather(Exchange(...))``.
 
-    A subtree is shardable when every operator in it is per-tuple
-    (:data:`SHARDABLE_OPS`); joins and set operations — whose keys may span
-    world-set components — stay above the boundary and execute unsharded on
-    the merged engine.  Bare scans are not worth a round trip and pass
+    A subtree is shardable when every operator in it is per-row
+    (:data:`SHARDABLE_OPS`); joins and set operations — which relate rows
+    of different shards — stay above the boundary and execute unsharded on
+    the parent Database.  Bare scans are not worth a round trip and pass
     through.  Plans for non-sharded backends are returned untouched.
     """
     if not isinstance(backend, ShardedBackend):

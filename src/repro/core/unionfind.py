@@ -1,9 +1,7 @@
 """Disjoint sets over hashable keys.
 
-Shared by everything that groups world-set components transitively: the
-sharded backend (components sharing a covered tuple land on one shard) and
-the confidence computation (tuples correlated through a chain of shared
-components are ranked together).
+Groups world-set components transitively for the confidence computation:
+tuples correlated through a chain of shared components are ranked together.
 """
 
 from __future__ import annotations

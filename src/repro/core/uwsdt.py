@@ -397,7 +397,10 @@ class UWSDT:
         The placeholder index must equal a scan of the templates in both
         directions: every ``?`` is indexed (and so has a component), and
         every indexed field is a ``?`` of an existing template row.  A valid
-        :meth:`placeholder_rows` memo entry must equal the same scan.
+        :meth:`placeholder_rows` memo entry must equal the same scan.  The
+        field map, too, is checked both ways: every component field maps to
+        its component, and every entry is a ``?`` field of the component it
+        names.
         """
         for relation_schema in self.schema:
             name, attributes = relation_schema.name, relation_schema.attributes
@@ -432,6 +435,22 @@ class UWSDT:
                     raise RepresentationError(
                         f"field map out of sync for {field.label()} (component {cid})"
                     )
+        # The other way: each entry names a component holding the field, and
+        # the field is a ``?`` of the placeholder index — which then holds
+        # exactly the field map's entries.
+        for field, cid in self.field_to_cid.items():
+            component = self.components.get(cid)
+            if component is None or not component.has_field(field):
+                raise RepresentationError(
+                    f"field map sends {field.label()} to component {cid}, which does not hold it"
+                )
+            if field.attribute not in self.uncertain_tuples(field.relation).get(field.tuple_id, ()):
+                raise RepresentationError(
+                    f"field map holds {field.label()}, which is not a placeholder"
+                )
+        indexed = sum(len(a) for rows in self._placeholders.values() for a in rows.values())
+        if len(self.field_to_cid) != indexed:
+            raise RepresentationError("the placeholder index holds a field the field map lacks")
 
     # ------------------------------------------------------------------ #
     # Conversions

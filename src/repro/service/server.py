@@ -95,8 +95,9 @@ class QueryOutcome:
     #: Trace id of the request span (None with tracing disabled).
     trace_id: Optional[str] = None
     #: Kind of the backend that executed the request (``"database"`` /
-    #: ``"uwsdt"`` / ``"columnar"`` / ``"sharded"``) — also the
-    #: plan-cache sub-key the request was served under.
+    #: ``"uwsdt"`` / ``"columnar"`` / ``"sharded"``, the last two on a
+    #: Database only) — also the plan-cache sub-key the request was served
+    #: under.
     backend: Optional[str] = None
     #: Worker count of a sharded request (None for in-process backends) —
     #: the remaining plan-cache sub-key.
@@ -199,15 +200,18 @@ class QueryService:
         cache (planned and lowered on a miss), then execute it.
 
         ``backend`` is the executing-backend spec (``"row"`` or None /
-        ``"columnar"`` / ``"sharded"``); ``workers`` sizes the sharded
-        backend's pool.  The resolved backend kind *and* worker count are
-        part of the plan-cache key, so a plan lowered for the row backend is
-        never served to a columnar request, and a sharded plan's Exchange
-        fan-out is never reused at a different worker count.
+        ``"columnar"`` / ``"sharded"``, the last two on a Database only);
+        ``workers`` sizes the sharded backend's pool.  The backend is
+        resolved first: a request for a Database-only backend on a UWSDT
+        raises :class:`QueryError` and caches nothing.  The resolved
+        backend kind *and* worker count are part of the plan-cache key, so a
+        plan lowered for the row backend is never served to a columnar
+        request, and a sharded plan's Exchange fan-out is never reused at a
+        different worker count.
         """
         engine = self.engines[engine_name]
-        cache = plan_cache_for(engine)
         executor = resolve_backend(engine, backend, workers=workers)
+        cache = plan_cache_for(engine)
         fingerprint = query.fingerprint()
         name = result_name or self._next_result_name()
         tracer = get_tracer()

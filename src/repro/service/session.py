@@ -75,7 +75,10 @@ class Session:
 
         ``backend`` selects the executing backend (``"row"`` / ``"columnar"``
         / ``"sharded"``) and ``workers`` sizes the sharded
-        worker pool; both are part of the service's plan-cache key.
+        worker pool; both are part of the service's plan-cache key.  A UWSDT
+        runs on the row backend only: asking for another raises
+        :class:`~repro.relational.errors.QueryError`, and the service caches
+        nothing for the request.
         """
         outcome = await self.service.execute(
             self.engine_name, query, result_name, backend, workers=workers

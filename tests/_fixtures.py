@@ -35,7 +35,11 @@ from repro.core.chase import (
     chase_uwsdt,
     chase_wsd,
 )
-from repro.core.confidence import confidence, possible, uwsdt_possible_with_confidence
+from repro.core.confidence import (
+    possible,
+    possible_with_confidence,
+    uwsdt_possible_with_confidence,
+)
 from repro.core.planner import GREEDY_THRESHOLD, plan_call_count, sampling_call_count
 from repro.relational import (
     BOTTOM,
@@ -512,14 +516,6 @@ def assert_same_result_distribution(left, right, relation_name="P"):
 # --------------------------------------------------------------------------- #
 
 
-#: Figure 17's confidence is checked for every possible tuple of a WSD
-#: result with at most this many, and for this many spread over a larger
-#: one's.  Inputs of ≤ 2 rows a relation with ≤ 3 two-way or-sets in all
-#: have ≤ 8 worlds, and trees of depth ≤ 3 over them ≤ 16 rows a world:
-#: their results are always checked whole.
-WSD_CONFIDENCE_SAMPLE = 128
-
-
 class Oracle:
     """The brute-force reference of one case: the (cleaned) input worlds and
     the query's result ``P`` in each."""
@@ -581,12 +577,9 @@ class Oracle:
         wsd = wsd.restrict_to_relations([name])
         assert_same_distribution(worldset_distribution(wsd.rep(), (name,)), self.distribution)
         assert set(possible(wsd, name)) == set(self.confidences)
-        # Figure 17 recomposes the relation's components for every tuple it
-        # is asked about: a large product's tuples are sampled.
-        rows = sorted(self.confidences, key=repr)
-        sample = rows[:: max(1, math.ceil(len(rows) / WSD_CONFIDENCE_SAMPLE))]
-        ranked = {row: confidence(wsd, name, row) for row in sample}
-        assert ranked == pytest.approx({row: self.confidences[row] for row in sample}, abs=1e-9)
+        ranked = dict(possible_with_confidence(wsd, name))
+        assert set(ranked) == set(self.confidences)
+        assert ranked == pytest.approx(self.confidences, abs=1e-9)
         normalized = normalize_wsd(wsd)
         assert_same_distribution(
             worldset_distribution(normalized.rep(), (name,)), self.distribution
@@ -594,18 +587,12 @@ class Oracle:
 
 
 def check_representation(uwsdt: UWSDT) -> None:
-    """``validate()``, and the field map holds exactly the templates' ``?`` fields."""
+    """``validate()`` (which checks the field map both ways), and each
+    relation's placeholder count is its placeholder index's."""
     uwsdt.validate()
-    placeholders = set()
     for schema in uwsdt.schema:
         uncertain = uwsdt.uncertain_tuples(schema.name)
         assert uwsdt.relation_placeholder_count(schema.name) == sum(map(len, uncertain.values()))
-        placeholders.update(
-            FieldRef(schema.name, tid, attribute)
-            for tid, attributes in uncertain.items()
-            for attribute in attributes
-        )
-    assert set(uwsdt.field_to_cid) == placeholders
 
 
 # --------------------------------------------------------------------------- #
@@ -620,44 +607,31 @@ def _inserted_row(oracle):
     return name, (1,) * arity
 
 
-def _one_engine(backend, optimize):
-    """One engine through the states a long-lived one passes: cold; again
-    (planned: a plan-cache hit, no planning and no sampling; columnar: the
-    stored relations scan their cached column store); on a ``copy()``
-    planning from the statistics it shares (row backend); after a certain
-    insert (planned: exactly one replan; columnar: the column store is
-    stale)."""
-
-    def run(oracle):
-        query, engine = oracle.case.query, oracle.case.uwsdt()
-
-        def execute(target, name):
-            query.run(target, name, optimize=optimize, backend=backend)
-
-        execute(engine, "P")
-        oracle.check_uwsdt(engine, "P")
-        plans, samples = plan_call_count(), sampling_call_count()
-        execute(engine, "P_cached")
-        if optimize:
-            assert (plan_call_count(), sampling_call_count()) == (plans, samples), "not a hit"
-        oracle.check_uwsdt(engine, "P_cached")
-        if backend == "row":
-            names = engine.schema.relation_names
-            twin = engine.copy()
-            execute(twin, "P_copy")
-            assert sampling_call_count() == samples, "the copy re-sampled its shared relations"
-            oracle.check_uwsdt(twin, "P_copy")
-            assert engine.schema.relation_names == names  # nothing wrote through
-            check_representation(engine)
-        relation, row = _inserted_row(oracle)
-        engine.add_template_tuple(relation, "inserted", row)
-        plans = plan_call_count()
-        execute(engine, "P_inserted")
-        if optimize:
-            assert plan_call_count() == plans + 1, "the insert did not invalidate the plan"
-        oracle.with_row(relation, row).check_uwsdt(engine, "P_inserted")
-
-    return run
+def _one_engine(oracle):
+    """One UWSDT through the states a long-lived one passes: cold; again (a
+    plan-cache hit, no planning and no sampling); on a ``copy()`` planning
+    from the statistics it shares; after a certain insert (exactly one
+    replan)."""
+    query, engine = oracle.case.query, oracle.case.uwsdt()
+    query.run(engine, "P")
+    oracle.check_uwsdt(engine, "P")
+    plans, samples = plan_call_count(), sampling_call_count()
+    query.run(engine, "P_cached")
+    assert (plan_call_count(), sampling_call_count()) == (plans, samples), "not a hit"
+    oracle.check_uwsdt(engine, "P_cached")
+    names = engine.schema.relation_names
+    twin = engine.copy()
+    query.run(twin, "P_copy")
+    assert sampling_call_count() == samples, "the copy re-sampled its shared relations"
+    oracle.check_uwsdt(twin, "P_copy")
+    assert engine.schema.relation_names == names  # nothing wrote through
+    check_representation(engine)
+    relation, row = _inserted_row(oracle)
+    engine.add_template_tuple(relation, "inserted", row)
+    plans = plan_call_count()
+    query.run(engine, "P_inserted")
+    assert plan_call_count() == plans + 1, "the insert did not invalidate the plan"
+    oracle.with_row(relation, row).check_uwsdt(engine, "P_inserted")
 
 
 def _verbatim(oracle):
@@ -701,25 +675,50 @@ def _figure9(oracle):
     oracle.check_wsd(wsd, "P")
 
 
-def _sharded(optimize):
-    def run(oracle):
-        engine = oracle.case.uwsdt()
-        oracle.case.query.run(engine, "P", optimize=optimize, backend="sharded", workers=2)
-        oracle.check_uwsdt(engine, "P")
-
-    return run
+def _check_first_world(oracle, result):
+    """``result`` is the reference's ``P`` in the input's first world."""
+    expected = next(iter(oracle.result)).database.relation("P")
+    assert result.schema.attributes == expected.schema.attributes
+    assert result.row_set() == expected.row_set()
 
 
 def _one_world_database(oracle):
     """The classical engine on the first world of the input, planned and
     verbatim, against the reference's ``P`` in that world."""
-    query = oracle.case.query
     world = next(iter(oracle.input)).database
-    expected = next(iter(oracle.result)).database.relation("P")
     for optimize in (True, False):
-        result = query.run(world.copy(), "P", optimize=optimize)
-        assert result.schema.attributes == expected.schema.attributes
-        assert result.row_set() == expected.row_set()
+        _check_first_world(oracle, oracle.case.query.run(world.copy(), "P", optimize=optimize))
+
+
+def _database_only(backend, optimize, workers=None):
+    """A Database-only backend on the first world of the input, through the
+    states a long-lived Database passes: cold; again (planned: a plan-cache
+    hit, no planning and no sampling; columnar: the stored relations scan
+    their cached column store); after a certain insert (planned: exactly
+    one replan; columnar: the column store is stale)."""
+
+    def run(oracle):
+        query = oracle.case.query
+        database = next(iter(oracle.input)).database.copy()
+
+        def execute():
+            return query.run(database, "P", optimize=optimize, backend=backend, workers=workers)
+
+        _check_first_world(oracle, execute())
+        plans, samples = plan_call_count(), sampling_call_count()
+        _check_first_world(oracle, execute())
+        if optimize:
+            assert (plan_call_count(), sampling_call_count()) == (plans, samples), "not a hit"
+        name, row = _inserted_row(oracle)
+        relation = database.relation(name)
+        database.replace(Relation(relation.schema, list(relation.rows) + [row]))
+        plans = plan_call_count()
+        result = execute()
+        if optimize:
+            assert plan_call_count() == plans + 1, "the insert did not invalidate the plan"
+        _check_first_world(oracle.with_row(name, row), result)
+
+    return run
 
 
 @dataclass(frozen=True)
@@ -730,20 +729,21 @@ class Cell:
 
 
 #: Every execution path the oracle holds to brute force.  A shape picks
-#: cells by kind: "row" (the UWSDT on the row backend), "join" (the two
-#: join algorithms forced), "wsd", "columnar", "sharded" and "database".
+#: cells by kind: "row" (the UWSDT on the row backend, its one executor),
+#: "join" (the two join algorithms forced), "wsd", "columnar" and "sharded"
+#: (the Database-only backends, on the input's first world) and "database".
 CELLS = (
-    Cell("UWSDT planned: cold, cached, on a copy, after an insert", "row", _one_engine("row", True)),
+    Cell("UWSDT planned: cold, cached, on a copy, after an insert", "row", _one_engine),
     Cell("UWSDT verbatim", "row", _verbatim),
     Cell("UWSDT chased after its plan was cached", "row", _chased_after_caching),
     Cell("UWSDT hash join forced", "join", _forced_join("hash")),
     Cell("UWSDT index nested-loop join forced", "join", _forced_join("index-nested-loop")),
     Cell("WSD as a UWSDT", "wsd", _wsd_as_uwsdt),
     Cell("WSD by Figure 9", "wsd", _figure9),
-    Cell("columnar planned: cold, cached, after an insert", "columnar", _one_engine("columnar", True)),
-    Cell("columnar verbatim: cold, again, after an insert", "columnar", _one_engine("columnar", False)),
-    Cell("sharded planned, 2 workers", "sharded", _sharded(True)),
-    Cell("sharded verbatim, 2 workers", "sharded", _sharded(False)),
+    Cell("columnar planned: cold, cached, after an insert", "columnar", _database_only("columnar", True)),
+    Cell("columnar verbatim: cold, again, after an insert", "columnar", _database_only("columnar", False)),
+    Cell("sharded planned, 2 workers", "sharded", _database_only("sharded", True, 2)),
+    Cell("sharded verbatim, 2 workers", "sharded", _database_only("sharded", False, 2)),
     Cell("Database on one world, planned and verbatim", "database", _one_world_database),
 )
 

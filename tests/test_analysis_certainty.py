@@ -1,26 +1,17 @@
-"""The explain verdict of placeholder certainty, and columnar eligibility.
+"""The explain verdict of placeholder certainty.
 
 * ``Statistics.certainty``: a node reading only relations of placeholder
   density 0 is ``certain``, one reading any relation of density above 0 is
   ``maybe``, anything else carries no verdict.
 * ``Plan.explain()`` and ``explain_analyze`` annotate nodes with it when
   placeholder densities are known.
-* Columnar eligibility asks the backend about each base relation directly:
-  certain subtrees get boundaries, uncertain ones stay row-at-a-time, a node
-  without recorded base relations is not eligible, and the runtime
-  materialize fallback counts into ``repro.columnar.materialize_fallbacks``
-  when a cached plan goes stale under an engine mutation.
 """
 
 from repro.core import UWSDT
 from repro.core.algebra import BaseRelation
-from repro.core.exec import ColumnarBackend
-from repro.core.exec.columnar import insert_columnar_boundaries
-from repro.core.exec.physical import Filter, Scan
 from repro.core.planner import Statistics, plan
-from repro.obs.metrics import get_registry
 from repro.relational import RelationSchema
-from repro.relational.predicates import AttrAttr, AttrConst
+from repro.relational.predicates import AttrConst
 from repro.worlds import OrSet, OrSetRelation
 
 
@@ -109,51 +100,3 @@ class TestExplainAnnotations:
             if "  [" in line
         }
         assert verdicts == {"HashJoin(A = C)": "maybe", "Scan(R)": "maybe", "Scan(S)": "certain"}
-
-
-class TestColumnarEligibilityAndFallback:
-    def _uwsdt(self):
-        relation = OrSetRelation(RelationSchema("R", ("A0", "A1", "A2")))
-        relation.insert((1, 2, 3))
-        relation.insert((2, 0, 1))
-        return UWSDT.from_orset_relation(relation)
-
-    def test_certain_relation_gets_boundaries(self):
-        # An attribute-attribute filter cannot collapse into an IndexScan,
-        # so the certain subtree lowers through the columnar kernels.
-        uwsdt = self._uwsdt()
-        physical = (
-            BaseRelation("R")
-            .select(AttrAttr("A0", "<", "A2"))
-            .physical_plan(uwsdt, backend="columnar")
-        )
-        assert physical.uses("Materialize") and physical.uses("Dematerialize")
-
-    def test_a_node_without_base_relations_is_not_eligible(self):
-        backend = ColumnarBackend(self._uwsdt())
-        predicate = AttrAttr("A0", "<", "A2")
-        bare = insert_columnar_boundaries(Filter(Scan("R"), predicate), backend)
-        assert "Materialize" not in {node.op_name for node in bare.walk()}
-        named = Filter(Scan("R"), predicate)
-        named.base_relation_names = named.children[0].base_relation_names = ("R",)
-        lowered = insert_columnar_boundaries(named, backend)
-        assert "Materialize" in {node.op_name for node in lowered.walk()}
-
-    def test_stale_plan_fallback_is_counted(self):
-        uwsdt = self._uwsdt()
-        backend = ColumnarBackend(uwsdt)
-        query = BaseRelation("R").select(AttrAttr("A0", "<", "A2"))
-        physical = query.physical_plan(uwsdt, backend=backend)
-        assert physical.uses("Materialize")
-        # The engine mutates after lowering: R now carries a placeholder
-        # field wired to a component, so ``relation_placeholder_count`` > 0.
-        from repro.core import Component, FieldRef
-        from repro.relational.values import PLACEHOLDER
-
-        uwsdt.add_template_tuple("R", "t-new", (9, PLACEHOLDER, 9))
-        uwsdt.new_component(Component((FieldRef("R", "t-new", "A1"),), [(7,), (8,)]))
-        counter = get_registry().counter("repro.columnar.materialize_fallbacks")
-        before = counter.value
-        query.run(uwsdt, "P", physical=physical, backend=backend)
-        assert counter.value == before + 1
-        uwsdt.validate()

@@ -325,16 +325,6 @@ class TestBoundariesRestoreSetSemantics:
         reference = Relation(RelationSchema("out", ("A", "B")), self.ROWS)
         assert_identical(relation, reference)
 
-    def test_uwsdt_dematerialize_of_a_caller_built_bag(self):
-        uwsdt = UWSDT()
-        backend = ColumnarBackend(uwsdt)
-        backend.begin("out")
-        batch = ColumnBatch.from_rows(("A", "B"), self.ROWS, row_ids=[10, 11, 12, 13, 14])
-        assert backend.dematerialize(batch, "out") == "out"
-        # One tuple per distinct row, under the id of its first occurrence.
-        assert uwsdt.templates["out"].rows == ((10, 1, "x"), (11, 2, "y"), (13, 3, "x"))
-        uwsdt.validate()
-
 
 # --------------------------------------------------------------------------- #
 # uwsdt_ops build each result template in one step

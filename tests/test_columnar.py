@@ -3,18 +3,19 @@
 Layers of coverage:
 
 * :class:`~repro.core.exec.columnar.ColumnBatch` round-trips exactly —
-  rows → columns → rows preserves order, bag duplicates and placeholder
+  rows → columns → rows preserves order, bag duplicates and value
   *identity* (the ``?`` sentinel object itself), across the oracle schemas
   and the 50-attribute census schema (property test),
-* the backend produces the same results as the row backend on Database and
-  UWSDT engines, with the expected Materialize/Dematerialize boundaries
-  (uncertain subtrees stay row-at-a-time),
+* the backend produces the same results as the row backend on a Database,
+  with the expected Materialize/Dematerialize boundaries,
 * backend selection: None is the row backend, unknown specs (``"auto"``
-  included) rejected, and a WSD rejected (it has no backend),
+  included) rejected, a WSD rejected (it has no backend), and the
+  Database-only backends rejected on a UWSDT before anything is planned
+  or cached,
 * the cached column store (the engine's index pool) is never stale — after
-  any interleaving of inserts/removes on a Database relation, or template
-  inserts and chase steps on a UWSDT, it equals a fresh ``from_rows`` — is
-  evicted when the Database drops the relation, and is not pickled,
+  any interleaving of inserts/removes on a Database relation it equals a
+  fresh ``from_rows`` — is evicted when the Database drops the relation,
+  and is not pickled,
 * the filter kernel agrees with row-at-a-time ``Predicate.evaluate`` on
   columns holding ``⊥``, ``?`` and mixed ``str``/``int`` values, with and
   without a selection vector (the pin for any later typed fast path),
@@ -22,6 +23,7 @@ Layers of coverage:
   ``actual rows`` as under the row backend on the census joins.
 """
 
+import asyncio
 import gc
 import pickle
 import weakref
@@ -35,29 +37,25 @@ from repro.census.queries import q6_self_join_product_form, q_four_way_join
 from repro.census.schema import census_schema
 from repro.core import UWSDT, WSD
 from repro.core.algebra import BaseRelation
-from repro.core.chase import chase_uwsdt
 from repro.core.exec import (
     ColumnarBackend,
     ColumnBatch,
     Dematerialize,
     Materialize,
-    backend_for,
+    ShardedBackend,
     resolve_backend,
 )
 from repro.core.exec.backends import DatabaseBackend
 from repro.core.exec.columnar import filter_batch
-from repro.relational import Database, InconsistentWorldSetError, Relation, RelationSchema
+from repro.core.planner import plan_call_count
+from repro.relational import Database, Relation, RelationSchema
 from repro.relational.errors import QueryError
 from repro.relational.predicates import And, AttrAttr, AttrConst, Not, Or
-from repro.relational.values import BOTTOM, PLACEHOLDER, is_placeholder
+from repro.relational.values import BOTTOM, PLACEHOLDER
+from repro.service import QueryService
 from repro.worlds import OrSet, OrSetRelation
 
-from _fixtures import (
-    ORACLE_SCHEMAS,
-    assert_same_result_distribution,
-    budgeted_orset_relations,
-    chase_dependency_lists,
-)
+from _fixtures import ORACLE_SCHEMAS
 
 
 # --------------------------------------------------------------------------- #
@@ -100,29 +98,20 @@ class TestColumnBatchRoundTrip:
         restored = batch.to_rows()
         # Order and duplicates (bag semantics) are preserved exactly.
         assert restored == [tuple(row) for row in rows]
-        # Placeholder *identity*: the sentinel object itself survives.
+        # Value *identity*: the ``?`` sentinel object itself survives.
         for row, original in zip(restored, rows):
             for value, original_value in zip(row, original):
                 if original_value is PLACEHOLDER:
                     assert value is PLACEHOLDER
-        # The masks agree cell-by-cell with the sentinel predicate.
-        for position, mask in enumerate(batch.placeholder_masks):
-            assert mask == [is_placeholder(row[position]) for row in rows]
-        assert batch.placeholder_count == sum(
-            1 for row in rows for value in row if is_placeholder(value)
-        )
-        # Default row ids are the row positions, in order.
-        assert batch.row_ids == list(range(len(rows)))
 
     @given(_schema_and_rows())
     @settings(max_examples=40, deadline=None)
-    def test_gather_preserves_values_and_ids(self, schema_and_rows):
+    def test_gather_preserves_values(self, schema_and_rows):
         attributes, rows = schema_and_rows
         batch = ColumnBatch.from_rows(attributes, rows)
         indices = list(range(len(rows) - 1, -1, -1))  # reversed, keeps dups
         gathered = batch.gather(indices)
         assert gathered.to_rows() == [tuple(rows[i]) for i in indices]
-        assert gathered.row_ids == indices
 
 
 # --------------------------------------------------------------------------- #
@@ -168,25 +157,6 @@ class TestColumnarEquivalence:
         columnar_result = sorted(query.run(database, backend="columnar"))
         assert columnar_result == row_result
 
-    def test_uwsdt_certain_join_matches_row_backend(self):
-        def build():
-            relations = []
-            for name, attributes in ORACLE_SCHEMAS:
-                relation = OrSetRelation(RelationSchema(name, attributes))
-                relation.insert((1, OrSet([1, 2]), 3) if name == "T" else (1, 2, 3))
-                relation.insert((2, 0, 1))
-                relations.append(relation)
-            return UWSDT.from_orset_relations(relations)
-
-        # R and S are certain, T carries the or-set — the R⋈S subtree can go
-        # columnar while anything touching T must stay on the row path.
-        query = BaseRelation("R").join(BaseRelation("S"), "A1", "B1")
-        row_engine, columnar_engine = build(), build()
-        query.run(row_engine, "P")
-        query.run(columnar_engine, "P", backend="columnar")
-        columnar_engine.validate()
-        assert_same_result_distribution(row_engine.rep(), columnar_engine.rep(), "P")
-
     def test_plan_contains_materialize_boundaries(self):
         database = small_database()
         # An attribute-attribute filter cannot become an IndexScan and a
@@ -201,19 +171,6 @@ class TestColumnarEquivalence:
         # The root is always handed back as rows.
         assert physical.root.op_name == "Dematerialize"
 
-    def test_uncertain_subtrees_get_no_boundaries(self):
-        relation = OrSetRelation(RelationSchema("R", ("A0", "A1", "A2")))
-        relation.insert((1, OrSet([1, 2]), 3))
-        uwsdt = UWSDT.from_orset_relation(relation)
-        query = BaseRelation("R").select(AttrConst("A0", "=", 1))
-        physical = query.physical_plan(uwsdt, backend="columnar")
-        names = _operator_names(physical.root)
-        assert physical.engine == "columnar"
-        assert "Materialize" not in names and "Dematerialize" not in names
-        # The row-at-a-time fallback still executes correctly.
-        query.run(uwsdt, "P", physical=physical, backend=ColumnarBackend(uwsdt))
-        uwsdt.validate()
-
 
 # --------------------------------------------------------------------------- #
 # The cached column store: never stale, evicted with its relation, not pickled
@@ -225,12 +182,10 @@ def _vectorized_scan(backend, name):
     return backend.materialize(backend.scan(name, None), None)
 
 
-def _assert_scan_is_fresh(backend, name, attributes, rows, row_ids):
+def _assert_scan_is_fresh(backend, name, attributes, rows):
     """The cached vectorized scan equals a batch built from the rows now."""
     cached = _vectorized_scan(backend, name)
-    fresh = ColumnBatch.from_rows(attributes, rows, row_ids)
-    assert cached.to_rows() == fresh.to_rows()
-    assert cached.row_ids == fresh.row_ids
+    assert cached.to_rows() == ColumnBatch.from_rows(attributes, rows).to_rows()
 
 
 _small_row = st.tuples(*[st.integers(min_value=0, max_value=3)] * 3)
@@ -244,43 +199,11 @@ class TestCachedColumnStore:
         backend = ColumnarBackend(Database([relation]))
         attributes = relation.schema.attributes
         # Read before every mutation, so a stale column would be served after.
-        _assert_scan_is_fresh(backend, "R", attributes, relation.rows, None)
+        _assert_scan_is_fresh(backend, "R", attributes, relation.rows)
         for insert, row in steps:
             relation.insert(row) if insert else relation.remove(row)
-            _assert_scan_is_fresh(backend, "R", attributes, relation.rows, None)
+            _assert_scan_is_fresh(backend, "R", attributes, relation.rows)
         assert list(relation._derived) == ["column-store"]  # one, however many versions
-
-    @given(
-        budgeted_orset_relations(ORACLE_SCHEMAS, max_rows=2, uncertain_budget=3),
-        st.lists(st.one_of(_small_row, chase_dependency_lists(max_size=1)), max_size=6),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_uwsdt_scan_tracks_template_inserts_and_chase(self, relations, steps):
-        uwsdt = UWSDT.from_orset_relations(relations)
-        backend = ColumnarBackend(uwsdt)
-        backend.begin("out")
-
-        def check():
-            for name, attributes in ORACLE_SCHEMAS:
-                if uwsdt.relation_placeholder_count(name) != 0:
-                    assert _vectorized_scan(backend, name) == name
-                    continue
-                rows = list(uwsdt.template_rows(name))
-                _assert_scan_is_fresh(
-                    backend, name, attributes, [v for _, v in rows], [t for t, _ in rows]
-                )
-
-        check()
-        for number, step in enumerate(steps):
-            if isinstance(step, tuple):
-                name = ORACLE_SCHEMAS[number % len(ORACLE_SCHEMAS)][0]
-                uwsdt.add_template_tuple(name, ("new", number), step)
-            else:
-                try:
-                    chase_uwsdt(uwsdt, step)
-                except InconsistentWorldSetError:
-                    return  # no world left to scan
-            check()
 
     @pytest.mark.parametrize("evict", ["drop", "replace"])
     def test_dropped_relation_is_released_by_the_pool(self, evict):
@@ -309,19 +232,13 @@ class TestCachedColumnStore:
     def test_pickled_engines_start_with_an_empty_pool(self):
         """A shard payload ships its engine; the column store kept on each
         relation stays behind."""
-        relation = OrSetRelation(RelationSchema("R", ("A0", "A1")))
-        relation.insert((1, 2))
-        uwsdt = UWSDT.from_orset_relation(relation)
         database = Database([Relation(RelationSchema("R", ("A", "B")), [(1, 2)])])
-        for engine in (uwsdt, database):
-            stored = engine.templates["R"] if engine is uwsdt else engine.relation("R")
-            before = _vectorized_scan(ColumnarBackend(engine), "R").to_rows()
-            assert list(stored._derived) == ["column-store"]
-            shipped = pickle.loads(pickle.dumps(engine))
-            shipped_stored = shipped.templates["R"] if engine is uwsdt else shipped.relation("R")
-            assert shipped_stored._derived is None
-            after = _vectorized_scan(ColumnarBackend(shipped), "R").to_rows()
-            assert after == before == [(1, 2)]
+        before = _vectorized_scan(ColumnarBackend(database), "R").to_rows()
+        assert list(database.relation("R")._derived) == ["column-store"]
+        shipped = pickle.loads(pickle.dumps(database))
+        assert shipped.relation("R")._derived is None
+        after = _vectorized_scan(ColumnarBackend(shipped), "R").to_rows()
+        assert after == before == [(1, 2)]
 
     def test_finish_does_not_copy_what_the_boundary_built(self):
         database = small_database()
@@ -434,4 +351,35 @@ class TestBackendSelection:
                 resolve_backend(wsd, spec)
         with pytest.raises(QueryError):
             ColumnarBackend(wsd)
-        assert resolve_backend(UWSDT.from_wsd(wsd), "columnar").kind == "columnar"
+        with pytest.raises(QueryError):
+            resolve_backend(UWSDT.from_wsd(wsd), "columnar")
+
+    @pytest.mark.parametrize("spec", ["columnar", "sharded"])
+    def test_a_uwsdt_runs_on_the_row_backend_only(self, spec):
+        """The resolver, ``Query.run`` and a service session all refuse a
+        Database-only backend on a UWSDT, naming those backends, and the
+        service caches no plan for the request."""
+        relation = OrSetRelation(RelationSchema("R", ("A0", "A1")))
+        relation.insert((1, OrSet([1, 2])))
+        uwsdt = UWSDT.from_orset_relation(relation)
+        query = BaseRelation("R").select(AttrConst("A0", "=", 1))
+        refused = r"runs on a Database only .*columnar, sharded"
+        plans = plan_call_count()
+        with pytest.raises(QueryError, match=refused):
+            {"columnar": ColumnarBackend, "sharded": ShardedBackend}[spec](uwsdt)
+        with pytest.raises(QueryError, match=refused):
+            resolve_backend(uwsdt, spec)
+        with pytest.raises(QueryError, match=refused):
+            query.run(uwsdt, "P", backend=spec, workers=2)
+        assert uwsdt.schema.relation_names == ("R",)  # nothing ran
+
+        service = QueryService()
+        service.register_engine("uwsdt", uwsdt)
+        session = service.session("uwsdt")
+        with pytest.raises(QueryError, match=refused):
+            asyncio.run(session.execute(query, backend=spec, workers=2))
+        cache = service.plan_cache("uwsdt")
+        assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
+        assert (service.stats.requests, session.requests) == (0, 0)
+        assert uwsdt.schema.relation_names == ("R",)
+        assert plan_call_count() == plans  # nothing was planned

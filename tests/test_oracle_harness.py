@@ -17,7 +17,7 @@ from repro.core import FieldRef
 from repro.core.algebra import BaseRelation
 from repro.core.chase import Comparison, EqualityGeneratingDependency, FunctionalDependency
 from repro.core.exec.plan_cache import PlanCache
-from repro.relational import eq
+from repro.relational import RepresentationError, eq
 from repro.worlds import OrSet
 
 import _fixtures
@@ -83,15 +83,15 @@ PRODUCT = Case(
 
 
 def test_a_wrong_figure_17_confidence_is_rejected(monkeypatch):
-    """Wrong for the possible tuple sorted last only: a result this small
-    has every tuple's confidence checked."""
+    """Wrong for the possible tuple sorted last only: every tuple's
+    confidence is checked."""
     last = max(Oracle.of(PRODUCT).confidences, key=repr)
-    exact = _fixtures.confidence
+    exact = _fixtures.possible_with_confidence
 
-    def halved(wsd, name, row):
-        return exact(wsd, name, row) / (2 if row == last else 1)
+    def halved(wsd, name):
+        return [(row, p / (2 if row == last else 1)) for row, p in exact(wsd, name)]
 
-    monkeypatch.setattr(_fixtures, "confidence", halved)
+    monkeypatch.setattr(_fixtures, "possible_with_confidence", halved)
     with pytest.raises(AssertionError, match="WSD by Figure 9"):
         check_oracle(PRODUCT, [cell for cell in cells("wsd") if "Figure 9" in cell.name])
 
@@ -102,8 +102,8 @@ def test_a_field_map_entry_for_a_certain_field_is_rejected():
     tid = next(tid for tid, _ in engine.template_rows("S"))
     stray = FieldRef("S", tid, "B0")
     engine.field_to_cid[stray] = next(iter(engine.components))
-    with pytest.raises(AssertionError):  # validate() alone lets it through
-        check_representation(engine)
+    with pytest.raises(RepresentationError, match="does not hold it"):
+        engine.validate()
 
 
 def test_a_plan_cache_that_never_hits_is_rejected(monkeypatch):

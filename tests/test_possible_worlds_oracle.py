@@ -6,9 +6,10 @@ Each test below is a *shape* — a family of cases drawn by
 (cleaned) input once and holds each cell of :data:`_fixtures.CELLS` to it:
 the UWSDT planned cold, from the plan cache, verbatim, on a copy planning
 from shared statistics and after an insert; the two join algorithms forced;
-the WSD as a UWSDT and by Figure 9; the columnar and the 2-worker sharded
-backend; the classical engine on one world.  Every UWSDT cell is validated
-and every result tuple's confidence compared with its exact frequency.
+the WSD as a UWSDT and by Figure 9; on the input's first world, the
+classical engine and its Database-only columnar and 2-worker sharded
+backends.  Every UWSDT cell is validated and every result tuple's
+confidence compared with its exact frequency.
 
 The last test is the scale cell: at 2 000 census rows enumeration is out of
 reach, so worlds are *sampled* — every component takes one random local
