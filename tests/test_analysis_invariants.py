@@ -310,3 +310,21 @@ class TestEnablement:
 
     def test_cached_backend_consistent(self):
         invariants.verify_cached_backend("columnar", "columnar", ("database", "columnar"))
+
+    def test_a_uwsdt_plan_cache_refuses_a_columnar_entry(self):
+        """Columnar and sharded entries are executable on a Database only: a
+        UWSDT's cache rejects a plan lowered by a columnar backend and keeps
+        nothing, while the Database's own cache stores it."""
+        from repro.core import UWSDT
+        from repro.core.exec import ColumnarBackend
+        from repro.core.exec.plan_cache import plan_cache_for
+
+        database = Database([Relation(RelationSchema("R", ("A0", "A1")), [(1, 2), (2, 3)])])
+        uwsdt = UWSDT.from_relation(database.relation("R"))
+        query = BaseRelation("R").select(AttrAttr("A0", "<", "A1"))
+        cache = plan_cache_for(uwsdt)
+        with pytest.raises(PlanInvariantError, match="not executable"):
+            cache.lowered(query, ColumnarBackend(database))
+        assert len(cache) == 0
+        entry, hit = plan_cache_for(database).lowered(query, ColumnarBackend(database))
+        assert (entry.backend, hit) == ("columnar", False)

@@ -383,3 +383,31 @@ class TestBackendSelection:
         assert (service.stats.requests, session.requests) == (0, 0)
         assert uwsdt.schema.relation_names == ("R",)
         assert plan_call_count() == plans  # nothing was planned
+
+    @pytest.mark.parametrize("spec", ["columnar", "sharded"])
+    @pytest.mark.parametrize("entry", ["physical_plan", "explain_analyze", "service"])
+    def test_every_planning_entry_point_refuses_a_uwsdt(self, entry, spec):
+        """``physical_plan``, ``explain_analyze`` and ``QueryService.execute``
+        reach the same error as ``Query.run`` before planning, caching or
+        running anything."""
+        relation = OrSetRelation(RelationSchema("R", ("A0", "A1")))
+        relation.insert((1, OrSet([1, 2])))
+        uwsdt = UWSDT.from_orset_relation(relation)
+        query = BaseRelation("R").select(AttrConst("A0", "=", 1))
+        service = QueryService()
+        service.register_engine("uwsdt", uwsdt)
+        ask = {
+            "physical_plan": lambda: query.physical_plan(uwsdt, backend=spec, workers=2),
+            "explain_analyze": lambda: query.explain_analyze(uwsdt, backend=spec, workers=2),
+            "service": lambda: asyncio.run(
+                service.execute("uwsdt", query, backend=spec, workers=2)
+            ),
+        }[entry]
+        plans = plan_call_count()
+        with pytest.raises(QueryError, match=r"runs on a Database only .*columnar, sharded"):
+            ask()
+        assert plan_call_count() == plans
+        cache = service.plan_cache("uwsdt")
+        assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
+        assert service.stats.requests == 0
+        assert uwsdt.schema.relation_names == ("R",)

@@ -100,6 +100,36 @@ class TestConfidenceOnWSD:
         assert confidence(wsd, "S", (1,)) == pytest.approx(0.8)
         assert confidence(wsd, "S", (2,)) == pytest.approx(0.5)
 
+    def test_a_tuple_produced_twice_in_one_local_world_counts_it_once(self):
+        from repro.core import Component, FieldRef
+        from repro.relational import DatabaseSchema, RelationSchema
+
+        schema = DatabaseSchema([RelationSchema("R", ("S",))])
+        both = Component(
+            (FieldRef("R", 1, "S"), FieldRef("R", 2, "S")), [(5, 5), (5, 6)], [0.5, 0.5]
+        )
+        wsd = WSD(schema, {"R": [1, 2]}, [both])
+        assert possible_with_confidence(wsd, "R") == [((5,), pytest.approx(1.0)), ((6,), 0.5)]
+        assert certain(wsd, "R") == [(5,)]
+
+    @given(orset_relations(max_rows=2, max_attrs=2))
+    @settings(max_examples=20, deadline=None)
+    def test_every_possible_tuple_and_projection_matches_naive(self, relation):
+        """One pass ranks every possible tuple, of the relation and of a
+        projection that merges tuple ids; ``confidence``, ``possible`` and
+        ``certain`` read the same ranking."""
+        wsd = WSD.from_orset_relation(relation)
+        evaluate_on_wsd(BaseRelation("R").project([relation.schema.attributes[-1]]), wsd, "Q")
+        worlds = wsd.rep()
+        for name in ("R", "Q"):
+            ranked = possible_with_confidence(wsd, name)
+            assert [row for row, _ in ranked] == possible(wsd, name)
+            assert set(possible(wsd, name)) == naive.possible_tuples(worlds, name)
+            assert set(certain(wsd, name)) == naive.certain_tuples(worlds, name)
+            for row, value in ranked:
+                assert value == pytest.approx(naive.tuple_confidence(worlds, name, row), abs=1e-9)
+                assert confidence(wsd, name, row) == value
+
 
 class TestConfidenceOnUWSDT:
     def test_matches_wsd_confidence(self, census_forms):

@@ -96,6 +96,43 @@ class TestIndexEqualsTemplateScan:
         with pytest.raises(RepresentationError, match="placeholders"):
             stale.validate()  # an index entry on a certain field
 
+    @pytest.mark.parametrize(
+        "corruption, message",
+        [
+            ("dropped component", "does not hold it"),
+            ("another component", "does not hold it"),
+            ("component field off the index", "not a placeholder"),
+        ],
+    )
+    def test_validate_checks_every_field_map_entry(self, corruption, message):
+        """Each field map entry names an existing component that holds the
+        field, and the field is a ``?`` of the placeholder index."""
+        uwsdt = UWSDT.from_orset_relation(
+            OrSetRelation.from_dicts(
+                "R", ["A", "B"], [{"A": OrSet([1, 2]), "B": OrSet([3, 4])}, {"A": 5, "B": 6}]
+            )
+        )
+        uwsdt.validate()
+        field_a, field_b = FieldRef("R", 1, "A"), FieldRef("R", 1, "B")
+        cid_a, cid_b = uwsdt.component_of(field_a), uwsdt.component_of(field_b)
+        if corruption == "dropped component":
+            # The component is gone, its field map entry stays behind.
+            del uwsdt.components[cid_a]
+        elif corruption == "another component":
+            # The stale entry names a live component that lacks the field.
+            del uwsdt.components[cid_a]
+            uwsdt.field_to_cid[field_a] = cid_b
+        else:
+            # The component keeps the field, the field map agrees, but the
+            # template holds a value there: the entry names no placeholder.
+            certain = FieldRef("R", 2, "B")
+            uwsdt.components[cid_b] = uwsdt.components[cid_b].compose(
+                Component.certain(certain, 6)
+            )
+            uwsdt.field_to_cid[certain] = cid_b
+        with pytest.raises(RepresentationError, match=message):
+            uwsdt.validate()
+
 
 # --------------------------------------------------------------------------- #
 # (b) Compiled dependencies agree with holds_for
