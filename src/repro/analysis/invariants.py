@@ -15,8 +15,9 @@ in every test is checked):
 * **Physical plans are well-formed.**  After lowering, the physical tree
   is checked for: attribute resolution through every operator (the same
   checks as the logical analyzer), hash-join/INLJ key compatibility,
-  ``IndexScan`` only where the backend can probe an index (hashable
-  equality predicate over a stored relation), ``Materialize`` /
+  ``IndexScan`` only where the backend can probe an index (its key a
+  hashable equality conjunct of its predicate, every attribute one of the
+  stored relation's), ``Materialize`` /
   ``Dematerialize`` properly paired (batch regions open with Materialize,
   close with Dematerialize and contain only vectorized-kernel operators),
   ``Exchange`` subtrees holding per-row operators only, and the plan's
@@ -45,7 +46,7 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence, Tuple
 
 from ..relational.errors import QueryError, RepresentationError
-from ..relational.predicates import is_index_equality
+from ..relational.predicates import index_equalities
 from ..relational.relation import Relation
 from ..core.algebra.query import BaseRelation
 from ..core.algebra.schema import AnalysisError, SchemaContext, output_schema
@@ -223,12 +224,13 @@ def verify_physical(
         if isinstance(node, IndexScan):
             if backend is not None and not backend.supports_index_scan:
                 _fail(plan, node, "IndexScan on a backend without index support")
-            if not is_index_equality(node.predicate):
+            if node.key not in index_equalities(node.predicate):
                 _fail(
                     plan,
                     node,
-                    f"IndexScan predicate {node.predicate!r} is not a hashable "
-                    "equality — no index can serve it",
+                    f"IndexScan key {node.key!r} is not a hashable equality conjunct "
+                    f"of its predicate {node.predicate!r} — no index bucket holds "
+                    "every row the predicate accepts",
                 )
             attrs = base_attributes(node.relation)
             if attrs is not None:

@@ -52,7 +52,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ...obs.metrics import get_registry
 from ...relational.errors import RepresentationError, SchemaError
-from ...relational.predicates import And, Predicate, is_index_equality
+from ...relational.predicates import And, AttrConst, Predicate, is_index_equality
 from ...relational.schema import RelationSchema
 from ...relational.values import BOTTOM, PLACEHOLDER
 from ..component import Component, fill_placeholders
@@ -166,23 +166,6 @@ def _merge_target_components(copies: _FieldCopies, fields: Sequence[FieldRef]) -
 # --------------------------------------------------------------------------- #
 
 
-def _equality_candidates(
-    uwsdt: UWSDT, source: str, predicate: Predicate
-) -> Optional[Tuple[List[Row], List[Row]]]:
-    """Candidate template rows for an equality selection, or None.
-
-    A pushed-down selection ``σ_{A=c}`` only ever keeps template rows whose
-    ``A`` field equals ``c`` or is the ``?`` placeholder, so instead of
-    scanning the template it probes the (cached) hash index of Section 5's
-    "employing indices" tuning with exactly those two keys: the rows under
-    ``c``, which the template decides, and the rows under ``?``.
-    """
-    if not is_index_equality(predicate):
-        return None
-    index = uwsdt.template_index(source, predicate.attribute)
-    return index.lookup(predicate.constant), index.lookup(PLACEHOLDER)
-
-
 def _count_select(rows_scanned: int, rows_through_components: int) -> None:
     """Once per selection, never per row (docs/observability.md)."""
     registry = get_registry()
@@ -190,18 +173,27 @@ def _count_select(rows_scanned: int, rows_through_components: int) -> None:
     registry.counter("repro.uwsdt_ops.rows_through_components").inc(rows_through_components)
 
 
-def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None:
+def select(
+    uwsdt: UWSDT,
+    source: str,
+    target: str,
+    predicate: Predicate,
+    key: Optional[AttrConst] = None,
+) -> None:
     """Selection ``P := σ_pred(R)`` on a UWSDT (the algorithm of Figure 16, generalized).
 
-    A selection is a predicate: one generated scan over the template judges
-    every row as one-world data — or, for ``A = c``, the equality index's
-    bucket under ``c`` is adopted as it is — and only the rows with a ``?`` on
-    a referenced attribute — taken from
-    :meth:`~repro.core.uwsdt.UWSDT.placeholder_rows_on`, or from the bucket
-    under ``?`` — go through Figure 16's lines 2–6, judged by the row check,
-    which is compiled only when there are such rows.  The result holds the
-    rows the template decides, in template order, then the rows the
-    components decide, in template order.
+    A selection is a predicate: one generated scan judges the template rows as
+    one-world data, and only the rows with a ``?`` on a referenced attribute —
+    taken from :meth:`~repro.core.uwsdt.UWSDT.placeholder_rows_on` — go
+    through Figure 16's lines 2–6, judged by the row check, which is compiled
+    only when there are such rows.  With a ``key`` — an index-equality
+    conjunct ``A = c`` of ``predicate``, and a bare equality is its own key
+    by default — the scan reads only the template index's bucket under ``c``
+    (a bare equality adopts it), and of the rows with a ``?`` only those whose
+    ``A`` is ``c`` or ``?`` are visited: one with a certain ``A ≠ c`` fails
+    line 1 for every local world and is dropped there without a component
+    write anyway.  The result holds the rows the template decides, in
+    template order, then the rows the components decide, in template order.
     """
     source_schema = uwsdt.schema.relation(source)
     referenced = predicate.attributes()
@@ -212,18 +204,25 @@ def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None
     template = uwsdt.templates[source]
     schema = template.schema
     uncertain = uwsdt.uncertain_tuples(source)
-    candidates = _equality_candidates(uwsdt, source, predicate)
-    if candidates is None:
+    open_rows = uwsdt.placeholder_rows_on(source, referenced) if uncertain else []
+    if key is None and is_index_equality(predicate):
+        key = predicate
+    if key is not None:
+        bucket = uwsdt.template_index(source, key.attribute).bucket(key.constant)
+        rows_scanned = len(bucket)
+        # Every row under ``c`` meets ``A = c``: a bare equality keeps them all.
+        decided = list(bucket) if key is predicate else predicate.compile_scan(schema)(bucket)
+        position, constant = schema.position(key.attribute), key.constant
+        open_rows = [
+            entry
+            for entry in open_rows
+            if (value := entry[0][position]) is PLACEHOLDER or value == constant
+        ]
+    else:
         # Compiled against the raw template layout: certain rows are scanned as
         # in one world, local worlds are judged on a filled-in copy of the row.
         rows_scanned = len(template)
         decided = predicate.compile_scan(schema)(template)
-        open_rows = uwsdt.placeholder_rows_on(source, referenced) if uncertain else []
-    else:
-        # Every row under ``c`` meets ``A = c``; the bucket is a fresh list.
-        decided = candidates[0]
-        rows_scanned = len(decided)
-        open_rows = [(row, uncertain[row[0]]) for row in candidates[1]]
     _count_select(rows_scanned, len(open_rows))
     if not uncertain:
         uwsdt.load_template(target, decided, distinct=True)

@@ -94,9 +94,13 @@ class DatabaseBackend(EngineBackend):
     def scan(self, name: str, result_name: Optional[str]) -> Relation:
         return self.engine.relation(name)
 
-    def index_scan(self, name: str, predicate: Predicate, result_name: Optional[str]) -> Relation:
+    def index_scan(
+        self, name: str, predicate: Predicate, key: Predicate, result_name: Optional[str]
+    ) -> Relation:
+        """σ_predicate over the bucket of ``key``, an index-equality conjunct
+        of ``predicate`` (a bare equality is its own key)."""
         relation = self.engine.relation(name)
-        index = hash_index(relation, (predicate.attribute,))
+        index = hash_index(relation, key.attributes())
         return relational_algebra.select(relation, predicate, index=index)
 
     def filter(self, child: Relation, predicate: Predicate, result_name: Optional[str]) -> Relation:
@@ -187,10 +191,10 @@ class UWSDTBackend(EngineBackend):
             return result_name
         return name
 
-    def index_scan(self, name: str, predicate: Predicate, result_name) -> str:
-        # uwsdt_ops.select probes the cached template index itself for
-        # hashable equality predicates (the candidate fast path).
-        return self.filter(name, predicate, result_name)
+    def index_scan(self, name: str, predicate: Predicate, key: Predicate, result_name) -> str:
+        target = self.target(result_name)
+        uwsdt_ops.select(self.engine, name, target, predicate, key=key)
+        return target
 
     def filter(self, child: str, predicate: Predicate, result_name) -> str:
         target = self.target(result_name)

@@ -317,8 +317,8 @@ class ColumnarBackend(EngineBackend):
     def scan(self, name: str, result_name: Optional[str]) -> Relation:
         return self.inner.scan(name, result_name)
 
-    def index_scan(self, name: str, predicate: Predicate, result_name):
-        return self.inner.index_scan(name, predicate, result_name)
+    def index_scan(self, name: str, predicate: Predicate, key: Predicate, result_name):
+        return self.inner.index_scan(name, predicate, key, result_name)
 
     def filter(self, child, predicate: Predicate, result_name):
         if isinstance(child, ColumnBatch):

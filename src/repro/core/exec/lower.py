@@ -4,9 +4,14 @@ This is where physical alternatives are built.  What is structurally possible
 is decided here; what is cheaper was decided by the estimator that priced the
 tree (:mod:`~repro.core.planner.cost`) and is read off its per-node estimate:
 
-* a ``Select`` with a hashable equality predicate directly over a base
-  relation becomes an :class:`~repro.core.exec.physical.IndexScan` on
-  backends that can probe one (the hash index kept on the relation);
+* a ``Select`` directly over a base relation whose predicate is an index
+  equality ``A = c`` (hashable ``c``, equal to itself), or an ``And`` with at
+  least one such conjunct, becomes an
+  :class:`~repro.core.exec.physical.IndexScan` on backends that can probe
+  one (the hash index kept on the relation).  The rule is structural; of
+  several equality conjuncts the *key* — the one whose bucket is read — is
+  the one with the fewest sampled rows equal to its constant
+  (:meth:`_Lowering.index_key`);
 * a ``Join`` whose *right* input is a bare base-relation scan becomes an
   :class:`~repro.core.exec.physical.IndexNestedLoopJoin` when the node's
   estimate names that algorithm (``NodeEstimate.algorithm`` — the one
@@ -22,10 +27,10 @@ output, so executed plans can report estimated-vs-actual cardinality errors.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from ...relational.errors import QueryError
-from ...relational.predicates import is_index_equality
+from ...relational.predicates import AttrConst, index_equalities
 from ..algebra import query as logical
 from ..algebra.schema import SchemaContext
 from ..planner.cost import NodeEstimate, Statistics, estimate_forest
@@ -91,12 +96,14 @@ class _Lowering:
         if isinstance(node, logical.BaseRelation):
             return Scan(node.name, rows)
         if isinstance(node, logical.Select):
+            keys = index_equalities(node.predicate)
             if (
-                self.backend.supports_index_scan
+                keys
+                and self.backend.supports_index_scan
                 and isinstance(node.child, logical.BaseRelation)
-                and is_index_equality(node.predicate)
             ):
-                return IndexScan(node.child.name, node.predicate, rows)
+                key = self.index_key(node.child.name, keys)
+                return IndexScan(node.child.name, node.predicate, rows, key)
             return Filter(self.lower(node.child), node.predicate, rows)
         if isinstance(node, logical.Project):
             return Project(self.lower(node.child), node.attributes, rows)
@@ -116,6 +123,23 @@ class _Lowering:
             return self.lower_join(node, rows, estimate)
         raise QueryError(
             "cannot lower query node to a physical operator:\n" + node.to_text("  ")
+        )
+
+    def index_key(self, relation: str, keys: Sequence[AttrConst]) -> AttrConst:
+        """The conjunct whose bucket is probed: the one with the fewest
+        sampled rows equal to its constant, read off the leaf sample's
+        histograms (memoised on the sample, so a warm plan scans nothing).
+        Ties, and a leaf without a sample, take the first in predicate order."""
+        sample = self.statistics.sample(relation)
+        if sample is None or len(keys) == 1:
+            return keys[0]
+        return min(
+            keys,
+            key=lambda part: (
+                sample.histogram(part.attribute).get(part.constant, 0)
+                if sample.has_attributes((part.attribute,))
+                else len(sample)
+            ),
         )
 
     def lower_join(

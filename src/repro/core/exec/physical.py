@@ -2,8 +2,9 @@
 
 A :class:`PhysicalPlan` is the lowered form of a logical
 :class:`~repro.core.algebra.query.Query` tree: every logical operator has
-been mapped to a concrete algorithm (``Select`` over an equality on a base
-relation becomes an :class:`IndexScan`; a ``Join`` becomes a
+been mapped to a concrete algorithm (``Select`` on a base relation whose
+predicate is an equality, or a conjunction with one, becomes an
+:class:`IndexScan`; a ``Join`` becomes a
 :class:`HashJoin` or an :class:`IndexNestedLoopJoin` depending on the cost
 model and index availability).  The plan is engine-agnostic — executing it
 against an :class:`~repro.core.exec.backends.EngineBackend` produces a
@@ -79,25 +80,39 @@ class Scan(PhysicalOperator):
 
 
 class IndexScan(PhysicalOperator):
-    """Equality selection over a base relation served by a hash-index probe.
+    """Selection over a base relation that reads one hash-index bucket.
 
-    The probe hits the hash index kept on the stored relation
-    (:func:`~repro.relational.indexes.hash_index`); on a UWSDT that is the
-    ``template_index`` of the template, probed with the constant plus the
-    ``?`` placeholder key, per Figure 16's uncertain-field path.
+    ``key`` is an index-equality conjunct ``A = c`` of ``predicate`` (the
+    whole predicate when that is a bare equality).  Every row the predicate
+    accepts has ``A = c``, so the probe of the hash index kept on the stored
+    relation (:func:`~repro.relational.indexes.hash_index`) under ``c``
+    yields all of them: a bare equality adopts the bucket, a conjunction runs
+    its compiled scan over the bucket only.  On a UWSDT the index is the
+    template's ``template_index``, and the rows with a ``?`` on a referenced
+    attribute whose ``A`` is ``c`` or ``?`` go through Figure 16's
+    uncertain-field path.
     """
 
     op_name = "IndexScan"
 
     def __init__(
-        self, relation: str, predicate: Predicate, estimated_rows: Optional[float] = None
+        self,
+        relation: str,
+        predicate: Predicate,
+        estimated_rows: Optional[float] = None,
+        key: Optional[Predicate] = None,
     ) -> None:
         super().__init__((), estimated_rows)
         self.relation = relation
         self.predicate = predicate
+        #: The probed conjunct (an ``AttrConst``, checked by plan
+        #: verification); a bare equality is its own key.
+        self.key: Predicate = predicate if key is None else key
 
     def label(self) -> str:
-        return f"IndexScan({self.relation}, {self.predicate!r})"
+        if self.key is self.predicate:
+            return f"IndexScan({self.relation}, {self.predicate!r})"
+        return f"IndexScan({self.relation}, key {self.key!r}, {self.predicate!r})"
 
 
 class Filter(PhysicalOperator):
@@ -451,7 +466,7 @@ class PhysicalPlan:
         if isinstance(node, Scan):
             handle = backend.scan(node.relation, result_name)
         elif isinstance(node, IndexScan):
-            handle = backend.index_scan(node.relation, node.predicate, result_name)
+            handle = backend.index_scan(node.relation, node.predicate, node.key, result_name)
         elif isinstance(node, Filter):
             handle = backend.filter(handles[0], node.predicate, result_name)
         elif isinstance(node, Project):

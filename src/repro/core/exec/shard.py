@@ -192,8 +192,8 @@ class ShardedBackend(EngineBackend):
     def scan(self, name, result_name):
         return self.inner.scan(name, result_name)
 
-    def index_scan(self, name, predicate, result_name):
-        return self.inner.index_scan(name, predicate, result_name)
+    def index_scan(self, name, predicate, key, result_name):
+        return self.inner.index_scan(name, predicate, key, result_name)
 
     def filter(self, child, predicate, result_name):
         return self.inner.filter(child, predicate, result_name)

@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
 from .errors import SchemaError
 from .indexes import HashIndex
-from .predicates import AttrConst, Predicate
+from .predicates import Predicate, index_equalities
 from .relation import Relation, Row, project_rows, require_same_attributes
 from .schema import RelationSchema
 
@@ -39,22 +39,26 @@ def select(
 ) -> Relation:
     """Selection ``σ_pred(R)``: keep the rows satisfying ``predicate``.
 
-    When a :class:`~repro.relational.indexes.HashIndex` over the predicate's
-    attribute is supplied and the predicate is an equality ``A = c``, the
-    index is probed instead of scanning the relation.
+    When a :class:`~repro.relational.indexes.HashIndex` of ``relation`` over
+    one attribute ``A`` is supplied and ``predicate`` is an equality ``A = c``
+    or a conjunction with one (the first such conjunct is the key), only the
+    index's bucket under ``c`` is read: a bare equality adopts the bucket,
+    a conjunction runs its compiled scan over the bucket alone.
     """
     schema = relation.schema.renamed(name or relation.schema.name)
-    if (
-        index is not None
-        and isinstance(predicate, AttrConst)
-        and predicate.op in ("=", "==")
-        and index.attributes == (predicate.attribute,)
-        and index.relation is relation
-    ):
-        # ``lookup`` returns a fresh copy of the bucket: adopted as is.
-        return Relation.from_tuples(schema, index.lookup(predicate.constant), distinct=True)
+    rows: Iterable[Row] = relation
+    if index is not None and index.relation is relation:
+        key = next(
+            (part for part in index_equalities(predicate) if index.attributes == (part.attribute,)),
+            None,
+        )
+        if key is predicate:
+            # ``lookup`` returns a fresh copy of the bucket: adopted as is.
+            return Relation.from_tuples(schema, index.lookup(key.constant), distinct=True)
+        if key is not None:
+            rows = index.bucket(key.constant)
     scan = predicate.compile_scan(relation.schema)
-    return Relation.from_tuples(schema, scan(relation), distinct=True)
+    return Relation.from_tuples(schema, scan(rows), distinct=True)
 
 
 def project(relation: Relation, attributes: Sequence[str], name: Optional[str] = None) -> Relation:

@@ -56,9 +56,14 @@ class HashIndex:
         """Register a row that has been inserted in the indexed relation."""
         self._buckets.setdefault(self._key(row), []).append(row)
 
+    def bucket(self, *key: Any) -> Sequence[Row]:
+        """The rows whose indexed attributes equal ``key``, in insertion order,
+        as the index holds them: read them, never keep or change the list."""
+        return self._buckets.get(tuple(key), ())
+
     def lookup(self, *key: Any) -> List[Row]:
-        """Return the rows whose indexed attributes equal ``key``."""
-        return list(self._buckets.get(tuple(key), ()))
+        """Return the rows whose indexed attributes equal ``key`` (a fresh list)."""
+        return list(self.bucket(*key))
 
     def contains(self, *key: Any) -> bool:
         """Return True iff some row has the given key."""

@@ -431,11 +431,32 @@ class TruePredicate(Predicate):
 
 
 def is_index_equality(predicate: Predicate) -> bool:
-    """``A = c`` with a hashable ``c``: the condition a hash index answers."""
+    """``A = c`` with a hashable domain value ``c`` equal to itself: the
+    condition a hash index answers exactly as :meth:`Predicate.evaluate` does.
+
+    A dict probe matches a key by identity before ``==``, so a constant not
+    equal to itself (``nan``) would find the rows holding that very object,
+    which ``evaluate`` rejects; ``⊥`` and ``?`` are markers, not values.
+    """
+    if not isinstance(predicate, AttrConst):
+        return False
+    constant = predicate.constant
     return (
-        isinstance(predicate, AttrConst)
-        and predicate.op in ("=", "==")
+        predicate.op in ("=", "==")
         and predicate.value_key() is not None
+        and is_domain_value(constant)
+        and constant == constant
+    )
+
+
+def index_equalities(predicate: Predicate) -> Tuple[AttrConst, ...]:
+    """The parts of ``predicate`` a hash-index probe can answer, in order:
+    the predicate itself when it is an index equality, the index-equality
+    conjuncts of an :class:`And` (flattened already), else none.  Every row
+    the predicate accepts lies in the bucket of each of them."""
+    parts = predicate.parts if isinstance(predicate, And) else (predicate,)
+    return tuple(
+        part for part in parts if isinstance(part, AttrConst) and is_index_equality(part)
     )
 
 

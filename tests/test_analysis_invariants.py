@@ -38,7 +38,7 @@ from repro.core.planner import Statistics, plan
 from repro.core.planner.planner import rewrite
 from repro.core.planner.rules import RewriteContext, RewriteRule
 from repro.relational import Database, Relation, RelationSchema
-from repro.relational.predicates import AttrAttr, AttrConst
+from repro.relational.predicates import And, AttrAttr, AttrConst
 
 from _fixtures import ORACLE_ATTRS, query_trees
 
@@ -163,6 +163,31 @@ class TestPhysicalVerification:
         plan_ = PhysicalPlan(root, "database")
         with pytest.raises(PlanInvariantError, match="hashable"):
             invariants.verify_physical(plan_)
+
+    @pytest.mark.parametrize(
+        "key",
+        [AttrConst("B", ">", 2), AttrConst("A", "=", 2), AttrConst("A", "=", float("nan"))],
+        ids=["a non-equality conjunct", "an equality not in the predicate", "a nan equality"],
+    )
+    def test_index_scan_key_must_be_an_equality_conjunct(self, key):
+        predicate = And(
+            AttrConst("A", "=", 1), AttrConst("B", ">", 2), AttrConst("A", "=", float("nan"))
+        )
+        context = SchemaContext(attributes={"R": ("A", "B")})
+        invariants.verify_physical(
+            PhysicalPlan(IndexScan("R", predicate, key=AttrConst("A", "=", 1)), "database"),
+            schema_context=context,
+        )
+        plan_ = PhysicalPlan(IndexScan("R", predicate, key=key), "database")
+        with pytest.raises(PlanInvariantError, match="not a hashable equality conjunct"):
+            invariants.verify_physical(plan_, schema_context=context)
+
+    def test_index_scan_residual_attribute_checked(self):
+        context = SchemaContext(attributes={"R": ("A", "B")})
+        key = AttrConst("A", "=", 1)
+        root = IndexScan("R", And(key, AttrConst("Z", ">", 3)), key=key)
+        with pytest.raises(PlanInvariantError, match="'Z'"):
+            invariants.verify_physical(PhysicalPlan(root, "database"), schema_context=context)
 
     def test_index_scan_predicate_attribute_checked(self):
         context = SchemaContext(attributes={"R": ("A", "B")})

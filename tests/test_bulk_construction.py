@@ -107,12 +107,8 @@ def equality_predicates(draw, attributes):
 # --------------------------------------------------------------------------- #
 
 
-def ref_select(relation, predicate, name=None, index=None):
+def ref_select(relation, predicate, name=None):
     result = Relation(relation.schema.renamed(name or relation.schema.name))
-    if index is not None:
-        for row in index.lookup(predicate.constant):
-            result.insert(row)
-        return result
     check = predicate.compile(relation.schema)
     for row in relation:
         if check(row):
@@ -247,9 +243,9 @@ class TestAlgebraEqualsPerRowReference:
         )
         probe = eq(data.draw(st.sampled_from(attributes)), data.draw(SPECIAL_VALUES))
         index = HashIndex(relation, (probe.attribute,))
-        assert_identical(
-            algebra.select(relation, probe, index=index), ref_select(relation, probe, index=index)
-        )
+        # The probe answers exactly what the scan does: ``nan`` and ``⊥`` are
+        # not probed (a dict matches a key by identity, ``==`` does not).
+        assert_identical(algebra.select(relation, probe, index=index), ref_select(relation, probe))
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)

@@ -215,7 +215,8 @@ class TestCachedColumnStore:
         )
         database = Database([big, Relation(RelationSchema("S", ("C",)), [(1,)])])
         assert _vectorized_scan(ColumnarBackend(database), "R").columns[0][:2] == [0, 1]
-        DatabaseBackend(database).index_scan("R", AttrConst("A", "=", 1), None)
+        equality = AttrConst("A", "=", 1)
+        DatabaseBackend(database).index_scan("R", equality, equality, None)
         assert sorted(map(str, big._derived)) == ["('hash-index', ('A',))", "column-store"]
         reference = weakref.ref(big)
         if evict == "drop":

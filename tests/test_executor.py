@@ -19,18 +19,30 @@ Covers the PR 5 tentpole:
 """
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import naive
 from repro.core import UWSDT, WSD
 from repro.core.algebra import BaseRelation, Query, evaluate_on_database, evaluate_on_wsd
-from repro.core.exec import ExecutionResult, backend_for, lower
+from repro.core.exec import DatabaseBackend, ExecutionResult, backend_for, lower
 from repro.core.planner import COST_MODELS, Statistics
 from repro.core.planner.cost import join_step
-from repro.relational import Database, QueryError, Relation, RelationSchema
-from repro.relational.predicates import AttrAttr, AttrConst, gt
+from repro.relational import Database, QueryError, Relation, RelationSchema, algebra
+from repro.relational.indexes import hash_index
+from repro.relational.predicates import (
+    And,
+    AttrAttr,
+    AttrConst,
+    Not,
+    Or,
+    gt,
+    index_equalities,
+    is_index_equality,
+)
 from repro.worlds import OrSet, OrSetRelation
 
-from _fixtures import assert_same_result_distribution
+from _fixtures import assert_same_result_distribution, orsets, uwsdt_distribution
 
 
 def eq(attribute, value):
@@ -349,3 +361,135 @@ class TestQueryText:
         explained = query.plan(statistics=statistics).explain()
         assert "chosen tree:" in explained
         assert "σ[" in explained
+
+
+# --------------------------------------------------------------------------- #
+# A conjunction with an equality reads one index bucket
+# --------------------------------------------------------------------------- #
+
+NAN = float("nan")
+#: Values that hash and compare equal across types (1, 1.0, True), are not
+#: equal to themselves (nan), or do not order against each other (str).
+MIXED_VALUES = st.one_of(
+    st.integers(min_value=-1, max_value=2),
+    st.sampled_from([0.0, -0.0, 1.0, 1.5, NAN]),
+    st.booleans(),
+    st.sampled_from(["", "a", "1"]),
+)
+
+
+@st.composite
+def residual_parts(draw, attributes):
+    """``A θ c``, ``A θ B``, or the negation or disjunction of two such."""
+    atom = st.one_of(
+        st.builds(
+            AttrConst,
+            st.sampled_from(attributes),
+            st.sampled_from(["=", "!=", "<", ">="]),
+            MIXED_VALUES,
+        ),
+        st.builds(
+            AttrAttr,
+            st.sampled_from(attributes),
+            st.sampled_from(["=", "<"]),
+            st.sampled_from(attributes),
+        ),
+    )
+    kind = draw(st.sampled_from(["atom", "atom", "not", "or"]))
+    if kind == "atom":
+        return draw(atom)
+    if kind == "not":
+        return Not(draw(atom))
+    return Or(draw(atom), draw(atom))
+
+
+def evaluated(relation, predicate):
+    """σ by the specification: ``Predicate.evaluate`` on every row."""
+    return {row for row in relation if predicate.evaluate(relation.schema, row)}
+
+
+class TestIndexScanWithResidual:
+    """σ[A = c ∧ rest](R) reads the bucket under ``c`` of A's hash index and
+    judges the whole predicate over that bucket only."""
+
+    def test_a_conjunction_lowers_to_an_index_scan_naming_its_key(self):
+        database = small_large_database()
+        predicate = And(gt("B", 1), eq("A", 1))
+        (scan,) = BaseRelation("R").select(predicate).physical_plan(database).root.walk()
+        assert scan.label() == "IndexScan(R, key (A = 1), ((B > 1) AND (A = 1)))"
+        (bare,) = BaseRelation("R").select(eq("A", 1)).physical_plan(database).root.walk()
+        assert bare.label() == "IndexScan(R, (A = 1))"
+        assert BaseRelation("R").select(predicate).run(database).row_set() == {(1, 4)}
+
+    def test_the_key_is_the_equality_with_the_fewest_sampled_rows(self):
+        database = small_large_database()  # A = 1 on two of R's six rows, B = 4 on one
+        sampled = Statistics.from_engine(database)
+
+        def key(predicate, statistics=sampled):
+            query = BaseRelation("R").select(predicate)
+            return lower(query, backend_for(database), statistics).root.key
+
+        assert key(And(eq("A", 1), eq("B", 4))) == eq("B", 4)
+        assert key(And(eq("B", 4), eq("A", 1))) == eq("B", 4)
+        assert key(And(eq("A", 1), eq("A", 2))) == eq("A", 1)  # a tie: the first
+        assert key(And(eq("A", 1), eq("B", 99))) == eq("B", 99)  # no sampled row
+        # Without a sample, the first equality in predicate order.
+        assert key(And(eq("A", 1), eq("B", 4)), Statistics(engine="database")) == eq("A", 1)
+
+    def test_a_nan_constant_is_no_index_equality(self):
+        relation = Relation(RelationSchema("R", ("A", "B")), [(NAN, 1), (1.0, 2)])
+        assert not is_index_equality(eq("A", NAN))
+        assert index_equalities(And(eq("A", NAN), eq("B", 2))) == (eq("B", 2),)
+        index = hash_index(relation, ("A",))
+        assert algebra.select(relation, eq("A", NAN), index=index).row_set() == set()
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [eq("A", NAN), And(eq("A", NAN), gt("B", 0)), And(eq("B", 2), eq("A", NAN))],
+        ids=["A = nan", "A = nan and B > 0", "B = 2 and A = nan"],
+    )
+    def test_a_nan_equality_answers_as_evaluate_does(self, predicate):
+        """A dict probe finds the very ``nan`` object; ``nan == nan`` is False."""
+        query = BaseRelation("R").select(predicate)
+        relation = Relation(
+            RelationSchema("R", ("A", "B")), [(NAN, 1), (NAN, 2), (1.0, 2), (2.5, 3)]
+        )
+        database = Database([relation])
+        assert query.run(database).row_set() == evaluated(relation, predicate) == set()
+
+        uwsdt = UWSDT.from_orset_relation(
+            orsets("R", "AB", (NAN, 2), (NAN, OrSet([1, 2])), (OrSet([2.5, NAN]), 2), (1.0, 3))
+        )
+        schema = uwsdt.schema.relation("R")
+        expected = {}
+        for (rows,), probability in uwsdt_distribution(uwsdt, ("R",)).items():
+            kept = frozenset(row for row in rows if predicate.evaluate(schema, row))
+            expected[(kept,)] = expected.get((kept,), 0.0) + probability
+        query.run(uwsdt, "P")
+        uwsdt.validate()
+        assert uwsdt_distribution(uwsdt, ("P",)) == pytest.approx(expected)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_the_bucket_and_its_residual_equal_a_scan(self, data):
+        arity = data.draw(st.integers(min_value=1, max_value=3))
+        attributes = tuple(f"A{i}" for i in range(arity))
+        rows = data.draw(st.lists(st.tuples(*[MIXED_VALUES] * arity), max_size=12))
+        relation = Relation(RelationSchema("R", attributes), rows)
+        key = eq(data.draw(st.sampled_from(attributes)), data.draw(MIXED_VALUES))
+        assume(is_index_equality(key))
+        parts = data.draw(st.lists(residual_parts(attributes), max_size=3))
+        parts.insert(data.draw(st.integers(min_value=0, max_value=len(parts))), key)
+        predicate = And(*parts) if len(parts) > 1 else key
+
+        expected = algebra.select(relation, predicate)
+        assert evaluated(relation, predicate) == expected.row_set()
+        database = Database([relation])
+        probed = DatabaseBackend(database).index_scan("R", predicate, key, None)
+        assert probed.rows == expected.rows  # same rows, same order, same representatives
+        # Lowered without statistics (the planner's type analysis refuses a
+        # column mixing str and int): the first equality is the key.
+        backend = backend_for(database)
+        physical = lower(BaseRelation("R").select(predicate), backend)
+        assert physical.root.key == index_equalities(predicate)[0]
+        assert physical.execute(backend).rows == expected.rows

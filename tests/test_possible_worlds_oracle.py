@@ -190,6 +190,28 @@ RST = (
     orsets("T", ("C0", "C1", "C2"), (0, 2, 4)),
 )
 
+#: An equality conjunct's bucket and the rows it skips: A = 1 with a ``?`` on
+#: B; a ``?`` on A; a ``?`` on both; a certain A ≠ 1 with a ``?`` on B (the
+#: row an IndexScan keyed on A = 1 never visits); certain rows either way.
+KEYED = orsets(
+    "R",
+    "ABC",
+    (1, OrSet([2, 5]), 0),
+    (OrSet([1, 3]), 4, 1),
+    (OrSet([1, 2]), OrSet([3, 6]), 2),
+    (2, OrSet([4, 5]), 3),
+    (1, 6, 4),
+    (1, 1, 5),
+)
+#: Selections over KEYED that lower to an IndexScan with a residual.
+KEYED_SELECTIONS = {
+    "A = c and B > d": And(eq("A", 1), gt("B", 3)),
+    "B > d and A = c": And(gt("B", 3), eq("A", 1)),
+    "two equalities, the key chosen": And(eq("A", 1), eq("B", 6)),
+    "two equalities on one attribute": And(eq("A", 1), eq("A", 2)),
+    "an equality and a disjunction": And(eq("A", 1), Or(eq("B", 5), gt("C", 3))),
+}
+
 #: R with a row two worlds repeat, S union-compatible with it, and U with
 #: attributes disjoint from R's.
 LAW_R = orsets("R", "AB", (1, OrSet([1, 2])), (OrSet([1, 3]), 2), (1, 2))
@@ -310,6 +332,13 @@ EXPLICIT_CASES = {
         R,
         (EqualityGeneratingDependency("R", [Comparison("A", "=", 1)], Comparison("B", "=", 9)),),
     ),
+    **{
+        f"keyed selection: {label}": Case((KEYED,), R.select(predicate))
+        for label, predicate in KEYED_SELECTIONS.items()
+    },
+    "keyed selection, projected": Case(
+        (KEYED,), R.select(And(eq("A", 1), gt("B", 3))).project(["C"])
+    ),
     "interacting EGDs": INTERACTING_EGDS,
     "a join over a multi-template component": MULTI_TEMPLATE_JOIN,
     **{
@@ -323,6 +352,17 @@ EXPLICIT_CASES = {
 @pytest.mark.parametrize("case", EXPLICIT_CASES.values(), ids=EXPLICIT_CASES.keys())
 def test_written_cases(case):
     check_oracle(case, CELLS)
+
+
+@pytest.mark.parametrize("predicate", KEYED_SELECTIONS.values(), ids=KEYED_SELECTIONS.keys())
+def test_keyed_selections_lower_to_an_index_scan(predicate):
+    """The written keyed cases run the IndexScan with a residual, on a
+    UWSDT and on a world of it."""
+    case = Case((KEYED,), R.select(predicate))
+    for engine in (case.uwsdt(), next(iter(case.wsd().rep())).database):
+        (scan,) = R.select(predicate).physical_plan(engine).root.walk()
+        assert scan.op_name == "IndexScan" and scan.predicate == predicate
+        assert scan.key in predicate.parts and scan.key.op == "="
 
 
 def attribute_sets(components):

@@ -114,7 +114,7 @@ def chased_census():
 
 
 class TestSelectionWorkCounts:
-    def _run(self, uwsdt, predicate, monkeypatch):
+    def _run(self, uwsdt, predicate, monkeypatch, key=None):
         compiles = []
         compile_ = Predicate.compile
 
@@ -124,7 +124,7 @@ class TestSelectionWorkCounts:
 
         monkeypatch.setattr(Predicate, "compile", counted_compile)
         before = select_counters()
-        uwsdt_ops.select(uwsdt, "R", "P", predicate)
+        uwsdt_ops.select(uwsdt, "R", "P", predicate, key=key)
         uwsdt.validate()
         return [after - start for after, start in zip(select_counters(), before)], compiles
 
@@ -136,11 +136,24 @@ class TestSelectionWorkCounts:
         uncertain = uwsdt.uncertain_tuples("R")
         open_rows = [tid for tid, attrs in uncertain.items() if referenced.intersection(attrs)]
         assert 0 < len(open_rows) < len(uncertain)  # the parent sent every indexed row
+        # The IndexScan's key: of the open rows, only those whose YEARSCH is
+        # 17 or ``?`` can meet ``YEARSCH = 17``; the others fail line 1.
+        position = uwsdt.templates["R"].schema.position("YEARSCH")
+        template = {row[0]: row for row in uwsdt.templates["R"]}
+        keyed = [
+            tid
+            for tid in open_rows
+            if template[tid][position] is PLACEHOLDER or template[tid][position] == 17
+        ]
+        assert len(keyed) < len(open_rows)
 
-        predicate = And(eq("YEARSCH", 17), eq("CITIZEN", 0))
-        (scanned, through_components), compiles = self._run(uwsdt, predicate, monkeypatch)
-        assert scanned == uwsdt.template_size("R")
-        assert through_components == len(open_rows)
+        key = eq("YEARSCH", 17)
+        predicate = And(key, eq("CITIZEN", 0))
+        (scanned, through_components), compiles = self._run(
+            uwsdt, predicate, monkeypatch, key=key
+        )
+        assert scanned == len(uwsdt.template_index("R", "YEARSCH").bucket(17))
+        assert through_components == len(keyed)
         assert compiles == [predicate]  # the parent compiled each conjunct again
 
         # Two segments, each in template order: the template's rows, then the components'.
