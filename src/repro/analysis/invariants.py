@@ -414,7 +414,8 @@ def verify_set_output(label: str, backend: Any, handle: Any) -> None:
     :class:`ColumnBatch` inside a columnar region (its kernels keep sets, so
     a bag is caught at the kernel that made it, not hidden by the
     deduplicating ``Dematerialize``), a relation name on a UWSDT backend
-    (checked on its template's tuple ids).  On a UWSDT the components
+    (its certain rows checked for duplicates, its open rows' tuple ids for
+    distinctness).  On a UWSDT the components
     holding a field of the result are checked too
     (:func:`verify_result_components`).
     """
@@ -425,7 +426,9 @@ def verify_set_output(label: str, backend: Any, handle: Any) -> None:
         total, distinct, what = len(rows), len(set(rows)), "rows"
     elif isinstance(handle, str) and isinstance(backend.engine, UWSDT):
         template = backend.engine.templates[handle]
-        total, distinct, what = len(template), len({row[0] for row in template}), "tuple ids"
+        verify_set_output(label, backend, template.certain)
+        tuple_ids = [row[0] for row in template.open]
+        total, distinct, what = len(tuple_ids), len(set(tuple_ids)), "tuple ids"
         verify_result_components(label, backend.engine, handle)
     else:
         return

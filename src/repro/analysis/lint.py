@@ -28,12 +28,12 @@ the ones that have bitten (or nearly bitten) before:
   one place that generates code, and it keeps constants and attribute names
   out of the source it generates.
 * ``operator-dispatch`` — the operators of ``uwsdt_ops`` may be called in
-  ``core/exec/backends.py`` only, those of ``relational.algebra`` there and
-  in ``query.py``'s ``_evaluate_db`` (the possible-worlds oracle's per-world
-  reference), and those of ``wsd_ops`` in ``query.py``'s ``_evaluate_wsd``
-  only (the Figure 9 specification): the executor is the only interpreter
-  of a query tree on an engine, so a second tree-walker cannot grow back
-  beside it.
+  ``core/exec/backends.py`` only, those of ``relational.algebra`` there, in
+  ``query.py``'s ``_evaluate_db`` (the possible-worlds oracle's per-world
+  reference) and in ``uwsdt_ops`` (each UWSDT operator's certain part), and
+  those of ``wsd_ops`` in ``query.py``'s ``_evaluate_wsd`` only (the
+  Figure 9 specification): the executor is the only interpreter of a query
+  tree on an engine, so a second tree-walker cannot grow back beside it.
 * ``identity-key`` — no call of the builtin ``id`` in ``core/planner``,
   ``core/exec`` or ``analysis`` but in ``catalog.Same``, which holds the
   object it names: a memo keyed by a node's address serves a freed node's
@@ -45,7 +45,8 @@ the ones that have bitten (or nearly bitten) before:
   verification is on: the runtime must not depend on the layers built on
   top of it.
 * ``template-mutation`` — no call of ``insert`` / ``insert_many`` /
-  ``remove`` on a subscript of a ``.templates`` attribute outside
+  ``remove`` on a subscript of a ``.templates`` attribute, or on its
+  ``.certain`` / ``.open`` relation, outside
   ``core/uwsdt.py``: a UWSDT shares its template relations with its copies,
   and only ``UWSDT.add_template_tuple`` copies a shared template before it
   writes.
@@ -130,6 +131,8 @@ CLASSICAL_OPERATORS = frozenset(
     "select project rename product union difference intersection equi_join natural_join".split()
 )
 OPERATOR_DISPATCH_MODULE = "core/exec/backends.py"
+#: The UWSDT operators, whose certain parts are the classical operators.
+CERTAIN_PART_MODULE = "core/algebra/uwsdt_ops.py"
 REFERENCE_MODULE = "core/algebra/query.py"
 REFERENCE_FUNCTIONS = {"_evaluate_db": CLASSICAL_MODULE, "_evaluate_wsd": SPECIFICATION_MODULE}
 
@@ -567,10 +570,13 @@ def check_operator_dispatch(tree: ast.Module, path: str) -> List[Violation]:
     enclosing = _enclosing_symbols(tree)
     in_dispatch_module = normalized.endswith(OPERATOR_DISPATCH_MODULE)
     in_reference_module = normalized.endswith(REFERENCE_MODULE)
+    in_certain_part_module = normalized.endswith(CERTAIN_PART_MODULE)
 
     def allowed(call: ast.Call, origin: str) -> bool:
         if in_dispatch_module:
             return origin != SPECIFICATION_MODULE
+        if in_certain_part_module:
+            return origin == CLASSICAL_MODULE
         return in_reference_module and REFERENCE_FUNCTIONS.get(enclosing.get(call, "")) == origin
 
     return [
@@ -648,6 +654,17 @@ def check_layering(tree: ast.Module, path: str) -> List[Violation]:
     return violations
 
 
+def _template_relation(node: ast.expr) -> bool:
+    """Is ``node`` ``….templates[…]`` or its ``.certain`` / ``.open`` relation?"""
+    if isinstance(node, ast.Attribute) and node.attr in ("certain", "open"):
+        node = node.value
+    return (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "templates"
+    )
+
+
 def check_template_mutation(tree: ast.Module, path: str) -> List[Violation]:
     if path.replace("\\", "/").endswith(TEMPLATE_MODULE):
         return []
@@ -659,15 +676,13 @@ def check_template_mutation(tree: ast.Module, path: str) -> List[Violation]:
             node.lineno,
             enclosing.get(node, "<module>"),
             f"calls {node.func.attr}() on a UWSDT template in place — copies share "
-            "templates; go through UWSDT.add_template_tuple or load_template",
+            "templates; go through UWSDT.add_template_tuple or set_template",
         )
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and node.func.attr in TEMPLATE_WRITES
-        and isinstance(node.func.value, ast.Subscript)
-        and isinstance(node.func.value.value, ast.Attribute)
-        and node.func.value.value.attr == "templates"
+        and _template_relation(node.func.value)
     ]
 
 

@@ -286,12 +286,10 @@ class SchemaContext:
             if hasattr(engine, "relation"):  # Database
                 rows: Iterable[Tuple[Any, ...]] = engine.relation(name)
             else:  # UWSDT
-                rows = (values for _, values in engine.template_rows(name))
+                template = engine.templates[name]
+                rows = [*template.certain, *(row[1:] for row in template.open)]
             get_registry().counter("repro.analysis.type_scans", source="engine").inc()
-            types = [
-                ANY_TYPE if SENTINEL_CLASS in classes else classes_type(classes)
-                for classes in column_classes(rows)
-            ]
+            types = [_column_type(classes) for classes in column_classes(rows)]
             return InferredSchema(attrs, tuple(types) or (ANY_TYPE,) * len(attrs))
 
         return cls(attributes=attributes, schema_loader=load_schema)
@@ -332,8 +330,14 @@ class SchemaContext:
 
 def _sample_schema(sample: Any) -> InferredSchema:
     """A sample's attributes with their types, from the value classes
-    memoised on it."""
-    return InferredSchema(sample.attributes, tuple(map(classes_type, sample.column_classes())))
+    memoised on it; a column holding a ``?`` is ``any``, as on the engine."""
+    return InferredSchema(sample.attributes, tuple(map(_column_type, sample.column_classes())))
+
+
+def _column_type(classes: FrozenSet[type]) -> str:
+    """The type of a UWSDT or Database column: ``any`` where a ``?`` stands
+    for values the column's cells do not show."""
+    return ANY_TYPE if SENTINEL_CLASS in classes else classes_type(classes)
 
 
 # --------------------------------------------------------------------------- #

@@ -19,18 +19,17 @@ because removing worlds can never introduce new violations.
 
 The UWSDT variant applies the refinement discussed in the paper: fields
 whose template value already decides a premise or conclusion never force a
-component composition.  It splits every template on the UWSDT's placeholder
-index.  The certain side of an EGD is a selection: its violation condition
-``φ1 ∧ ... ∧ φm ∧ ¬φ0`` is a :class:`~repro.relational.predicates.Predicate`,
-rendered into one generated source whose scan loop runs over the template in
-one call — a reported row without a placeholder on the dependency's
-attributes is inconsistent in every world — and whose row check judges the
-filled-in local worlds.  The uncertain side
-walks the index, not the template: the placeholder rows are collected once
-per relation, and an EGD visits only those with a ``?`` on one of its
-attributes (:meth:`~repro.core.uwsdt.UWSDT.placeholder_rows_on`), so with
-realistic placeholder densities almost all work happens on the template
-relations.
+component composition.  It splits every template into its certain rows and
+its open rows (:class:`~repro.core.uwsdt.Template`).  The certain side of an
+EGD is a selection: its violation condition ``φ1 ∧ ... ∧ φm ∧ ¬φ0`` is a
+:class:`~repro.relational.predicates.Predicate`, rendered into one generated
+scan over the certain rows and one over the open rows — a reported row
+without a placeholder on the dependency's attributes is inconsistent in
+every world — and the open rows' source also yields the row check that
+judges the filled-in local worlds.  The uncertain side visits only the open
+rows with a ``?`` on one of the EGD's attributes
+(:meth:`~repro.core.uwsdt.UWSDT.placeholder_rows_on`), so with realistic
+placeholder densities almost all work happens on the certain relations.
 ``holds_for`` is the specification of both dependency classes (the naive
 baseline, the WSD chase and the generated function's ``TypeError`` fallback
 read it); the UWSDT chase itself never calls it.
@@ -49,7 +48,7 @@ from ..relational.schema import RelationSchema
 from ..relational.values import BOTTOM
 from .component import Component, fill_placeholders
 from .fields import FieldRef
-from .uwsdt import UWSDT
+from .uwsdt import UWSDT, certain_tid
 from .wsd import WSD
 
 
@@ -388,7 +387,7 @@ def chase_uwsdt(uwsdt: UWSDT, dependencies: Iterable[Dependency]) -> UWSDT:
         else:
             raise RepresentationError(f"unsupported dependency {dependency!r}")
     # The chase never edits a template nor adds or drops a placeholder field,
-    # so ``uwsdt.placeholder_rows`` is built once and stays valid throughout.
+    # so the open rows' ``?`` buckets are built once and stay valid throughout.
     for dependency, violated in steps:
         if violated is None:
             _chase_fd_uwsdt(uwsdt, dependency)
@@ -408,24 +407,29 @@ def _count_chase(rows_scanned: int, rows_through_components: int, removed: int) 
 def _check_certain_rows_egd(
     uwsdt: UWSDT, dependency: EqualityGeneratingDependency
 ) -> Callable[[Sequence[Any]], bool]:
-    """One-world cleaning: one generated scan for the violating rows of the template.
+    """One-world cleaning: a generated scan each for the violating certain and open rows.
 
-    A reported row with a placeholder on the dependency's attributes (``?``
-    never meets a conclusion) is not a certain violation; its components decide.
-    Returns the row check of the same source, the violation test for the
+    A reported open row with a placeholder on the dependency's attributes
+    (``?`` never meets a conclusion) is not a certain violation; its
+    components decide.  A violating row is named by its values.  Returns the
+    row check of the open rows' source, the violation test for the
     uncertain side.
     """
     relation = dependency.relation
     template = uwsdt.templates[relation]
-    violated, scan = _Violation(dependency)._generate(template.schema)
+    violation = _Violation(dependency)
+    violating = violation.compile_scan(template.certain.schema)(template.certain)
+    violated, scan = violation._generate(template.open.schema)
     uncertain = uwsdt.uncertain_tuples(relation)
     attributes = set(dependency.attributes())
-    for row in scan(template):
-        if attributes.isdisjoint(uncertain.get(row[0], ())):
-            raise InconsistentWorldSetError(
-                f"certain tuple {row[0]!r} of {relation!r} violates {dependency!r} "
-                "in every world"
-            )
+    violating += [
+        row[1:] for row in scan(template.open) if attributes.isdisjoint(uncertain[row[0]])
+    ]
+    if violating:
+        raise InconsistentWorldSetError(
+            f"certain tuple {violating[0]!r} of {relation!r} violates {dependency!r} "
+            "in every world"
+        )
     return violated
 
 
@@ -436,11 +440,13 @@ def _chase_egd_uwsdt(
 ) -> None:
     """The uncertain side of one EGD: the rows with a ``?`` on its attributes reach components."""
     relation = dependency.relation
-    position_of = uwsdt.templates[relation].schema.position
+    position_of = uwsdt.templates[relation].open.schema.position
     attributes = dependency.attributes()
+    uncertain = uwsdt.uncertain_tuples(relation)
     through_components = removed = 0
 
-    for row, placeholders in uwsdt.placeholder_rows_on(relation, attributes):
+    for row in uwsdt.placeholder_rows_on(relation, attributes):
+        placeholders = uncertain[row[0]]
         open_attributes = [a for a in attributes if a in placeholders]
         through_components += 1
 
@@ -521,15 +527,18 @@ def _chase_fd_uwsdt(uwsdt: UWSDT, dependency: FunctionalDependency) -> None:
     Tuples are grouped by the possible values of the determinant attributes
     so that only pairs that may agree on the left-hand side are examined —
     the practical observation of Section 9 that key constraints rarely force
-    large compositions.  Within a group the certain rows are checked as in
+    large compositions.  The groups read the certain rows, each under its
+    :func:`~repro.core.uwsdt.certain_tid`, then the open rows.  Within a
+    group the rows certain on the dependency's attributes are checked as in
     one world (they all must carry the first one's dependent value); only
     pairs involving a row with a placeholder on the dependency's attributes
-    reach the components.
+    reach the components.  A certain violation names its rows by their values.
     """
     relation = dependency.relation
     template = uwsdt.templates[relation]
-    holds = dependency.compile(template.schema)
-    position_of = template.schema.position
+    schema = template.open.schema
+    holds = dependency.compile(schema)
+    position_of = schema.position
     attributes = dependency.attributes()
     involved = set(attributes)
     key_of = operator.itemgetter(*(position_of(a) for a in dependency.determinants))
@@ -543,7 +552,8 @@ def _chase_fd_uwsdt(uwsdt: UWSDT, dependency: FunctionalDependency) -> None:
 
     buckets: Dict[Any, List[Tuple[Any, ...]]] = {}
     open_attributes: Dict[Any, List[str]] = {}
-    for row in template:
+    certain_rows = [(certain_tid(relation, row), *row) for row in template.certain]
+    for row in [*certain_rows, *template.open]:
         placeholders = uncertain.get(row[0], ())
         if not involved.isdisjoint(placeholders):
             open_attributes[row[0]] = [a for a in attributes if a in placeholders]
@@ -562,7 +572,7 @@ def _chase_fd_uwsdt(uwsdt: UWSDT, dependency: FunctionalDependency) -> None:
         for row in certain[1:]:
             if not holds(certain[0], row):
                 raise InconsistentWorldSetError(
-                    f"certain tuples {certain[0][0]!r} and {row[0]!r} of {relation!r} "
+                    f"certain tuples {certain[0][1:]!r} and {row[1:]!r} of {relation!r} "
                     f"violate {dependency!r} in every world"
                 )
         if len(certain) == len(rows):
@@ -619,7 +629,7 @@ def _chase_fd_pair_uwsdt(
 
     Returns the number of local worlds removed."""
     relation = dependency.relation
-    position_of = uwsdt.templates[relation].schema.position
+    position_of = uwsdt.templates[relation].open.schema.position
     dependent = position_of(dependency.dependent)
 
     # Refinement: certainly equal dependents cannot cause a violation.

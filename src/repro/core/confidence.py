@@ -212,22 +212,17 @@ def _uwsdt_tuple_groups(uwsdt: UWSDT, relation_name: str) -> List[Tuple[List[int
 def uwsdt_possible_with_confidence(uwsdt: UWSDT, relation_name: str) -> List[RankedTuple]:
     """``possible_p(R)`` natively on a UWSDT.
 
-    Fully certain template tuples (those absent from the placeholder index)
-    contribute confidence 1 directly; tuples with placeholders are resolved
-    through their (composed) components.
+    The certain rows contribute confidence 1 directly, read off the certain
+    relation; open rows are resolved through their (composed) components.
     """
+    template = uwsdt.templates[relation_name]
     uncertain = uwsdt.uncertain_tuples(relation_name)
     position_of = uwsdt.schema.relation(relation_name).position
 
     # In first-production order; a certain row's confidence is 1 whatever
     # else produces it.
-    confidences: Dict[Tuple[Any, ...], float] = {}
-    uncertain_values: Dict[Any, Tuple[Any, ...]] = {}
-    for row in uwsdt.templates[relation_name]:
-        if row[0] in uncertain:
-            uncertain_values[row[0]] = row[1:]
-        else:
-            confidences[row[1:]] = 1.0
+    confidences: Dict[Tuple[Any, ...], float] = dict.fromkeys(template.certain, 1.0)
+    uncertain_values = {row[0]: row[1:] for row in template.open}
 
     for cids, tuple_ids in _uwsdt_tuple_groups(uwsdt, relation_name):
         composed = compose_all([uwsdt.components[cid] for cid in cids])

@@ -25,8 +25,7 @@ this backend can execute.
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from ...relational import algebra as relational_algebra
 from ...relational.database import Database
@@ -135,10 +134,7 @@ class DatabaseBackend(EngineBackend):
         """Probe the index kept on the stored inner relation."""
         inner = self.engine.relation(inner_name)
         index = hash_index(inner, (inner_attr,))
-        schema = outer.schema.concat(inner.schema, None)
-        position = outer.schema.position(outer_attr)
-        rows = [row + inner_row for row in outer for inner_row in index.lookup(row[position])]
-        return Relation.from_tuples(schema, rows, distinct=True)
+        return relational_algebra.equi_join(outer, inner, outer_attr, inner_attr, index=index)
 
     # -- introspection ----------------------------------------------------- #
 
@@ -155,14 +151,6 @@ class DatabaseBackend(EngineBackend):
         return self.engine.relation(relation_name).schema.arity
 
 
-def _name_generator(prefix: str, schema) -> Iterator[str]:
-    """Fresh intermediate relation names, skipping any already in ``schema``."""
-    for index in itertools.count(1):
-        name = f"{prefix}{index}"
-        if not schema.has_relation(name):
-            yield name
-
-
 class UWSDTBackend(EngineBackend):
     """The native Section 5 operators over template relations.
 
@@ -174,11 +162,8 @@ class UWSDTBackend(EngineBackend):
     supports_index_scan = True
     supports_index_join = True
 
-    def begin(self, result_name: str) -> None:
-        self._names = _name_generator("__q", self.engine.schema)
-
     def target(self, result_name: Optional[str]) -> str:
-        return result_name if result_name is not None else next(self._names)
+        return result_name if result_name is not None else self.engine.intermediate_name()
 
     def copy(self, name: str, target: str) -> None:
         # uwsdt_ops has no copy operator: an identity rename is one.
@@ -220,7 +205,7 @@ class UWSDTBackend(EngineBackend):
         if right == left:
             # Union of a relation with itself: tuple ids are derived from
             # the operand names, so alias one side to keep them distinct.
-            alias = next(self._names)
+            alias = self.engine.intermediate_name()
             self.copy(right, alias)
             right = alias
         target = self.target(result_name)

@@ -87,10 +87,9 @@ class IndexScan(PhysicalOperator):
     accepts has ``A = c``, so the probe of the hash index kept on the stored
     relation (:func:`~repro.relational.indexes.hash_index`) under ``c``
     yields all of them: a bare equality adopts the bucket, a conjunction runs
-    its compiled scan over the bucket only.  On a UWSDT the index is the
-    template's ``template_index``, and the rows with a ``?`` on a referenced
-    attribute whose ``A`` is ``c`` or ``?`` go through Figure 16's
-    uncertain-field path.
+    its compiled scan over the bucket only.  On a UWSDT the index is kept on
+    the template's certain relation, and of its open rows those whose ``A``
+    is ``c`` or ``?`` are visited (Figure 16).
     """
 
     op_name = "IndexScan"
@@ -326,8 +325,8 @@ class IndexNestedLoopJoin(PhysicalOperator):
     The *inner* child must be a :class:`Scan` of a stored relation: the
     backend never executes it — each outer tuple probes the engine's
     hash index kept on the stored relation
-    (:func:`~repro.relational.indexes.hash_index` / ``UWSDT.template_index``)
-    instead.
+    (:func:`~repro.relational.indexes.hash_index`; on a UWSDT, over the
+    template's certain relation) instead.
     """
 
     op_name = "IndexNestedLoopJoin"

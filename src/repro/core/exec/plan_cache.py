@@ -18,10 +18,11 @@ only to a query equal to the one it planned (query trees are values), so
 a digest collision is a miss, never a wrong answer.  An entry is valid for
 the relation objects it was planned on: it keeps the
 catalog version key of every base relation of the query, which names the
-relation object and its mutation count (``Relation.version`` on a Database,
-template version + placeholder count on a UWSDT), and a lookup compares
-them with the current ones.  A mutation, ``Database.replace`` or
-``UWSDT.load_template`` of any base relation therefore invalidates exactly
+relation object and its mutation count (``Relation.version`` on a Database;
+on a UWSDT, the same of the template's certain and open relations plus its
+placeholder count), and a lookup compares them with the current ones.  A
+mutation, ``Database.replace`` or ``UWSDT.set_template`` of any base
+relation therefore invalidates exactly
 the entries that read it; the intermediates ``Q̂`` adds to a UWSDT move no
 base relation's key.  Polling is the only invalidation.
 

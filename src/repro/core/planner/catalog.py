@@ -21,18 +21,20 @@ underlying relation could have changed:
 engine    version key of relation ``R``
 ========  ==================================================================
 Database  identity + ``Relation.version`` of ``R`` (bumped per mutation)
-UWSDT     identity + version of the ``R`` template relation, plus
-          ``UWSDT.relation_placeholder_count(R)`` — together they fully
-          determine ``R``'s statistics (samples read only the template,
-          densities only the count), so query intermediates added by
-          ``Q̂`` and chase component merges leave base entries valid
+UWSDT     identity + version of the ``R`` template's certain and open
+          relations, plus ``UWSDT.relation_placeholder_count(R)`` —
+          together they fully determine ``R``'s statistics (samples read
+          only the template, densities only the count), so query
+          intermediates added by ``Q̂`` and chase component merges leave
+          base entries valid
 ========  ==================================================================
 
 An entry is stored on the relation object itself (:meth:`Relation.derived
 <repro.relational.relation.Relation.derived>`, which checks the identity
-and version parts of the key), one per engine kind, stamped with the rest
-of the key — on a UWSDT, the placeholder count — and rebuilt when that
-moves.  Every engine holding the relation therefore reads the same entry:
+and version parts of the key; on a UWSDT, the certain relation's), one per
+engine kind, stamped with the rest of the key — on a UWSDT, the open
+relation's identity and version and the placeholder count — and rebuilt
+when that moves.  Every engine holding the relation therefore reads the same entry:
 a UWSDT copy shares its templates (:meth:`~repro.core.uwsdt.UWSDT.copy`)
 and plans from warm statistics.
 
@@ -205,13 +207,19 @@ class StatisticsCatalog:
         """The current version key of one relation — the token catalog
         entries, plan-cache entries and session snapshots keep and poll.
         It moves when the relation object is replaced (``Database.replace``,
-        ``UWSDT.load_template``, a copy-on-write ``UWSDT.add_template_tuple``)
+        ``UWSDT.set_template``, a copy-on-write ``UWSDT.add_template_tuple``)
         as well as when it is mutated."""
         if self.kind == "database":
             relation = self.engine.relation(name)
             return (Same(relation), relation.version)
         template = self.engine.templates[name]
-        return (Same(template), template.version, self.engine.relation_placeholder_count(name))
+        return (
+            Same(template.certain),
+            template.certain.version,
+            Same(template.open),
+            template.open.version,
+            self.engine.relation_placeholder_count(name),
+        )
 
     def _relation_attributes(self, name: str) -> Tuple[str, ...]:
         if self.kind == "database":

@@ -389,8 +389,8 @@ def index_join_step(
 
     The outer side probes a prebuilt hash index over the inner *base*
     relation (:func:`~repro.relational.indexes.hash_index`, kept on the
-    relation — a UWSDT template's is ``UWSDT.template_index`` — so the
-    inner side contributes no per-query build cost).
+    relation — on a UWSDT, the template's certain relation — so the inner
+    side contributes no per-query build cost).
     """
     out = outer_rows * inner_rows * selectivity
     cost = outer_rows * model.index_probe + out * arity_width(out_arity) * model.emit_tuple

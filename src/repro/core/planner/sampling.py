@@ -368,12 +368,11 @@ def sample_database(database: Any, name: str, capacity: int) -> RelationSample:
 
 
 def sample_uwsdt(uwsdt: Any, name: str, capacity: int) -> RelationSample:
-    """Sample one relation's template rows; placeholder fields stay the ``?`` sentinel.
-
-    Only the drawn rows lose their tuple-id column.
-    """
+    """Sample one relation's template: its certain rows, then its open rows'
+    values, where placeholder fields stay the ``?`` sentinel."""
     _record_sampling()
-    rows, population = positional_sample(uwsdt.templates[name].rows, capacity)
-    return RelationSample(
-        name, uwsdt.schema.relation(name).attributes, [row[1:] for row in rows], population
-    )
+    template = uwsdt.templates[name]
+    certain, open_rows = template.certain.rows, template.open.rows
+    positions, population = positional_sample(range(len(certain) + len(open_rows)), capacity)
+    rows = [certain[p] if p < len(certain) else open_rows[p - len(certain)][1:] for p in positions]
+    return RelationSample(name, uwsdt.schema.relation(name).attributes, rows, population)

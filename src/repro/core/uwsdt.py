@@ -11,40 +11,57 @@ plus one *template relation* ``R⁰`` per database relation, holding certain
 values and the ``?`` placeholder for uncertain fields.
 
 This class keeps the same information in an equivalent, faster-to-access
-layout: template relations are substrate :class:`~repro.relational.relation.Relation`
-objects keyed by a tuple-id column, and the C/F/W content is held as a
-dictionary of :class:`~repro.core.component.Component` objects indexed by
-component id.  :meth:`to_uniform_relations` materializes the exact
-fixed-schema relations of the paper (and :meth:`from_uniform_relations`
-reads them back), so the uniform encoding itself is also implemented and
-tested; the dictionary layout is an optimization the paper performs inside
-PostgreSQL with indexes on ``FID`` and ``CID``.
+layout.  Each template ``R⁰`` is a :class:`Template`: two substrate
+:class:`~repro.relational.relation.Relation` objects,
+
+* ``certain`` — the rows without a ``?``, under the relation's own schema
+  and with set semantics: exactly what a one-world
+  :class:`~repro.relational.database.Database` holds, so the certain part of
+  every operator is the :mod:`~repro.relational.algebra` call a Database
+  makes;
+* ``open`` — the rows with a ``?``, each under its tuple id in a leading
+  ``TID`` column, since components name their fields by tuple id.
+
+The C/F/W content is held as a dictionary of
+:class:`~repro.core.component.Component` objects indexed by component id,
+and the placeholder index (``F`` grouped by tuple) maps each open row's
+tuple id to its ``?`` attributes.  :meth:`to_uniform_relations` materializes
+the exact fixed-schema relations of the paper (and
+:meth:`from_uniform_relations` reads them back), so the uniform encoding
+itself is also implemented and tested; the dictionary layout is an
+optimization the paper performs inside PostgreSQL with indexes on ``FID``
+and ``CID``.
+
+A certain row has no tuple id.  Where one turns open — a certain row under
+a difference whose right side may remove it, or the certain side of a join
+or product pair with an open row — it is given :func:`certain_tid`, built
+from its relation's name and its values under a marker no base tuple id
+holds.
 
 Tuple presence semantics follow the WSD convention: a template tuple is
 present in a chosen world unless one of its placeholder fields takes the
 ``⊥`` value in that world.
 
 A query (Section 4's ``Q̂``) only *adds* relations and components, so
-:meth:`UWSDT.copy` shares the template relations and the (immutable)
-components with the original and copies only the dictionaries that index
-them.  Whatever is derived from a template — its hash indexes, its column
-store, the planner's statistics — lives on the template relation
+:meth:`UWSDT.copy` shares the templates and the (immutable) components with
+the original and copies only the dictionaries that index them.  Whatever is
+derived from a template — its hash indexes, its column store, the planner's
+statistics — lives on its relations
 (:meth:`Relation.derived <repro.relational.relation.Relation.derived>`), so
-an engine and all its copies derive each structure once per template
-version.  The one in-place template write, :meth:`UWSDT.add_template_tuple`,
-first gives the writing engine a private copy of a shared template.
+an engine and all its copies derive each structure once per version.  The
+one in-place template write, :meth:`UWSDT.add_template_tuple`, first gives
+the writing engine a private copy of a shared template.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..relational.database import Database
 from ..relational.errors import ArityError, RepresentationError
-from ..relational.indexes import HashIndex, hash_index
 from ..relational.relation import Relation, Row
 from ..relational.schema import DatabaseSchema, RelationSchema
-from ..relational.values import BOTTOM, PLACEHOLDER, is_placeholder
+from ..relational.values import BOTTOM, PLACEHOLDER
 from ..worlds.orset import OrSet, OrSetRelation
 from ..worlds.worldset import WorldSet
 from .component import Component
@@ -52,24 +69,83 @@ from .fields import FieldRef
 from .wsd import WSD
 from .wsdt import WSDT
 
-#: Name of the tuple-id column added to template relations.
+#: Name of the tuple-id column leading the open rows of a template.
 TID = "__tid__"
 
-#: A template row with a placeholder and its ``?`` attributes in schema order.
-PlaceholderRow = Tuple[Row, Tuple[str, ...]]
-#: A :meth:`UWSDT.placeholder_rows` memo entry: the template and its version it
-#: was built from, the rows, and per attribute the positions of the rows in
-#: that list with a ``?`` on it (ascending).
-_PlaceholderMemo = Tuple[Relation, int, List[PlaceholderRow], Dict[str, List[int]]]
+
+class _CertainMark:
+    """The marker of :func:`certain_tid`: one object, equal only to itself."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "CERTAIN"
+
+    def __hash__(self) -> int:
+        return 0x5CE27A1  # fixed: tuple ids hash alike in every process
+
+    def __reduce__(self) -> str:
+        return "CERTAIN"  # pickles and copies as the module's one object
 
 
-def _positions_by_attribute(rows: Sequence[PlaceholderRow]) -> Dict[str, List[int]]:
-    """Per attribute, the positions in ``rows`` of the rows with a ``?`` on it."""
-    by_attribute: Dict[str, List[int]] = {}
-    for position, (_, placeholders) in enumerate(rows):
-        for attribute in placeholders:
-            by_attribute.setdefault(attribute, []).append(position)
-    return by_attribute
+CERTAIN = _CertainMark()
+
+
+def certain_tid(relation: str, values: Row) -> Tuple[_CertainMark, str, Row]:
+    """The tuple id of ``relation``'s certain row ``values`` turned open.
+
+    Certain rows are a set, so the relation and the values name the row.
+    No base tuple id holds the marker, so a union tid ``("R", 1)`` differs
+    from the id of a certain row ``("R", 1)``.  An operator gives this id to
+    a row of its inputs and writes it to its result, which σ, π, ρ and −
+    carry on unchanged; so no open row of ``relation`` holds it, even where
+    a reordering π makes an inherited id's values one of its certain rows.
+    """
+    return (CERTAIN, relation, values)
+
+
+def _has_placeholder(row: Iterable[Any]) -> bool:
+    """Does ``row`` hold a ``?``?"""
+    return any(value is PLACEHOLDER for value in row)
+
+
+class Template:
+    """One relation's template ``R⁰``: its certain rows and its open rows.
+
+    ``certain`` has the relation's own schema and no ``?``; ``open`` has the
+    schema ``(TID,) + attributes`` and holds the rows with a ``?``.  A value:
+    writers install a new one (:meth:`UWSDT.set_template`) rather than
+    mutating a shared one.  ``len()`` counts both.
+    """
+
+    __slots__ = ("certain", "open")
+
+    def __init__(self, certain: Relation, open_rows: Relation) -> None:
+        self.certain = certain
+        self.open = open_rows
+
+    def __len__(self) -> int:
+        return len(self.certain) + len(self.open)
+
+    def __repr__(self) -> str:
+        return (
+            f"Template({self.certain.schema.name!r}, {len(self.certain)} certain, "
+            f"{len(self.open)} open)"
+        )
+
+
+def open_schema(relation_schema: RelationSchema) -> RelationSchema:
+    """The schema of a template's open rows: the tuple id, then the attributes."""
+    return RelationSchema(relation_schema.name, (TID,) + relation_schema.attributes)
+
+
+def _template_relation(schema: RelationSchema, rows: List[Row], distinct: bool) -> Relation:
+    """``Relation.from_tuples``, its malformed rows reported as a representation error."""
+    try:
+        return Relation.from_tuples(schema, rows, distinct)
+    except ArityError as error:
+        message = f"malformed template tuple for {schema.name!r}: {error}"
+        raise RepresentationError(message) from error
 
 
 class UWSDT:
@@ -77,25 +153,25 @@ class UWSDT:
 
     def __init__(self, schema: Optional[DatabaseSchema] = None) -> None:
         self.schema = schema or DatabaseSchema()
-        #: Template relations, one per represented relation, keyed by name.
-        self.templates: Dict[str, Relation] = {}
+        #: Templates, one per represented relation, keyed by name.
+        self.templates: Dict[str, Template] = {}
         #: Components keyed by component id.
         self.components: Dict[int, Component] = {}
         #: Which component defines which placeholder field (the ``F`` relation).
         self.field_to_cid: Dict[FieldRef, int] = {}
         #: The placeholder index: ``relation -> tuple id -> placeholder
         #: attributes`` in schema order (``F`` grouped by tuple).  Written only
-        #: by :meth:`_map_field` / :meth:`_unmap_field`; a template row absent
-        #: from it is fully certain and never needs the component machinery.
+        #: by :meth:`_map_field` / :meth:`_unmap_field`; its tuple ids are
+        #: those of the open rows.
         self._placeholders: Dict[str, Dict[Any, Tuple[str, ...]]] = {}
-        #: Memo of :meth:`placeholder_rows`: ``relation -> (template, version,
-        #: rows, attribute -> positions in rows)``.  Dropped by
-        #: :meth:`_map_field` / :meth:`_unmap_field`.
-        self._placeholder_rows: Dict[str, _PlaceholderMemo] = {}
         #: Names of the templates no other engine holds: only these may be
         #: written in place.  :meth:`copy` empties it on both sides.
         self._private_templates: Set[str] = set()
         self._next_cid = 1
+        #: The index of the next intermediate relation name
+        #: (:meth:`intermediate_name`); relations are never dropped, so a
+        #: name once given stays taken.
+        self._next_intermediate = 1
         for relation_schema in self.schema:
             self._init_template(relation_schema)
 
@@ -104,10 +180,9 @@ class UWSDT:
     # ------------------------------------------------------------------ #
 
     def _init_template(self, relation_schema: RelationSchema) -> None:
-        template_schema = RelationSchema(
-            relation_schema.name, (TID,) + relation_schema.attributes
+        self.templates[relation_schema.name] = Template(
+            Relation(relation_schema), Relation(open_schema(relation_schema))
         )
-        self.templates[relation_schema.name] = Relation(template_schema)
         self._private_templates.add(relation_schema.name)
 
     def add_relation(self, relation_schema: RelationSchema) -> None:
@@ -117,12 +192,25 @@ class UWSDT:
         self.schema.add(relation_schema)
         self._init_template(relation_schema)
 
+    def intermediate_name(self) -> str:
+        """A fresh relation name ``__q<n>`` for a query's intermediate result.
+
+        The index lives on the engine and moves past every name it gives, so
+        a name is probed once; a probe only skips a name a user took.
+        """
+        while True:
+            name = f"__q{self._next_intermediate}"
+            self._next_intermediate += 1
+            if not self.schema.has_relation(name):
+                return name
+
     def add_template_tuple(self, relation_name: str, tuple_id: Any, values: Sequence[Any]) -> None:
         """Add one template tuple (values may include ``PLACEHOLDER``).
 
-        A template shared with a copy is first replaced by a private
-        :meth:`Relation.copy <repro.relational.relation.Relation.copy>`, so
-        the write reaches this engine only.
+        A row with a ``?`` joins the open rows under ``tuple_id``; a certain
+        row joins the certain rows, and ``tuple_id`` is not kept.  A template
+        shared with a copy is first replaced by a private copy of both
+        relations, so the write reaches this engine only.
         """
         relation_schema = self.schema.relation(relation_name)
         if len(values) != relation_schema.arity:
@@ -130,101 +218,79 @@ class UWSDT:
                 f"template tuple for {relation_name!r} has arity {len(values)}, "
                 f"expected {relation_schema.arity}"
             )
+        template = self.templates[relation_name]
         if relation_name not in self._private_templates:
-            self.templates[relation_name] = self.templates[relation_name].copy()
+            template = Template(template.certain.copy(), template.open.copy())
+            self.templates[relation_name] = template
             self._private_templates.add(relation_name)
-        self.templates[relation_name].insert((tuple_id,) + tuple(values))
+        if _has_placeholder(values):
+            template.open.insert((tuple_id,) + tuple(values))
+        else:
+            template.certain.insert(values)
 
-    def load_template(
-        self, relation_name: str, rows: List[Row], distinct: bool = False
+    def set_template(
+        self, relation_name: str, certain: Relation, open_rows: List[Row], distinct: bool = True
     ) -> None:
-        """Replace a template's rows by ``rows``, built in one step.
+        """Install a template built in one step: the ``certain`` relation and the open rows.
 
-        ``rows`` are raw template rows — the tuple id, then the values (which
-        may include ``PLACEHOLDER``) — and are handed over as
+        ``certain`` is adopted (it must hold no ``?``).  ``open_rows`` are
+        ``(tuple id, *values)`` rows with a ``?`` each, handed over as
         :meth:`Relation.from_tuples <repro.relational.relation.Relation.from_tuples>`
         takes them: the list is adopted, and ``distinct=True`` is the
-        caller's proof that they are a set (distinct tuple ids).  This is how
-        the loaders and every operator fill the relation they just declared.
+        caller's proof that the tuple ids are distinct.  This is how the
+        loaders and every operator fill the relation they just declared.
         """
-        schema = self.templates[relation_name].schema
-        try:
-            self.templates[relation_name] = Relation.from_tuples(schema, rows, distinct)
-        except ArityError as error:
-            raise RepresentationError(
-                f"malformed template tuple for {relation_name!r}: {error}"
-            ) from error
+        schema = self.templates[relation_name].open.schema
+        self.templates[relation_name] = Template(
+            certain, _template_relation(schema, open_rows, distinct)
+        )
         self._private_templates.add(relation_name)
 
     def relation_placeholder_count(self, relation_name: str) -> int:
         """Number of ``?`` fields of one relation (its slice of ``F``).
 
-        Together with the template relation's version this fully determines
-        the relation's planner statistics — samples read only the template,
-        densities only this count — so the statistics catalog uses the pair
-        as its invalidation key: component surgery that merely rewires or
-        extends components (the chase, ``Q̂`` intermediates) leaves cached
-        entries valid, while anything adding or dropping a placeholder of
-        the relation invalidates them.  Read off the placeholder index.
+        Together with the versions of the template's two relations this
+        fully determines the relation's planner statistics — samples read
+        only the template, densities only this count — so the statistics
+        catalog uses them as its invalidation key: component surgery that
+        merely rewires or extends components (the chase, ``Q̂``
+        intermediates) leaves cached entries valid, while anything adding or
+        dropping a placeholder of the relation invalidates them.  Read off
+        the placeholder index.
         """
         return sum(map(len, self._placeholders.get(relation_name, {}).values()))
 
     def uncertain_tuples(self, relation_name: str) -> Mapping[Any, Tuple[str, ...]]:
-        """The placeholder index of one relation: ``tuple id -> ? attributes``.
+        """The placeholder index of one relation: ``open tuple id -> ? attributes``.
 
-        Read-only for callers; attributes are in schema order.  Every
-        consumer splits its work on it: template rows whose id is absent are
-        handled by one-world processing on the raw rows, the (few) others go
-        through their components.
+        Read-only for callers; attributes are in schema order.
         """
         return self._placeholders.get(relation_name, {})
 
-    def placeholder_rows(self, relation_name: str) -> List[PlaceholderRow]:
-        """The indexed template rows of one relation with their ``?`` attributes.
+    def placeholder_rows_on(self, relation_name: str, attributes: Iterable[str]) -> List[Row]:
+        """The open rows with a ``?`` on one of ``attributes``, in open-row order.
 
-        ``[(row, uncertain_tuples(name)[row[0]]) ...]`` in template order —
-        the rows that reach the component machinery, without a scan of the
-        template per consumer.  Memoised per relation; the entry is valid
-        while the template object and its ``version`` are unchanged, and
-        :meth:`_map_field` / :meth:`_unmap_field` drop it.  Read-only for
-        callers.
-        """
-        return self._placeholder_memo(relation_name)[2]
-
-    def placeholder_rows_on(
-        self, relation_name: str, attributes: Iterable[str]
-    ) -> List[PlaceholderRow]:
-        """The :meth:`placeholder_rows` with a ``?`` on one of ``attributes``, in template order.
-
-        Read off the memo entry's per-attribute positions: a selection or a
+        Per attribute, the positions of the open rows holding ``?`` there are
+        derived on the open relation (:meth:`~repro.relational.relation.Relation.derived`:
+        built once per version, shared by copies): a selection or a
         dependency visits the rows its attributes make uncertain, not every
-        row with a placeholder.
+        open row.
         """
-        _, _, rows, by_attribute = self._placeholder_memo(relation_name)
-        hits = [by_attribute[a] for a in set(attributes) if a in by_attribute]
+        opened = self.templates[relation_name].open
+
+        def positions_on(attribute: str) -> List[int]:
+            column = opened.schema.position(attribute)
+            return [i for i, row in enumerate(opened) if row[column] is PLACEHOLDER]
+
+        hits = [
+            positions
+            for attribute in dict.fromkeys(attributes)
+            if (positions := opened.derived(("?", attribute), lambda a=attribute: positions_on(a)))
+        ]
         if not hits:
             return []
-        positions = hits[0] if len(hits) == 1 else sorted(set().union(*hits))
-        return [rows[position] for position in positions]
-
-    def _placeholder_memo(self, relation_name: str) -> _PlaceholderMemo:
-        """The valid memo entry of one relation, built from a template scan when needed."""
-        memo = self._memoised_placeholder_rows(relation_name)
-        if memo is None:
-            template = self.templates[relation_name]
-            uncertain = self.uncertain_tuples(relation_name)
-            rows = [(row, uncertain[row[0]]) for row in template if row[0] in uncertain]
-            memo = (template, template.version, rows, _positions_by_attribute(rows))
-            self._placeholder_rows[relation_name] = memo
-        return memo
-
-    def _memoised_placeholder_rows(self, relation_name: str) -> Optional[_PlaceholderMemo]:
-        """The memo entry of :meth:`placeholder_rows`, or None when absent or stale."""
-        template = self.templates[relation_name]
-        memo = self._placeholder_rows.get(relation_name)
-        if memo is None or memo[0] is not template or memo[1] != template.version:
-            return None
-        return memo
+        rows = opened.rows
+        return [rows[i] for i in (hits[0] if len(hits) == 1 else sorted(set().union(*hits)))]
 
     def _map_field(self, field: FieldRef, cid: int) -> None:
         existing = self.field_to_cid.get(field)
@@ -233,7 +299,6 @@ class UWSDT:
                 f"field {field.label()} already assigned to component {existing}"
             )
         self.field_to_cid[field] = cid
-        self._placeholder_rows.pop(field.relation, None)
         rows = self._placeholders.setdefault(field.relation, {})
         attributes = rows.get(field.tuple_id, ()) + (field.attribute,)
         if len(attributes) > 1:
@@ -244,7 +309,6 @@ class UWSDT:
     def _unmap_field(self, field: FieldRef) -> None:
         if self.field_to_cid.pop(field, None) is None:
             return
-        self._placeholder_rows.pop(field.relation, None)
         rows = self._placeholders[field.relation]
         attributes = tuple(a for a in rows[field.tuple_id] if a != field.attribute)
         if attributes:
@@ -324,28 +388,6 @@ class UWSDT:
         self.components[unique[0]] = merged
         return unique[0]
 
-    def template_index(self, relation_name: str, attribute: str) -> HashIndex:
-        """A (cached) hash index over one attribute of a template relation.
-
-        The index maps template values — including the ``?`` placeholder
-        sentinel — to full template rows.  Pushed-down equality selections
-        probe it with the constant plus ``?`` instead of scanning the whole
-        template.  It is kept on the template relation and rebuilt when the
-        template changes (:func:`~repro.relational.indexes.hash_index`), so
-        copies sharing the template share the index.
-        """
-        return hash_index(self.templates[relation_name], (attribute,))
-
-    def template_rows(self, relation_name: str) -> Iterator[Tuple[Any, Tuple[Any, ...]]]:
-        """Yield ``(tuple_id, values)`` pairs of one template (values without the tid column).
-
-        The tid column is always stored first (:meth:`_init_template`), so
-        consumers on a hot path read the raw template rows instead and skip
-        the per-row slice.
-        """
-        for row in self.templates[relation_name]:
-            yield row[0], row[1:]
-
     # ------------------------------------------------------------------ #
     # Statistics (the columns of Figure 27 / Figure 28)
     # ------------------------------------------------------------------ #
@@ -394,23 +436,31 @@ class UWSDT:
     def validate(self) -> None:
         """Check structural invariants (placeholder coverage, probability mass).
 
-        The placeholder index must equal a scan of the templates in both
-        directions: every ``?`` is indexed (and so has a component), and
-        every indexed field is a ``?`` of an existing template row.  A valid
-        :meth:`placeholder_rows` memo entry must equal the same scan.  The
-        field map, too, is checked both ways: every component field maps to
-        its component, and every entry is a ``?`` field of the component it
-        names.
+        Per template: the certain rows hold no ``?``, every open row holds
+        one, and the open rows' tuple ids are distinct.  The placeholder
+        index must equal a scan of the open rows in both directions: every
+        ``?`` is indexed (and so has a component), and every indexed field
+        is a ``?`` of an open row.  The field map, too, is checked both
+        ways: every component field maps to its component, and every entry
+        is a ``?`` field of the component it names.
         """
         for relation_schema in self.schema:
             name, attributes = relation_schema.name, relation_schema.attributes
+            template = self.templates[name]
+            if any(map(_has_placeholder, template.certain)):
+                raise RepresentationError(f"a certain row of {name!r} holds a placeholder")
             scanned = {}
-            for row in self.templates[name]:
+            for row in template.open:
                 placeholders = tuple(
-                    a for a, value in zip(attributes, row[1:]) if is_placeholder(value)
+                    a for a, value in zip(attributes, row[1:]) if value is PLACEHOLDER
                 )
-                if placeholders:
-                    scanned[row[0]] = placeholders
+                if not placeholders:
+                    raise RepresentationError(
+                        f"open tuple {row[0]!r} of {name!r} holds no placeholder"
+                    )
+                if row[0] in scanned:
+                    raise RepresentationError(f"tuple id {row[0]!r} of {name!r} is not unique")
+                scanned[row[0]] = placeholders
             indexed = self.uncertain_tuples(name)
             if scanned != indexed:
                 tuple_id = next(
@@ -421,13 +471,6 @@ class UWSDT:
                     f"{scanned.get(tuple_id, ())!r} but is indexed (has components) for "
                     f"{indexed.get(tuple_id, ())!r}"
                 )
-            memoised = self._memoised_placeholder_rows(name)
-            if memoised is not None:
-                rows = [
-                    (row, scanned[row[0]]) for row in self.templates[name] if row[0] in scanned
-                ]
-                if memoised[2] != rows or memoised[3] != _positions_by_attribute(rows):
-                    raise RepresentationError(f"placeholder-row memo of {name!r} is out of date")
         for cid, component in self.components.items():
             component.validate()
             for field in component.fields:
@@ -477,8 +520,8 @@ class UWSDT:
     def from_relation(cls, relation: Relation, probabilistic: bool = True) -> "UWSDT":
         """A UWSDT of a fully certain relation (no placeholders at all)."""
         result = cls(DatabaseSchema([relation.schema]))
-        rows = [(index, *row) for index, row in enumerate(relation, start=1)]
-        result.load_template(relation.schema.name, rows, distinct=True)
+        certain = Relation.from_tuples(relation.schema, list(relation), distinct=True)
+        result.set_template(relation.schema.name, certain, [])
         return result
 
     @classmethod
@@ -499,17 +542,20 @@ class UWSDT:
 
         The relations' or-sets are independent of each other, exactly as if
         each had been encoded separately — the multi-relation input the join
-        queries (and the possible-worlds oracle) work on.
+        queries (and the possible-worlds oracle) work on.  The row at
+        position ``i`` (from 1) is tuple ``i``; only the rows with an or-set
+        keep that id.
         """
         result = cls(DatabaseSchema([orset.schema for orset in orsets]))
         for orset in orsets:
             name, attributes = orset.schema.name, orset.schema.attributes
-            template: List[Row] = []
+            certain: List[Row] = []
+            open_rows: List[Row] = []
             for index, row in enumerate(orset.rows, start=1):
                 # One test per row, on its handful of classes: a row without
                 # an or-set (the overwhelming majority) is adopted as it is.
                 if not any(issubclass(cls_, OrSet) for cls_ in set(map(type, row))):
-                    template.append((index, *row))
+                    certain.append(row)
                     continue
                 template_values: List[Any] = [index]
                 for attribute, value in zip(attributes, row):
@@ -527,18 +573,22 @@ class UWSDT:
                     else:
                         component = Component((field,), [(v,) for v in value.values], None)
                     result.new_component(component)
-                template.append(tuple(template_values))
-            result.load_template(name, template, distinct=True)
+                open_rows.append(tuple(template_values))
+            result.set_template(name, _template_relation(orset.schema, certain, False), open_rows)
         return result
 
     def to_wsdt(self) -> WSDT:
-        """Convert back to the (non-uniform) WSDT representation."""
+        """Convert back to the (non-uniform) WSDT representation.
+
+        A certain row is given :func:`certain_tid` as its tuple id.
+        """
         templates: Dict[str, Dict[Any, Dict[str, Any]]] = {}
         for relation_schema in self.schema:
-            template: Dict[Any, Dict[str, Any]] = {}
-            for tuple_id, values in self.template_rows(relation_schema.name):
-                template[tuple_id] = dict(zip(relation_schema.attributes, values))
-            templates[relation_schema.name] = template
+            name, attributes = relation_schema.name, relation_schema.attributes
+            template = self.templates[name]
+            rows = {certain_tid(name, row): dict(zip(attributes, row)) for row in template.certain}
+            rows.update((row[0], dict(zip(attributes, row[1:]))) for row in template.open)
+            templates[relation_schema.name] = rows
         return WSDT(
             DatabaseSchema(list(self.schema)), templates, list(self.components.values())
         )
@@ -560,16 +610,15 @@ class UWSDT:
     def copy(self) -> "UWSDT":
         """A copy sharing everything a query does not change, in O(relations + components).
 
-        The template relations and the components (immutable) are shared;
-        only the dictionaries indexing them are copied — ``templates``,
-        ``components``, ``field_to_cid``, the placeholder index — and the
-        :meth:`placeholder_rows` memo, whose entries check the template's
-        identity and version.  Structures derived from a shared template
-        (hash indexes, column stores, statistics) live on it and stay warm
-        for both engines.  Afterwards neither engine owns a template: the
-        first :meth:`add_template_tuple` on either side copies it.  The plan
-        cache and the statistics catalog object are per engine and are not
-        carried over, so the copy plans every query anew.
+        The templates and the components (immutable) are shared; only the
+        dictionaries indexing them are copied — ``templates``,
+        ``components``, ``field_to_cid``, the placeholder index — with the
+        next intermediate name's index.  Structures derived from a shared
+        template's relations (hash indexes, column stores, statistics) live
+        on them and stay warm for both engines.  Afterwards neither engine
+        owns a template: the first :meth:`add_template_tuple` on either side
+        copies it.  The plan cache and the statistics catalog object are per
+        engine and are not carried over, so the copy plans every query anew.
         """
         result = UWSDT()
         result.schema = DatabaseSchema(list(self.schema))
@@ -577,8 +626,8 @@ class UWSDT:
         result.components = dict(self.components)
         result.field_to_cid = dict(self.field_to_cid)
         result._placeholders = {name: dict(rows) for name, rows in self._placeholders.items()}
-        result._placeholder_rows = dict(self._placeholder_rows)
         result._next_cid = self._next_cid
+        result._next_intermediate = self._next_intermediate
         self._private_templates = set()
         return result
 
@@ -616,18 +665,17 @@ class UWSDT:
     def from_uniform_relations(
         cls,
         schema: DatabaseSchema,
-        templates: Dict[str, Relation],
+        templates: Mapping[str, Template],
         uniform: Dict[str, Relation],
         probabilistic: bool = True,
     ) -> "UWSDT":
-        """Rebuild a UWSDT from template relations plus the C/F/W relations."""
+        """Rebuild a UWSDT from its templates plus the C/F/W relations."""
         result = cls(DatabaseSchema(list(schema)))
         for relation_schema in schema:
             template = templates[relation_schema.name]
-            tid_position = template.schema.position(TID)
-            for row in template:
-                values = row[:tid_position] + row[tid_position + 1 :]
-                result.add_template_tuple(relation_schema.name, row[tid_position], values)
+            result.set_template(
+                relation_schema.name, template.certain.copy(), list(template.open)
+            )
 
         mapping = uniform["F"]
         component_values = uniform["C"]
@@ -674,14 +722,11 @@ class UWSDT:
 
         Used as the "one world, 0 % density" baseline of Figure 30: when the
         representation has no placeholders this *is* the represented world.
+        It is the certain relations, copied.
         """
         database = Database()
         for relation_schema in self.schema:
-            uncertain = self.uncertain_tuples(relation_schema.name)
-            rows = [
-                row[1:] for row in self.templates[relation_schema.name] if row[0] not in uncertain
-            ]
-            database.add(Relation.from_tuples(relation_schema, rows))
+            database.add(self.templates[relation_schema.name].certain.copy())
         return database
 
     def __repr__(self) -> str:

@@ -142,18 +142,25 @@ def equi_join(
     left_attr: str,
     right_attr: str,
     name: Optional[str] = None,
+    index: Optional[HashIndex] = None,
 ) -> Relation:
     """Equi-join ``R ⋈_{A=B} S`` implemented with a hash join.
 
     Attribute sets must be disjoint (use :func:`rename` first otherwise).
+    When a :class:`~repro.relational.indexes.HashIndex` of ``right`` over
+    ``B`` is supplied, it is the index nested-loop join: each left row reads
+    the index's bucket under its ``A`` value, and no hash table is built.
     """
     schema = left.schema.concat(right.schema, name)
     left_pos = left.schema.position(left_attr)
-    right_pos = right.schema.position(right_attr)
-    index: Dict[Any, list] = defaultdict(list)
-    for rrow in right:
-        index[rrow[right_pos]].append(rrow)
-    rows = [lrow + rrow for lrow in left for rrow in index.get(lrow[left_pos], ())]
+    if index is not None and index.relation is right and index.attributes == (right_attr,):
+        rows = [lrow + rrow for lrow in left for rrow in index.bucket(lrow[left_pos])]
+    else:
+        right_pos = right.schema.position(right_attr)
+        table: Dict[Any, list] = defaultdict(list)
+        for rrow in right:
+            table[rrow[right_pos]].append(rrow)
+        rows = [lrow + rrow for lrow in left for rrow in table.get(lrow[left_pos], ())]
     return Relation.from_tuples(schema, rows, distinct=True)
 
 

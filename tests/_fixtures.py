@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import pytest
+from hypothesis import event
 from hypothesis import strategies as st
 
 from repro.baselines import naive
@@ -56,6 +57,29 @@ from repro.worlds import OrSet, OrSetRelation
 
 #: Small domain values for generated relations/or-sets.
 values_strategy = st.integers(min_value=0, max_value=4)
+#: Numbers of three classes that compare equal across them (1 == 1.0 == True).
+numbers_strategy = st.one_of(values_strategy, st.sampled_from([0.0, 1.0, 2.5]), st.booleans())
+#: Numbers and strings in one column, as :func:`cases` draws them.
+mixed_values_strategy = st.one_of(numbers_strategy, st.sampled_from(["1", "a"]))
+
+
+def mixed_row_values(row: int):
+    """The values of row ``row`` of a :func:`cases` relation: the first row is
+    numbers only, so every column's type is a number or ``any`` and an
+    integer constant may be compared with it; later rows mix in strings."""
+    return numbers_strategy if row == 0 else mixed_values_strategy
+
+
+def equal_across_types(relations) -> bool:
+    """Do two values of different classes compare equal somewhere in ``relations``?"""
+    seen = {}
+    for relation in relations:
+        for row in relation.rows:
+            for cell in row:
+                for value in cell.values if isinstance(cell, OrSet) else (cell,):
+                    if seen.setdefault(value, type(value)) is not type(value):
+                        return True
+    return False
 
 
 @st.composite
@@ -74,9 +98,11 @@ def budgeted_orset_relations(
     max_rows: int = 2,
     max_alternatives: int = 2,
     uncertain_budget: int = 4,
+    row_values=lambda row: values_strategy,
 ):
     """One or-set relation per ``(name, attributes)`` schema, sharing a bound
-    on the *total* number of uncertain fields.
+    on the *total* number of uncertain fields; ``row_values(i)`` draws the
+    values of row ``i``.
 
     The budget caps the represented world count at
     ``max_alternatives ** uncertain_budget`` regardless of how many
@@ -89,18 +115,17 @@ def budgeted_orset_relations(
         schema = RelationSchema(name, tuple(attributes))
         relation = OrSetRelation(schema)
         rows = draw(st.integers(min_value=1, max_value=max_rows))
-        for _ in range(rows):
+        for index in range(rows):
+            values = row_values(index)
             row = []
             for _ in attributes:
                 if budget > 0 and draw(st.booleans()):
                     budget -= 1
                     size = draw(st.integers(min_value=2, max_value=max_alternatives))
-                    candidates = draw(
-                        st.lists(values_strategy, min_size=size, max_size=size, unique=True)
-                    )
+                    candidates = draw(st.lists(values, min_size=size, max_size=size, unique=True))
                     row.append(OrSet(candidates))
                 else:
-                    row.append(draw(values_strategy))
+                    row.append(draw(values))
             relation.insert(tuple(row))
         relations.append(relation)
     return relations
@@ -206,6 +231,9 @@ def _tree(draw, depth, counter, schemas):
         keep = tuple(a for a in attrs if draw(st.booleans()))
         if not keep:
             keep = (attrs[0],)
+        # Any order: a reordering π can make an inherited tuple id's values
+        # those of a certain row.
+        keep = tuple(draw(st.permutations(keep)))
         return child.project(keep), keep
     if op == "rename":
         child, attrs = _tree(draw, depth - 1, counter, schemas)
@@ -364,9 +392,15 @@ def cases(
 
     The budget itself is drawn, so some inputs are (nearly) certain: those
     run the one-world paths — certain rows, column kernels — end to end.
+    A column mixes ints, floats, bools and strings
+    (:func:`mixed_row_values`), so values equal across classes meet.
     """
     budget = draw(st.integers(min_value=0, max_value=uncertain_budget))
-    relations = draw(budgeted_orset_relations(schemas, max_rows, max_alternatives, budget))
+    relations = draw(
+        budgeted_orset_relations(schemas, max_rows, max_alternatives, budget, mixed_row_values)
+    )
+    if equal_across_types(relations):
+        event("values equal across types")
     chased = tuple(draw(chase_dependency_lists())) if dependencies else ()
     query = draw(queries if queries is not None else query_trees(schemas))
     return Case(tuple(relations), query, chased)
@@ -429,36 +463,39 @@ def local_worlds(uwsdt, cids):
         yield world_values(uwsdt, dict(zip(cids, choice))), probability
 
 
-def tuple_in_world(uwsdt, relation_name, tid, template, values):
-    """The row of one template tuple in the world ``values`` describes: its
-    ``?`` fields read there.  None when a ``⊥`` makes the tuple absent."""
-    attributes = uwsdt.uncertain_tuples(relation_name).get(tid, ())
-    if attributes:
-        position = uwsdt.schema.relation(relation_name).position
-        row = list(template)
-        for attribute in attributes:
-            row[position(attribute)] = values[FieldRef(relation_name, tid, attribute)]
-        template = tuple(row)
-    return None if BOTTOM in template else template
+def tuple_in_world(uwsdt, relation_name, row, values):
+    """One open row (its tuple id, then its values) in the world ``values``
+    describes: its ``?`` fields read there.  None when a ``⊥`` makes the
+    tuple absent."""
+    tid, filled = row[0], list(row[1:])
+    position = uwsdt.schema.relation(relation_name).position
+    for attribute in uwsdt.uncertain_tuples(relation_name)[tid]:
+        filled[position(attribute)] = values[FieldRef(relation_name, tid, attribute)]
+    return None if BOTTOM in filled else tuple(filled)
 
 
 def world_tuples(uwsdt, values, relation_name):
-    """``{tuple id: row}`` of one relation in the world ``values`` describes."""
+    """``{tuple id: row}`` of one relation's open rows present in the world
+    ``values`` describes."""
     tuples = {}
-    for tid, template in uwsdt.template_rows(relation_name):
-        row = tuple_in_world(uwsdt, relation_name, tid, template, values)
-        if row is not None:
-            tuples[tid] = row
+    for row in uwsdt.templates[relation_name].open:
+        filled = tuple_in_world(uwsdt, relation_name, row, values)
+        if filled is not None:
+            tuples[row[0]] = filled
     return tuples
 
 
 def world_database(uwsdt, values, relations=None):
     """The one-world ``Database`` a UWSDT represents in the world ``values``
-    describes, restricted to the named ``relations`` (default: all)."""
+    describes, restricted to the named ``relations`` (default: all): the
+    certain rows and the open rows present there."""
     database = Database()
     for schema in uwsdt.schema:
         if relations is None or schema.name in relations:
-            rows = list(world_tuples(uwsdt, values, schema.name).values())
+            rows = [
+                *uwsdt.templates[schema.name].certain,
+                *world_tuples(uwsdt, values, schema.name).values(),
+            ]
             database.add(Relation.from_tuples(schema, rows))
     return database
 
@@ -587,10 +624,13 @@ class Oracle:
 
 
 def check_representation(uwsdt: UWSDT) -> None:
-    """``validate()`` (which checks the field map both ways), and each
-    relation's placeholder count is its placeholder index's."""
+    """``validate()`` (which checks the field map both ways), each relation's
+    certain rows are a set, and its placeholder count is its placeholder
+    index's."""
     uwsdt.validate()
     for schema in uwsdt.schema:
+        certain = uwsdt.templates[schema.name].certain
+        assert len(certain.row_set()) == len(certain), f"the certain rows of {schema.name} are a bag"
         uncertain = uwsdt.uncertain_tuples(schema.name)
         assert uwsdt.relation_placeholder_count(schema.name) == sum(map(len, uncertain.values()))
 

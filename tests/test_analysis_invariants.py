@@ -246,20 +246,29 @@ class TestOperatorOutputsAreSets:
         invariants.set_verification(False)
         assert query.run(self.database(), "out").rows == (("a",), ("a",), ("b",))  # unchecked
 
-    def test_uwsdt_operator_repeating_a_tuple_id_is_caught(self, monkeypatch):
+    @pytest.mark.parametrize("part", ["rows", "tuple ids"])
+    def test_uwsdt_operator_repeating_a_row_or_tuple_id_is_caught(self, monkeypatch, part):
+        """A bag of certain rows, or two open rows under one tuple id."""
         from repro.core.algebra import uwsdt_ops
         from repro.core.uwsdt import UWSDT
+        from repro.relational.values import PLACEHOLDER
 
         rename = uwsdt_ops.rename
 
         def repeating_rename(uwsdt, source, target, old, new):
             rename(uwsdt, source, target, old, new)
-            rows = list(uwsdt.templates[target])
-            uwsdt.load_template(target, rows + [(rows[0][0], "other", "values")], distinct=True)
+            certain = uwsdt.templates[target].certain
+            if part == "rows":
+                rows = list(certain) + [next(iter(certain))]
+                bag = Relation.from_tuples(certain.schema, rows, distinct=True)
+                uwsdt.set_template(target, bag, [])
+            else:
+                rows = [("t", PLACEHOLDER, "values"), ("t", PLACEHOLDER, "other")]
+                uwsdt.set_template(target, certain, rows, distinct=True)
 
         monkeypatch.setattr(uwsdt_ops, "rename", repeating_rename)
         uwsdt = UWSDT.from_relation(self.database().relation("R"))
-        with pytest.raises(PlanInvariantError, match=r"Rename\(K→Z\).*1 duplicate tuple ids"):
+        with pytest.raises(PlanInvariantError, match=rf"Rename\(K→Z\).*1 duplicate {part}"):
             BaseRelation("R").rename("K", "Z").run(uwsdt, "out", optimize=False)
 
     def test_batch_leaving_dematerialize_must_have_become_a_set(self, monkeypatch):

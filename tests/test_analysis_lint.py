@@ -380,6 +380,20 @@ class TestOperatorDispatch:
         )
         found = violations_of(check_operator_dispatch, reference, "repro/core/algebra/query.py")
         assert [(v.line, v.symbol) for v in found] == [(7, "_evaluate_wsd"), (9, "elsewhere")]
+        # A UWSDT operator's certain part is the classical operator; it
+        # reaches neither Figure 9 nor another UWSDT operator.
+        certain_part = (
+            "from ...relational import algebra as relational_algebra\n"
+            "from . import uwsdt_ops, wsd_ops\n"
+            "def select(uwsdt, template, predicate):\n"
+            "    certain = relational_algebra.select(template.certain, predicate)\n"
+            "    wsd_ops.select(uwsdt, 'R', 'P', predicate)\n"
+            "    uwsdt_ops.project(uwsdt, 'R', 'P', ['A'])\n"
+        )
+        found = violations_of(
+            check_operator_dispatch, certain_part, "repro/core/algebra/uwsdt_ops.py"
+        )
+        assert [(v.line, v.symbol) for v in found] == [(5, "select"), (6, "select")]
         # Query combinators and backend methods share the operators' names.
         methods = (
             "def build(query, backend, other):\n"
@@ -491,12 +505,17 @@ class TestTemplateMutation:
             "    self.engine.templates['R'].remove(row)\n"
             "    uwsdt.templates['R'].copy()\n"
             "    uwsdt.relation('R').insert(row)\n"
+            "    uwsdt.templates['R'].certain.insert(row)\n"
+            "    uwsdt.templates[name].open.remove(row)\n"
+            "    uwsdt.templates['R'].certain.copy()\n"
         )
         found = violations_of(check_template_mutation, source, "repro/core/chase.py")
         assert [(v.rule, v.line, v.symbol) for v in found] == [
             ("template-mutation", 2, "fuzz"),
             ("template-mutation", 3, "fuzz"),
             ("template-mutation", 4, "fuzz"),
+            ("template-mutation", 7, "fuzz"),
+            ("template-mutation", 8, "fuzz"),
         ]
         # ``add_template_tuple`` copies a shared template before it writes.
         assert violations_of(check_template_mutation, source, "repro/core/uwsdt.py") == []

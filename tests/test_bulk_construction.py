@@ -338,20 +338,15 @@ def result_components(uwsdt):
     }
 
 
-def assert_bulk_template(uwsdt, source_order=None, decided_by_components=frozenset()):
-    """The result template is a set of distinct tuple ids, built in one step.
-
-    With ``source_order``, template order is kept (rows may have been left
-    out) — for a selection in two segments: the rows the template decides,
-    then the rows whose components decide (``decided_by_components``).
-    """
+def assert_bulk_template(uwsdt):
+    """The result template is a set of certain rows plus open rows of
+    distinct tuple ids, each relation built in one step."""
     template = uwsdt.templates["P"]
-    tuple_ids = [row[0] for row in template]
+    tuple_ids = [row[0] for row in template.open]
     assert len(set(tuple_ids)) == len(tuple_ids)
-    assert template.version == len(template)
-    if source_order is not None:
-        segment_then_position = lambda tid: (tid in decided_by_components, source_order.index(tid))
-        assert tuple_ids == sorted(tuple_ids, key=segment_then_position)
+    assert len(template.certain.row_set()) == len(template.certain)
+    for relation in (template.certain, template.open):
+        assert relation.version == len(relation)
     uwsdt.validate()
 
 
@@ -369,16 +364,11 @@ class TestUwsdtOpsBuildBulkTemplates:
     def test_select(self, orset, data):
         predicate = data.draw(uwsdt_atoms(orset.schema.attributes))
         uwsdt = UWSDT.from_orset_relation(orset)
-        source_order = [row[0] for row in uwsdt.templates["R"]]
-        referenced = set(predicate.attributes())
-        open_rows = {
-            tid
-            for tid, placeholders in uwsdt.uncertain_tuples("R").items()
-            if referenced.intersection(placeholders)
-        }
         uwsdt_ops.select(uwsdt, "R", "P", predicate)
-        # The equality index's buckets are in template order too.
-        assert_bulk_template(uwsdt, source_order, open_rows)
+        assert_bulk_template(uwsdt)
+        # The certain rows are selected exactly as a Database selects them.
+        selected = algebra.select(uwsdt.templates["R"].certain, predicate)
+        assert uwsdt.templates["P"].certain.rows == selected.rows
 
     @given(orset_relations(), st.data())
     @settings(max_examples=120, deadline=None)
@@ -407,8 +397,8 @@ class TestUwsdtOpsBuildBulkTemplates:
             "R", ["A", "B", "C"], [{"A": OrSet([1, 2]), "B": OrSet([1, 3]), "C": 0}]
         )
         uwsdt = UWSDT.from_orset_relation(orset)
-        monkeypatch.setattr(uwsdt_ops, "_copy_placeholder_fields", forbidden)
-        monkeypatch.setattr(uwsdt_ops, "_merge_target_components", forbidden)
+        monkeypatch.setattr(uwsdt_ops._FieldCopies, "add", forbidden)
+        monkeypatch.setattr(uwsdt_ops, "_merge", forbidden)
         uwsdt_ops.select(uwsdt, "R", "P", And(attr_eq("A", "B"), eq("C", 1)))
         assert len(uwsdt.templates["P"]) == 0
         uwsdt.validate()
@@ -419,14 +409,18 @@ class TestUwsdtOpsBuildBulkTemplates:
         attributes = orset.schema.attributes
         kept = data.draw(st.permutations(attributes).map(lambda p: list(p[: max(1, len(p) - 1)])))
         uwsdt = UWSDT.from_orset_relation(orset)
-        source_order = [row[0] for row in uwsdt.templates["R"]]
         uwsdt_ops.project(uwsdt, "R", "P", kept)
-        assert_bulk_template(uwsdt, source_order)
+        assert_bulk_template(uwsdt)
+        # The certain rows' projection leads; open rows left certain follow.
+        projected = algebra.project(uwsdt.templates["R"].certain, kept)
+        assert uwsdt.templates["P"].certain.rows[: len(projected)] == projected.rows
 
         renamed = UWSDT.from_orset_relation(orset)
         uwsdt_ops.rename(renamed, "R", "P", attributes[0], "Z")
-        assert_bulk_template(renamed, source_order)
-        assert renamed.templates["P"].rows == renamed.templates["R"].rows
+        assert_bulk_template(renamed)
+        for part in ("certain", "open"):
+            source, result = (getattr(renamed.templates[n], part) for n in "RP")
+            assert result.rows == source.rows
 
     @given(
         budgeted_orset_relations([("R", ("A0", "A1")), ("S", ("B0", "B1"))]),
@@ -541,7 +535,8 @@ class TestRelationAfterBulkConstruction:
         with pytest.raises(RepresentationError):
             UWSDT.from_orset_relation(census_forms)
         with pytest.raises(RepresentationError):
-            UWSDT(DatabaseSchema([census_forms.schema])).load_template("R", [(1, "x")])
+            engine = UWSDT(DatabaseSchema([census_forms.schema]))
+            engine.set_template("R", engine.templates["R"].certain, [(1, "x")])
 
     @given(st.lists(st.tuples(SPECIAL_VALUES, SPECIAL_VALUES), max_size=12))
     @settings(max_examples=150, deadline=None)

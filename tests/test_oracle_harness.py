@@ -12,16 +12,27 @@ import dataclasses
 import re
 
 import pytest
+from hypothesis import find, settings
 
 from repro.core import FieldRef
 from repro.core.algebra import BaseRelation
 from repro.core.chase import Comparison, EqualityGeneratingDependency, FunctionalDependency
 from repro.core.exec.plan_cache import PlanCache
-from repro.relational import RepresentationError, eq
+from repro.core.uwsdt import certain_tid
+from repro.relational import Relation, RepresentationError, eq
 from repro.worlds import OrSet
 
 import _fixtures
-from _fixtures import CELLS, Case, Oracle, cells, check_oracle, check_representation, orsets
+from _fixtures import (
+    CELLS,
+    Case,
+    Oracle,
+    cases,
+    cells,
+    check_oracle,
+    check_representation,
+    orsets,
+)
 
 
 #: A join over a chased R whose FD correlates its first two tuples and
@@ -99,8 +110,7 @@ def test_a_wrong_figure_17_confidence_is_rejected(monkeypatch):
 def test_a_field_map_entry_for_a_certain_field_is_rejected():
     engine = CASE.uwsdt()
     check_representation(engine)
-    tid = next(tid for tid, _ in engine.template_rows("S"))
-    stray = FieldRef("S", tid, "B0")
+    stray = FieldRef("S", certain_tid("S", next(iter(engine.templates["S"].certain))), "B0")
     engine.field_to_cid[stray] = next(iter(engine.components))
     with pytest.raises(RepresentationError, match="does not hold it"):
         engine.validate()
@@ -143,3 +153,24 @@ def test_a_chase_that_does_not_raise_on_an_inconsistent_input_is_rejected(monkey
     monkeypatch.setattr(_fixtures, "chase_uwsdt", lenient)
     with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
         check_oracle(case, CELLS)
+
+
+def test_the_case_strategy_draws_values_equal_across_types():
+    """``cases()`` mixes ints, floats, bools and strings in a column, so a
+    drawn case can hold ``1``, ``1.0`` and ``True`` side by side."""
+    case = find(
+        cases(),
+        lambda case: _fixtures.equal_across_types(case.relations),
+        settings=settings(max_examples=500, database=None),
+    )
+    assert _fixtures.equal_across_types(case.relations)
+
+
+def test_a_bag_of_certain_rows_is_rejected():
+    engine = CASE.uwsdt()
+    template = engine.templates["S"]
+    rows = list(template.certain) + [next(iter(template.certain))]
+    bag = Relation.from_tuples(template.certain.schema, rows, distinct=True)
+    engine.set_template("S", bag, list(template.open))
+    with pytest.raises(AssertionError, match="the certain rows of S are a bag"):
+        check_representation(engine)

@@ -28,8 +28,14 @@ from repro.core.chase import (
 )
 from repro.core.component import Component
 from repro.core.fields import FieldRef
-from repro.core.uwsdt import TID
-from repro.relational import InconsistentWorldSetError, RelationSchema, RepresentationError, eq
+from repro.core.uwsdt import TID, certain_tid
+from repro.relational import (
+    InconsistentWorldSetError,
+    Relation,
+    RelationSchema,
+    RepresentationError,
+    eq,
+)
 from repro.relational.predicates import COMPARATORS
 from repro.relational.values import BOTTOM, PLACEHOLDER
 from repro.worlds import OrSet, OrSetRelation
@@ -42,13 +48,15 @@ def assert_index_matches_template_scan(uwsdt):
     indexed_fields = set()
     for relation_schema in uwsdt.schema:
         name = relation_schema.name
+        template = uwsdt.templates[name]
+        assert not any(v is PLACEHOLDER for row in template.certain for v in row)
         scanned = {}
-        for tuple_id, values in uwsdt.template_rows(name):
+        for row in template.open:
             placeholders = tuple(
-                a for a, v in zip(relation_schema.attributes, values) if v is PLACEHOLDER
+                a for a, v in zip(relation_schema.attributes, row[1:]) if v is PLACEHOLDER
             )
-            if placeholders:
-                scanned[tuple_id] = placeholders
+            assert placeholders and row[0] not in scanned
+            scanned[row[0]] = placeholders
         assert dict(uwsdt.uncertain_tuples(name)) == scanned
         assert uwsdt.relation_placeholder_count(name) == sum(map(len, scanned.values()))
         indexed_fields.update(
@@ -99,6 +107,31 @@ class TestIndexEqualsTemplateScan:
     @pytest.mark.parametrize(
         "corruption, message",
         [
+            ("a ? among the certain rows", "certain row of 'R' holds a placeholder"),
+            ("an open row without a ?", "open tuple 7 of 'R' holds no placeholder"),
+            ("two open rows under one tuple id", "tuple id 1 of 'R' is not unique"),
+        ],
+    )
+    def test_validate_checks_the_certain_and_the_open_rows(self, corruption, message):
+        uwsdt = UWSDT.from_orset_relation(
+            OrSetRelation.from_dicts("R", ["A", "B"], [{"A": OrSet([1, 2]), "B": 3}, {"A": 5, "B": 6}])
+        )
+        uwsdt.validate()
+        template = uwsdt.templates["R"]
+        certain, opened = template.certain, list(template.open)
+        if corruption == "a ? among the certain rows":
+            certain = Relation.from_tuples(certain.schema, [(PLACEHOLDER, 6)])
+        elif corruption == "an open row without a ?":
+            opened.append((7, 8, 9))
+        else:
+            opened.append((1, PLACEHOLDER, 4))
+        uwsdt.set_template("R", certain, opened)
+        with pytest.raises(RepresentationError, match=message):
+            uwsdt.validate()
+
+    @pytest.mark.parametrize(
+        "corruption, message",
+        [
             ("dropped component", "does not hold it"),
             ("another component", "does not hold it"),
             ("component field off the index", "not a placeholder"),
@@ -145,7 +178,7 @@ cell_values = st.one_of(
     st.sampled_from(["0", "2", "x"]),
     st.sampled_from([BOTTOM, PLACEHOLDER]),
 )
-template_rows = st.tuples(st.integers(), cell_values, cell_values, cell_values)
+open_layout_rows = st.tuples(st.integers(), cell_values, cell_values, cell_values)
 atoms = st.builds(
     Comparison,
     st.sampled_from(ATTRS),
@@ -155,7 +188,7 @@ atoms = st.builds(
 
 
 class TestCompiledDependencies:
-    @given(st.lists(atoms, min_size=1, max_size=3), atoms, st.lists(template_rows, max_size=6))
+    @given(st.lists(atoms, min_size=1, max_size=3), atoms, st.lists(open_layout_rows, max_size=6))
     @settings(max_examples=300, deadline=None)
     def test_compiled_egd_equals_holds_for(self, premises, conclusion, rows):
         """The chase's certain-row scan reports exactly the rows ``holds_for`` rejects."""
@@ -165,7 +198,7 @@ class TestCompiledDependencies:
             row for row in rows if not dependency.holds_for(dict(zip(ATTRS, row[1:])))
         ]
 
-    @given(st.lists(atoms, min_size=1, max_size=3), atoms, template_rows)
+    @given(st.lists(atoms, min_size=1, max_size=3), atoms, open_layout_rows)
     @settings(max_examples=300, deadline=None)
     def test_compiled_violation_is_not_holds_for(self, premises, conclusion, row):
         """The chase's scan kernel: the violation predicate through ``Predicate.compile``."""
@@ -178,8 +211,8 @@ class TestCompiledDependencies:
     @given(
         st.lists(st.sampled_from(ATTRS), min_size=1, max_size=2, unique=True),
         st.sampled_from(ATTRS),
-        template_rows,
-        template_rows,
+        open_layout_rows,
+        open_layout_rows,
     )
     @settings(max_examples=300, deadline=None)
     def test_compiled_fd_equals_holds_for(self, determinants, dependent, left, right):
@@ -230,7 +263,7 @@ class TestChaseParity:
         )
         with pytest.raises(InconsistentWorldSetError) as error:
             chase_uwsdt(self._certain_with_one_orset(), [dependency])
-        assert "certain tuple 3" in str(error.value)
+        assert "certain tuple (3, 7)" in str(error.value)
         assert repr(dependency) in str(error.value)
 
     def test_certain_fd_violation_names_tuples_and_dependency(self):
@@ -239,7 +272,7 @@ class TestChaseParity:
         dependency = FunctionalDependency("R", ["A"], "B")
         with pytest.raises(InconsistentWorldSetError) as error:
             chase_uwsdt(uwsdt, [dependency])
-        assert "certain tuples 3 and 4" in str(error.value)
+        assert "certain tuples (3, 7) and (3, 8)" in str(error.value)
         assert repr(dependency) in str(error.value)
 
     def test_placeholder_outside_the_dependency_is_a_certain_row(self):
@@ -248,7 +281,7 @@ class TestChaseParity:
         dependency = EqualityGeneratingDependency(
             "R", [Comparison("B", "=", 2)], Comparison("B", "!=", 2)
         )
-        with pytest.raises(InconsistentWorldSetError, match="certain tuple 2"):
+        with pytest.raises(InconsistentWorldSetError, match=r"certain tuple \(PLACEHOLDER, 2\)"):
             chase_uwsdt(uwsdt, [dependency])
 
     @pytest.mark.parametrize(
@@ -293,7 +326,8 @@ class TestOperatorsLeaveNoStaleEntries:
     def test_select_filters_every_placeholder_row_out(self, uwsdt):
         uwsdt_ops.select(uwsdt, "R", "P", eq("A", 5))
         assert dict(uwsdt.uncertain_tuples("P")) == {}
-        assert [values for _, values in uwsdt.template_rows("P")] == [(5, 6)]
+        assert list(uwsdt.templates["P"].certain) == [(5, 6)]
+        assert len(uwsdt.templates["P"].open) == 0
         assert_index_matches_template_scan(uwsdt)
 
     def test_select_keeps_every_placeholder_row(self, uwsdt):
@@ -323,6 +357,26 @@ class TestOperatorsLeaveNoStaleEntries:
         assert dict(uwsdt.uncertain_tuples("presence")) == {1: ("A",), 2: ("A",)}
         assert_index_matches_template_scan(uwsdt)
 
+    def test_project_leaves_out_a_tuple_absent_in_every_world(self):
+        """A dropped field ``⊥`` in every local world: no world keeps the
+        tuple, so π leaves it out together with its kept fields."""
+        uwsdt = UWSDT.from_orset_relation(
+            OrSetRelation.from_dicts(
+                "R", ["A", "B"], [{"A": OrSet([1, 2]), "B": OrSet([3, 4])}, {"A": 5, "B": 6}]
+            )
+        )
+        absent = FieldRef("R", 1, "B")
+        uwsdt.replace_component(
+            uwsdt.component_of(absent), Component((absent,), [(BOTTOM,)], [1.0])
+        )
+        uwsdt_ops.project(uwsdt, "R", "P", ["A"])
+        assert list(uwsdt.templates["P"].certain) == [(5,)]
+        assert len(uwsdt.templates["P"].open) == 0
+        assert dict(uwsdt.uncertain_tuples("P")) == {}
+        assert_index_matches_template_scan(uwsdt)
+        for world in uwsdt.to_worldset():
+            assert set(world.database.relation("P").rows) == {(5,)}
+
     def test_rename_indexes_the_new_attribute_name(self, uwsdt):
         uwsdt_ops.rename(uwsdt, "R", "P", "B", "B2")
         assert dict(uwsdt.uncertain_tuples("P")) == {1: ("B2",), 2: ("B2",)}
@@ -332,7 +386,9 @@ class TestOperatorsLeaveNoStaleEntries:
 
     def test_equi_join_on_certain_and_uncertain_attributes(self, uwsdt):
         uwsdt_ops.equi_join(uwsdt, "R", "S", "A", "C", "kept")
-        assert dict(uwsdt.uncertain_tuples("kept")) == {(1, 1): ("B",), (2, 1): ("B",)}
+        # The certain S row (1, 0) turns open beside each open R row, under S and its values.
+        paired = certain_tid("S", (1, 0))
+        assert dict(uwsdt.uncertain_tuples("kept")) == {(1, paired): ("B",), (2, paired): ("B",)}
         uwsdt_ops.select(uwsdt, "S", "five", eq("C", 5))
         uwsdt_ops.equi_join(uwsdt, "R", "five", "A", "C", "filtered")
         assert dict(uwsdt.uncertain_tuples("filtered")) == {}
@@ -346,7 +402,22 @@ class TestOperatorsLeaveNoStaleEntries:
     def test_queries_through_the_executor(self, uwsdt):
         query = BaseRelation("R").select(eq("B", 3)).join(BaseRelation("S"), "A", "C")
         query.run(uwsdt, "P")
-        assert set(uwsdt.uncertain_tuples("P")) == {
-            tuple_id for tuple_id, _ in uwsdt.template_rows("P")
-        }
+        assert set(uwsdt.uncertain_tuples("P")) == {row[0] for row in uwsdt.templates["P"].open}
         assert_index_matches_template_scan(uwsdt)
+
+
+def test_a_certain_rows_tuple_id_is_its_relation_and_values_under_one_marker():
+    """``certain_tid`` never equals a base or derived tuple id of the same
+    values, names the relation holding the row, and the marker stays the one
+    object through pickling and copies."""
+    import copy
+    import pickle
+
+    from repro.core.uwsdt import CERTAIN
+
+    tuple_id = certain_tid("S", ("R", 1))
+    assert tuple_id != ("R", 1) and tuple_id != ("S", ("R", 1)) and tuple_id[2] == ("R", 1)
+    assert tuple_id != certain_tid("T", ("R", 1))
+    for same in (pickle.loads(pickle.dumps(tuple_id)), copy.deepcopy(tuple_id)):
+        assert same == tuple_id and same[0] is CERTAIN
+    assert hash(certain_tid("S", (1,))) == hash(certain_tid("S", (1.0,)))

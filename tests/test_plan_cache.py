@@ -9,7 +9,7 @@ service request goes through it.  The contract under test:
 * equal query text ⇒ equal fingerprint ⇒ cache hit with **zero** sampling
   and **zero** planner invocations,
 * any mutation or replacement of a touched base relation (insert / remove /
-  template insert / chase / ``Database.replace`` / ``UWSDT.load_template``)
+  template insert / chase / ``Database.replace`` / ``UWSDT.set_template``)
   invalidates exactly the entries that touch it,
 * ``plan=``, ``physical=``, ``force_join=`` and ``optimize=False`` bypass
   the cache; ``Query.run`` and the service share its entries,
@@ -330,7 +330,7 @@ class TestReplacedRelations:
         with pytest.raises(AnalysisError, match="unknown-attribute"):
             query.run(database)
 
-    def test_uwsdt_load_template_invalidates_plans_and_snapshots(self):
+    def test_uwsdt_set_template_invalidates_plans_and_snapshots(self):
         uwsdt = UWSDT.from_relation(self._relation("B"))
         query = BaseRelation("R").select(AttrConst("A", "=", 5))
 
@@ -341,8 +341,9 @@ class TestReplacedRelations:
             snapshot = session.snapshot(["R"])
             await session.execute(query)
             assert (await session.execute(query)).cached
-            shifted = [(tid, a + 3, b) for tid, a, b in uwsdt.templates["R"]]
-            await session.mutate(lambda engine: engine.load_template("R", shifted, True))
+            certain = uwsdt.templates["R"].certain
+            shifted = Relation.from_tuples(certain.schema, [(a + 3, b) for a, b in certain])
+            await session.mutate(lambda engine: engine.set_template("R", shifted, []))
             fresh = await session.execute(query, "fresh")
             assert not fresh.cached
             assert snapshot.changed() == ["R"]
@@ -351,8 +352,8 @@ class TestReplacedRelations:
         name = asyncio.run(scenario())
         verbatim = uwsdt.copy()
         query.run(verbatim, "verbatim", optimize=False)
-        assert sorted(row[1:] for row in uwsdt.templates[name]) == sorted(
-            row[1:] for row in verbatim.templates["verbatim"]
+        assert sorted(uwsdt.templates[name].certain) == sorted(
+            verbatim.templates["verbatim"].certain
         ) == [(5, -2)]
 
 

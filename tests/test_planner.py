@@ -45,6 +45,7 @@ from repro.relational import (
     eq,
     gt,
 )
+from repro.relational.indexes import hash_index
 from repro.relational.values import BOTTOM, PLACEHOLDER, is_placeholder
 from repro.worlds import OrSet, OrSetRelation
 
@@ -533,15 +534,15 @@ class TestIndexing:
         scanned = algebra.select(small_relation, eq("DEPT", "hr"))
         assert probed.row_set() == scanned.row_set()
 
-    def test_uwsdt_template_index_cached(self):
+    def test_uwsdt_certain_rows_index_cached(self):
         orset = OrSetRelation.from_dicts(
             "R", ["A", "B"], [{"A": 1, "B": 2}, {"A": OrSet([3, 4]), "B": 5}]
         )
         uwsdt = UWSDT.from_orset_relation(orset)
-        first = uwsdt.template_index("R", "A")
-        assert uwsdt.template_index("R", "A") is first
+        first = hash_index(uwsdt.templates["R"].certain, ("A",))
+        assert hash_index(uwsdt.templates["R"].certain, ("A",)) is first
         uwsdt.add_template_tuple("R", 99, (7, 8))
-        assert uwsdt.template_index("R", "A") is not first
+        assert hash_index(uwsdt.templates["R"].certain, ("A",)) is not first
 
 
 def _distribution(worldset, relation_name):

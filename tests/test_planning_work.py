@@ -21,6 +21,7 @@ from repro.core.algebra.query import BaseRelation
 from repro.core.planner import Statistics, planner, sampling
 from repro.core.planner.sampling import sampling_call_count
 from repro.obs.metrics import get_registry
+from repro.relational import RelationSchema
 
 from _fixtures import benchmark_queries, census_engines
 
@@ -166,3 +167,50 @@ def test_planned_runs_leave_nothing_to_the_cycle_collector(engines):
     finally:
         gc.enable()
         invariants.set_verification(previous)
+
+
+class TestIntermediateNames:
+    """A UWSDT keeps the index of its next intermediate name ``__q<n>``, so a
+    name costs one probe of the schema, however many passes came before; it
+    probes again only past a name a user took.  UWSDT relations are never
+    dropped, so the names are those the engine always gave: numbered on
+    across passes."""
+
+    def _pass(self, monkeypatch, engine, label):
+        """Run the paper's queries once; the intermediates created, in order,
+        and the probes of names the schema already held."""
+        taken = []
+        has_relation = type(engine.schema).has_relation
+
+        def probed(schema, name):
+            present = has_relation(schema, name)
+            if present and name.startswith("__q"):
+                taken.append(name)
+            return present
+
+        monkeypatch.setattr(type(engine.schema), "has_relation", probed)
+        before = list(engine.schema.relation_names)
+        for name in query_names():
+            census_query(name).run(engine, f"{name}_{label}")
+        monkeypatch.undo()
+        created = [n for n in engine.schema.relation_names if n not in before]
+        return [n for n in created if n.startswith("__q")], taken
+
+    def test_twenty_passes_name_alike_and_probe_once(self, monkeypatch, engines):
+        engine = engines["uwsdt"].copy()
+        first, _ = self._pass(monkeypatch, engine, 0)
+        per_pass = len(first)
+        assert first == [f"__q{i}" for i in range(1, per_pass + 1)]
+        for label in range(1, 20):
+            names, taken = self._pass(monkeypatch, engine, label)
+            start = label * per_pass + 1
+            assert names == [f"__q{i}" for i in range(start, start + per_pass)]
+            assert taken == []  # no probe of a name an earlier pass gave
+
+        # A copy numbers on; a name a user took is skipped with one more probe.
+        twin = engine.copy()
+        assert twin.intermediate_name() == f"__q{20 * per_pass + 1}"
+        engine.add_relation(RelationSchema(f"__q{20 * per_pass + 1}", ("X",)))
+        names, taken = self._pass(monkeypatch, engine, "user")
+        assert taken == [f"__q{20 * per_pass + 1}"]
+        assert names == [f"__q{i}" for i in range(20 * per_pass + 2, 21 * per_pass + 2)]

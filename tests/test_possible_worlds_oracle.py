@@ -38,7 +38,7 @@ from repro.core import FieldRef
 from repro.core.algebra import BaseRelation, evaluate_on_database
 from repro.core.chase import Comparison, EqualityGeneratingDependency, FunctionalDependency
 from repro.core.confidence import uwsdt_possible_with_confidence
-from repro.relational import And, AttrAttr, AttrConst, Database, Or, Relation, attr_eq, eq, gt
+from repro.relational import And, AttrAttr, AttrConst, Or, attr_eq, eq, gt
 from repro.relational.values import is_placeholder
 from repro.worlds import OrSet
 
@@ -269,7 +269,70 @@ MULTI_TEMPLATE_JOIN = Case(
     (FunctionalDependency("R", ["A0"], "A1"),),
 )
 
+#: Set semantics of the certain rows against the open ones: R's certain row
+#: (1, 2) is also one alternative of its open row, and of S's and T's.
+OVERLAP_R = orsets("R", "AB", (1, 2), (1, 3), (OrSet([1, 4]), 2))
+OVERLAP_S = orsets("S", "AB", (OrSet([1, 3]), 2), (5, 6))
+OVERLAP_T = orsets("T", "CD", (1, 9), (OrSet([1, 7]), 8))
+#: Certain rows equal across int, float and bool: one row, as on a Database.
+EQUAL_ACROSS_TYPES = orsets("R", "A", (1,), (1.0,), (True,), (OrSet([0, 1.0]),), ("1",))
+#: ∪ tags R's open row 1 as ``("R", 1)``; S's certain row holds those very
+#: values, and the join with T's open row turns both open.
+TID_COLLISION = (
+    orsets("R", "AB", ("R", OrSet([1, 2]))),
+    orsets("S", "AB", ("R", 1)),
+    orsets("T", "CD", (OrSet(["R", "y"]), 0)),
+)
+
+#: R − S turns R's certain row (1, 2) open under S's (?, 2); a reordering π
+#: keeps that open row's tuple id and makes (2, 1) the certain row (1, 2).
+#: U and V hold open rows, so × and ⋈ with U and − of V pair that certain
+#: row, or turn it open, beside the open row it once was.
+REORDERED = (
+    orsets("R", "AB", (1, 2), (2, 1)),
+    orsets("S", "AB", (OrSet([1, 3]), 2)),
+    orsets("U", "CD", (OrSet([1, 2]), 0)),
+    orsets("V", "BA", (OrSet([1, 2]), 2)),
+)
+REORDERED_DIFFERENCE = R.difference(BaseRelation("S")).project(["B", "A"])
+
+SET_SEMANTICS_CASES = {
+    "two certain rows equal under π": Case((OVERLAP_R,), R.project(["A"])),
+    "a certain row equals an open row's alternative, under π": Case(
+        (OVERLAP_R,), R.project(["A", "B"]).project(["B"])
+    ),
+    "a certain row equals an open row's alternative, under ∪": Case(
+        (OVERLAP_R, OVERLAP_S), R.union(BaseRelation("S"))
+    ),
+    "a certain row equals an open row's alternative, under −": Case(
+        (OVERLAP_R, OVERLAP_S), R.difference(BaseRelation("S"))
+    ),
+    "an open row may equal a certain row, under −": Case(
+        (OVERLAP_R, OVERLAP_S), BaseRelation("S").difference(R)
+    ),
+    "a certain row equals an open row's alternative, under ⋈": Case(
+        (OVERLAP_R, OVERLAP_T), R.join(BaseRelation("T"), "A", "C")
+    ),
+    "certain rows 1, 1.0 and True collapse": Case((EQUAL_ACROSS_TYPES,), R),
+    "certain rows 1, 1.0 and True collapse, under π and σ": Case(
+        (EQUAL_ACROSS_TYPES,), R.select(eq("A", 1)).project(["A"])
+    ),
+    "a union tid equal to a certain row's values, joined": Case(
+        TID_COLLISION, R.union(BaseRelation("S")).join(BaseRelation("T"), "A", "C")
+    ),
+    "a certain row turned open, reordered by π, then ×": Case(
+        REORDERED, REORDERED_DIFFERENCE.product(BaseRelation("U"))
+    ),
+    "a certain row turned open, reordered by π, then ⋈": Case(
+        REORDERED, REORDERED_DIFFERENCE.join(BaseRelation("U"), "B", "C")
+    ),
+    "a certain row turned open, reordered by π, then −": Case(
+        REORDERED, REORDERED_DIFFERENCE.difference(BaseRelation("V"))
+    ),
+}
+
 EXPLICIT_CASES = {
+    **SET_SEMANTICS_CASES,
     "select a constant": Case((ABC,), R.select(eq("C", 7))),
     "select a constant no value has": Case((ABC,), R.select(eq("A", 99))),
     "select a conjunction and a disjunction": Case(
@@ -413,11 +476,12 @@ EXACT_CONFIDENCE_WORLDS = 4096
 
 
 def assert_a_world_of_the_input(loaded, census):
-    """Every tuple of the unchased input is in the world: certain fields
+    """Every open tuple of the unchased input is in the world: certain fields
     unchanged, each ``?`` one of its or-set's alternatives."""
-    assert set(census) == {tid for tid, _ in loaded.template_rows(CENSUS_RELATION)}
+    open_rows = {row[0]: row[1:] for row in loaded.templates[CENSUS_RELATION].open}
+    assert set(census) == set(open_rows)
     attributes = loaded.schema.relation(CENSUS_RELATION).attributes
-    for tid, template in loaded.template_rows(CENSUS_RELATION):
+    for tid, template in open_rows.items():
         for attribute, given, value in zip(attributes, template, census[tid]):
             if is_placeholder(given):
                 field = FieldRef(CENSUS_RELATION, tid, attribute)
@@ -453,14 +517,13 @@ def assert_exact_confidences(uwsdt, name):
     sizes = [math.prod(len(uwsdt.components[c].rows) for c in cids) for cids, _ in groups]
     if any(size >= EXACT_CONFIDENCE_WORLDS for size in sizes):
         return False
-    templates = dict(uwsdt.template_rows(name))
-    uncertain = uwsdt.uncertain_tuples(name)
-    certain = {row for tid, row in templates.items() if tid not in uncertain}
-    expected = dict.fromkeys(certain, 0.0)  # the probability that no tuple is the row
+    template = uwsdt.templates[name]
+    open_rows = {row[0]: row for row in template.open}
+    expected = dict.fromkeys(template.certain, 0.0)  # the probability that no tuple is the row
     for cids, tids in groups:
         mass = {}
         for values, probability in local_worlds(uwsdt, cids):
-            produced = {tuple_in_world(uwsdt, name, tid, templates[tid], values) for tid in tids}
+            produced = {tuple_in_world(uwsdt, name, open_rows[tid], values) for tid in tids}
             for row in produced - {None}:
                 mass[row] = mass.get(row, 0.0) + probability
         for row, row_mass in mass.items():
@@ -487,8 +550,7 @@ def test_sampled_census_worlds(seed):
         values = world_values(uwsdt, choices)
         tuples = world_tuples(uwsdt, values, CENSUS_RELATION)
         assert_a_world_of_the_input(loaded, tuples)
-        schema = uwsdt.schema.relation(CENSUS_RELATION)
-        census = Database([Relation.from_tuples(schema, list(tuples.values()))])
+        census = world_database(uwsdt, values, {CENSUS_RELATION})
         for dependency in census_dependencies():
             assert _database_satisfies(census, dependency), dependency
         world = world_database(uwsdt, values, {name for name, _ in SCALE_QUERIES})

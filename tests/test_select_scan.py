@@ -4,9 +4,10 @@ Two places used to do template-sized work where one world does not: the
 statistics sample read every row to draw 256 of them, and a selection probed
 the placeholder index for every row it judged.  Pinned here, as exact counts
 rather than timings: (a) the sample is drawn by position and reads only the
-rows it keeps; (b) a selection is one compiled ``filter`` plus Figure 16 on
-only the rows with a ``?`` on a referenced attribute; (c) the memoised list of
-a relation's placeholder rows never goes stale.
+rows it keeps; (b) a selection is the Database's selection of the certain
+rows plus Figure 16 on only the open rows with a ``?`` on a referenced
+attribute; (c) the open rows with a ``?`` on an attribute, derived on the
+open relation, never go stale.
 """
 
 from collections.abc import Sequence
@@ -28,12 +29,14 @@ from repro.relational import (
     Database,
     Relation,
     RelationSchema,
-    RepresentationError,
     eq,
     ne,
 )
+from repro.relational import algebra
+from repro.relational.indexes import hash_index
 from repro.relational.predicates import Predicate
 from repro.relational.values import PLACEHOLDER
+from repro.worlds import OrSet, OrSetRelation
 
 from _fixtures import orset_relations
 
@@ -79,7 +82,7 @@ class TestPositionalSample:
         assert positional_sample(rows, 256, seed=SAMPLE_SEED)[0] == first
         assert positional_sample(rows, 256, seed=SAMPLE_SEED + 1)[0] != first
 
-    def test_the_engine_samplers_share_the_draw(self):
+    def test_the_engine_samplers_share_the_draw(self, monkeypatch):
         schema = RelationSchema("R", ("A", "B"))
         relation = Relation.from_tuples(schema, [(i, i % 3) for i in range(1_000)])
         expected, population = positional_sample(relation.rows, 256)
@@ -93,6 +96,28 @@ class TestPositionalSample:
         # A WSD is planned as the UWSDT it converts to: the same draw.
         converted = UWSDT.from_wsd(WSD.from_relation(relation))
         assert sample_uwsdt(converted, "R", 256).rows == expected
+
+        # With open rows: the same draw over the certain rows then the open
+        # rows' values, read by position — no relation is iterated, and no
+        # undrawn row is sliced.
+        rows = [{"A": i, "B": OrSet([0, 1]) if i % 10 == 0 else i % 3} for i in range(1_000)]
+        uwsdt = UWSDT.from_orset_relation(OrSetRelation.from_dicts("R", ["A", "B"], rows))
+        template = uwsdt.templates["R"]
+        assert len(template.open) == 100
+        drawn_from = [*template.certain, *(row[1:] for row in template.open)]
+        positions, _ = positional_sample(range(len(drawn_from)), 256)
+
+        counted = []
+
+        def counted_rows(relation):
+            counted.append(CountedRows(relation._rows))
+            return counted[-1]
+
+        monkeypatch.setattr(Relation, "rows", property(counted_rows))
+        monkeypatch.setattr(Relation, "__iter__", CountedRows.__iter__)
+        sample = sample_uwsdt(uwsdt, "R", 256)
+        assert (sample.rows, sample.population) == ([drawn_from[p] for p in positions], 1_000)
+        assert sum(len(reader.reads) for reader in counted) == 256
 
 
 # --------------------------------------------------------------------------- #
@@ -132,18 +157,19 @@ class TestSelectionWorkCounts:
         self, chased_census, monkeypatch
     ):
         uwsdt = chased_census.copy()
+        template = uwsdt.templates["R"]
         referenced = {"YEARSCH", "CITIZEN"}
         uncertain = uwsdt.uncertain_tuples("R")
         open_rows = [tid for tid, attrs in uncertain.items() if referenced.intersection(attrs)]
         assert 0 < len(open_rows) < len(uncertain)  # the parent sent every indexed row
         # The IndexScan's key: of the open rows, only those whose YEARSCH is
         # 17 or ``?`` can meet ``YEARSCH = 17``; the others fail line 1.
-        position = uwsdt.templates["R"].schema.position("YEARSCH")
-        template = {row[0]: row for row in uwsdt.templates["R"]}
+        position = template.open.schema.position("YEARSCH")
+        by_tid = {row[0]: row for row in template.open}
         keyed = [
             tid
             for tid in open_rows
-            if template[tid][position] is PLACEHOLDER or template[tid][position] == 17
+            if by_tid[tid][position] is PLACEHOLDER or by_tid[tid][position] == 17
         ]
         assert len(keyed) < len(open_rows)
 
@@ -152,50 +178,72 @@ class TestSelectionWorkCounts:
         (scanned, through_components), compiles = self._run(
             uwsdt, predicate, monkeypatch, key=key
         )
-        assert scanned == len(uwsdt.template_index("R", "YEARSCH").bucket(17))
+        open_index = hash_index(template.open, ("YEARSCH",))
+        assert scanned == (
+            len(hash_index(template.certain, ("YEARSCH",)).bucket(17)) + len(open_index.bucket(17))
+        )
         assert through_components == len(keyed)
         assert compiles == [predicate]  # the parent compiled each conjunct again
 
-        # Two segments, each in template order: the template's rows, then the components'.
-        order = {row[0]: position for position, row in enumerate(uwsdt.templates["R"])}
-        result = [row[0] for row in uwsdt.templates["P"]]
-        late = set(open_rows)
-        assert result == sorted(result, key=lambda tid: (tid in late, order[tid]))
+        # The certain rows are the Database's own selection, read off the same bucket.
+        index = hash_index(template.certain, ("YEARSCH",))
+        selected = algebra.select(template.certain, predicate, index=index)
+        assert uwsdt.templates["P"].certain.rows == selected.rows
 
     def test_an_equality_reads_its_two_index_buckets(self, chased_census, monkeypatch):
         uwsdt = chased_census.copy()
-        index = uwsdt.template_index("R", "YEARSCH")
-        bucket, open_bucket = index.lookup(17), index.lookup(uwsdt_ops.PLACEHOLDER)
+        template = uwsdt.templates["R"]
+        bucket = hash_index(template.certain, ("YEARSCH",)).bucket(12)
+        open_index = hash_index(template.open, ("YEARSCH",))
+        open_bucket = open_index.bucket(PLACEHOLDER)
+        assert open_index.bucket(12) and open_bucket
+        scans = []
+        compile_scan = Predicate.compile_scan
+
+        def recorded_scan(self, schema):
+            scan = compile_scan(self, schema)
+
+            def recorded(rows):
+                scans.append(list(rows))
+                return scan(scans[-1])
+
+            return recorded
+
+        monkeypatch.setattr(Predicate, "compile_scan", recorded_scan)
         (scanned, through_components), compiles = self._run(
-            uwsdt, eq("YEARSCH", 17), monkeypatch
+            uwsdt, eq("YEARSCH", 12), monkeypatch
         )
-        assert (scanned, through_components) == (len(bucket), len(open_bucket))
+        # The certain bucket is adopted whole; the one scan reads the open
+        # rows under 12, never one with a ``?`` on YEARSCH (those go to the
+        # components, each counted once).
+        assert [row for rows in scans for row in rows] == list(open_index.bucket(12))
+        assert (scanned, through_components) == (
+            len(bucket) + len(open_index.bucket(12)),
+            len(open_bucket),
+        )
         assert len(compiles) == 1
 
 
 # --------------------------------------------------------------------------- #
-# (c) The placeholder-row memo is coherent
+# (c) The open rows with a ``?`` on an attribute are read off the open rows
 # --------------------------------------------------------------------------- #
 
 
-def scanned_placeholder_rows(uwsdt, name):
-    index = uwsdt.uncertain_tuples(name)
-    return [(row, index[row[0]]) for row in uwsdt.templates[name] if row[0] in index]
-
-
-def assert_memo_coherent(uwsdt):
+def assert_placeholder_rows_coherent(uwsdt):
     for name in uwsdt.schema.relation_names:
-        scanned = scanned_placeholder_rows(uwsdt, name)
-        assert uwsdt.placeholder_rows(name) == scanned
-        for attribute in uwsdt.schema.relation(name).attributes:
+        opened = uwsdt.templates[name].open
+        attributes = uwsdt.schema.relation(name).attributes
+        for attribute in attributes:
+            position = opened.schema.position(attribute)
             assert uwsdt.placeholder_rows_on(name, [attribute]) == [
-                (row, placeholders) for row, placeholders in scanned if attribute in placeholders
+                row for row in opened if row[position] is PLACEHOLDER
             ]
+        assert uwsdt.placeholder_rows_on(name, attributes) == list(opened)
 
 
 OPERATIONS = (
     "add_template_tuple",
-    "load_template",
+    "set_template",
     "new_component",
     "replace_component",
     "remove_component",
@@ -210,7 +258,7 @@ def apply_operation(uwsdt, operation, data, step):
     name = data.draw(st.sampled_from(names))
     attributes = uwsdt.schema.relation(name).attributes
     template = uwsdt.templates[name]
-    tuple_ids = [row[0] for row in template]
+    tuple_ids = [row[0] for row in template.open]
     unmapped = [
         FieldRef(name, tid, a)
         for tid in tuple_ids
@@ -220,9 +268,11 @@ def apply_operation(uwsdt, operation, data, step):
     if operation == "add_template_tuple":
         values = data.draw(st.tuples(*(st.integers(0, 4) for _ in attributes)))
         uwsdt.add_template_tuple(name, ("new", step), values)
-    elif operation == "load_template":
-        rows = data.draw(st.permutations(list(template)))
-        uwsdt.load_template(name, rows[: data.draw(st.integers(0, len(rows)))], distinct=True)
+    elif operation == "set_template":
+        rows = data.draw(st.permutations(list(template.open)))
+        certain = list(template.certain)[: data.draw(st.integers(0, len(template.certain)))]
+        certain = Relation.from_tuples(template.certain.schema, certain)
+        uwsdt.set_template(name, certain, rows[: data.draw(st.integers(0, len(rows)))])
     elif operation == "new_component" and unmapped:
         uwsdt.new_component(Component.uniform(data.draw(st.sampled_from(unmapped)), (0, 1)))
     elif operation == "replace_component" and uwsdt.components:
@@ -240,7 +290,7 @@ def apply_operation(uwsdt, operation, data, step):
         targets = data.draw(st.lists(st.sampled_from(unmapped), min_size=1, unique=True))
         uwsdt.copy_fields([(data.draw(st.sampled_from(sources)), t) for t in targets])
     elif operation == "select":
-        # ≠ and a conjunction take the template scan, which reads the memo.
+        # ≠ and a conjunction visit every open row.
         attribute = data.draw(st.sampled_from(attributes))
         predicate = data.draw(
             st.sampled_from(
@@ -250,7 +300,7 @@ def apply_operation(uwsdt, operation, data, step):
         uwsdt_ops.select(uwsdt, name, f"S{step}", predicate)
 
 
-class TestPlaceholderRowMemo:
+class TestPlaceholderRows:
     @given(
         orset_relations(max_rows=3, max_attrs=2, max_alternatives=2),
         st.lists(st.sampled_from(OPERATIONS), max_size=8),
@@ -259,32 +309,31 @@ class TestPlaceholderRowMemo:
     @settings(max_examples=150, deadline=None)
     def test_equals_a_scan_after_every_operation(self, orset, operations, data):
         uwsdt = UWSDT.from_orset_relation(orset)
-        assert_memo_coherent(uwsdt)
+        assert_placeholder_rows_coherent(uwsdt)
         for step, operation in enumerate(operations):
             apply_operation(uwsdt, operation, data, step)
-            assert_memo_coherent(uwsdt)
+            assert_placeholder_rows_coherent(uwsdt)
 
-    def test_memoised_per_relation_and_carried_by_a_copy(self, chased_census):
+    def test_derived_on_the_open_rows_and_shared_by_a_copy(self, chased_census):
         uwsdt = chased_census.copy()
-        rows = uwsdt.placeholder_rows("R")
-        assert uwsdt.placeholder_rows("R") is rows
-        assert len(rows) == len(uwsdt.uncertain_tuples("R"))
-        uwsdt.validate()  # checks the present entry against its scan
+        attribute = uwsdt.schema.relation("R").attributes[0]
+        opened = uwsdt.templates["R"].open
+        rows = uwsdt.placeholder_rows_on("R", [attribute])
+        assert rows == list(hash_index(opened, (attribute,)).bucket(PLACEHOLDER))
+        positions = opened._derived[("?", attribute)][1]
+        uwsdt.placeholder_rows_on("R", [attribute])
+        assert opened._derived[("?", attribute)][1] is positions  # built once per version
 
-        # A copy shares R's template, so the entry stays valid there; the
-        # copy's own field mapping drops the copy's entry only.
+        # A copy shares R's open rows and so the entry; the copy's own write
+        # gives it its own open rows, whose entry counts the new row.
         copied = uwsdt.copy()
-        assert copied.placeholder_rows("R") is rows
-        attributes = copied.schema.relation("R").attributes
-        copied.add_template_tuple("R", "new", (PLACEHOLDER,) + (0,) * (len(attributes) - 1))
-        copied.new_component(Component.uniform(FieldRef("R", "new", attributes[0]), [1, 2]))
-        assert "R" not in copied._placeholder_rows
-        assert len(copied.placeholder_rows("R")) == len(rows) + 1
+        assert copied.placeholder_rows_on("R", [attribute]) == rows
+        assert copied.templates["R"].open._derived[("?", attribute)][1] is positions
+        width = len(uwsdt.schema.relation("R").attributes)
+        copied.add_template_tuple("R", "new", (PLACEHOLDER,) + (0,) * (width - 1))
+        copied.new_component(Component.uniform(FieldRef("R", "new", attribute), [1, 2]))
+        assert len(copied.placeholder_rows_on("R", [attribute])) == len(rows) + 1
         copied.validate()
-        assert uwsdt.placeholder_rows("R") is rows
-
-        template = uwsdt.templates["R"]
-        by_attribute = uwsdt._placeholder_rows["R"][3]
-        uwsdt._placeholder_rows["R"] = (template, template.version, rows[1:], by_attribute)
-        with pytest.raises(RepresentationError, match="out of date"):
-            uwsdt.validate()
+        assert uwsdt.placeholder_rows_on("R", [attribute]) == rows
+        assert opened._derived[("?", attribute)][1] is positions
+        uwsdt.validate()

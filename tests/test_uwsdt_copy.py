@@ -60,7 +60,10 @@ def state(uwsdt: UWSDT) -> dict:
     """Everything a copy must not see change, objects kept for identity."""
     return {
         "templates": {
-            name: (template, template.version, template.rows)
+            name: (
+                template,
+                [(part, part.version, part.rows) for part in (template.certain, template.open)],
+            )
             for name, template in uwsdt.templates.items()
         },
         "components": dict(uwsdt.components),
@@ -75,10 +78,12 @@ def state(uwsdt: UWSDT) -> dict:
 def assert_unchanged(uwsdt: UWSDT, before: dict) -> None:
     after = state(uwsdt)
     assert after["templates"].keys() == before["templates"].keys()
-    for name, (template, version, rows) in before["templates"].items():
-        now, now_version, now_rows = after["templates"][name]
+    for name, (template, parts) in before["templates"].items():
+        now, now_parts = after["templates"][name]
         assert now is template, name
-        assert (now_version, now_rows) == (version, rows), name
+        for (part, version, rows), (now_part, now_version, now_rows) in zip(parts, now_parts):
+            assert now_part is part, name
+            assert (now_version, now_rows) == (version, rows), name
     assert after["components"].keys() == before["components"].keys()
     for cid, component in before["components"].items():
         assert after["components"][cid] is component, cid
@@ -99,12 +104,11 @@ def add_tuple(uwsdt: UWSDT) -> None:
     uwsdt.add_template_tuple(CENSUS_RELATION, "added", new_row(uwsdt))
 
 
-def load_template(uwsdt: UWSDT) -> None:
-    """Reload R without its last certain row."""
-    rows = list(uwsdt.templates[CENSUS_RELATION])
-    uncertain = uwsdt.uncertain_tuples(CENSUS_RELATION)
-    rows.remove(next(row for row in reversed(rows) if row[0] not in uncertain))
-    uwsdt.load_template(CENSUS_RELATION, rows, distinct=True)
+def set_template(uwsdt: UWSDT) -> None:
+    """Install R without its last certain row."""
+    template = uwsdt.templates[CENSUS_RELATION]
+    certain = Relation.from_tuples(template.certain.schema, list(template.certain)[:-1])
+    uwsdt.set_template(CENSUS_RELATION, certain, list(template.open))
 
 
 def add_uncertain_tuple(uwsdt: UWSDT) -> None:
@@ -118,7 +122,7 @@ WRITES = {
     "queries": run_queries,
     "add_template_tuple": add_tuple,
     "add_uncertain_tuple": add_uncertain_tuple,
-    "load_template": load_template,
+    "set_template": set_template,
 }
 
 
@@ -158,7 +162,7 @@ class TestIsolation:
         chase_uwsdt(source, census_dependencies())
         assert_unchanged(copy, copy_before)
 
-    @pytest.mark.parametrize("write", ["add_template_tuple", "load_template"])
+    @pytest.mark.parametrize("write", ["add_template_tuple", "set_template"])
     def test_a_write_gives_the_writer_its_own_template(self, original, write):
         copy = original.copy()
         assert copy.templates[CENSUS_RELATION] is original.templates[CENSUS_RELATION]
@@ -215,7 +219,7 @@ class TestDerivedStateIsShared:
             field = FieldRef(CENSUS_RELATION, tuple_id, attribute)
             engine.new_component(Component.uniform(field, [1, 2]))
             assert query.plan(engine).statistics.provenance(CENSUS_RELATION) == "fresh-sample"
-        memo = engine.templates[CENSUS_RELATION]._derived
+        memo = engine.templates[CENSUS_RELATION].certain._derived
         assert [key for key in memo if key[0] == "statistics"] == [("statistics", "uwsdt")]
 
     def test_a_pickled_relation_leaves_its_index_behind(self):
@@ -239,8 +243,8 @@ class TestDerivedStateIsShared:
             assert private is not original.templates[CENSUS_RELATION]
             for name, query in PAPER_QUERIES:
                 query.run(copy, name)
-            assert private._derived  # statistics and the ENGLISH index live on it
-            reference = weakref.ref(private)
+            assert private.certain._derived  # statistics and the ENGLISH index live on it
+            reference = weakref.ref(private.certain)
             del private, copy
             assert reference() is None
         finally:
@@ -248,8 +252,8 @@ class TestDerivedStateIsShared:
 
     def test_a_written_template_starts_with_nothing_derived(self, original):
         copy = original.copy()
-        shared = copy.templates[CENSUS_RELATION]
-        copy.template_index(CENSUS_RELATION, "ENGLISH")
+        shared = copy.templates[CENSUS_RELATION].certain
+        indexes.hash_index(shared, ("ENGLISH",))
         assert shared._derived
         copy.add_template_tuple(CENSUS_RELATION, "added", new_row(copy))
-        assert copy.templates[CENSUS_RELATION]._derived is None
+        assert copy.templates[CENSUS_RELATION].certain._derived is None
