@@ -415,9 +415,8 @@ def verify_set_output(label: str, backend: Any, handle: Any) -> None:
     a bag is caught at the kernel that made it, not hidden by the
     deduplicating ``Dematerialize``), a relation name on a UWSDT backend
     (its certain rows checked for duplicates, its open rows' tuple ids for
-    distinctness).  On a UWSDT the components
-    holding a field of the result are checked too
-    (:func:`verify_result_components`).
+    distinctness).  On a UWSDT the components holding a field of the result
+    are checked next (:func:`verify_result_components`).
     """
     if isinstance(handle, Relation):
         total, distinct, what = len(handle), len(handle.row_set()), "rows"
@@ -429,7 +428,6 @@ def verify_set_output(label: str, backend: Any, handle: Any) -> None:
         verify_set_output(label, backend, template.certain)
         tuple_ids = [row[0] for row in template.open]
         total, distinct, what = len(tuple_ids), len(set(tuple_ids)), "tuple ids"
-        verify_result_components(label, backend.engine, handle)
     else:
         return
     if distinct != total:
@@ -437,6 +435,8 @@ def verify_set_output(label: str, backend: Any, handle: Any) -> None:
             f"operator {label} produced a bag, not a set: {total - distinct} "
             f"duplicate {what} among its {total} output rows"
         )
+    if isinstance(handle, str):
+        verify_result_components(label, backend.engine, handle)
 
 
 def verify_result_components(label: str, uwsdt: UWSDT, relation: str) -> None:

@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 from ..relational.predicates import Predicate
 from ..relational.schema import RelationSchema
-from ..worlds.tuple_independent import TupleIndependentDatabase, TupleIndependentRelation
+from ..worlds.tuple_independent import TupleIndependentRelation
 
 #: A ranked answer: tuple values with their marginal probability.
 RankedAnswer = Tuple[Tuple[Any, ...], float]
@@ -74,7 +74,3 @@ def join_independent(
             )
     return answers
 
-
-def tuple_probability(database: TupleIndependentDatabase, relation_name: str, values: Sequence[Any]) -> float:
-    """Marginal probability of one base tuple."""
-    return database.tuple_confidence(relation_name, values)

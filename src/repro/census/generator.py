@@ -159,9 +159,6 @@ class CensusGenerator:
         ordered = sorted(candidates)
         return OrSet(ordered)
 
-    def noisy_relation(self, rows: int, density: float) -> OrSetRelation:
-        """Convenience: clean relation + noise in one call."""
-        return self.add_noise(self.clean_relation(rows), density)
 
 
 def uncertain_field_count(orset_relation: OrSetRelation) -> int:

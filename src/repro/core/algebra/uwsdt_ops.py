@@ -9,7 +9,10 @@ makes query evaluation on UWSDTs track the one-world evaluation time so
 closely in Figure 30: for placeholder densities of 0.005 %–0.1 %, the
 overwhelming majority of template tuples never reach the component machinery.
 
-An open result row keeps the tuple id it derives from — its own under σ, π,
+Each operator declares its result under the schema its
+:mod:`~repro.relational.algebra` call gave the certain rows, and installs
+the template once the open rows are known.  An open result row keeps the
+tuple id it derives from — its own under σ, π,
 ρ and −, ``(R, t)`` under ∪, ``(t, u)`` for a pair; a certain row turning
 open is named by :func:`~repro.core.uwsdt.certain_tid`, and an open row whose
 projection keeps no ``?`` and no presence field joins the certain rows.
@@ -41,15 +44,6 @@ from ..uwsdt import UWSDT, certain_tid, open_schema
 
 #: An open row: the tuple id followed by the attribute values.
 Row = Tuple[Any, ...]
-
-
-def _declare(uwsdt: UWSDT, certain: Relation) -> None:
-    """Declare the result relation under the schema of its ``certain`` rows,
-    as an operator's :mod:`~repro.relational.algebra` call named it; its
-    template is installed when the open rows are known."""
-    if uwsdt.schema.has_relation(certain.schema.name):
-        raise SchemaError(f"relation {certain.schema.name!r} already exists")
-    uwsdt.add_relation(certain.schema)
 
 
 class _FieldCopies:
@@ -88,7 +82,8 @@ def _delete_where(copies: _FieldCopies, relation: str, row: Row, fields, failing
     """Lines 4–6 of Figure 16 for result tuple ``row``: merge the components of
     ``fields`` and delete the tuple in the local worlds ``failing(component)``
     lists (:meth:`~repro.core.component.Component.delete_tuple`).  True iff no
-    local world keeps it; its fields then leave the components again and the
+    local world keeps it; its fields — the row's own ``?``s, as the result's
+    template is not installed yet — then leave the components again and the
     caller leaves the row out."""
     uwsdt = copies.uwsdt
     cid = _merge(copies, fields)
@@ -97,7 +92,10 @@ def _delete_where(copies: _FieldCopies, relation: str, row: Row, fields, failing
     if worlds:
         uwsdt.replace_component(cid, component)
     if deleted:
-        for attribute in uwsdt.uncertain_tuples(relation).get(row[0], ()):
+        attributes = uwsdt.schema.relation(relation).attributes
+        for attribute, value in zip(attributes, row[1:]):
+            if value is not PLACEHOLDER:
+                continue
             field = FieldRef(relation, row[0], attribute)
             cid = uwsdt.component_of(field)
             reduced = uwsdt.components[cid].project_away([field])
@@ -161,7 +159,7 @@ def select(
         key = predicate
     index = None if key is None else hash_index(template.certain, (key.attribute,))
     certain = relational_algebra.select(template.certain, predicate, target, index=index)
-    _declare(uwsdt, certain)
+    uwsdt.add_relation(certain.schema)
     scanned = len(template.certain) if index is None else len(index.bucket(key.constant))
     candidates: Sequence[Row] = template.open
     open_rows = uwsdt.placeholder_rows_on(source, referenced) if candidates else []
@@ -182,12 +180,12 @@ def select(
     kept: List[Row] = []
     # Line 1: an open row without a ``?`` on a referenced attribute is judged on its values.
     decided = set(referenced).isdisjoint
-    for row in predicate.compile_scan(schema)(candidates) if candidates else ():
+    satisfied, scan = predicate.compile_both(schema) if candidates or open_rows else (None, None)
+    for row in scan(candidates) if candidates else ():
         placeholders = uncertain.get(row[0], ())
         if decided(placeholders):
             copies.add(source, row[0], target, row[0], placeholders)
             kept.append(row)
-    satisfied = predicate.compile(schema) if open_rows else None
     conjuncts = [
         (set(part.attributes()), part)
         for part in (predicate.parts if isinstance(predicate, And) else ())
@@ -229,7 +227,7 @@ def project(uwsdt: UWSDT, source: str, target: str, attributes: Sequence[str]) -
 
     template = uwsdt.templates[source]
     certain = relational_algebra.project(template.certain, attributes, target)
-    _declare(uwsdt, certain)
+    uwsdt.add_relation(certain.schema)
     position = template.open.schema.position
     kept = operator.itemgetter(0, *map(position, attributes))
     uncertain = uwsdt.uncertain_tuples(source)
@@ -288,7 +286,7 @@ def rename(uwsdt: UWSDT, source: str, target: str, old: str, new: str) -> None:
     """Renaming ``P := δ_{A→A'}(R)`` on a UWSDT."""
     template = uwsdt.templates[source]
     certain = relational_algebra.rename(template.certain, old, new, target)
-    _declare(uwsdt, certain)
+    uwsdt.add_relation(certain.schema)
     uwsdt.set_template(target, certain, list(template.open))
     _copy_all(uwsdt, source, target, lambda tuple_id: tuple_id, {old: new})
 
@@ -300,7 +298,7 @@ def union(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
         raise SchemaError("union requires identical attribute lists")
     sides = (left, right)
     certain = relational_algebra.union(*(uwsdt.templates[side].certain for side in sides), target)
-    _declare(uwsdt, certain)
+    uwsdt.add_relation(certain.schema)
     rows = [((side, row[0]), *row[1:]) for side in sides for row in uwsdt.templates[side].open]
     # The side-tagged tuple ids are distinct unless a relation meets itself.
     uwsdt.set_template(target, certain, rows, distinct=left != right)
@@ -331,7 +329,7 @@ def product(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
     """
     left_template, right_template = uwsdt.templates[left], uwsdt.templates[right]
     certain = relational_algebra.product(left_template.certain, right_template.certain, target)
-    _declare(uwsdt, certain)
+    uwsdt.add_relation(certain.schema)
     copies = _FieldCopies(uwsdt)
     pair = _pair_builder(copies, left, right, target)
     right_rows = [*_with_ids(right, right_template.certain), *right_template.open]
@@ -367,7 +365,7 @@ def equi_join(
     certain = relational_algebra.equi_join(
         left_template.certain, right_template.certain, left_attr, right_attr, target, index=index
     )
-    _declare(uwsdt, certain)
+    uwsdt.add_relation(certain.schema)
 
     # Positions in open-layout rows (the tid column comes first).
     left_position = left_schema.position(left_attr) + 1
@@ -482,7 +480,7 @@ def difference(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
         return True
 
     certain = relational_algebra.difference(left_template.certain, right_template.certain, target)
-    _declare(uwsdt, certain)
+    uwsdt.add_relation(certain.schema)
     rows: List[Row] = []
     if right_template.open:
         staying = []

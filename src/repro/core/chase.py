@@ -45,7 +45,7 @@ from ..obs.metrics import get_registry
 from ..relational.errors import InconsistentWorldSetError, RepresentationError
 from ..relational.predicates import AttrConst, Predicate, compare, comparator
 from ..relational.schema import RelationSchema
-from ..relational.values import BOTTOM
+from ..relational.values import BOTTOM, PLACEHOLDER
 from .component import Component, fill_placeholders
 from .fields import FieldRef
 from .uwsdt import UWSDT, certain_tid
@@ -419,11 +419,12 @@ def _check_certain_rows_egd(
     template = uwsdt.templates[relation]
     violation = _Violation(dependency)
     violating = violation.compile_scan(template.certain.schema)(template.certain)
-    violated, scan = violation._generate(template.open.schema)
-    uncertain = uwsdt.uncertain_tuples(relation)
-    attributes = set(dependency.attributes())
+    violated, scan = violation.compile_both(template.open.schema)
+    positions = [template.open.schema.position(a) for a in dependency.attributes()]
     violating += [
-        row[1:] for row in scan(template.open) if attributes.isdisjoint(uncertain[row[0]])
+        row[1:]
+        for row in scan(template.open)
+        if all(row[p] is not PLACEHOLDER for p in positions)
     ]
     if violating:
         raise InconsistentWorldSetError(
@@ -442,12 +443,11 @@ def _chase_egd_uwsdt(
     relation = dependency.relation
     position_of = uwsdt.templates[relation].open.schema.position
     attributes = dependency.attributes()
-    uncertain = uwsdt.uncertain_tuples(relation)
+    positions = [(a, position_of(a)) for a in attributes]
     through_components = removed = 0
 
     for row in uwsdt.placeholder_rows_on(relation, attributes):
-        placeholders = uncertain[row[0]]
-        open_attributes = [a for a in attributes if a in placeholders]
+        open_attributes = [a for a, p in positions if row[p] is PLACEHOLDER]
         through_components += 1
 
         # Refinement: skip when no world can jointly satisfy the premises and
@@ -540,7 +540,6 @@ def _chase_fd_uwsdt(uwsdt: UWSDT, dependency: FunctionalDependency) -> None:
     holds = dependency.compile(schema)
     position_of = schema.position
     attributes = dependency.attributes()
-    involved = set(attributes)
     key_of = operator.itemgetter(*(position_of(a) for a in dependency.determinants))
     if len(dependency.determinants) == 1:
         value_of = key_of  # itemgetter yields the bare value; bucket keys are tuples
@@ -548,15 +547,17 @@ def _chase_fd_uwsdt(uwsdt: UWSDT, dependency: FunctionalDependency) -> None:
         def key_of(row: Tuple[Any, ...]) -> Tuple[Any, ...]:
             return (value_of(row),)
 
-    uncertain = uwsdt.uncertain_tuples(relation)
+    positions = [(a, position_of(a)) for a in attributes]
 
     buckets: Dict[Any, List[Tuple[Any, ...]]] = {}
     open_attributes: Dict[Any, List[str]] = {}
     certain_rows = [(certain_tid(relation, row), *row) for row in template.certain]
-    for row in [*certain_rows, *template.open]:
-        placeholders = uncertain.get(row[0], ())
-        if not involved.isdisjoint(placeholders):
-            open_attributes[row[0]] = [a for a in attributes if a in placeholders]
+    for row in certain_rows:
+        buckets.setdefault(key_of(row), []).append(row)
+    for row in template.open:
+        placeholders = [a for a, p in positions if row[p] is PLACEHOLDER]
+        if placeholders:
+            open_attributes[row[0]] = placeholders
             keys = _determinant_keys(uwsdt, dependency, row, placeholders, position_of)
         else:
             keys = (key_of(row),)

@@ -135,15 +135,6 @@ class Component:
             f for f in self.fields if f.relation == relation and f.tuple_id == tuple_id
         )
 
-    def tuples_covered(self) -> List[Tuple[str, Any]]:
-        """Distinct ``(relation, tuple_id)`` pairs this component touches."""
-        seen: List[Tuple[str, Any]] = []
-        for field in self.fields:
-            key = (field.relation, field.tuple_id)
-            if key not in seen:
-                seen.append(key)
-        return seen
-
     def slots(
         self,
         relation: str,

@@ -22,29 +22,27 @@ engine    version key of relation ``R``
 ========  ==================================================================
 Database  identity + ``Relation.version`` of ``R`` (bumped per mutation)
 UWSDT     identity + version of the ``R`` template's certain and open
-          relations, plus ``UWSDT.relation_placeholder_count(R)`` —
-          together they fully determine ``R``'s statistics (samples read
-          only the template, densities only the count), so query
-          intermediates added by ``Q̂`` and chase component merges leave
-          base entries valid
+          relations — they fully determine ``R``'s statistics (samples read
+          only the template, densities the ``?`` of its open rows), so
+          query intermediates added by ``Q̂`` and chase component merges
+          leave base entries valid
 ========  ==================================================================
 
 An entry is stored on the relation object itself (:meth:`Relation.derived
 <repro.relational.relation.Relation.derived>`, which checks the identity
 and version parts of the key; on a UWSDT, the certain relation's), one per
 engine kind, stamped with the rest of the key — on a UWSDT, the open
-relation's identity and version and the placeholder count — and rebuilt
-when that moves.  Every engine holding the relation therefore reads the same entry:
-a UWSDT copy shares its templates (:meth:`~repro.core.uwsdt.UWSDT.copy`)
-and plans from warm statistics.
+relation's identity and version — and rebuilt when that moves.  Every
+engine holding the relation therefore reads the same entry: a UWSDT copy
+shares its templates (:meth:`~repro.core.uwsdt.UWSDT.copy`) and plans from
+warm statistics.
 
 A :class:`~repro.core.wsd.WSD` has no catalog: it is the paper's
 specification (Sections 3–4), not a query engine.  Plan on
 ``UWSDT.from_wsd(wsd)`` instead.
 
 Entries are checked lazily on every access (polling the version key is an
-integer comparison plus, on a UWSDT, a sum over the relation's placeholder
-index — one term per uncertain tuple).  Polling is the one invalidation
+integer comparison, two on a UWSDT).  Polling is the one invalidation
 mechanism: every mutation path bumps a version, so "mutate, then replan"
 picks up fresh statistics, and a stale entry is replaced on its next read.
 
@@ -218,7 +216,6 @@ class StatisticsCatalog:
             template.certain.version,
             Same(template.open),
             template.open.version,
-            self.engine.relation_placeholder_count(name),
         )
 
     def _relation_attributes(self, name: str) -> Tuple[str, ...]:

@@ -147,7 +147,11 @@ COST_MODELS: Dict[str, CostModel] = {
 
 
 def uwsdt_relation_statistics(uwsdt: Any, relation_name: str) -> Tuple[int, float]:
-    """``(row count, placeholder density)`` of one UWSDT relation."""
+    """``(row count, placeholder density)`` of one UWSDT relation.
+
+    Both are read off the template (the ``?`` of its open rows), so they
+    move only with a template write — what the catalog's version key polls.
+    """
     rows = uwsdt.template_size(relation_name)
     arity = uwsdt.schema.relation(relation_name).arity
     placeholders = uwsdt.relation_placeholder_count(relation_name)

@@ -23,14 +23,15 @@ layout.  Each template ``R⁰`` is a :class:`Template`: two substrate
   ``TID`` column, since components name their fields by tuple id.
 
 The C/F/W content is held as a dictionary of
-:class:`~repro.core.component.Component` objects indexed by component id,
-and the placeholder index (``F`` grouped by tuple) maps each open row's
-tuple id to its ``?`` attributes.  :meth:`to_uniform_relations` materializes
-the exact fixed-schema relations of the paper (and
-:meth:`from_uniform_relations` reads them back), so the uniform encoding
-itself is also implemented and tested; the dictionary layout is an
-optimization the paper performs inside PostgreSQL with indexes on ``FID``
-and ``CID``.
+:class:`~repro.core.component.Component` objects indexed by component id.
+A placeholder is recorded where the paper records it: a ``?`` in an open
+row and its ``F`` entry (:attr:`UWSDT.field_to_cid`); which fields of a
+relation are ``?`` is read off its open rows.
+:meth:`to_uniform_relations` materializes the exact fixed-schema relations
+of the paper (and :meth:`from_uniform_relations` reads them back), so the
+uniform encoding itself is also implemented and tested; the dictionary
+layout is an optimization the paper performs inside PostgreSQL with
+indexes on ``FID`` and ``CID``.
 
 A certain row has no tuple id.  Where one turns open — a certain row under
 a difference whose right side may remove it, or the certain side of a join
@@ -55,6 +56,7 @@ the writing engine a private copy of a shared template.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..relational.database import Database
@@ -159,11 +161,6 @@ class UWSDT:
         self.components: Dict[int, Component] = {}
         #: Which component defines which placeholder field (the ``F`` relation).
         self.field_to_cid: Dict[FieldRef, int] = {}
-        #: The placeholder index: ``relation -> tuple id -> placeholder
-        #: attributes`` in schema order (``F`` grouped by tuple).  Written only
-        #: by :meth:`_map_field` / :meth:`_unmap_field`; its tuple ids are
-        #: those of the open rows.
-        self._placeholders: Dict[str, Dict[Any, Tuple[str, ...]]] = {}
         #: Names of the templates no other engine holds: only these may be
         #: written in place.  :meth:`copy` empties it on both sides.
         self._private_templates: Set[str] = set()
@@ -249,23 +246,30 @@ class UWSDT:
     def relation_placeholder_count(self, relation_name: str) -> int:
         """Number of ``?`` fields of one relation (its slice of ``F``).
 
-        Together with the versions of the template's two relations this
-        fully determines the relation's planner statistics — samples read
-        only the template, densities only this count — so the statistics
-        catalog uses them as its invalidation key: component surgery that
-        merely rewires or extends components (the chase, ``Q̂``
-        intermediates) leaves cached entries valid, while anything adding or
-        dropping a placeholder of the relation invalidates them.  Read off
-        the placeholder index.
+        Together with the row count it gives the relation's placeholder
+        density, which the planner's statistics read.  Counted off the open
+        rows (:meth:`uncertain_tuples`), so it moves only with a template
+        write.
         """
-        return sum(map(len, self._placeholders.get(relation_name, {}).values()))
+        return sum(map(len, self.uncertain_tuples(relation_name).values()))
 
     def uncertain_tuples(self, relation_name: str) -> Mapping[Any, Tuple[str, ...]]:
-        """The placeholder index of one relation: ``open tuple id -> ? attributes``.
+        """One relation's open rows as ``tuple id -> ? attributes``, in open-row order.
 
-        Read-only for callers; attributes are in schema order.
+        Read-only for callers; attributes are in schema order.  Derived on
+        the open relation (:meth:`~repro.relational.relation.Relation.derived`:
+        built once per version, shared by copies).
         """
-        return self._placeholders.get(relation_name, {})
+        opened = self.templates[relation_name].open
+        attributes = opened.schema.attributes[1:]
+
+        def scan() -> Dict[Any, Tuple[str, ...]]:
+            return {
+                row[0]: tuple(a for a, value in zip(attributes, row[1:]) if value is PLACEHOLDER)
+                for row in opened
+            }
+
+        return opened.derived(("?",), scan)
 
     def placeholder_rows_on(self, relation_name: str, attributes: Iterable[str]) -> List[Row]:
         """The open rows with a ``?`` on one of ``attributes``, in open-row order.
@@ -299,22 +303,9 @@ class UWSDT:
                 f"field {field.label()} already assigned to component {existing}"
             )
         self.field_to_cid[field] = cid
-        rows = self._placeholders.setdefault(field.relation, {})
-        attributes = rows.get(field.tuple_id, ()) + (field.attribute,)
-        if len(attributes) > 1:
-            order = self.schema.relation(field.relation).position
-            attributes = tuple(sorted(attributes, key=order))
-        rows[field.tuple_id] = attributes
 
     def _unmap_field(self, field: FieldRef) -> None:
-        if self.field_to_cid.pop(field, None) is None:
-            return
-        rows = self._placeholders[field.relation]
-        attributes = tuple(a for a in rows[field.tuple_id] if a != field.attribute)
-        if attributes:
-            rows[field.tuple_id] = attributes
-        else:
-            del rows[field.tuple_id]
+        self.field_to_cid.pop(field, None)
 
     def new_component(self, component: Component) -> int:
         """Register a component and return its component id."""
@@ -437,40 +428,32 @@ class UWSDT:
         """Check structural invariants (placeholder coverage, probability mass).
 
         Per template: the certain rows hold no ``?``, every open row holds
-        one, and the open rows' tuple ids are distinct.  The placeholder
-        index must equal a scan of the open rows in both directions: every
-        ``?`` is indexed (and so has a component), and every indexed field
-        is a ``?`` of an open row.  The field map, too, is checked both
-        ways: every component field maps to its component, and every entry
-        is a ``?`` field of the component it names.
+        one, and the open rows' tuple ids are distinct.  The field map is
+        checked against the open rows both ways: every ``?`` has an entry,
+        and every entry names a component holding the field and is a ``?``
+        of an open row.  Every component field maps to its component.
         """
+        uncertain: Dict[str, Mapping[Any, Tuple[str, ...]]] = {}
         for relation_schema in self.schema:
-            name, attributes = relation_schema.name, relation_schema.attributes
+            name = relation_schema.name
             template = self.templates[name]
             if any(map(_has_placeholder, template.certain)):
                 raise RepresentationError(f"a certain row of {name!r} holds a placeholder")
-            scanned = {}
-            for row in template.open:
-                placeholders = tuple(
-                    a for a, value in zip(attributes, row[1:]) if value is PLACEHOLDER
-                )
-                if not placeholders:
+            uncertain[name] = self.uncertain_tuples(name)
+            if len(uncertain[name]) != len(template.open):
+                [(duplicate, _)] = Counter(row[0] for row in template.open).most_common(1)
+                raise RepresentationError(f"tuple id {duplicate!r} of {name!r} is not unique")
+            for tuple_id, attributes in uncertain[name].items():
+                if not attributes:
                     raise RepresentationError(
-                        f"open tuple {row[0]!r} of {name!r} holds no placeholder"
+                        f"open tuple {tuple_id!r} of {name!r} holds no placeholder"
                     )
-                if row[0] in scanned:
-                    raise RepresentationError(f"tuple id {row[0]!r} of {name!r} is not unique")
-                scanned[row[0]] = placeholders
-            indexed = self.uncertain_tuples(name)
-            if scanned != indexed:
-                tuple_id = next(
-                    t for t in list(scanned) + list(indexed) if scanned.get(t) != indexed.get(t)
-                )
-                raise RepresentationError(
-                    f"tuple {tuple_id!r} of {name!r} has placeholders "
-                    f"{scanned.get(tuple_id, ())!r} but is indexed (has components) for "
-                    f"{indexed.get(tuple_id, ())!r}"
-                )
+                for attribute in attributes:
+                    field = FieldRef(name, tuple_id, attribute)
+                    if field not in self.field_to_cid:
+                        raise RepresentationError(
+                            f"placeholder {field.label()} has no field map entry"
+                        )
         for cid, component in self.components.items():
             component.validate()
             for field in component.fields:
@@ -478,22 +461,16 @@ class UWSDT:
                     raise RepresentationError(
                         f"field map out of sync for {field.label()} (component {cid})"
                     )
-        # The other way: each entry names a component holding the field, and
-        # the field is a ``?`` of the placeholder index — which then holds
-        # exactly the field map's entries.
         for field, cid in self.field_to_cid.items():
             component = self.components.get(cid)
             if component is None or not component.has_field(field):
                 raise RepresentationError(
                     f"field map sends {field.label()} to component {cid}, which does not hold it"
                 )
-            if field.attribute not in self.uncertain_tuples(field.relation).get(field.tuple_id, ()):
+            if field.attribute not in uncertain.get(field.relation, {}).get(field.tuple_id, ()):
                 raise RepresentationError(
                     f"field map holds {field.label()}, which is not a placeholder"
                 )
-        indexed = sum(len(a) for rows in self._placeholders.values() for a in rows.values())
-        if len(self.field_to_cid) != indexed:
-            raise RepresentationError("the placeholder index holds a field the field map lacks")
 
     # ------------------------------------------------------------------ #
     # Conversions
@@ -612,10 +589,10 @@ class UWSDT:
 
         The templates and the components (immutable) are shared; only the
         dictionaries indexing them are copied — ``templates``,
-        ``components``, ``field_to_cid``, the placeholder index — with the
-        next intermediate name's index.  Structures derived from a shared
-        template's relations (hash indexes, column stores, statistics) live
-        on them and stay warm for both engines.  Afterwards neither engine
+        ``components``, ``field_to_cid`` — with the next intermediate name's
+        index.  Structures derived from a shared template's relations (hash
+        indexes, column stores, statistics, the placeholder views) live on
+        them and stay warm for both engines.  Afterwards neither engine
         owns a template: the first :meth:`add_template_tuple` on either side
         copies it.  The plan cache and the statistics catalog object are per
         engine and are not carried over, so the copy plans every query anew.
@@ -625,7 +602,6 @@ class UWSDT:
         result.templates = dict(self.templates)
         result.components = dict(self.components)
         result.field_to_cid = dict(self.field_to_cid)
-        result._placeholders = {name: dict(rows) for name, rows in self._placeholders.items()}
         result._next_cid = self._next_cid
         result._next_intermediate = self._next_intermediate
         self._private_templates = set()

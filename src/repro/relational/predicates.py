@@ -164,7 +164,7 @@ class Predicate:
         Nothing is cached on the predicate: predicates travel pickled inside
         physical plans.
         """
-        return self._generate(schema)[0]
+        return self.compile_both(schema)[0]
 
     def compile_scan(
         self, schema: RelationSchema
@@ -175,10 +175,12 @@ class Predicate:
         The loop is generated code too, so a row costs no Python call; it
         keeps exactly the rows :meth:`compile`'s evaluator accepts.
         """
-        return self._generate(schema)[1]
+        return self.compile_both(schema)[1]
 
-    def _generate(self, schema: RelationSchema) -> _Generated:
-        """The row check and the scan, from one source and one code object."""
+    def compile_both(self, schema: RelationSchema) -> _Generated:
+        """``(check, scan)``: :meth:`compile`'s row check and :meth:`compile_scan`'s
+        loop, from one source and one code object — for a caller that needs
+        both over one layout."""
         source = _Source(schema)
         text = _CHECK_SOURCE.format(self._fragment(source))
         namespace: Dict[str, Any] = {

@@ -14,7 +14,7 @@ the naive baseline, never as the production representation.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..relational.database import Database
 from ..relational.errors import RepresentationError
@@ -56,20 +56,6 @@ class WorldSet:
         self._order: List[tuple] = []
         for world in worlds:
             self.add(world.database, world.probability)
-
-    @classmethod
-    def from_databases(
-        cls, databases: Iterable[Database], probabilities: Optional[Sequence[float]] = None
-    ) -> "WorldSet":
-        """Build a world-set from databases and an optional parallel list of probabilities."""
-        databases = list(databases)
-        if probabilities is None:
-            return cls(PossibleWorld(db) for db in databases)
-        if len(probabilities) != len(databases):
-            raise RepresentationError(
-                f"got {len(databases)} databases but {len(probabilities)} probabilities"
-            )
-        return cls(PossibleWorld(db, p) for db, p in zip(databases, probabilities))
 
     def add(self, database: Database, probability: Optional[float] = None) -> None:
         """Add one world, merging with an identical existing world."""

@@ -624,15 +624,12 @@ class Oracle:
 
 
 def check_representation(uwsdt: UWSDT) -> None:
-    """``validate()`` (which checks the field map both ways), each relation's
-    certain rows are a set, and its placeholder count is its placeholder
-    index's."""
+    """``validate()`` (which checks the open rows and the field map against
+    each other both ways), and each relation's certain rows are a set."""
     uwsdt.validate()
     for schema in uwsdt.schema:
         certain = uwsdt.templates[schema.name].certain
         assert len(certain.row_set()) == len(certain), f"the certain rows of {schema.name} are a bag"
-        uncertain = uwsdt.uncertain_tuples(schema.name)
-        assert uwsdt.relation_placeholder_count(schema.name) == sum(map(len, uncertain.values()))
 
 
 # --------------------------------------------------------------------------- #

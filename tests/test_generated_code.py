@@ -59,7 +59,7 @@ class TestCodeObjectMemo:
         first, second = And(eq("A", 1), ne("B", "x")), And(eq("A", 2), ne("B", "y"))
         check_first = first.compile(SCHEMA)
         assert _code.cache_info().misses == 1
-        check_second, scan_second = second._generate(SCHEMA)
+        check_second, scan_second = second.compile_both(SCHEMA)
         assert _code.cache_info().misses == 1 and _code.cache_info().hits == 1
         assert code_generated() - before == 1
         assert check_first.__code__ is check_second.__code__

@@ -1,13 +1,14 @@
-"""The UWSDT placeholder index and the certain/uncertain split built on it.
+"""The open rows are the one record of which UWSDT fields are placeholders.
 
-``UWSDT.uncertain_tuples`` (``relation -> tuple id -> ? attributes``) is what
-lets the chase and every ``uwsdt_ops`` operator treat fully certain template
-rows as one-world data.  These tests pin the invariant it rests on — after
-*every* operation the index equals a scan of the templates, in both
-directions (the possible-worlds oracle checks it after ingest, chase, copy
-and every cell's query) — and the behaviour the split must not change: compiled
-dependencies agree with ``holds_for``, a certain violation still raises,
-and the census chase leaves exactly the components it left before.
+``UWSDT.uncertain_tuples`` (``tuple id -> ? attributes``) is a view derived
+on a relation's open rows; with the field map (``F``) it is what lets the
+chase and every ``uwsdt_ops`` operator treat fully certain template rows as
+one-world data.  These tests pin the invariant they rest on — after *every*
+operation each ``?`` has a field map entry and each entry is a ``?``
+(``validate()``; the possible-worlds oracle checks it after ingest, chase,
+copy and every cell's query) — and the behaviour the split must not change:
+compiled dependencies agree with ``holds_for``, a certain violation still
+raises, and the census chase leaves exactly the components it left before.
 """
 
 import hashlib
@@ -43,7 +44,7 @@ from repro.worlds import OrSet, OrSetRelation
 
 
 def assert_index_matches_template_scan(uwsdt):
-    """The index, the field map and the templates describe the same placeholders."""
+    """The field map, the derived view and the templates describe the same placeholders."""
     uwsdt.validate()
     indexed_fields = set()
     for relation_schema in uwsdt.schema:
@@ -66,12 +67,14 @@ def assert_index_matches_template_scan(uwsdt):
 
 
 # --------------------------------------------------------------------------- #
-# (a) The invariant survives every mutation path
+# (a) The open rows and the field map agree after every mutation path
 # --------------------------------------------------------------------------- #
 
 
-class TestIndexEqualsTemplateScan:
-    def test_component_surgery_keeps_the_index_in_step(self):
+class TestOpenRowsAreTheRecord:
+    def test_component_surgery_leaves_the_open_rows_as_they_are(self):
+        """Components and the field map change; which fields are ``?`` does
+        not, and ``validate()`` holds exactly when every ``?`` is mapped."""
         uwsdt = UWSDT.from_orset_relation(
             OrSetRelation.from_dicts(
                 "R", ["A", "B"], [{"A": OrSet([1, 2]), "B": OrSet([3, 4])}, {"A": 5, "B": 6}]
@@ -83,9 +86,12 @@ class TestIndexEqualsTemplateScan:
         assert merged == min(first, second) and uwsdt.component_count() == 1
         assert_index_matches_template_scan(uwsdt)
 
-        # Schema order, whatever order the fields were mapped in.
         uwsdt.remove_component(merged)
-        assert dict(uwsdt.uncertain_tuples("R")) == {}
+        assert uwsdt.field_to_cid == {}
+        assert dict(uwsdt.uncertain_tuples("R")) == {1: ("A", "B")}
+        with pytest.raises(RepresentationError, match=r"R\.t1\.A has no field map entry"):
+            uwsdt.validate()
+        # Schema order, whatever order the fields are mapped in.
         uwsdt.new_component(Component.uniform(FieldRef("R", 1, "B"), (3, 4)))
         uwsdt.new_component(Component.uniform(FieldRef("R", 1, "A"), (1, 2)))
         assert dict(uwsdt.uncertain_tuples("R")) == {1: ("A", "B")}
@@ -97,12 +103,12 @@ class TestIndexEqualsTemplateScan:
         )
         orphan = uwsdt.copy()
         orphan.remove_component(orphan.component_of(FieldRef("R", 1, "A")))
-        with pytest.raises(RepresentationError, match="placeholders"):
-            orphan.validate()  # a ? without an index entry
+        with pytest.raises(RepresentationError, match="no field map entry"):
+            orphan.validate()  # a ? without a field map entry
         stale = uwsdt.copy()
-        stale.new_component(Component.uniform(FieldRef("R", 2, "A"), (3, 4)))
-        with pytest.raises(RepresentationError, match="placeholders"):
-            stale.validate()  # an index entry on a certain field
+        stale.new_component(Component.uniform(FieldRef("R", certain_tid("R", (3,)), "A"), (3, 4)))
+        with pytest.raises(RepresentationError, match="not a placeholder"):
+            stale.validate()  # a field map entry on a certain field
 
     @pytest.mark.parametrize(
         "corruption, message",
@@ -139,7 +145,7 @@ class TestIndexEqualsTemplateScan:
     )
     def test_validate_checks_every_field_map_entry(self, corruption, message):
         """Each field map entry names an existing component that holds the
-        field, and the field is a ``?`` of the placeholder index."""
+        field, and the field is a ``?`` of an open row."""
         uwsdt = UWSDT.from_orset_relation(
             OrSetRelation.from_dicts(
                 "R", ["A", "B"], [{"A": OrSet([1, 2]), "B": OrSet([3, 4])}, {"A": 5, "B": 6}]
@@ -308,7 +314,7 @@ class TestChaseParity:
 
 
 # --------------------------------------------------------------------------- #
-# (d) Operators leave no stale index entries
+# (d) Operators leave no stale field map entries
 # --------------------------------------------------------------------------- #
 
 

@@ -573,10 +573,12 @@ class TestEntriesAreKeyedByValue:
             service = QueryService()
             service.register_engine("db", database)
             service.register_engine("uw", uwsdt)
-            return [
-                [await service.session(engine).execute(query) for query in self.COLLIDING[pair]]
-                for engine in ("db", "uw")
-            ]
+            outcomes = []
+            for engine in ("db", "uw"):
+                outcomes.append([])
+                for query in self.COLLIDING[pair]:
+                    outcomes[-1].append(await service.session(engine).execute(query))
+            return outcomes
 
         on_database, on_uwsdt = asyncio.run(serve())
         for query, outcome in zip(self.COLLIDING[pair], on_database):

@@ -12,6 +12,7 @@ the memo stays bounded under ad-hoc predicates.  The counters are
 """
 
 import gc
+from collections import Counter
 
 import pytest
 
@@ -21,7 +22,8 @@ from repro.core.algebra.query import BaseRelation
 from repro.core.planner import Statistics, planner, sampling
 from repro.core.planner.sampling import sampling_call_count
 from repro.obs.metrics import get_registry
-from repro.relational import RelationSchema
+from repro.relational import RelationSchema, RepresentationError
+from repro.relational.predicates import Predicate
 
 from _fixtures import benchmark_queries, census_engines
 
@@ -196,6 +198,27 @@ class TestIntermediateNames:
         created = [n for n in engine.schema.relation_names if n not in before]
         return [n for n in created if n.startswith("__q")], taken
 
+    def test_a_relation_is_probed_once_to_name_it_and_once_to_declare_it(self, monkeypatch):
+        """An operator declares its result with the one probe of
+        ``UWSDT.add_relation``; an intermediate's name took one more."""
+        engine = census_engines()[1]
+        probes = Counter()
+        has_relation = type(engine.schema).has_relation
+
+        def counted(schema, name):
+            probes[name] += 1
+            return has_relation(schema, name)
+
+        monkeypatch.setattr(type(engine.schema), "has_relation", counted)
+        for name in query_names():
+            census_query(name).run(engine, name)
+        monkeypatch.undo()
+        intermediates = [n for n in probes if n.startswith("__q")]
+        assert intermediates and all(probes[n] == 2 for n in intermediates)
+        assert {n: probes[n] for n in query_names()} == dict.fromkeys(query_names(), 1)
+        with pytest.raises(RepresentationError, match="'Q1' already present"):
+            census_query("Q1").run(engine, "Q1")
+
     def test_twenty_passes_name_alike_and_probe_once(self, monkeypatch, engines):
         engine = engines["uwsdt"].copy()
         first, _ = self._pass(monkeypatch, engine, 0)
@@ -214,3 +237,26 @@ class TestIntermediateNames:
         names, taken = self._pass(monkeypatch, engine, "user")
         assert taken == [f"__q{20 * per_pass + 1}"]
         assert names == [f"__q{i}" for i in range(20 * per_pass + 2, 21 * per_pass + 2)]
+
+
+def test_a_warm_paper_pass_on_the_uwsdt_builds_one_source_per_selection_part(monkeypatch):
+    """A warm Q1–Q6 pass on a copy of the chased UWSDT builds 13 predicate
+    sources (each a hit of the code-object memo): the Database's selection
+    of the certain rows, 6 (a bare equality's IndexScan compiles nothing),
+    and Figure 16 over the open rows, 7 — one each, for the open rows'
+    scan and their row check share it."""
+    chased = census_engines()[1]
+    sources = []
+    compile_both = Predicate.compile_both
+
+    def counted(predicate, schema):
+        sources.append(predicate)
+        return compile_both(predicate, schema)
+
+    monkeypatch.setattr(Predicate, "compile_both", counted)
+    for _ in range(2):  # the first pass plans and samples; the second is warm
+        del sources[:]
+        engine = chased.copy()
+        for name in query_names():
+            census_query(name).run(engine, name)
+    assert len(sources) == 13

@@ -29,6 +29,7 @@ from repro.relational import (
     Database,
     Relation,
     RelationSchema,
+    RepresentationError,
     eq,
     ne,
 )
@@ -141,13 +142,13 @@ def chased_census():
 class TestSelectionWorkCounts:
     def _run(self, uwsdt, predicate, monkeypatch, key=None):
         compiles = []
-        compile_ = Predicate.compile
+        compile_both = Predicate.compile_both
 
         def counted_compile(self, schema):
             compiles.append(self)
-            return compile_(self, schema)
+            return compile_both(self, schema)
 
-        monkeypatch.setattr(Predicate, "compile", counted_compile)
+        monkeypatch.setattr(Predicate, "compile_both", counted_compile)
         before = select_counters()
         uwsdt_ops.select(uwsdt, "R", "P", predicate, key=key)
         uwsdt.validate()
@@ -183,7 +184,9 @@ class TestSelectionWorkCounts:
             len(hash_index(template.certain, ("YEARSCH",)).bucket(17)) + len(open_index.bucket(17))
         )
         assert through_components == len(keyed)
-        assert compiles == [predicate]  # the parent compiled each conjunct again
+        # One source for the open rows' scan and row check (the certain rows'
+        # selection is the library's and compiles its own scan).
+        assert compiles == [predicate, predicate]
 
         # The certain rows are the Database's own selection, read off the same bucket.
         index = hash_index(template.certain, ("YEARSCH",))
@@ -198,18 +201,18 @@ class TestSelectionWorkCounts:
         open_bucket = open_index.bucket(PLACEHOLDER)
         assert open_index.bucket(12) and open_bucket
         scans = []
-        compile_scan = Predicate.compile_scan
+        compile_both = Predicate.compile_both
 
         def recorded_scan(self, schema):
-            scan = compile_scan(self, schema)
+            check, scan = compile_both(self, schema)
 
             def recorded(rows):
                 scans.append(list(rows))
                 return scan(scans[-1])
 
-            return recorded
+            return check, recorded
 
-        monkeypatch.setattr(Predicate, "compile_scan", recorded_scan)
+        monkeypatch.setattr(Predicate, "compile_both", recorded_scan)
         (scanned, through_components), compiles = self._run(
             uwsdt, eq("YEARSCH", 12), monkeypatch
         )
@@ -252,6 +255,14 @@ OPERATIONS = (
 )
 
 
+def _valid(uwsdt):
+    try:
+        uwsdt.validate()
+    except RepresentationError:
+        return False
+    return True
+
+
 def apply_operation(uwsdt, operation, data, step):
     """One mutation of ``uwsdt``; a no-op when the state offers nothing to mutate."""
     names = sorted(uwsdt.schema.relation_names)
@@ -289,8 +300,8 @@ def apply_operation(uwsdt, operation, data, step):
         sources = sorted(uwsdt.field_to_cid, key=repr)
         targets = data.draw(st.lists(st.sampled_from(unmapped), min_size=1, unique=True))
         uwsdt.copy_fields([(data.draw(st.sampled_from(sources)), t) for t in targets])
-    elif operation == "select":
-        # ≠ and a conjunction visit every open row.
+    elif operation == "select" and _valid(uwsdt):
+        # Operators take valid states only.  ≠ and a conjunction visit every open row.
         attribute = data.draw(st.sampled_from(attributes))
         predicate = data.draw(
             st.sampled_from(

@@ -229,10 +229,10 @@ class TestMutationInvalidation:
         assert_same_statistics(Statistics.from_uwsdt(uwsdt), plan.statistics)
 
     def test_placeholder_counts_stay_in_sync_with_field_map(self):
-        """The incremental per-relation placeholder counters must equal a
-        recount of ``field_to_cid`` after every mutation path — ingestion,
-        query execution (including the difference operator's result-tuple
-        dropping) and the chase."""
+        """The per-relation placeholder count, read off the open rows, must
+        equal a recount of ``field_to_cid`` after every mutation path —
+        ingestion, query execution (including the difference operator's
+        result-tuple dropping) and the chase."""
         uwsdt = UWSDT.from_orset_relations(_chaseable_orsets())
         query = (
             BaseRelation("R")

@@ -8,7 +8,7 @@ lives on the template.  These tests check the contract on the chased
 
 * whatever runs on one side — the paper's queries, template writes, the
   chase — leaves the other side's templates, components, field map,
-  placeholder index and statistics as they were;
+  placeholder view and statistics as they were;
 * a write gives the writing engine a template of its own;
 * a second copy plans from warm statistics and probes the index the first
   copy built, while its plan cache starts empty;
