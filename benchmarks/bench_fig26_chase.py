@@ -3,8 +3,11 @@
 The paper reports chase times for 0.1M–12.5M tuples at placeholder
 densities 0.005 %–0.1 %, observing (log-log) linear scaling in both the
 number of tuples and the density.  This suite benchmarks the same chase at
-laptop scale and records the same series; the scaling-shape assertion lives
-in ``tests/test_benchmarks_shape.py``.
+laptop scale and records the same series (pytest-benchmark timings, with
+rows, density and the components left in ``extra_info``); it asserts no
+scaling shape.  ``repro.bench.run_chase_experiment`` returns the same grid
+as records.  Run it with ``python -m pytest benchmarks/bench_fig26_chase.py``;
+``REPRO_BENCH_ROWS`` and ``REPRO_BENCH_MAX_ROWS`` set the sizes.
 """
 
 from __future__ import annotations

@@ -22,12 +22,14 @@ whose template value already decides a premise or conclusion never force a
 component composition.  It splits every template into its certain rows and
 its open rows (:class:`~repro.core.uwsdt.Template`).  The certain side of an
 EGD is a selection: its violation condition ``φ1 ∧ ... ∧ φm ∧ ¬φ0`` is a
-:class:`~repro.relational.predicates.Predicate`, rendered into one generated
-scan over the certain rows and one over the open rows — a reported row
-without a placeholder on the dependency's attributes is inconsistent in
-every world — and the open rows' source also yields the row check that
-judges the filled-in local worlds.  The uncertain side visits only the open
-rows with a ``?`` on one of the EGD's attributes
+:class:`~repro.relational.predicates.Predicate`.  The disjunction of a
+relation's EGD violations is rendered into one generated scan over its
+certain rows and one over its open rows; each EGD's own scans then read only
+the rows those kept — a reported row without a placeholder on the
+dependency's attributes is inconsistent in every world — and its open rows'
+source also yields the row check that judges the filled-in local worlds.
+The uncertain side visits only the open rows with a ``?`` on one of the
+EGD's attributes
 (:meth:`~repro.core.uwsdt.UWSDT.placeholder_rows_on`), so with realistic
 placeholder densities almost all work happens on the certain relations.
 ``holds_for`` is the specification of both dependency classes (the naive
@@ -43,7 +45,8 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set,
 
 from ..obs.metrics import get_registry
 from ..relational.errors import InconsistentWorldSetError, RepresentationError
-from ..relational.predicates import AttrConst, Predicate, compare, comparator
+from ..relational.predicates import AttrConst, Or, Predicate, compare, comparator
+from ..relational.relation import Row
 from ..relational.schema import RelationSchema
 from ..relational.values import BOTTOM, PLACEHOLDER
 from .component import Component, fill_placeholders
@@ -369,30 +372,42 @@ def _possible_values_wsd(wsd: WSD, relation: str, tuple_id: Any, attribute: str)
 def chase_uwsdt(uwsdt: UWSDT, dependencies: Iterable[Dependency]) -> UWSDT:
     """Chase all ``dependencies`` on ``uwsdt`` in place; returns ``uwsdt``.
 
-    The certain rows of *every* EGD are scanned before the first component is
-    touched — the scan is read-only and independent of component state — so a
-    fully certain violation (or an unsupported dependency) raises with
-    ``uwsdt`` as it was passed in.  Not covered: certain rows violating an FD
-    are found inside its bucket walk, at the FD's place in the list, and an
-    inconsistency found *inside* a component (all its local worlds removed)
-    raises mid-way, after the earlier dependencies were applied, as in
-    Figure 24.
+    A relation's template is read once for all of its EGDs: one generated
+    scan each over its certain and its open rows keeps the rows violating
+    any of them (normally none), and each EGD then judges only those
+    candidates, in list order.  All of this runs before the first component
+    is touched — the scans are read-only and independent of component state
+    — so a fully certain violation (or an unsupported dependency) raises
+    with ``uwsdt`` as it was passed in, naming the same EGD and row as a
+    scan per EGD would (an EGD naming an attribute its relation lacks
+    raises at the relation's first EGD).  Not covered: certain rows
+    violating an FD are found inside its bucket walk, at the FD's place in
+    the list, and an inconsistency found *inside* a component (all its local
+    worlds removed) raises mid-way, after the earlier dependencies were
+    applied, as in Figure 24.
     """
+    dependencies = list(dependencies)
+    candidates: Dict[str, Tuple[List[Row], List[Row]]] = {}
     steps = []
     for dependency in dependencies:
         if isinstance(dependency, EqualityGeneratingDependency):
-            steps.append((dependency, _check_certain_rows_egd(uwsdt, dependency)))
+            relation = dependency.relation
+            if relation not in candidates:
+                candidates[relation] = _violation_candidates(uwsdt, relation, dependencies)
+            steps.append(
+                (dependency, _check_certain_rows_egd(uwsdt, dependency, *candidates[relation]))
+            )
         elif isinstance(dependency, FunctionalDependency):
             steps.append((dependency, None))
         else:
             raise RepresentationError(f"unsupported dependency {dependency!r}")
     # The chase never edits a template nor adds or drops a placeholder field,
     # so the open rows' ``?`` buckets are built once and stay valid throughout.
-    for dependency, violated in steps:
-        if violated is None:
+    for dependency, checked in steps:
+        if checked is None:
             _chase_fd_uwsdt(uwsdt, dependency)
         else:
-            _chase_egd_uwsdt(uwsdt, dependency, violated)
+            _chase_egd_uwsdt(uwsdt, dependency, *checked)
     return uwsdt
 
 
@@ -404,26 +419,55 @@ def _count_chase(rows_scanned: int, rows_through_components: int, removed: int) 
     registry.counter("repro.chase.local_worlds_removed").inc(removed)
 
 
-def _check_certain_rows_egd(
-    uwsdt: UWSDT, dependency: EqualityGeneratingDependency
-) -> Callable[[Sequence[Any]], bool]:
-    """One-world cleaning: a generated scan each for the violating certain and open rows.
+def _violation_candidates(
+    uwsdt: UWSDT, relation: str, dependencies: Sequence[Dependency]
+) -> Tuple[List[Row], List[Row]]:
+    """The certain and the open rows of ``relation`` violating one of its EGDs.
 
-    A reported open row with a placeholder on the dependency's attributes
-    (``?`` never meets a conclusion) is not a certain violation; its
-    components decide.  A violating row is named by its values.  Returns the
-    row check of the open rows' source, the violation test for the
-    uncertain side.
+    One generated scan over each side for the disjunction of every EGD's
+    violation: a row violates the disjunction iff it violates one of them,
+    so each EGD finds its own violating rows among these, in template order.
+    """
+    template = uwsdt.templates[relation]
+    violation = Or(
+        *(
+            _Violation(dependency)
+            for dependency in dependencies
+            if isinstance(dependency, EqualityGeneratingDependency)
+            and dependency.relation == relation
+        )
+    )
+    get_registry().counter("repro.chase.rows_scanned").inc(len(template))
+    return (
+        violation.compile_scan(template.certain.schema)(template.certain),
+        violation.compile_scan(template.open.schema)(template.open),
+    )
+
+
+def _check_certain_rows_egd(
+    uwsdt: UWSDT,
+    dependency: EqualityGeneratingDependency,
+    certain: List[Row],
+    opened: List[Row],
+) -> Tuple[Callable[[Sequence[Any]], bool], int]:
+    """One-world cleaning: the EGD's generated scans over its relation's candidate rows.
+
+    ``certain`` and ``opened`` are :func:`_violation_candidates`.  A reported
+    open row with a placeholder on the dependency's attributes (``?`` never
+    meets a conclusion) is not a certain violation; its components decide.
+    A violating row is named by its values.  Returns the row check of the
+    open rows' source, the violation test for the uncertain side, and the
+    number of candidate rows read.
     """
     relation = dependency.relation
     template = uwsdt.templates[relation]
     violation = _Violation(dependency)
-    violating = violation.compile_scan(template.certain.schema)(template.certain)
     violated, scan = violation.compile_both(template.open.schema)
+    violating = violation.compile_scan(template.certain.schema)(certain) if certain else []
     positions = [template.open.schema.position(a) for a in dependency.attributes()]
     violating += [
         row[1:]
-        for row in scan(template.open)
+        for row in scan(opened)
         if all(row[p] is not PLACEHOLDER for p in positions)
     ]
     if violating:
@@ -431,13 +475,14 @@ def _check_certain_rows_egd(
             f"certain tuple {violating[0]!r} of {relation!r} violates {dependency!r} "
             "in every world"
         )
-    return violated
+    return violated, len(certain) + len(opened)
 
 
 def _chase_egd_uwsdt(
     uwsdt: UWSDT,
     dependency: EqualityGeneratingDependency,
     violated: Callable[[Sequence[Any]], bool],
+    rows_scanned: int,
 ) -> None:
     """The uncertain side of one EGD: the rows with a ``?`` on its attributes reach components."""
     relation = dependency.relation
@@ -472,7 +517,7 @@ def _chase_egd_uwsdt(
         filtered = _filter_component(uwsdt, component, keep)
         removed += len(component.rows) - len(filtered.rows)
         uwsdt.replace_component(cid, filtered)
-    _count_chase(len(uwsdt.templates[relation]), through_components, removed)
+    _count_chase(rows_scanned, through_components, removed)
 
 
 def _egd_violation_possible_uwsdt(

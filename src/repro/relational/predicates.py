@@ -9,7 +9,7 @@ use conjunctions and disjunctions, can be expressed as single selections.
 Predicates are evaluated against a (schema, row) pair; ``evaluate`` and
 :func:`compare` are the specification.  For repeated evaluation over the
 rows of one layout, one generated source holds a single expression over
-integer row positions (``row[17] is not BOTTOM and row[17] == c0``) twice:
+integer row positions (``row[17] is not BOTTOM and row[17] > c0``) twice:
 as the row check :meth:`Predicate.compile` returns, and inside the loop
 :meth:`Predicate.compile_scan` returns, which keeps the rows of a whole
 iterable in one call.  Both agree with ``evaluate`` on every row.  CPython
@@ -83,6 +83,12 @@ _TOKENS: Dict[Callable[[Any, Any], bool], str] = {
     operator.gt: ">",
     operator.ge: ">=",
 }
+
+#: The constant types whose ``==`` answers a ``⊥`` cell False by itself:
+#: ``⊥`` defines no ``__eq__`` and these return ``NotImplemented`` for it, so
+#: ``A = c`` needs no ``is not BOTTOM`` test.  Exact types: a subclass (or any
+#: other class) may define an ``__eq__`` that a ``⊥`` would reach.
+_SELF_EQUAL_TYPES = frozenset({int, float, str, bool, type(None)})
 
 #: The generated functions.  ``compare`` answers a ``TypeError`` of the
 #: comparison operator itself; here the row that raised is re-judged by
@@ -272,6 +278,8 @@ class AttrConst(Predicate):
         cell, token = source.cell(self.attribute), _TOKENS[comparator(self.op)]
         if self.constant is BOTTOM:
             return "False"
+        if token == "==" and type(self.constant) in _SELF_EQUAL_TYPES:
+            return f"({cell} == {source.bind(self.constant)})"
         return f"({cell} is not BOTTOM and {cell} {token} {source.bind(self.constant)})"
 
     def value_key(self) -> Optional[Tuple[Any, ...]]:

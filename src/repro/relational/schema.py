@@ -80,8 +80,18 @@ class RelationSchema:
         return RelationSchema(name or self.name, attrs)
 
     def renamed(self, name: str) -> "RelationSchema":
-        """Return the same schema under a different relation name."""
-        return RelationSchema(name, self.attributes)
+        """Return the same schema under a different relation name.
+
+        The attributes are already validated, so the result shares this
+        schema's attribute tuple and position map (neither is ever mutated).
+        """
+        if not name:
+            raise SchemaError("relation name must be a non-empty string")
+        schema = RelationSchema.__new__(RelationSchema)
+        schema.name = name
+        schema.attributes = self.attributes
+        schema._positions = self._positions
+        return schema
 
     def concat(self, other: "RelationSchema", name: Optional[str] = None) -> "RelationSchema":
         """Return the schema of the product of this relation with ``other``.

@@ -1,15 +1,19 @@
-"""The UWSDT chase as one selection per dependency plus an index walk.
+"""The UWSDT chase as one selection per relation plus an index walk.
 
-An EGD's violation condition is a ``Predicate``; certain rows are judged by
-its generated scan (``Predicate.compile_scan``) over the template, only
-placeholder rows reach their components.  Pinned here: the
-per-row work is gone (exact counts, not timings), ``?`` cells never turn
-into certain violations, a bad operator cannot be constructed, and a
+An EGD's violation condition is a ``Predicate``; a relation's template rows
+are read once by the generated scan (``Predicate.compile_scan``) of the
+disjunction of its EGDs' violations, each EGD then judges those candidates
+with its own scan, and only placeholder rows reach their components.
+Pinned here: the per-row work is gone (exact counts, not timings), the
+shared scan raises what one full scan per EGD raised, ``?`` cells never
+turn into certain violations, a bad operator cannot be constructed, and a
 certain violation leaves the UWSDT untouched.  That the chase equals
 per-world filtering of ``rep()`` is the possible-worlds oracle's.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench import census_instance
 from repro.census import census_dependencies
@@ -21,7 +25,13 @@ from repro.core.chase import (
     chase_uwsdt,
 )
 from repro.obs.metrics import get_registry
-from repro.relational import InconsistentWorldSetError, PredicateError, RepresentationError
+from repro.relational import (
+    BOTTOM,
+    PLACEHOLDER,
+    InconsistentWorldSetError,
+    PredicateError,
+    RepresentationError,
+)
 from repro.worlds import OrSet, OrSetRelation
 
 from test_placeholder_index import chase_digest
@@ -44,6 +54,16 @@ class TestWorkCounts:
         # Built before wrapping: the generator itself reads the dependencies.
         instance = census_instance(2000, 0.001, seed=42)
         reference, uwsdt = instance.chased(), instance.uwsdt.copy()
+        dependencies = census_dependencies()
+        # The template rows violating some EGD by its specification, ``?`` read
+        # as a value: the candidates each EGD's own scans read after the one
+        # shared scan.  No certain row violates; these are open rows.
+        template = uwsdt.templates["R"]
+        candidates = sum(
+            any(not egd.holds_for(dict(zip(side.schema.attributes, row))) for egd in dependencies)
+            for side in (template.certain, template.open)
+            for row in side
+        )
 
         calls = {"holds_for": 0, "compare": 0}
         holds_for, compare = EqualityGeneratingDependency.holds_for, chase.compare
@@ -70,7 +90,9 @@ class TestWorkCounts:
         # The parent made ≈ 24 000 holds_for and ≈ 33 000 compare calls here.
         assert calls["holds_for"] == 0
         assert 0 < calls["compare"] <= size
-        assert scanned == len(census_dependencies()) * rows
+        # The template once for all 12 EGDs, then each EGD the candidates only
+        # (a scan per EGD read 12 × 2 000).
+        assert scanned == rows + len(census_dependencies()) * candidates == 2036
         # A row reaches components once per dependency naming one of its ?s.
         assert 0 < through_components <= len(census_dependencies()) * open_fields
         # Single-placeholder components: a removed local world is a removed value.
@@ -191,3 +213,140 @@ class TestNothingIsHalfApplied:
         with pytest.raises(RepresentationError, match="unsupported dependency"):
             chase_uwsdt(uwsdt, [removes_worlds, "not a dependency"])
         assert chase_digest(uwsdt) == before
+
+
+# --------------------------------------------------------------------------- #
+# The shared scan raises what a full scan per EGD raised
+# --------------------------------------------------------------------------- #
+
+
+def reference_chase(uwsdt, dependencies):
+    """The chase with one full scan of the template per EGD, as it was before
+    a relation's EGDs shared one scan; the uncertain side is the chase's own."""
+    steps = []
+    for dependency in dependencies:
+        if isinstance(dependency, EqualityGeneratingDependency):
+            steps.append((dependency, reference_check(uwsdt, dependency)))
+        elif isinstance(dependency, FunctionalDependency):
+            steps.append((dependency, None))
+        else:
+            raise RepresentationError(f"unsupported dependency {dependency!r}")
+    for dependency, violated in steps:
+        if violated is None:
+            chase._chase_fd_uwsdt(uwsdt, dependency)
+        else:
+            scanned = len(uwsdt.templates[dependency.relation])
+            chase._chase_egd_uwsdt(uwsdt, dependency, violated, scanned)
+    return uwsdt
+
+
+def reference_check(uwsdt, dependency):
+    relation = dependency.relation
+    template = uwsdt.templates[relation]
+    violation = chase._Violation(dependency)
+    violating = violation.compile_scan(template.certain.schema)(template.certain)
+    violated, scan = violation.compile_both(template.open.schema)
+    positions = [template.open.schema.position(a) for a in dependency.attributes()]
+    violating += [
+        row[1:] for row in scan(template.open) if all(row[p] is not PLACEHOLDER for p in positions)
+    ]
+    if violating:
+        raise InconsistentWorldSetError(
+            f"certain tuple {violating[0]!r} of {relation!r} violates {dependency!r} "
+            "in every world"
+        )
+    return violated
+
+
+SCHEMAS = {"R": ("A", "B", "C"), "S": ("A", "B")}
+# Mixed types: an ordering atom over them raises TypeError and is re-judged.
+_values = st.sampled_from([0, 1, 2, 1.5, "x", "y", None])
+_cells = st.one_of(  # two certain cells to one or-set, whose ⊥ may drop the row
+    _values,
+    _values,
+    st.lists(st.one_of(_values, st.just(BOTTOM)), min_size=1, max_size=3).map(
+        lambda values: OrSet(list(dict.fromkeys(values)))  # distinct under ==
+    ),
+)
+
+
+def _orset_relation(name):
+    width = len(SCHEMAS[name])
+    rows = st.lists(st.lists(_cells, min_size=width, max_size=width), max_size=5)
+    return rows.map(
+        lambda rows: OrSetRelation.from_dicts(
+            name, SCHEMAS[name], [dict(zip(SCHEMAS[name], row)) for row in rows]
+        )
+    )
+
+
+@st.composite
+def _dependency(draw):
+    relation = draw(st.sampled_from(sorted(SCHEMAS)))
+    attributes = st.sampled_from(SCHEMAS[relation])
+    if draw(st.integers(0, 3)) == 0:
+        determinant, dependent = draw(st.permutations(SCHEMAS[relation]))[:2]
+        return FunctionalDependency(relation, [determinant], dependent)
+    atoms = st.builds(Comparison, attributes, st.sampled_from(["=", "!=", "<", ">="]), _values)
+    return EqualityGeneratingDependency(
+        relation, draw(st.lists(atoms, min_size=1, max_size=2)), draw(atoms)
+    )
+
+
+@st.composite
+def _dependencies(draw):
+    dependencies = draw(st.lists(_dependency(), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        dependencies.insert(draw(st.integers(0, len(dependencies))), "not a dependency")
+    return dependencies
+
+
+def _outcome(chase_function, uwsdt, dependencies):
+    try:
+        chase_function(uwsdt, dependencies)
+    except (InconsistentWorldSetError, RepresentationError) as error:
+        return type(error), str(error), chase_digest(uwsdt)
+    return None, None, chase_digest(uwsdt)
+
+
+class TestSharedScanMatchesOneScanPerEgd:
+    @settings(max_examples=300, deadline=None)
+    @given(_orset_relation("R"), _orset_relation("S"), _dependencies())
+    def test_same_error_same_row_same_result(self, r, s, dependencies):
+        uwsdt = UWSDT.from_orset_relations([r, s])
+        before = chase_digest(uwsdt)
+        expected = _outcome(reference_chase, uwsdt.copy(), dependencies)
+        assert _outcome(chase_uwsdt, uwsdt.copy(), dependencies) == expected
+        error, message, after = expected
+        if error is RepresentationError or (message or "").startswith("certain tuple "):
+            # Raised by a template scan: before the first component is touched.
+            assert after == before
+        assert chase_digest(uwsdt) == before
+
+    def test_the_first_violated_egd_in_list_order_raises(self):
+        uwsdt = UWSDT.from_orset_relations(
+            [
+                OrSetRelation.from_dicts(
+                    "R",
+                    ["A", "B"],
+                    [{"A": 1, "B": 5}, {"A": 2, "B": 6}, {"A": OrSet([1, 2]), "B": 0}],
+                ),
+                OrSetRelation.from_dicts("S", ["A"], [{"A": 3}]),
+            ]
+        )
+        second_row = EqualityGeneratingDependency(
+            "R", [Comparison("A", "=", 2)], Comparison("B", "=", 0)
+        )
+        first_row = EqualityGeneratingDependency(
+            "R", [Comparison("A", "=", 1)], Comparison("B", "=", 0)
+        )
+        other_relation = EqualityGeneratingDependency("S", [], Comparison("A", "=", 0))
+        for dependencies, named in [
+            ([second_row, first_row], r"\(2, 6\) of 'R' violates EGD\(R: A = 2"),
+            ([first_row, second_row], r"\(1, 5\) of 'R' violates EGD\(R: A = 1"),
+            ([other_relation, first_row], r"\(3,\) of 'S'"),
+        ]:
+            with pytest.raises(InconsistentWorldSetError, match=named):
+                chase_uwsdt(uwsdt.copy(), dependencies)
+        with pytest.raises(RepresentationError, match="unsupported"):
+            chase_uwsdt(uwsdt.copy(), [FunctionalDependency("R", ["A"], "B"), "x", second_row])

@@ -8,23 +8,39 @@ re-judged by ``evaluate``; two predicates of one shape share one code object
 and keep their own constants; and the registry counter
 ``repro.predicates.code_generated`` moves on cache misses only — a warm query
 pass generates nothing, and a WSD selection generates one code object per
-distinct layout however many tuples it compiles for.  The differential over
-the predicate strategies and the deep-tree fallback are in
-``tests/test_relational_algebra.py::TestCompiledPredicate``.
+distinct layout however many tuples it compiles for; and ``A = c`` with a
+builtin constant is emitted without its ``⊥`` test, every other atom with it.
+The differential over the predicate strategies and the deep-tree fallback
+are in ``tests/test_relational_algebra.py::TestCompiledPredicate``.
 """
 
 import pytest
 
-from repro.census import census_query, query_names
+from repro.census import census_dependencies, census_query, census_schema, query_names
 from repro.core import WSD
 from repro.core.algebra import wsd_ops
+from repro.core.chase import _Violation
 from repro.core.fields import FieldRef
 from repro.obs.metrics import get_registry
-from repro.relational import BOTTOM, PLACEHOLDER, And, AttrConst, RelationSchema, eq, gt, ne
-from repro.relational.predicates import _code
+from repro.relational import (
+    BOTTOM,
+    PLACEHOLDER,
+    And,
+    AttrConst,
+    RelationSchema,
+    attr_eq,
+    eq,
+    ge,
+    gt,
+    le,
+    lt,
+    ne,
+)
+from repro.relational.predicates import _CHECK_SOURCE, _code, _Source
 from repro.worlds import OrSet, OrSetRelation
 
 from _fixtures import census_engines
+from test_relational_algebra import _EqualsEverything
 
 
 def code_generated() -> int:
@@ -50,6 +66,51 @@ class TestPerRowGuard:
         assert scan(rows) == [(4, 0), (5, 0)]
         # A restart of the whole scan through ``evaluate`` would judge all 7.
         assert calls == raising
+
+
+def generated_source(predicate, schema=SCHEMA) -> str:
+    """The source ``Predicate.compile_both`` compiles for ``predicate``."""
+    return _CHECK_SOURCE.format(predicate._fragment(_Source(schema)))
+
+
+class TestBottomGuard:
+    """``⊥ == c`` is already False for a builtin ``c`` (``⊥`` defines no
+    ``__eq__`` and the builtin returns ``NotImplemented``), so that atom
+    carries no ``is not BOTTOM`` test; any other atom or constant keeps it."""
+
+    @pytest.mark.parametrize("constant", [1, 2.5, "x", True, None])
+    def test_equality_with_a_builtin_constant_is_unguarded(self, constant):
+        assert "is not BOTTOM" not in generated_source(eq("A", constant))
+        assert "is not BOTTOM" not in generated_source(AttrConst("A", "==", constant))
+        assert eq("A", constant).compile_scan(SCHEMA)([(BOTTOM, 0), (constant, 0)]) == [
+            (constant, 0)
+        ]
+
+    def test_census_egd_premises_are_unguarded(self):
+        schema = census_schema()
+        premises = [premise for egd in census_dependencies() for premise in egd.premises]
+        for premise in premises:
+            atom = AttrConst(premise.attribute, premise.op, premise.constant)
+            assert "is not BOTTOM" not in generated_source(atom, schema), premise
+        # The first EGD's conclusion ``IMMIGR = 0`` is an equality too.
+        assert "is not BOTTOM" not in generated_source(_Violation(census_dependencies()[0]), schema)
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [ne("A", 1), gt("A", 1), ge("A", 1), lt("A", 1), le("A", 1), attr_eq("A", "B")],
+        ids=repr,
+    )
+    def test_other_operators_keep_the_guard(self, predicate):
+        assert "is not BOTTOM" in generated_source(predicate)
+
+    @pytest.mark.parametrize(
+        "constant",
+        [_EqualsEverything(), (1,), frozenset({1}), 1 + 0j, type("Int", (int,), {})(1)],
+        ids=repr,
+    )
+    def test_other_constant_types_keep_the_guard(self, constant):
+        assert "is not BOTTOM" in generated_source(eq("A", constant))
+        assert eq("A", constant).compile(SCHEMA)((BOTTOM, 0)) is False
 
 
 class TestCodeObjectMemo:

@@ -73,6 +73,21 @@ class TestRelationSchema:
         assert a == b and hash(a) == hash(b)
         assert a != c
 
+    def test_renamed_shares_the_layout_and_equals_a_fresh_schema(self):
+        parent = RelationSchema("R", ("A", "B", "C"))
+        renamed = parent.renamed("S")
+        fresh = RelationSchema("S", ("A", "B", "C"))
+        assert renamed == fresh and hash(renamed) == hash(fresh)
+        assert renamed != parent and renamed.renamed("R") == parent
+        assert [renamed.position(a) for a in "ABC"] == [fresh.position(a) for a in "ABC"]
+        assert renamed.has_attribute("B") and not renamed.has_attribute("S")
+        assert renamed.attributes is parent.attributes
+        assert renamed._positions is parent._positions
+        with pytest.raises(UnknownAttributeError):
+            renamed.position("Z")
+        with pytest.raises(SchemaError, match="non-empty"):
+            parent.renamed("")
+
 
 class TestDatabaseSchema:
     def test_add_and_lookup(self):
