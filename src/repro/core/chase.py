@@ -24,7 +24,9 @@ its open rows (:class:`~repro.core.uwsdt.Template`).  The certain side of an
 EGD is a selection: its violation condition ``φ1 ∧ ... ∧ φm ∧ ¬φ0`` is a
 :class:`~repro.relational.predicates.Predicate`.  The disjunction of a
 relation's EGD violations is rendered into one generated scan over its
-certain rows and one over its open rows; each EGD's own scans then read only
+certain rows and one over its open rows, EGDs with equal premises sharing
+one disjunct ``φ1 ∧ ... ∧ φm ∧ (¬φ0 ∨ ¬φ0′ ∨ ...)`` so that a row tests each
+premise once; each EGD's own scans then read only
 the rows those kept — a reported row without a placeholder on the
 dependency's attributes is inconsistent in every world — and its open rows'
 source also yields the row check that judges the filled-in local worlds.
@@ -131,29 +133,39 @@ class EqualityGeneratingDependency:
 
 
 class _Violation(Predicate):
-    """The rows violating an EGD, ``φ1 ∧ ... ∧ φm ∧ ¬φ0``, as a selection condition.
+    """The rows violating one of some EGDs with equal premises,
+    ``φ1 ∧ ... ∧ φm ∧ (¬φ0 ∨ ¬φ0′ ∨ ...)``, as a selection condition.
 
-    The negation is a plain ``not``: :class:`~repro.relational.predicates.Not`
-    excludes ``⊥`` and ``?`` cells, which is selection semantics, whereas
-    ``holds_for`` says a ``⊥`` or ``?`` conclusion is not met.
+    One dependency is its own violation, ``φ1 ∧ ... ∧ φm ∧ ¬φ0``.  The shared
+    premises are tested once; the caller groups only EGDs whose premise
+    lists are equal (:func:`_premise_key`).  The negation is a plain ``not``:
+    :class:`~repro.relational.predicates.Not` excludes ``⊥`` and ``?``
+    cells, which is selection semantics, whereas ``holds_for`` says a ``⊥``
+    or ``?`` conclusion is not met.
     """
 
-    def __init__(self, dependency: EqualityGeneratingDependency) -> None:
-        self.dependency = dependency
+    def __init__(self, *dependencies: EqualityGeneratingDependency) -> None:
+        self.dependencies = dependencies
 
     def evaluate(self, schema: RelationSchema, row: Sequence[Any]) -> bool:
-        attributes = self.dependency.attributes()
-        return not self.dependency.holds_for(
-            {attribute: row[schema.position(attribute)] for attribute in attributes}
-        )
+        def values(dependency: EqualityGeneratingDependency) -> Dict[str, Any]:
+            return {a: row[schema.position(a)] for a in dependency.attributes()}
+
+        return any(not d.holds_for(values(d)) for d in self.dependencies)
 
     def _fragment(self, source) -> str:
-        dependency = self.dependency
-        atoms = [
-            AttrConst(atom.attribute, atom.op, atom.constant)._fragment(source)
-            for atom in dependency.premises + (dependency.conclusion,)
-        ]
-        return "(" + " and ".join(atoms[:-1] + [f"not {atoms[-1]}"]) + ")"
+        def atom(comparison: Comparison) -> str:
+            return _selection(comparison)._fragment(source)
+
+        broken = " or ".join(f"not {atom(d.conclusion)}" for d in self.dependencies)
+        if len(self.dependencies) > 1:
+            broken = f"({broken})"
+        return "(" + " and ".join([*map(atom, self.dependencies[0].premises), broken]) + ")"
+
+
+def _selection(comparison: Comparison) -> AttrConst:
+    """The atom ``A θ c`` as a selection condition."""
+    return AttrConst(comparison.attribute, comparison.op, comparison.constant)
 
 
 Dependency = Any  # FunctionalDependency | EqualityGeneratingDependency
@@ -419,6 +431,14 @@ def _count_chase(rows_scanned: int, rows_through_components: int, removed: int) 
     registry.counter("repro.chase.local_worlds_removed").inc(removed)
 
 
+def _premise_key(dependency: EqualityGeneratingDependency) -> Any:
+    """What EGDs sharing one violation disjunct have equal: per premise its
+    attribute, operator and constant with its class (``AttrConst.value_key``);
+    the dependency itself, equal only to itself, when a constant does not hash."""
+    key = tuple(_selection(premise).value_key() for premise in dependency.premises)
+    return dependency if None in key else key
+
+
 def _violation_candidates(
     uwsdt: UWSDT, relation: str, dependencies: Sequence[Dependency]
 ) -> Tuple[List[Row], List[Row]]:
@@ -427,16 +447,15 @@ def _violation_candidates(
     One generated scan over each side for the disjunction of every EGD's
     violation: a row violates the disjunction iff it violates one of them,
     so each EGD finds its own violating rows among these, in template order.
+    EGDs with equal premises are one disjunct, so a shared premise is tested
+    once per row.
     """
     template = uwsdt.templates[relation]
-    violation = Or(
-        *(
-            _Violation(dependency)
-            for dependency in dependencies
-            if isinstance(dependency, EqualityGeneratingDependency)
-            and dependency.relation == relation
-        )
-    )
+    groups: Dict[Any, List[EqualityGeneratingDependency]] = {}
+    for dependency in dependencies:
+        if isinstance(dependency, EqualityGeneratingDependency) and dependency.relation == relation:
+            groups.setdefault(_premise_key(dependency), []).append(dependency)
+    violation = Or(*(_Violation(*group) for group in groups.values()))
     get_registry().counter("repro.chase.rows_scanned").inc(len(template))
     return (
         violation.compile_scan(template.certain.schema)(template.certain),

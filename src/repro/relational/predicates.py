@@ -12,9 +12,11 @@ rows of one layout, one generated source holds a single expression over
 integer row positions (``row[17] is not BOTTOM and row[17] > c0``) twice:
 as the row check :meth:`Predicate.compile` returns, and inside the loop
 :meth:`Predicate.compile_scan` returns, which keeps the rows of a whole
-iterable in one call.  Both agree with ``evaluate`` on every row.  CPython
-compiles each distinct source once (:func:`_code`); the constants are bound
-per call, in the namespace the code object is executed in.
+iterable in one call.  Both agree with ``evaluate`` on every row.  The
+source is a factory ``bind(BOTTOM, PLACEHOLDER, schema, evaluate, c0, …)``
+returning the two as closures, so every constant is a cell read, not a
+global lookup.  CPython compiles each distinct source once (:func:`_code`);
+the constants are bound per call, as the factory's arguments.
 """
 
 from __future__ import annotations
@@ -90,28 +92,33 @@ _TOKENS: Dict[Callable[[Any, Any], bool], str] = {
 #: other class) may define an ``__eq__`` that a ``⊥`` would reach.
 _SELF_EQUAL_TYPES = frozenset({int, float, str, bool, type(None)})
 
-#: The generated functions.  ``compare`` answers a ``TypeError`` of the
-#: comparison operator itself; here the row that raised is re-judged by
-#: ``evaluate``.  The guard is per row in ``scan``: restarting the whole scan
-#: through ``evaluate`` would send every row there for one unorderable cell.
-_CHECK_SOURCE = """\
-def check(row):
-    try:
-        return {0}
-    except TypeError:
-        return evaluate(schema, row)
-
-def scan(rows):
-    kept = []
-    keep = kept.append
-    for row in rows:
+#: The generated factory: its closures ``check`` and ``scan`` read the
+#: markers, ``schema``, ``evaluate`` and the constants ``c<i>`` from cells.
+#: ``compare`` answers a ``TypeError`` of the comparison operator itself; here
+#: the row that raised is re-judged by ``evaluate``.  The guard is per row in
+#: ``scan``: restarting the whole scan through ``evaluate`` would send every
+#: row there for one unorderable cell.
+_BIND_SOURCE = """\
+def bind(BOTTOM, PLACEHOLDER, schema, evaluate{names}):
+    def check(row):
         try:
-            if {0}:
-                keep(row)
+            return {fragment}
         except TypeError:
-            if evaluate(schema, row):
-                keep(row)
-    return kept
+            return evaluate(schema, row)
+
+    def scan(rows):
+        kept = []
+        keep = kept.append
+        for row in rows:
+            try:
+                if {fragment}:
+                    keep(row)
+            except TypeError:
+                if evaluate(schema, row):
+                    keep(row)
+        return kept
+
+    return check, scan
 """
 
 #: A row check and the scan over an iterable of rows.
@@ -137,7 +144,7 @@ def _code(source: str) -> CodeType:
 
 class _Source:
     """What the fragments of one generated function share: the row layout
-    they index into and the constants bound in the function's namespace."""
+    they index into and the constants passed to the factory."""
 
     def __init__(self, schema: RelationSchema) -> None:
         self.schema = schema
@@ -149,10 +156,15 @@ class _Source:
         return f"row[{self.schema.position(attribute):d}]"
 
     def bind(self, value: Any) -> str:
-        """The name ``value`` is bound to in the function's namespace:
-        constants are never rendered into the source."""
+        """The factory parameter ``value`` is passed as: constants are never
+        rendered into the source."""
         self.constants.append(value)
         return f"c{len(self.constants) - 1}"
+
+    def render(self, fragment: str) -> str:
+        """The factory's source for ``fragment``: a parameter per constant bound."""
+        names = "".join(f", c{i}" for i in range(len(self.constants)))
+        return _BIND_SOURCE.format(names=names, fragment=fragment)
 
 
 class Predicate:
@@ -188,14 +200,8 @@ class Predicate:
         loop, from one source and one code object — for a caller that needs
         both over one layout."""
         source = _Source(schema)
-        text = _CHECK_SOURCE.format(self._fragment(source))
-        namespace: Dict[str, Any] = {
-            "BOTTOM": BOTTOM,
-            "PLACEHOLDER": PLACEHOLDER,
-            "schema": schema,
-            "evaluate": self.evaluate,
-        }
-        namespace.update((f"c{i}", value) for i, value in enumerate(source.constants))
+        text = source.render(self._fragment(source))
+        namespace: Dict[str, Any] = {}
         try:
             exec(_code(text), namespace)
         except (SyntaxError, RecursionError, MemoryError):
@@ -206,9 +212,10 @@ class Predicate:
                 lambda row: evaluate(schema, row),
                 lambda rows: [row for row in rows if evaluate(schema, row)],
             )
-        # Popped, not read: a namespace that kept its own functions would be a
+        # Popped, not read: a namespace that kept the factory would be a
         # reference cycle per call, freed only by the cycle collector.
-        return namespace.pop("check"), namespace.pop("scan")
+        bind = namespace.pop("bind")
+        return bind(BOTTOM, PLACEHOLDER, schema, self.evaluate, *source.constants)
 
     def _fragment(self, source: _Source) -> str:
         """This node's expression over ``row`` for the generated function.

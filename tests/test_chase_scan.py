@@ -2,7 +2,8 @@
 
 An EGD's violation condition is a ``Predicate``; a relation's template rows
 are read once by the generated scan (``Predicate.compile_scan``) of the
-disjunction of its EGDs' violations, each EGD then judges those candidates
+disjunction of its EGDs' violations (EGDs with equal premises one disjunct,
+so a shared premise is tested once), each EGD then judges those candidates
 with its own scan, and only placeholder rows reach their components.
 Pinned here: the per-row work is gone (exact counts, not timings), the
 shared scan raises what one full scan per EGD raised, ``?`` cells never
@@ -11,12 +12,14 @@ certain violation leaves the UWSDT untouched.  That the chase equals
 per-world filtering of ``rep()`` is the possible-worlds oracle's.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench import census_instance
-from repro.census import census_dependencies
+from repro.census import CensusGenerator, census_dependencies, census_schema
 from repro.core import UWSDT, chase
 from repro.core.chase import (
     Comparison,
@@ -29,9 +32,11 @@ from repro.relational import (
     BOTTOM,
     PLACEHOLDER,
     InconsistentWorldSetError,
+    Predicate,
     PredicateError,
     RepresentationError,
 )
+from repro.relational.predicates import _code
 from repro.worlds import OrSet, OrSetRelation
 
 from test_placeholder_index import chase_digest
@@ -98,6 +103,33 @@ class TestWorkCounts:
         # Single-placeholder components: a removed local world is a removed value.
         assert removed == size - uwsdt.component_relation_size() > 0
         assert chase_digest(uwsdt) == chase_digest(reference)
+
+    def test_benchmark_input_counts_are_pinned(self, monkeypatch):
+        # perfbench's ``chase_uncertain`` input: 10 000 rows at 0.1 %, seed 42.
+        generator = CensusGenerator(seed=42)
+        noisy = generator.add_noise(generator.clean_relation(10000), 0.001)
+        sources = []
+        compile_both = Predicate.compile_both
+
+        def counted(predicate, schema):
+            sources.append(predicate)
+            return compile_both(predicate, schema)
+
+        monkeypatch.setattr(Predicate, "compile_both", counted)
+        registry = get_registry()
+        names = ("repro.chase.rows_scanned", "repro.predicates.code_generated")
+        _code.cache_clear()
+        # Per relation the shared certain and open scans, per EGD its own
+        # open rows' source (two EGDs of one shape share a code object);
+        # the template once plus 12 candidates per EGD.  A second chase
+        # compiles nothing.
+        for generated in (13, 0):
+            del sources[:]
+            before = [registry.counter(name).value for name in names]
+            chase_uwsdt(UWSDT.from_orset_relation(noisy), census_dependencies())
+            moved = [registry.counter(name).value - start for name, start in zip(names, before)]
+            assert moved == [10144, generated]
+            assert len(sources) == 14
 
     def test_fd_chase_counts_its_rows_too(self):
         uwsdt = UWSDT.from_orset_relation(
@@ -280,22 +312,31 @@ def _orset_relation(name):
     )
 
 
+_ops = st.sampled_from(["=", "!=", "<", ">="])
+
+
 @st.composite
-def _dependency(draw):
+def _dependency(draw, shared_premises):
     relation = draw(st.sampled_from(sorted(SCHEMAS)))
     attributes = st.sampled_from(SCHEMAS[relation])
     if draw(st.integers(0, 3)) == 0:
         determinant, dependent = draw(st.permutations(SCHEMAS[relation]))[:2]
         return FunctionalDependency(relation, [determinant], dependent)
-    atoms = st.builds(Comparison, attributes, st.sampled_from(["=", "!=", "<", ">="]), _values)
-    return EqualityGeneratingDependency(
-        relation, draw(st.lists(atoms, min_size=1, max_size=2)), draw(atoms)
-    )
+    atoms = st.builds(Comparison, attributes, _ops, _values)
+    if draw(st.booleans()):  # equal premises, not the same objects
+        premises = [Comparison(p.attribute, p.op, p.constant) for p in draw(shared_premises)]
+    else:
+        premises = draw(st.lists(atoms, min_size=1, max_size=2))
+    return EqualityGeneratingDependency(relation, premises, draw(atoms))
 
 
 @st.composite
 def _dependencies(draw):
-    dependencies = draw(st.lists(_dependency(), min_size=1, max_size=6))
+    # A pool of premise lists over the attributes both relations have, so
+    # that EGDs of one relation often share their premises (one disjunct).
+    common = st.builds(Comparison, st.sampled_from(("A", "B")), _ops, _values)
+    pool = draw(st.lists(st.lists(common, max_size=2), min_size=1, max_size=2))
+    dependencies = draw(st.lists(_dependency(st.sampled_from(pool)), min_size=1, max_size=6))
     if draw(st.booleans()):
         dependencies.insert(draw(st.integers(0, len(dependencies))), "not a dependency")
     return dependencies
@@ -350,3 +391,62 @@ class TestSharedScanMatchesOneScanPerEgd:
                 chase_uwsdt(uwsdt.copy(), dependencies)
         with pytest.raises(RepresentationError, match="unsupported"):
             chase_uwsdt(uwsdt.copy(), [FunctionalDependency("R", ["A"], "B"), "x", second_row])
+
+    def test_the_second_of_three_census_school_egds_raises(self):
+        schema = census_schema()
+        consistent = dict.fromkeys(schema.attributes, 0)  # meets all 12 EGDs
+        violating = {**consistent, "FEB55": 1}  # SCHOOL = 0 ⇒ FEB55 ≠ 1 only
+        rows = [consistent, violating, {**consistent, "Q01": OrSet([0, 1])}]
+        uwsdt = UWSDT.from_orset_relation(OrSetRelation.from_dicts("R", schema.attributes, rows))
+        dependencies = census_dependencies("R")
+        school = [egd for egd in dependencies if egd.premises[0].attribute == "SCHOOL"]
+        assert len(school) == 3 and school[1].conclusion.attribute == "FEB55"
+        assert len({chase._premise_key(egd) for egd in school}) == 1
+
+        row = tuple(violating.values())
+        named = re.escape(f"certain tuple {row!r} of 'R' violates {school[1]!r}")
+        with pytest.raises(InconsistentWorldSetError, match=named):
+            chase_uwsdt(uwsdt.copy(), dependencies)
+        assert _outcome(chase_uwsdt, uwsdt.copy(), dependencies) == _outcome(
+            reference_chase, uwsdt.copy(), dependencies
+        )
+
+    def test_a_row_violating_two_egds_of_one_group_names_the_first_in_list_order(self):
+        uwsdt = UWSDT.from_orset_relation(
+            OrSetRelation.from_dicts(
+                "R",
+                ["A", "B", "C"],
+                [
+                    {"A": 1, "B": 0, "C": 5},  # violates only the C conclusion
+                    {"A": 1, "B": 5, "C": 5},  # violates both
+                    {"A": OrSet([1, 2]), "B": 0, "C": 0},
+                ],
+            )
+        )
+        on_b = EqualityGeneratingDependency("R", [Comparison("A", "=", 1)], Comparison("B", "=", 0))
+        on_c = EqualityGeneratingDependency("R", [Comparison("A", "=", 1)], Comparison("C", "=", 0))
+        assert chase._premise_key(on_b) == chase._premise_key(on_c)
+        for dependencies, named in [
+            ([on_b, on_c], r"\(1, 5, 5\) of 'R' violates EGD\(R: A = 1 => B = 0\)"),
+            ([on_c, on_b], r"\(1, 0, 5\) of 'R' violates EGD\(R: A = 1 => C = 0\)"),
+        ]:
+            with pytest.raises(InconsistentWorldSetError, match=named):
+                chase_uwsdt(uwsdt.copy(), dependencies)
+
+    @pytest.mark.parametrize("op", ["=", "!="])
+    def test_a_list_valued_premise_constant_is_left_ungrouped(self, op):
+        uwsdt = UWSDT.from_orset_relation(
+            OrSetRelation.from_dicts(
+                "R", ["A", "B"], [{"A": 3, "B": 7}, {"A": OrSet([1, 2]), "B": OrSet([5, 7])}]
+            )
+        )
+        dependencies = [
+            EqualityGeneratingDependency("R", [Comparison("A", op, [1])], Comparison("B", "!=", 5)),
+            EqualityGeneratingDependency("R", [Comparison("A", op, [1])], Comparison("B", "!=", 7)),
+        ]
+        keys = [chase._premise_key(dependency) for dependency in dependencies]
+        assert keys == dependencies  # each its own disjunct
+        outcome = _outcome(chase_uwsdt, uwsdt.copy(), dependencies)
+        assert outcome == _outcome(reference_chase, uwsdt.copy(), dependencies)
+        # ``A != [1]`` holds on every row, so (3, 7) violates the second EGD.
+        assert (outcome[1] or "").startswith("certain tuple (3, 7)") is (op == "!=")

@@ -5,7 +5,8 @@ per row; the code object behind it and behind ``Predicate.compile`` is
 memoised by its source text, which holds positions and ``c<i>`` names only.
 Pinned here, as exact counts: only a row that raises ``TypeError`` is
 re-judged by ``evaluate``; two predicates of one shape share one code object
-and keep their own constants; and the registry counter
+and keep their own constants, read as closure cells of the generated factory
+and never as globals; and the registry counter
 ``repro.predicates.code_generated`` moves on cache misses only — a warm query
 pass generates nothing, and a WSD selection generates one code object per
 distinct layout however many tuples it compiles for; and ``A = c`` with a
@@ -13,6 +14,10 @@ builtin constant is emitted without its ``⊥`` test, every other atom with it.
 The differential over the predicate strategies and the deep-tree fallback
 are in ``tests/test_relational_algebra.py::TestCompiledPredicate``.
 """
+
+import gc
+import re
+import types
 
 import pytest
 
@@ -27,6 +32,7 @@ from repro.relational import (
     PLACEHOLDER,
     And,
     AttrConst,
+    Not,
     RelationSchema,
     attr_eq,
     eq,
@@ -36,11 +42,11 @@ from repro.relational import (
     lt,
     ne,
 )
-from repro.relational.predicates import _CHECK_SOURCE, _code, _Source
+from repro.relational.predicates import _code, _Source
 from repro.worlds import OrSet, OrSetRelation
 
 from _fixtures import census_engines
-from test_relational_algebra import _EqualsEverything
+from test_relational_algebra import _EqualsEverything, _SecondIsOdd
 
 
 def code_generated() -> int:
@@ -70,7 +76,8 @@ class TestPerRowGuard:
 
 def generated_source(predicate, schema=SCHEMA) -> str:
     """The source ``Predicate.compile_both`` compiles for ``predicate``."""
-    return _CHECK_SOURCE.format(predicate._fragment(_Source(schema)))
+    source = _Source(schema)
+    return source.render(predicate._fragment(source))
 
 
 class TestBottomGuard:
@@ -111,6 +118,64 @@ class TestBottomGuard:
     def test_other_constant_types_keep_the_guard(self, constant):
         assert "is not BOTTOM" in generated_source(eq("A", constant))
         assert eq("A", constant).compile(SCHEMA)((BOTTOM, 0)) is False
+
+
+class TestBoundNames:
+    """The generated functions are closures of a factory called with the
+    markers, ``schema``, ``evaluate`` and the constants: each is a cell read,
+    never a global lookup, and the factory is not kept."""
+
+    BOUND = re.compile(r"c\d+|BOTTOM|PLACEHOLDER|schema|evaluate")
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            And(eq("A", 1), ne("B", "x")),
+            And(gt("A", 1), Not(eq("B", "x"))),
+            _Violation(*census_dependencies()[9:]),
+            And(eq("A", 1), _SecondIsOdd()),
+        ],
+        ids=repr,
+    )
+    def test_no_bound_name_is_a_global(self, predicate):
+        schema = census_schema() if isinstance(predicate, _Violation) else SCHEMA
+        check, scan = predicate.compile_both(schema)
+        for function in (check, scan):
+            code = function.__code__
+            assert not [name for name in code.co_names if self.BOUND.fullmatch(name)]
+            assert code.co_freevars and all(map(self.BOUND.fullmatch, code.co_freevars))
+        assert {"c0", "schema", "evaluate"} <= set(scan.__code__.co_freevars)
+
+    def test_one_code_object_serves_each_predicate_with_its_own_constants(self):
+        # Closures bound late would all read the constants of the last call.
+        _code.cache_clear()
+        constants = [(1, "x"), (2, "y"), (3, "z")]
+        compiled = [And(eq("A", a), ne("B", b)).compile_both(SCHEMA) for a, b in constants]
+        assert _code.cache_info().misses == 1
+        assert len({check.__code__ for check, _ in compiled}) == 1
+        rows = [(1, "y"), (2, "x"), (2, "y"), (3, "y"), (3, "z")]
+        kept = [[(1, "y")], [(2, "x")], [(3, "y")]]
+        assert [list(filter(check, rows)) for check, _ in compiled] == kept
+        assert [scan(rows) for _, scan in compiled] == kept
+
+    def test_no_function_keeps_the_factory_reachable(self):
+        check, scan = And(gt("A", 1), Not(eq("B", "x"))).compile_both(SCHEMA)
+        # The namespace the factory ran in holds nothing but the builtins.
+        assert check.__globals__ is scan.__globals__
+        assert set(check.__globals__) == {"__builtins__"}
+        # Nor does anything the closures hold: a function's cells and
+        # defaults are followed, its (module) globals are not.
+        seen, stack = set(), [check, scan]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen or isinstance(node, (type, types.ModuleType)):
+                continue
+            seen.add(id(node))
+            if isinstance(node, types.FunctionType):
+                assert node.__name__ != "bind"
+                stack.extend([*(node.__closure__ or ()), *(node.__defaults__ or ())])
+            else:
+                stack.extend(gc.get_referents(node))
 
 
 class TestCodeObjectMemo:
