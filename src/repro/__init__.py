@@ -24,7 +24,6 @@ from .core import (
     UWSDT,
     WSD,
     WSDT,
-    Comparison,
     Component,
     EqualityGeneratingDependency,
     FieldRef,
@@ -46,7 +45,6 @@ __all__ = [
     "UWSDT",
     "WSD",
     "WSDT",
-    "Comparison",
     "Component",
     "EqualityGeneratingDependency",
     "FieldRef",

@@ -10,25 +10,25 @@ from __future__ import annotations
 
 from typing import List
 
-from ..core.chase import Comparison, EqualityGeneratingDependency
+from ..core.chase import EqualityGeneratingDependency
+from ..relational.predicates import eq, ne
 from .schema import CENSUS_RELATION
 
 
 def census_dependencies(relation: str = CENSUS_RELATION) -> List[EqualityGeneratingDependency]:
     """The 12 EGDs of Figure 25, in the paper's order."""
     egd = EqualityGeneratingDependency
-    atom = Comparison
     return [
-        egd(relation, [atom("CITIZEN", "=", 0)], atom("IMMIGR", "=", 0)),
-        egd(relation, [atom("FEB55", "=", 1)], atom("MILITARY", "!=", 4)),
-        egd(relation, [atom("KOREAN", "=", 1)], atom("MILITARY", "!=", 4)),
-        egd(relation, [atom("VIETNAM", "=", 1)], atom("MILITARY", "!=", 4)),
-        egd(relation, [atom("WWII", "=", 1)], atom("MILITARY", "!=", 4)),
-        egd(relation, [atom("MARITAL", "=", 0)], atom("RSPOUSE", "!=", 6)),
-        egd(relation, [atom("MARITAL", "=", 0)], atom("RSPOUSE", "!=", 5)),
-        egd(relation, [atom("LANG1", "=", 2)], atom("ENGLISH", "!=", 4)),
-        egd(relation, [atom("RPOB", "=", 52)], atom("CITIZEN", "!=", 0)),
-        egd(relation, [atom("SCHOOL", "=", 0)], atom("KOREAN", "!=", 1)),
-        egd(relation, [atom("SCHOOL", "=", 0)], atom("FEB55", "!=", 1)),
-        egd(relation, [atom("SCHOOL", "=", 0)], atom("WWII", "!=", 1)),
+        egd(relation, [eq("CITIZEN", 0)], eq("IMMIGR", 0)),
+        egd(relation, [eq("FEB55", 1)], ne("MILITARY", 4)),
+        egd(relation, [eq("KOREAN", 1)], ne("MILITARY", 4)),
+        egd(relation, [eq("VIETNAM", 1)], ne("MILITARY", 4)),
+        egd(relation, [eq("WWII", 1)], ne("MILITARY", 4)),
+        egd(relation, [eq("MARITAL", 0)], ne("RSPOUSE", 6)),
+        egd(relation, [eq("MARITAL", 0)], ne("RSPOUSE", 5)),
+        egd(relation, [eq("LANG1", 2)], ne("ENGLISH", 4)),
+        egd(relation, [eq("RPOB", 52)], ne("CITIZEN", 0)),
+        egd(relation, [eq("SCHOOL", 0)], ne("KOREAN", 1)),
+        egd(relation, [eq("SCHOOL", 0)], ne("FEB55", 1)),
+        egd(relation, [eq("SCHOOL", 0)], ne("WWII", 1)),
     ]

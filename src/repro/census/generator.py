@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..relational.predicates import compare
 from ..relational.relation import Relation
 from ..worlds.orset import OrSet, OrSetRelation
 from .dependencies import census_dependencies
@@ -85,20 +86,15 @@ class CensusGenerator:
     def _repair_row(self, values: Dict[str, int]) -> Dict[str, int]:
         """Adjust a sampled row so it satisfies all 12 dependencies."""
         for dependency in self.dependencies:
-            premises_hold = all(
-                premise.evaluate(values[premise.attribute]) for premise in dependency.premises
-            )
-            if not premises_hold:
+            if dependency.holds_for(values):
                 continue
             conclusion = dependency.conclusion
-            if conclusion.evaluate(values[conclusion.attribute]):
-                continue
             if conclusion.op in ("=", "=="):
                 values[conclusion.attribute] = conclusion.constant
             else:
                 domain_size = self.domains[conclusion.attribute]
                 candidates = [
-                    v for v in range(domain_size) if conclusion.evaluate(v)
+                    v for v in range(domain_size) if compare(v, conclusion.op, conclusion.constant)
                 ]
                 values[conclusion.attribute] = candidates[0] if candidates else 0
         return values

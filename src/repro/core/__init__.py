@@ -18,7 +18,6 @@ Contents:
 """
 
 from .chase import (
-    Comparison,
     EqualityGeneratingDependency,
     FunctionalDependency,
     chase_uwsdt,
@@ -49,7 +48,6 @@ from .wsd import WSD
 from .wsdt import WSDT
 
 __all__ = [
-    "Comparison",
     "EqualityGeneratingDependency",
     "FunctionalDependency",
     "chase_uwsdt",

@@ -4,7 +4,8 @@ Two classes of dependencies are supported, as in the paper:
 
 * functional dependencies  ``A1, ..., Am -> A0``,
 * single-tuple equality-generating dependencies
-  ``A1 θ1 c1 ∧ ... ∧ Am θm cm  ⇒  A0 θ0 c0``.
+  ``A1 θ1 c1 ∧ ... ∧ Am θm cm  ⇒  A0 θ0 c0``, whose atoms are the
+  selection conditions :class:`~repro.relational.predicates.AttrConst`.
 
 Enforcing a dependency removes the worlds violating it: the components
 holding the involved fields are composed and the violating local worlds are
@@ -17,11 +18,13 @@ the ``error("World-set is inconsistent")`` exit of Figure 24.
 The chase needs a single pass over dependencies and tuples (no fixpoint),
 because removing worlds can never introduce new violations.
 
-The UWSDT variant applies the refinement discussed in the paper: fields
-whose template value already decides a premise or conclusion never force a
-component composition.  It splits every template into its certain rows and
-its open rows (:class:`~repro.core.uwsdt.Template`).  The certain side of an
-EGD is a selection: its violation condition ``φ1 ∧ ... ∧ φm ∧ ¬φ0`` is a
+Both chases skip a tuple when no world can satisfy an EGD's premises and
+falsify its conclusion; one witness search answers that for a WSD and a
+UWSDT alike.  The UWSDT variant applies the refinement discussed in the
+paper: fields whose template value already decides a premise or conclusion
+never force a component composition.  It splits every template into its
+certain rows and its open rows (:class:`~repro.core.uwsdt.Template`).  The
+certain side of an EGD is a selection: its violation condition ``φ1 ∧ ... ∧ φm ∧ ¬φ0`` is a
 :class:`~repro.relational.predicates.Predicate`.  The disjunction of a
 relation's EGD violations is rendered into one generated scan over its
 certain rows and one over its open rows, EGDs with equal premises sharing
@@ -47,7 +50,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set,
 
 from ..obs.metrics import get_registry
 from ..relational.errors import InconsistentWorldSetError, RepresentationError
-from ..relational.predicates import AttrConst, Or, Predicate, compare, comparator
+from ..relational.predicates import AttrConst, Or, Predicate, compare
 from ..relational.relation import Row
 from ..relational.schema import RelationSchema
 from ..relational.values import BOTTOM, PLACEHOLDER
@@ -90,29 +93,23 @@ class FunctionalDependency:
         return f"FD({self.relation}: {', '.join(self.determinants)} -> {self.dependent})"
 
 
-class Comparison:
-    """An atom ``A θ c`` used in equality-generating dependencies."""
-
-    def __init__(self, attribute: str, op: str, constant: Any) -> None:
-        comparator(op)  # validate eagerly, as AttrConst does
-        self.attribute = attribute
-        self.op = op
-        self.constant = constant
-
-    def evaluate(self, value: Any) -> bool:
-        return compare(value, self.op, self.constant)
-
-    def __repr__(self) -> str:
-        return f"{self.attribute} {self.op} {self.constant!r}"
-
-
 class EqualityGeneratingDependency:
-    """A single-tuple EGD ``φ1 ∧ ... ∧ φm ⇒ φ0`` over one relation."""
+    """A single-tuple EGD ``φ1 ∧ ... ∧ φm ⇒ φ0`` over one relation.
 
-    def __init__(self, relation: str, premises: Sequence[Comparison], conclusion: Comparison) -> None:
+    Each atom ``A θ c`` is an :class:`~repro.relational.predicates.AttrConst`,
+    the selection condition of Figure 16; anything else is rejected here
+    rather than inside a chase.
+    """
+
+    def __init__(self, relation: str, premises: Sequence[AttrConst], conclusion: AttrConst) -> None:
         self.relation = relation
         self.premises = tuple(premises)
         self.conclusion = conclusion
+        for atom in (*self.premises, conclusion):
+            if not isinstance(atom, AttrConst):
+                raise RepresentationError(
+                    f"an EGD atom must be an AttrConst 'A θ c', got {atom!r}"
+                )
 
     def attributes(self) -> Tuple[str, ...]:
         seen: List[str] = []
@@ -123,13 +120,17 @@ class EqualityGeneratingDependency:
 
     def holds_for(self, values: Any) -> bool:
         """Check the EGD for one tuple (given a full value assignment)."""
-        if all(premise.evaluate(values[premise.attribute]) for premise in self.premises):
-            return self.conclusion.evaluate(values[self.conclusion.attribute])
+        if all(compare(values[p.attribute], p.op, p.constant) for p in self.premises):
+            conclusion = self.conclusion
+            return compare(values[conclusion.attribute], conclusion.op, conclusion.constant)
         return True
 
     def __repr__(self) -> str:
-        premises = " AND ".join(repr(p) for p in self.premises)
-        return f"EGD({self.relation}: {premises} => {self.conclusion!r})"
+        def text(atom: AttrConst) -> str:
+            return f"{atom.attribute} {atom.op} {atom.constant!r}"
+
+        premises = " AND ".join(map(text, self.premises))
+        return f"EGD({self.relation}: {premises} => {text(self.conclusion)})"
 
 
 class _Violation(Predicate):
@@ -154,18 +155,11 @@ class _Violation(Predicate):
         return any(not d.holds_for(values(d)) for d in self.dependencies)
 
     def _fragment(self, source) -> str:
-        def atom(comparison: Comparison) -> str:
-            return _selection(comparison)._fragment(source)
-
-        broken = " or ".join(f"not {atom(d.conclusion)}" for d in self.dependencies)
+        broken = " or ".join(f"not {d.conclusion._fragment(source)}" for d in self.dependencies)
         if len(self.dependencies) > 1:
             broken = f"({broken})"
-        return "(" + " and ".join([*map(atom, self.dependencies[0].premises), broken]) + ")"
-
-
-def _selection(comparison: Comparison) -> AttrConst:
-    """The atom ``A θ c`` as a selection condition."""
-    return AttrConst(comparison.attribute, comparison.op, comparison.constant)
+        premises = [premise._fragment(source) for premise in self.dependencies[0].premises]
+        return "(" + " and ".join([*premises, broken]) + ")"
 
 
 Dependency = Any  # FunctionalDependency | EqualityGeneratingDependency
@@ -188,22 +182,25 @@ def chase_wsd(wsd: WSD, dependencies: Iterable[Dependency]) -> WSD:
     return wsd
 
 
-def _filter_component(
-    wsd_or_none, component: Component, keep: Callable[[Tuple[Any, ...]], bool]
-) -> Component:
+def _filter_component(component: Component, keep: Callable[[Tuple[Any, ...]], bool]) -> Component:
     filtered = component.filter_rows(keep, renormalize=True)
     if filtered is None:
         raise InconsistentWorldSetError("World-set is inconsistent.")
     return filtered
 
 
+def _all_open(attribute: str) -> Any:
+    """A WSD has no template: each of its fields is held by a component."""
+    return PLACEHOLDER
+
+
 def _chase_egd_wsd(wsd: WSD, dependency: EqualityGeneratingDependency) -> None:
     relation = dependency.relation
     attributes = dependency.attributes()
     for tuple_id in wsd.tuple_ids.get(relation, ()):
-        fields = [FieldRef(relation, tuple_id, attribute) for attribute in attributes]
-        if not _egd_may_be_violated_wsd(wsd, dependency, tuple_id):
+        if not _egd_violation_possible(wsd, dependency, tuple_id, _all_open):
             continue
+        fields = [FieldRef(relation, tuple_id, attribute) for attribute in attributes]
         component_index = wsd.merge_components_of(fields)
         component = wsd.components[component_index]
         positions = {attribute: component.position(field) for attribute, field in zip(attributes, fields)}
@@ -214,30 +211,47 @@ def _chase_egd_wsd(wsd: WSD, dependency: EqualityGeneratingDependency) -> None:
                 return True
             return dependency.holds_for(values)
 
-        wsd.replace_component(component_index, _filter_component(wsd, component, keep))
+        wsd.replace_component(component_index, _filter_component(component, keep))
 
 
-def _egd_may_be_violated_wsd(
-    wsd: WSD, dependency: EqualityGeneratingDependency, tuple_id: Any
+def _egd_violation_possible(
+    engine: Any,
+    dependency: EqualityGeneratingDependency,
+    tuple_id: Any,
+    template_value: Callable[[str], Any],
 ) -> bool:
-    """Refinement: skip tuples whose components admit no jointly violating world.
+    """Refinement: can some world satisfy every premise and falsify the conclusion?
 
-    Atoms are grouped by the component holding their field and each group is
-    checked against the component's actual local worlds.  The joint check
-    matters when an earlier dependency already composed two of the fields:
-    premises that are satisfiable attribute-by-attribute but not in any
-    surviving combination must not force another composition.
+    ``engine`` is a WSD or a UWSDT; ``template_value(attribute)`` is the
+    tuple's template value there, ``?`` where a component holds the field.
+    Atoms over template values are decided directly.  The others are
+    grouped by the component holding their field and each group is checked
+    against the component's local worlds; components are independent, so a
+    violating world exists iff every group has a witness.  The check is per
+    component, not per attribute: two premises whose fields an earlier
+    dependency already composed are judged jointly, so a conjunction that can
+    no longer hold does not force another composition.
     """
     relation = dependency.relation
-    groups: Dict[int, List[Comparison]] = {}
+    groups: Dict[int, List[AttrConst]] = {}
     for premise in dependency.premises:
-        cid = wsd.component_of(FieldRef(relation, tuple_id, premise.attribute))
-        groups.setdefault(cid, []).append(premise)
+        value = template_value(premise.attribute)
+        if value is PLACEHOLDER:
+            cid = engine.component_of(FieldRef(relation, tuple_id, premise.attribute))
+            groups.setdefault(cid, []).append(premise)
+        elif not compare(value, premise.op, premise.constant):
+            return False
     conclusion = dependency.conclusion
-    conclusion_cid = wsd.component_of(FieldRef(relation, tuple_id, conclusion.attribute))
-    groups.setdefault(conclusion_cid, [])
+    conclusion_cid: Optional[int] = None
+    value = template_value(conclusion.attribute)
+    if value is PLACEHOLDER:
+        conclusion_cid = engine.component_of(FieldRef(relation, tuple_id, conclusion.attribute))
+        groups.setdefault(conclusion_cid, [])
+    elif compare(value, conclusion.op, conclusion.constant):
+        return False
+
     for cid, atoms in groups.items():
-        component = wsd.components[cid]
+        component = engine.components[cid]
         positions = [
             (atom, component.position(FieldRef(relation, tuple_id, atom.attribute)))
             for atom in atoms
@@ -254,8 +268,8 @@ def _egd_may_be_violated_wsd(
 
 def _egd_component_witness(
     component: Component,
-    premise_positions: Sequence[Tuple[Comparison, int]],
-    conclusion: Comparison,
+    premise_positions: Sequence[Tuple[AttrConst, int]],
+    conclusion: AttrConst,
     conclusion_position: Optional[int],
 ) -> bool:
     """True iff some local world satisfies the premises and can falsify the conclusion.
@@ -267,14 +281,14 @@ def _egd_component_witness(
         satisfied = True
         for atom, position in premise_positions:
             value = row[position]
-            if value is not BOTTOM and not atom.evaluate(value):
+            if value is not BOTTOM and not compare(value, atom.op, atom.constant):
                 satisfied = False
                 break
         if not satisfied:
             continue
         if conclusion_position is not None:
             value = row[conclusion_position]
-            if value is not BOTTOM and conclusion.evaluate(value):
+            if value is not BOTTOM and compare(value, conclusion.op, conclusion.constant):
                 continue
         return True
     return False
@@ -326,7 +340,7 @@ def _chase_fd_wsd(wsd: WSD, dependency: FunctionalDependency) -> None:
                     )
                 return dependency.holds_for(left, right)
 
-            wsd.replace_component(component_index, _filter_component(wsd, component, keep))
+            wsd.replace_component(component_index, _filter_component(component, keep))
 
 
 def _values_certainly_differ_wsd(
@@ -347,8 +361,8 @@ def _values_certainly_differ_wsd(
             or row[first_position] != row[second_position]
             for row in component.rows
         )
-    first_values = _possible_values_wsd(wsd, relation, first, attribute)
-    second_values = _possible_values_wsd(wsd, relation, second, attribute)
+    first_values = _possible_values(wsd, relation, first, attribute)
+    second_values = _possible_values(wsd, relation, second, attribute)
     return bool(first_values) and bool(second_values) and not (first_values & second_values)
 
 
@@ -360,20 +374,19 @@ def _fd_may_be_violated_wsd(
     for attribute in dependency.determinants:
         if _values_certainly_differ_wsd(wsd, relation, first, second, attribute):
             return False
-    first_dependent = _possible_values_wsd(wsd, relation, first, dependency.dependent)
-    second_dependent = _possible_values_wsd(wsd, relation, second, dependency.dependent)
-    if (
-        len(first_dependent) == 1
-        and first_dependent == second_dependent
-    ):
-        return False
-    return True
+    first_dependent = _possible_values(wsd, relation, first, dependency.dependent)
+    second_dependent = _possible_values(wsd, relation, second, dependency.dependent)
+    return not (len(first_dependent) == 1 and first_dependent == second_dependent)
 
 
-def _possible_values_wsd(wsd: WSD, relation: str, tuple_id: Any, attribute: str) -> set:
+def _possible_values(engine: Any, relation: str, tuple_id: Any, attribute: str) -> set:
+    """The non-``⊥`` values a component of the WSD or UWSDT ``engine`` gives the
+    field; empty for a UWSDT field its template holds."""
     field = FieldRef(relation, tuple_id, attribute)
-    component = wsd.component_for(field)
-    return {value for value in component.column(field) if value is not BOTTOM}
+    cid = engine.component_of(field)
+    if cid is None:
+        return set()
+    return {value for value in engine.components[cid].column(field) if value is not BOTTOM}
 
 
 # --------------------------------------------------------------------------- #
@@ -435,7 +448,7 @@ def _premise_key(dependency: EqualityGeneratingDependency) -> Any:
     """What EGDs sharing one violation disjunct have equal: per premise its
     attribute, operator and constant with its class (``AttrConst.value_key``);
     the dependency itself, equal only to itself, when a constant does not hash."""
-    key = tuple(_selection(premise).value_key() for premise in dependency.premises)
+    key = tuple(premise.value_key() for premise in dependency.premises)
     return dependency if None in key else key
 
 
@@ -511,18 +524,14 @@ def _chase_egd_uwsdt(
     through_components = removed = 0
 
     for row in uwsdt.placeholder_rows_on(relation, attributes):
-        open_attributes = [a for a, p in positions if row[p] is PLACEHOLDER]
         through_components += 1
-
-        # Refinement: skip when no world can jointly satisfy the premises and
-        # falsify the conclusion.  The check is per component, not per
-        # attribute — two premises whose fields an earlier dependency already
-        # composed are judged against the surviving local worlds, so a
-        # conjunction that can no longer hold does not merge more components.
-        if not _egd_violation_possible_uwsdt(uwsdt, dependency, row, open_attributes, position_of):
+        tuple_id = row[0]
+        if not _egd_violation_possible(
+            uwsdt, dependency, tuple_id, lambda attribute: row[position_of(attribute)]
+        ):
             continue
 
-        tuple_id = row[0]
+        open_attributes = [a for a, p in positions if row[p] is PLACEHOLDER]
         cid = uwsdt.merge_components(
             [uwsdt.component_of(FieldRef(relation, tuple_id, a)) for a in open_attributes]
         )
@@ -533,56 +542,10 @@ def _chase_egd_uwsdt(
             values = fill_placeholders(row, slots, local_world)
             return values is None or not violated(values)
 
-        filtered = _filter_component(uwsdt, component, keep)
+        filtered = _filter_component(component, keep)
         removed += len(component.rows) - len(filtered.rows)
         uwsdt.replace_component(cid, filtered)
     _count_chase(rows_scanned, through_components, removed)
-
-
-def _egd_violation_possible_uwsdt(
-    uwsdt: UWSDT,
-    dependency: EqualityGeneratingDependency,
-    row: Tuple[Any, ...],
-    open_attributes: Sequence[str],
-    position_of: Callable[[str], int],
-) -> bool:
-    """Joint refinement: can some world satisfy every premise and falsify the conclusion?
-
-    Atoms over certain template values are decided directly.  Atoms over
-    placeholders are grouped by the component holding their field and each
-    group is checked against the component's local worlds.  Components are
-    independent, so a violating world exists iff every group has a witness.
-    """
-    relation, tuple_id = dependency.relation, row[0]
-    groups: Dict[int, List[Comparison]] = {}
-    for premise in dependency.premises:
-        if premise.attribute in open_attributes:
-            cid = uwsdt.component_of(FieldRef(relation, tuple_id, premise.attribute))
-            groups.setdefault(cid, []).append(premise)
-        elif not premise.evaluate(row[position_of(premise.attribute)]):
-            return False
-    conclusion = dependency.conclusion
-    conclusion_cid: Optional[int] = None
-    if conclusion.attribute in open_attributes:
-        conclusion_cid = uwsdt.component_of(FieldRef(relation, tuple_id, conclusion.attribute))
-        groups.setdefault(conclusion_cid, [])
-    elif conclusion.evaluate(row[position_of(conclusion.attribute)]):
-        return False
-
-    for cid, atoms in groups.items():
-        component = uwsdt.components[cid]
-        positions = [
-            (atom, component.position(FieldRef(relation, tuple_id, atom.attribute)))
-            for atom in atoms
-        ]
-        conclusion_position = (
-            component.position(FieldRef(relation, tuple_id, conclusion.attribute))
-            if cid == conclusion_cid
-            else None
-        )
-        if not _egd_component_witness(component, positions, conclusion, conclusion_position):
-            return False
-    return True
 
 
 def _chase_fd_uwsdt(uwsdt: UWSDT, dependency: FunctionalDependency) -> None:
@@ -672,7 +635,7 @@ def _determinant_keys(
         if attribute in placeholders:
             per_attribute.append(
                 sorted(
-                    _possible_values_uwsdt(uwsdt, dependency.relation, row[0], attribute),
+                    _possible_values(uwsdt, dependency.relation, row[0], attribute),
                     key=repr,
                 )
             )
@@ -718,14 +681,6 @@ def _chase_fd_pair_uwsdt(
         right = fill_placeholders(second, second_slots, local_world)
         return left is None or right is None or holds(left, right)
 
-    filtered = _filter_component(uwsdt, component, keep)
+    filtered = _filter_component(component, keep)
     uwsdt.replace_component(cid, filtered)
     return len(component.rows) - len(filtered.rows)
-
-
-def _possible_values_uwsdt(uwsdt: UWSDT, relation: str, tuple_id: Any, attribute: str) -> set:
-    field = FieldRef(relation, tuple_id, attribute)
-    cid = uwsdt.component_of(field)
-    if cid is None:
-        return set()
-    return {value for value in uwsdt.components[cid].column(field) if value is not BOTTOM}

@@ -30,7 +30,6 @@ from repro.baselines import naive
 from repro.core import UWSDT, WSD, FieldRef, normalize_wsd
 from repro.core.algebra import BaseRelation, Query, evaluate_on_wsd
 from repro.core.chase import (
-    Comparison,
     EqualityGeneratingDependency,
     FunctionalDependency,
     chase_uwsdt,
@@ -331,11 +330,11 @@ def chase_dependencies(draw):
         st.lists(st.sampled_from(attrs), min_size=1, max_size=2, unique=True)
     )
     premises = [
-        Comparison(attribute, draw(st.sampled_from(COMPARISONS)), draw(values_strategy))
+        AttrConst(attribute, draw(st.sampled_from(COMPARISONS)), draw(values_strategy))
         for attribute in premise_attrs
     ]
     conclusion_attr = draw(st.sampled_from(attrs))
-    conclusion = Comparison(
+    conclusion = AttrConst(
         conclusion_attr, draw(st.sampled_from(COMPARISONS)), draw(values_strategy)
     )
     return EqualityGeneratingDependency("R", premises, conclusion)

@@ -11,7 +11,6 @@ import pytest
 from repro.core import (
     UWSDT,
     WSD,
-    Comparison,
     EqualityGeneratingDependency,
     FunctionalDependency,
     chase_uwsdt,
@@ -23,7 +22,7 @@ from repro.core import (
 )
 from repro.core.component import Component
 from repro.core.fields import FieldRef
-from repro.relational import DatabaseSchema, Relation, RelationSchema
+from repro.relational import AttrConst, DatabaseSchema, Relation, RelationSchema
 from repro.relational.values import PLACEHOLDER
 from repro.worlds import OrSet, OrSetRelation
 
@@ -70,7 +69,7 @@ class TestChaseNoOp:
         uwsdt = UWSDT.from_orset_relation(consistent_orset)
         before = uwsdt.statistics()
         egd = EqualityGeneratingDependency(
-            "R", [Comparison("N", "=", "nobody")], Comparison("M", "=", 1)
+            "R", [AttrConst("N", "=", "nobody")], AttrConst("M", "=", 1)
         )
         chase_uwsdt(uwsdt, [egd])
         assert uwsdt.statistics() == before

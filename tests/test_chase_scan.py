@@ -22,7 +22,6 @@ from repro.bench import census_instance
 from repro.census import CensusGenerator, census_dependencies, census_schema
 from repro.core import UWSDT, chase
 from repro.core.chase import (
-    Comparison,
     EqualityGeneratingDependency,
     FunctionalDependency,
     chase_uwsdt,
@@ -31,10 +30,14 @@ from repro.obs.metrics import get_registry
 from repro.relational import (
     BOTTOM,
     PLACEHOLDER,
+    And,
+    AttrAttr,
+    AttrConst,
     InconsistentWorldSetError,
     Predicate,
     PredicateError,
     RepresentationError,
+    eq,
 )
 from repro.relational.predicates import _code
 from repro.worlds import OrSet, OrSetRelation
@@ -166,7 +169,7 @@ class TestPlaceholderRowsAreNotCertainViolations:
     def test_placeholder_conclusion(self, op, constant, reported, survivors):
         uwsdt = self._uwsdt()
         dependency = EqualityGeneratingDependency(
-            "R", [Comparison("A", "=", 1)], Comparison("B", op, constant)
+            "R", [AttrConst("A", "=", 1)], AttrConst("B", op, constant)
         )
         opened = uwsdt.templates["R"].open
         scan = chase._Violation(dependency).compile_scan(opened.schema)
@@ -183,7 +186,7 @@ class TestPlaceholderRowsAreNotCertainViolations:
             OrSetRelation.from_dicts("R", ["A", "B"], [{"A": OrSet([3, 4]), "B": 7}])
         )
         dependency = EqualityGeneratingDependency(
-            "R", [Comparison("A", "!=", 3)], Comparison("B", "<", 5)
+            "R", [AttrConst("A", "!=", 3)], AttrConst("B", "<", 5)
         )
         opened = uwsdt.templates["R"].open
         assert chase._Violation(dependency).compile_scan(opened.schema)(opened)
@@ -192,7 +195,7 @@ class TestPlaceholderRowsAreNotCertainViolations:
 
     def test_every_local_world_violating_still_raises(self):
         dependency = EqualityGeneratingDependency(
-            "R", [Comparison("A", "=", 1)], Comparison("B", "=", 5)
+            "R", [AttrConst("A", "=", 1)], AttrConst("B", "=", 5)
         )
         with pytest.raises(InconsistentWorldSetError, match="inconsistent"):
             chase_uwsdt(self._uwsdt(), [dependency])
@@ -206,13 +209,23 @@ class TestPlaceholderRowsAreNotCertainViolations:
 class TestNothingIsHalfApplied:
     def test_unknown_operator_cannot_be_constructed(self):
         with pytest.raises(PredicateError, match="unknown comparison operator '~'"):
-            Comparison("A", "~", 1)
+            AttrConst("A", "~", 1)
         with pytest.raises(PredicateError):
             # The second dependency of a list can no longer be built, let alone half-applied.
             [
-                EqualityGeneratingDependency("R", [Comparison("A", "=", 1)], Comparison("B", "=", 1)),
-                EqualityGeneratingDependency("R", [Comparison("A", "~", 1)], Comparison("B", "=", 1)),
+                EqualityGeneratingDependency("R", [AttrConst("A", "=", 1)], AttrConst("B", "=", 1)),
+                EqualityGeneratingDependency("R", [AttrConst("A", "~", 1)], AttrConst("B", "=", 1)),
             ]
+
+    @pytest.mark.parametrize(
+        "atom",
+        [AttrAttr("A", "=", "B"), And(eq("A", 1), eq("B", 1)), ("A", "=", 1)],
+        ids=["AttrAttr", "And", "tuple"],
+    )
+    def test_an_atom_that_is_no_attr_const_cannot_be_constructed(self, atom):
+        for premises, conclusion in (([atom], eq("B", 1)), ([eq("A", 1)], atom)):
+            with pytest.raises(RepresentationError, match=re.escape(repr(atom))):
+                EqualityGeneratingDependency("R", premises, conclusion)
 
     def _uwsdt(self):
         return UWSDT.from_orset_relation(
@@ -223,10 +236,10 @@ class TestNothingIsHalfApplied:
 
     def test_certain_violation_of_a_later_egd_leaves_the_uwsdt_untouched(self):
         removes_worlds = EqualityGeneratingDependency(
-            "R", [Comparison("A", "=", 1)], Comparison("B", "=", 2)
+            "R", [AttrConst("A", "=", 1)], AttrConst("B", "=", 2)
         )
         certainly_violated = EqualityGeneratingDependency(
-            "R", [Comparison("A", "=", 3)], Comparison("B", "<", 5)
+            "R", [AttrConst("A", "=", 3)], AttrConst("B", "<", 5)
         )
         uwsdt = self._uwsdt()
         before = chase_digest(uwsdt)
@@ -240,7 +253,7 @@ class TestNothingIsHalfApplied:
         uwsdt = self._uwsdt()
         before = chase_digest(uwsdt)
         removes_worlds = EqualityGeneratingDependency(
-            "R", [Comparison("A", "=", 1)], Comparison("B", "=", 2)
+            "R", [AttrConst("A", "=", 1)], AttrConst("B", "=", 2)
         )
         with pytest.raises(RepresentationError, match="unsupported dependency"):
             chase_uwsdt(uwsdt, [removes_worlds, "not a dependency"])
@@ -322,9 +335,9 @@ def _dependency(draw, shared_premises):
     if draw(st.integers(0, 3)) == 0:
         determinant, dependent = draw(st.permutations(SCHEMAS[relation]))[:2]
         return FunctionalDependency(relation, [determinant], dependent)
-    atoms = st.builds(Comparison, attributes, _ops, _values)
+    atoms = st.builds(AttrConst, attributes, _ops, _values)
     if draw(st.booleans()):  # equal premises, not the same objects
-        premises = [Comparison(p.attribute, p.op, p.constant) for p in draw(shared_premises)]
+        premises = [AttrConst(p.attribute, p.op, p.constant) for p in draw(shared_premises)]
     else:
         premises = draw(st.lists(atoms, min_size=1, max_size=2))
     return EqualityGeneratingDependency(relation, premises, draw(atoms))
@@ -334,7 +347,7 @@ def _dependency(draw, shared_premises):
 def _dependencies(draw):
     # A pool of premise lists over the attributes both relations have, so
     # that EGDs of one relation often share their premises (one disjunct).
-    common = st.builds(Comparison, st.sampled_from(("A", "B")), _ops, _values)
+    common = st.builds(AttrConst, st.sampled_from(("A", "B")), _ops, _values)
     pool = draw(st.lists(st.lists(common, max_size=2), min_size=1, max_size=2))
     dependencies = draw(st.lists(_dependency(st.sampled_from(pool)), min_size=1, max_size=6))
     if draw(st.booleans()):
@@ -376,12 +389,12 @@ class TestSharedScanMatchesOneScanPerEgd:
             ]
         )
         second_row = EqualityGeneratingDependency(
-            "R", [Comparison("A", "=", 2)], Comparison("B", "=", 0)
+            "R", [AttrConst("A", "=", 2)], AttrConst("B", "=", 0)
         )
         first_row = EqualityGeneratingDependency(
-            "R", [Comparison("A", "=", 1)], Comparison("B", "=", 0)
+            "R", [AttrConst("A", "=", 1)], AttrConst("B", "=", 0)
         )
-        other_relation = EqualityGeneratingDependency("S", [], Comparison("A", "=", 0))
+        other_relation = EqualityGeneratingDependency("S", [], AttrConst("A", "=", 0))
         for dependencies, named in [
             ([second_row, first_row], r"\(2, 6\) of 'R' violates EGD\(R: A = 2"),
             ([first_row, second_row], r"\(1, 5\) of 'R' violates EGD\(R: A = 1"),
@@ -423,8 +436,8 @@ class TestSharedScanMatchesOneScanPerEgd:
                 ],
             )
         )
-        on_b = EqualityGeneratingDependency("R", [Comparison("A", "=", 1)], Comparison("B", "=", 0))
-        on_c = EqualityGeneratingDependency("R", [Comparison("A", "=", 1)], Comparison("C", "=", 0))
+        on_b = EqualityGeneratingDependency("R", [AttrConst("A", "=", 1)], AttrConst("B", "=", 0))
+        on_c = EqualityGeneratingDependency("R", [AttrConst("A", "=", 1)], AttrConst("C", "=", 0))
         assert chase._premise_key(on_b) == chase._premise_key(on_c)
         for dependencies, named in [
             ([on_b, on_c], r"\(1, 5, 5\) of 'R' violates EGD\(R: A = 1 => B = 0\)"),
@@ -441,8 +454,8 @@ class TestSharedScanMatchesOneScanPerEgd:
             )
         )
         dependencies = [
-            EqualityGeneratingDependency("R", [Comparison("A", op, [1])], Comparison("B", "!=", 5)),
-            EqualityGeneratingDependency("R", [Comparison("A", op, [1])], Comparison("B", "!=", 7)),
+            EqualityGeneratingDependency("R", [AttrConst("A", op, [1])], AttrConst("B", "!=", 5)),
+            EqualityGeneratingDependency("R", [AttrConst("A", op, [1])], AttrConst("B", "!=", 7)),
         ]
         keys = [chase._premise_key(dependency) for dependency in dependencies]
         assert keys == dependencies  # each its own disjunct

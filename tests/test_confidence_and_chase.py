@@ -8,7 +8,6 @@ from repro.baselines import naive
 from repro.core import (
     UWSDT,
     WSD,
-    Comparison,
     EqualityGeneratingDependency,
     FunctionalDependency,
     certain,
@@ -23,10 +22,17 @@ from repro.core import (
     uwsdt_possible_with_confidence,
 )
 from repro.core.algebra import BaseRelation, evaluate_on_wsd
-from repro.relational import InconsistentWorldSetError, RepresentationError
-from repro.worlds import OrSet, OrSetRelation
+from repro.relational import (
+    AttrConst,
+    Database,
+    InconsistentWorldSetError,
+    Relation,
+    RelationSchema,
+    RepresentationError,
+)
+from repro.worlds import OrSet, OrSetRelation, WorldSet
 
-from _fixtures import orset_relations
+from _fixtures import ORACLE_ATTRS, chase_dependency_lists, orset_relations, values_strategy
 
 
 @pytest.fixture
@@ -187,7 +193,7 @@ class TestChaseOnWSD:
     def test_figure22_egd_after_key(self, figure4_wsd):
         """Chasing S = 785 ⇒ M = 1 on the Figure 4 WSD yields the Figure 22 WSD."""
         egd = EqualityGeneratingDependency(
-            "R", [Comparison("S", "=", 785)], Comparison("M", "=", 1)
+            "R", [AttrConst("S", "=", 785)], AttrConst("M", "=", 1)
         )
         reference = naive.clean(figure4_wsd.rep(), [egd])
         chase_wsd(figure4_wsd, [egd])
@@ -207,7 +213,7 @@ class TestChaseOnWSD:
             ],
         )
         d1 = FunctionalDependency("R", ["B"], "C")
-        d2 = EqualityGeneratingDependency("R", [Comparison("A", "=", 1)], Comparison("B", "!=", 2))
+        d2 = EqualityGeneratingDependency("R", [AttrConst("A", "=", 1)], AttrConst("B", "!=", 2))
 
         first = WSD.from_orset_relation(relation)
         chase_wsd(first, [d1, d2])
@@ -223,7 +229,7 @@ class TestChaseOnWSD:
     def test_inconsistent_worldset_raises(self):
         relation = OrSetRelation.from_dicts("R", ["A", "B"], [{"A": 1, "B": OrSet([2, 3])}])
         egd = EqualityGeneratingDependency(
-            "R", [Comparison("A", "=", 1)], Comparison("B", "=", 9)
+            "R", [AttrConst("A", "=", 1)], AttrConst("B", "=", 9)
         )
         wsd = WSD.from_orset_relation(relation)
         with pytest.raises(InconsistentWorldSetError):
@@ -238,7 +244,7 @@ class TestChaseOnWSD:
     def test_random_egd_matches_naive(self, relation, constant):
         first, last = relation.schema.attributes[0], relation.schema.attributes[-1]
         egd = EqualityGeneratingDependency(
-            "R", [Comparison(first, "=", constant)], Comparison(last, "!=", constant)
+            "R", [AttrConst(first, "=", constant)], AttrConst(last, "!=", constant)
         )
         wsd = WSD.from_orset_relation(relation)
         try:
@@ -267,7 +273,7 @@ class TestChaseOnUWSDT:
     def test_certain_violation_raises(self):
         relation = OrSetRelation.from_dicts("R", ["A", "B"], [{"A": 1, "B": 2}])
         egd = EqualityGeneratingDependency(
-            "R", [Comparison("A", "=", 1)], Comparison("B", "=", 9)
+            "R", [AttrConst("A", "=", 1)], AttrConst("B", "=", 9)
         )
         uwsdt = UWSDT.from_orset_relation(relation)
         with pytest.raises(InconsistentWorldSetError):
@@ -286,7 +292,7 @@ class TestChaseOnUWSDT:
         uwsdt = UWSDT.from_orset_relation(census_forms)
         before = uwsdt.component_count()
         egd = EqualityGeneratingDependency(
-            "R", [Comparison("N", "=", "Nobody")], Comparison("M", "=", 1)
+            "R", [AttrConst("N", "=", "Nobody")], AttrConst("M", "=", 1)
         )
         chase_uwsdt(uwsdt, [egd])
         assert uwsdt.component_count() == before
@@ -297,7 +303,7 @@ class TestChaseOnUWSDT:
     def test_random_egd_matches_naive(self, relation, constant):
         first, last = relation.schema.attributes[0], relation.schema.attributes[-1]
         egd = EqualityGeneratingDependency(
-            "R", [Comparison(first, ">", constant)], Comparison(last, "<=", constant)
+            "R", [AttrConst(first, ">", constant)], AttrConst(last, "<=", constant)
         )
         uwsdt = UWSDT.from_orset_relation(relation)
         try:
@@ -322,4 +328,44 @@ class TestChaseOnUWSDT:
                 chase_uwsdt(uwsdt, [dependency])
             return
         chase_uwsdt(uwsdt, [dependency])
+        assert uwsdt.rep().same_distribution(reference)
+
+
+@st.composite
+def one_component_worldsets(draw):
+    """1-4 weighted worlds of 1-3 rows over the oracle relation ``R``."""
+    schema = RelationSchema("R", ORACLE_ATTRS["R"])
+    row = st.tuples(*[values_strategy] * schema.arity)
+    worlds = draw(st.lists(st.lists(row, min_size=1, max_size=3), min_size=1, max_size=4))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(worlds), max_size=len(worlds)))
+    worldset = WorldSet()
+    for rows, weight in zip(worlds, weights):
+        worldset.add(Database([Relation(schema, rows)]), weight / sum(weights))
+    return worldset
+
+
+class TestChaseOnOneComponent:
+    """``WSD.from_worldset`` keeps every field in one component, so each tuple
+    spans a component before the first dependency is chased: the joint
+    per-component witness decides from the start, on both engines."""
+
+    @given(one_component_worldsets(), chase_dependency_lists())
+    @settings(max_examples=80, deadline=None)
+    def test_wsd_and_uwsdt_chases_match_naive(self, worldset, dependencies):
+        wsd = WSD.from_worldset(worldset)
+        assert wsd.component_count() == 1
+        uwsdt = UWSDT.from_wsd(wsd)
+        try:
+            reference = naive.clean(worldset, dependencies)
+        except InconsistentWorldSetError:
+            with pytest.raises(InconsistentWorldSetError):
+                chase_wsd(wsd, dependencies)
+            with pytest.raises(InconsistentWorldSetError):
+                chase_uwsdt(uwsdt, dependencies)
+            return
+        chase_wsd(wsd, dependencies)
+        wsd.validate()
+        assert wsd.rep().same_distribution(reference)
+        chase_uwsdt(uwsdt, dependencies)
+        uwsdt.validate()
         assert uwsdt.rep().same_distribution(reference)

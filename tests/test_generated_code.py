@@ -97,8 +97,7 @@ class TestBottomGuard:
         schema = census_schema()
         premises = [premise for egd in census_dependencies() for premise in egd.premises]
         for premise in premises:
-            atom = AttrConst(premise.attribute, premise.op, premise.constant)
-            assert "is not BOTTOM" not in generated_source(atom, schema), premise
+            assert "is not BOTTOM" not in generated_source(premise, schema), premise
         # The first EGD's conclusion ``IMMIGR = 0`` is an equality too.
         assert "is not BOTTOM" not in generated_source(_Violation(census_dependencies()[0]), schema)
 

@@ -16,10 +16,10 @@ from hypothesis import find, settings
 
 from repro.core import FieldRef
 from repro.core.algebra import BaseRelation
-from repro.core.chase import Comparison, EqualityGeneratingDependency, FunctionalDependency
+from repro.core.chase import EqualityGeneratingDependency, FunctionalDependency
 from repro.core.exec.plan_cache import PlanCache
 from repro.core.uwsdt import certain_tid
-from repro.relational import Relation, RepresentationError, eq
+from repro.relational import AttrConst, Relation, RepresentationError, eq
 from repro.worlds import OrSet
 
 import _fixtures
@@ -139,7 +139,7 @@ def test_a_chase_that_does_not_raise_on_an_inconsistent_input_is_rejected(monkey
     case = Case(
         (orsets("R", "AB", (1, OrSet([2, 3]))),),
         BaseRelation("R"),
-        (EqualityGeneratingDependency("R", [Comparison("A", "=", 1)], Comparison("B", "=", 9)),),
+        (EqualityGeneratingDependency("R", [AttrConst("A", "=", 1)], AttrConst("B", "=", 9)),),
     )
     check_oracle(case, CELLS)  # both chases raise, as brute force finds no world
     chase = _fixtures.chase_uwsdt

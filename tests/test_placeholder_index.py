@@ -21,7 +21,6 @@ from repro.census import CensusGenerator, census_dependencies
 from repro.core import UWSDT
 from repro.core.algebra import BaseRelation, uwsdt_ops
 from repro.core.chase import (
-    Comparison,
     EqualityGeneratingDependency,
     FunctionalDependency,
     _Violation,
@@ -31,6 +30,7 @@ from repro.core.component import Component
 from repro.core.fields import FieldRef
 from repro.core.uwsdt import TID, certain_tid
 from repro.relational import (
+    AttrConst,
     InconsistentWorldSetError,
     Relation,
     RelationSchema,
@@ -186,7 +186,7 @@ cell_values = st.one_of(
 )
 open_layout_rows = st.tuples(st.integers(), cell_values, cell_values, cell_values)
 atoms = st.builds(
-    Comparison,
+    AttrConst,
     st.sampled_from(ATTRS),
     st.sampled_from(sorted(COMPARATORS)),
     st.one_of(st.integers(min_value=0, max_value=3), st.sampled_from(["0", "2", "x"])),
@@ -265,7 +265,7 @@ class TestChaseParity:
 
     def test_certain_egd_violation_names_tuple_and_dependency(self):
         dependency = EqualityGeneratingDependency(
-            "R", [Comparison("A", "=", 3)], Comparison("B", "<", 5)
+            "R", [AttrConst("A", "=", 3)], AttrConst("B", "<", 5)
         )
         with pytest.raises(InconsistentWorldSetError) as error:
             chase_uwsdt(self._certain_with_one_orset(), [dependency])
@@ -285,7 +285,7 @@ class TestChaseParity:
         """A ``?`` on an attribute the dependency ignores must not hide a violation."""
         uwsdt = self._certain_with_one_orset()
         dependency = EqualityGeneratingDependency(
-            "R", [Comparison("B", "=", 2)], Comparison("B", "!=", 2)
+            "R", [AttrConst("B", "=", 2)], AttrConst("B", "!=", 2)
         )
         with pytest.raises(InconsistentWorldSetError, match=r"certain tuple \(PLACEHOLDER, 2\)"):
             chase_uwsdt(uwsdt, [dependency])

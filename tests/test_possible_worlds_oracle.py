@@ -36,7 +36,7 @@ from repro.census import (
 )
 from repro.core import FieldRef
 from repro.core.algebra import BaseRelation, evaluate_on_database
-from repro.core.chase import Comparison, EqualityGeneratingDependency, FunctionalDependency
+from repro.core.chase import EqualityGeneratingDependency, FunctionalDependency
 from repro.core.confidence import uwsdt_possible_with_confidence
 from repro.relational import And, AttrAttr, AttrConst, Or, attr_eq, eq, gt
 from repro.relational.values import is_placeholder
@@ -252,12 +252,12 @@ INTERACTING_EGDS = Case(
     (orsets("R", ("A0", "A1", "A2"), (OrSet([0, 1]), OrSet([0, 1]), OrSet([0, 1]))),),
     R.select(AttrAttr("A0", "<", "A1")).project(["A2"]),
     (
-        EqualityGeneratingDependency("R", [Comparison("A0", "=", 0)], Comparison("A1", "!=", 0)),
-        EqualityGeneratingDependency("R", [Comparison("A0", "=", 1)], Comparison("A1", "!=", 1)),
+        EqualityGeneratingDependency("R", [AttrConst("A0", "=", 0)], AttrConst("A1", "!=", 0)),
+        EqualityGeneratingDependency("R", [AttrConst("A0", "=", 1)], AttrConst("A1", "!=", 1)),
         EqualityGeneratingDependency(
             "R",
-            [Comparison("A0", "=", 0), Comparison("A1", "=", 0)],
-            Comparison("A2", "=", 1),
+            [AttrConst("A0", "=", 0), AttrConst("A1", "=", 0)],
+            AttrConst("A2", "=", 1),
         ),
     ),
 )
@@ -388,12 +388,12 @@ EXPLICIT_CASES = {
     "an EGD with a certain premise fixes a ?": Case(
         (orsets("R", "AB", (1, OrSet([2, 3])), (OrSet([1, 2]), 5)),),
         R.select(gt("B", 1)),
-        (EqualityGeneratingDependency("R", [Comparison("A", "=", 1)], Comparison("B", "!=", 3)),),
+        (EqualityGeneratingDependency("R", [AttrConst("A", "=", 1)], AttrConst("B", "!=", 3)),),
     ),
     "dependencies no world satisfies": Case(
         (orsets("R", "AB", (1, OrSet([2, 3]))),),
         R,
-        (EqualityGeneratingDependency("R", [Comparison("A", "=", 1)], Comparison("B", "=", 9)),),
+        (EqualityGeneratingDependency("R", [AttrConst("A", "=", 1)], AttrConst("B", "=", 9)),),
     ),
     **{
         f"keyed selection: {label}": Case((KEYED,), R.select(predicate))
